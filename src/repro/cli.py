@@ -287,10 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max records packed into one wire frame",
     )
     run.add_argument(
-        "--wire-version", type=int, default=2, choices=[1, 2],
-        help="frame encoding: 2 = binary (default), 1 = legacy JSON",
-    )
-    run.add_argument(
         "--jsonl", default=None, metavar="PATH",
         help="write run metrics as a repro.obs/v1 JSONL artifact",
     )
@@ -766,7 +762,6 @@ def _cmd_runtime(args) -> int:
         port_base=args.port_base,
         window=args.window,
         max_batch=args.max_batch,
-        wire_version=args.wire_version,
     )
     try:
         result = run_cluster(spec)

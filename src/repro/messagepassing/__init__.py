@@ -24,10 +24,9 @@ names; the tests make it concrete.
 
 Channels need not be reliable FIFO: :class:`ChannelFaults` turns the
 scheduler into a lossy/duplicating/reordering adversary, under which the
-naive port demonstrably breaks and :class:`HardenedMPForwardingNode`
-(sequence numbers + retransmission + idempotent acknowledgements — the
-same hop discipline :mod:`repro.runtime` runs over real sockets) stays
-exactly-once.
+naive port demonstrably breaks and :class:`HopMPNode` — an adapter over
+:class:`repro.runtime.hop.HopCore`, the very lane code :mod:`repro.runtime`
+runs over real sockets — stays exactly-once.
 """
 
 from repro.messagepassing.engine import (
@@ -38,7 +37,7 @@ from repro.messagepassing.engine import (
     MPNode,
 )
 from repro.messagepassing.forwarding import (
-    HardenedMPForwardingNode,
+    HopMPNode,
     MPForwardingNode,
     build_mp_network,
 )
@@ -49,7 +48,7 @@ __all__ = [
     "LocalAction",
     "MessagePassingSimulator",
     "MPNode",
-    "HardenedMPForwardingNode",
+    "HopMPNode",
     "MPForwardingNode",
     "build_mp_network",
 ]

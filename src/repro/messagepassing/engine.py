@@ -17,9 +17,9 @@ adversary is weaker still: :class:`ChannelFaults` makes delivery *lossy*
 handed over and a copy re-enqueued at the tail) and/or *reordering* (a
 random queue position is delivered instead of the head), all driven by the
 simulator's seeded RNG.  The naive port breaks under these (see the tests);
-the hardened port of :mod:`repro.messagepassing.forwarding` adds sequence
-numbers, retransmission and idempotent acknowledgements — the same
-discipline :mod:`repro.runtime.node` uses over real sockets — and stays
+:class:`~repro.messagepassing.forwarding.HopMPNode` runs the live runtime's
+own lane protocol (:mod:`repro.runtime.hop`: sequence numbers,
+retransmission, idempotent acknowledgements) on these channels and stays
 exactly-once.
 """
 

@@ -27,21 +27,17 @@ copied, a forged OFFER injects phantom traffic — and why the
 snap-stabilizing port remains the paper's open problem (the tests
 demonstrate both failures).
 
-Two ports live here:
+Two node classes live here:
 
 * :class:`MPForwardingNode` — the *naive* port above, correct only over
   reliable FIFO channels (a duplicated OFFER double-delivers, a lost
-  ACCEPT deadlocks a lane).
-* :class:`HardenedMPForwardingNode` — the same scheme hardened for
-  :class:`~repro.messagepassing.engine.ChannelFaults`: every hop carries a
-  per-(sender, receiver, destination) lane sequence number, senders keep
-  retransmitting until acknowledged (a ``xmit`` local action the
-  adversarial scheduler plays as the "timeout"), receivers accept only the
-  expected sequence number and re-acknowledge its predecessor
-  idempotently, and the erase is confirmed with a ``RELEASE``/``RACK``
-  second handshake.  This is the same discipline
-  :mod:`repro.runtime.node` speaks over real sockets, so the discrete
-  adversary here and the live netem adversary exercise one protocol.
+  ACCEPT deadlocks a lane).  It is the baseline the hardened path beats.
+* :class:`HopMPNode` — the hardened path: not a second port but an adapter
+  feeding :class:`~repro.runtime.hop.HopCore`, the lane protocol the live
+  runtime ships (sequence numbers, windows, SACK, RTT-estimated
+  retransmission, release watermarks), from simulator channels.  The
+  seeded :class:`~repro.messagepassing.engine.ChannelFaults` adversary
+  here and the live netem adversary execute the same code.
 """
 
 from __future__ import annotations
@@ -59,11 +55,12 @@ from repro.messagepassing.engine import (
 )
 from repro.network.graph import Network
 from repro.routing.table import RoutingService
+from repro.runtime.hop import HopCore, RuntimeParams
 from repro.statemodel.message import Message
 from repro.types import DestId, ProcId
 
-#: Wire message kinds (RACK is used by the hardened port only).
-OFFER, ACCEPT, RELEASE, RACK = "OFFER", "ACCEPT", "RELEASE", "RACK"
+#: Wire message kinds of the naive port.
+OFFER, ACCEPT, RELEASE = "OFFER", "ACCEPT", "RELEASE"
 
 
 @dataclass
@@ -75,7 +72,6 @@ class StoredRecord:
     valid: bool
     src: ProcId  # who handed it to us (self for generated)
     released: bool  # the upstream copy has been erased; commit allowed
-    seq: int = -1  # lane sequence number it arrived under (hardened port)
 
     def as_message(self, dest: DestId) -> Message:
         """Bridge to the ledger's message shape."""
@@ -241,20 +237,16 @@ class MPForwardingNode(MPNode):
         )
 
 
-class HardenedMPForwardingNode(MPForwardingNode):
-    """The port hardened for lossy/duplicating/reordering channels.
+class HopMPNode(MPNode):
+    """The live runtime's hop protocol on simulator channels.
 
-    Each directed hop lane (sender, receiver, destination) carries a
-    monotonically increasing sequence number.  The receiver accepts an
-    OFFER only at the expected sequence number (and only when ``bufR`` is
-    free — otherwise it stays silent and the sender's retransmission
-    retries later), re-ACCEPTs the immediately preceding number
-    idempotently (the ACCEPT may have been lost), and drops anything
-    older or newer.  The sender retransmits its outstanding frame via the
-    ``xmit`` local action until acknowledged; the erase is confirmed with
-    RELEASE/RACK under the same numbering, so a duplicated or reordered
-    frame can never erase or double-commit a record.  One live copy per
-    hop — R2's guard — survives arbitrary ChannelFaults.
+    Each channel message is one hop record, handed to the core on delivery.
+    Time is virtual and local: the ``timer`` action (enabled while the core
+    holds anything) moves this node's clock one ``params.tick`` forward and
+    lets the core fire its rules, owed ACKs and expired timers — so the
+    scheduler decides how many records arrive between two heartbeats and
+    how long every acknowledgement takes.  Logged generations and
+    deliveries go to the shared ledger.
     """
 
     def __init__(
@@ -263,128 +255,48 @@ class HardenedMPForwardingNode(MPForwardingNode):
         net: Network,
         routing: RoutingService,
         ledger: DeliveryLedger,
+        params: Optional[RuntimeParams] = None,
     ) -> None:
-        super().__init__(pid, net, routing, ledger)
-        #: Next sequence number per outgoing lane (neighbor, destination).
-        self.out_seq: Dict[Tuple[ProcId, DestId], int] = {}
-        #: Expected sequence number per incoming lane (neighbor, destination).
-        self.in_expected: Dict[Tuple[ProcId, DestId], int] = {}
-        #: (phase, neighbor, seq) awaiting ACCEPT ("offer") or RACK ("release").
-        self.outstanding: List[Optional[Tuple[str, ProcId, int]]] = [None] * net.n
-        self.retransmissions = 0
-        self.dup_offers_reacked = 0
-        self.stale_frames_dropped = 0
+        super().__init__(pid)
+        self.core = HopCore(pid, net, routing, params)
+        self.ledger = ledger
+        self.now = 0.0
+        self._accounted = 0  # core events already fed to the ledger
 
-    # -- wire handlers -----------------------------------------------------------
+    def submit(self, payload: Any, dest: DestId) -> None:
+        """Queue an application send."""
+        self.core.submit(payload, dest)
 
     def on_message(self, frm: ProcId, payload: Any) -> None:
-        kind, d = payload[0], payload[1]
-        if kind == OFFER:
-            _, _, seq, body, uid, valid = payload
-            expected = self.in_expected.get((frm, d), 1)
-            if seq == expected:
-                if self.buf_r[d] is None:
-                    self.buf_r[d] = StoredRecord(
-                        body, uid, valid, frm, released=False, seq=seq
-                    )
-                    self.in_expected[(frm, d)] = expected + 1
-                    self.send(frm, (ACCEPT, d, seq))
-                # bufR busy: stay silent; the sender's xmit retries later.
-            elif seq == expected - 1:
-                # Already accepted; the ACCEPT must have been lost.
-                self.dup_offers_reacked += 1
-                self.send(frm, (ACCEPT, d, seq))
-            else:
-                self.stale_frames_dropped += 1
-        elif kind == ACCEPT:
-            seq = payload[2]
-            out = self.outstanding[d]
-            if (
-                out is not None
-                and out[0] == "offer"
-                and out[1] == frm
-                and out[2] == seq
-                and self.buf_e[d] is not None
-            ):
-                self.buf_e[d] = None
-                self.outstanding[d] = ("release", frm, seq)
-                self.send(frm, (RELEASE, d, seq))
-            else:
-                self.stale_frames_dropped += 1
-        elif kind == RELEASE:
-            seq = payload[2]
-            if seq < self.in_expected.get((frm, d), 1):
-                # A sequence number we really accepted: RACK idempotently,
-                # and mark the record released if it is still the one held.
-                rec = self.buf_r[d]
-                if (
-                    rec is not None
-                    and not rec.released
-                    and rec.src == frm
-                    and rec.seq == seq
-                ):
-                    rec.released = True
-                self.send(frm, (RACK, d, seq))
-            else:
-                self.stale_frames_dropped += 1
-        elif kind == RACK:
-            seq = payload[2]
-            out = self.outstanding[d]
-            if (
-                out is not None
-                and out[0] == "release"
-                and out[1] == frm
-                and out[2] == seq
-            ):
-                self.outstanding[d] = None
-            else:
-                self.stale_frames_dropped += 1
-        else:  # unknown kinds are dropped (type-correct garbage tolerance)
-            return
-
-    # -- local actions -----------------------------------------------------------
+        out: List[Tuple[ProcId, Dict[str, Any]]] = []
+        self.core.on_records(frm, (payload,), self.now, out)
+        self._ship(out)
 
     def local_actions(self) -> List[LocalAction]:
-        actions = super().local_actions()
-        for d in range(self.net.n):
-            if self.outstanding[d] is not None:
-                actions.append(
-                    LocalAction(self.pid, f"xmit({d})", self._make_xmit(d))
-                )
-        return actions
+        if self.core.is_idle():
+            return []
+        return [LocalAction(self.pid, "timer", self._timer)]
 
-    def _make_offer(self, d: DestId):
-        def effect() -> None:
-            rec = self.buf_e[d]
-            if rec is None or self.outstanding[d] is not None:
-                return
-            nh = self.routing.next_hop(self.pid, d)
-            seq = self.out_seq.get((nh, d), 0) + 1
-            self.out_seq[(nh, d)] = seq
-            self.outstanding[d] = ("offer", nh, seq)
-            self.send(nh, (OFFER, d, seq, rec.payload, rec.uid, rec.valid))
-
-        return effect
-
-    def _make_xmit(self, d: DestId):
-        """Retransmit the outstanding frame for ``d`` (the scheduler plays
-        the timeout — enabled whenever an acknowledgement is pending)."""
-
-        def effect() -> None:
-            out = self.outstanding[d]
-            if out is None:
-                return
-            phase, nbr, seq = out
-            if phase == "offer":
-                rec = self.buf_e[d]
-                if rec is None:
-                    return
-                self.send(nbr, (OFFER, d, seq, rec.payload, rec.uid, rec.valid))
+    def _timer(self) -> None:
+        self.now += self.core.params.tick
+        out: List[Tuple[ProcId, Dict[str, Any]]] = []
+        self.core.advance(self.now, self.now, out)
+        self._ship(out)
+        events = self.core.events
+        for event in events[self._accounted:]:
+            if event.kind == "generated":
+                self.ledger.record_generated(event.as_message(source=self.pid))
             else:
-                self.send(nbr, (RELEASE, d, seq))
-            self.retransmissions += 1
+                self.ledger.record_delivery(
+                    self.pid, event.as_message(source=None), step=event.order
+                )
+        self._accounted = len(events)
 
-        return effect
+    def _ship(self, out: List[Tuple[ProcId, Dict[str, Any]]]) -> None:
+        # Channels carry values: the core rewrites a pending record's
+        # release watermark in place when it retransmits.
+        for nbr, rec in out:
+            self.send(nbr, dict(rec))
 
 
 def build_mp_network(
@@ -394,23 +306,29 @@ def build_mp_network(
     ledger: Optional[DeliveryLedger] = None,
     hardened: bool = False,
     faults: Optional[ChannelFaults] = None,
-) -> Tuple[MessagePassingSimulator, List[MPForwardingNode], DeliveryLedger]:
+    params: Optional[RuntimeParams] = None,
+) -> Tuple[MessagePassingSimulator, List[MPNode], DeliveryLedger]:
     """Assemble the message-passing port over a network.
 
-    ``hardened=True`` builds :class:`HardenedMPForwardingNode` processors;
-    ``faults`` configures the channel adversary of the simulator.
+    ``hardened=True`` builds :class:`HopMPNode` processors (``params``
+    configures their lanes); ``faults`` configures the channel adversary
+    of the simulator.
     """
     ledger = ledger if ledger is not None else DeliveryLedger()
-    node_cls = HardenedMPForwardingNode if hardened else MPForwardingNode
-    nodes = [node_cls(p, net, routing, ledger) for p in net.processors()]
-    counter = {"next": 1}
+    if hardened:
+        nodes: List[MPNode] = [
+            HopMPNode(p, net, routing, ledger, params) for p in net.processors()
+        ]
+    else:
+        nodes = [MPForwardingNode(p, net, routing, ledger) for p in net.processors()]
+        counter = {"next": 1}
 
-    def next_uid() -> int:
-        uid = counter["next"]
-        counter["next"] += 1
-        return uid
+        def next_uid() -> int:
+            uid = counter["next"]
+            counter["next"] += 1
+            return uid
 
-    for node in nodes:
-        node._uid_source = next_uid
+        for node in nodes:
+            node._uid_source = next_uid
     sim = MessagePassingSimulator(net, nodes, seed=seed, faults=faults)
     return sim, nodes, ledger

@@ -16,24 +16,21 @@ from repro.runtime.conformance import (
     RuntimeEvent,
     check_events,
 )
+from repro.runtime.hop import HopCore, RuntimeParams
 from repro.runtime.netem import NetemConfig, NetemTransport
-from repro.runtime.node import RuntimeNode, RuntimeParams
+from repro.runtime.node import RuntimeNode
 from repro.runtime.transport import (
     LocalTransport,
     TcpTransport,
     Transport,
     allocate_ports,
 )
-from repro.runtime.wire import (
-    WIRE_V1,
-    WIRE_V2,
-    WireFormatError,
-    WireVersionError,
-)
+from repro.runtime.wire import WIRE_V2, WireFormatError
 
 __all__ = [
     "ClusterSpec",
     "ConformanceReport",
+    "HopCore",
     "LocalTransport",
     "NetemConfig",
     "NetemTransport",
@@ -43,10 +40,8 @@ __all__ = [
     "RuntimeResult",
     "TcpTransport",
     "Transport",
-    "WIRE_V1",
     "WIRE_V2",
     "WireFormatError",
-    "WireVersionError",
     "allocate_ports",
     "check_events",
     "run_cluster",

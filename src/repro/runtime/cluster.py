@@ -37,7 +37,8 @@ from repro.network.topologies import topology_by_name
 from repro.routing.static import StaticRouting
 from repro.runtime.conformance import ConformanceReport, RuntimeEvent, check_events
 from repro.runtime.netem import NetemConfig, NetemTransport
-from repro.runtime.node import RuntimeNode, RuntimeParams
+from repro.runtime.hop import RuntimeParams
+from repro.runtime.node import RuntimeNode
 from repro.runtime.sharding import partition as shard_destinations
 from repro.runtime.transport import (
     LocalTransport,
@@ -45,7 +46,6 @@ from repro.runtime.transport import (
     Transport,
     allocate_ports,
 )
-from repro.runtime.wire import WireVersionError
 
 _WORKLOADS = {
     "uniform": workload_mod.uniform_workload,
@@ -81,7 +81,6 @@ class ClusterSpec:
     retry_cap: float = 0.4
     window: int = 32                    #: in-flight DATA per (edge, dest) lane
     max_batch: int = 64                 #: max records packed into one frame
-    wire_version: int = 2               #: frame encoding: 2 binary, 1 JSON
     #: Test hook: (worker_index, seconds) — that worker hard-exits mid-run.
     kill_worker_after: Optional[Tuple[int, float]] = None
     #: Timed chaos events lowered onto the wall clock by
@@ -241,12 +240,15 @@ class RuntimeResult:
         # (NTP) between generate and deliver must not skew the histogram.
         # Events without a monotonic stamp (mono == 0.0, synthetic logs)
         # are skipped rather than silently measured on the wrong clock.
-        generated_mono: Dict[int, float] = {}
+        # The log is node-ordered, so a delivery may precede its generation
+        # at a later node: index every generation before joining.
+        generated_mono = {
+            event.uid: event.mono
+            for event in self.events
+            if event.kind == "generated" and event.mono
+        }
         for event in self.events:
-            if event.kind == "generated":
-                if event.mono:
-                    generated_mono[event.uid] = event.mono
-            elif event.kind == "delivered" and event.mono:
+            if event.kind == "delivered" and event.mono:
                 start = generated_mono.get(event.uid)
                 if start is not None:
                     msg_latency.observe(max(0.0, event.mono - start))
@@ -279,17 +281,11 @@ def _build_transport(
     ports: Optional[Dict[int, Tuple[str, int]]] = None,
     netem_seed: int = 0,
 ) -> Transport:
-    if spec.wire_version not in (1, 2):
-        raise ConfigurationError(
-            f"unknown wire version {spec.wire_version!r} (expected 1 or 2)"
-        )
     if spec.transport == "local":
-        base: Transport = LocalTransport(net, wire_version=spec.wire_version)
+        base: Transport = LocalTransport(net)
     elif spec.transport == "tcp":
         ports = ports or allocate_ports(net, base=spec.port_base)
-        base = TcpTransport(
-            net, ports, local_pids=local_pids, wire_version=spec.wire_version
-        )
+        base = TcpTransport(net, ports, local_pids=local_pids)
     else:
         raise ConfigurationError(f"unknown transport {spec.transport!r}")
     netem = spec.build_netem()
@@ -407,8 +403,8 @@ class _Progress:
     def __init__(self) -> None:
         self.delivered = 0
 
-    def __call__(self) -> None:
-        self.delivered += 1
+    def __call__(self, count: int) -> None:
+        self.delivered += count
 
 
 async def _run_nodes(
@@ -466,16 +462,12 @@ async def _run_nodes(
             for task in chaos_tasks:
                 if task.done() and task.exception() is not None:
                     raise task.exception()  # a chaos driver bug: surface it
-            if transport.protocol_errors:
-                # Mixed wire versions: no progress is possible — abort now
-                # with the readable report instead of idling to deadline.
-                raise WireVersionError(transport.protocol_errors[0])
             holder.setdefault("in_flight", []).append(
-                sum(node.in_flight() for node in nodes)
+                sum(node.core.in_flight() for node in nodes)
             )
             window = holder.setdefault("window_samples", [])
             for node in nodes:
-                window.extend(node.window_occupancy())
+                window.extend(node.core.window_occupancy())
             await asyncio.sleep(0.02)
         # Grace period: let REL/RACK handshakes settle so the network is
         # actually empty, not merely delivered.
@@ -497,28 +489,49 @@ async def _run_nodes(
         await transport.close()
 
 
-def _collect_inprocess(
-    spec: ClusterSpec, holder: Dict[str, Any], result: RuntimeResult
-) -> None:
-    nodes = holder.get("nodes", [])
-    for node in nodes:
-        result.events.extend(node.events)
-        _merge_counts(result.counters, node.counters)
-        result.hop_latencies.extend(node.hop_latencies)
-        result.rto_samples.extend(node.rto_samples)
-        result.batch_sizes.extend(node.batch_sizes)
-        result.ack_coalesce.extend(node.ack_coalesce)
+#: :class:`RuntimeResult` fields a harvest carries, by how they merge.
+_COUNT_FIELDS = ("counters", "transport_stats", "netem_stats")
+_SAMPLE_FIELDS = (
+    "events", "hop_latencies", "rto_samples", "batch_sizes", "ack_coalesce",
+    "fault_events", "in_flight_samples", "window_samples",
+)
+
+
+def _harvest(holder: Dict[str, Any]) -> Dict[str, Any]:
+    """Everything the hosted nodes and their transport recorded, merged
+    into one picklable dict keyed by :class:`RuntimeResult` field (a
+    worker ships it; the parent absorbs it)."""
+    harvest: Dict[str, Any] = {name: {} for name in _COUNT_FIELDS}
+    harvest.update({name: [] for name in _SAMPLE_FIELDS})
+    harvest["fault_events"].extend(holder.get("fault_events", []))
+    harvest["in_flight_samples"] = holder.get("in_flight", [])
+    harvest["window_samples"] = holder.get("window_samples", [])
+    for node in holder.get("nodes", []):
+        core = node.core
+        harvest["events"].extend(core.events)
+        _merge_counts(harvest["counters"], core.counters)
+        _merge_counts(harvest["counters"], node.counters)
+        harvest["hop_latencies"].extend(core.hop_latencies)
+        harvest["rto_samples"].extend(core.rto_samples)
+        harvest["batch_sizes"].extend(node.batch_sizes)
+        harvest["ack_coalesce"].extend(core.ack_coalesce)
     transport = holder.get("transport")
     if transport is not None:
-        _merge_counts(result.transport_stats, transport.stats)
+        _merge_counts(harvest["transport_stats"], transport.stats)
         if isinstance(transport, NetemTransport):
-            _merge_counts(result.netem_stats, transport.fault_stats)
-            _merge_counts(result.transport_stats, transport.base.stats)
-            result.fault_events.extend(transport.fault_events)
-    result.fault_events.extend(holder.get("fault_events", []))
+            _merge_counts(harvest["netem_stats"], transport.fault_stats)
+            _merge_counts(harvest["transport_stats"], transport.base.stats)
+            harvest["fault_events"].extend(transport.fault_events)
+    return harvest
+
+
+def _absorb(result: RuntimeResult, harvest: Dict[str, Any]) -> None:
+    """Fold one :func:`_harvest` into the run's result."""
+    for name in _COUNT_FIELDS:
+        _merge_counts(getattr(result, name), harvest[name])
+    for name in _SAMPLE_FIELDS:
+        getattr(result, name).extend(harvest[name])
     result.fault_events.sort(key=lambda e: e.get("mono", 0.0))
-    result.in_flight_samples = holder.get("in_flight", [])
-    result.window_samples = holder.get("window_samples", [])
 
 
 # -- multi-process execution ---------------------------------------------------
@@ -534,10 +547,10 @@ def _worker_main(worker_args: Dict[str, Any], stop_event, delivered, result_q) -
     net = spec.build_network()
 
     class _SharedProgress(_Progress):
-        def __call__(self) -> None:
-            self.delivered += 1
+        def __call__(self, count: int) -> None:
+            self.delivered += count
             with delivered.get_lock():
-                delivered.value += 1
+                delivered.value += count
 
     progress = _SharedProgress()
     holder: Dict[str, Any] = {}
@@ -562,34 +575,8 @@ def _worker_main(worker_args: Dict[str, Any], stop_event, delivered, result_q) -
         asyncio.run(body())
     except Exception as exc:  # noqa: BLE001 - shipped to the parent
         error = f"{type(exc).__name__}: {exc}"
-    payload: Dict[str, Any] = {
-        "index": index,
-        "pids": pids,
-        "error": error,
-        "events": [],
-        "counters": {},
-        "transport_stats": {},
-        "netem_stats": {},
-        "hop_latencies": [],
-        "rto_samples": [],
-        "batch_sizes": [],
-        "ack_coalesce": [],
-        "in_flight": holder.get("in_flight", []),
-        "window_samples": holder.get("window_samples", []),
-    }
-    for node in holder.get("nodes", []):
-        payload["events"].extend(node.events)
-        _merge_counts(payload["counters"], node.counters)
-        payload["hop_latencies"].extend(node.hop_latencies)
-        payload["rto_samples"].extend(node.rto_samples)
-        payload["batch_sizes"].extend(node.batch_sizes)
-        payload["ack_coalesce"].extend(node.ack_coalesce)
-    transport = holder.get("transport")
-    if transport is not None:
-        _merge_counts(payload["transport_stats"], transport.stats)
-        if isinstance(transport, NetemTransport):
-            _merge_counts(payload["netem_stats"], transport.fault_stats)
-            _merge_counts(payload["transport_stats"], transport.base.stats)
+    payload = _harvest(holder)
+    payload.update(index=index, pids=pids, error=error)
     try:
         result_q.put(payload)
     except Exception:  # noqa: BLE001 - parent may already be gone
@@ -677,16 +664,7 @@ def _run_multiprocess(spec: ClusterSpec, result: RuntimeResult) -> None:
                 result.errors.append(
                     f"worker {payload['index']}: {payload['error']}"
                 )
-            result.events.extend(payload["events"])
-            _merge_counts(result.counters, payload["counters"])
-            _merge_counts(result.transport_stats, payload["transport_stats"])
-            _merge_counts(result.netem_stats, payload["netem_stats"])
-            result.hop_latencies.extend(payload["hop_latencies"])
-            result.rto_samples.extend(payload.get("rto_samples", []))
-            result.batch_sizes.extend(payload.get("batch_sizes", []))
-            result.ack_coalesce.extend(payload.get("ack_coalesce", []))
-            result.in_flight_samples.extend(payload["in_flight"])
-            result.window_samples.extend(payload.get("window_samples", []))
+            _absorb(result, payload)
         for proc in workers:
             proc.join(timeout=2.0)
         for index, proc in enumerate(workers):
@@ -751,6 +729,6 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
     except Exception as exc:  # noqa: BLE001 - a node crash must not hang
         result.errors.append(f"{type(exc).__name__}: {exc}")
     result.elapsed_s = time.monotonic() - started
-    _collect_inprocess(spec, holder, result)
+    _absorb(result, _harvest(holder))
     result.report = check_events(result.events, expect_generated=target)
     return result

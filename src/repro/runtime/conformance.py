@@ -55,6 +55,19 @@ class RuntimeEvent:
     order: int
     mono: float = 0.0  #: monotonic clock — the duration domain
 
+    def as_message(self, source: Optional[ProcId]) -> Message:
+        """Bridge to the ledger's message shape."""
+        return Message(
+            payload=None,
+            last=self.node,
+            color=0,
+            dest=self.dest,
+            uid=self.uid,
+            valid=self.valid,
+            source=source,
+            born_step=0,
+        )
+
 
 @dataclass
 class ConformanceReport:
@@ -103,19 +116,6 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-def _as_message(event: RuntimeEvent, source: Optional[ProcId]) -> Message:
-    return Message(
-        payload=None,
-        last=event.node,
-        color=0,
-        dest=event.dest,
-        uid=event.uid,
-        valid=event.valid,
-        source=source,
-        born_step=0,
-    )
-
-
 def check_events(
     events: Iterable[RuntimeEvent],
     expect_generated: Optional[int] = None,
@@ -143,7 +143,7 @@ def check_events(
             per_pair_generated.setdefault((event.node, event.dest), []).append(
                 event.uid
             )
-            ledger.record_generated(_as_message(event, source=event.node))
+            ledger.record_generated(event.as_message(source=event.node))
     for event in ordered:
         if event.kind == "delivered":
             if not event.valid:
@@ -153,7 +153,7 @@ def check_events(
             delivered_seen[event.uid] = delivered_seen.get(event.uid, 0) + 1
             per_dest_delivered.setdefault(event.node, []).append(event.uid)
             ledger.record_delivery(
-                event.node, _as_message(event, source=None), step=event.order
+                event.node, event.as_message(source=None), step=event.order
             )
         elif event.kind != "generated":
             report.violations.append(f"unknown event kind {event.kind!r}")

@@ -117,11 +117,8 @@ class NetemTransport(Transport):
     """
 
     def __init__(self, base: Transport, config: NetemConfig, seed: int = 0) -> None:
-        super().__init__(base.net, wire_version=base.wire_version)
+        super().__init__(base.net)
         self.base = base
-        # Version mismatches are detected by the base transport's receive
-        # path; share the list so the cluster sees them on the decorator.
-        self.protocol_errors = base.protocol_errors
         self.config = config
         self._rng = random.Random(seed)
         self._down: Set[Edge] = set(config.blocked_edges)

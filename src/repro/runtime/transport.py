@@ -9,13 +9,7 @@ amortize over a node's whole flush.  Delivery is **best-effort**: a
 transport may drop, duplicate, delay or reorder frames (the in-memory one
 does none of that by itself; the netem decorator and real TCP both do).
 End-to-end guarantees are the node protocol's job — windowed ack/retry
-plus sequence-number deduplication (:mod:`repro.runtime.node`).
-
-Each transport is locked to one wire protocol version (binary v2 by
-default, JSON v1 as the legacy fallback).  A frame of the *other* version
-is never silently dropped: it is recorded as a readable entry in
-:attr:`Transport.protocol_errors`, which the cluster surfaces as a failed
-(and conformance-FAILed) run instead of a hang.
+plus sequence-number deduplication (:mod:`repro.runtime.hop`).
 
 Two implementations:
 
@@ -42,10 +36,8 @@ from repro.network.graph import Network
 from repro.runtime.wire import (
     WIRE_V2,
     WireFormatError,
-    WireVersionError,
     decode_frame_body,
     encode_records,
-    expect_version,
     split_frames,
 )
 from repro.types import ProcId
@@ -53,17 +45,12 @@ from repro.types import ProcId
 #: One inbox item: (sender pid, decoded record batch).
 InboxItem = Tuple[ProcId, List[Dict[str, Any]]]
 
-#: Cap on recorded protocol errors (a chatty mismatched peer must not
-#: grow the list unboundedly before the cluster reacts).
-_MAX_PROTOCOL_ERRORS = 8
-
 
 class Transport(ABC):
     """Moves hop record batches between nodes along network edges."""
 
-    def __init__(self, net: Network, wire_version: int = WIRE_V2) -> None:
+    def __init__(self, net: Network) -> None:
         self.net = net
-        self.wire_version = wire_version
         self._inboxes: Dict[ProcId, "asyncio.Queue[InboxItem]"] = {}
         #: Plain counters (exported into the obs registry by the cluster).
         self.stats: Dict[str, int] = {
@@ -75,9 +62,6 @@ class Transport(ABC):
             "records_dropped": 0,
             "reconnects": 0,
         }
-        #: Readable wire-version mismatch reports (mixed-version cluster);
-        #: the cluster aborts the run as soon as one appears.
-        self.protocol_errors: List[str] = []
 
     def bind(self, pid: ProcId, inbox: "asyncio.Queue[InboxItem]") -> None:
         """Attach the inbox of a locally hosted node."""
@@ -86,10 +70,6 @@ class Transport(ABC):
     def _check_edge(self, src: ProcId, dst: ProcId) -> None:
         if not self.net.are_neighbors(src, dst):
             raise ConfigurationError(f"no edge {src} -> {dst} in the network")
-
-    def _record_protocol_error(self, message: str) -> None:
-        if len(self.protocol_errors) < _MAX_PROTOCOL_ERRORS:
-            self.protocol_errors.append(message)
 
     def _dispatch(
         self, src: ProcId, dst: ProcId, records: List[Dict[str, Any]]
@@ -128,7 +108,7 @@ class LocalTransport(Transport):
         self.stats["records_sent"] += len(records)
         # Round-trip through the wire format so both transports reject the
         # same payloads (and measure comparable serialization cost).
-        frame = encode_records(src, dst, records, self.wire_version)
+        frame = encode_records(src, dst, records, WIRE_V2)
         _, f, t, decoded = decode_frame_body(frame[4:])
         self._dispatch(f, t, decoded)
 
@@ -146,8 +126,6 @@ class TcpTransport(Transport):
     local_pids:
         The nodes hosted by this process; one listening server is started
         for each.
-    wire_version:
-        The frame encoding this process speaks (v2 binary by default).
     backoff_base / backoff_cap:
         Reconnect backoff: ``base * 2**attempt`` seconds, capped.
     edge_queue:
@@ -160,12 +138,11 @@ class TcpTransport(Transport):
         net: Network,
         ports: Dict[ProcId, Tuple[str, int]],
         local_pids: Optional[Tuple[ProcId, ...]] = None,
-        wire_version: int = WIRE_V2,
         backoff_base: float = 0.05,
         backoff_cap: float = 1.0,
         edge_queue: int = 1024,
     ) -> None:
-        super().__init__(net, wire_version=wire_version)
+        super().__init__(net)
         missing = [p for p in net.processors() if p not in ports]
         if missing:
             raise ConfigurationError(f"ports missing for processors {missing}")
@@ -237,12 +214,7 @@ class TcpTransport(Transport):
                     break  # corrupted stream: drop the connection
                 for body in bodies:
                     try:
-                        version, src, dst, records = decode_frame_body(body)
-                        expect_version(version, self.wire_version)
-                    except WireVersionError as exc:
-                        self._record_protocol_error(str(exc))
-                        self.stats["frames_dropped"] += 1
-                        continue
+                        _, src, dst, records = decode_frame_body(body)
                     except WireFormatError:
                         self.stats["frames_dropped"] += 1
                         continue
@@ -263,7 +235,7 @@ class TcpTransport(Transport):
         self._check_edge(src, dst)
         if src not in self._inboxes and src not in self.local_pids:
             raise ConfigurationError(f"processor {src} is not hosted here")
-        frame = encode_records(src, dst, records, self.wire_version)
+        frame = encode_records(src, dst, records, WIRE_V2)
         key = (src, dst)
         queue = self._edge_queues.get(key)
         if queue is None:
@@ -341,21 +313,24 @@ def allocate_ports(
 ) -> Dict[ProcId, Tuple[str, int]]:
     """A pid -> (host, port) map for every processor.
 
-    ``base == 0`` asks the OS for free ephemeral ports (bind-then-release;
-    the usual small race is acceptable for tests and local runs).  A
-    nonzero ``base`` assigns ``base, base+1, ...`` verbatim — collisions
-    then surface as ``EADDRINUSE`` at :meth:`TcpTransport.start`.
+    ``base == 0`` asks the OS for free ephemeral ports, holding every
+    socket (without ``SO_REUSEADDR``) until all are drawn so no port is
+    named twice; another process may still take one between release and
+    :meth:`TcpTransport.start`.  A nonzero ``base`` assigns ``base,
+    base+1, ...`` verbatim.  Either collision surfaces as ``EADDRINUSE``
+    at start.
     """
+    import contextlib
     import socket
 
-    ports: Dict[ProcId, Tuple[str, int]] = {}
     if base:
+        return {pid: (host, base + pid) for pid in net.processors()}
+    ports: Dict[ProcId, Tuple[str, int]] = {}
+    with contextlib.ExitStack() as held:
         for pid in net.processors():
-            ports[pid] = (host, base + pid)
-        return ports
-    for pid in net.processors():
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock = held.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            )
             sock.bind((host, 0))
             ports[pid] = (host, sock.getsockname()[1])
     return ports

@@ -1,4 +1,4 @@
-"""Wire formats of the live runtime.
+"""Wire format of the live runtime.
 
 On the network every transmission is one *frame* — a 4-byte big-endian
 length prefix followed by a frame body.  A body holds an **envelope**
@@ -6,21 +6,13 @@ length prefix followed by a frame body.  A body holds an **envelope**
 protocol records, so one flush of a node's outgoing buffer amortizes
 syscall and encode cost over the whole congestion window.
 
-Two body encodings exist behind one seam:
+The body encoding is compact binary: a struct-packed header
+``(version, src, dst, count)`` followed by ``count`` struct-packed
+records; ``DATA`` payloads travel as length-prefixed bytes.  The first
+body byte is the version tag ``0x02`` (the JSON framing it replaced was
+v1); a body led by anything else is a readable :class:`WireFormatError`.
 
-* **v2 (default)** — compact binary: a struct-packed header
-  ``(version, src, dst, count)`` followed by ``count`` struct-packed
-  records; ``DATA`` payloads travel as length-prefixed JSON bytes.
-* **v1 (legacy / fallback)** — the original JSON object encoding,
-  batched under a ``"ms"`` key.
-
-The first body byte discriminates: ``0x7B`` (``{``) is a v1 JSON object,
-``0x02`` is the v2 version tag.  :func:`decode_frame_body` parses either
-and reports which it saw, so a node locked to one version can raise a
-*readable* :class:`WireVersionError` on a mixed-version cluster instead
-of a struct traceback or a silent hang.
-
-Hop protocol record kinds (see :mod:`repro.runtime.node` for the window
+Hop protocol record kinds (see :mod:`repro.runtime.hop` for the window
 protocol that produces them):
 
 ``DATA``
@@ -54,8 +46,8 @@ from repro.errors import ConfigurationError, ReproError
 #: Hop-protocol record kinds.
 DATA, ACK, REL, RACK = "DATA", "ACK", "REL", "RACK"
 
-#: Wire protocol versions.
-WIRE_V1, WIRE_V2 = 1, 2
+#: The wire protocol version (first byte of every frame body).
+WIRE_V2 = 2
 
 _LEN = struct.Struct(">I")
 
@@ -68,11 +60,6 @@ class WireFormatError(ReproError, ValueError):
     """A frame body that cannot be decoded: truncated, corrupted, or
     structurally invalid.  Always carries a readable message — codec
     internals (``struct.error``, ``json.JSONDecodeError``) never leak."""
-
-
-class WireVersionError(WireFormatError):
-    """A well-formed frame of the *wrong* protocol version reached a node
-    locked to another one (mixed-version cluster)."""
 
 
 # -- record constructors (plain dicts; kept tiny and allocation-light) --------
@@ -225,57 +212,19 @@ def _decode_v2(body: bytes) -> Tuple[int, int, List[Dict[str, Any]]]:
     return src, dst, records
 
 
-# -- v1 JSON codec (legacy; also the mixed-version negotiation partner) -------
-
-
-def _encode_v1(src: int, dst: int, records: Sequence[Dict[str, Any]]) -> bytes:
-    try:
-        return json.dumps(
-            {"f": src, "t": dst, "ms": list(records)}, separators=(",", ":")
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"payload is not JSON-serializable: {exc}"
-        ) from None
-
-
-def _decode_v1(body: bytes) -> Tuple[int, int, List[Dict[str, Any]]]:
-    try:
-        envelope = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        raise WireFormatError("frame body is not valid JSON") from None
-    if not isinstance(envelope, dict):
-        raise WireFormatError("v1 frame body is not a JSON object")
-    try:
-        src, dst = int(envelope["f"]), int(envelope["t"])
-    except (KeyError, TypeError, ValueError):
-        raise WireFormatError("v1 envelope is missing f/t routing fields") from None
-    if "ms" in envelope:
-        records = envelope["ms"]
-    elif "m" in envelope:  # pre-batching single-record form
-        records = [envelope["m"]]
-    else:
-        raise WireFormatError("v1 envelope carries no records")
-    if not isinstance(records, list) or not all(
-        isinstance(r, dict) for r in records
-    ):
-        raise WireFormatError("v1 record batch is not a list of objects")
-    return src, dst, records
-
-
 # -- the codec seam -----------------------------------------------------------
 
 
 def encode_records(
     src: int, dst: int, records: Sequence[Dict[str, Any]], version: int = WIRE_V2
 ) -> bytes:
-    """Serialize one record batch to a length-prefixed frame."""
-    if version == WIRE_V2:
-        body = _encode_v2(src, dst, records)
-    elif version == WIRE_V1:
-        body = _encode_v1(src, dst, records)
-    else:
+    """Serialize one record batch to a length-prefixed frame.
+
+    Both transports pass ``version`` positionally; only v2 exists.
+    """
+    if version != WIRE_V2:
         raise ConfigurationError(f"unknown wire version {version!r}")
+    body = _encode_v2(src, dst, records)
     if len(body) > MAX_FRAME:
         raise ConfigurationError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME={MAX_FRAME}"
@@ -284,7 +233,7 @@ def encode_records(
 
 
 def decode_frame_body(body: bytes) -> Tuple[int, int, int, List[Dict[str, Any]]]:
-    """Parse one frame body of *either* version.
+    """Parse one frame body.
 
     Returns ``(version, src, dst, records)``.  Raises
     :class:`WireFormatError` on anything undecodable — never a raw
@@ -292,27 +241,13 @@ def decode_frame_body(body: bytes) -> Tuple[int, int, int, List[Dict[str, Any]]]
     """
     if not body:
         raise WireFormatError("empty frame body")
-    tag = body[0]
-    if tag == WIRE_V2:
-        src, dst, records = _decode_v2(body)
-        return WIRE_V2, src, dst, records
-    if tag == 0x7B:  # '{' — a v1 JSON object
-        src, dst, records = _decode_v1(body)
-        return WIRE_V1, src, dst, records
-    raise WireFormatError(
-        f"unrecognized frame body (first byte {tag:#04x} is neither the "
-        f"v2 tag nor a JSON object)"
-    )
-
-
-def expect_version(got: int, expected: int) -> None:
-    """Raise a readable :class:`WireVersionError` on a version mismatch."""
-    if got != expected:
-        raise WireVersionError(
-            f"received a wire format v{got} frame but this node speaks "
-            f"v{expected} — mixed protocol versions in one cluster? "
-            f"Run every node with the same --wire-version."
+    if body[0] != WIRE_V2:
+        raise WireFormatError(
+            f"unrecognized frame body (first byte {body[0]:#04x} is not "
+            f"the v2 tag)"
         )
+    src, dst, records = _decode_v2(body)
+    return WIRE_V2, src, dst, records
 
 
 def split_frames(buffer: bytes) -> Tuple[list, bytes]:

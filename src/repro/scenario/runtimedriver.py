@@ -85,7 +85,6 @@ def build_cluster_spec(spec: ScenarioSpec):
         tick=float(extras.get("tick", 0.005)),
         window=int(extras.get("window", 32)),
         max_batch=int(extras.get("max_batch", 64)),
-        wire_version=int(extras.get("wire_version", 2)),
         chaos=lower_runtime_schedule(spec),
     )
 

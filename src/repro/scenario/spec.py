@@ -93,8 +93,8 @@ _SIM_KEYS = frozenset(
 )
 #: Runtime-only extras, passed through to :class:`ClusterSpec`.
 _RUNTIME_KEYS = frozenset(
-    {"transport", "procs", "window", "max_batch", "wire_version", "netem",
-     "drain_grace", "tick", "port_base"}
+    {"transport", "procs", "window", "max_batch", "netem", "drain_grace",
+     "tick", "port_base"}
 )
 #: Workloads with a shared meaning on both targets (the simulator accepts
 #: more — validated per-target at compile time).

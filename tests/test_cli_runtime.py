@@ -56,11 +56,14 @@ class TestRuntimeCommand:
             [
                 "runtime", "--topology", "ring", "--n", "3",
                 "--messages", "8", "--window", "4", "--max-batch", "8",
-                "--wire-version", "1",
             ]
         )
         assert code == 0
         assert "verdict: PASS" in capsys.readouterr().out
+        # One codec: the frame encoding is no longer selectable.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runtime", "--wire-version", "2"])
+        assert excinfo.value.code == 2
 
     def test_window_metrics_visible_in_obs_summarize(self, tmp_path, capsys):
         path = tmp_path / "runtime.jsonl"

@@ -7,12 +7,14 @@ mixed: a simulated NTP step — the wall clock jumping minutes forward or
 backward mid-run — must leave every latency histogram untouched.
 """
 
+import itertools
 import time
 from typing import Iterator
 
 from repro.runtime.cluster import ClusterSpec, RuntimeResult
 from repro.runtime.conformance import ConformanceReport, RuntimeEvent
-from repro.runtime.node import RuntimeNode, RuntimeParams
+from repro.runtime.hop import RuntimeParams
+from repro.runtime.node import RuntimeNode
 from repro.network.topologies import line_network
 from repro.routing.static import StaticRouting
 from repro.runtime.transport import LocalTransport
@@ -35,9 +37,11 @@ def _histogram_rows(result: RuntimeResult, name: str):
     ]
 
 
-def _ev(kind, uid, order, t, mono):
+def _ev(kind, uid, order, t, mono, node=None):
+    if node is None:
+        node = 0 if kind == "generated" else 1
     return RuntimeEvent(
-        kind=kind, uid=uid, node=0 if kind == "generated" else 1,
+        kind=kind, uid=uid, node=node,
         dest=1, valid=True, t=t, order=order, mono=mono,
     )
 
@@ -76,6 +80,20 @@ class TestMessageLatencyDomain:
         assert row["n"] == 0
 
 
+    def test_delivery_logged_before_its_generation_still_joins(self):
+        # The log is node-ordered: node 2's deliveries come before node 5's
+        # generations.  One latency sample per delivery, not per lucky order.
+        events = [
+            _ev("delivered", 6, 0, t=100.3, mono=7.3, node=2),
+            _ev("delivered", 14, 1, t=100.4, mono=7.4, node=2),
+            _ev("generated", 6, 0, t=100.0, mono=7.0, node=5),
+            _ev("generated", 14, 1, t=100.1, mono=7.1, node=5),
+        ]
+        (row,) = _histogram_rows(_result_with(events), "runtime_msg_latency_s")
+        assert row["n"] == 2
+        assert 0.25 <= row["max"] <= 0.35
+
+
 class TestNodeEventStamps:
     def test_append_event_stamps_both_domains(self, monkeypatch):
         net = line_network(2)
@@ -85,20 +103,25 @@ class TestNodeEventStamps:
 
         async def body():
             node = RuntimeNode(
-                0, net, StaticRouting(net), transport, RuntimeParams()
+                0, net, StaticRouting(net), transport, RuntimeParams(tick=0.002)
             )
             # An adversarial wall clock that steps a full hour between
             # consecutive reads (worst-case NTP slew).
-            wall: Iterator[float] = iter((1_000.0, 4_600.0, 8_200.0))
+            wall: Iterator[float] = itertools.count(1_000.0, 3_600.0)
             monkeypatch.setattr(time, "time", lambda: next(wall))
-            node._append_event("generated", 1, dest=1)
-            node._append_event("generated", 2, dest=1)
-            return node.events
+            task = asyncio.ensure_future(node.run())
+            for payload in ("a", "b"):  # generated in two separate turns
+                node.submit(payload, 1)
+                await asyncio.sleep(0.02)
+            node.stop()
+            await task
+            return node.core.events
 
         events = asyncio.run(body())
-        # Wall stamps show the hour-long jump ...
-        assert events[1].t - events[0].t == 3600.0
-        # ... but the monotonic stamps are untouched by it: consecutive
-        # appends are microseconds apart, and strictly ordered.
+        assert [e.kind for e in events] == ["generated", "generated"]
+        # Wall stamps show the hour-long jumps ...
+        assert events[1].t - events[0].t >= 3600.0
+        # ... but the monotonic stamps are untouched by them: the two
+        # turns are milliseconds apart, and strictly ordered.
         assert events[0].mono > 0.0
-        assert 0.0 <= events[1].mono - events[0].mono < 60.0
+        assert 0.0 < events[1].mono - events[0].mono < 60.0

@@ -94,28 +94,6 @@ class TestProtocolKnobs:
         assert result.report.delivered == 24
         assert result.report.duplicates == 0
 
-    def test_wire_v1_end_to_end(self):
-        result = run_cluster(ring_spec(wire_version=1))
-        assert not result.partial, result.summary()
-        assert result.report.delivered == 24
-        assert result.report.duplicates == 0
-
-    def test_wire_v1_over_tcp(self):
-        result = run_cluster(
-            ring_spec(
-                topology={"name": "ring", "kwargs": {"n": 3}},
-                messages=12,
-                transport="tcp",
-                wire_version=1,
-            )
-        )
-        assert not result.partial, result.summary()
-        assert result.report.delivered == 12
-
-    def test_unknown_wire_version_rejected(self):
-        with pytest.raises(ConfigurationError, match="wire version"):
-            run_cluster(ring_spec(wire_version=3))
-
 
 class TestTcpCluster:
     def test_single_process_tcp_smoke(self):

@@ -184,10 +184,3 @@ class TestNetemTransport:
                 await netem.close()
 
         run(body())
-
-    def test_shares_protocol_error_list_with_base(self):
-        net = line_network(2)
-        base = LocalTransport(net)
-        netem = NetemTransport(base, NetemConfig(), seed=0)
-        base._record_protocol_error("wire version mismatch")
-        assert netem.protocol_errors == ["wire version mismatch"]

@@ -1,5 +1,7 @@
-"""Tests for the live node's windowed hop protocol: pipelining, cumulative
-+ selective acknowledgement, release watermarks, RTO behavior."""
+"""Tests for the windowed hop protocol (pipelining, cumulative + selective
+acknowledgement, release watermarks, RTO behavior), driven on the sans-IO
+``HopCore`` with hand-fed clock readings, and for the asyncio adapter's run
+loop around it."""
 
 import asyncio
 
@@ -7,7 +9,8 @@ import pytest
 
 from repro.network.topologies import line_network
 from repro.routing.static import StaticRouting
-from repro.runtime.node import MAX_WINDOW, RuntimeNode, RuntimeParams
+from repro.runtime.hop import MAX_WINDOW, HopCore, RuntimeParams
+from repro.runtime.node import RuntimeNode
 from repro.runtime.transport import LocalTransport
 from repro.runtime.wire import (
     ACK,
@@ -23,19 +26,17 @@ from repro.runtime.wire import (
 
 
 def make_node(pid=1, n=2, **params):
-    """A node whose wire handlers we drive by hand (no event loop)."""
+    """A hop core driven by hand: no event loop, no transport, no clock."""
     net = line_network(n)
-    transport = LocalTransport(net)
-    node = RuntimeNode(
-        pid, net, StaticRouting(net), transport, RuntimeParams(**params)
-    )
-    return node
+    return HopCore(pid, net, StaticRouting(net), RuntimeParams(**params))
 
 
-def handle(node, src, rec, out, now=None):
-    import time
+def handle(node, src, rec, out, now=1.0):
+    node.on_records(src, [rec], now, out)
 
-    node._handle_batch(src, [rec], time.monotonic() if now is None else now, out)
+
+def advance(node, out, now=1.0):
+    node.advance(now, now, out)
 
 
 def sent_data(out):
@@ -110,7 +111,7 @@ class TestReceiverWindow:
     def test_malformed_records_dropped(self):
         node = make_node()
         out = []
-        node._handle_batch(
+        node.on_records(
             0,
             [
                 {"k": "DATA"},                      # missing fields
@@ -169,7 +170,7 @@ class TestSenderWindow:
         for i in range(10):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         datas = sent_data(out)
         assert len(datas) == 4  # window, not stop-and-wait
         assert [d["s"] for d in datas] == [1, 2, 3, 4]
@@ -181,11 +182,11 @@ class TestSenderWindow:
         for i in range(6):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         out.clear()
         handle(node, 1, ack_rec(1, 3), out)  # acks seqs 1-3
         assert node.in_flight() == 1
-        node._advance(out)
+        advance(node, out)
         assert [d["s"] for d in sent_data(out)] == [5, 6]
         assert node.in_flight() == 3
 
@@ -194,7 +195,7 @@ class TestSenderWindow:
         for i in range(4):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         lane = node._out_lanes[(1, 1)]
         expiry_before = lane.expiry
         out.clear()
@@ -208,7 +209,7 @@ class TestSenderWindow:
         for i in range(8):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         out.clear()
         lane = node._out_lanes[(1, 1)]
         lane.srtt = 0.0  # no resend-grace for the test
@@ -223,12 +224,12 @@ class TestSenderWindow:
         for i in range(4):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)  # rto 0: the first expiry fires in the same call
+        advance(node, out)  # rto 0: the first expiry fires in the same call
         # Window fill (1-4) plus a head-of-line probe — NOT a full resend.
         assert [d["s"] for d in sent_data(out)] == [1, 2, 3, 4, 1]
         assert node.counters["retries"] == 1
         out.clear()
-        node._advance(out)  # second expiry: full age-qualified resend
+        advance(node, out)  # second expiry: full age-qualified resend
         assert sorted(d["s"] for d in sent_data(out)) == [1, 2, 3, 4]
         lane = node._out_lanes[(1, 1)]
         assert lane.backoff > 2
@@ -237,8 +238,8 @@ class TestSenderWindow:
         node = make_node(pid=0, window=4, retry_base=0.0, retry_cap=0.0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
-        node._advance(out)
+        advance(node, out)
+        advance(node, out)
         lane = node._out_lanes[(1, 1)]
         assert lane.backoff > 1
         handle(node, 1, ack_rec(1, 1), out)
@@ -249,8 +250,8 @@ class TestSenderWindow:
         node = make_node(pid=0, retry_base=0.0, retry_cap=0.0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
-        node._advance(out)  # retransmit: Karn forbids sampling this one
+        advance(node, out)
+        advance(node, out)  # retransmit: Karn forbids sampling this one
         handle(node, 1, ack_rec(1, 1), out)
         lane = node._out_lanes[(1, 1)]
         assert lane.srtt is None
@@ -260,7 +261,7 @@ class TestSenderWindow:
         node = make_node(pid=0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         out.clear()
         handle(node, 1, ack_rec(1, 99), out)  # beyond anything sent
         assert node.in_flight() == 0 or node.in_flight() == 1
@@ -272,10 +273,10 @@ class TestSenderWindow:
         for i in range(4):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         out.clear()
         handle(node, 1, ack_rec(1, 2), out)
-        node._advance(out)
+        advance(node, out)
         datas = sent_data(out)
         assert [d["s"] for d in datas] == [3, 4]
         assert all(d["r"] == 2 for d in datas)  # release rides along
@@ -284,14 +285,14 @@ class TestSenderWindow:
         node = make_node(pid=0, retry_base=0.0, retry_cap=0.0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         handle(node, 1, ack_rec(1, 1), out)
         out.clear()
-        node._advance(out)  # lane quiet, rel unconfirmed: standalone REL
+        advance(node, out)  # lane quiet, rel unconfirmed: standalone REL
         assert sent_kind(out, REL) == [rel_rec(1, 1)]
         handle(node, 1, rack_rec(1, 1), out)
         out.clear()
-        node._advance(out)
+        advance(node, out)
         assert sent_kind(out, REL) == []  # confirmed: no more RELs
         assert node.is_idle()
 
@@ -299,15 +300,6 @@ class TestSenderWindow:
         node = make_node(pid=0)
         with pytest.raises(ValueError, match="self-addressed"):
             node.submit("m", 0)
-
-    def test_max_attempts_stops_retransmission(self):
-        node = make_node(pid=0, retry_base=0.0, retry_cap=0.0, max_attempts=2)
-        node.submit("m", 1)
-        out = []
-        node._advance(out)
-        for _ in range(5):
-            node._advance(out)
-        assert node.counters["retries"] == 2
 
 
 class TestObservabilityHooks:
@@ -325,7 +317,7 @@ class TestObservabilityHooks:
                 nodes[0].submit(f"m{i}", 1)
             tasks = [asyncio.ensure_future(n.run()) for n in nodes]
             for _ in range(1000):
-                if nodes[1].counters["delivered"] == 50 and all(
+                if nodes[1].core.counters["delivered"] == 50 and all(
                     n.is_idle() for n in nodes
                 ):
                     break
@@ -334,9 +326,9 @@ class TestObservabilityHooks:
                 n.stop()
             await asyncio.gather(*tasks)
             assert nodes[0].batch_sizes and max(nodes[0].batch_sizes) > 1
-            assert nodes[1].ack_coalesce and max(nodes[1].ack_coalesce) > 1
-            assert nodes[0].rto_samples
-            assert len(nodes[0].hop_latencies) == 50
+            assert max(nodes[1].core.ack_coalesce, default=0) > 1
+            assert nodes[0].core.rto_samples
+            assert len(nodes[0].core.hop_latencies) == 50
 
         asyncio.run(body())
 
@@ -345,7 +337,7 @@ class TestObservabilityHooks:
         for i in range(10):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        advance(node, out)
         assert node.window_occupancy() == [4]
 
 
@@ -364,7 +356,7 @@ class TestEndToEndOverLocalTransport:
                 nodes[0].submit(f"m{i}", 1)
             tasks = [asyncio.ensure_future(n.run()) for n in nodes]
             for _ in range(1000):
-                if nodes[1].counters["delivered"] == 5 and all(
+                if nodes[1].core.counters["delivered"] == 5 and all(
                     n.is_idle() for n in nodes
                 ):
                     break
@@ -372,10 +364,10 @@ class TestEndToEndOverLocalTransport:
             for n in nodes:
                 n.stop()
             await asyncio.gather(*tasks)
-            assert nodes[1].counters["delivered"] == 5
-            assert nodes[0].counters["generated"] == 5
-            assert len(nodes[0].hop_latencies) == 5
-            kinds = [e.kind for e in nodes[1].events]
+            assert nodes[1].core.counters["delivered"] == 5
+            assert nodes[0].core.counters["generated"] == 5
+            assert len(nodes[0].core.hop_latencies) == 5
+            kinds = [e.kind for e in nodes[1].core.events]
             assert kinds == ["delivered"] * 5
 
         asyncio.run(body())

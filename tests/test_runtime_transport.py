@@ -13,7 +13,7 @@ from repro.runtime.transport import (
     TcpTransport,
     allocate_ports,
 )
-from repro.runtime.wire import WIRE_V1, ack_rec, data_rec
+from repro.runtime.wire import ack_rec, data_rec, encode_records
 
 
 def run(coro):
@@ -39,18 +39,6 @@ class TestLocalTransport:
             assert transport.stats["frames_sent"] == 1
             assert transport.stats["records_sent"] == 3
             assert transport.stats["records_received"] == 3
-
-        run(body())
-
-    def test_wire_v1_round_trips_too(self):
-        async def body():
-            net = line_network(2)
-            transport = LocalTransport(net, wire_version=WIRE_V1)
-            inbox = asyncio.Queue()
-            transport.bind(1, inbox)
-            batch = [data_rec(1, 1, 5, {"deep": [1]}, True)]
-            await transport.send(0, 1, batch)
-            assert inbox.get_nowait() == (0, batch)
 
         run(body())
 
@@ -89,6 +77,14 @@ class TestAllocatePorts:
         ports = allocate_ports(net)
         assert set(ports) == set(net.processors())
         assert len({p for _, p in ports.values()}) == 5
+
+    def test_base_zero_never_names_a_port_twice(self):
+        # Bind-and-release per node let the kernel hand one port out twice
+        # (15 of 5,000 ring(8) allocations); holding every socket cannot.
+        net = ring_network(8)
+        for _ in range(1000):
+            ports = allocate_ports(net)
+            assert len({port for _, port in ports.values()}) == 8
 
     def test_nonzero_base_assigns_verbatim(self):
         net = line_network(3)
@@ -152,40 +148,32 @@ class TestTcpTransport:
         run(body())
 
     def test_version_mismatch_is_reported_not_crashed(self):
-        # A v1 sender talking to a v2 receiver (and vice versa): the frame
-        # is dropped with a readable protocol error, no hang, no traceback.
-        async def body(sender_version, receiver_version):
+        # A peer still speaking the JSON framing (a '{'-led body): the frame
+        # is counted as dropped, nothing reaches the inbox, and the stream
+        # stays usable for the well-formed frame behind it.
+        async def body():
             net = line_network(2)
             ports = allocate_ports(net)
-            sender = TcpTransport(
-                net, ports, local_pids=(0,), wire_version=sender_version
-            )
-            receiver = TcpTransport(
-                net, ports, local_pids=(1,), wire_version=receiver_version
-            )
-            sender.bind(0, asyncio.Queue())
+            receiver = TcpTransport(net, ports, local_pids=(1,))
             inbox = asyncio.Queue()
             receiver.bind(1, inbox)
-            await sender.start()
             await receiver.start()
             try:
-                await sender.send(0, 1, [ack_rec(1, 1)])
-                for _ in range(100):
-                    if receiver.protocol_errors:
-                        break
-                    await asyncio.sleep(0.02)
-                assert inbox.empty()
+                _, writer = await asyncio.open_connection(*ports[1])
+                json_body = b'{"f":0,"t":1,"ms":[]}'
+                writer.write(len(json_body).to_bytes(4, "big") + json_body)
+                writer.write(encode_records(0, 1, [ack_rec(1, 1)]))
+                await writer.drain()
+                assert await asyncio.wait_for(inbox.get(), 5.0) == (
+                    0, [ack_rec(1, 1)]
+                )
                 assert receiver.stats["frames_dropped"] == 1
-                (error,) = receiver.protocol_errors
-                assert f"v{sender_version}" in error
-                assert f"v{receiver_version}" in error
-                assert "--wire-version" in error
+                assert receiver.stats["frames_received"] == 1
+                writer.close()
             finally:
-                await sender.close()
                 await receiver.close()
 
-        run(body(1, 2))
-        run(body(2, 1))
+        run(body())
 
     def test_missing_ports_rejected(self):
         net = line_network(3)

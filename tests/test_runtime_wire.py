@@ -1,5 +1,5 @@
-"""Tests for the runtime wire formats: binary v2, legacy JSON v1, the
-version-dispatching decoder, and the SACK bitmap helpers.
+"""Tests for the runtime wire format: the binary v2 codec, the version
+tag check, and the SACK bitmap helpers.
 
 The fuzz classes are the satellite requirement of the batching PR: random
 record batches must round-trip bit-exact through the v2 codec, and *any*
@@ -19,15 +19,12 @@ from repro.runtime.wire import (
     MAX_FRAME,
     RACK,
     REL,
-    WIRE_V1,
     WIRE_V2,
     WireFormatError,
-    WireVersionError,
     ack_rec,
     data_rec,
     decode_frame_body,
     encode_records,
-    expect_version,
     kind_of,
     rack_rec,
     rel_rec,
@@ -176,48 +173,27 @@ class TestV2Rejections:
 
 
 class TestV1Codec:
-    def test_round_trip(self):
-        records = [data_rec(3, 7, 42, {"x": 1}, True), ack_rec(3, 7)]
-        frame = encode_records(1, 2, records, version=WIRE_V1)
-        assert frame[4:5] == b"{"  # JSON object on the wire
-        version, src, dst, decoded = decode_frame_body(frame[4:])
-        assert (version, src, dst) == (WIRE_V1, 1, 2)
-        assert decoded == records
-
-    def test_legacy_single_record_envelope_accepted(self):
-        import json
-
-        body = json.dumps(
-            {"f": 0, "t": 1, "m": ack_rec(1, 3)}, separators=(",", ":")
-        ).encode()
-        version, src, dst, decoded = decode_frame_body(body)
-        assert version == WIRE_V1
-        assert decoded == [ack_rec(1, 3)]
+    """Wire v1 (JSON framing) is retired; its bodies stay readable errors."""
 
     def test_v1_garbage_rejected_readably(self):
         for bad in (b"{}", b'{"f": 0}', b'{"f": 0, "t": 1}',
-                    b'{"f": 0, "t": 1, "ms": "nope"}', b"[1,2]", b"{broken"):
-            with pytest.raises(WireFormatError):
+                    b'{"f": 0, "t": 1, "ms": "nope"}', b"[1,2]", b"{broken",
+                    b'{"f":0,"t":1,"ms":[]}'):  # the last was valid v1
+            with pytest.raises(WireFormatError, match="not the v2 tag"):
                 decode_frame_body(bad)
 
 
 class TestVersionDispatch:
     def test_first_byte_discriminates(self):
         v2 = encode_records(0, 1, [ack_rec(1, 1)], version=WIRE_V2)[4:]
-        v1 = encode_records(0, 1, [ack_rec(1, 1)], version=WIRE_V1)[4:]
+        assert v2[0] == WIRE_V2
         assert decode_frame_body(v2)[0] == WIRE_V2
-        assert decode_frame_body(v1)[0] == WIRE_V1
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(WireFormatError, match="neither"):
+        with pytest.raises(WireFormatError, match="not the v2 tag"):
             decode_frame_body(b"\x09garbage")
         with pytest.raises(WireFormatError, match="empty"):
             decode_frame_body(b"")
-
-    def test_expect_version_message_is_actionable(self):
-        with pytest.raises(WireVersionError, match="--wire-version"):
-            expect_version(WIRE_V1, WIRE_V2)
-        expect_version(WIRE_V2, WIRE_V2)  # no raise
 
     def test_unknown_encode_version_rejected(self):
         with pytest.raises(ConfigurationError, match="wire version"):

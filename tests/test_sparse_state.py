@@ -174,7 +174,7 @@ class TestEvictedReadsAreCleanEmpty:
         assert calls == [4, 4]
 
     def test_runtime_dest_queues_evict_and_reread_empty(self):
-        from repro.runtime.node import _DestQueues
+        from repro.runtime.hop import _DestQueues
 
         queues = _DestQueues()
         queues.ensure(7).append("x")
