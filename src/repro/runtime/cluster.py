@@ -35,7 +35,12 @@ from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
 from repro.routing.static import StaticRouting
-from repro.runtime.conformance import ConformanceReport, RuntimeEvent, check_events
+from repro.runtime.conformance import (
+    ConformanceReport,
+    RuntimeEvent,
+    check_events,
+    message_latencies,
+)
 from repro.runtime.netem import NetemConfig, NetemTransport
 from repro.runtime.hop import RuntimeParams
 from repro.runtime.node import RuntimeNode
@@ -217,41 +222,18 @@ class RuntimeResult:
             registry.counter(f"transport_{key}").inc(value)
         for key, value in self.netem_stats.items():
             registry.counter(key).inc(value)
-        hop = registry.histogram("runtime_hop_latency_s")
-        for sample in self.hop_latencies:
-            hop.observe(sample)
-        flight = registry.histogram("runtime_in_flight")
-        for sample in self.in_flight_samples:
-            flight.observe(sample)
-        batch = registry.histogram("runtime_batch_size")
-        for sample in self.batch_sizes:
-            batch.observe(sample)
-        coalesce = registry.histogram("runtime_ack_coalesce")
-        for sample in self.ack_coalesce:
-            coalesce.observe(sample)
-        rto = registry.histogram("runtime_rto_s")
-        for sample in self.rto_samples:
-            rto.observe(sample)
-        occupancy = registry.histogram("runtime_window_occupancy")
-        for sample in self.window_samples:
-            occupancy.observe(sample)
-        msg_latency = registry.histogram("runtime_msg_latency_s")
-        # Durations live in the monotonic clock domain: a wall-clock step
-        # (NTP) between generate and deliver must not skew the histogram.
-        # Events without a monotonic stamp (mono == 0.0, synthetic logs)
-        # are skipped rather than silently measured on the wrong clock.
-        # The log is node-ordered, so a delivery may precede its generation
-        # at a later node: index every generation before joining.
-        generated_mono = {
-            event.uid: event.mono
-            for event in self.events
-            if event.kind == "generated" and event.mono
-        }
-        for event in self.events:
-            if event.kind == "delivered" and event.mono:
-                start = generated_mono.get(event.uid)
-                if start is not None:
-                    msg_latency.observe(max(0.0, event.mono - start))
+        for name, samples in (
+            ("runtime_hop_latency_s", self.hop_latencies),
+            ("runtime_in_flight", self.in_flight_samples),
+            ("runtime_batch_size", self.batch_sizes),
+            ("runtime_ack_coalesce", self.ack_coalesce),
+            ("runtime_rto_s", self.rto_samples),
+            ("runtime_window_occupancy", self.window_samples),
+            ("runtime_msg_latency_s", message_latencies(self.events)),
+        ):
+            histogram = registry.histogram(name)
+            for sample in samples:
+                histogram.observe(sample)
         registry.gauge("runtime_partial").set(1 if self.partial else 0)
         registry.gauge("runtime_elapsed_s").set(round(self.elapsed_s, 3))
         registry.gauge("runtime_throughput_msgs").set(round(self.throughput, 1))
@@ -605,11 +587,12 @@ def _run_multiprocess(spec: ClusterSpec, result: RuntimeResult) -> None:
     result_q = ctx.Queue()
     workers = []
     for index, pids in enumerate(groups):
+        hosted = set(pids)
         worker_args = {
             "spec": spec,
             "pids": tuple(pids),
             "ports": ports,
-            "submissions": [s for s in submissions if s[1] in set(pids)],
+            "submissions": [s for s in submissions if s[1] in hosted],
             "index": index,
         }
         proc = ctx.Process(

@@ -14,23 +14,26 @@ and check the properties the specification SP demands of any execution:
   deliveries occur in generation order (the per-destination lanes are
   FIFO, so the runtime must preserve per-pair order end to end).
 
-The oracle reuses :class:`~repro.core.ledger.DeliveryLedger` in non-strict
-mode — the exact same accounting the state-model engine trusts — so the
-simulated and live execution paths are judged by one specification.
+The verdict is one sort and two passes over plain dicts: it makes the four
+non-strict checks of :class:`~repro.core.ledger.DeliveryLedger` itself,
+violation strings included.  The ledger-backed verdict it replaced is the
+oracle in ``tests/reference_conformance.py``, and equal reports from the two
+(``tests/test_conformance_differential.py``) are what keeps the simulated
+and live execution paths judged by one specification.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.core.ledger import DeliveryLedger
 from repro.statemodel.message import Message
 from repro.types import DestId, ProcId
 
 
-@dataclass(frozen=True)
-class RuntimeEvent:
+class RuntimeEvent(NamedTuple):
     """One conformance event from a live node.
 
     ``order`` is the node-local event index: events of one node are totally
@@ -44,6 +47,9 @@ class RuntimeEvent:
     correctness.  ``mono == 0.0`` marks an event from a source that does
     not stamp monotonic time (synthetic test events); duration metrics
     skip such pairs.
+
+    A named tuple: ``HopCore._append_event`` builds one positionally per
+    generation and per delivery, so the field order is part of the contract.
     """
 
     kind: str       #: "generated" | "delivered"
@@ -99,21 +105,37 @@ class ConformanceReport:
             f"undelivered={len(self.undelivered)} "
             f"invalid_delivered={self.invalid_delivered}"
         ]
-        for text in self.violations[:20]:
-            lines.append(f"  VIOLATION {text}")
-        for text in self.sequence_violations[:20]:
-            lines.append(f"  SEQUENCE  {text}")
-        hidden = (
-            len(self.violations) + len(self.sequence_violations) - 40
-        )
-        if hidden > 0:
-            lines.append(f"  ... {hidden} more")
+        for label, texts in (
+            ("VIOLATION", self.violations),
+            ("SEQUENCE ", self.sequence_violations),
+        ):
+            for text in texts[:20]:
+                lines.append(f"  {label} {text}")
+            if len(texts) > 20:
+                lines.append(f"  ... {len(texts) - 20} more")
         if self.undelivered:
             shown = ", ".join(str(u) for u in self.undelivered[:10])
             more = "" if len(self.undelivered) <= 10 else ", ..."
             lines.append(f"  UNDELIVERED uids: {shown}{more}")
         lines.append("verdict: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
+
+
+_ORDER = attrgetter("order")
+
+
+def _node_ordered(events: Iterable[RuntimeEvent]) -> List[RuntimeEvent]:
+    """``events`` stably sorted by ``(node, order)``: bucketed by node, each
+    bucket sorted on the bare ``order``.  A tuple sort key would be one
+    collector-tracked allocation per event, and at 200,000 events those
+    set off a full collection of the finished run's heap in mid-sort."""
+    logs: Dict[ProcId, List[RuntimeEvent]] = defaultdict(list)
+    for event in events:
+        logs[event.node].append(event)
+    ordered: List[RuntimeEvent] = []
+    for node in sorted(logs):
+        ordered.extend(sorted(logs[node], key=_ORDER))
+    return ordered
 
 
 def check_events(
@@ -127,71 +149,87 @@ def check_events(
     submit its workload must not pass vacuously).
     """
     # Node-local order is the only order that exists (there is no global
-    # clock in a live run); the ledger only needs generations known before
-    # deliveries, so feed the two kinds in separate passes.
-    ordered = sorted(events, key=lambda e: (e.node, e.order))
+    # clock in a live run), and a delivery may sort before its generation
+    # at a later node: index every generation, then judge the deliveries.
     report = ConformanceReport()
-    ledger = DeliveryLedger(strict=False)
-    delivered_seen: Dict[int, int] = {}
-    per_pair_generated: Dict[Tuple[ProcId, DestId], List[int]] = {}
-    per_dest_delivered: Dict[DestId, List[int]] = {}
-    gen_source: Dict[int, ProcId] = {}
-    for event in ordered:
-        if event.kind == "generated":
-            report.generated += 1
-            gen_source[event.uid] = event.node
-            per_pair_generated.setdefault((event.node, event.dest), []).append(
-                event.uid
-            )
-            ledger.record_generated(event.as_message(source=event.node))
-    for event in ordered:
-        if event.kind == "delivered":
+    generated: Dict[int, RuntimeEvent] = {}
+    pair_generated: Dict[Tuple[ProcId, DestId], List[int]] = defaultdict(list)
+    deliveries: List[RuntimeEvent] = []
+    for event in _node_ordered(events):
+        kind = event.kind
+        if kind == "generated":
             if not event.valid:
-                report.invalid_delivered += 1
-                continue
-            report.delivered += 1
-            delivered_seen[event.uid] = delivered_seen.get(event.uid, 0) + 1
-            per_dest_delivered.setdefault(event.node, []).append(event.uid)
-            ledger.record_delivery(
-                event.node, event.as_message(source=None), step=event.order
-            )
-        elif event.kind != "generated":
-            report.violations.append(f"unknown event kind {event.kind!r}")
-    report.duplicates = sum(c - 1 for c in delivered_seen.values() if c > 1)
-    report.violations.extend(ledger.violations)
-    report.undelivered = sorted(ledger.outstanding_uids())
+                raise ValueError(f"a generation must be valid, got {event!r}")
+            report.generated += 1
+            generated[event.uid] = event
+            pair_generated[event.node, event.dest].append(event.uid)
+        elif kind == "delivered":
+            deliveries.append(event)
+        else:
+            report.violations.append(f"unknown event kind {kind!r}")
+    delivered_uids: Set[int] = set()
+    # Keyed (source, delivering node); deliveries are sorted by node, so
+    # the keys come out grouped by destination in first-delivery order.
+    pair_delivered: Dict[Tuple[ProcId, DestId], List[int]] = defaultdict(list)
+    for event in deliveries:
+        if not event.valid:
+            report.invalid_delivered += 1
+            continue
+        report.delivered += 1
+        uid = event.uid
+        at = event.node
+        problems: List[str] = []
+        origin = generated.get(uid)
+        if origin is None:
+            problems.append(f"delivery of unknown valid uid {uid}")
+        else:
+            if at != origin.dest:
+                problems.append(
+                    f"uid {uid} delivered at {at}, destination is {origin.dest}"
+                )
+            pair_delivered[origin.node, at].append(uid)
+        if uid in delivered_uids:
+            problems.append(f"uid {uid} delivered twice (duplication)")
+        else:
+            delivered_uids.add(uid)
+        if problems:
+            report.violations.append("; ".join(problems))
+    report.duplicates = report.delivered - len(delivered_uids)
+    report.undelivered = sorted(generated.keys() - delivered_uids)
     if expect_generated is not None and report.generated != expect_generated:
         report.violations.append(
             f"generated {report.generated} messages, expected {expect_generated}"
         )
-    _check_sequences(report, per_pair_generated, per_dest_delivered, gen_source)
+    # FIFO lanes: each pair's deliveries must come in generation order.
+    for (source, dest), got in pair_delivered.items():
+        wanted = set(got)
+        expected = [
+            uid for uid in pair_generated.get((source, dest), ()) if uid in wanted
+        ]
+        if got != expected:
+            report.sequence_violations.append(
+                f"pair {source}->{dest}: delivered order {got[:12]} != "
+                f"generation order {expected[:12]}"
+            )
     return report
 
 
-def _check_sequences(
-    report: ConformanceReport,
-    per_pair_generated: Dict[Tuple[ProcId, DestId], List[int]],
-    per_dest_delivered: Dict[DestId, List[int]],
-    gen_source: Dict[int, ProcId],
-) -> None:
-    """Per (source, dest) pair: the delivered subsequence must equal a
-    prefix-closed subsequence of the generation order (FIFO lanes)."""
-    for dest, uids in per_dest_delivered.items():
-        # Project the destination's delivery order onto each source.
-        per_source: Dict[ProcId, List[int]] = {}
-        for uid in uids:
-            source = gen_source.get(uid)
-            if source is None:
-                continue  # phantom: already flagged by the ledger
-            per_source.setdefault(source, []).append(uid)
-        for source, got in per_source.items():
-            expected = [
-                uid
-                for uid in per_pair_generated.get((source, dest), [])
-                if uid in set(got)
-            ]
-            if got != expected:
-                report.sequence_violations.append(
-                    f"pair {source}->{dest}: delivered order {got[:12]} != "
-                    f"generation order {expected[:12]}"
-                )
+def message_latencies(events: Sequence[RuntimeEvent]) -> List[float]:
+    """Generate→deliver duration of every delivery, on the monotonic clock.
+
+    One sample per delivery whose generation is in the log, joined in two
+    passes: the log is node-ordered, so a delivery may precede its
+    generation at a later node.  Only ``mono`` is read (a wall-clock step
+    must not skew a duration), and events without a monotonic stamp
+    (``mono == 0.0``, synthetic logs) are skipped, not measured on ``t``.
+    """
+    started = {
+        event.uid: event.mono
+        for event in events
+        if event.kind == "generated" and event.mono
+    }
+    return [
+        max(0.0, event.mono - started[event.uid])
+        for event in events
+        if event.kind == "delivered" and event.mono and event.uid in started
+    ]

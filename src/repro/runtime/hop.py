@@ -663,15 +663,9 @@ class HopCore:
         # report rows only; ``mono`` (CLOCK_MONOTONIC, shared by every
         # process on the machine) is what durations are computed from, so
         # an NTP step mid-run cannot skew the latency histograms.
-        self.events.append(
-            RuntimeEvent(
-                kind=kind,
-                uid=uid,
-                node=self.pid,
-                dest=dest,
-                valid=valid,
-                t=wall,
-                order=len(self.events),
-                mono=mono,
-            )
+        events = self.events
+        # Positional (kind, uid, node, dest, valid, t, order, mono): this
+        # runs once per generation and delivery inside the node loop.
+        events.append(
+            RuntimeEvent(kind, uid, self.pid, dest, valid, wall, len(events), mono)
         )

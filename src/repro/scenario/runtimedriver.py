@@ -92,19 +92,12 @@ def build_cluster_spec(spec: ScenarioSpec):
 def run_runtime_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Compile and run one scenario on the live runtime."""
     from repro.runtime.cluster import run_cluster
+    from repro.runtime.conformance import message_latencies
 
     cluster_spec = build_cluster_spec(spec)
     result = run_cluster(cluster_spec)
     report = result.report
 
-    latencies = sorted(
-        _message_latencies(result.events)
-    )
-    p99 = (
-        latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
-        if latencies
-        else None
-    )
     metrics: Dict[str, Any] = {
         "generated": report.generated,
         "delivered": report.delivered,
@@ -113,7 +106,9 @@ def run_runtime_scenario(spec: ScenarioSpec) -> ScenarioResult:
         "elapsed_s": round(result.elapsed_s, 3),
         "faults_injected": len(result.fault_events),
     }
-    if p99 is not None:
+    latencies = sorted(message_latencies(result.events))
+    if latencies:
+        p99 = latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
         metrics["latency_p99_s"] = round(p99, 4)
     failures = evaluate_pass(spec.pass_criteria, metrics)
     for violation in report.violations + report.sequence_violations:
@@ -133,16 +128,3 @@ def run_runtime_scenario(spec: ScenarioSpec) -> ScenarioResult:
         obs_rows=result.obs_rows(),
     )
 
-
-def _message_latencies(events) -> List[float]:
-    """Generate→deliver durations in the monotonic clock domain."""
-    generated: Dict[int, float] = {}
-    out: List[float] = []
-    for event in events:
-        if event.kind == "generated" and event.mono:
-            generated[event.uid] = event.mono
-        elif event.kind == "delivered" and event.mono:
-            start = generated.get(event.uid)
-            if start is not None:
-                out.append(max(0.0, event.mono - start))
-    return out

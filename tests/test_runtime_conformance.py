@@ -1,6 +1,15 @@
 """Tests for the conformance oracle over live-run event logs."""
 
-from repro.runtime.conformance import RuntimeEvent, check_events
+import pickle
+
+import pytest
+
+from repro.runtime.conformance import (
+    ConformanceReport,
+    RuntimeEvent,
+    check_events,
+    message_latencies,
+)
 
 
 def ev(kind, uid, node, dest, order, valid=True, t=0.0):
@@ -96,3 +105,81 @@ class TestCheckEvents:
     def test_unknown_kind_flagged(self):
         report = check_events([ev("exploded", 1, node=0, dest=1, order=0)])
         assert any("unknown event kind" in v for v in report.violations)
+
+
+class TestSummary:
+    @pytest.mark.parametrize("violations, sequence", [(30, 0), (5, 30), (25, 25)])
+    def test_rows_beyond_twenty_are_counted_per_list(self, violations, sequence):
+        report = ConformanceReport(
+            violations=[f"v{i}" for i in range(violations)],
+            sequence_violations=[f"s{i}" for i in range(sequence)],
+        )
+        lines = report.summary().splitlines()
+        assert sum("VIOLATION" in line for line in lines) == min(violations, 20)
+        assert sum("SEQUENCE" in line for line in lines) == min(sequence, 20)
+        hidden = [int(line.split()[1]) for line in lines if line.endswith(" more")]
+        assert hidden == [n - 20 for n in (violations, sequence) if n > 20]
+
+    def test_short_lists_hide_nothing(self):
+        report = ConformanceReport(violations=["a"], sequence_violations=["b"])
+        assert "more" not in report.summary()
+
+
+class TestMessageLatencies:
+    def test_one_sample_per_delivery_whatever_the_log_order(self):
+        # Generated at node 5, delivered at node 2: in the node-ordered log
+        # the delivery comes first.
+        events = [
+            RuntimeEvent("delivered", 6, 2, 2, True, 0.0, 0, mono=7.3),
+            RuntimeEvent("delivered", 14, 2, 2, True, 0.0, 1, mono=7.5),
+            RuntimeEvent("generated", 6, 5, 2, True, 0.0, 0, mono=7.0),
+            RuntimeEvent("generated", 14, 5, 2, True, 0.0, 1, mono=7.0),
+        ]
+        assert message_latencies(events) == pytest.approx([0.3, 0.5])
+
+    def test_unstamped_and_unmatched_events_give_no_sample(self):
+        events = [
+            ev("generated", 1, node=0, dest=1, order=0),  # mono == 0.0
+            RuntimeEvent("delivered", 1, 1, 1, True, 0.0, 0, mono=3.0),
+            RuntimeEvent("delivered", 99, 1, 1, True, 0.0, 1, mono=4.0),
+        ]
+        assert message_latencies(events) == []
+
+
+class TestRuntimeEventContract:
+    """What hop.py, cluster.py (spawn workers) and the bench harness rely on."""
+
+    FIELDS = dict(
+        kind="delivered", uid=9, node=2, dest=2, valid=True, t=5.0, order=3,
+        mono=1.5,
+    )
+
+    def test_keyword_and_positional_construction_agree(self):
+        event = RuntimeEvent(**self.FIELDS)
+        assert event == RuntimeEvent("delivered", 9, 2, 2, True, 5.0, 3, 1.5)
+        for name, value in self.FIELDS.items():
+            assert getattr(event, name) == value
+
+    def test_mono_defaults_to_unstamped(self):
+        fields = dict(self.FIELDS)
+        del fields["mono"]
+        assert RuntimeEvent(**fields).mono == 0.0
+
+    def test_immutable(self):
+        event = RuntimeEvent(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            event.uid = 10
+        with pytest.raises(AttributeError):
+            event.extra = 1
+
+    def test_pickle_round_trip(self):
+        event = RuntimeEvent(**self.FIELDS)
+        clone = pickle.loads(pickle.dumps(event))
+        assert type(clone) is RuntimeEvent and clone == event
+
+    def test_as_message_bridges_to_the_ledger_shape(self):
+        msg = RuntimeEvent(**self.FIELDS).as_message(source=0)
+        assert (msg.uid, msg.dest, msg.last, msg.valid, msg.source) == (
+            9, 2, 2, True, 0
+        )
+        assert RuntimeEvent(**self.FIELDS).as_message(source=None).source is None

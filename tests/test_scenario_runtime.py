@@ -139,3 +139,42 @@ class TestExecution:
             and r.get("metric") == "faults_injected_total"
         ]
         assert totals and totals[0]["value"] == len(fault_rows)
+
+
+class TestLatencyCriterion:
+    def test_p99_counts_a_delivery_logged_before_its_generation(
+        self, monkeypatch
+    ):
+        # The merged log is node-ordered: node 2's deliveries precede node
+        # 5's generations.  A one-pass join lost uid 13 (the slow one) and
+        # judged latency_p99_s on uid 8 alone.
+        from repro.runtime import cluster
+        from repro.runtime.conformance import RuntimeEvent, check_events
+
+        events = [
+            RuntimeEvent("generated", 8, 0, 2, True, 100.0, 0, mono=7.0),
+            RuntimeEvent("delivered", 8, 2, 2, True, 100.1, 0, mono=7.1),
+            RuntimeEvent("delivered", 13, 2, 2, True, 100.9, 1, mono=7.9),
+            RuntimeEvent("generated", 13, 5, 2, True, 100.0, 0, mono=7.0),
+        ]
+
+        def fake_run_cluster(cluster_spec):
+            return cluster.RuntimeResult(
+                spec=cluster_spec,
+                report=check_events(events, expect_generated=2),
+                events=list(events),
+                elapsed_s=1.0,
+            )
+
+        monkeypatch.setattr(cluster, "run_cluster", fake_run_cluster)
+        result = run_runtime_scenario(
+            spec_of(
+                topology={"name": "ring", "kwargs": {"n": 8}},
+                workload={"name": "uniform", "kwargs": {"count": 2}},
+                **{"pass": {"max_latency_p99_s": 0.5}},
+            )
+        )
+        assert result.metrics["delivered"] == 2
+        assert result.metrics["latency_p99_s"] == pytest.approx(0.9)
+        assert not result.ok
+        assert any("latency_p99_s" in f for f in result.failures)
