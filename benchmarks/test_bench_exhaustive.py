@@ -1,16 +1,11 @@
-"""Benchmarks X5, X-SNAP and X-PAR — exhaustive model checking.
+"""Benchmarks X5 and X-PAR — exhaustive model checking.
 
-X5 regenerates the safety table (now including the ``line(4)`` instance
-that only the snapshot engine makes practical).  X-SNAP races the two
-exploration engines — legacy deepcopy vs snapshot/restore — on the small
-fixed instances, asserts their results are bit-identical (same state
-count, transition count, terminal states, violations), and pins a minimum
-states/sec speedup so a regression in the snapshot layer fails the build.
-X-PAR measures the PR 8 scale layers on the ``line(4)`` scale point —
-frontier-parallel workers plus partial-order reduction vs the serial
-snapshot engine (reachable states pinned equal, states/sec gated on
-multi-core runners) — and the symmetry quotient on a rotationally
-symmetric ring (state cut gated).
+X5 regenerates the safety table (including the ``line(4)`` instance that
+only the snapshot engine makes practical).  X-PAR measures the PR 8 scale
+layers on the ``line(4)`` scale point — frontier-parallel workers plus
+partial-order reduction vs the serial snapshot engine (reachable states
+pinned equal, states/sec gated on multi-core runners) — and the symmetry
+quotient on a rotationally symmetric ring (state cut gated).
 """
 
 import os
@@ -27,10 +22,6 @@ from repro.routing.static import StaticRouting
 from repro.sim.reporting import format_table
 from repro.verify.modelcheck import ModelChecker, default_workers
 from repro.verify.parallel import fork_available
-
-# The snapshot engine must stay at least this much faster than deepcopy
-# (aggregate states/sec over the X-SNAP instances; measured ~5-7x).
-MIN_SNAPSHOT_SPEEDUP = 3.0
 
 # Parallel + POR must deliver at least this states/sec multiple over the
 # serial unreduced snapshot engine on line(4).  POR alone contributes
@@ -56,64 +47,6 @@ def test_bench_exhaustive(benchmark):
     # The snapshot-engine scale point: line(4) is actually exhausted.
     line4 = next(r for r in rows if "line(4)" in r["instance"])
     assert line4["states"] > 10_000 and line4["violations"] == 0
-
-
-def _snap_rows():
-    """Race both engines on each small instance; the line(4) scale point
-    is excluded (deepcopy needs minutes there — the point of X-SNAP is a
-    tight regression gate, not a demonstration)."""
-    rows = []
-    for name, make, _expect in exhaustive._instances():
-        if "line(4)" in name:
-            continue
-        per = {}
-        for eng in ("deepcopy", "snapshot"):
-            t0 = time.perf_counter()
-            res = ModelChecker(
-                make, max_states=200_000, max_selection_width=20_000,
-                engine=eng,
-            ).run()
-            per[eng] = (res, time.perf_counter() - t0)
-        base, base_s = per["deepcopy"]
-        snap, snap_s = per["snapshot"]
-        # Bit-identical exploration is the contract, not a statistic.
-        assert (base.states, base.transitions, base.terminal_states,
-                base.truncated, base.violations) == \
-               (snap.states, snap.transitions, snap.terminal_states,
-                snap.truncated, snap.violations), name
-        rows.append({
-            "instance": name,
-            "states": snap.states,
-            "deepcopy_s": round(base_s, 3),
-            "snapshot_s": round(snap_s, 3),
-            "deepcopy_states_per_s": round(base.states / base_s),
-            "snapshot_states_per_s": round(snap.states / snap_s),
-            "speedup": round(base_s / snap_s, 1),
-        })
-    return rows
-
-
-def test_bench_snapshot_vs_deepcopy(benchmark):
-    rows = bench_once(benchmark, _snap_rows)
-    report = format_table(
-        rows,
-        columns=[
-            "instance", "states", "deepcopy_s", "snapshot_s",
-            "deepcopy_states_per_s", "snapshot_states_per_s", "speedup",
-        ],
-        title="X-SNAP - snapshot/restore exploration engine vs legacy "
-              "deepcopy (bit-identical results asserted per instance)",
-    )
-    archive(
-        "X-SNAP", report, rows=rows,
-        meta={"table": "X-SNAP", "min_speedup": MIN_SNAPSHOT_SPEEDUP},
-    )
-    total_deepcopy = sum(r["deepcopy_s"] for r in rows)
-    total_snapshot = sum(r["snapshot_s"] for r in rows)
-    assert total_deepcopy / total_snapshot >= MIN_SNAPSHOT_SPEEDUP, (
-        f"snapshot engine speedup regressed below {MIN_SNAPSHOT_SPEEDUP}x: "
-        f"{total_deepcopy:.3f}s deepcopy vs {total_snapshot:.3f}s snapshot"
-    )
 
 
 def _symmetric_ring_make():

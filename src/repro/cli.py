@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument(
         "--engine", default="snapshot",
-        choices=["snapshot", "deepcopy", "parallel"],
+        choices=["snapshot", "parallel"],
     )
     ver.add_argument(
         "--reduction", default="none",
@@ -704,7 +704,11 @@ def _cmd_sweep(args) -> int:
         labels.append(spec.pop("label", f"spec[{i}]"))
         spec.setdefault("protocol", args.protocol)
         configs.append({"spec": spec, "max_steps": args.max_steps})
-    results = run_sweep(configs, sweep_outcome_row, workers=args.workers)
+    try:
+        results = run_sweep(configs, sweep_outcome_row, workers=args.workers)
+    except ConfigurationError as exc:
+        print(f"error: spec rejected: {exc}", file=sys.stderr)
+        return 2
     rows = []
     for label, outcome in zip(labels, results):
         row = {"label": label}

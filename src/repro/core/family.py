@@ -159,10 +159,6 @@ class ForwardingProtocol(Protocol):
 
         # -- incremental-engine state ---------------------------------------
         n = net.n
-        #: Whether the routing provider reports its table mutations; without
-        #: that discipline no derived state can be cached safely and the
-        #: protocol behaves exactly like the pre-incremental engine.
-        self._incremental = bool(getattr(routing, "notifies_mutations", False))
         self._aged = choice_policy in ("aged", "aged_fair")
         # aged_fair wait-ages advance once per sync, so reconciliation must
         # stay a full per-step sweep to keep the paper-equivalent semantics.
@@ -195,15 +191,16 @@ class ForwardingProtocol(Protocol):
         self._nbhd: List[Tuple[ProcId, ...]] = [
             (p, *net.neighbors(p)) for p in net.processors()
         ]
-        if self._incremental:
-            # add_notifier (not bind) so later subscribers — the
-            # message-lifecycle tracer of ``repro.obs`` — chain behind the
-            # dirty-set hook instead of silently replacing it.
-            self.bufs.add_notifier(self._on_buffer_write)
-            self.hl.bind_notifier(self._on_request_change)
-            routing.add_observer(self._on_routing_change)
-            # Applied to every queue at materialization with key (d, p).
-            self.queues.bind_notifier(self._on_queue_event)
+        # add_notifier (not bind) so later subscribers — the
+        # message-lifecycle tracer of ``repro.obs`` — chain behind the
+        # dirty-set hook instead of silently replacing it.
+        self.bufs.add_notifier(self._on_buffer_write)
+        self.hl.bind_notifier(self._on_request_change)
+        # Every RoutingService reports its table mutations (the contract in
+        # ``repro.routing.table``); the caches below are exact only then.
+        routing.add_observer(self._on_routing_change)
+        # Applied to every queue at materialization with key (d, p).
+        self.queues.bind_notifier(self._on_queue_event)
 
     # -- shared procedures ---------------------------------------------------
 
@@ -215,9 +212,7 @@ class ForwardingProtocol(Protocol):
 
     def next_hop(self, q: ProcId, d: DestId) -> ProcId:
         """``nextHop_q(d)`` through the per-entry cache (invalidated by the
-        routing observer; bypassed for non-notifying providers)."""
-        if not self._incremental:
-            return self.routing.next_hop(q, d)
+        routing observer)."""
         row = self._nh_cache.get(d)
         if row is None:
             row = self._nh_cache[d] = {}
@@ -326,8 +321,6 @@ class ForwardingProtocol(Protocol):
         self._resync.clear()
 
     def dirty_after(self, selection) -> Optional[Set[ProcId]]:
-        if not self._incremental:
-            return None
         if self._all_dirty:
             self._all_dirty = False
             self._components.invalidate_all()
@@ -344,16 +337,16 @@ class ForwardingProtocol(Protocol):
     def before_step(self, step: int) -> None:
         """Environment phase: raise requests, reconcile choice queues.
 
-        With the incremental engine, only queues whose candidate sets may
-        have changed since the previous step (recorded by the notifier
-        hooks) are reconciled; otherwise every destination component that
-        can possibly act (occupied buffers or a pending request) is swept —
-        idle components have no candidates by definition, and their rules'
-        guards are all false.
+        Only queues whose candidate sets may have changed since the
+        previous step (recorded by the notifier hooks) are reconciled; in
+        the all-dirty regime and under ``aged_fair`` every destination
+        component that can possibly act (occupied buffers or a pending
+        request) is swept — idle components have no candidates by
+        definition, and their rules' guards are all false.
         """
         self.current_step = step
         self.hl.before_step(step)
-        if self._incremental and not self._all_dirty and not self._sync_every_step:
+        if not self._all_dirty and not self._sync_every_step:
             resync = self._resync
             if resync:
                 self._resync = {}
@@ -371,7 +364,7 @@ class ForwardingProtocol(Protocol):
         for d in active:
             for p in procs:
                 self._sync_queue(d, p)
-        if self._incremental and not self._residue_purged and not self._sync_every_step:
+        if not self._residue_purged and not self._sync_every_step:
             # One-time purge of scrambled initial queue entries in *inactive*
             # components.  The classic engine removes them lazily the step
             # the component activates (with no offered message and no
@@ -454,14 +447,13 @@ class ForwardingProtocol(Protocol):
                 actions.append(action)
         return actions
 
-    def _scan_enabled(self, pid: ProcId, count: bool) -> List[Action]:
+    def _scan_enabled(self, pid: ProcId) -> List[Action]:
         """Classic left-to-right scan over the active destinations (the
-        full-scan engine and the pre-cache oracle)."""
+        all-dirty regime: no component cache is consulted or filled)."""
         hl = self.hl
         request_dest = hl.next_destination(pid) if hl.request[pid] else None
         active = self._active_sorted(request_dest)
-        if count:
-            self.component_evals += len(active)
+        self.component_evals += len(active)
         actions: List[Action] = []
         for d in active:
             actions.extend(self._eval_component(pid, d))
@@ -502,8 +494,8 @@ class ForwardingProtocol(Protocol):
         dirty.clear()
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
-        if not self._incremental or self._all_dirty:
-            return self._scan_enabled(pid, count=True)
+        if self._all_dirty:
+            return self._scan_enabled(pid)
         cache = self._components
         if not cache.valid[pid]:
             self._rebuild_components(pid)
@@ -511,11 +503,6 @@ class ForwardingProtocol(Protocol):
             self._reconcile_components(pid)
         cache.dirty_pids.discard(pid)
         return cache.assemble(pid)
-
-    def enabled_actions_fresh(self, pid: ProcId) -> List[Action]:
-        """The ``debug_check`` oracle: always a full fresh scan, no caches,
-        no counting."""
-        return self._scan_enabled(pid, count=False)
 
     # -- introspection -------------------------------------------------------
 

@@ -52,7 +52,7 @@ def run_a1_colors(seeds=range(12)) -> Dict[str, object]:
                 garbage={"fraction": 0.5, "seed": seed},
                 ledger_strict=False,
                 seed=seed,
-                ssmfp_options={"enable_colors": colors_on},
+                protocol_options={"enable_colors": colors_on},
             )
             sim.run(300_000, halt=delivered_and_drained, raise_on_limit=False)
             losses += sim.ledger.lost_count
@@ -164,7 +164,7 @@ def run_a4_literal_r5(seeds=range(20)) -> Dict[str, object]:
                 ledger_strict=False,
                 seed=seed,
                 routing_mode="static",
-                ssmfp_options={"r5_literal": literal},
+                protocol_options={"r5_literal": literal},
             )
             sim.run(300_000, halt=delivered_and_drained, raise_on_limit=False)
             losses += sim.ledger.lost_count

@@ -13,9 +13,9 @@ table reports the state-space size and the verdict:
 
 The closing ``line(4)`` instance (crossing flows plus planted garbage,
 ~54k states / ~434k transitions) is only practical with the snapshot
-exploration engine — the legacy deepcopy engine needs several minutes for
-it, which is why earlier revisions of this table stopped at 3-processor
-lines.  See ``docs/verify.md`` and the X-SNAP benchmark.
+exploration engine — cloning the system per transition needs several
+minutes for it, which is why earlier revisions of this table stopped at
+3-processor lines.  See ``docs/verify.md``.
 """
 
 from __future__ import annotations

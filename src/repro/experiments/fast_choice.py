@@ -55,7 +55,7 @@ def run_one(policy: str, n: int, per_source: int, seed: int) -> Dict[str, object
         routing_mode="static",
         trace=trace,
         seed=seed,
-        ssmfp_options={"choice_policy": policy},
+        protocol_options={"choice_policy": policy},
     )
     sim.run(2_000_000, halt=delivered_and_drained)
     assert sim.ledger.all_valid_delivered()

@@ -25,8 +25,6 @@ from repro.types import DestId, ProcId
 class ScriptedRouting(RoutingService):
     """Correct tables plus externally scripted overrides."""
 
-    notifies_mutations = True
-
     def __init__(self, net: Network) -> None:
         self._net = net
         self._static = StaticRouting(net)

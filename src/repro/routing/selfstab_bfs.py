@@ -57,7 +57,6 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
     """
 
     name = "A"
-    notifies_mutations = True
     tracks_components = True
 
     def __init__(self, net: Network) -> None:
@@ -193,14 +192,13 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             return [self._make_fix_action(pid, d, new_dist, new_hop)]
         return []
 
-    def _scan_actions(self, pid: ProcId, count: bool) -> List[Action]:
+    def _scan_actions(self, pid: ProcId) -> List[Action]:
         """Classic scan over the destination components that can possibly
         be enabled — the materialized rows (ascending, as the dense scan
         examined them); every unmaterialized row is at the fixpoint and
         silent by construction."""
         dests = sorted(self._touched_destinations())
-        if count:
-            self.component_evals += len(dests)
+        self.component_evals += len(dests)
         actions: List[Action] = []
         for d in dests:
             actions.extend(self._eval_component(pid, d))
@@ -208,7 +206,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
         if self._all_dirty:
-            return self._scan_actions(pid, count=True)
+            return self._scan_actions(pid)
         cache = self._components
         if not cache.valid[pid]:
             entries = cache.entries[pid]
@@ -235,11 +233,6 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
                 dirty.clear()
         cache.dirty_pids.discard(pid)
         return cache.assemble(pid)
-
-    def enabled_actions_fresh(self, pid: ProcId) -> List[Action]:
-        """The ``debug_check`` oracle: always a full fresh scan, no caches,
-        no counting."""
-        return self._scan_actions(pid, count=False)
 
     def _make_self_action(self, pid: ProcId, d: DestId) -> Action:
         def effect() -> None:

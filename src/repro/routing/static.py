@@ -32,9 +32,6 @@ class StaticRouting(RoutingService):
     is identical to the eager table — the trees are deterministic.
     """
 
-    # Immutable tables: "every mutation is reported" holds vacuously.
-    notifies_mutations = True
-
     def __init__(self, net: Network) -> None:
         self._net = net
         # _hop[d][p] = parent of p in T_d, materialized per destination.

@@ -7,14 +7,14 @@ self-stabilizing BFS protocol, or a test double — implements
 
 Change observation
 ------------------
-The incremental engine caches ``next_hop`` values and enabled-action sets,
-so it must learn when a table entry moves.  :class:`RoutingService` carries
-a lightweight observer mechanism: consumers register a callback with
-:meth:`add_observer`; providers that mutate their tables call
-:meth:`_notify_entry` per changed entry (or :meth:`_notify_all` for bulk
-rewrites) and advertise the discipline with ``notifies_mutations = True``.
-Providers that leave the flag False (the safe default for out-of-tree
-subclasses) simply disable incremental caching in their consumers.
+Consumers cache ``next_hop`` values and enabled-action sets, so they must
+learn when a table entry moves.  Reporting every mutation is therefore part
+of the :class:`RoutingService` contract, not an opt-in: consumers register
+a callback with :meth:`add_observer`, and a provider that rewrites an entry
+**must** call :meth:`_notify_entry` for it (or :meth:`_notify_all` for bulk
+rewrites) before the next guard evaluation.  Immutable tables satisfy this
+vacuously.  A provider that mutates silently leaves stale caches behind —
+``tests/test_engine_equivalence.py`` shows the divergence being caught.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ class RoutingService(ABC):
       domain-valid — the usual state-model convention that variables hold
       type-correct garbage);
     * for ``p == d`` the value is unused by the forwarding rules (R4 guards
-      on ``p != d``); providers return ``p`` itself by convention.
+      on ``p != d``); providers return ``p`` itself by convention;
+    * every mutation of the tables is reported to the registered observers
+      (:meth:`_notify_entry` / :meth:`_notify_all`).
     """
-
-    #: True iff every mutation of this provider's tables is reported to the
-    #: registered observers.  Consumers may cache ``next_hop`` values and
-    #: derived state only when this holds.
-    notifies_mutations: bool = False
 
     @abstractmethod
     def next_hop(self, p: ProcId, d: DestId) -> ProcId:

@@ -202,9 +202,6 @@ def build_simulation(
     trace: Optional[TraceRecorder] = None,
     protocol: str = "ssmfp",
     protocol_options: Optional[Dict] = None,
-    ssmfp_options: Optional[Dict] = None,
-    full_scan: bool = False,
-    debug_check: bool = False,
     obs: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> Simulation:
@@ -231,15 +228,7 @@ def build_simulation(
         (``"ssmfp"``, ``"ssmfp2"``; see :mod:`repro.core.registry`).
     protocol_options:
         Extra keyword arguments for the protocol's constructor (ablation
-        knobs).  ``ssmfp_options`` is the legacy spelling and is merged
-        underneath.
-    full_scan:
-        Disable the incremental enabled-set engine: every guard of every
-        processor is re-evaluated each step (the classic engine; the oracle
-        the equivalence suite compares against).
-    debug_check:
-        Cross-check the incremental cache against a full scan every step
-        (slow; for tests).
+        knobs).
     obs:
         Optional :class:`repro.obs.MetricsRegistry` the simulator feeds
         with per-rule counts/wall-time, guard evaluations and round/
@@ -253,8 +242,7 @@ def build_simulation(
     ledger = DeliveryLedger(strict=ledger_strict)
     hl = HigherLayer(net.n)
     proto_cls = resolve(protocol)
-    options = {**(ssmfp_options or {}), **(protocol_options or {})}
-    proto = proto_cls(net, routing, hl, ledger, **options)
+    proto = proto_cls(net, routing, hl, ledger, **(protocol_options or {}))
 
     if garbage:
         plant_invalid_messages(
@@ -273,8 +261,7 @@ def build_simulation(
         daemon = DistributedRandomDaemon(seed=seed)
     hooks = [InvariantChecker(proto).as_hook()] if strict_invariants else None
     sim = Simulator(
-        net.n, stack, daemon, trace=trace, strict_hooks=hooks,
-        full_scan=full_scan, debug_check=debug_check, obs=obs,
+        net.n, stack, daemon, trace=trace, strict_hooks=hooks, obs=obs
     )
     simulation = Simulation(
         net=net, routing=routing, forwarding=proto, hl=hl,

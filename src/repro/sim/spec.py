@@ -23,8 +23,7 @@ Schema (all sections optional except ``topology``)::
     }
 
 ``protocol`` is a registry name (:mod:`repro.core.registry`; default
-``"ssmfp"``); ``ssmfp`` is the legacy spelling of ``protocol_options``
-and is still honored (merged underneath).
+``"ssmfp"``); ``protocol_options`` are keyword arguments of its constructor.
 
 The workload ``kwargs`` are passed to the named generator with ``n``
 injected; daemon ``kwargs`` likewise get the seed injected unless given.
@@ -70,7 +69,7 @@ _TOP_KEYS = frozenset(
     {
         "topology", "workload", "routing", "garbage",
         "scramble_choice_queues", "daemon", "protocol", "protocol_options",
-        "ssmfp", "seed", "ledger_strict", "label",
+        "seed", "ledger_strict", "label",
     }
 )
 _TOPOLOGY_KEYS = frozenset({"name", "kwargs"})
@@ -97,6 +96,17 @@ def _reject_unknown(section: str, mapping: Any, allowed: frozenset) -> None:
         )
 
 
+def _build(section: str, builder, *args, **kwargs):
+    """Call a builder with kwargs taken verbatim from the spec: a misspelt
+    or missing argument is a spec error naming the section, not a crash."""
+    try:
+        return builder(*args, **kwargs)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bad kwargs in spec section {section!r}: {exc}"
+        ) from None
+
+
 def simulation_from_spec(
     spec: Dict[str, Any], obs=None, tracer=None
 ) -> Simulation:
@@ -112,7 +122,7 @@ def simulation_from_spec(
     _reject_unknown("topology", topo, _TOPOLOGY_KEYS)
     if "name" not in topo:
         raise ConfigurationError("spec section 'topology' needs a 'name'")
-    net = topology_by_name(topo["name"], **topo.get("kwargs", {}))
+    net = _build("topology", topology_by_name, topo["name"], **topo.get("kwargs", {}))
 
     workload = None
     if "workload" in spec:
@@ -130,9 +140,9 @@ def simulation_from_spec(
         kwargs = dict(wl.get("kwargs", {}))
         if name in _N_FIRST:
             kwargs.setdefault("seed", seed)
-            workload = builder(net.n, **kwargs)
+            workload = _build("workload", builder, net.n, **kwargs)
         else:
-            workload = builder(**kwargs)
+            workload = _build("workload", builder, **kwargs)
 
     routing = spec.get("routing", {})
     _reject_unknown("routing", routing, _ROUTING_KEYS)
@@ -163,9 +173,11 @@ def simulation_from_spec(
             ) from None
         kwargs = dict(d.get("kwargs", {}))
         kwargs.setdefault("seed", seed)
-        daemon = factory(**kwargs)
+        daemon = _build("daemon", factory, **kwargs)
 
-    return build_simulation(
+    return _build(
+        "protocol_options",
+        build_simulation,
         net,
         workload=workload,
         daemon=daemon,
@@ -177,7 +189,6 @@ def simulation_from_spec(
         ledger_strict=bool(spec.get("ledger_strict", True)),
         protocol=str(spec.get("protocol", "ssmfp")),
         protocol_options=spec.get("protocol_options"),
-        ssmfp_options=spec.get("ssmfp"),
         obs=obs,
         tracer=tracer,
     )

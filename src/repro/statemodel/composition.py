@@ -61,17 +61,6 @@ class PriorityStack:
                 return actions
         return []
 
-    def enabled_actions_fresh(self, pid: ProcId) -> List[Action]:
-        """Like :meth:`enabled_actions` but forcing every layer to
-        re-evaluate from the current configuration, bypassing component
-        caches and without charging :attr:`component_evals` — the
-        ``debug_check`` oracle."""
-        for proto in self._protocols:
-            actions = proto.enabled_actions_fresh(pid)
-            if actions:
-                return actions
-        return []
-
     @property
     def component_evals(self) -> int:
         """Cumulative component evaluations across the whole stack: the sum

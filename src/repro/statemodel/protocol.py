@@ -52,18 +52,6 @@ class Protocol(ABC):
         actions will write (snapshot discipline).
         """
 
-    def enabled_actions_fresh(self, pid: ProcId) -> List[Action]:
-        """Like :meth:`enabled_actions` but guaranteed to re-evaluate every
-        guard from the current configuration, bypassing any caching the
-        protocol maintains, without touching :attr:`component_evals`.
-
-        This is the oracle the simulator's ``debug_check`` cross-check uses
-        to validate cached enabled maps (and the component caches behind
-        them) against a genuinely fresh scan.  Default: the protocol caches
-        nothing, so :meth:`enabled_actions` is already fresh.
-        """
-        return self.enabled_actions(pid)
-
     def before_step(self, step: int) -> None:
         """Hook invoked by the simulator at the very beginning of each step,
         before guard evaluation.  Used for environment moves that the paper

@@ -22,9 +22,9 @@ that: it keeps a per-processor cache of enabled actions and, before each
 evaluation, asks the protocol stack which processors went *dirty*
 (:meth:`~repro.statemodel.protocol.Protocol.dirty_after`).  Only dirty
 processors are re-evaluated; protocols that do not opt in return ``None``
-and get the classic full scan.  ``full_scan=True`` disables the cache
-entirely, and ``debug_check=True`` cross-checks the cache against a full
-scan after every evaluation (used by the equivalence test suite).
+and get the classic full scan.  The classic full-scan engine and the
+cache-vs-fresh-scan cross-check live on as test oracles in
+``tests/reference_engines.py``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import InvariantViolation, ScheduleError, SimulationLimitExceeded
+from repro.errors import ScheduleError, SimulationLimitExceeded
 from repro.statemodel.action import Action
 from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import Daemon, EnabledMap
@@ -84,13 +84,6 @@ class Simulator:
         Optional per-step invariant checkers, called after every step with
         the simulator; used by the core tests to machine-check safety after
         each atomic step.
-    full_scan:
-        Escape hatch: evaluate every processor's guards every step (the
-        pre-incremental behavior), ignoring the protocols' dirty sets.
-    debug_check:
-        Cross-check the incremental cache against a full scan after every
-        guard evaluation; raises :class:`~repro.errors.InvariantViolation`
-        on any divergence.  O(n·|rules|)/step — for tests, not benches.
     obs:
         Optional metrics registry (:class:`repro.obs.MetricsRegistry`,
         duck-typed so the state model stays import-free of the
@@ -109,8 +102,6 @@ class Simulator:
         trace: Optional[TraceRecorder] = None,
         strict_hooks: Optional[Sequence[Callable[["Simulator"], None]]] = None,
         *,
-        full_scan: bool = False,
-        debug_check: bool = False,
         obs: Optional[Any] = None,
     ) -> None:
         if isinstance(protocols, PriorityStack):
@@ -128,22 +119,17 @@ class Simulator:
         self._round_pending: Optional[Set[ProcId]] = None
         self._rule_counts: Counter = Counter()
         self._terminal = False
-        self._full_scan = full_scan
-        self._debug_check = debug_check
-        #: Per-processor enabled-actions cache (incremental engine only).
-        self._cache: Optional[List[List[Action]]] = None
-        #: Persistent enabled map (ascending pid order), updated in place
-        #: for re-evaluated processors only — never rebuilt from an O(n)
-        #: scan of the cache.
+        #: Persistent enabled map (ascending pid order) — the cache itself:
+        #: updated in place for re-evaluated processors only, rebuilt from
+        #: an O(n) scan only on the first evaluation and on a full re-scan.
         self._enabled: Optional[EnabledMap] = None
         self._last_selection: Dict[ProcId, Action] = {}
         #: Number of *component evaluations* performed so far — one count
         #: per (processor, destination) component examined by a tracking
         #: protocol, one per ``enabled_actions`` call into a non-tracking
-        #: one (see :attr:`Protocol.tracks_components`).  The same unit in
-        #: the incremental and full-scan engines, so the benchmarks' ratios
-        #: compare like work.  Mirrors the stack's cumulative counter,
-        #: rebased to this simulator's construction.
+        #: one (see :attr:`Protocol.tracks_components`).  Mirrors the
+        #: stack's cumulative counter, rebased to this simulator's
+        #: construction.
         self.guard_evals = 0
         self._guard_base = self._stack.component_evals
         self._obs = obs
@@ -204,31 +190,26 @@ class Simulator:
     def enabled_map(self) -> EnabledMap:
         """Evaluate guards against the current configuration.
 
-        With the incremental engine (the default), only processors the
-        protocol stack reports dirty since the last evaluation are
-        re-evaluated; the rest come from the cache.  The returned map is
-        identical to a full scan (cross-checked when ``debug_check`` is
-        set).
+        Only processors the protocol stack reports dirty since the last
+        evaluation are re-evaluated; the rest come from the cached map.
+        The returned map is identical to a full scan.
         """
-        if self._full_scan:
-            return self._full_scan_map()
         dirty = self._stack.dirty_after(self._last_selection)
         self._last_selection = {}
-        cache = self._cache
         stack = self._stack
-        if cache is None or dirty is None:
-            self._cache = cache = [stack.enabled_actions(pid) for pid in range(self._n)]
-            self._enabled = {
-                pid: actions for pid, actions in enumerate(cache) if actions
-            }
+        enabled = self._enabled
+        if enabled is None or dirty is None:
+            self._enabled = enabled = {}
+            for pid in range(self._n):
+                actions = stack.enabled_actions(pid)
+                if actions:
+                    enabled[pid] = actions
         elif dirty:
-            enabled = self._enabled
             n = self._n
             inserted = False
             for pid in dirty:
                 if 0 <= pid < n:
                     actions = stack.enabled_actions(pid)
-                    cache[pid] = actions
                     if actions:
                         # Replacing an existing key keeps its position, so
                         # the map stays ascending; only a *new* pid forces
@@ -241,50 +222,7 @@ class Simulator:
             if inserted:
                 self._enabled = {pid: enabled[pid] for pid in sorted(enabled)}
         self.guard_evals = stack.component_evals - self._guard_base
-        if self._debug_check:
-            self._cross_check(self._enabled)
         return self._enabled
-
-    def _full_scan_map(self) -> EnabledMap:
-        enabled: EnabledMap = {}
-        stack = self._stack
-        for pid in range(self._n):
-            actions = stack.enabled_actions(pid)
-            if actions:
-                enabled[pid] = actions
-        self.guard_evals = stack.component_evals - self._guard_base
-        return enabled
-
-    def _cross_check(self, enabled: EnabledMap) -> None:
-        """Debug mode: recompute everything with fresh, cache-bypassing
-        scans (:meth:`PriorityStack.enabled_actions_fresh`, which also
-        bypasses the protocols' component caches) and compare — so both the
-        simulator's per-processor cache *and* the component caches feeding
-        it are validated against the current configuration."""
-        fresh: EnabledMap = {}
-        stack = self._stack
-        for pid in range(self._n):
-            actions = stack.enabled_actions_fresh(pid)
-            if actions:
-                fresh[pid] = actions
-
-        def signature(m: EnabledMap):
-            return {
-                pid: [(a.rule, a.protocol, a.info) for a in actions]
-                for pid, actions in m.items()
-            }
-
-        got, want = signature(enabled), signature(fresh)
-        if got != want:
-            diff = {
-                pid: (got.get(pid), want.get(pid))
-                for pid in set(got) | set(want)
-                if got.get(pid) != want.get(pid)
-            }
-            raise InvariantViolation(
-                f"incremental enabled-set cache diverged from full scan at "
-                f"step {self._step}: {{pid: (cached, fresh)}} = {diff}"
-            )
 
     # -- stepping ------------------------------------------------------------
 

@@ -21,14 +21,14 @@ counterexample.  The paper's FIFO ``choice`` makes SSMFP free of them;
 the ``"fixed"`` ablation policy is not (the A2 starvation, now found
 exhaustively).
 
-Like the safety checker, the graph can be built by several engines: the
+Like the safety checker, the graph can be built by two engines: the
 default ``"snapshot"`` engine restores state vectors into one reused
-system (keeping the incremental guard caches engaged), the ``"parallel"``
-engine fans the per-level expansions out to forked workers while the
-parent keeps the global node-id map (:func:`repro.verify.parallel.
-run_liveness` — bit-identical graph by construction), and the legacy
-``"deepcopy"`` engine clones the system per transition and serves as the
-differential oracle.  All produce the bit-identical graph.
+system (keeping the incremental guard caches engaged), and the
+``"parallel"`` engine fans the per-level expansions out to forked workers
+while the parent keeps the global node-id map (:func:`repro.verify.
+parallel.run_liveness` — bit-identical graph by construction).  The
+clone-per-transition differential oracle lives in
+``tests/reference_engines.py``.
 
 A selection fan-out overflow marks the result ``truncated`` with an
 explanatory :attr:`LivenessResult.note` — the same convention as
@@ -39,7 +39,6 @@ reports any livelock already found instead of discarding the search.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -127,9 +126,6 @@ class LivenessChecker:
             return _System(proto, extra)
         return _System(made)
 
-    def _selections(self, enabled: Dict[int, List]) -> List[Dict[int, int]]:
-        return enumerate_selections(enabled, self._max_width)
-
     # -- graph construction -------------------------------------------------------
 
     def _node_metadata(self, system: _System) -> FrozenSet[int]:
@@ -162,7 +158,7 @@ class LivenessChecker:
         enabled = {pid: a for pid, a in enabled.items() if a}
         enabled_fs = frozenset(enabled)
         children = []
-        for selection in self._selections(enabled):
+        for selection in enumerate_selections(enabled, self._max_width):
             # Back to the parent configuration; the parent's bound
             # actions can be re-executed per selection (see modelcheck's
             # snapshot engine).
@@ -180,8 +176,6 @@ class LivenessChecker:
     def _explore(self):
         """Build the reachable graph.  Returns (metadata, enabled pids,
         edges, truncated, note)."""
-        if self._engine == "deepcopy":
-            return self._explore_deepcopy()
         if self._engine == "parallel":
             from repro.verify import parallel as _parallel
 
@@ -246,62 +240,6 @@ class LivenessChecker:
         for lst in edges:
             lst[:] = [(t, pids) for t, pids in lst if t < explored]
         meter.finish(explored, sum(len(e) for e in edges), 0)
-        return outstanding, enabled_pids, edges, truncated, note
-
-    def _explore_deepcopy(self):
-        root = self._fresh()
-        root.advance_env()
-        keys: Dict[Tuple, int] = {root.canon(): 0}
-        systems: List[Optional[_System]] = [root]
-        outstanding: List[FrozenSet[int]] = []
-        enabled_pids: List[FrozenSet[int]] = []
-        edges: List[List[Tuple[int, FrozenSet[int]]]] = []
-        truncated = False
-        note: Optional[str] = None
-
-        index = 0
-        while index < len(systems):
-            if index >= self._max_states:
-                truncated = True
-                note = f"state cap {self._max_states} reached"
-                break
-            system = systems[index]
-            enabled = {
-                pid: system.stack().enabled_actions(pid)
-                for pid in range(system.proto.net.n)
-            }
-            enabled = {pid: a for pid, a in enabled.items() if a}
-            try:
-                selections = self._selections(enabled)
-            except SelectionOverflow as exc:
-                truncated = True
-                note = f"node {index}: {exc}"
-                break
-            outstanding.append(self._node_metadata(system))
-            enabled_pids.append(frozenset(enabled))
-            edges.append([])
-            for selection in selections:
-                child = copy.deepcopy(system)
-                child_enabled = {
-                    pid: child.stack().enabled_actions(pid) for pid in selection
-                }
-                for pid, idx in selection.items():
-                    child_enabled[pid][idx].execute()
-                child.step += 1
-                child.advance_env()
-                key = child.canon()
-                if key in keys:
-                    target = keys[key]
-                else:
-                    target = len(systems)
-                    keys[key] = target
-                    systems.append(child)
-                edges[index].append((target, frozenset(selection)))
-            systems[index] = None  # free memory; only metadata needed now
-            index += 1
-        explored = len(edges)
-        for lst in edges:
-            lst[:] = [(t, pids) for t, pids in lst if t < explored]
         return outstanding, enabled_pids, edges, truncated, note
 
     # -- SCC + fairness filtering --------------------------------------------------

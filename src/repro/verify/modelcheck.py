@@ -39,18 +39,17 @@ Both snapshot-based engines accept the state-space *reductions* of
 :mod:`repro.verify.reduction` — canonical-form symmetry quotienting and
 partial-order reduction of decomposable daemon selections.
 
-The legacy ``"deepcopy"`` engine clones the whole system per transition
-with :func:`copy.deepcopy`.  It is kept as the unreduced differential
-oracle: the equivalence suite and the X-SNAP benchmark pin that both
-serial engines visit the bit-identical state set, transition count and
-violations, and the reduction oracle in ``tests/test_verify_reduction.py``
-pins that every reduced/parallel configuration reaches the same canon set
-and verdict (see ``docs/verify.md``).
+The unreduced differential oracle — an explorer that clones the whole
+system per transition — lives in ``tests/reference_engines.py``: the
+equivalence suite pins that it and the snapshot engine visit the
+bit-identical state set, transition count and violations, and
+``tests/test_verify_reduction.py`` pins that every reduced/parallel
+configuration reaches the same canon set and verdict (see
+``docs/verify.md``).
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import os
 import time
@@ -66,7 +65,7 @@ from repro.statemodel.snapshot import StateVector
 from repro.verify.reduction import IndependenceOracle, validate_symmetry
 
 #: The exploration engines accepted by the verifiers.
-ENGINES = ("snapshot", "deepcopy", "parallel")
+ENGINES = ("snapshot", "parallel")
 
 #: The state-space reductions accepted by the snapshot-based engines.
 REDUCTIONS = ("none", "por", "symmetry", "full")
@@ -272,10 +271,7 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
     record the dirtied ``(processor, destination)`` components); composite
     selections then consult those measured trails in
     :meth:`IndependenceOracle.admissible`, which sharpens the static
-    neighborhood test to exact component interference.  Instances without
-    the incremental engine (non-notifying routing providers) skip the
-    measurement — the sinks never fire there, so an empty trail would be
-    a false proof of independence — and fall back to the static rules.
+    neighborhood test to exact component interference.
     """
     system.restore(vec)
     try:
@@ -314,8 +310,7 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
         return None
 
     proto = system.proto
-    measure = oracle is not None and getattr(proto, "_incremental", False)
-    footprints = {} if measure else None
+    footprints = {} if oracle is not None else None
     children = []
     for selection in selections:
         if oracle is not None and len(selection) > 1:
@@ -327,7 +322,7 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
         # selection without re-deriving them.
         system.restore(vec)
         log = None
-        if measure and len(selection) == 1:
+        if oracle is not None and len(selection) == 1:
             log = set()
             proto.footprint_log = log
         try:
@@ -384,9 +379,7 @@ class ModelChecker:
     engine:
         ``"snapshot"`` (default) explores one reused system through the
         snapshot/restore layer; ``"parallel"`` shards the frontier across
-        forked worker processes; ``"deepcopy"`` clones the system per
-        transition (the legacy engine, kept as the unreduced differential
-        oracle — it rejects reductions).
+        forked worker processes.
     reduction:
         ``"none"`` (default), ``"por"`` (partial-order reduction of
         decomposable selections — preserves the reachable state set,
@@ -429,11 +422,6 @@ class ModelChecker:
             raise ValueError(
                 f"unknown reduction {reduction!r}; want one of {REDUCTIONS}"
             )
-        if engine == "deepcopy" and reduction != "none":
-            raise ValueError(
-                "the deepcopy engine is the unreduced differential oracle; "
-                "reductions apply to the snapshot/parallel engines only"
-            )
         self._make_system = make_system
         self._max_states = max_states
         self._max_width = max_selection_width
@@ -451,9 +439,6 @@ class ModelChecker:
             proto, extra = made
             return _System(proto, extra)
         return _System(made)
-
-    def _selections(self, enabled: Dict[int, List]) -> List[Dict[int, int]]:
-        return enumerate_selections(enabled, self._max_width)
 
     def _setup_reduction(self, system: _System, result: ModelCheckResult):
         """Validate the requested reductions against the instance (the
@@ -496,8 +481,6 @@ class ModelChecker:
             states=0, transitions=0, terminal_states=0,
             max_frontier=0, truncated=False, reduction=self._reduction,
         )
-        if self._engine == "deepcopy":
-            return self._run_deepcopy(result)
         if self._engine == "parallel":
             from repro.verify import parallel as _parallel
 
@@ -557,79 +540,4 @@ class ModelChecker:
         if self._collect_canons:
             result.canons = frozenset(seen)
         meter.finish(result.states, result.transitions, result.dedup_hits)
-        return result
-
-    # -- legacy deepcopy engine ----------------------------------------------
-
-    def _run_deepcopy(self, result: ModelCheckResult) -> ModelCheckResult:
-        root = self._fresh()
-        root.advance_env()
-        seen = {root.canon()}
-        frontier: deque = deque([(root, 0)])
-
-        while frontier:
-            result.max_frontier = max(result.max_frontier, len(frontier))
-            if result.states >= self._max_states:
-                result.truncated = True
-                result.note = f"state cap {self._max_states} reached"
-                break
-            system, depth = frontier.popleft()
-            result.states += 1
-
-            try:
-                InvariantChecker(system.proto).check()
-            except ReproError as exc:
-                result.violations.append(f"depth {depth}: {exc}")
-                continue
-
-            enabled = {
-                pid: system.stack().enabled_actions(pid)
-                for pid in range(system.proto.net.n)
-            }
-            enabled = {pid: acts for pid, acts in enabled.items() if acts}
-            if not enabled:
-                result.terminal_states += 1
-                ledger = system.proto.ledger
-                if not ledger.all_valid_delivered():
-                    result.violations.append(
-                        f"depth {depth}: terminal configuration with "
-                        f"undelivered uids {sorted(ledger.outstanding_uids())}"
-                    )
-                if system.proto.hl.total_pending():
-                    result.violations.append(
-                        f"depth {depth}: terminal configuration with "
-                        f"pending submissions"
-                    )
-                continue
-
-            try:
-                selections = self._selections(enabled)
-            except SelectionOverflow as exc:
-                result.truncated = True
-                result.note = f"depth {depth}: {exc}"
-                break
-
-            for selection in selections:
-                child = copy.deepcopy(system)
-                child_enabled = {
-                    pid: child.stack().enabled_actions(pid)
-                    for pid in selection
-                }
-                try:
-                    for pid, action_index in selection.items():
-                        child_enabled[pid][action_index].execute()
-                except ReproError as exc:
-                    result.violations.append(f"depth {depth + 1}: {exc}")
-                    continue
-                result.transitions += 1
-                child.step += 1
-                child.advance_env()
-                key = child.canon()
-                if key in seen:
-                    result.dedup_hits += 1
-                else:
-                    seen.add(key)
-                    frontier.append((child, depth + 1))
-        if self._collect_canons:
-            result.canons = frozenset(seen)
         return result

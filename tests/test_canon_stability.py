@@ -19,6 +19,7 @@ from repro.network.topologies import line_network
 from repro.verify.modelcheck import ModelChecker, _System
 
 from tests.helpers import make_ssmfp
+from tests.reference_engines import DeepcopyModelChecker
 
 
 def _make():
@@ -95,11 +96,9 @@ class TestCanonStability:
 
     def test_checker_loop_canons_match_deepcopy_oracle(self):
         # Inside the real checker loop: the snapshot engine's one reused
-        # (churning) system and the deepcopy engine's per-state clones
+        # (churning) system and the reference explorer's per-state clones
         # must agree on the full reachable canon set.
         snap = ModelChecker(_make, collect_canons=True).run()
-        deep = ModelChecker(
-            _make, engine="deepcopy", collect_canons=True
-        ).run()
+        deep = DeepcopyModelChecker(_make, collect_canons=True).run()
         assert snap.canons == deep.canons
         assert (snap.states, snap.transitions) == (deep.states, deep.transitions)

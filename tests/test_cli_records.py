@@ -132,3 +132,35 @@ class TestSweep:
         path.write_text(json.dumps({"specs": [dict(SPEC, label="only")]}))
         assert main(["sweep", str(path)]) == 0
         assert "only" in capsys.readouterr().out
+
+
+#: One misspelt kwarg per spec section that hands its kwargs to a builder
+#: (over a workload without its own seed, which scenario specs forbid).
+BAD_KWARGS = {
+    "topology": {"topology": {"name": "line", "kwargs": {"n": 4, "bogus": 1}}},
+    "workload": {"workload": {"name": "uniform", "kwargs": {"count": 4, "bogus": 1}}},
+    "daemon": {"daemon": {"name": "distributed", "kwargs": {"p_selct": 0.5}}},
+    "protocol_options": {"protocol_options": {"bogus": 1}},
+}
+
+
+class TestMalformedSpecKwargs:
+    """A typo'd kwarg is a verdict about the spec (``error:`` + exit 2),
+    never a TypeError traceback with the FAIL exit code."""
+
+    @pytest.mark.parametrize("section", sorted(BAD_KWARGS))
+    @pytest.mark.parametrize("entry", ["record", "sweep", "scenario run"])
+    def test_exit_2_and_one_error_line(self, entry, section, tmp_path, capsys):
+        workload = {"name": "uniform", "kwargs": {"count": 4}}
+        spec = {**SPEC, "workload": workload, **BAD_KWARGS[section]}
+        if entry == "sweep":
+            spec = [spec]
+        elif entry == "scenario run":
+            sim = {k: spec.pop(k) for k in ("daemon", "protocol_options") if k in spec}
+            spec = {**spec, "name": "typo", "sim": sim}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert main([*entry.split(), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert section in err and "Traceback" not in err

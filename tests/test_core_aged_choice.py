@@ -60,7 +60,7 @@ class TestAgedPolicyEndToEnd:
             routing_corruption={"kind": "random", "fraction": 1.0, "seed": seed},
             garbage={"fraction": 0.4, "seed": seed},
             seed=seed,
-            ssmfp_options={"choice_policy": "aged"},
+            protocol_options={"choice_policy": "aged"},
         )
         sim.run(300_000, halt=delivered_and_drained)
         assert sim.ledger.all_valid_delivered()
@@ -72,7 +72,7 @@ class TestAgedPolicyEndToEnd:
             workload=hotspot_workload(net.n, dest=0, per_source=3, seed=2),
             routing_mode="static",
             seed=2,
-            ssmfp_options={"choice_policy": "aged"},
+            protocol_options={"choice_policy": "aged"},
         )
         sim.run(300_000, halt=delivered_and_drained)
         assert sim.ledger.all_valid_delivered()

@@ -3,7 +3,8 @@
 The incremental enabled-set engine (dirty-set guard caching, incremental
 queue reconciliation, ``next_hop`` caching) must be *observationally
 identical* to the classic engine that re-evaluates every guard of every
-processor each step.  A full-scan :class:`Simulator` never calls
+processor each step.  The classic engine
+(``tests/reference_engines.py::FullScanSimulator``) never calls
 ``dirty_after``, so SSMFP stays in its all-dirty regime and reproduces the
 pre-incremental behavior byte for byte — which makes side-by-side stepping
 an exact oracle.
@@ -22,12 +23,15 @@ import random
 import pytest
 
 from repro.app.workload import uniform_workload
+from repro.errors import InvariantViolation
 from repro.network.topologies import (
     grid_network,
+    line_network,
     random_connected_network,
     random_tree_network,
     ring_network,
 )
+from repro.routing.static import StaticRouting
 from repro.sim.runner import Simulation, build_simulation, delivered_and_drained
 from repro.statemodel.daemon import (
     CentralRandomDaemon,
@@ -36,6 +40,10 @@ from repro.statemodel.daemon import (
     RoundRobinDaemon,
     SynchronousDaemon,
 )
+from repro.statemodel.scheduler import Simulator
+
+from tests.helpers import make_ssmfp
+from tests.reference_engines import CheckedSimulator, FullScanSimulator, use_engine
 
 MAX_STEPS = 4_000
 
@@ -102,9 +110,9 @@ def _make_scenario(seed: int, daemon_name: str, policy: str, *, full_scan: bool,
         )
         garbage = rng.choice((None, {"seed": seed + 3, "fraction": rng.choice((0.2, 0.6))}))
         scramble = rng.random() < 0.5
-    ssmfp_options = {"choice_policy": policy}
+    protocol_options = {"choice_policy": policy}
     if options:
-        ssmfp_options.update(options)
+        protocol_options.update(options)
     sim = build_simulation(
         net,
         workload=uniform_workload(
@@ -118,10 +126,12 @@ def _make_scenario(seed: int, daemon_name: str, policy: str, *, full_scan: bool,
         routing_corruption=corruption,
         garbage=garbage,
         scramble_choice_queues=scramble,
-        ssmfp_options=ssmfp_options,
-        full_scan=full_scan,
-        debug_check=debug_check,
+        protocol_options=protocol_options,
     )
+    if full_scan:
+        use_engine(sim, FullScanSimulator)
+    elif debug_check:
+        use_engine(sim, CheckedSimulator)
     return sim
 
 
@@ -212,7 +222,7 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_debug_check_mode_is_silent(self, seed):
-        # debug_check cross-checks the cache against a fresh full scan after
+        # CheckedSimulator compares the cache with a fresh full scan after
         # every evaluation and raises InvariantViolation on any divergence.
         sim = _make_scenario(
             seed * 31 + 7, "distributed", "fifo", full_scan=False, debug_check=True
@@ -224,8 +234,12 @@ class TestEngineEquivalence:
 
     def test_incremental_is_default(self):
         sim = build_simulation(ring_network(6))
-        assert sim.sim._full_scan is False
-        assert sim.forwarding._incremental is True
+        assert type(sim.sim) is Simulator
+        sim.step()
+        # The engine drains dirty_after, so both layers left the all-dirty
+        # (classic scan) regime and serve guards from the component caches.
+        assert sim.forwarding._all_dirty is False
+        assert sim.routing._all_dirty is False
 
     def test_guard_evals_drop_on_trickle_traffic(self):
         # The headline claim: sparse traffic on a converged network touches
@@ -239,8 +253,67 @@ class TestEngineEquivalence:
                 workload=uniform_workload(32, count=20, seed=3, spread_steps=400),
                 daemon=DistributedRandomDaemon(seed=1),
                 seed=2,
-                full_scan=full_scan,
             )
+            if full_scan:
+                use_engine(sim, FullScanSimulator)
             sim.run(50_000, halt=delivered_and_drained)
             results[full_scan] = sim.sim.guard_evals
         assert results[True] >= 3 * results[False]
+
+
+class _RewritableRouting(StaticRouting):
+    """Correct tables plus overrides.  ``notifies`` selects whether a rewrite
+    honours the :class:`RoutingService` contract (report every mutation)."""
+
+    notifies = True
+
+    def __init__(self, net):
+        super().__init__(net)
+        self._overrides = {}
+
+    def rewrite(self, p, d, q):
+        self._overrides[(p, d)] = q
+        if self.notifies:
+            self._notify_entry(p, d)
+
+    def next_hop(self, p, d):
+        return self._overrides.get((p, d), super().next_hop(p, d))
+
+
+class _SilentRouting(_RewritableRouting):
+    notifies = False
+
+
+class TestCrossCheckHasTeeth:
+    """The cross-check re-derives guards from the configuration alone, so it
+    catches exactly what the product's caches cannot see: a routing provider
+    that breaks the now-mandatory notification contract."""
+
+    def _misroute_in_flight(self, routing_cls):
+        # line 0-1-2, one message 0 -> 2; once node 2 has copied it from
+        # node 1 (whose erase guard reads nextHop_1(2), cached by then),
+        # node 1's entry is rewritten to point back at 0.
+        net = line_network(3)
+        routing = routing_cls(net)
+        proto = make_ssmfp(net, routing=routing)
+        proto.hl.submit(0, "m", 2)
+        sim = CheckedSimulator(net.n, [proto], SynchronousDaemon())
+        while proto.bufs.get_r(2, 2) is None:
+            assert not sim.step().terminal
+        routing.rewrite(1, 2, 0)
+        return sim
+
+    def test_silent_rewrite_is_caught_with_a_per_processor_diff(self):
+        sim = self._misroute_in_flight(_SilentRouting)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.step()
+        message = str(excinfo.value)
+        assert "{pid: (cached, fresh)}" in message
+        # The cached hop keeps node 1's erase enabled; re-derived from the
+        # tables, the copy sits at the wrong neighbor and nothing is enabled.
+        assert "1: ([('R4'" in message and "], [])" in message
+
+    def test_notifying_twin_passes(self):
+        sim = self._misroute_in_flight(_RewritableRouting)
+        for _ in range(50):
+            sim.step()

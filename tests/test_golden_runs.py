@@ -61,7 +61,7 @@ GOLDEN = [
                 "name": "same_payload",
                 "kwargs": {"source": 0, "dest": 5, "count": 6},
             },
-            "ssmfp": {"choice_policy": "aged"},
+            "protocol_options": {"choice_policy": "aged"},
             "daemon": {"name": "round_robin"},
             "seed": 31,
         },

@@ -9,6 +9,7 @@ from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.verify.modelcheck import ModelChecker
 
 from tests.helpers import make_ssmfp
+from tests.reference_engines import DeepcopyModelChecker
 
 
 class TestCheckerMechanics:
@@ -36,8 +37,10 @@ class TestCheckerMechanics:
         assert result.truncated
         assert not result.ok
 
-    @pytest.mark.parametrize("engine", ["snapshot", "deepcopy"])
-    def test_fan_out_guard_truncates_instead_of_raising(self, engine):
+    @pytest.mark.parametrize(
+        "checker", [ModelChecker, DeepcopyModelChecker], ids=["snapshot", "deepcopy"]
+    )
+    def test_fan_out_guard_truncates_instead_of_raising(self, checker):
         # run() never raises: a selection fan-out beyond the safety valve
         # yields a truncated result with an explanatory note, not an
         # escaping ReproError.
@@ -48,7 +51,7 @@ class TestCheckerMechanics:
                 proto.hl.submit(p, f"m{p}", 4)
             return proto
 
-        result = ModelChecker(make, max_selection_width=2, engine=engine).run()
+        result = checker(make, max_selection_width=2).run()
         assert result.truncated
         assert not result.ok
         assert result.note is not None and "fan-out" in result.note

@@ -154,7 +154,7 @@ class TestAgedPolicyProperty:
             routing_corruption={"kind": "random", "fraction": 1.0, "seed": seed},
             garbage={"fraction": 0.4, "seed": seed},
             seed=seed,
-            ssmfp_options={"choice_policy": "aged"},
+            protocol_options={"choice_policy": "aged"},
         )
         sim.run(1_000_000, halt=delivered_and_drained)
         assert sim.ledger.all_valid_delivered()

@@ -13,6 +13,12 @@ from repro.verify.liveness import LivenessChecker
 from repro.verify.modelcheck import ModelChecker
 
 from tests.helpers import make_ssmfp2
+from tests.reference_engines import (
+    CheckedSimulator,
+    DeepcopyModelChecker,
+    FullScanSimulator,
+    use_engine,
+)
 
 
 def _dup_pair_line3():
@@ -57,9 +63,7 @@ class TestEngineOracles:
         """Bit-equivalence of the reachable sets: the snapshot/restore
         engine and the deepcopy oracle agree canon-for-canon."""
         snap = ModelChecker(_dup_pair_line3, collect_canons=True).run()
-        deep = ModelChecker(
-            _dup_pair_line3, engine="deepcopy", collect_canons=True
-        ).run()
+        deep = DeepcopyModelChecker(_dup_pair_line3, collect_canons=True).run()
         assert snap.ok and deep.ok
         assert snap.canons == deep.canons
 
@@ -94,30 +98,30 @@ class TestIncrementalEngine:
     """The component-granular enabled-set cache serves SSMFP2 through the
     same notifier sinks; the classic full scan is the oracle."""
 
-    def _sim(self, **kwargs):
+    def _sim(self, engine_cls=None):
         from repro.app.workload import uniform_workload
 
         net = ring_network(8)
-        return build_simulation(
+        sim = build_simulation(
             net,
             workload=uniform_workload(net.n, count=16, seed=5),
             protocol="ssmfp2",
             seed=7,
             garbage={"fraction": 0.3, "seed": 2},
             scramble_choice_queues=True,
-            **kwargs,
         )
+        return use_engine(sim, engine_cls) if engine_cls else sim
 
     def test_incremental_matches_full_scan(self):
         results = {}
         for mode in (False, True):
-            sim = self._sim(full_scan=mode)
+            sim = self._sim(FullScanSimulator if mode else None)
             res = sim.run(100_000, halt=fully_quiescent)
             results[mode] = (res.steps, res.rule_counts)
             assert sim.ledger.all_valid_delivered()
         assert results[False] == results[True]
 
     def test_debug_check_cross_validates_every_step(self):
-        sim = self._sim(debug_check=True)
+        sim = self._sim(CheckedSimulator)
         sim.run(100_000, halt=fully_quiescent)
         assert sim.ledger.all_valid_delivered()

@@ -55,7 +55,9 @@ class TestBuildSimulation:
         assert sim.forwarding.bufs.total_occupied() == 2 * 25
 
     def test_ssmfp_options_forwarded(self):
-        sim = build_simulation(line_network(4), ssmfp_options={"enable_colors": False})
+        sim = build_simulation(
+            line_network(4), protocol_options={"enable_colors": False}
+        )
         assert isinstance(sim.forwarding, SSMFP)
         assert not sim.forwarding.enable_colors
 

@@ -59,9 +59,12 @@ class TestSimulationFromSpec:
         assert isinstance(sim.routing, StaticRouting)
 
     def test_ssmfp_options_section(self):
-        spec = basic_spec(ssmfp={"choice_policy": "aged"})
+        spec = basic_spec(protocol_options={"choice_policy": "aged"})
         sim = simulation_from_spec(spec)
         assert sim.forwarding.queues[0][0].policy == "aged"
+        # "ssmfp" is not a spec key; the rejection lists the valid spelling.
+        with pytest.raises(ConfigurationError, match="protocol_options"):
+            simulation_from_spec(basic_spec(ssmfp={"choice_policy": "aged"}))
 
     def test_hotspot_workload_named(self):
         spec = basic_spec(

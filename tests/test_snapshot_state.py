@@ -11,7 +11,8 @@ Two families of guarantees:
 
 * **Engine equivalence**: the snapshot-based explorers visit the
   bit-identical state set, transition count, terminal states and
-  violations as the legacy deepcopy explorers on the seed instances
+  violations as the clone-per-transition reference explorers
+  (``tests/reference_engines.py``) on the seed instances
   (safety *and* liveness, safe *and* counterexample cases).
 """
 
@@ -22,6 +23,7 @@ from repro.core.buffers import ForwardingBuffers
 from repro.core.choice import FairChoiceQueue
 from repro.core.corruption import plant_invalid_message, plant_invalid_messages
 from repro.core.ledger import DeliveryLedger
+from repro.experiments.exhaustive import _instances
 from repro.network.topologies import line_network, ring_network
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.routing.static import StaticRouting
@@ -31,6 +33,7 @@ from repro.verify.liveness import LivenessChecker
 from repro.verify.modelcheck import ModelChecker, _System
 
 from tests.helpers import make_ssmfp
+from tests.reference_engines import DeepcopyLivenessChecker, DeepcopyModelChecker
 
 
 class TestBufferSnapshot:
@@ -278,21 +281,25 @@ def _literal_r5():
     return proto
 
 
+#: The X5 table's instances the four factories above do not already cover.
+_X5 = {name: make for name, make, _expected in _instances()}
+
+
 class TestEngineEquivalence:
     """The snapshot explorers are drop-in replacements: bit-identical
     exploration statistics and violations on the seed instances."""
 
     @pytest.mark.parametrize(
         "factory",
-        [_clean_pair, _with_garbage, _live_routing, _literal_r5],
-        ids=["clean_pair", "garbage", "live_routing", "literal_r5"],
+        [_clean_pair, _with_garbage, _live_routing, _literal_r5,
+         _X5["fig3 net, crossing flows"], _X5["line(3), colors OFF (A1)"]],
+        ids=["clean_pair", "garbage", "live_routing", "literal_r5",
+             "fig3_crossing", "colors_off"],
     )
     def test_modelcheck_engines_agree(self, factory):
-        results = {
-            eng: ModelChecker(factory, engine=eng).run()
-            for eng in ("deepcopy", "snapshot")
-        }
-        base, snap = results["deepcopy"], results["snapshot"]
+        caps = dict(max_states=200_000, max_selection_width=20_000)
+        base = DeepcopyModelChecker(factory, **caps).run()
+        snap = ModelChecker(factory, **caps).run()
         assert base.states == snap.states
         assert base.transitions == snap.transitions
         assert base.terminal_states == snap.terminal_states
@@ -307,17 +314,15 @@ class TestEngineEquivalence:
         # factory, infinite stream in finite state).
         from tests.test_liveness import make_starvation_instance
 
-        results = {
-            eng: LivenessChecker(
+        base, snap = (
+            checker(
                 make_starvation_instance(policy),
                 max_states=60_000,
                 max_selection_width=4000,
                 ignore_pending={0},
-                engine=eng,
             ).run()
-            for eng in ("deepcopy", "snapshot")
-        }
-        base, snap = results["deepcopy"], results["snapshot"]
+            for checker in (DeepcopyLivenessChecker, LivenessChecker)
+        )
         assert base.states == snap.states
         assert base.transitions == snap.transitions
         assert base.sccs == snap.sccs

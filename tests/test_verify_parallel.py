@@ -11,6 +11,7 @@ from repro.verify import LivenessChecker, ModelChecker
 from repro.verify.parallel import _split_chunks, fork_available, shard_of
 
 from tests.helpers import make_ssmfp
+from tests.reference_engines import DeepcopyLivenessChecker
 from tests.test_liveness import make_starvation_instance
 
 needs_fork = pytest.mark.skipif(
@@ -159,11 +160,12 @@ class TestLivenessOverflow:
     overflow as truncated+note — the same convention as ModelChecker —
     on every engine, instead of raising."""
 
-    @pytest.mark.parametrize("engine", ["snapshot", "deepcopy"])
-    def test_truncates_with_note(self, engine):
-        result = LivenessChecker(
-            _fan_out_make, max_selection_width=2, engine=engine
-        ).run()
+    @pytest.mark.parametrize(
+        "checker", [LivenessChecker, DeepcopyLivenessChecker],
+        ids=["snapshot", "deepcopy"],
+    )
+    def test_truncates_with_note(self, checker):
+        result = checker(_fan_out_make, max_selection_width=2).run()
         assert result.truncated
         assert not result.ok
         assert result.note is not None and "fan-out" in result.note

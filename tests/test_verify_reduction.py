@@ -25,6 +25,7 @@ from repro.verify.reduction import (
 )
 
 from tests.helpers import make_ssmfp
+from tests.reference_engines import DeepcopyModelChecker
 
 
 def _checker(make, **kw):
@@ -258,10 +259,6 @@ class TestPartialOrderReduction:
         assert base.canons == por.canons
         assert por.transitions < base.transitions
 
-    def test_deepcopy_rejects_reductions(self):
-        with pytest.raises(ValueError, match="deepcopy"):
-            ModelChecker(lambda: None, engine="deepcopy", reduction="por")
-
 
 # -- symmetry reduction end to end --------------------------------------------
 
@@ -350,8 +347,9 @@ def test_differential_oracle_all_configurations(seed):
                              collect_canons=True).run(),
         "parallel-full": _checker(make, engine="parallel", workers=2,
                                   reduction="full", collect_canons=True).run(),
-        "deepcopy": _checker(make, engine="deepcopy",
-                             collect_canons=True).run(),
+        "deepcopy": DeepcopyModelChecker(
+            make, max_states=200_000, max_selection_width=20_000
+        ).run(),
     }
     quotient = (
         {reducer.representative(c) for c in base.canons}
