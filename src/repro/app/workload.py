@@ -139,3 +139,30 @@ def adversarial_same_payload_workload(
     return Workload(
         "same-payload", [(0, source, "dup", dest) for _ in range(count)]
     )
+
+
+def workload_by_name(name: str, n: int, seed: int, **kwargs) -> Workload:
+    """Build a workload from a string name (the spec schema's vocabulary).
+
+    ``n`` and ``seed`` reach the generators that draw endpoints over the
+    whole network; ``single`` and ``same_payload`` name their endpoints in
+    ``kwargs`` and take neither.  A missing or misspelt kwarg is the
+    generator's own ``TypeError``.
+    """
+    builders = {
+        "uniform": uniform_workload,
+        "permutation": permutation_workload,
+        "hotspot": hotspot_workload,
+        "burst": burst_workload,
+        "single": single_message_workload,
+        "same_payload": adversarial_same_payload_workload,
+    }
+    try:
+        builder = builders[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown workload {name!r}; known: {sorted(builders)}"
+        ) from None
+    if name in ("single", "same_payload"):
+        return builder(**kwargs)
+    return builder(n, seed=seed, **kwargs)

@@ -6,15 +6,21 @@ Entry points (also available via ``python -m repro``):
 * ``repro experiment <id>`` — regenerate one figure/proposition table
   (``--jsonl`` also writes its tables as a machine-readable artifact);
 * ``repro simulate`` — run an SSMFP simulation from declarative flags
-  (topology, corruption, workload, daemon, seed) and print the outcome,
+  (topology, corruption, workload, daemon, seed — assembled into a
+  scenario spec) and print the outcome,
   optionally watching one destination component live (``--watch``),
   exporting metrics/lifecycles (``--jsonl``) or printing one message's
   hop-by-hop causal timeline (``--timeline``);
 * ``repro obs summarize|diff`` — inspect and compare JSONL artifacts;
-* ``repro scenario run|campaign`` — declarative chaos scenarios: one
-  TOML/JSON spec (workload + timed fault schedule + budgets + pass
-  criteria) compiled onto the simulator's step clock or the runtime's
-  wall clock, optionally expanded over matrix axes (``docs/scenarios.md``);
+* ``repro scenario run|campaign`` — declarative scenarios: one TOML/JSON
+  spec (system + initial corruption + workload + timed fault schedule +
+  budgets + pass criteria) compiled onto the simulator's step clock or
+  the runtime's wall clock, optionally expanded over matrix axes
+  (``docs/scenarios.md``);
+* ``repro record`` / ``repro verify <record>`` — run a scenario spec on
+  the simulator and write its outcome fingerprint; re-run a record and
+  check the execution reproduces bit for bit (``repro verify`` without a
+  record model-checks an instance exhaustively instead);
 * ``repro runtime`` — run the protocol *live*: an asyncio cluster over an
   in-memory or TCP transport, optionally behind seeded fault injection,
   judged by the conformance oracle (``docs/runtime.md``).
@@ -26,24 +32,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.app.workload import hotspot_workload, uniform_workload
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.network.topologies import topology_by_name
-from repro.sim.runner import build_simulation, delivered_and_drained
-from repro.statemodel.daemon import (
-    CentralRandomDaemon,
-    DistributedRandomDaemon,
-    RoundRobinDaemon,
-    SynchronousDaemon,
-)
+from repro.sim.runner import delivered_and_drained
 from repro.viz.ascii_art import render_component_state, render_network
-
-_DAEMONS = {
-    "synchronous": lambda seed: SynchronousDaemon(),
-    "central": CentralRandomDaemon,
-    "distributed": DistributedRandomDaemon,
-    "round-robin": lambda seed: RoundRobinDaemon(),
-}
 
 _TOPOLOGY_ARGS = {
     "line": ("n",),
@@ -83,9 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser(
         "record", help="run a spec file, write a reproducibility record"
     )
-    rec.add_argument("spec", help="path to a JSON simulation spec")
+    rec.add_argument("spec", help="path to a scenario spec (.toml/.json)")
     rec.add_argument("-o", "--output", default=None, help="record output path")
-    rec.add_argument("--max-steps", type=int, default=500_000)
 
     ver = sub.add_parser(
         "verify",
@@ -148,29 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--jsonl", default=None, metavar="PATH",
         help="write verify metrics as a repro.obs/v1 JSONL artifact",
-    )
-
-    swp = sub.add_parser(
-        "sweep", help="run every spec in a JSON file, print a result table"
-    )
-    swp.add_argument(
-        "specs",
-        help="JSON file: a list of specs, or {'specs': [...]} with optional "
-             "'label' per spec",
-    )
-    swp.add_argument("--max-steps", type=int, default=500_000)
-    swp.add_argument(
-        "--protocol", default="ssmfp", metavar="NAME",
-        help="default forwarding protocol for specs that don't name one",
-    )
-    swp.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan the specs out over N worker processes (default: serial); "
-             "rows are identical to a serial sweep",
-    )
-    swp.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="also write the result table as a JSONL artifact",
     )
 
     obs = sub.add_parser(
@@ -315,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fraction of buffers pre-filled with invalid messages",
     )
     simp.add_argument(
-        "--daemon", default="distributed", choices=sorted(_DAEMONS)
+        "--daemon", default="distributed",
+        choices=["central", "distributed", "round-robin", "synchronous"],
     )
     simp.add_argument("--max-steps", type=int, default=500_000)
     simp.add_argument(
@@ -334,9 +303,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_network(args):
+def _topology_section(args) -> dict:
+    """The ``{name, kwargs}`` topology section the topology flags spell."""
     kwargs = {key: getattr(args, key) for key in _TOPOLOGY_ARGS[args.topology]}
-    return topology_by_name(args.topology, **kwargs)
+    return {"name": args.topology, "kwargs": kwargs}
+
+
+def _make_network(args):
+    return topology_by_name(args.topology, **_topology_section(args)["kwargs"])
 
 
 def _cmd_list() -> int:
@@ -362,44 +336,42 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.core.registry import resolve
     from repro.errors import ConfigurationError
+    from repro.scenario import ScenarioSpec
 
-    try:
-        resolve(args.protocol)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     net = _make_network(args)
     if args.workload == "uniform":
-        workload = uniform_workload(net.n, args.messages, seed=args.seed)
+        workload_kwargs = {"count": args.messages}
     else:
-        workload = hotspot_workload(
-            net.n, dest=0, per_source=max(1, args.messages // max(net.n - 1, 1)),
-            seed=args.seed,
-        )
+        workload_kwargs = {
+            "dest": 0,
+            "per_source": max(1, args.messages // max(net.n - 1, 1)),
+        }
+    sim_section = {"daemon": {"name": args.daemon.replace("-", "_")}}
+    if args.corrupt != "none":
+        sim_section["routing"] = {"corruption": {"kind": args.corrupt}}
+    if args.garbage:
+        sim_section["garbage"] = {"fraction": args.garbage}
     registry = tracer = None
     if args.jsonl or args.timeline is not None:
         from repro.obs import MessageTracer, MetricsRegistry
 
         registry = MetricsRegistry()
         tracer = MessageTracer()
-    sim = build_simulation(
-        net,
-        workload=workload,
-        routing_corruption=(
-            None if args.corrupt == "none"
-            else {"kind": args.corrupt, "seed": args.seed}
-        ),
-        garbage=(
-            {"fraction": args.garbage, "seed": args.seed} if args.garbage else None
-        ),
-        daemon=_DAEMONS[args.daemon](args.seed),
-        seed=args.seed,
-        protocol=args.protocol,
-        obs=registry,
-        tracer=tracer,
-    )
+    try:
+        sim = ScenarioSpec.from_dict(
+            {
+                "name": "simulate",
+                "protocol": args.protocol,
+                "seed": args.seed,
+                "topology": _topology_section(args),
+                "workload": {"name": args.workload, "kwargs": workload_kwargs},
+                "sim": sim_section,
+            }
+        ).build_simulation(obs=registry, tracer=tracer)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_network(net))
     print()
     watched = args.watch
@@ -484,22 +456,15 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    import json
     import pathlib
 
     from repro.errors import ReproError
-    from repro.sim.recording import record_run
+    from repro.scenario import ScenarioSpec, record_scenario
 
     try:
-        spec = json.loads(pathlib.Path(args.spec).read_text())
-    except OSError as exc:
-        print(f"error: cannot read spec: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.spec} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        record = record_run(spec, max_steps=args.max_steps)
+        record = record_scenario(
+            ScenarioSpec.from_file(args.spec, target="simulate")
+        )
     except ReproError as exc:
         print(f"error: spec rejected: {exc}", file=sys.stderr)
         return 2
@@ -518,7 +483,7 @@ def _cmd_verify(args) -> int:
     import pathlib
 
     from repro.errors import ReproError
-    from repro.sim.recording import RunRecord, verify_record
+    from repro.scenario import RunRecord, verify_record
 
     try:
         record = RunRecord.from_json(pathlib.Path(args.record).read_text())
@@ -681,57 +646,6 @@ def _cmd_verify_exhaustive(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    import json
-    import pathlib
-
-    from repro.core.registry import resolve
-    from repro.errors import ConfigurationError
-    from repro.sim.campaign import run_sweep
-    from repro.sim.recording import sweep_outcome_row
-    from repro.sim.reporting import format_table
-
-    try:
-        resolve(args.protocol)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    data = json.loads(pathlib.Path(args.specs).read_text())
-    specs = data["specs"] if isinstance(data, dict) else data
-    labels, configs = [], []
-    for i, spec in enumerate(specs):
-        spec = dict(spec)
-        labels.append(spec.pop("label", f"spec[{i}]"))
-        spec.setdefault("protocol", args.protocol)
-        configs.append({"spec": spec, "max_steps": args.max_steps})
-    try:
-        results = run_sweep(configs, sweep_outcome_row, workers=args.workers)
-    except ConfigurationError as exc:
-        print(f"error: spec rejected: {exc}", file=sys.stderr)
-        return 2
-    rows = []
-    for label, outcome in zip(labels, results):
-        row = {"label": label}
-        row.update(
-            {
-                k: v
-                for k, v in outcome.items()
-                if k not in ("spec", "max_steps", "elapsed_s")
-            }
-        )
-        rows.append(row)
-    print(format_table(rows, title=f"sweep over {len(rows)} specs"))
-    if args.jsonl:
-        from repro.obs.export import write_jsonl
-
-        write_jsonl(
-            args.jsonl, rows, kind="sweep_row", name="sweep",
-            meta={"specs": len(rows), "max_steps": args.max_steps},
-        )
-        print(f"artifact: {args.jsonl}", file=sys.stderr)
-    return 0
-
-
 def _cmd_runtime(args) -> int:
     from repro.errors import ConfigurationError
     from repro.runtime import ClusterSpec, run_cluster
@@ -752,9 +666,8 @@ def _cmd_runtime(args) -> int:
     if args.flap_period is not None:
         netem["flap_period"] = args.flap_period
         netem["flap_down"] = args.flap_down
-    kwargs = {key: getattr(args, key) for key in _TOPOLOGY_ARGS[args.topology]}
     spec = ClusterSpec(
-        topology={"name": args.topology, "kwargs": kwargs},
+        topology=_topology_section(args),
         messages=args.messages,
         seed=args.seed,
         protocol=args.protocol,
@@ -870,8 +783,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_record(args)
     if args.command == "verify":
         return _cmd_verify(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
     if args.command == "obs":
         return _cmd_obs(args)
     if args.command == "scenario":

@@ -6,7 +6,7 @@ next to it.  An artifact is one JSON object per line:
 * a leading **header** row ``{"schema": "repro.obs/v1", "kind": "header",
   "artifact": <name>, "meta": {...}}``;
 * data rows, each carrying ``schema`` and a ``kind`` (``table_row``,
-  ``sweep_row``, ``metric``, ``trace_event``, ...) plus the payload.
+  ``scenario_row``, ``metric``, ``trace_event``, ...) plus the payload.
 
 Readers reject rows whose schema tag is missing or unknown, so a consumer
 can never silently misinterpret an old artifact after a schema bump.

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.app import workload as workload_mod
+from repro.app.workload import workload_by_name
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
@@ -51,14 +51,6 @@ from repro.runtime.transport import (
     Transport,
     allocate_ports,
 )
-
-_WORKLOADS = {
-    "uniform": workload_mod.uniform_workload,
-    "hotspot": workload_mod.hotspot_workload,
-    "permutation": workload_mod.permutation_workload,
-    "burst": workload_mod.burst_workload,
-}
-
 
 @dataclass
 class ClusterSpec:
@@ -117,17 +109,24 @@ class ClusterSpec:
 
     def build_submissions(self) -> List[Tuple[int, int, Any, int]]:
         net = self.build_network()
-        if self.workload == "uniform":
-            wl = workload_mod.uniform_workload(net.n, self.messages, seed=self.seed)
-        elif self.workload == "hotspot":
-            per_source = max(1, self.messages // max(net.n - 1, 1))
-            wl = workload_mod.hotspot_workload(
-                net.n, dest=0, per_source=per_source, seed=self.seed
+        # ``messages`` is the cluster's one size field: the workload kwargs
+        # it stands for, per workload the cluster can size that way.
+        sized = {
+            "uniform": {"count": self.messages},
+            "hotspot": {
+                "dest": 0,
+                "per_source": max(1, self.messages // max(net.n - 1, 1)),
+            },
+        }
+        if self.workload not in sized:
+            raise ConfigurationError(
+                f"unknown workload {self.workload!r} for a live cluster, "
+                f"which sizes its workload from 'messages' alone; "
+                f"supported: {sorted(sized)}"
             )
-        elif self.workload in _WORKLOADS:
-            wl = _WORKLOADS[self.workload](net.n, seed=self.seed)
-        else:
-            raise ConfigurationError(f"unknown workload {self.workload!r}")
+        wl = workload_by_name(
+            self.workload, net.n, self.seed, **sized[self.workload]
+        )
         return list(wl.submissions)
 
     def build_netem(self) -> Optional[NetemConfig]:

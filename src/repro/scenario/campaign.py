@@ -3,29 +3,28 @@
 A campaign takes one scenario spec and runs the whole family it denotes:
 the cartesian product of its ``matrix`` axes (dotted paths into the spec,
 e.g. ``"topology.kwargs.n" = [6, 10]``), each combination repeated
-``repeat`` times with per-run seed offsets.  Runs fan out over the
-existing :func:`repro.sim.campaign.run_sweep` process pool, every run
-writes its own ``repro.obs/v1`` artifact (fault timeline included), and
-the summary JSONL is diffable with ``repro obs diff``.
+``repeat`` times with per-run seed offsets.  Every ``(combination,
+repetition)`` is its own run, so a single combination with many repeats
+saturates a process pool as well as many combinations do; rows come back
+in expansion order and a pooled campaign returns the same rows as a
+serial one, modulo wall-clock ``elapsed_s``.  Every run writes its own
+``repro.obs/v1`` artifact (fault timeline included), and the summary
+JSONL is diffable with ``repro obs diff``.
 """
 
 from __future__ import annotations
 
 import copy
 import re
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.scenario.result import ScenarioResult
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.campaign import run_sweep
-
-#: Runner-config keys that ``run_sweep`` echoes into rows but that are
-#: bookkeeping, not row identity ("label" and "target" stay: the former
-#: *is* identity, the latter comes from the result, not the config).
-_BOOKKEEPING_KEYS = ("spec_data", "smoke", "artifact_dir")
 
 
 def _set_path(data: Dict[str, Any], path: str, value: Any) -> None:
@@ -48,9 +47,9 @@ def expand_matrix(data: Dict[str, Any]) -> List[Tuple[str, Dict[str, Any]]]:
     """All (label, spec-dict) runs a campaign spec denotes.
 
     Axes apply in sorted-path order, repetitions innermost with the seed
-    offset by the repetition index (matching ``run_sweep`` semantics);
-    every expanded dict is re-validated so an axis value that breaks the
-    spec fails at expansion time with a readable error naming the combo.
+    offset by the repetition index; every expanded dict is re-validated so
+    an axis value that breaks the spec fails at expansion time with a
+    readable error naming the combo.
     """
     base_spec = ScenarioSpec.from_dict(data)  # validates the base shape
     matrix = base_spec.matrix
@@ -107,7 +106,7 @@ def _scenario_row(
     artifact_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One campaign run → one summary row.  Module-level (not a closure)
-    so :func:`run_sweep` can ship it to worker processes."""
+    so :func:`_pool_map` can ship it to worker processes."""
     data = dict(spec_data)
     if target is not None:
         data["target"] = target
@@ -139,6 +138,36 @@ def _scenario_row(
     return row
 
 
+def _run_captured(
+    runner: Callable[..., Dict[str, Any]], config: Dict[str, Any]
+) -> Dict[str, Any]:
+    """One row: ``runner(**config)`` stamped with ``elapsed_s``; an
+    exception becomes an ``error`` row (a diverging run must not take
+    down the campaign)."""
+    started = time.perf_counter()
+    try:
+        row = runner(**config)
+    except Exception as exc:  # noqa: BLE001 - captured per-row
+        row = {"error": f"{type(exc).__name__}: {exc}"}
+    row.setdefault("elapsed_s", round(time.perf_counter() - started, 3))
+    return row
+
+
+def _pool_map(
+    runner: Callable[..., Dict[str, Any]],
+    configs: List[Dict[str, Any]],
+    workers: Optional[int],
+) -> List[Dict[str, Any]]:
+    """``runner(**config)`` for every config, rows in config order whichever
+    worker finishes first.  ``workers`` > 1 fans out over that many
+    processes (the runner must then be picklable: a module-level function,
+    not a lambda or closure)."""
+    if workers is None or workers <= 1 or len(configs) <= 1:
+        return [_run_captured(runner, config) for config in configs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_captured, [runner] * len(configs), configs))
+
+
 @dataclass
 class CampaignResult:
     """Outcome of a whole campaign."""
@@ -160,8 +189,9 @@ class CampaignResult:
     def summary(self) -> str:
         from repro.sim.reporting import format_table
 
-        columns = ["label", "target", "protocol", "verdict", "generated",
-                   "delivered", "faults_injected", "elapsed_s"]
+        columns = ["label", "target", "protocol", "verdict", "steps",
+                   "rounds", "generated", "delivered", "faults_injected",
+                   "elapsed_s"]
         extra = [
             row for row in self.rows
             if row.get("failures") or row.get("error")
@@ -206,10 +236,9 @@ def run_campaign(
         }
         for label, run_data in runs
     ]
-    rows = run_sweep(configs, _scenario_row, fail_fast=False, workers=workers)
-    for row in rows:
-        for key in _BOOKKEEPING_KEYS:
-            row.pop(key, None)
+    rows = _pool_map(_scenario_row, configs, workers)
+    for row, (label, _) in zip(rows, runs):
+        row.setdefault("label", label)  # error rows carry no identity yet
     campaign = CampaignResult(name=str(data.get("name", "campaign")), rows=rows)
     if jsonl_path is not None:
         from repro.obs.export import write_jsonl

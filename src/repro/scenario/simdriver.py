@@ -31,7 +31,9 @@ With an **empty schedule** the drive loop reduces exactly to
 :meth:`repro.sim.runner.Simulation.run` under the
 ``delivered_and_drained`` halt — the differential test pins that the
 fingerprint (steps, rounds, rule counts, delivery counts) is
-bit-identical to :func:`repro.sim.recording.record_run`.
+bit-identical, which is what lets ``repro record``/``repro verify``
+(:mod:`repro.scenario.record`) fingerprint any scenario through this
+one loop.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.scenario.result import ScenarioResult, evaluate_pass
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.runner import Simulation, delivered_and_drained
-from repro.sim.spec import simulation_from_spec
 from repro.statemodel.daemon import Daemon
 
 
@@ -237,7 +238,7 @@ def run_sim_scenario(spec: ScenarioSpec) -> ScenarioResult:
     started = time.perf_counter()
     registry = MetricsRegistry()
     tracer = MessageTracer()
-    simulation = simulation_from_spec(spec.sim_spec(), obs=registry, tracer=tracer)
+    simulation = spec.build_simulation(obs=registry, tracer=tracer)
     applications, crash_intervals = _lower_schedule(spec, simulation)
     if crash_intervals:
         simulation.sim.daemon = _CrashMaskDaemon(
@@ -287,12 +288,13 @@ def run_sim_scenario(spec: ScenarioSpec) -> ScenarioResult:
     metrics: Dict[str, Any] = {
         "steps": simulation.sim.step_count,
         "rounds": simulation.sim.round_count,
+        "rule_counts": simulation.sim.rule_counts,
         "generated": ledger.generated_count,
         "delivered": ledger.valid_delivered_count,
         "invalid_delivered": ledger.invalid_delivery_count,
         "routing_correct": bool(simulation.routing.is_correct()),
         "duplicates": 0,  # a strict ledger raises on duplicate delivery
-        "expected": spec.messages() + spec.flood_total(),
+        "expected": simulation.workload.size + spec.flood_total(),
         "elapsed_s": elapsed,
         "faults_injected": len(fault_events),
     }

@@ -1,11 +1,16 @@
-"""Declarative scenario specs: one file, two targets.
+"""Declarative scenario specs: one schema, two targets.
 
-A scenario spec extends the :mod:`repro.sim.spec` vocabulary with a timed
-chaos schedule, a target selector, budgets and pass criteria.  It loads
-from JSON or TOML (stdlib :mod:`tomllib`), validates strictly (unknown
-keys anywhere are :class:`~repro.errors.ConfigurationError`), and
-compiles to either a simulator run (:mod:`repro.scenario.simdriver`) or a
-live cluster run (:mod:`repro.scenario.runtimedriver`).
+A scenario spec is *the* spec schema of this repository: a complete system
+(topology, workload, protocol, seed, initial corruption), a timed chaos
+schedule, a target selector, budgets and pass criteria.  The paper's
+"arbitrary initial configuration" is the ``[sim]`` section — the chaos
+event at t = 0 — and a spec with an empty schedule is a plain simulation.
+It loads from JSON or TOML (stdlib :mod:`tomllib`), is validated once, at
+parse time, for both targets (unknown keys anywhere, kwargs no builder
+accepts, a workload the target cannot generate are all
+:class:`~repro.errors.ConfigurationError`), and compiles to either a
+simulator run (:mod:`repro.scenario.simdriver`) or a live cluster run
+(:mod:`repro.scenario.runtimedriver`).
 
 Schema (TOML spelling; JSON is isomorphic)::
 
@@ -19,9 +24,11 @@ Schema (TOML spelling; JSON is isomorphic)::
     name = "ring"
     kwargs = {n = 8}
 
-    [workload]                     # shared vocabulary for both targets
-    name = "uniform"               # uniform | hotspot (runtime) + the
-    kwargs = {count = 60}          # sim-only: permutation | burst | ...
+    [workload]                     # app.workload.workload_by_name
+    name = "uniform"               # uniform | hotspot on both targets;
+    kwargs = {count = 60}          # permutation | burst | single |
+                                   # same_payload simulate-only.  kwargs
+                                   # may carry its own ``seed`` (simulate)
 
     [clock]                        # abstract units -> concrete clocks
     sim_steps_per_unit = 50
@@ -43,9 +50,18 @@ Schema (TOML spelling; JSON is isomorphic)::
     max_rounds = 0                 # 0 = no ceiling (simulate)
     max_wall_s = 0.0               # 0 = no ceiling
 
-    [sim]                          # simulate-only extras (sim.spec keys)
-    routing = {mode = "selfstab"}
-    daemon = {name = "distributed"}
+    [sim]                          # simulate-only: the initial
+                                   # configuration and the daemon
+    routing = {mode = "selfstab",  # or "static"
+               corruption = {kind = "random", fraction = 1.0}}  # | "worst"
+    garbage = {fraction = 0.4}     # invalid messages pre-planted
+    scramble_choice_queues = true
+    daemon = {name = "distributed", kwargs = {p_select = 0.5}}
+                                   # statemodel.daemon.daemon_by_name
+    protocol_options = {choice_policy = "fifo"}   # constructor kwargs
+    ledger_strict = true
+                                   # corruption/garbage/daemon kwargs take
+                                   # an own ``seed`` (default: the spec's)
 
     [runtime]                      # runtime-only extras (ClusterSpec keys)
     transport = "local"
@@ -65,11 +81,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.app.workload import Workload, workload_by_name
 from repro.core.registry import resolve
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
 from repro.scenario.actions import ACTIONS, ScheduleEvent, validate_schedule
+from repro.sim.runner import Simulation, build_simulation
+from repro.statemodel.daemon import daemon_by_name
 
 _TOP_KEYS = frozenset(
     {
@@ -78,28 +97,27 @@ _TOP_KEYS = frozenset(
         "sim", "runtime", "matrix",
     }
 )
-_TOPOLOGY_KEYS = frozenset({"name", "kwargs"})
-_WORKLOAD_KEYS = frozenset({"name", "kwargs"})
+#: Sections naming a builder: topology, workload, sim.daemon.
+_NAMED_KEYS = frozenset({"name", "kwargs"})
 _CLOCK_KEYS = frozenset({"sim_steps_per_unit", "runtime_s_per_unit"})
 _BUDGET_KEYS = frozenset({"max_steps", "wall_s", "messages"})
 _PASS_KEYS = frozenset(
     {"deliver_all", "max_duplicates", "max_steps", "max_rounds",
      "max_wall_s", "max_latency_p99_s"}
 )
-#: Simulate-only extras, passed through to :func:`repro.sim.spec`.
+#: Simulate-only: the initial configuration and the daemon.
 _SIM_KEYS = frozenset(
     {"routing", "garbage", "scramble_choice_queues", "daemon",
      "protocol_options", "ledger_strict"}
 )
+_ROUTING_KEYS = frozenset({"mode", "corruption"})
+_CORRUPTION_KEYS = frozenset({"kind", "fraction", "seed"})
+_GARBAGE_KEYS = frozenset({"fraction", "seed"})
 #: Runtime-only extras, passed through to :class:`ClusterSpec`.
 _RUNTIME_KEYS = frozenset(
     {"transport", "procs", "window", "max_batch", "netem", "drain_grace",
      "tick", "port_base"}
 )
-#: Workloads with a shared meaning on both targets (the simulator accepts
-#: more — validated per-target at compile time).
-_SHARED_WORKLOADS = frozenset({"uniform", "hotspot"})
-_SIM_ONLY_WORKLOADS = frozenset({"permutation", "burst", "single", "same_payload"})
 
 TARGETS = ("simulate", "runtime")
 
@@ -116,6 +134,33 @@ def _reject_unknown(section: str, mapping: Any, allowed: frozenset) -> None:
             f"unknown key(s) {unknown} in scenario section {section!r}; "
             f"valid keys: {sorted(allowed)}"
         )
+
+
+def _named(section: str, mapping: Any) -> Tuple[str, Dict[str, Any]]:
+    """A ``{name, kwargs}`` section, validated and normalized."""
+    _reject_unknown(section, mapping, _NAMED_KEYS)
+    if "name" not in mapping:
+        raise ConfigurationError(
+            f"scenario section {section!r} needs a 'name'"
+        )
+    kwargs = mapping.get("kwargs", {})
+    if not isinstance(kwargs, dict):
+        raise ConfigurationError(
+            f"scenario section {section!r}: kwargs must be an object, "
+            f"got {type(kwargs).__name__}"
+        )
+    return mapping["name"], dict(kwargs)
+
+
+def _build(section: str, builder, *args, **kwargs):
+    """Call a builder with kwargs taken verbatim from the spec: a misspelt
+    or missing argument is a spec error naming the section, not a crash."""
+    try:
+        return builder(*args, **kwargs)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bad kwargs in scenario section {section!r}: {exc}"
+        ) from None
 
 
 def load_scenario_file(path) -> Dict[str, Any]:
@@ -171,45 +216,22 @@ class ScenarioSpec:
         protocol = str(data.get("protocol", "ssmfp"))
         resolve(protocol)  # unknown protocol names fail here, readably
 
+        seed = int(data.get("seed", 0))
+
         if "topology" not in data:
             raise ConfigurationError("scenario needs a 'topology' section")
-        topology = data["topology"]
-        _reject_unknown("topology", topology, _TOPOLOGY_KEYS)
-        if "name" not in topology:
-            raise ConfigurationError("scenario section 'topology' needs a 'name'")
-        try:
-            net = topology_by_name(
-                topology["name"], **topology.get("kwargs", {})
-            )
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad topology kwargs for {topology['name']!r}: {exc}"
-            ) from None
+        topo_name, topo_kwargs = _named("topology", data["topology"])
+        net = _build("topology", topology_by_name, topo_name, **topo_kwargs)
 
-        workload = data.get("workload", {"name": "uniform", "kwargs": {"count": 50}})
-        _reject_unknown("workload", workload, _WORKLOAD_KEYS)
-        wl_name = workload.get("name")
-        if wl_name not in _SHARED_WORKLOADS | _SIM_ONLY_WORKLOADS:
+        wl_name, wl_kwargs = _named(
+            "workload",
+            data.get("workload", {"name": "uniform", "kwargs": {"count": 50}}),
+        )
+        if target == "runtime" and "seed" in wl_kwargs:
             raise ConfigurationError(
-                f"unknown workload {wl_name!r}; known: "
-                f"{sorted(_SHARED_WORKLOADS | _SIM_ONLY_WORKLOADS)}"
+                "workload kwargs must not set 'seed' on the runtime target "
+                "— a cluster has one seed, the scenario's"
             )
-        wl_kwargs = dict(workload.get("kwargs", {}))
-        if "seed" in wl_kwargs:
-            raise ConfigurationError(
-                "workload kwargs must not set 'seed' — the scenario 'seed' "
-                "governs both targets (campaign repeats offset it per run)"
-            )
-        if target == "runtime":
-            if wl_name not in _SHARED_WORKLOADS:
-                raise ConfigurationError(
-                    f"workload {wl_name!r} is simulate-only; the runtime "
-                    f"target supports {sorted(_SHARED_WORKLOADS)}"
-                )
-            if wl_name == "hotspot" and int(wl_kwargs.get("dest", 0)) != 0:
-                raise ConfigurationError(
-                    "the runtime hotspot workload targets dest=0"
-                )
 
         clock = data.get("clock", {})
         _reject_unknown("clock", clock, _CLOCK_KEYS)
@@ -246,10 +268,23 @@ class ScenarioSpec:
         _reject_unknown("pass", pass_criteria, _PASS_KEYS)
         pass_criteria.setdefault("deliver_all", True)
 
-        sim_extras = dict(data.get("sim", {}))
+        sim_extras = data.get("sim", {})
         _reject_unknown("sim", sim_extras, _SIM_KEYS)
-        runtime_extras = dict(data.get("runtime", {}))
+        sim_extras = copy.deepcopy(sim_extras)
+        routing = sim_extras.get("routing", {})
+        _reject_unknown("sim.routing", routing, _ROUTING_KEYS)
+        if routing.get("corruption") is not None:
+            _reject_unknown(
+                "sim.routing.corruption", routing["corruption"], _CORRUPTION_KEYS
+            )
+        if sim_extras.get("garbage") is not None:
+            _reject_unknown("sim.garbage", sim_extras["garbage"], _GARBAGE_KEYS)
+        if "daemon" in sim_extras:
+            _named("sim.daemon", sim_extras["daemon"])
+
+        runtime_extras = data.get("runtime", {})
         _reject_unknown("runtime", runtime_extras, _RUNTIME_KEYS)
+        runtime_extras = dict(runtime_extras)
         if "netem" in runtime_extras and runtime_extras["netem"] is not None:
             # Validate eagerly: a typo'd netem knob must fail at parse
             # time, not 30 s into a soak.
@@ -270,16 +305,13 @@ class ScenarioSpec:
         if repeat < 1:
             raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
 
-        return cls(
+        spec = cls(
             name=str(data.get("name", "scenario")),
             target=target,
             protocol=protocol,
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             repeat=repeat,
-            topology={
-                "name": topology["name"],
-                "kwargs": dict(topology.get("kwargs", {})),
-            },
+            topology={"name": topo_name, "kwargs": topo_kwargs},
             workload={"name": wl_name, "kwargs": wl_kwargs},
             sim_extras=sim_extras,
             runtime_extras=runtime_extras,
@@ -291,6 +323,21 @@ class ScenarioSpec:
             matrix={str(k): list(v) for k, v in matrix.items()},
             label=data.get("label"),
         )
+        # Whatever no key set can catch — kwargs of the workload, daemon
+        # and protocol builders, the routing/corruption vocabulary — is
+        # validated by building the system once, whichever the target.
+        workload = spec.build_simulation().workload
+        if target == "runtime":
+            from repro.scenario.runtimedriver import build_cluster_spec
+
+            if build_cluster_spec(spec).build_submissions() != workload.submissions:
+                raise ConfigurationError(
+                    f"the runtime target cannot honour workload kwargs "
+                    f"{wl_kwargs}: a cluster generates {wl_name!r} from its "
+                    f"size ({workload.size} messages) and the seed alone "
+                    f"(uniform: count; hotspot: dest = 0, per_source)"
+                )
+        return spec
 
     @classmethod
     def from_file(cls, path, target: Optional[str] = None) -> "ScenarioSpec":
@@ -343,24 +390,52 @@ class ScenarioSpec:
             self.topology["name"], **self.topology.get("kwargs", {})
         )
 
+    def _seeded(self, section: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+        """A seeded section, its ``seed`` defaulting to the scenario's."""
+        return None if section is None else {"seed": self.seed, **section}
+
+    def build_simulation(self, obs=None, tracer=None) -> Simulation:
+        """The :class:`~repro.sim.runner.Simulation` this scenario starts
+        from: its base system in its ``[sim]`` initial configuration (no
+        schedule — the simulate driver applies that live).  ``obs`` and
+        ``tracer`` attach observability exactly as in
+        :func:`~repro.sim.runner.build_simulation`."""
+        net = self.build_network()
+        sim = self.sim_extras
+        routing = sim.get("routing", {})
+        daemon = None
+        if "daemon" in sim:
+            daemon = _build(
+                "sim.daemon", daemon_by_name, sim["daemon"]["name"],
+                **self._seeded(sim["daemon"].get("kwargs", {})),
+            )
+        return _build(
+            "sim.protocol_options",
+            build_simulation,
+            net,
+            workload=self.build_workload(net.n),
+            daemon=daemon,
+            seed=self.seed,
+            routing_mode=routing.get("mode", "selfstab"),
+            routing_corruption=self._seeded(routing.get("corruption")),
+            garbage=self._seeded(sim.get("garbage")),
+            scramble_choice_queues=bool(sim.get("scramble_choice_queues", False)),
+            ledger_strict=bool(sim.get("ledger_strict", True)),
+            protocol=self.protocol,
+            protocol_options=sim.get("protocol_options"),
+            obs=obs,
+            tracer=tracer,
+        )
+
+    def build_workload(self, n: int) -> Workload:
+        return _build(
+            "workload", workload_by_name, self.workload["name"], n,
+            **self._seeded(self.workload["kwargs"]),
+        )
+
     def messages(self) -> int:
         """Workload size on either target (floods counted separately)."""
-        net = self.build_network()
-        name = self.workload["name"]
-        kwargs = self.workload["kwargs"]
-        if name == "uniform":
-            return int(kwargs.get("count", 50))
-        if name == "hotspot":
-            return int(kwargs.get("per_source", 2)) * max(net.n - 1, 1)
-        if name == "permutation":
-            return net.n
-        if name == "burst":
-            return int(kwargs.get("bursts", 3)) * int(kwargs.get("burst_size", 5))
-        if name == "single":
-            return 1
-        if name == "same_payload":
-            return int(kwargs.get("count", 10))
-        raise ConfigurationError(f"unknown workload {name!r}")
+        return self.build_workload(self.build_network().n).size
 
     def steps_at(self, units: float) -> int:
         """Lower an abstract time to the simulator step clock."""
@@ -369,24 +444,6 @@ class ScenarioSpec:
     def seconds_at(self, units: float) -> float:
         """Lower an abstract time to runtime seconds from start."""
         return max(0.0, units * self.runtime_s_per_unit)
-
-    def sim_spec(self) -> Dict[str, Any]:
-        """The :mod:`repro.sim.spec` dict this scenario's base system
-        corresponds to (no schedule — the driver applies that live)."""
-        spec: Dict[str, Any] = {
-            "topology": copy.deepcopy(self.topology),
-            "workload": {
-                "name": self.workload["name"],
-                "kwargs": dict(self.workload["kwargs"]),
-            },
-            "protocol": self.protocol,
-            "seed": self.seed,
-        }
-        for key in ("routing", "garbage", "scramble_choice_queues",
-                    "daemon", "protocol_options", "ledger_strict"):
-            if key in self.sim_extras:
-                spec[key] = copy.deepcopy(self.sim_extras[key])
-        return spec
 
     def flood_total(self) -> int:
         """Messages scheduled ``flood`` events add on top of the workload."""
@@ -404,11 +461,9 @@ class ScenarioSpec:
         data = self.to_dict()
         wl = data["workload"]
         if wl["name"] == "uniform":
-            wl["kwargs"]["count"] = min(int(wl["kwargs"].get("count", 50)), 24)
+            wl["kwargs"]["count"] = min(int(wl["kwargs"]["count"]), 24)
         elif wl["name"] == "hotspot":
-            wl["kwargs"]["per_source"] = min(
-                int(wl["kwargs"].get("per_source", 2)), 2
-            )
+            wl["kwargs"]["per_source"] = min(int(wl["kwargs"]["per_source"]), 2)
         data["budgets"]["max_steps"] = min(
             int(data["budgets"]["max_steps"]), 60_000
         )

@@ -1,4 +1,4 @@
-"""Simulation assembly, metrics, sweeps and reporting.
+"""Simulation assembly, metrics and reporting.
 
 :func:`build_simulation` wires a network, a routing provider (static or the
 self-stabilizing protocol, optionally corrupted), the SSMFP core (or a
@@ -18,7 +18,6 @@ from repro.sim.metrics import (
     delivery_latency_steps,
     moves_per_delivery,
 )
-from repro.sim.campaign import run_sweep
 from repro.sim.reporting import format_table, set_table_sink
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "delivery_latency_rounds",
     "delivery_latency_steps",
     "moves_per_delivery",
-    "run_sweep",
     "format_table",
     "set_table_sink",
 ]

@@ -24,7 +24,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ScheduleError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.statemodel.action import Action
 from repro.types import ProcId
 
@@ -216,3 +216,24 @@ class AdversarialScriptDaemon(Daemon):
     def reset(self) -> None:
         self._pos = 0
         self._fallback.reset()
+
+
+def daemon_by_name(name: str, seed: int, **kwargs) -> Daemon:
+    """Build a daemon from a string name (the spec schema's vocabulary).
+    ``seed`` reaches the random daemons only; the deterministic ones take
+    no arguments at all."""
+    builders = {
+        "synchronous": SynchronousDaemon,
+        "round_robin": RoundRobinDaemon,
+        "central": CentralRandomDaemon,
+        "distributed": DistributedRandomDaemon,
+    }
+    try:
+        builder = builders[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown daemon {name!r}; known: {sorted(builders)}"
+        ) from None
+    if name in ("central", "distributed"):
+        return builder(seed=seed, **kwargs)
+    return builder(**kwargs)

@@ -10,6 +10,7 @@ from repro.app.workload import (
     permutation_workload,
     single_message_workload,
     uniform_workload,
+    workload_by_name,
 )
 from repro.errors import ConfigurationError
 
@@ -82,3 +83,27 @@ class TestGenerators:
     def test_same_payload_rejects_self(self):
         with pytest.raises(ConfigurationError):
             adversarial_same_payload_workload(2, 2, count=1)
+
+
+class TestWorkloadByName:
+    def test_seeded_generators_get_n_and_seed(self):
+        assert (
+            workload_by_name("uniform", 6, 3, count=5).submissions
+            == uniform_workload(6, 5, seed=3).submissions
+        )
+        assert workload_by_name("hotspot", 5, 0, dest=0, per_source=2).size == 8
+        assert workload_by_name("permutation", 5, 1).size == 5
+        assert workload_by_name("burst", 5, 1, bursts=2, burst_size=3, gap=4).size == 6
+
+    def test_explicit_endpoint_generators_take_neither(self):
+        assert workload_by_name("single", 9, 9, source=0, dest=2).size == 1
+        wl = workload_by_name("same_payload", 9, 9, source=0, dest=2, count=3)
+        assert [s[2] for s in wl.submissions] == ["dup"] * 3
+
+    def test_unknown_name_lists_the_vocabulary(self):
+        with pytest.raises(ConfigurationError, match="unknown workload.*uniform"):
+            workload_by_name("mystery", 4, 0)
+
+    def test_bad_kwargs_are_the_generators_type_error(self):
+        with pytest.raises(TypeError, match="per_source"):
+            workload_by_name("hotspot", 4, 0, dest=0)

@@ -65,6 +65,19 @@ class TestSimulate:
              "--daemon", daemon, "--seed", "5"]
         ) == 0
 
+    def test_outcome_line_pinned_through_the_scenario_builder(self, capsys):
+        # The flags become a scenario dict; the same seeds must reach the
+        # same constructors as when cli.py wired them by hand.
+        code = main(
+            ["simulate", "--corrupt", "worst", "--garbage", "0.3",
+             "--daemon", "central", "--workload", "hotspot"]
+        )
+        assert code == 0
+        assert (
+            "steps=540 rounds=49 generated=14 delivered=14 invalid_delivered=36"
+            in capsys.readouterr().out.splitlines()
+        )
+
     def test_grid_topology_args(self, capsys):
         assert main(
             ["simulate", "--topology", "grid", "--rows", "2", "--cols", "3",
@@ -202,21 +215,21 @@ class TestObservability:
 
         from repro.obs import read_artifact
 
-        specs = tmp_path / "specs.json"
-        specs.write_text(json.dumps([
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
             {
-                "label": "tiny",
+                "name": "tiny",
                 "topology": {"name": "ring", "kwargs": {"n": 4}},
                 "workload": {"name": "uniform", "kwargs": {"count": 3, "seed": 1}},
                 "seed": 1,
             },
-        ]))
+        ))
         out_path = tmp_path / "sweep.jsonl"
         assert main(
-            ["sweep", str(specs), "--jsonl", str(out_path)]
+            ["scenario", "campaign", str(spec), "--jsonl", str(out_path)]
         ) == 0
         capsys.readouterr()
         art = read_artifact(out_path)
-        rows = art.rows_of_kind("sweep_row")
+        rows = art.rows_of_kind("scenario_row")
         assert len(rows) == 1
         assert rows[0]["label"] == "tiny"

@@ -1,4 +1,4 @@
-"""Tests for the record/verify/all CLI subcommands."""
+"""Tests for the record/verify CLI subcommands."""
 
 import json
 
@@ -74,7 +74,7 @@ class TestRecordVerify:
 
     def test_verify_wrong_shape_is_a_clear_error(self, tmp_path, capsys):
         path = tmp_path / "shape.json"
-        path.write_text(json.dumps({"outcome": {}}))  # no spec/max_steps
+        path.write_text(json.dumps({"outcome": {}}))  # no spec
         assert main(["verify", str(path)]) == 2
         assert "not a run record" in capsys.readouterr().err
 
@@ -84,7 +84,6 @@ class TestRecordVerify:
             json.dumps(
                 {
                     "spec": {"topology": {"name": "mobius", "kwargs": {}}},
-                    "max_steps": 10,
                     "outcome": {},
                 }
             )
@@ -95,13 +94,15 @@ class TestRecordVerify:
 
     def test_record_missing_spec_is_a_clear_error(self, tmp_path, capsys):
         assert main(["record", str(tmp_path / "ghost.json")]) == 2
-        assert "cannot read spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not found" in err
 
     def test_record_malformed_spec_is_a_clear_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("]]][[")
         assert main(["record", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "invalid JSON" in err
 
     def test_record_verify_round_trip_through_files(self, spec_file, tmp_path):
         # The full CLI loop: record -> file on disk -> verify, twice
@@ -114,33 +115,69 @@ class TestRecordVerify:
         assert out_path.read_text() == first
 
 
-class TestSweep:
-    def test_sweep_runs_all_specs(self, tmp_path, capsys):
-        specs = [
-            dict(SPEC, label="a", seed=1),
-            dict(SPEC, label="b", seed=2),
-        ]
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(specs))
-        assert main(["sweep", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "a" in out and "b" in out
-        assert "delivered" in out
+    def test_chaos_schedule_round_trips(self, tmp_path, capsys):
+        # A record covers the timed fault schedule too: same seed, same
+        # faults at the same steps, same fingerprint.
+        spec = {
+            **SPEC,
+            "topology": {"name": "ring", "kwargs": {"n": 6}},
+            "schedule": [
+                {"at": 0.2, "action": "corrupt_routing", "fraction": 0.6},
+                {"at": 0.4, "until": 1.0, "action": "crash", "node": 2},
+                {"at": 0.6, "action": "flood", "source": 0, "dest": 3,
+                 "count": 3},
+            ],
+        }
+        spec_path = tmp_path / "chaos.json"
+        spec_path.write_text(json.dumps(spec))
+        out_path = tmp_path / "chaos.record.json"
+        assert main(["record", str(spec_path), "-o", str(out_path)]) == 0
+        assert "generated: 7" in capsys.readouterr().out
+        data = json.loads(out_path.read_text())
+        assert len(data["spec"]["schedule"]) == 3
+        assert main(["verify", str(out_path)]) == 0
+        data["spec"]["schedule"][0]["fraction"] = 0.1
+        out_path.write_text(json.dumps(data))
+        assert main(["verify", str(out_path)]) == 1
+        assert "MISMATCH" in capsys.readouterr().err
 
-    def test_sweep_accepts_wrapped_form(self, tmp_path, capsys):
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"specs": [dict(SPEC, label="only")]}))
-        assert main(["sweep", str(path)]) == 0
-        assert "only" in capsys.readouterr().out
+    def test_record_reads_toml(self, tmp_path, capsys):
+        path = tmp_path / "s.toml"
+        path.write_text(
+            'seed = 5\n[topology]\nname = "line"\nkwargs = {n = 4}\n'
+            '[workload]\nname = "uniform"\nkwargs = {count = 4, seed = 1}\n'
+        )
+        assert main(["record", str(path)]) == 0
+        assert (tmp_path / "s.record.json").exists()
+        assert "delivered: 4" in capsys.readouterr().out
+
+    def test_pre_scenario_record_is_a_clear_error(self, tmp_path, capsys):
+        # {"spec": flat, "max_steps": ...}: SPEC happens to parse under
+        # both schemas, so the stale step budget must be what is refused.
+        path = tmp_path / "old.json"
+        path.write_text(
+            json.dumps({"spec": SPEC, "max_steps": 500_000, "outcome": {}})
+        )
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "max_steps" in err and "not a run record" in err
 
 
-#: One misspelt kwarg per spec section that hands its kwargs to a builder
-#: (over a workload without its own seed, which scenario specs forbid).
+def test_sweep_subcommand_is_gone(tmp_path, capsys):
+    # `repro scenario campaign` over a [matrix] is the one sweep driver.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", str(tmp_path / "x.json")])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
+
+#: One misspelt kwarg per spec section that hands its kwargs to a builder.
 BAD_KWARGS = {
     "topology": {"topology": {"name": "line", "kwargs": {"n": 4, "bogus": 1}}},
     "workload": {"workload": {"name": "uniform", "kwargs": {"count": 4, "bogus": 1}}},
-    "daemon": {"daemon": {"name": "distributed", "kwargs": {"p_selct": 0.5}}},
-    "protocol_options": {"protocol_options": {"bogus": 1}},
+    "daemon": {"sim": {"daemon": {"name": "distributed", "kwargs": {"p_selct": 0.5}}}},
+    "protocol_options": {"sim": {"protocol_options": {"bogus": 1}}},
 }
 
 
@@ -149,18 +186,16 @@ class TestMalformedSpecKwargs:
     never a TypeError traceback with the FAIL exit code."""
 
     @pytest.mark.parametrize("section", sorted(BAD_KWARGS))
-    @pytest.mark.parametrize("entry", ["record", "sweep", "scenario run"])
+    @pytest.mark.parametrize(
+        "entry", ["record", "scenario run", "scenario campaign"]
+    )
     def test_exit_2_and_one_error_line(self, entry, section, tmp_path, capsys):
-        workload = {"name": "uniform", "kwargs": {"count": 4}}
-        spec = {**SPEC, "workload": workload, **BAD_KWARGS[section]}
-        if entry == "sweep":
-            spec = [spec]
-        elif entry == "scenario run":
-            sim = {k: spec.pop(k) for k in ("daemon", "protocol_options") if k in spec}
-            spec = {**spec, "name": "typo", "sim": sim}
+        spec = {**SPEC, "name": "typo", **BAD_KWARGS[section]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
         assert main([*entry.split(), str(path)]) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert section in err and "Traceback" not in err
+        assert captured.out == ""

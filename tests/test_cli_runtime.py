@@ -93,25 +93,41 @@ SPEC = {
 
 
 class TestSweepWorkers:
+    """``scenario campaign --workers N`` (what ``sweep --workers`` became):
+    pooled rows are the serial rows, wall-clock ``elapsed_s`` aside."""
+
     def sweep_file(self, tmp_path):
-        specs = [dict(SPEC, label=f"s{i}", seed=i) for i in range(4)]
         path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(specs))
+        path.write_text(
+            json.dumps(dict(SPEC, name="s", matrix={"seed": [0, 1, 2, 3]}))
+        )
         return path
 
     def test_parallel_rows_identical_to_serial(self, tmp_path, capsys):
+        def table(out):
+            return [line.rsplit("|", 1)[0] for line in out.splitlines()]
+
         path = self.sweep_file(tmp_path)
-        assert main(["sweep", str(path)]) == 0
+        assert main(["scenario", "campaign", str(path)]) == 0
         serial = capsys.readouterr().out
-        assert main(["sweep", str(path), "--workers", "2"]) == 0
+        assert main(["scenario", "campaign", str(path), "--workers", "2"]) == 0
         parallel = capsys.readouterr().out
-        assert serial == parallel
-        assert "s0" in serial and "s3" in serial
+        assert table(serial) == table(parallel)
+        assert "s[seed=0]" in serial and "s[seed=3]" in serial
 
     def test_parallel_jsonl_identical_to_serial(self, tmp_path, capsys):
+        def rows(path):
+            return [
+                {k: v for k, v in row.items() if k != "elapsed_s"}
+                for row in read_artifact(path).rows
+            ]
+
         path = self.sweep_file(tmp_path)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        assert main(["sweep", str(path), "--jsonl", str(a)]) == 0
-        assert main(["sweep", str(path), "--workers", "3", "--jsonl", str(b)]) == 0
+        assert main(["scenario", "campaign", str(path), "--jsonl", str(a)]) == 0
+        assert main(
+            ["scenario", "campaign", str(path), "--workers", "3",
+             "--jsonl", str(b)]
+        ) == 0
         capsys.readouterr()
-        assert read_artifact(a).rows == read_artifact(b).rows
+        assert len(rows(a)) == 4 and rows(a) == rows(b)

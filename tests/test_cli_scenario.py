@@ -137,3 +137,45 @@ class TestScenarioCampaign:
         )
         assert code == 0
         assert "8/8 PASS" in capsys.readouterr().out
+
+
+#: Spec errors no key set of the parent's first validator caught: each was
+#: found (if at all) by a second validator inside the run.
+LATE_AT_PARENT = {
+    "sim.routing": {"sim": {"routing": {"mdoe": "static"}}},
+    "sim.routing.corruption": {
+        "sim": {"routing": {"corruption": {"kind": "random", "frac": 0.5}}}
+    },
+    "sim.garbage": {"sim": {"garbage": {"flavor": "worst"}}},
+    "sim.daemon": {"sim": {"daemon": {"name": "central", "seed": 3}}},
+    "workload": {"workload": {"name": "uniform", "kwargs": {"cuont": 4}}},
+    "per_source": {"workload": {"name": "hotspot", "kwargs": {"dest": 0}}},
+}
+
+
+class TestSpecErrorsSurfaceAtParseTime:
+    """Exit 2, one ``error:`` line naming the section, nothing on stdout —
+    through every entry point, on both targets, before any run starts."""
+
+    @pytest.mark.parametrize("target", ["simulate", "runtime"])
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    @pytest.mark.parametrize("named", sorted(LATE_AT_PARENT))
+    def test_exit_2_one_error_line_no_table(
+        self, named, command, target, tmp_path, capsys
+    ):
+        data = {
+            **GOOD, "schedule": [], "matrix": {"seed": [1, 2, 3, 4]},
+            **LATE_AT_PARENT[named],
+        }
+        if command == "run":
+            del data["matrix"]
+        code = main(
+            ["scenario", command, write_spec(tmp_path, data),
+             "--target", target]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert named in err and "Traceback" not in err

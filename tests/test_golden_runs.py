@@ -9,7 +9,7 @@ why in the commit).
 
 import pytest
 
-from repro.sim.recording import RunRecord, verify_record
+from repro.scenario import RunRecord, verify_record
 
 GOLDEN = [
     (
@@ -17,9 +17,11 @@ GOLDEN = [
         {
             "topology": {"name": "ring", "kwargs": {"n": 8}},
             "workload": {"name": "uniform", "kwargs": {"count": 16, "seed": 4}},
-            "routing": {"mode": "selfstab", "corruption": {"kind": "worst"}},
-            "garbage": {"fraction": 0.4},
-            "scramble_choice_queues": True,
+            "sim": {
+                "routing": {"mode": "selfstab", "corruption": {"kind": "worst"}},
+                "garbage": {"fraction": 0.4},
+                "scramble_choice_queues": True,
+            },
             "seed": 11,
         },
         {
@@ -40,7 +42,7 @@ GOLDEN = [
         {
             "topology": {"name": "grid", "kwargs": {"rows": 3, "cols": 3}},
             "workload": {"name": "hotspot", "kwargs": {"dest": 0, "per_source": 2}},
-            "routing": {"mode": "static"},
+            "sim": {"routing": {"mode": "static"}},
             "seed": 21,
         },
         {
@@ -61,8 +63,10 @@ GOLDEN = [
                 "name": "same_payload",
                 "kwargs": {"source": 0, "dest": 5, "count": 6},
             },
-            "protocol_options": {"choice_policy": "aged"},
-            "daemon": {"name": "round_robin"},
+            "sim": {
+                "protocol_options": {"choice_policy": "aged"},
+                "daemon": {"name": "round_robin"},
+            },
             "seed": 31,
         },
         {
@@ -80,7 +84,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("name,spec,outcome", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_fingerprint(name, spec, outcome):
-    record = RunRecord(spec=spec, max_steps=500_000, outcome=outcome)
+    record = RunRecord(spec=spec, outcome=outcome)
     problems = verify_record(record)
     assert problems == [], (
         f"{name}: execution changed — if deliberate, update the golden "

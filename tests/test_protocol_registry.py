@@ -13,8 +13,8 @@ from repro.core.registry import PROTOCOLS, available, resolve
 from repro.errors import ConfigurationError
 from repro.network.topologies import line_network
 from repro.runtime.cluster import ClusterSpec
+from repro.scenario import ScenarioSpec
 from repro.sim.runner import build_simulation, delivered_and_drained
-from repro.sim.spec import simulation_from_spec
 
 
 class TestRegistry:
@@ -117,14 +117,14 @@ class TestRunnerDispatch:
         assert sim.forwarding.enable_colors is False
 
     def test_spec_protocol_key(self):
-        sim = simulation_from_spec(
+        sim = ScenarioSpec.from_dict(
             {
                 "topology": {"name": "line", "kwargs": {"n": 4}},
                 "workload": {"name": "uniform", "kwargs": {"count": 4}},
                 "protocol": "ssmfp2",
                 "seed": 1,
             }
-        )
+        ).build_simulation()
         assert isinstance(sim.forwarding, SSMFP2)
         sim.run(10_000, halt=delivered_and_drained)
         assert sim.ledger.all_valid_delivered()

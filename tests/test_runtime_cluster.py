@@ -143,3 +143,10 @@ class TestSpecValidation:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown workload"):
             run_cluster(ring_spec(workload="nope"))
+
+    @pytest.mark.parametrize("workload", ["burst", "permutation", "single"])
+    def test_workload_messages_cannot_size_rejected(self, workload):
+        # "burst" was a raw TypeError out of the generator and
+        # "permutation" silently ignored ``messages``.
+        with pytest.raises(ConfigurationError, match=r"\['hotspot', 'uniform'\]"):
+            ring_spec(workload=workload).build_submissions()

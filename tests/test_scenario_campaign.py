@@ -92,12 +92,29 @@ class TestCampaign:
 
         def identity(rows):
             return [
-                {k: r.get(k) for k in ("label", "verdict", "generated",
-                                       "delivered", "faults_injected")}
+                {k: r.get(k) for k in ("label", "verdict", "steps", "rounds",
+                                       "generated", "delivered",
+                                       "faults_injected")}
                 for r in rows
             ]
 
         assert identity(serial.rows) == identity(pooled.rows)
+
+    def test_run_time_errors_are_rows_under_workers_too(self):
+        # Static tables cannot be faulted: that is only known once the
+        # schedule is lowered, i.e. inside the run — a row, not a crash,
+        # and the other combination is unaffected.
+        data = spec_data(matrix={"sim.routing.mode": ["selfstab", "static"]})
+        for workers in (None, 2):
+            campaign = run_campaign(data, workers=workers)
+            assert not campaign.ok
+            good, bad = campaign.rows
+            assert good["verdict"] == "PASS" and "error" not in good
+            assert good["label"] == "camp[mode=selfstab]"
+            assert bad["label"] == "camp[mode=static]"
+            assert "ConfigurationError" in bad["error"] and "selfstab" in bad["error"]
+            assert "elapsed_s" in bad
+            assert "camp[mode=static]: ConfigurationError" in campaign.summary()
 
     def test_per_run_artifacts_carry_fault_timeline(self, tmp_path):
         campaign = run_campaign(
@@ -148,3 +165,18 @@ class TestCampaign:
     def test_invalid_base_spec_raises(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
             run_campaign(spec_data(bogus=1))
+
+    @pytest.mark.parametrize("target", [None, "runtime"])
+    def test_sim_section_typos_raise_before_any_run(self, target, monkeypatch):
+        from repro.scenario import campaign as campaign_mod
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a run started on an invalid spec")
+
+        monkeypatch.setattr(campaign_mod, "_pool_map", no_runs)
+        data = spec_data(
+            matrix={"seed": [1, 2, 3, 4]}, schedule=[],
+            sim={"routing": {"mdoe": "static"}},
+        )
+        with pytest.raises(ConfigurationError, match="sim.routing"):
+            run_campaign(data, target=target)

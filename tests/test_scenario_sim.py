@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenario import ScenarioSpec, run_sim_scenario
-from repro.sim.recording import record_run
+from repro.sim.runner import delivered_and_drained
 
 BASE = {
     "name": "sim-t",
@@ -34,27 +34,43 @@ def spec_data(**overrides):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("protocol", ["ssmfp", "ssmfp2"])
-    def test_empty_schedule_matches_record_run_bit_for_bit(self, protocol):
-        """With no chaos the scenario loop must reduce exactly to the
-        ``repro record`` execution: same halt, same step-for-step
-        schedule, same fingerprint."""
-        spec = ScenarioSpec.from_dict(spec_data(protocol=protocol))
+    """With no chaos the scenario loop must reduce exactly to
+    ``Simulation.run`` under the standard halt, on the simulation the one
+    builder returns: same halt, same step-for-step schedule, same
+    fingerprint — the loop ``repro record`` fingerprints through (and what
+    ``record_run`` used to be)."""
+
+    @staticmethod
+    def assert_matches_plain_run(spec):
         result = run_sim_scenario(spec)
-        record = record_run(spec.sim_spec(), max_steps=spec.budgets["max_steps"])
-        for key in ("steps", "rounds", "generated", "delivered",
-                    "invalid_delivered", "routing_correct"):
-            assert result.metrics[key] == record.outcome[key], key
+        simulation = spec.build_simulation()
+        plain = simulation.run(
+            spec.budgets["max_steps"], halt=delivered_and_drained,
+            raise_on_limit=False,
+        )
+        ledger = simulation.ledger
+        assert result.metrics["steps"] == plain.steps
+        assert result.metrics["rounds"] == plain.rounds
+        assert result.metrics["rule_counts"] == plain.rule_counts
+        assert result.metrics["generated"] == ledger.generated_count
+        assert result.metrics["delivered"] == ledger.valid_delivered_count
+        assert result.metrics["invalid_delivered"] == ledger.invalid_delivery_count
+        assert result.metrics["routing_correct"] == simulation.routing.is_correct()
         assert result.ok
         assert result.fault_events == []
 
+    @pytest.mark.parametrize("protocol", ["ssmfp", "ssmfp2"])
+    def test_empty_schedule_matches_record_run_bit_for_bit(self, protocol):
+        self.assert_matches_plain_run(
+            ScenarioSpec.from_dict(spec_data(protocol=protocol))
+        )
+
     def test_empty_schedule_across_seeds(self):
-        for seed in range(3):
-            spec = ScenarioSpec.from_dict(spec_data(seed=seed))
-            result = run_sim_scenario(spec)
-            record = record_run(spec.sim_spec())
-            assert result.metrics["steps"] == record.outcome["steps"]
-            assert result.metrics["delivered"] == record.outcome["delivered"]
+        for protocol in ("ssmfp", "ssmfp2"):
+            for seed in range(3):
+                self.assert_matches_plain_run(
+                    ScenarioSpec.from_dict(spec_data(protocol=protocol, seed=seed))
+                )
 
 
 class TestActions:

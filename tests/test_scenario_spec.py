@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.app.workload import uniform_workload
 from repro.errors import ConfigurationError
 from repro.scenario import ACTIONS, ScenarioSpec, load_scenario_file
 
@@ -52,6 +53,15 @@ class TestValidation:
             lambda d: d.setdefault("pass", {}).update(deliver_some=True),
             lambda d: d["sim"].update(topology={}),
             lambda d: d.update(runtime={"portbase": 1}),
+            # the [sim] sub-sections, on both targets
+            lambda d: d["sim"].update(routing={"mdoe": "static"}),
+            lambda d: d["sim"]["routing"].update(corruption={"frac": 0.5}),
+            lambda d: d["sim"].update(garbage={"flavor": "worst"}),
+            lambda d: d["sim"].update(daemon={"name": "central", "seed": 3}),
+            lambda d: d.update(target="runtime", schedule=[])
+            or d["sim"].update(routing={"mdoe": "static"}),
+            # a flat pre-scenario spec: sections at the top level
+            lambda d: d.update(d.pop("sim")),
         ],
     )
     def test_unknown_keys_rejected_everywhere(self, mutate):
@@ -59,6 +69,46 @@ class TestValidation:
         mutate(data)
         with pytest.raises(ConfigurationError, match="unknown key"):
             ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("section", ["sim", "clock", "topology"])
+    def test_section_must_be_a_mapping(self, section):
+        with pytest.raises(ConfigurationError, match="must be an object"):
+            ScenarioSpec.from_dict(spec_data(**{section: 0.5}))
+        with pytest.raises(ConfigurationError, match="must be an object"):
+            ScenarioSpec.from_dict(spec_data(sim={"garbage": 0.5}))
+
+    @pytest.mark.parametrize("target", ["simulate", "runtime"])
+    @pytest.mark.parametrize(
+        "section, mutate, named",
+        [
+            ("workload", lambda d: d["workload"]["kwargs"].update(cuont=4), "cuont"),
+            ("workload", lambda d: d.update(
+                workload={"name": "hotspot", "kwargs": {"dest": 0}}), "per_source"),
+            ("workload", lambda d: d.update(
+                workload={"name": "mystery", "kwargs": {}}), "unknown workload"),
+            ("daemon", lambda d: d["sim"].update(
+                daemon={"name": "distributed", "kwargs": {"p_selct": 0.5}}),
+             "p_selct"),
+            ("daemon", lambda d: d["sim"].update(daemon={"name": "chaos"}),
+             "unknown daemon"),
+            ("protocol_options", lambda d: d["sim"].update(
+                protocol_options={"bogus": 1}), "bogus"),
+            ("routing", lambda d: d["sim"].update(routing={"mode": "dynamic"}),
+             "dynamic"),
+            ("corruption", lambda d: d["sim"]["routing"].update(
+                corruption={"kind": "mild"}), "mild"),
+        ],
+    )
+    def test_builder_kwargs_validated_at_parse_time(
+        self, target, section, mutate, named
+    ):
+        """What no key set can catch is caught by building the system once
+        — before any run starts, whichever the target."""
+        data = spec_data(target=target, schedule=[])
+        mutate(data)
+        with pytest.raises(ConfigurationError) as excinfo:
+            ScenarioSpec.from_dict(data)
+        assert section in str(excinfo.value) and named in str(excinfo.value)
 
     def test_unknown_target(self):
         with pytest.raises(ConfigurationError, match="target"):
@@ -167,19 +217,46 @@ class TestValidation:
             ScenarioSpec.from_dict(data)
 
     def test_workload_seed_key_rejected(self):
-        data = spec_data(
-            workload={"name": "uniform", "kwargs": {"count": 4, "seed": 9}}
-        )
+        # A cluster has one seed; the simulator carries the workload's own
+        # over (the golden and shipped specs pin runs that use it).
+        workload = {"name": "uniform", "kwargs": {"count": 4, "seed": 9}}
+        data = spec_data(target="runtime", schedule=[], workload=workload)
         with pytest.raises(ConfigurationError, match="seed"):
             ScenarioSpec.from_dict(data)
+        spec = ScenarioSpec.from_dict(spec_data(workload=workload))
+        own = spec.build_simulation().workload.submissions
+        assert own == uniform_workload(6, 4, seed=9).submissions
+        assert own != uniform_workload(6, 4, seed=spec.seed).submissions
 
     def test_runtime_workload_restrictions(self):
-        data = spec_data(
-            target="runtime", schedule=[], sim={},
-            workload={"name": "permutation", "kwargs": {}},
+        """Valid on the simulator; a cluster cannot regenerate it from
+        (name, size, seed), and says what it can."""
+        for workload in (
+            {"name": "permutation", "kwargs": {}},
+            {"name": "burst",
+             "kwargs": {"bursts": 2, "burst_size": 3, "gap": 5}},
+            {"name": "uniform", "kwargs": {"count": 6, "spread_steps": 4}},
+            {"name": "hotspot", "kwargs": {"dest": 3, "per_source": 2}},
+            {"name": "hotspot", "kwargs": {"dest": 0, "per_source": 0}},
+        ):
+            ScenarioSpec.from_dict(spec_data(schedule=[], workload=workload))
+            data = spec_data(
+                target="runtime", schedule=[], sim={}, workload=workload
+            )
+            with pytest.raises(
+                ConfigurationError, match="workload.*(uniform|hotspot)"
+            ):
+                ScenarioSpec.from_dict(data)
+
+    def test_runtime_hotspot_accepted(self):
+        spec = ScenarioSpec.from_dict(
+            spec_data(
+                target="runtime", schedule=[], sim={},
+                workload={"name": "hotspot",
+                          "kwargs": {"dest": 0, "per_source": 2}},
+            )
         )
-        with pytest.raises(ConfigurationError, match="workload"):
-            ScenarioSpec.from_dict(data)
+        assert spec.messages() == 10
 
     def test_matrix_axis_must_be_list(self):
         with pytest.raises(ConfigurationError, match="matrix"):

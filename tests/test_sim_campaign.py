@@ -1,9 +1,11 @@
-"""Tests for the sweep driver and table rendering."""
-
-import pytest
+"""Tests for the campaign driver's process-pool map and for table
+rendering.  (``run_sweep`` — repeats, aggregation, fail-fast, its own
+JSONL — is gone; what is left of it is the ordered, error-capturing map
+under :func:`repro.scenario.run_campaign`.)"""
 
 from repro.network.topologies import ring_network
-from repro.sim.campaign import run_sweep
+from repro.scenario import run_campaign
+from repro.scenario.campaign import _pool_map
 from repro.sim.reporting import format_table
 
 
@@ -36,154 +38,27 @@ def _flaky_runner(seed):
 
 class TestRunSweep:
     def test_runs_each_config(self):
-        rows = run_sweep(
-            [{"x": 1}, {"x": 2}],
-            runner=lambda x: {"double": 2 * x},
-        )
+        rows = _pool_map(lambda x: {"double": 2 * x}, [{"x": 1}, {"x": 2}], None)
         assert [r["double"] for r in rows] == [2, 4]
-        # Config echoed into the row.
-        assert rows[0]["x"] == 1
 
     def test_elapsed_recorded(self):
-        rows = run_sweep([{"x": 1}], runner=lambda x: {})
+        rows = _pool_map(lambda x: {}, [{"x": 1}], None)
         assert "elapsed_s" in rows[0]
-
-    def test_fail_fast_raises(self):
-        def boom(x):
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError):
-            run_sweep([{"x": 1}], runner=boom)
 
     def test_captured_errors(self):
         def boom(x):
             raise ValueError("nope")
 
-        rows = run_sweep([{"x": 1}], runner=boom, fail_fast=False)
+        rows = _pool_map(boom, [{"x": 1}], None)
         assert "ValueError" in rows[0]["error"]
-
-    def test_repeat_offsets_seed_and_aggregates_max(self):
-        seen = []
-
-        def runner(seed):
-            seen.append(seed)
-            return {"value": seed}
-
-        rows = run_sweep([{"seed": 10}], runner=runner, repeat=3)
-        assert seen == [10, 11, 12]
-        assert rows[0]["value"] == 12  # max aggregation
-        assert rows[0]["repeats"] == 3
-
-    def test_custom_aggregate(self):
-        rows = run_sweep(
-            [{"seed": 0}],
-            runner=lambda seed: {"v": seed},
-            repeat=2,
-            aggregate=lambda reps: {"v": sum(r["v"] for r in reps)},
-        )
-        assert rows[0]["v"] == 1
-
-    def test_aggregate_skips_config_echo_keys(self):
-        # A swept parameter echoed into the rows must keep its configured
-        # value, not the max over seed offsets.
-        rows = run_sweep(
-            [{"seed": 10, "n": 4}],
-            runner=lambda seed, n: {"value": seed * 100},
-            repeat=3,
-        )
-        assert rows[0]["seed"] == 10
-        assert rows[0]["n"] == 4
-        assert rows[0]["value"] == 1200
-
-    def test_aggregate_sums_elapsed(self):
-        rows = run_sweep(
-            [{"seed": 0}],
-            runner=lambda seed: {"elapsed_s": 1.5, "v": seed},
-            repeat=3,
-        )
-        assert rows[0]["elapsed_s"] == pytest.approx(4.5)
-        assert rows[0]["repeats"] == 3
-        assert rows[0]["errors"] == 0
-
-    def test_aggregate_excludes_error_rows(self):
-        # Regression: with fail_fast=False a failing repetition produced an
-        # {"error": ...} row that seeded / poisoned the max-aggregate —
-        # metric keys went missing and the error text could mask values.
-        # Failed repetitions must be counted, not aggregated.
-        def runner(seed):
-            if seed == 1:  # the second repetition (seed offset +1) fails
-                raise ValueError("boom")
-            return {"value": 100 + seed}
-
-        rows = run_sweep(
-            [{"seed": 0}], runner=runner, repeat=3, fail_fast=False
-        )
-        row = rows[0]
-        assert row["value"] == 102  # max over the two successful reps
-        assert "error" not in row
-        assert row["repeats"] == 3
-        assert row["errors"] == 1
-        assert row["seed"] == 0  # config echo intact
-
-    def test_aggregate_error_first_rep_does_not_seed(self):
-        # The error row being rep #1 used to be the worst case: dict(reps[0])
-        # seeded the output with "error" and no metrics at all.
-        def runner(seed):
-            if seed == 0:
-                raise ValueError("boom")
-            return {"value": seed}
-
-        rows = run_sweep(
-            [{"seed": 0}], runner=runner, repeat=2, fail_fast=False
-        )
-        row = rows[0]
-        assert row["value"] == 1
-        assert "error" not in row
-        assert row["errors"] == 1
-
-    def test_aggregate_all_reps_failed_stays_visible(self):
-        def runner(seed):
-            raise ValueError("always")
-
-        rows = run_sweep(
-            [{"seed": 0}], runner=runner, repeat=2, fail_fast=False
-        )
-        row = rows[0]
-        assert "ValueError" in row["error"]
-        assert row["repeats"] == 2
-        assert row["errors"] == 2
-
-    def test_aggregate_sums_elapsed_over_failed_reps_too(self):
-        # elapsed_s is the cost of producing the row; failures cost time.
-        def runner(seed):
-            raise ValueError("boom")
-
-        rows = run_sweep(
-            [{"seed": 0}], runner=runner, repeat=3, fail_fast=False
-        )
-        assert rows[0]["elapsed_s"] >= 0
-
-    def test_jsonl_artifact_written(self, tmp_path):
-        from repro.obs import read_artifact
-
-        path = tmp_path / "sweep.jsonl"
-        rows = run_sweep(
-            [{"x": 1}, {"x": 2}],
-            runner=lambda x: {"double": 2 * x},
-            jsonl_path=str(path),
-        )
-        art = read_artifact(path)
-        got = art.rows_of_kind("sweep_row")
-        assert [r["double"] for r in got] == [r["double"] for r in rows]
-        assert art.meta["configs"] == 2
 
 
 class TestParallelSweep:
     CONFIGS = [{"seed": s, "n": 6} for s in range(6)]
 
     def test_workers_match_serial(self):
-        serial = run_sweep(self.CONFIGS, runner=_sweep_runner, repeat=2)
-        parallel = run_sweep(self.CONFIGS, runner=_sweep_runner, repeat=2, workers=4)
+        serial = _pool_map(_sweep_runner, self.CONFIGS, None)
+        parallel = _pool_map(_sweep_runner, self.CONFIGS, 4)
 
         def strip(rows):
             return [{k: v for k, v in r.items() if k != "elapsed_s"} for r in rows]
@@ -191,30 +66,15 @@ class TestParallelSweep:
         assert strip(parallel) == strip(serial)
 
     def test_workers_capture_errors(self):
-        rows = run_sweep(
-            [{"seed": s} for s in range(4)],
-            runner=_flaky_runner,
-            fail_fast=False,
-            workers=2,
-        )
+        rows = _pool_map(_flaky_runner, [{"seed": s} for s in range(4)], 2)
         assert "ValueError" in rows[0]["error"]
         assert rows[1]["ok"] == 1
         assert "ValueError" in rows[2]["error"]
         assert rows[3]["ok"] == 3
 
-    def test_workers_fail_fast_raises(self):
-        with pytest.raises(ValueError):
-            run_sweep(
-                [{"seed": 0}, {"seed": 1}],
-                runner=_flaky_runner,
-                workers=2,
-            )
-
     def test_workers_one_falls_back_to_serial(self):
         # A lambda runner is not picklable; workers=1 must not try to.
-        rows = run_sweep(
-            [{"x": 1}, {"x": 2}], runner=lambda x: {"y": x}, workers=1
-        )
+        rows = _pool_map(lambda x: {"y": x}, [{"x": 1}, {"x": 2}], 1)
         assert [r["y"] for r in rows] == [1, 2]
 
 
@@ -333,48 +193,51 @@ class TestTableSink:
 
 
 class TestRepeatFanOut:
-    """workers > len(configs): individual repetitions fan out over the pool
-    and must reduce to exactly the serial rows (modulo elapsed_s)."""
+    """A campaign makes every (combination, repetition) its own run, so a
+    pool wider than the combination list is still saturated — and must
+    return exactly the serial rows (modulo elapsed_s)."""
+
+    SPEC = {
+        "name": "fan",
+        "seed": 5,
+        "topology": {"name": "ring", "kwargs": {"n": 5}},
+        "workload": {"name": "uniform", "kwargs": {"count": 4}},
+    }
+
+    @staticmethod
+    def strip(campaign):
+        return [
+            {k: v for k, v in row.items() if k != "elapsed_s"}
+            for row in campaign.rows
+        ]
 
     def test_single_config_repeats_match_serial(self):
-        configs = [{"seed": 5, "n": 5}]
-        serial = run_sweep(configs, runner=_sweep_runner, repeat=4)
-        parallel = run_sweep(configs, runner=_sweep_runner, repeat=4, workers=4)
-
-        def strip(rows):
-            return [{k: v for k, v in r.items() if k != "elapsed_s"} for r in rows]
-
-        assert strip(parallel) == strip(serial)
+        data = dict(self.SPEC, repeat=4)
+        pooled = run_campaign(data, workers=4)
+        assert self.strip(pooled) == self.strip(run_campaign(data))
+        assert [row["label"] for row in pooled.rows] == [
+            f"fan[rep={r}]" for r in range(4)
+        ]
+        assert len({row["steps"] for row in pooled.rows}) > 1  # seeds differ
 
     def test_few_configs_many_repeats_match_serial(self):
-        configs = [{"seed": 3, "n": 4}, {"seed": 11, "n": 5}]
-        serial = run_sweep(configs, runner=_sweep_runner, repeat=3)
-        parallel = run_sweep(configs, runner=_sweep_runner, repeat=3, workers=6)
-
-        def strip(rows):
-            return [{k: v for k, v in r.items() if k != "elapsed_s"} for r in rows]
-
-        assert strip(parallel) == strip(serial)
+        data = dict(self.SPEC, repeat=3, matrix={"topology.kwargs.n": [4, 5]})
+        pooled = run_campaign(data, workers=6)
+        assert self.strip(pooled) == self.strip(run_campaign(data))
+        assert len(pooled.rows) == 6 and pooled.ok
 
     def test_fan_out_captures_errors_per_rep(self):
-        rows = run_sweep(
-            [{"seed": 2}], runner=_flaky_runner, repeat=3,
-            fail_fast=False, workers=8,
+        # Static tables cannot be faulted — known only once the schedule is
+        # lowered inside the run: every repetition is its own error row.
+        data = dict(
+            self.SPEC, repeat=3,
+            sim={"routing": {"mode": "static"}},
+            schedule=[{"at": 1.0, "action": "corrupt_routing"}],
         )
-        # seeds 2, 3, 4: the even ones fail, the odd one survives.
-        assert rows[0]["repeats"] == 3
-        assert rows[0]["errors"] == 2
-        assert rows[0]["ok"] == 3
+        campaign = run_campaign(data, workers=8)
+        assert not campaign.ok
+        assert [row["label"] for row in campaign.rows] == [
+            f"fan[rep={r}]" for r in range(3)
+        ]
+        assert all("ConfigurationError" in row["error"] for row in campaign.rows)
 
-    def test_fan_out_fail_fast_raises(self):
-        with pytest.raises(ValueError, match="boom"):
-            run_sweep([{"seed": 2}], runner=_flaky_runner, repeat=3, workers=8)
-
-    def test_fan_out_aggregate_runs_in_parent(self):
-        # The reduction happens in the parent for repeat-level fan-out, so
-        # even a non-picklable aggregate callable works there.
-        rows = run_sweep(
-            [{"seed": 1, "n": 4}], runner=_sweep_runner, repeat=2, workers=4,
-            aggregate=lambda reps: {"count": len(reps)},
-        )
-        assert rows == [{"count": 2}]

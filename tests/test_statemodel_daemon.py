@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ScheduleError
+from repro.errors import ConfigurationError, ScheduleError
 from repro.statemodel.action import Action
 from repro.statemodel.daemon import (
     AdversarialScriptDaemon,
@@ -11,6 +11,7 @@ from repro.statemodel.daemon import (
     LocallyCentralRandomDaemon,
     RoundRobinDaemon,
     SynchronousDaemon,
+    daemon_by_name,
 )
 
 
@@ -163,3 +164,20 @@ class TestScriptDaemon:
         d.reset()
         assert not d.script_exhausted
         assert list(d.select(enabled_map(0), 0)) == [0]
+
+
+class TestDaemonByName:
+    def test_vocabulary(self):
+        assert isinstance(daemon_by_name("synchronous", 3), SynchronousDaemon)
+        assert isinstance(daemon_by_name("round_robin", 3), RoundRobinDaemon)
+        central = daemon_by_name("central", 3)
+        assert isinstance(central, CentralRandomDaemon) and central._seed == 3
+        dist = daemon_by_name("distributed", 4, p_select=0.25)
+        assert isinstance(dist, DistributedRandomDaemon)
+        assert (dist._seed, dist._p) == (4, 0.25)
+
+    def test_unknown_name_and_stray_kwargs(self):
+        with pytest.raises(ConfigurationError, match="unknown daemon.*central"):
+            daemon_by_name("round-robin", 0)
+        with pytest.raises(TypeError):
+            daemon_by_name("synchronous", 0, p_select=0.5)
