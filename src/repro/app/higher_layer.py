@@ -39,17 +39,20 @@ Pending = Tuple[Any, DestId]
 class _RequestFlags:
     """List-like view of the raised-request set: ``flags[p]`` reads the
     flag, ``flags[p] = bool`` writes it (the liveness harness lowers flags
-    out-of-band this way).  Memory is O(raised), not O(n)."""
+    out-of-band this way, so a write drops the owner's snapshot anchor).
+    Memory is O(raised), not O(n)."""
 
-    __slots__ = ("_raised",)
+    __slots__ = ("_raised", "_owner")
 
-    def __init__(self) -> None:
+    def __init__(self, owner: "HigherLayer") -> None:
         self._raised: Set[ProcId] = set()
+        self._owner = owner
 
     def __getitem__(self, p: ProcId) -> bool:
         return p in self._raised
 
     def __setitem__(self, p: ProcId, value: bool) -> None:
+        self._owner._anchor = None
         if value:
             self._raised.add(p)
         else:
@@ -82,7 +85,7 @@ class HigherLayer:
         #: drained.  An absent outbox reads as empty everywhere.
         self._outbox: Dict[ProcId, Deque[Pending]] = {}
         #: The shared variable ``request_p`` read by rule R1.
-        self.request = _RequestFlags()
+        self.request = _RequestFlags(self)
         self._on_deliver = on_deliver
         self._delivered: List[Tuple[ProcId, Message, int]] = []
         self._local_deliveries = 0
@@ -99,6 +102,9 @@ class HigherLayer:
         self._on_submit: Optional[
             Callable[[ProcId, Any, DestId, int], None]
         ] = None
+        #: The vector last restored to, while the state still equals it —
+        #: every mutator drops it (``statemodel/snapshot.py``).
+        self._anchor: Optional[StateVector] = None
 
     def bind_notifier(
         self, notify: Optional[Callable[[ProcId, Optional[DestId]], None]]
@@ -132,6 +138,7 @@ class HigherLayer:
             raise ConfigurationError(
                 f"submit({p} -> {dest}) out of range for n={self._n}"
             )
+        self._anchor = None
         if dest == p:
             self._local_deliveries += 1
             return
@@ -164,6 +171,7 @@ class HigherLayer:
         raised = self.request.raised()
         for p in sorted(self._outbox):
             if p not in raised:
+                self._anchor = None
                 raised.add(p)
                 dest = self._outbox[p][0][1]
                 self._requested[p] = dest
@@ -224,7 +232,10 @@ class HigherLayer:
     def snapshot(self) -> StateVector:
         """State vector: nonempty outboxes (sparse), raised ``request_p``
         flags (sparse, ascending), the raised-request index, the delivery
-        log and the local-delivery count."""
+        log and the local-delivery count — or the anchor itself while no
+        mutator has run since the last :meth:`restore`."""
+        if self._anchor is not None:
+            return self._anchor
         return (
             self.outboxes(),
             tuple(sorted(self.request.raised())),
@@ -240,7 +251,10 @@ class HigherLayer:
         and payload), so the change notifier fires per processor whose
         handshake-visible state differs — for both the destination it
         concerned before and the one it concerns now.  Only processors live
-        on either side are examined."""
+        on either side are examined.  Handed its anchor there is nothing
+        to do; any other vector becomes the anchor."""
+        if vec is self._anchor:
+            return
         outboxes, raised_vec, requested, delivered, local = vec
         notify = self._on_request_change
         target_boxes: Dict[ProcId, Tuple[Pending, ...]] = dict(outboxes)
@@ -267,6 +281,7 @@ class HigherLayer:
         self._requested = dict(requested)
         self._delivered = list(delivered)
         self._local_deliveries = local
+        self._anchor = vec
 
     def requested_destinations(self) -> Set[DestId]:
         """Destinations some processor currently has a raised request for —
@@ -284,6 +299,7 @@ class HigherLayer:
     def deliver(self, p: ProcId, message: Message, step: int) -> None:
         """The paper's ``deliver_p(m)``: hand ``message`` to the application
         at ``p``."""
+        self._anchor = None
         self._delivered.append((p, message, step))
         if self._on_deliver is not None:
             self._on_deliver(p, message, step)

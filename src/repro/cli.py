@@ -637,6 +637,10 @@ def _cmd_verify_exhaustive(args) -> int:
         print(f"artifact: {args.jsonl} ({count} rows)", file=sys.stderr)
 
     if result.violations or (live is not None and live.livelocks):
+        if live is not None and live.truncated:
+            # An unsafe instance stops the liveness search at the first
+            # violating selection; say so once, next to the verdict.
+            print(f"liveness: search truncated: {live.note}", file=sys.stderr)
         return 1
     if result.truncated or (live is not None and live.truncated):
         note = result.note if result.truncated else live.note

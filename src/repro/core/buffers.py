@@ -17,7 +17,10 @@ O(live messages), not O(n²).
 Every mutation goes through :meth:`set_r` / :meth:`set_e` /
 :meth:`move_r_to_e`, so an optional *write notifier* installed with
 :meth:`bind_notifier` sees every buffer write ``(d, p, kind)`` — the hook
-the incremental engine uses to maintain its dirty sets.
+the incremental engine uses to maintain its dirty sets — and, once the
+first :meth:`restore` has armed it, a *journal* remembers what every
+written cell held at the anchor (``statemodel/snapshot.py``), so going
+back costs what was written.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class ForwardingBuffers:
     """All ``bufR``/``bufE`` buffers of one SSMFP instance."""
 
     __slots__ = ("n", "R", "E", "_r", "_e", "_occupied", "_occupied_set",
-                 "_notify")
+                 "_notify", "_planes", "_anchor", "_journal")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -81,6 +84,7 @@ class ForwardingBuffers:
         self.R = _BufferPlane(self._r)
         #: ``E[d][p]`` — emission buffer of processor p for destination d.
         self.E = _BufferPlane(self._e)
+        self._planes: Dict[str, _Plane] = {"R": self._r, "E": self._e}
         #: Per-destination occupancy counts; zero-count entries are evicted,
         #: so the dict's key set *is* the set of live destinations.
         self._occupied: Dict[DestId, int] = {}
@@ -89,6 +93,13 @@ class ForwardingBuffers:
         #: O(n) sweep of the counts.
         self._occupied_set: Set[DestId] = set()
         self._notify: Optional[WriteNotifier] = None
+        #: The vector last restored to, and ``{(d, p, kind): message the
+        #: cell held at the anchor}`` for every cell written since.  The
+        #: journal is armed (not None) by the first :meth:`restore`; a
+        #: simulation never restores and pays one test per write.
+        self._anchor: Optional[StateVector] = None
+        self._journal: Optional[Dict[Tuple[DestId, ProcId, str],
+                                     Optional[Message]]] = None
 
     def bind_notifier(self, notify: Optional[WriteNotifier]) -> None:
         """Install (or remove) the write-notification hook, replacing any
@@ -122,41 +133,44 @@ class ForwardingBuffers:
             self._occupied.pop(d, None)
             self._occupied_set.discard(d)
 
-    def _write(self, plane: _Plane, d: DestId, p: ProcId,
-               msg: Optional[Message]) -> int:
-        """Write one cell, materializing/evicting as needed; returns the
-        occupancy delta."""
+    def _write(self, plane: _Plane, kind: str, d: DestId, p: ProcId,
+               msg: Optional[Message]) -> None:
+        """Store one cell of ``plane`` (materializing/evicting as needed),
+        keep the occupancy index exact and notify — everything a buffer
+        write is, below the journal."""
         row = plane.get(d)
-        old = None if row is None else row.get(p)
         if msg is None:
             if row is not None and p in row:
                 del row[p]
                 if not row:
                     del plane[d]
+                self._bump(d, -1)
         else:
             if row is None:
                 row = plane[d] = {}
+            if p not in row:
+                self._bump(d, 1)
             row[p] = msg
-        return (msg is not None) - (old is not None)
+        if self._notify is not None:
+            self._notify(d, p, kind)
 
     def set_r(self, d: DestId, p: ProcId, msg: Optional[Message]) -> None:
         """Write ``bufR_p(d)``."""
-        delta = self._write(self._r, d, p, msg)
-        if delta:
-            self._bump(d, delta)
-        if self._notify is not None:
-            self._notify(d, p, "R")
+        if self._journal is not None:
+            self._journal.setdefault((d, p, "R"), self.get_r(d, p))
+        self._write(self._r, "R", d, p, msg)
 
     def set_e(self, d: DestId, p: ProcId, msg: Optional[Message]) -> None:
         """Write ``bufE_p(d)``."""
-        delta = self._write(self._e, d, p, msg)
-        if delta:
-            self._bump(d, delta)
-        if self._notify is not None:
-            self._notify(d, p, "E")
+        if self._journal is not None:
+            self._journal.setdefault((d, p, "E"), self.get_e(d, p))
+        self._write(self._e, "E", d, p, msg)
 
     def move_r_to_e(self, d: DestId, p: ProcId, recolored: Message) -> None:
         """Rule R2's simultaneous write: fill ``bufE``, empty ``bufR``."""
+        if self._journal is not None:
+            self._journal.setdefault((d, p, "E"), self.get_e(d, p))
+            self._journal.setdefault((d, p, "R"), self.get_r(d, p))
         erow = self._e.get(d)
         if erow is None:
             erow = self._e[d] = {}
@@ -188,31 +202,43 @@ class ForwardingBuffers:
         occupied buffer, in :meth:`iter_messages` order.  Messages are
         immutable and shared by reference.  Canonical: two instances with
         the same stored messages produce the same vector regardless of the
-        materialization/eviction history."""
+        materialization/eviction history.  With nothing written since the
+        last :meth:`restore` the anchor itself comes back."""
+        if self._anchor is not None and not self._journal:
+            return self._anchor
         return tuple(self.iter_messages())
 
     def restore(self, vec: StateVector) -> None:
-        """Diff-restore: write only the cells that differ, through
-        :meth:`set_r`/:meth:`set_e` so occupancy indexes stay exact and the
-        notifier sees every real change."""
+        """Write only the cells that differ, keeping the occupancy indexes
+        exact and notifying every real change like any other write.
+        Handed its anchor, the journal names those cells; any other vector
+        is diffed against the whole store and becomes the anchor."""
+        journal = self._journal
+        planes = self._planes
+        if vec is self._anchor:
+            for (d, p, kind), msg in journal.items():
+                plane = planes[kind]
+                row = plane.get(d)
+                if (None if row is None else row.get(p)) is not msg:
+                    self._write(plane, kind, d, p, msg)
+            journal.clear()
+            return
         target = {(d, p, kind): msg for d, p, kind, msg in vec}
-        stale = [
-            (d, p, kind)
-            for d, p, kind, _ in self.iter_messages()
-            if (d, p, kind) not in target
-        ]
-        for d, p, kind in stale:
-            if kind == "R":
-                self.set_r(d, p, None)
-            else:
-                self.set_e(d, p, None)
-        for (d, p, kind), msg in target.items():
-            current = self.get_r(d, p) if kind == "R" else self.get_e(d, p)
-            if current is not msg:
-                if kind == "R":
-                    self.set_r(d, p, msg)
-                else:
-                    self.set_e(d, p, msg)
+        writes = []
+        for kind, plane in planes.items():
+            for d, row in plane.items():
+                for p, msg in row.items():
+                    wanted = target.pop((d, p, kind), None)
+                    if wanted is not msg:
+                        writes.append((kind, d, p, wanted))
+        writes.extend((kind, d, p, msg) for (d, p, kind), msg in target.items())
+        for kind, d, p, msg in writes:
+            self._write(planes[kind], kind, d, p, msg)
+        self._anchor = vec
+        if journal is None:
+            self._journal = {}
+        else:
+            journal.clear()
 
     # -- queries ------------------------------------------------------------
 

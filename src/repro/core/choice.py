@@ -49,7 +49,7 @@ class FairChoiceQueue:
     """Queue of requesters for one reception buffer ``bufR_p(d)``."""
 
     __slots__ = ("_q", "_policy", "_wait", "_wait_cap", "_wait_slowdown",
-                 "_notify", "_key")
+                 "_notify", "_key", "_journal")
 
     def __init__(
         self,
@@ -72,6 +72,9 @@ class FairChoiceQueue:
         self._wait_slowdown = wait_slowdown
         self._notify: Optional[ChangeNotifier] = None
         self._key: object = None
+        #: The owning table's restore journal (``{key: state at the
+        #: anchor}``, see :class:`LazyChoiceTable`), or None while unarmed.
+        self._journal: Optional[Dict[object, Tuple]] = None
 
     @property
     def policy(self) -> str:
@@ -104,12 +107,12 @@ class FairChoiceQueue:
             # full reconcile sweeps a mostly-idle component, so skip the
             # list rebuilds entirely.
             return
-        head_before = self._q[0] if self._q else None
+        old_q, old_wait = self._q, self._wait
         if self._policy == "fixed":
             self._q = sorted(cand)
-            self._sync_notify(head_before)
+            self._synced(old_q, old_wait)
             return
-        kept = [x for x in self._q if x in cand]
+        kept = [x for x in old_q if x in cand]
         fresh = sorted(cand.difference(kept))
         if self._policy == "fifo":
             self._q = kept + fresh
@@ -121,28 +124,42 @@ class FairChoiceQueue:
             self._q = sorted(cand, key=lambda x: (-prio.get(x, -1), arrival[x]))
         else:  # aged_fair
             prio = priority or {}
-            for lapsed in [x for x in self._wait if x not in cand]:
-                del self._wait[lapsed]
-            for x in cand:
-                self._wait[x] = min(self._wait.get(x, -1) + 1, self._wait_cap)
+            cap = self._wait_cap
+            wait = self._wait = {
+                x: min(old_wait.get(x, -1) + 1, cap) for x in cand
+            }
             arrival = {x: i for i, x in enumerate(kept + fresh)}
             self._q = sorted(
                 cand,
                 key=lambda x: (
-                    -max(
-                        prio.get(x, -1),
-                        self._wait[x] // self._wait_slowdown,
-                    ),
+                    -max(prio.get(x, -1), wait[x] // self._wait_slowdown),
                     arrival[x],
                 ),
             )
-        self._sync_notify(head_before)
+        self._synced(old_q, old_wait)
 
-    def _sync_notify(self, head_before: Optional[ProcId]) -> None:
+    def _synced(self, old_q: List[ProcId], old_wait: Dict[ProcId, int]) -> None:
+        """Close a reconcile that replaced ``old_q`` / ``old_wait``:
+        journal the queue if its *content* changed (a head-preserving
+        reorder fires no notification, so the journal cannot ride on the
+        notifier), notify if the head did."""
+        q = self._q
+        journal = self._journal
+        if (
+            journal is not None
+            and self._key not in journal
+            and (q != old_q or self._wait != old_wait)
+        ):
+            journal[self._key] = (tuple(old_q), tuple(sorted(old_wait.items())))
         if self._notify is not None:
-            head_after = self._q[0] if self._q else None
-            if head_after != head_before:
+            if (q[0] if q else None) != (old_q[0] if old_q else None):
                 self._notify(self._key, "sync")
+
+    def _touch(self) -> None:
+        """Journal the state an in-place mutation is about to overwrite."""
+        journal = self._journal
+        if journal is not None and self._key not in journal:
+            journal[self._key] = self.state()
 
     def head(self) -> Optional[ProcId]:
         """The paper's ``choice_p(d)``: the requester served next, or None
@@ -153,6 +170,8 @@ class FairChoiceQueue:
         """Remove ``s`` after its message was copied / generated; it
         re-enters at the tail (with a reset wait-age) if it requests
         again."""
+        if self._journal is not None:
+            self._touch()
         try:
             self._q.remove(s)
         except ValueError:
@@ -168,6 +187,7 @@ class FairChoiceQueue:
 
     def force(self, order: List[ProcId]) -> None:
         """Overwrite the queue (used to model arbitrary initial states)."""
+        self._touch()
         self._q = list(order)
         self._wait = {}
         if self._notify is not None:
@@ -193,6 +213,7 @@ class FairChoiceQueue:
         order, waits = vec
         if tuple(self._q) == order and tuple(sorted(self._wait.items())) == waits:
             return
+        self._touch()
         self._q = list(order)
         self._wait = dict(waits)
         if self._notify is not None:
@@ -316,9 +337,16 @@ class LazyChoiceTable:
     again (:meth:`evict_if_clean`); an absent queue reads as clean-empty
     through the ``table[d][p]`` handles, which is semantically identical —
     memory is O(queues with content or candidates), not O(n²).
+
+    The table is the snapshot unit (``statemodel/snapshot.py``): its
+    vector lists the nonempty queue states, and once the first
+    :meth:`restore` has armed the journal every queue records, under its
+    ``(d, p)`` key, the state it held at the anchor before its content
+    first changed.
     """
 
-    __slots__ = ("policy", "_wait_cap", "_wait_slowdown", "_rows", "_notify")
+    __slots__ = ("policy", "_wait_cap", "_wait_slowdown", "_rows", "_notify",
+                 "_anchor", "_journal")
 
     def __init__(
         self,
@@ -339,6 +367,9 @@ class LazyChoiceTable:
         self._wait_slowdown = wait_slowdown
         self._rows: Dict[object, Dict[ProcId, FairChoiceQueue]] = {}
         self._notify: Optional[ChangeNotifier] = None
+        self._anchor: Optional[Tuple] = None
+        #: Shared with every materialized queue; None until armed.
+        self._journal: Optional[Dict[object, Tuple]] = None
 
     def bind_notifier(self, notify: Optional[ChangeNotifier]) -> None:
         """Install the change hook applied (with key ``(d, p)``) to every
@@ -376,8 +407,8 @@ class LazyChoiceTable:
                 wait_cap=self._wait_cap,
                 wait_slowdown=self._wait_slowdown,
             )
-            if self._notify is not None:
-                q.bind_notifier(self._notify, (d, p))
+            q.bind_notifier(self._notify, (d, p))
+            q._journal = self._journal
         return q
 
     def evict_if_clean(self, d, p) -> bool:
@@ -413,6 +444,58 @@ class LazyChoiceTable:
                 if state != EMPTY_QUEUE_STATE:
                     out.append((d, p, state))
         return out
+
+    # -- snapshot/restore ----------------------------------------------------
+
+    def snapshot(self) -> Tuple:
+        """State vector: :meth:`sorted_states` as a tuple — or, with no
+        queue content changed since the last :meth:`restore`, the anchor
+        itself."""
+        if self._anchor is not None and not self._journal:
+            return self._anchor
+        return tuple(self.sorted_states())
+
+    def restore(self, vec: Tuple) -> None:
+        """Reinstate a previously captured :meth:`snapshot` through the
+        queues' own :meth:`FairChoiceQueue.restore` (a ``"mutate"`` event
+        per queue that really changes); queues left clean-empty are
+        evicted.  Handed its anchor, only the journaled queues are
+        visited; any other vector is diffed against every materialized
+        queue and becomes the anchor."""
+        journal = self._journal
+        if vec is self._anchor:
+            for (d, p), state in journal.items():
+                self._restore_queue(d, p, state)
+            journal.clear()
+            return
+        target = {(d, p): state for d, p, state in vec}
+        stale = [
+            (d, p) for d, row in self._rows.items() for p in row
+            if (d, p) not in target
+        ]
+        for d, p in stale:
+            self._restore_queue(d, p, EMPTY_QUEUE_STATE)
+        for (d, p), state in target.items():
+            self._restore_queue(d, p, state)
+        self._anchor = vec
+        if journal is None:
+            journal = self._journal = {}
+            for _, _, queue in self.iter_materialized():
+                queue._journal = journal
+        else:
+            journal.clear()
+
+    def _restore_queue(self, d, p, state: Tuple) -> None:
+        """Bring ``choice_p(d)`` to ``state``; a clean-empty one is left
+        (or made) absent."""
+        queue = self.peek(d, p)
+        if state != EMPTY_QUEUE_STATE:
+            if queue is None:
+                queue = self.materialize(d, p)
+            queue.restore(state)
+        elif queue is not None:
+            queue.restore(state)
+            self.evict_if_clean(d, p)
 
     def materialized_destinations(self) -> set:
         """Destinations with at least one materialized queue — the memory

@@ -166,12 +166,23 @@ class ForwardingProtocol(Protocol):
         self._all_dirty = True
         self._residue_purged = False
         #: Component-granular dirty sets + per-(p, d) action cache.  Only
-        #: consulted outside the all-dirty regime (i.e. after the simulator
-        #: has started draining :meth:`dirty_after`); external callers that
-        #: never drain — the model checker, direct test probes — stay on the
-        #: classic fresh scan forever.
+        #: consulted outside the all-dirty regime, which ends at the first
+        #: :meth:`dirty_after` drain — the simulator drains every step and
+        #: the exhaustive verifiers once per expanded configuration, so both
+        #: run on the cache; only a caller that never drains (a direct test
+        #: probe) stays on the classic fresh scan.
         self._components = ComponentDirtyCache(n)
         self.component_evals = 0
+        #: Snapshot anchor (``statemodel/snapshot.py``): the vector last
+        #: restored to, plus the cache state :meth:`restore` left behind —
+        #: the pending component dirt and the evaluation count.  While no
+        #: guard has been evaluated and no routing entry has moved since,
+        #: a restore back to the anchor is *quiet*: its undo writes mark
+        #: nothing and the saved dirt is reinstated.
+        self._anchor: Optional[StateVector] = None
+        self._home_dirt: Optional[Dict[ProcId, Set[DestId]]] = None
+        self._home_evals = 0
+        self._quiet = False
         #: When the exhaustive verifier measures an action's *footprint*
         #: (see ``repro/verify/reduction.py``), it points this at a set and
         #: every notification sink records the ``(processor, destination)``
@@ -246,11 +257,14 @@ class ForwardingProtocol(Protocol):
         log = self.footprint_log
         if log is not None:
             log.update((x, d) for x in nbhd)
-        if self._all_dirty:
+        if self._all_dirty or self._quiet:
             return
         self._components.mark_many(nbhd, d)
         if kind == self.offer_kind:
-            self._resync.setdefault(d, set()).update(nbhd)
+            # candidates(q, d) admits p only when nextHop_p(d) == q, so what
+            # p offers can only alter that one queue (a hop that moves
+            # re-syncs old and new target through _on_routing_change).
+            self._resync.setdefault(d, set()).add(self.next_hop(p, d))
 
     def _on_queue_event(self, key, kind: str) -> None:
         """``choice_p(d)`` changed.  Only ``p``'s own guards for component
@@ -261,7 +275,7 @@ class ForwardingProtocol(Protocol):
         log = self.footprint_log
         if log is not None:
             log.add((p, d))
-        if self._all_dirty:
+        if self._all_dirty or self._quiet:
             return
         self._components.mark(p, d)
         if kind == "mutate":
@@ -274,7 +288,7 @@ class ForwardingProtocol(Protocol):
         log = self.footprint_log
         if log is not None:
             log.add((p, dest) if dest is not None else None)
-        if self._all_dirty:
+        if self._all_dirty or self._quiet:
             return
         if dest is None:
             # A raise/lower with no identifiable destination cannot be
@@ -292,6 +306,9 @@ class ForwardingProtocol(Protocol):
         guards at holders of copies last forwarded by ``p`` (always within
         the closed neighborhood)."""
         log = self.footprint_log
+        # The saved cache state describes the anchor under the routing
+        # entries of that moment: a move ends the quiet return to it.
+        self._home_dirt = None
         if p is None or d is None:
             if log is not None:
                 log.add(None)
@@ -522,16 +539,17 @@ class ForwardingProtocol(Protocol):
     def snapshot(self) -> StateVector:
         """State vector of the full forwarding layer: buffers, nonempty
         choice queues (sparse, ascending ``(d, p)``), the higher layer, the
-        ledger, the uid counters and the current step.  The routing
-        provider is *not* included — either it is immutable
+        ledger, the uid counters and the current step.  A sub-vector its
+        component has not written since the last :meth:`restore` is the
+        anchor's, shared by identity.  The routing provider is *not*
+        included — either it is immutable
         (:class:`~repro.routing.static.StaticRouting`) or it participates
         in the protocol stack and snapshots itself.  Engine caches
         (component dirt, ``next_hop`` cache, resync sets) are derived
-        state: :meth:`restore` repairs them through the ordinary change
-        notifiers."""
+        state: :meth:`restore` repairs them."""
         return (
             self.bufs.snapshot(),
-            tuple(self.queues.sorted_states()),
+            self.queues.snapshot(),
             self.hl.snapshot(),
             self.ledger.snapshot(),
             self.factory.snapshot(),
@@ -541,22 +559,41 @@ class ForwardingProtocol(Protocol):
     def restore(self, vec: StateVector) -> None:
         """Reinstate a previously captured :meth:`snapshot`.  Every real
         change flows through the component mutators, so the incremental
-        engine's dirty sets end up covering exactly the components that
-        differ from the pre-restore configuration."""
+        engine's dirty sets end up covering the components that differ
+        from the pre-restore configuration.
+
+        While no guard has been evaluated and no routing entry has moved
+        since the last restore, the cache state that restore left
+        (entries, pending dirt) is still exact for the anchor, so the way
+        back to it is *quiet*: the undo writes mark nothing and the dirt
+        accrued while away is replaced by the dirt saved then.  Any other
+        vector is then diffed from the anchor, not from wherever the last
+        transition led, and becomes the anchor.  Vectors are captured
+        after the environment phase, when every queue is reconciled with
+        its candidates, so nothing is left to re-sync after any restore."""
+        home = (
+            self._home_dirt is not None
+            and self._home_evals == self.component_evals
+            and not self._all_dirty
+        )
+        if home:
+            self._quiet = True
+            try:
+                self._restore_parts(self._anchor)
+            finally:
+                self._quiet = False
+            self._components.reset(self._home_dirt)
+        if not home or vec is not self._anchor:
+            self._restore_parts(vec)
+            self._anchor = vec
+            self._home_dirt = self._components.pending()
+            self._home_evals = self.component_evals
+        self._resync = {}
+
+    def _restore_parts(self, vec: StateVector) -> None:
         bufs_vec, queues_vec, hl_vec, ledger_vec, factory_vec, step = vec
         self.bufs.restore(bufs_vec)
-        target = {(d, p): state for d, p, state in queues_vec}
-        empty = ((), ())
-        # Materialized queues absent from the target go back to clean-empty
-        # (with the same "mutate" notification a dense restore fired) and
-        # are then evicted; unmaterialized ones are clean-empty already.
-        for d, p, queue in list(self.queues.iter_materialized()):
-            if (d, p) not in target:
-                if len(queue) or queue.state() != empty:
-                    queue.restore(empty)
-                self.queues.evict_if_clean(d, p)
-        for (d, p), state in target.items():
-            self.queues.materialize(d, p).restore(state)
+        self.queues.restore(queues_vec)
         self.hl.restore(hl_vec)
         self.ledger.restore(ledger_vec)
         self.factory.restore(factory_vec)

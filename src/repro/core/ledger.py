@@ -60,6 +60,9 @@ class DeliveryLedger:
         #: Violations observed in non-strict mode, human-readable.
         self.violations: List[str] = []
         self._observers: List[LedgerObserver] = []
+        #: The vector last restored to, while the state still equals it —
+        #: every event intake drops it (``statemodel/snapshot.py``).
+        self._anchor: Optional[StateVector] = None
 
     def add_observer(self, observer: LedgerObserver) -> None:
         """Subscribe to the lifecycle event stream (generated / delivered /
@@ -78,6 +81,7 @@ class DeliveryLedger:
         """Register a valid message at its R1 generation."""
         if not msg.valid or msg.source is None:
             raise ValueError(f"record_generated expects a valid message, got {msg!r}")
+        self._anchor = None
         self._generated[msg.uid] = (msg.source, msg.dest, msg.born_step)
         if self._observers:
             self._emit(
@@ -87,6 +91,7 @@ class DeliveryLedger:
 
     def record_delivery(self, at: ProcId, msg: Message, step: int) -> None:
         """Register a delivery; checks the specification for valid uids."""
+        self._anchor = None
         rec = DeliveryRecord(
             uid=msg.uid, at=at, step=step, payload=msg.payload, valid=msg.valid
         )
@@ -120,6 +125,7 @@ class DeliveryLedger:
         """Register that a protocol erased the last copy of a valid message
         without delivering it (baselines do this; SSMFP must never)."""
         if msg.valid:
+            self._anchor = None
             self._lost.add(msg.uid)
             if self._observers:
                 self._emit("lost", msg.uid, {"reason": reason})
@@ -128,6 +134,7 @@ class DeliveryLedger:
     def _flag(self, text: str) -> None:
         if self._strict:
             raise SpecificationViolation(text)
+        self._anchor = None
         self.violations.append(text)
 
     # -- snapshot/restore ----------------------------------------------------
@@ -135,7 +142,11 @@ class DeliveryLedger:
     def snapshot(self) -> StateVector:
         """State vector: generations (insertion order preserved), valid
         deliveries, invalid deliveries, losses and non-strict violations.
-        Observers and the strictness flag are wiring, not state."""
+        Observers and the strictness flag are wiring, not state.  While no
+        event has been taken in since the last :meth:`restore` the anchor
+        itself comes back."""
+        if self._anchor is not None:
+            return self._anchor
         return (
             tuple(self._generated.items()),
             tuple(self._valid_delivered.items()),
@@ -145,13 +156,17 @@ class DeliveryLedger:
         )
 
     def restore(self, vec: StateVector) -> None:
-        """Reinstate a previously captured :meth:`snapshot`."""
+        """Reinstate a previously captured :meth:`snapshot`: nothing to do
+        for the anchor, five containers rebuilt for any other vector."""
+        if vec is self._anchor:
+            return
         generated, delivered, invalid, lost, violations = vec
         self._generated = dict(generated)
         self._valid_delivered = dict(delivered)
         self._invalid_deliveries = list(invalid)
         self._lost = set(lost)
         self.violations = list(violations)
+        self._anchor = vec
 
     # -- queries ------------------------------------------------------------
 

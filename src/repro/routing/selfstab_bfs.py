@@ -80,6 +80,14 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         self.component_evals = 0
         #: Closed neighborhood of every processor, precomputed.
         self._nbhd = [(p, *net.neighbors(p)) for p in net.processors()]
+        #: Snapshot anchor (``statemodel/snapshot.py``): the vector last
+        #: restored to and ``{(d, p): (dist, hop) at the anchor}`` for every
+        #: entry :meth:`_write` has touched since; armed by the first
+        #: :meth:`restore`, dropped by :meth:`invalidate` (rows written
+        #: directly leave no journal).
+        self._anchor: Optional[StateVector] = None
+        self._journal: Optional[Dict[Tuple[DestId, ProcId],
+                                     Tuple[int, ProcId]]] = None
 
     def _fixpoint_dist_row(self, d: DestId) -> List[int]:
         """The converged distance row for destination ``d``."""
@@ -111,6 +119,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         the fault injector call this after writing ``dist``/``hop`` rows
         directly."""
         self._all_dirty = True
+        self._anchor = None
         self._notify_all()
 
     def _mark_dirty(self, p: ProcId, d: DestId) -> None:
@@ -258,6 +267,8 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         """Apply one table write, feeding both dirty channels: this
         protocol's own guards (closed neighborhood) and, when the hop
         actually moved, the observers reading ``next_hop``."""
+        if self._journal is not None:
+            self._journal.setdefault((d, p), (self.dist[d][p], self.hop[d][p]))
         hop_changed = self.hop[d][p] != new_hop
         self.dist[d][p] = new_dist
         self.hop[d][p] = new_hop
@@ -281,7 +292,11 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         fixpoint, ascending.  Canonical: a materialized-but-converged row
         serializes identically to an absent one, so two differently
         materialized instances of the same logical table produce the same
-        vector.  (The dirty bookkeeping is derived state, not captured.)"""
+        vector.  (The dirty bookkeeping is derived state, not captured.)
+        With no entry written since the last :meth:`restore` the anchor
+        itself comes back."""
+        if self._anchor is not None and not self._journal:
+            return self._anchor
         entries = []
         for d in sorted(self._touched_destinations()):
             dist_row, hop_row = self.dist[d], self.hop[d]
@@ -295,7 +310,19 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         this protocol's own guards and the ``next_hop`` observers — see
         exactly the entries that changed.  Rows absent from the vector go
         back to the fixpoint and are then evicted (quiescence: a converged
-        row costs no memory again)."""
+        row costs no memory again).  Handed its anchor, only the journaled
+        entries are visited; any other vector is diffed row by row and
+        becomes the anchor."""
+        journal = self._journal
+        if vec is self._anchor:
+            for (d, p), (dist, hop) in list(journal.items()):
+                if self.dist[d][p] != dist or self.hop[d][p] != hop:
+                    self._write(d, p, dist, hop)
+            for d in {d for d, _ in journal}.difference(d for d, _, _ in vec):
+                self.dist.evict(d)
+                self.hop.evict(d)
+            journal.clear()
+            return
         target = {d: (dist_row, hop_row) for d, dist_row, hop_row in vec}
         n = self._net.n
         for d in sorted(self._touched_destinations() - set(target)):
@@ -313,3 +340,8 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             for p in range(n):
                 if dist_row[p] != new_dist[p] or hop_row[p] != new_hop[p]:
                     self._write(d, p, new_dist[p], new_hop[p])
+        self._anchor = vec
+        if journal is None:
+            self._journal = {}
+        else:
+            journal.clear()

@@ -112,15 +112,22 @@ class ComponentDirtyCache:
 
     def mark(self, pid: ProcId, d: DestId) -> None:
         """Dirty the single component ``(pid, d)``."""
-        self.dirty[pid].add(d)
+        rows = self.dirty._rows
+        row = rows.get(pid)
+        if row is None:
+            row = rows[pid] = set()
+        row.add(d)
         self.dirty_pids.add(pid)
 
     def mark_many(self, pids: Iterable[ProcId], d: DestId) -> None:
         """Dirty component ``d`` at every processor in ``pids`` (typically a
         writer's closed neighborhood)."""
-        dirty = self.dirty
+        rows = self.dirty._rows
         for p in pids:
-            dirty[p].add(d)
+            row = rows.get(p)
+            if row is None:
+                row = rows[p] = set()
+            row.add(d)
         self.dirty_pids.update(pids)
 
     def invalidate_all(self) -> None:
@@ -132,6 +139,23 @@ class ComponentDirtyCache:
         self.dirty.clear()
         self.dirty_pids.clear()
         self.entries.clear()
+
+    def pending(self) -> Dict[ProcId, Set[DestId]]:
+        """A copy of the recorded dirt, ``{processor: destinations}``."""
+        rows = self.dirty._rows
+        return {pid: set(rows[pid]) for pid in self.dirty_pids}
+
+    def reset(self, pending: Dict[ProcId, Set[DestId]]) -> None:
+        """Replace the recorded dirt with ``pending`` (entries and
+        validity untouched) — the return to a configuration whose cache
+        state was saved with :meth:`pending`."""
+        rows = self.dirty._rows
+        for pid in self.dirty_pids:
+            rows[pid].clear()
+        self.dirty_pids.clear()
+        for pid, dests in pending.items():
+            self.dirty[pid].update(dests)
+            self.dirty_pids.add(pid)
 
     def prune(self) -> None:
         """Evict empty per-processor slots so a processor whose traffic

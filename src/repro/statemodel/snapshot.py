@@ -20,19 +20,74 @@ time.  This module defines the protocol that replaces it:
     Bring the component back to exactly the state captured by ``vec``.
     Restore is a *diffing* write: only cells that actually differ from the
     current configuration are written, and every real write goes through
-    the same mutators (and therefore the same change notifiers) as protocol
-    execution.  That last property is what lets the verifiers keep the
-    component-granular incremental engine of the simulator engaged: after a
-    restore, exactly the components whose guard inputs changed since the
-    previously evaluated configuration are dirty, and
-    ``enabled_actions`` re-evaluates only those.
+    the same change notifiers as protocol execution.  That last property is
+    what lets the verifiers keep the component-granular incremental engine
+    of the simulator engaged: after a restore, the components whose guard
+    inputs changed since the previously evaluated configuration are dirty,
+    and ``enabled_actions`` re-evaluates only those.
+
+Anchor and journal
+------------------
+An exhaustive search restores the same parent vector once per daemon
+selection, and a transition writes two or three cells.  So each component
+remembers the vector it was last restored to — its **anchor** — and what
+it has written since:
+
+* ``ForwardingBuffers``, ``LazyChoiceTable`` and
+  ``SelfStabilizingBFSRouting`` keep a **journal** ``{cell: value at the
+  anchor}``, filled by their mutators at the first write of a cell (the
+  choice table journals a queue whose *content* changes — a reorder that
+  keeps the head fires no notification, so the journal hooks the mutation,
+  not the notifier).  ``restore(anchor)`` undoes the journal, O(written);
+  ``restore(other)`` is the full diff against the whole store and
+  re-anchors.  The choice is made by what the code observes — ``vec is``
+  the anchor — never by an option.
+* ``HigherLayer``, ``DeliveryLedger`` and ``MessageFactory`` have few
+  mutators and no cell structure: every mutator (including the
+  out-of-band ones: ``hl.request[p] = ...``, a non-strict ledger's
+  ``_flag``) simply **drops** the anchor, ``restore(anchor)`` is a no-op
+  and ``restore(other)`` rebuilds.
+* ``snapshot()`` of a component that wrote nothing returns the anchor
+  object itself, so a child vector shares by identity every sub-vector
+  its transition left alone (and ``_System.canon`` reuses its ledger
+  projection on ``ledger_vec is`` the previous one).
+
+Journals are armed by the first ``restore()``.  A simulation never
+restores: it pays one ``is not None`` test per write and holds nothing.
+
+Quiet return to the anchor
+--------------------------
+``ForwardingProtocol.restore`` leaves behind a cache state — component
+entries plus pending dirt — that is exact for the anchor.  As long as no
+guard has been evaluated (``component_evals`` unchanged) and no routing
+entry has moved since, it still is, whatever was executed in between: so
+the way back is *quiet* — the undo writes mark no dirt and no queue for
+re-sync (the ``next_hop`` cache invalidation and ``footprint_log`` are
+never skipped), the dirt accrued while away is dropped and the dirt saved
+at the anchor is reinstated (components priority-masked by a routing
+layer stay dirty until the mask lifts).  Any *other* vector is reached
+through the anchor: quiet road home, then the full diff, so a popped
+state re-evaluates diff(previous anchor → it), not the union of every
+sibling's footprint.  If guards were evaluated while away, or routing
+moved, the undo takes the ordinary marking path.
 
 Contract
 --------
 * ``restore(snapshot())`` is a no-op (no writes, no notifications beyond
   over-approximation; observable state unchanged).
 * ``snapshot()`` after ``restore(vec)`` equals ``vec`` (round-trip
-  identity) — pinned per component in ``tests/test_snapshot_state.py``.
+  identity) — pinned per component in ``tests/test_snapshot_state.py``,
+  where a seeded random walk also compares the anchored restore with a
+  fresh system brought to the same vector by the full diff.
+* A vector is **captured after the environment phase** (``advance_env``),
+  when every ``choice`` queue is reconciled with its candidate set; that
+  is why nothing is left to re-sync after *any* restore
+  (``ForwardingProtocol._resync`` is empty) — a vector captured mid-step
+  would lose its pending reconciliations.
+* A vector is the whole configuration: a routing provider outside the
+  protocol stack must be immutable, and rows written behind the
+  mutators' back must be followed by ``invalidate()`` (which drops the
+  routing anchor).
 * Vectors are plain nested tuples: hashable when the payloads are, cheap
   to store by the hundred-thousand, and directly usable as the source of
   the verifier's canonical form (``_System.canon`` is a *projection* of
@@ -49,7 +104,8 @@ Contract
   (``repro/verify/reduction.py``).
 
 Implementors: :class:`~repro.core.buffers.ForwardingBuffers`,
-:class:`~repro.core.choice.FairChoiceQueue`,
+:class:`~repro.core.choice.FairChoiceQueue` and
+:class:`~repro.core.choice.LazyChoiceTable`,
 :class:`~repro.core.ledger.DeliveryLedger`,
 :class:`~repro.app.higher_layer.HigherLayer`,
 :class:`~repro.statemodel.message.MessageFactory`,

@@ -30,9 +30,10 @@ parallel.run_liveness` — bit-identical graph by construction).  The
 clone-per-transition differential oracle lives in
 ``tests/reference_engines.py``.
 
-A selection fan-out overflow marks the result ``truncated`` with an
-explanatory :attr:`LivenessResult.note` — the same convention as
-:meth:`ModelChecker.run`.  A truncated graph cannot prove
+A selection fan-out overflow, or a selection whose execution violates
+the specification (the instance is not even safe), marks the result
+``truncated`` with an explanatory :attr:`LivenessResult.note` — the same
+convention as :meth:`ModelChecker.run`.  A truncated graph cannot prove
 starvation-freedom (``ok`` stays False), but the partial result still
 reports any livelock already found instead of discarding the search.
 """
@@ -141,37 +142,32 @@ class LivenessChecker:
         )
         return frozenset(system.proto.ledger.outstanding_uids()) | pending_markers
 
-    def _expand_node(self, system: _System, stack, n_procs: int, vec):
-        """Expand one configuration of the reachable graph: restore it,
-        read the starvation metadata, enumerate and execute every daemon
-        selection.  Returns ``(metadata, enabled-pid frozenset,
-        [(child_vec, child_key, executing-pid frozenset), ...])``; raises
-        :class:`SelectionOverflow` before any execution when the fan-out
-        exceeds the width cap.  Shared with the parallel workers
+    def graph_node(self, system: _System, vec):
+        """One node of the reachable graph: restore the configuration,
+        read the starvation metadata and follow every daemon selection
+        through :meth:`_System.successors`.  Returns ``(metadata,
+        enabled-pid frozenset, [(child_vec, child_key, executing-pid
+        frozenset), ...])`` — or, when the node cannot be expanded, the
+        reason as a string: the fan-out exceeds the width cap (nothing
+        executed), or a selection's execution violated the specification
+        (the instance is not safe, so its graph is not the protocol's).
+        Shared with the parallel workers
         (:func:`repro.verify.parallel.run_liveness`)."""
         system.restore(vec)
         meta = self._node_metadata(system)
-        # Drain the dirty channel so only the components touched since
-        # the previously evaluated configuration are re-evaluated.
-        stack.dirty_after({})
-        enabled = {pid: stack.enabled_actions(pid) for pid in range(n_procs)}
-        enabled = {pid: a for pid, a in enabled.items() if a}
-        enabled_fs = frozenset(enabled)
+        enabled = system.enabled()
+        try:
+            selections = enumerate_selections(enabled, self._max_width)
+        except SelectionOverflow as exc:
+            return str(exc)
         children = []
-        for selection in enumerate_selections(enabled, self._max_width):
-            # Back to the parent configuration; the parent's bound
-            # actions can be re-executed per selection (see modelcheck's
-            # snapshot engine).
-            system.restore(vec)
-            for pid, idx in selection.items():
-                enabled[pid][idx].execute()
-            system.step += 1
-            system.advance_env()
-            child_vec = system.snapshot()
-            children.append(
-                (child_vec, system.canon(child_vec), frozenset(selection))
-            )
-        return meta, enabled_fs, children
+        for selection, child_vec, key, error in system.successors(
+            vec, enabled, selections
+        ):
+            if error is not None:
+                return f"selection {selection}: {error}"
+            children.append((child_vec, key, frozenset(selection)))
+        return meta, frozenset(enabled), children
 
     def _explore(self):
         """Build the reachable graph.  Returns (metadata, enabled pids,
@@ -192,8 +188,6 @@ class LivenessChecker:
     def _explore_snapshot(self):
         system = self._fresh()
         system.advance_env()
-        stack = system.stack()
-        n_procs = system.proto.net.n
         root_vec = system.snapshot()
         keys: Dict[Tuple, int] = {system.canon(root_vec): 0}
         vecs: List[Optional[Tuple]] = [root_vec]
@@ -212,15 +206,12 @@ class LivenessChecker:
                 truncated = True
                 note = f"state cap {self._max_states} reached"
                 break
-            vec = vecs[index]
-            try:
-                meta, enabled_fs, children = self._expand_node(
-                    system, stack, n_procs, vec
-                )
-            except SelectionOverflow as exc:
+            node = self.graph_node(system, vecs[index])
+            if isinstance(node, str):
                 truncated = True
-                note = f"node {index}: {exc}"
+                note = f"node {index}: {node}"
                 break
+            meta, enabled_fs, children = node
             outstanding.append(meta)
             enabled_pids.append(enabled_fs)
             edges.append([])
@@ -297,7 +288,8 @@ class LivenessChecker:
 
     def run(self) -> LivenessResult:
         """Explore and report fair livelocks.  Never raises on fan-out
-        overflow: the result comes back ``truncated`` with a ``note``."""
+        overflow or on a specification violation met while executing: the
+        result comes back ``truncated`` with a ``note``."""
         self._engine_note = None
         outstanding, enabled_pids, edges, truncated, note = self._explore()
         if self._engine_note:

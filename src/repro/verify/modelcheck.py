@@ -17,17 +17,20 @@ Exploration engines
 -------------------
 The default ``"snapshot"`` engine explores **one** reused system through
 the explicit snapshot/restore layer (:mod:`repro.statemodel.snapshot`):
-each transition restores the parent's state vector (a diffing write that
-touches only the cells that differ), executes the selected actions —
-reusing the parent's already-bound :class:`~repro.statemodel.action.Action`
-objects, which is sound because restore reinstates the exact configuration
-they were evaluated against — and snapshots the child.  Because every
-restore write flows through the ordinary change notifiers, the
-component-granular incremental engine of the simulator stays engaged: a
-popped state re-evaluates only the ``(processor, destination)`` components
-touched since the previously evaluated configuration.  The canonical form
-is a projection of the same state vector, so canonicalization and
-restoration can never diverge.
+each transition restores the parent's state vector, executes the selected
+actions — reusing the parent's already-bound
+:class:`~repro.statemodel.action.Action` objects, which is sound because
+restore reinstates the exact configuration they were evaluated against —
+and snapshots the child (:meth:`_System.successors`, the one loop both
+verifiers run).  A transition costs what it wrote: the parent vector is
+the components' *anchor*, so going back undoes only the journaled cells,
+marks nothing in the incremental engine's dirty sets, and the child
+vector shares by identity every sub-vector the transition left alone.
+A popped state is a different vector, diffed in full through the ordinary
+change notifiers, so it re-evaluates only the ``(processor,
+destination)`` components that differ from its predecessor on the
+frontier.  The canonical form is a projection of the same state vector,
+so canonicalization and restoration can never diverge.
 
 The ``"parallel"`` engine (:mod:`repro.verify.parallel`) shards the BFS
 frontier across forked worker processes by canon hash, each worker
@@ -190,6 +193,9 @@ class _System:
         #: the composition's caches each time).
         self._stack = PriorityStack(self.protocols)
         self.step = 0
+        #: :meth:`canon`'s ledger projection and the vector it was taken of.
+        self._accounts_of: Optional[StateVector] = None
+        self._accounts: Tuple = ()
 
     def stack(self) -> PriorityStack:
         return self._stack
@@ -237,24 +243,94 @@ class _System:
             for d, p, kind, msg in bufs_vec
         )
         app = (hl_vec[0], hl_vec[1])
-        generated, delivered, invalid, _lost, _violations = ledger_vec
-        delivered_uids = {uid for uid, _ in delivered}
-        accounts = (
-            tuple(sorted(uid for uid, _ in generated if uid not in delivered_uids)),
-            len(generated),
-            len(delivered),
-            len(invalid),
-        )
+        # Only generations and deliveries move the ledger, so most children
+        # carry their parent's ledger vector (shared by identity).
+        if ledger_vec is not self._accounts_of:
+            generated, delivered, invalid, _lost, _violations = ledger_vec
+            delivered_uids = {uid for uid, _ in delivered}
+            self._accounts = (
+                tuple(sorted(
+                    uid for uid, _ in generated if uid not in delivered_uids
+                )),
+                len(generated),
+                len(delivered),
+                len(invalid),
+            )
+            self._accounts_of = ledger_vec
         #: Higher-priority layers (e.g. the routing protocol ``A``) are
         #: canonical in full — their vectors are already compact tables.
         extras = stack_vec[:-1]
-        return (buffers, queues_vec, app, extras, accounts)
+        return (buffers, queues_vec, app, extras, self._accounts)
+
+    # -- expansion -----------------------------------------------------------
+
+    def enabled(self) -> Dict[int, List]:
+        """The enabled actions of the current configuration by processor
+        (enabled processors only).  Drains the dirty channel first, so only
+        the components touched since the previously evaluated
+        configuration — by execution, environment moves or restore diffs —
+        are re-evaluated."""
+        stack = self._stack
+        stack.dirty_after({})
+        enabled = {}
+        for pid in range(self.proto.net.n):
+            actions = stack.enabled_actions(pid)
+            if actions:
+                enabled[pid] = actions
+        return enabled
+
+    def successors(self, vec, enabled, selections, footprints=None):
+        """The one transition loop of the exhaustive verifiers.  For each
+        daemon selection (``{pid: index into enabled[pid]}``): back to the
+        parent configuration ``vec`` — the actions in ``enabled`` were
+        bound against exactly that state, so they are re-executed, not
+        re-derived — execute, ``step += 1``, environment phase, snapshot,
+        canon.  Yields ``(selection, child_vec, key, None)``, or
+        ``(selection, None, None, exc)`` when the execution raised a
+        :class:`ReproError` (a strict-ledger specification violation).
+
+        ``selections`` is consumed lazily, one selection per transition,
+        so a filter may consult what earlier transitions left behind: with
+        ``footprints`` (a dict) every singleton selection is measured
+        through ``proto.footprint_log`` — the notifier sinks record the
+        ``(processor, destination)`` components dirtied by the execution
+        *and* the environment phase that follows it (request re-raises and
+        queue re-syncs are part of the action's observable footprint) —
+        and stored under ``(pid, index)``; ``None`` marks an unmeasurable
+        one (wildcard)."""
+        proto = self.proto
+        for selection in selections:
+            self.restore(vec)
+            log = None
+            if footprints is not None and len(selection) == 1:
+                log = proto.footprint_log = set()
+            error = None
+            try:
+                for pid, index in selection.items():
+                    enabled[pid][index].execute()
+            except ReproError as exc:
+                error = exc
+            else:
+                self.step += 1
+                self.advance_env()
+            if log is not None:
+                proto.footprint_log = None
+                ((pid, index),) = selection.items()
+                footprints[(pid, index)] = (
+                    None if error is not None or None in log
+                    else frozenset(log)
+                )
+            if error is not None:
+                yield selection, None, None, error
+            else:
+                child_vec = self.snapshot()
+                yield selection, child_vec, self.canon(child_vec), None
 
 
-def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, result):
+def expand_state(system, vec, depth, max_width, oracle, reducer, result):
     """Expand one configuration: restore it, run the invariant and
     terminal checks, enumerate the daemon selections (POR-filtered when
-    ``oracle`` is given), execute each and canonicalize the children.
+    ``oracle`` is given) and collect their :meth:`_System.successors`.
 
     Shared by the serial snapshot engine and the parallel workers
     (:mod:`repro.verify.parallel`) so the two expansions cannot drift.
@@ -266,12 +342,10 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
     the search (``result.note`` set).
 
     POR runs in two passes over one selection list: singletons come first
-    in :func:`enumerate_selections` order and their executions are
-    measured through ``proto.footprint_log`` (the PR 3 notifier sinks
-    record the dirtied ``(processor, destination)`` components); composite
-    selections then consult those measured trails in
-    :meth:`IndependenceOracle.admissible`, which sharpens the static
-    neighborhood test to exact component interference.
+    in :func:`enumerate_selections` order and the successor loop measures
+    their footprints; composite selections then consult those measured
+    trails in :meth:`IndependenceOracle.admissible`, which sharpens the
+    static neighborhood test to exact component interference.
     """
     system.restore(vec)
     try:
@@ -280,13 +354,7 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
         result.violations.append(f"depth {depth}: {exc}")
         return []
 
-    # Drain the dirty channel so the component caches stay engaged: only
-    # components touched since the previously evaluated configuration (by
-    # execution, environment moves, or restore diffs) are re-evaluated
-    # inside enabled_actions.
-    stack.dirty_after({})
-    enabled = {pid: stack.enabled_actions(pid) for pid in range(n)}
-    enabled = {pid: acts for pid, acts in enabled.items() if acts}
+    enabled = system.enabled()
     if not enabled:
         result.terminal_states += 1
         ledger = system.proto.ledger
@@ -309,44 +377,28 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
         result.note = f"depth {depth}: {exc}"
         return None
 
-    proto = system.proto
-    footprints = {} if oracle is not None else None
+    footprints = None
+    if oracle is not None:
+        footprints = {}
+
+        def admissible(selection):
+            if len(selection) == 1 or oracle.admissible(
+                selection, enabled, footprints
+            ):
+                return True
+            result.skipped_selections += 1
+            return False
+
+        selections = filter(admissible, selections)
+
     children = []
-    for selection in selections:
-        if oracle is not None and len(selection) > 1:
-            if not oracle.admissible(selection, enabled, footprints):
-                result.skipped_selections += 1
-                continue
-        # Back to the parent configuration: the enabled actions were bound
-        # against exactly this state, so they can be re-executed per
-        # selection without re-deriving them.
-        system.restore(vec)
-        log = None
-        if oracle is not None and len(selection) == 1:
-            log = set()
-            proto.footprint_log = log
-        try:
-            for pid, action_index in selection.items():
-                enabled[pid][action_index].execute()
-        except ReproError as exc:
-            if log is not None:
-                proto.footprint_log = None
-                ((pid, idx),) = selection.items()
-                footprints[(pid, idx)] = None  # unmeasurable: wildcard
-            result.violations.append(f"depth {depth + 1}: {exc}")
+    for _, child_vec, key, error in system.successors(
+        vec, enabled, selections, footprints
+    ):
+        if error is not None:
+            result.violations.append(f"depth {depth + 1}: {error}")
             continue
         result.transitions += 1
-        system.step += 1
-        system.advance_env()
-        if log is not None:
-            # The trail spans execution *and* the following environment
-            # phase — request re-raises and queue re-syncs are part of the
-            # action's observable footprint.
-            proto.footprint_log = None
-            ((pid, idx),) = selection.items()
-            footprints[(pid, idx)] = None if None in log else frozenset(log)
-        child_vec = system.snapshot()
-        key = system.canon(child_vec)
         if reducer is not None:
             key = reducer.representative(key)
         children.append((child_vec, key, depth + 1))
@@ -507,8 +559,6 @@ class ModelChecker:
         system.advance_env()
         reducer, oracle = self._setup_reduction(system, result)
         meter = self._meter()
-        stack = system.stack()
-        n = system.proto.net.n
         root_vec = system.snapshot()
         root_key = system.canon(root_vec)
         if reducer is not None:
@@ -526,8 +576,7 @@ class ModelChecker:
             result.states += 1
             meter.tick(result.states, len(frontier), result.dedup_hits)
             children = expand_state(
-                system, stack, n, vec, depth,
-                self._max_width, oracle, reducer, result,
+                system, vec, depth, self._max_width, oracle, reducer, result
             )
             if children is None:
                 break

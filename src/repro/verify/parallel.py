@@ -36,7 +36,6 @@ import multiprocessing
 import zlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import SelectionOverflow
 from repro.verify.modelcheck import ModelCheckResult, expand_state
 
 
@@ -103,8 +102,6 @@ def _safety_worker(checker, windex: int, workers: int, conn) -> None:
         # Same deterministic construction as the parent's: every worker
         # re-derives the identical reducer/oracle pair from the root.
         reducer, oracle = checker._setup_reduction(system, scratch)
-        stack = system.stack()
-        n = system.proto.net.n
         seen = set()
         while True:
             msg = conn.recv()
@@ -125,7 +122,7 @@ def _safety_worker(checker, windex: int, workers: int, conn) -> None:
                 seen.add(key)
                 res.states += 1
                 children = expand_state(
-                    system, stack, n, vec, depth,
+                    system, vec, depth,
                     checker._max_width, oracle, reducer, res,
                 )
                 if children is None:
@@ -232,22 +229,17 @@ def _liveness_worker(checker, windex: int, workers: int, conn) -> None:
     try:
         system = checker._fresh()
         system.advance_env()
-        stack = system.stack()
-        n_procs = system.proto.net.n
         while True:
             msg = conn.recv()
             if msg[0] == "finish":
                 return
             entries = []
             for vec in msg[1]:
-                try:
-                    entries.append(
-                        checker._expand_node(system, stack, n_procs, vec)
-                    )
-                except SelectionOverflow as exc:
-                    # Serial exploration stops at the first overflowing
-                    # node in id order; nodes after it stay unexplored.
-                    entries.append(("overflow", str(exc)))
+                entry = checker.graph_node(system, vec)
+                entries.append(entry)
+                if isinstance(entry, str):
+                    # Serial exploration stops at the first node it cannot
+                    # expand, in id order; nodes after it stay unexplored.
                     break
             conn.send(("round", entries))
     except Exception as exc:  # pragma: no cover - surfaced in the parent
@@ -304,9 +296,9 @@ def run_liveness(checker, workers: int):
             index = level_start
             for reply in replies:
                 for entry in reply:
-                    if entry[0] == "overflow":
+                    if isinstance(entry, str):
                         truncated = True
-                        note = f"node {index}: {entry[1]}"
+                        note = f"node {index}: {entry}"
                         overflowed = True
                         break
                     meta, enabled_fs, children = entry

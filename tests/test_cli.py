@@ -106,6 +106,34 @@ class TestVerifyExhaustive:
         assert "liveness: states=" in out
         assert "livelocks=0" in out
 
+    def test_liveness_on_unsafe_instance_exits_1_with_one_line(
+        self, capsys, monkeypatch
+    ):
+        # Without colors three same-payload messages lose one (ablation
+        # A1): the safety pass reports it, and the liveness pass — which
+        # executes the same violating selection — ends in a verdict line,
+        # not a stack trace or an "error:" exit 2.
+        from repro.core import registry
+        from repro.core.protocol import SSMFP
+
+        class ColorsOff(SSMFP):
+            """The CLI only submits distinct payloads; A1 needs equal ones."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, enable_colors=False, **kwargs)
+                for _ in range(3):
+                    self.hl.submit(0, "dup", 2)
+
+        monkeypatch.setitem(registry.PROTOCOLS, "colors-off", ColorsOff)
+        argv = ["verify", "--topology", "line", "--n", "3", "--messages", "0",
+                "--protocol", "colors-off", "--liveness"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = [l for l in captured.err.splitlines() if l.startswith("liveness")]
+        assert len(lines) == 1
+        assert "search truncated: node" in lines[0] and "lost" in lines[0]
+
     def test_truncated_search_exits_2(self, capsys):
         assert main(self.BASE + ["--max-states", "5"]) == 2
         err = capsys.readouterr().err

@@ -153,3 +153,61 @@ class TestFairLivelocks:
         result = self._check("aged_fair")
         assert not result.truncated
         assert result.livelocks == [], result.livelocks
+
+
+class TestPinnedGraphs:
+    """The reachable graphs of the four policies, bit for bit: the
+    verifier's bookkeeping may get cheaper, the graph may not move."""
+
+    @pytest.mark.parametrize(
+        "policy,graph,livelocks",
+        [
+            ("fifo", (2252, 10420, 1470), []),
+            ("fixed", (6426, 29861, 4862), [(783, (-2,), 3587)]),
+            ("aged", (6426, 29861, 4862), [(783, (-2,), 3587)]),
+            ("aged_fair", (14959, 69179, 9303), []),
+        ],
+    )
+    def test_states_transitions_sccs_and_witnesses(self, policy, graph, livelocks):
+        result = LivenessChecker(
+            make_starvation_instance(policy),
+            max_states=60_000,
+            max_selection_width=4000,
+            ignore_pending={0},
+        ).run()
+        assert not result.truncated
+        assert (result.states, result.transitions, result.sccs) == graph
+        assert [
+            (ll.states, ll.starved_uids, ll.sample_cycle_length)
+            for ll in result.livelocks
+        ] == livelocks
+
+
+class TestUnsafeInstance:
+    """Liveness on an instance whose *safety* fails: executing a selection
+    trips the strict ledger, which must end the search in a verdict, not a
+    stack trace."""
+
+    @staticmethod
+    def _colors_off():
+        net = line_network(3)
+        proto = SSMFP(
+            net, StaticRouting(net), HigherLayer(net.n), DeliveryLedger(),
+            enable_colors=False,
+        )
+        for _ in range(3):
+            proto.hl.submit(0, "dup", 2)
+        return proto
+
+    @pytest.mark.parametrize("engine", ["snapshot", "parallel"])
+    def test_violation_truncates_with_a_note(self, engine):
+        result = LivenessChecker(
+            self._colors_off, max_states=200_000, max_selection_width=4000,
+            engine=engine, workers=2,
+        ).run()
+        assert not result.ok
+        assert result.truncated
+        assert result.note == (
+            "node 10: selection {0: 1}: valid uid 2 lost: "
+            "R4 confirmed against a foreign copy"
+        )

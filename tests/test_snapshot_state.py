@@ -9,12 +9,20 @@ Two families of guarantees:
   mutators, so the incremental engine's dirty channels fire for exactly
   the cells that changed — also asserted here.
 
+* **Anchored restore**: a seeded random walk of the verifier's moves
+  (expand, return to the anchor, jump to an unrelated vector, evaluate
+  while away, out-of-band writes) compared after every step against a
+  freshly built system brought to the same vector by the full diff.
+
 * **Engine equivalence**: the snapshot-based explorers visit the
   bit-identical state set, transition count, terminal states and
   violations as the clone-per-transition reference explorers
   (``tests/reference_engines.py``) on the seed instances
   (safety *and* liveness, safe *and* counterexample cases).
 """
+
+import copy
+import random
 
 import pytest
 
@@ -23,6 +31,7 @@ from repro.core.buffers import ForwardingBuffers
 from repro.core.choice import FairChoiceQueue
 from repro.core.corruption import plant_invalid_message, plant_invalid_messages
 from repro.core.ledger import DeliveryLedger
+from repro.core.protocol import SSMFP
 from repro.experiments.exhaustive import _instances
 from repro.network.topologies import line_network, ring_network
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
@@ -32,7 +41,7 @@ from repro.statemodel.protocol import Protocol
 from repro.verify.liveness import LivenessChecker
 from repro.verify.modelcheck import ModelChecker, _System
 
-from tests.helpers import make_ssmfp
+from tests.helpers import make_ssmfp, make_ssmfp2
 from tests.reference_engines import DeepcopyLivenessChecker, DeepcopyModelChecker
 
 
@@ -244,6 +253,209 @@ class TestFullSystemRoundTrip:
         hl = system.proto.hl
         vec = system.snapshot()
         assert system.canon(vec)[2][0] == hl.outboxes()
+
+
+def _walk_static():
+    net = line_network(4)
+    proto = SSMFP(
+        net, StaticRouting(net), HigherLayer(net.n), DeliveryLedger(strict=False)
+    )
+    for src, dest in ((0, 3), (3, 0), (1, 2), (0, 2)):
+        proto.hl.submit(src, f"m{src}{dest}", dest)
+    return _System(proto)
+
+
+def _walk_live_routing():
+    net = ring_network(4)
+    routing = SelfStabilizingBFSRouting(net)
+    for d, p, hop, dist in ((2, 0, 3, 2), (2, 1, 0, 3), (0, 2, 1, 1), (3, 1, 2, 3)):
+        routing.hop[d][p] = hop
+        routing.dist[d][p] = dist
+    routing.invalidate()
+    proto = make_ssmfp(net, routing=routing)
+    for src, dest in ((0, 2), (1, 3), (2, 0)):
+        proto.hl.submit(src, f"m{src}{dest}", dest)
+    return _System(proto, [routing])
+
+
+def _walk_ssmfp2():
+    net = line_network(4)
+    proto = make_ssmfp2(net)
+    for src, dest in ((0, 3), (3, 0), (1, 3)):
+        proto.hl.submit(src, f"m{src}{dest}", dest)
+    return _System(proto)
+
+
+def _walk_aged_fair():
+    net = line_network(3)
+    proto = make_ssmfp(
+        net, choice_policy="aged_fair", choice_wait_cap=3, choice_wait_slowdown=1
+    )
+    for src, dest in ((0, 2), (1, 2), (2, 0), (0, 2)):
+        proto.hl.submit(src, f"m{src}{dest}", dest)
+    return _System(proto)
+
+
+def _walk_garbage():
+    net = ring_network(4)
+    proto = make_ssmfp(net)
+    plant_invalid_messages(proto, seed=11, fill_fraction=0.3)
+    proto.queues[2][1].force([0, 2])      # scrambled choice queue
+    proto.hl.submit(0, "m", 2)
+    proto.hl.submit(3, "w", 1)
+    return _System(proto)
+
+
+def _labels(system):
+    return {
+        pid: [(a.rule, a.protocol, a.info) for a in actions]
+        for pid, actions in system.enabled().items()
+    }
+
+
+def _unanchored(system):
+    """A clone whose components have forgotten their anchors: its
+    ``snapshot()`` reads the stores, not the shortcut."""
+    clone = copy.deepcopy(system)
+    for proto in clone.protocols:
+        for part in (proto, *(getattr(proto, name, None) for name in
+                              ("bufs", "queues", "hl", "ledger", "factory"))):
+            if hasattr(part, "_anchor"):
+                part._anchor = None
+    return clone
+
+
+class TestAnchoredRestoreOracle:
+    """The anchor / journal / quiet-restore machinery against the full
+    diff.  The walker is only ever observed through clones, so the checks
+    never evaluate a guard on it — evaluations are moves of the walk."""
+
+    def _check(self, make, walker):
+        vec = walker.snapshot()
+        probe = _unanchored(walker)
+        assert probe.snapshot() == vec           # the shortcut is not stale
+        fresh = make()
+        fresh.restore(vec)
+        assert fresh.snapshot() == vec
+        assert _labels(probe) == _labels(fresh)
+        for system in (probe, fresh):
+            system.step += 1
+            system.advance_env()
+        assert probe.snapshot() == fresh.snapshot()
+
+    def _home(self, make, walker, anchor):
+        walker.restore(anchor)
+        assert walker.snapshot() == anchor
+        assert not walker.proto._resync
+        self._check(make, walker)
+
+    def _out_of_band(self, rng, walker):
+        """One write that bypasses the mutators' notifications; returns
+        False when the configuration offers none."""
+        proto = walker.proto
+        raised = sorted(proto.hl.request.raised())
+        queued = sorted((d, p) for d, p, _ in proto.queues.iter_materialized())
+        kind = rng.choice(["request", "force", "flag"])
+        if kind == "request" and raised:
+            proto.hl.request[rng.choice(raised)] = False
+        elif kind == "force" and queued:
+            d, p = rng.choice(queued)
+            proto.queues[d][p].force([])
+        elif kind == "flag" and not proto.ledger._strict:
+            proto.ledger._flag("planted")
+        else:
+            return False
+        return True
+
+    @pytest.mark.parametrize(
+        "make",
+        [_walk_static, _walk_live_routing, _walk_ssmfp2, _walk_aged_fair,
+         _walk_garbage],
+        ids=["static", "live_routing", "ssmfp2", "aged_fair", "garbage"],
+    )
+    def test_random_walk_matches_full_diff(self, make):
+        rng = random.Random(16)
+        walker = make()
+        walker.advance_env()
+        anchor = walker.snapshot()
+        pool = [anchor]
+        masked_dirt_survived = 0
+        self._home(make, walker, anchor)
+        for _ in range(60):
+            move = rng.choice(["expand", "expand", "jump", "home", "evaluate",
+                               "out_of_band"])
+            if move == "expand":
+                # The verifier's loop: evaluate once at the anchor, then
+                # restore / execute / env / snapshot per selection.
+                walker.restore(anchor)
+                enabled = walker.enabled()
+                for _ in range(rng.randint(1, 3) if enabled else 0):
+                    pids = rng.sample(sorted(enabled), rng.randint(1, len(enabled)))
+                    self._home(make, walker, anchor)
+                    masked_dirt_survived += bool(walker.proto._components.dirty_pids)
+                    for pid in pids:
+                        rng.choice(enabled[pid]).execute()
+                    walker.step += 1
+                    walker.advance_env()
+                    pool.append(walker.snapshot())
+                    self._check(make, walker)
+            elif move == "jump":
+                anchor = rng.choice(pool)
+                self._home(make, walker, anchor)
+            elif move == "home":
+                self._home(make, walker, anchor)
+            elif move == "evaluate":
+                walker.enabled()         # while away: the quiet path must fall back
+                self._home(make, walker, anchor)
+            elif self._out_of_band(rng, walker):
+                assert _unanchored(walker).snapshot() == walker.snapshot()
+                assert walker.snapshot() != anchor
+                self._home(make, walker, anchor)
+        if make is _walk_live_routing:
+            # Forwarding components masked by enabled routing moves keep
+            # their dirt across the quiet return to the anchor.
+            assert masked_dirt_survived
+
+
+def test_routing_move_ends_the_quiet_return():
+    """Two vectors with the same buffers but different, locally consistent
+    ``nextHop_0(2)``: R4 at processor 0 (erase once the next hop holds the
+    copy) is enabled under one and not under the other.  Going from the
+    first to the second must not take the quiet road home, which would
+    drop the dirt the routing layer's restore just marked."""
+
+    def make():
+        net = ring_network(4)
+        routing = SelfStabilizingBFSRouting(net)
+        proto = make_ssmfp(net, routing=routing)
+        proto.hl.submit(0, "m", 2)
+        return _System(proto, [routing])
+
+    system = make()
+    system.advance_env()
+    for _ in range(3):                  # R1, R2 at 0, then R3 at 1
+        enabled = system.enabled()
+        enabled[min(enabled)][0].execute()
+        system.step += 1
+        system.advance_env()
+    via_1 = system.snapshot()
+    assert [a.rule for a in system.enabled()[0]] == ["R4"]
+    routing = system.protocols[0]
+    routing.dist[2][1] = 2              # 1 looks far: 0 routes through 3
+    routing.dist[2][0], routing.hop[2][0] = 2, 3
+    routing.invalidate()
+    system.step += 1
+    system.advance_env()
+    via_3 = system.snapshot()
+
+    walker, fresh = make(), make()
+    walker.restore(via_1)
+    walker.enabled()
+    walker.restore(via_1)
+    walker.restore(via_3)
+    fresh.restore(via_3)
+    assert _labels(walker) == _labels(fresh)
+    assert 0 not in _labels(walker)
 
 
 def _clean_pair():

@@ -19,7 +19,9 @@ import random
 import pytest
 
 from repro.core.buffers import ForwardingBuffers
+from repro.app.workload import uniform_workload
 from repro.core.choice import EMPTY_QUEUE_STATE, LazyChoiceTable
+from repro.network.topologies import grid_network
 from repro.routing.lazyrows import LazyRows
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.sim.runner import build_simulation, delivered_and_drained
@@ -249,3 +251,33 @@ class TestHigherLayerSparsity:
         assert hl.request.raised() == {777}
         hl.request[777] = False
         assert hl.request.raised() == set()
+
+
+class TestSimulatorNeverArmsTheJournals:
+    """Snapshot anchors and write journals are the verifiers' tools, armed
+    by the first ``restore()``.  A simulation never restores: after a run
+    every journal is still unarmed and no store carries per-write residue,
+    so the simulator's memory cannot drift with the number of writes."""
+
+    def test_grid8x8_run_leaves_no_anchor_and_no_journal(self):
+        net = grid_network(8, 8)
+        sim = build_simulation(
+            net,
+            workload=uniform_workload(net.n, 120, seed=16),
+            seed=16,
+            routing_corruption={"kind": "random", "fraction": 0.3},
+            garbage={"seed": 16, "fraction": 0.05},
+        )
+        result = sim.run(20_000, halt=delivered_and_drained)
+        assert result.halted_by_predicate and sim.sim.rule_counts["R6"] >= 120
+        proto, routing = sim.forwarding, sim.routing
+        for part in (proto, proto.bufs, proto.queues, proto.hl, proto.ledger,
+                     proto.factory, routing):
+            assert part._anchor is None
+        assert proto._home_dirt is None
+        for part in (proto.bufs, proto.queues, routing):
+            assert part._journal is None
+        assert all(
+            queue._journal is None
+            for _, _, queue in proto.queues.iter_materialized()
+        )

@@ -362,3 +362,65 @@ def test_differential_oracle_all_configurations(seed):
             assert res.canons == quotient, label
         else:
             assert res.canons == base.canons, label
+
+
+# -- exact counts on the bench's instance shapes -------------------------------
+
+
+def _small3(shape):
+    """The four ``verify-small4`` instance shapes of ``bench/verify.py`` on
+    3 processors."""
+
+    def make():
+        net = ring_network(3) if shape == "ring three flows" else line_network(3)
+        proto = make_ssmfp(net)
+        if shape == "crossing flows + 1 garbage":
+            plant_invalid_message(proto, 2, 1, "R", "g", last=0)
+            subs = [(0, "a", 2), (2, "b", 0)]
+        elif shape == "three flows":
+            subs = [(0, "a", 2), (2, "b", 0), (1, "c", 2)]
+        elif shape == "same-payload pair + reverse flow":
+            subs = [(0, "dup", 2), (0, "dup", 2), (2, "b", 0)]
+        else:
+            subs = [(src, f"r{src}", (src + 2) % 3) for src in range(3)]
+        for src, payload, dest in subs:
+            proto.hl.submit(src, payload, dest)
+        return proto
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "shape,pinned",
+    [
+        ("crossing flows + 1 garbage", (1617, 6832, 5216, 1)),
+        ("three flows", (4625, 19581, 14957, 1)),
+        ("same-payload pair + reverse flow", (2516, 10567, 8052, 1)),
+        ("ring three flows", (1478, 6523, 5046, 1)),
+    ],
+)
+def test_bench_shapes_exact_counts_and_canon_sets(shape, pinned):
+    """``(states, transitions, dedup_hits, terminal_states)`` of the
+    unreduced serial search, pinned — the bench pins states only and runs
+    outside tier-1 — and the same reachable canon set under POR, the full
+    reduction (modulo orbit representatives) and the parallel engine."""
+    make = _small3(shape)
+    base = _checker(make, collect_canons=True).run()
+    assert base.ok
+    assert (base.states, base.transitions, base.dedup_hits,
+            base.terminal_states) == pinned
+    system = _root_system(make)
+    reducer, _ = validate_symmetry(system.proto, system.canon())
+    for label, kw in (
+        ("por", dict(reduction="por")),
+        ("full", dict(reduction="full")),
+        ("parallel", dict(engine="parallel", workers=2)),
+    ):
+        res = _checker(make, collect_canons=True, **kw).run()
+        assert res.ok, label
+        if label == "full" and reducer is not None:
+            assert res.canons == {
+                reducer.representative(c) for c in base.canons
+            }, label
+        else:
+            assert res.canons == base.canons, label
