@@ -49,7 +49,7 @@ _ARENA_SCENARIOS = (
 
 #: ENGINE.txt's pinned ceiling for ring64-trickle — the seam gate: both
 #: family members must stay under the *same* incremental-engine budget.
-_RING64_GUARD_CEILING = 16_500
+_RING64_GUARD_CEILING = 7_800
 
 
 def _arena_row(protocol, label, net_builder, wl_builder, corruption):

@@ -9,9 +9,11 @@ does.  This is sound because an absent cell is semantically identical to a
 clean empty buffer — the exact invariant snap-stabilization already relies
 on (an arbitrary initial configuration may start with every buffer empty),
 so eviction-on-empty and re-materialization-as-empty are unobservable to
-the protocol.  Reads keep the classic dense idiom: ``bufs.R[d][p]`` returns
-the stored message or ``None`` through lightweight row views, so rule code
-and external readers are agnostic to the representation.  Memory is
+the protocol.  External readers and tests keep the classic dense idiom —
+``bufs.R[d][p]`` returns the stored message or ``None`` through row views,
+agnostic to the representation — while the rule engine reads through
+:meth:`~ForwardingBuffers.get_r` / :meth:`~ForwardingBuffers.get_e` /
+:meth:`~ForwardingBuffers.rows`, which build no view per read.  Memory is
 O(live messages), not O(n²).
 
 Every mutation goes through :meth:`set_r` / :meth:`set_e` /
@@ -37,6 +39,9 @@ WriteNotifier = Callable[[DestId, ProcId, str], None]
 
 #: Sparse storage: ``{dest: {proc: message}}`` with empty rows evicted.
 _Plane = Dict[DestId, Dict[ProcId, Message]]
+
+#: What an evicted row reads as.
+_NO_CELLS: Dict[ProcId, Message] = {}
 
 
 class _BufferRow:
@@ -195,6 +200,14 @@ class ForwardingBuffers:
         row = self._e.get(d)
         return None if row is None else row.get(p)
 
+    def rows(self, d: DestId) -> Tuple[Dict[ProcId, Message], Dict[ProcId, Message]]:
+        """The occupied cells of component ``d``, by plane.
+
+        ``({p: bufR_p(d)}, {p: bufE_p(d)})`` — the stored sparse rows, for
+        a reader that visits several processors of one component.  Never
+        write them."""
+        return self._r.get(d, _NO_CELLS), self._e.get(d, _NO_CELLS)
+
     # -- snapshot/restore ----------------------------------------------------
 
     def snapshot(self) -> StateVector:
@@ -269,10 +282,8 @@ class ForwardingBuffers:
         with kind in {"R", "E"} — destinations ascending, processors
         ascending, R before E per processor (the dense-era order, preserved
         so snapshots stay bit-identical)."""
-        empty: Dict[ProcId, Message] = {}
         for d in sorted(self._occupied_set):
-            row_r = self._r.get(d, empty)
-            row_e = self._e.get(d, empty)
+            row_r, row_e = self.rows(d)
             for p in sorted(row_r.keys() | row_e.keys()):
                 if p in row_r:
                     yield (d, p, "R", row_r[p])

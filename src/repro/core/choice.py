@@ -226,6 +226,9 @@ class FairChoiceQueue:
         return f"FairChoiceQueue({self._q!r}, policy={self._policy})"
 
 
+#: What a component with no materialized queue reads as.
+_NO_QUEUES: Dict[ProcId, FairChoiceQueue] = {}
+
 #: The canonical clean-empty queue state — what an unmaterialized entry
 #: reads as, and the eviction criterion (a queue in this state is
 #: indistinguishable from no queue at all).
@@ -394,6 +397,13 @@ class LazyChoiceTable:
             return None
         q = row.get(p)
         return None if q is None else q.head()
+
+    def row(self, d) -> Dict[ProcId, FairChoiceQueue]:
+        """The materialized queues of component ``d`` as ``{p: queue}``.
+
+        The stored row, for a reader that visits several processors of one
+        component.  Never write it."""
+        return self._rows.get(d, _NO_QUEUES)
 
     def materialize(self, d, p) -> FairChoiceQueue:
         """Get-or-create the real queue at ``(d, p)``."""

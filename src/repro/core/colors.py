@@ -10,7 +10,7 @@ of two consecutive identical messages when routing tables move (§3.1).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import InvariantViolation
 from repro.network.graph import Network
@@ -20,20 +20,23 @@ from repro.types import Color, DestId, ProcId
 
 def free_color(
     net: Network,
-    buf_r_row: List[Optional[Message]],
+    buf_r_row: Union[List[Optional[Message]], Dict[ProcId, Message]],
     p: ProcId,
     delta: int,
 ) -> Color:
     """Smallest color in ``{0..delta}`` not carried by any message in
     ``bufR_q(d)`` for ``q ∈ N_p``.
 
-    ``buf_r_row`` is the reception-buffer row for destination ``d``
-    (indexed by processor).  Raises :class:`InvariantViolation` if no color
-    is free, which the pigeonhole argument rules out for ``delta ≥ deg(p)``.
+    ``buf_r_row`` is the reception-buffer row for destination ``d``: a
+    dense list indexed by processor, or the sparse ``{processor: message}``
+    dict of the occupied buffers.  Raises :class:`InvariantViolation` if no
+    color is free, which the pigeonhole argument rules out for
+    ``delta ≥ deg(p)``.
     """
+    read = buf_r_row.get if isinstance(buf_r_row, dict) else buf_r_row.__getitem__
     used = set()
     for q in net.neighbors(p):
-        msg = buf_r_row[q]
+        msg = read(q)
         if msg is not None:
             used.add(msg.color)
     for c in range(delta + 1):

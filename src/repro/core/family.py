@@ -15,7 +15,11 @@ concrete protocol (``repro.core.protocol.SSMFP``,
 ``repro.core.protocol2.SSMFP2``) declares:
 
 * ``name`` — the label stamped on actions, obs rows and arena tables;
-* ``rules`` — the guarded-rule evaluators, in guard-evaluation order;
+* ``rules`` — the guarded-rule evaluators, in guard-evaluation order.
+  **Liveness**: no rule is enabled at ``(p, d)`` while ``p`` holds no
+  buffer and no queued requester in ``d`` (``bufR_p(d)``, ``bufE_p(d)``
+  empty and ``choice_p(d)`` empty) — the engine neither evaluates such a
+  component nor dirties it when a neighbor writes;
 * ``generation_rule`` — the label of the starting action (the verifier's
   partial-order reduction treats generations specially: they race the
   global uid counter);
@@ -48,10 +52,11 @@ buffers, ``request_p`` (which concerns exactly one destination), and
 fields are always in ``N_p ∪ {p}`` — enforced by the corruption helpers).
 The family therefore opts into the simulator's dirty-set protocol at
 *component* granularity: all buffer, queue, request and routing mutations
-flow through notifier hooks that dirty ``(q, d)`` pairs (writer's closed
-neighborhood, single destination), rule-produced action lists are cached
-per component and reconciled only when dirty, and a processor's enabled
-list is assembled from its non-empty component entries in
+flow through notifier hooks that dirty ``(q, d)`` pairs — the writer's own
+component and, by the liveness line of the contract, those of its *live*
+neighbors only (single destination) — rule-produced action lists are
+cached per component and reconciled only when dirty, and a processor's
+enabled list is assembled from its non-empty component entries in
 O(occupied components) (:mod:`repro.statemodel.components`).
 :meth:`dirty_after` reports the processor projection of the component
 dirt.  The same notifications drive *incremental queue reconciliation*:
@@ -96,7 +101,8 @@ class ForwardingProtocol(Protocol):
     #: Protocol label (actions, obs rows, arena tables).
     name = "forwarding"
     #: Guarded-rule evaluators ``(proto, p, d) -> Optional[Action]`` in
-    #: guard-evaluation order.
+    #: guard-evaluation order; none may be enabled at a ``(p, d)`` that is
+    #: not live (see the module docstring).
     rules: Tuple = ()
     #: Label of the generation (starting) rule — special-cased by the
     #: verifier's independence oracle (generations race the uid counter).
@@ -158,7 +164,6 @@ class ForwardingProtocol(Protocol):
         self.current_step = 0
 
         # -- incremental-engine state ---------------------------------------
-        n = net.n
         self._aged = choice_policy in ("aged", "aged_fair")
         # aged_fair wait-ages advance once per sync, so reconciliation must
         # stay a full per-step sweep to keep the paper-equivalent semantics.
@@ -171,8 +176,7 @@ class ForwardingProtocol(Protocol):
         #: the exhaustive verifiers once per expanded configuration, so both
         #: run on the cache; only a caller that never drains (a direct test
         #: probe) stays on the classic fresh scan.
-        self._components = ComponentDirtyCache(n)
-        self.component_evals = 0
+        self._components = ComponentDirtyCache()
         #: Snapshot anchor (``statemodel/snapshot.py``): the vector last
         #: restored to, plus the cache state :meth:`restore` left behind —
         #: the pending component dirt and the evaluation count.  While no
@@ -219,7 +223,7 @@ class ForwardingProtocol(Protocol):
         """``color_p(d)``; the ablation knob degrades it to constant 0."""
         if not self.enable_colors:
             return 0
-        return free_color(self.net, self.bufs.R[d], p, self.delta)
+        return free_color(self.net, self.bufs.rows(d)[0], p, self.delta)
 
     def next_hop(self, q: ProcId, d: DestId) -> ProcId:
         """``nextHop_q(d)`` through the per-entry cache (invalidated by the
@@ -247,19 +251,35 @@ class ForwardingProtocol(Protocol):
 
     # -- incremental-engine notification sinks -------------------------------
 
+    def _mark_readers(self, p: ProcId, d: DestId) -> None:
+        """Dirty the components whose guards can read a variable of
+        ``(p, d)``: ``(p, d)`` itself and component ``d`` of every *live*
+        neighbor (the contract line: a neighbor holding no buffer and no
+        queued requester in ``d`` has no enabled rule before the write and
+        none after it).  A neighbor that becomes live does so by a write
+        of its own variables, and those sinks mark it unfiltered."""
+        buf_r, buf_e = self.bufs.rows(d)
+        queues = self.queues.row(d)
+        readers = [p]
+        for q in self.net.neighbors(p):
+            if q in buf_r or q in buf_e or (
+                q in queues and queues[q].head() is not None
+            ):
+                readers.append(q)
+        self._components.mark_many(readers, d)
+
     def _on_buffer_write(self, d: DestId, p: ProcId, kind: str) -> None:
         """A buffer of ``p`` in component ``d`` was written.  Guards reading
         it live in component ``d`` of the closed neighborhood of ``p``
         (buffers are strictly per-destination — no rule reads across
         components); writes to the *offer* plane also change the candidate
         sets of ``p``'s neighbors."""
-        nbhd = self._nbhd[p]
         log = self.footprint_log
         if log is not None:
-            log.update((x, d) for x in nbhd)
+            log.update((x, d) for x in self._nbhd[p])
         if self._all_dirty or self._quiet:
             return
-        self._components.mark_many(nbhd, d)
+        self._mark_readers(p, d)
         if kind == self.offer_kind:
             # candidates(q, d) admits p only when nextHop_p(d) == q, so what
             # p offers can only alter that one queue (a hop that moves
@@ -322,9 +342,10 @@ class ForwardingProtocol(Protocol):
             row.pop(p, None)
         if self._all_dirty:
             return
-        nbhd = self._nbhd[p]
-        self._components.mark_many(nbhd, d)
-        self._resync.setdefault(d, set()).update(nbhd)
+        self._mark_readers(p, d)
+        # Unfiltered: re-syncing the queue of a neighbor that is not live
+        # is how a moved hop makes it live.
+        self._resync.setdefault(d, set()).update(self._nbhd[p])
 
     def mark_all_dirty(self) -> None:
         """Fall back to a full re-scan and full queue reconciliation at the
@@ -347,7 +368,7 @@ class ForwardingProtocol(Protocol):
         # :meth:`enabled_actions`.  A processor whose forwarding actions are
         # priority-masked (the routing layer answers first) keeps its dirt
         # until the mask lifts and its components are finally re-evaluated.
-        return set(self._components.dirty_pids)
+        return set(self._components.dirty)
 
     # -- Protocol interface --------------------------------------------------
 
@@ -431,23 +452,25 @@ class ForwardingProtocol(Protocol):
         occupancy and request indexes, never an O(n) sweep."""
         return self.bufs.occupied_components() | self.hl.requested_destinations()
 
-    def _active_sorted(self, request_dest: Optional[DestId]) -> List[DestId]:
-        """Ascending list of destinations a scan must examine: occupied
-        components plus (when raised) the scanning processor's own request
+    def _active_sorted(self, pid: ProcId) -> List[DestId]:
+        """Ascending list of destinations a scan of ``pid`` must examine:
+        occupied components plus (when raised) ``pid``'s own request
         destination.  Ascending order is part of the enabled-list contract —
         daemons observe it."""
+        hl = self.hl
         occ = self.bufs.occupied_components()
-        if request_dest is not None and request_dest not in occ:
-            return sorted([*occ, request_dest])
+        if hl.request[pid]:
+            request_dest = hl.next_destination(pid)
+            if request_dest is not None and request_dest not in occ:
+                return sorted([*occ, request_dest])
         return sorted(occ)
 
     def _eval_component(self, pid: ProcId, d: DestId) -> List[Action]:
         """Evaluate the protocol's rules at the single component ``(pid, d)``.
 
-        Fast path: with both local buffers empty, only a generation (a
-        pending request chosen by the queue) or a forwarding copy (a queued
-        neighbor offer) can be enabled — both require a nonempty choice
-        queue.  Sound whether or not the component is active, so the
+        Fast path: while ``(pid, d)`` is not live (both local buffers empty,
+        nobody queued) no rule is enabled — the liveness line of the family
+        contract.  Sound whether or not the component is active, so the
         reconcile path can call this for any dirty component.
         """
         bufs = self.bufs
@@ -464,62 +487,15 @@ class ForwardingProtocol(Protocol):
                 actions.append(action)
         return actions
 
-    def _scan_enabled(self, pid: ProcId) -> List[Action]:
-        """Classic left-to-right scan over the active destinations (the
-        all-dirty regime: no component cache is consulted or filled)."""
-        hl = self.hl
-        request_dest = hl.next_destination(pid) if hl.request[pid] else None
-        active = self._active_sorted(request_dest)
-        self.component_evals += len(active)
-        actions: List[Action] = []
-        for d in active:
-            actions.extend(self._eval_component(pid, d))
-        return actions
-
-    def _rebuild_components(self, pid: ProcId) -> None:
-        """(Re)build every component entry of ``pid`` from scratch — same
-        cost and same examination order as one classic scan."""
-        cache = self._components
-        entries = cache.entries[pid]
-        entries.clear()
-        hl = self.hl
-        request_dest = hl.next_destination(pid) if hl.request[pid] else None
-        active = self._active_sorted(request_dest)
-        self.component_evals += len(active)
-        for d in active:
-            acts = self._eval_component(pid, d)
-            if acts:
-                entries[d] = acts
-        dirty = cache.dirty.get(pid)
-        if dirty:
-            dirty.clear()
-        cache.valid[pid] = True
-
-    def _reconcile_components(self, pid: ProcId) -> None:
-        """Re-evaluate only ``pid``'s dirty components, updating the
-        non-empty-entry index in place."""
-        cache = self._components
-        entries = cache.entries[pid]
-        dirty = cache.dirty[pid]
-        self.component_evals += len(dirty)
-        for d in dirty:
-            acts = self._eval_component(pid, d)
-            if acts:
-                entries[d] = acts
-            else:
-                entries.pop(d, None)
-        dirty.clear()
+    @property
+    def component_evals(self) -> int:
+        """Component evaluations so far, scans and reconciles alike."""
+        return self._components.evals
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
-        if self._all_dirty:
-            return self._scan_enabled(pid)
         cache = self._components
-        if not cache.valid[pid]:
-            self._rebuild_components(pid)
-        elif cache.dirty.get(pid):
-            self._reconcile_components(pid)
-        cache.dirty_pids.discard(pid)
-        return cache.assemble(pid)
+        serve = cache.scan if self._all_dirty else cache.enabled_actions
+        return serve(pid, self._eval_component, self._active_sorted)
 
     # -- introspection -------------------------------------------------------
 

@@ -37,9 +37,9 @@ def rule_r1(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
     hl = proto.hl
     if not hl.request[p] or hl.next_destination(p) != d:
         return None
-    if proto.bufs.R[d][p] is not None:
+    if proto.bufs.get_r(d, p) is not None:
         return None
-    if proto.queues[d][p].head() != p:
+    if proto.queues.head(d, p) != p:
         return None
     payload = hl.next_message(p)
 
@@ -60,14 +60,14 @@ def rule_r1(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
 
 def rule_r2(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
     """Internal forwarding ``bufR_p(d) -> bufE_p(d)`` with recoloring."""
-    if proto.bufs.E[d][p] is not None:
+    if proto.bufs.get_e(d, p) is not None:
         return None
-    msg = proto.bufs.R[d][p]
+    msg = proto.bufs.get_r(d, p)
     if msg is None:
         return None
     q = msg.last
     if q != p:
-        source_e = proto.bufs.E[d][q]
+        source_e = proto.bufs.get_e(d, q)
         if source_e is not None and source_e.same_payload_color(msg):
             return None  # the source still holds the original: wait for R4
     recolored = msg.recolored(p, proto.pick_color(p, d))
@@ -84,12 +84,12 @@ def rule_r2(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
 def rule_r3(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
     """Forwarding: copy the chosen neighbor's emission buffer into
     ``bufR_p(d)`` (the original is erased later by the neighbor's R4)."""
-    if proto.bufs.R[d][p] is not None:
+    if proto.bufs.get_r(d, p) is not None:
         return None
-    s = proto.queues[d][p].head()
+    s = proto.queues.head(d, p)
     if s is None or s == p:
         return None
-    src = proto.bufs.E[d][s]
+    src = proto.bufs.get_e(d, s)
     if src is None:
         return None  # stale queue entry (cannot happen after sync; guard anyway)
     copy = src.forwarded_copy(s)
@@ -109,17 +109,17 @@ def rule_r4(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
     downstream, sitting at the current next hop."""
     if p == d:
         return None
-    msg = proto.bufs.E[d][p]
+    msg = proto.bufs.get_e(d, p)
     if msg is None:
         return None
     nh = proto.next_hop(p, d)
-    target = proto.bufs.R[d][nh]
+    target = proto.bufs.get_r(d, nh)
     if target is None or not target.matches(msg.payload, p, msg.color):
         return None
     for r in proto.net.neighbors(p):
         if r == nh:
             continue
-        other = proto.bufs.R[d][r]
+        other = proto.bufs.get_r(d, r)
         if other is not None and other.matches(msg.payload, p, msg.color):
             return None  # a stale copy exists; R5 must clean it first
 
@@ -149,7 +149,7 @@ def rule_r5(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
     (cleanup of duplicates created by routing-table motion)."""
     if not proto.enable_r5:
         return None
-    msg = proto.bufs.R[d][p]
+    msg = proto.bufs.get_r(d, p)
     if msg is None:
         return None
     q = msg.last
@@ -158,7 +158,7 @@ def rule_r5(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
         # created by forwarding from a neighbor; q = p would erase fresh
         # local generations.
         return None
-    source_e = proto.bufs.E[d][q]
+    source_e = proto.bufs.get_e(d, q)
     if source_e is None or not source_e.same_payload_color(msg):
         return None
     if proto.next_hop(q, d) == p:
@@ -180,7 +180,7 @@ def rule_r6(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
     layer."""
     if p != d:
         return None
-    msg = proto.bufs.E[d][p]
+    msg = proto.bufs.get_e(d, p)
     if msg is None:
         return None
 

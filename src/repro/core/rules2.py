@@ -71,9 +71,9 @@ def rule_f1(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
     hl = proto.hl
     if not hl.request[p] or hl.next_destination(p) != d:
         return None
-    if proto.bufs.R[d][p] is not None:
+    if proto.bufs.get_r(d, p) is not None:
         return None
-    if proto.queues[d][p].head() != p:
+    if proto.queues.head(d, p) != p:
         return None
     payload = hl.next_message(p)
     color = proto.pick_color(p, d)
@@ -98,13 +98,13 @@ def rule_f1(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
 def rule_f2(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
     """Adoption: once the upstream original is gone, recolor the copy and
     take ownership (the fused analogue of R2's internal forward)."""
-    msg = proto.bufs.R[d][p]
+    msg = proto.bufs.get_r(d, p)
     if msg is None:
         return None
     q = msg.last
     if q == p:
         return None  # already owned
-    source = proto.bufs.R[d][q]
+    source = proto.bufs.get_r(d, q)
     if source is not None and source.same_payload_color(msg):
         return None  # the upstream still holds the original: wait for F4
     adopted = msg.recolored(p, proto.pick_color(p, d))
@@ -121,12 +121,12 @@ def rule_f2(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
 def rule_f3(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
     """Forwarding: copy the chosen neighbor's *owned* message into the
     local buffer (the original is erased later by the neighbor's F4)."""
-    if proto.bufs.R[d][p] is not None:
+    if proto.bufs.get_r(d, p) is not None:
         return None
-    s = proto.queues[d][p].head()
+    s = proto.queues.head(d, p)
     if s is None or s == p:
         return None
-    src = proto.bufs.R[d][s]
+    src = proto.bufs.get_r(d, s)
     if src is None or src.last != s:
         return None  # stale queue entry (cannot happen after sync; guard anyway)
     copy = src.forwarded_copy(s)
@@ -147,17 +147,17 @@ def rule_f4(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
     R4, over the single buffer plane)."""
     if p == d:
         return None
-    msg = proto.bufs.R[d][p]
+    msg = proto.bufs.get_r(d, p)
     if msg is None or msg.last != p:
         return None
     nh = proto.next_hop(p, d)
-    target = proto.bufs.R[d][nh]
+    target = proto.bufs.get_r(d, nh)
     if target is None or not target.matches(msg.payload, p, msg.color):
         return None
     for r in proto.net.neighbors(p):
         if r == nh:
             continue
-        other = proto.bufs.R[d][r]
+        other = proto.bufs.get_r(d, r)
         if other is not None and other.matches(msg.payload, p, msg.color):
             return None  # a stale copy exists; F5 must clean it first
 
@@ -185,13 +185,13 @@ def rule_f4(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
 def rule_f5(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
     """Erase an unadopted copy whose emitter's next hop moved elsewhere
     (cleanup of duplicates created by routing-table motion)."""
-    msg = proto.bufs.R[d][p]
+    msg = proto.bufs.get_r(d, p)
     if msg is None:
         return None
     q = msg.last
     if q == p:
         return None  # owned messages are erased only through F4
-    source = proto.bufs.R[d][q]
+    source = proto.bufs.get_r(d, q)
     if source is None or not source.same_payload_color(msg):
         return None
     if proto.next_hop(q, d) == p:
@@ -214,7 +214,7 @@ def rule_f6(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
     upstream F4 — so every delivery is preceded by one F2 adoption."""
     if p != d:
         return None
-    msg = proto.bufs.R[d][p]
+    msg = proto.bufs.get_r(d, p)
     if msg is None or msg.last != p:
         return None
 

@@ -23,24 +23,39 @@ _UNREACHED = -1
 _MAX_BRUTE_N = 8
 
 
+def bfs_rows(net: Network, root: ProcId) -> Tuple[List[int], List[ProcId]]:
+    """Distances to ``root`` and next hops toward it, from one BFS pass.
+
+    Returns ``(dist, hop)`` with ``dist[p] == dist(root, p)`` and ``hop[p]``
+    the neighbor of ``p`` on a shortest path toward ``root`` — the
+    smallest-identity neighbor one level closer, the deterministic
+    tie-break every routing provider shares — and ``hop[root] == root``.
+    The network is connected by construction, so every distance is a finite
+    non-negative integer.
+    """
+    dist = [_UNREACHED] * net.n
+    hop = list(range(net.n))
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        dv = dist[u] + 1
+        for v in net.neighbors(u):
+            if dist[v] == _UNREACHED:
+                dist[v] = dv
+                hop[v] = u
+                queue.append(v)
+            elif dist[v] == dv and u < hop[v]:
+                hop[v] = u
+    return dist, hop
+
+
 def bfs_distances(net: Network, source: ProcId) -> List[int]:
     """Shortest-path (hop) distances from ``source`` to every processor.
 
-    Returns a list ``dist`` with ``dist[p] == dist(source, p)``.  The network
-    is connected by construction, so every entry is a finite non-negative
-    integer.
+    Returns a list ``dist`` with ``dist[p] == dist(source, p)``.
     """
-    dist = [_UNREACHED] * net.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in net.neighbors(u):
-            if dist[v] == _UNREACHED:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    return bfs_rows(net, source)[0]
 
 
 def bfs_tree(net: Network, root: ProcId) -> List[Optional[ProcId]]:
@@ -48,17 +63,11 @@ def bfs_tree(net: Network, root: ProcId) -> List[Optional[ProcId]]:
 
     Returns ``parent`` with ``parent[root] is None`` and, for every other
     processor ``p``, ``parent[p]`` the neighbor of ``p`` on a shortest path
-    toward ``root`` (ties broken toward the smallest identity, matching the
-    deterministic tie-break used by the self-stabilizing routing protocol).
-    This is the tree the paper calls ``T_root``.
+    toward ``root`` (ties broken toward the smallest identity, see
+    :func:`bfs_rows`).  This is the tree the paper calls ``T_root``.
     """
-    dist = bfs_distances(net, root)
-    parent: List[Optional[ProcId]] = [None] * net.n
-    for p in net.processors():
-        if p == root:
-            continue
-        # Smallest-id neighbor strictly closer to the root.
-        parent[p] = min(q for q in net.neighbors(p) if dist[q] == dist[p] - 1)
+    parent: List[Optional[ProcId]] = list(bfs_rows(net, root)[1])
+    parent[root] = None
     return parent
 
 

@@ -83,9 +83,8 @@ def corrupt_worst_case(
     """
     rng = random.Random(seed)
     net = routing.network
-    true_dist = routing._true_dist  # ground truth, adversary is omniscient
     for d in net.processors():
-        td = true_dist[d]
+        td = routing._fixpoint[d][0]  # ground truth, adversary is omniscient
         for p in net.processors():
             neighbors = net.neighbors(p)
             worst = max(neighbors, key=lambda q: (td[q], q))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.network.graph import Network
-from repro.network.properties import bfs_distances
+from repro.network.properties import bfs_rows
 from repro.routing.lazyrows import LazyRows
 from repro.routing.table import RoutingService
 from repro.statemodel.action import Action
@@ -67,7 +67,9 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         # fixpoint, but *lazily*: a row materializes (at the fixpoint, one
         # BFS) only when first read or written, and an absent row reads as
         # converged — O(live destinations × n) memory instead of O(n²).
-        self._true_dist = LazyRows(lambda d: bfs_distances(net, d))
+        #: ``_fixpoint[d]`` — the converged ``(dist row, hop row)`` for
+        #: ``d``, both from one BFS; ground truth, never written.
+        self._fixpoint = LazyRows(lambda d: bfs_rows(net, d))
         self.dist: LazyRows = LazyRows(self._fixpoint_dist_row)
         self.hop: LazyRows = LazyRows(self._fixpoint_hop_row)
         # Incremental-engine bookkeeping.  The all-dirty regime is the safe
@@ -76,8 +78,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         # cache starts being consulted — only once the simulator drains
         # :meth:`dirty_after`.
         self._all_dirty = True
-        self._components = ComponentDirtyCache(n)
-        self.component_evals = 0
+        self._components = ComponentDirtyCache()
         #: Closed neighborhood of every processor, precomputed.
         self._nbhd = [(p, *net.neighbors(p)) for p in net.processors()]
         #: Snapshot anchor (``statemodel/snapshot.py``): the vector last
@@ -90,25 +91,23 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
                                      Tuple[int, ProcId]]] = None
 
     def _fixpoint_dist_row(self, d: DestId) -> List[int]:
-        """The converged distance row for destination ``d``."""
-        return list(self._true_dist[d])
+        """A fresh copy of the converged distance row for ``d``."""
+        return list(self._fixpoint[d][0])
 
     def _fixpoint_hop_row(self, d: DestId) -> List[ProcId]:
-        """The converged hop row for ``d`` (smallest-id parent tie-break)."""
-        net = self._net
-        td = self._true_dist[d]
-        row: List[ProcId] = []
-        for p in net.processors():
-            if p == d:
-                row.append(p)
-            else:
-                row.append(min(q for q in net.neighbors(p) if td[q] == td[p] - 1))
-        return row
+        """A fresh copy of the converged hop row for ``d`` (smallest-id
+        parent tie-break)."""
+        return list(self._fixpoint[d][1])
 
     def _touched_destinations(self) -> Set[DestId]:
         """Destinations with any materialized table row — the only ones
         that can deviate from the fixpoint (direct writes materialize)."""
         return self.dist.materialized() | self.hop.materialized()
+
+    def _deviates(self, d: DestId) -> bool:
+        """True iff some entry for ``d`` differs from the fixpoint."""
+        fix_dist, fix_hop = self._fixpoint[d]
+        return self.dist[d] != fix_dist or self.hop[d] != fix_hop
 
     # -- incremental-engine hooks -------------------------------------------
 
@@ -136,7 +135,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             return None
         # Processor projection of the component dirt; reconciled lazily in
         # :meth:`enabled_actions` (see SSMFP for the masking argument).
-        return set(self._components.dirty_pids)
+        return set(self._components.dirty)
 
     # -- RoutingService ------------------------------------------------------
 
@@ -152,22 +151,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         """True iff every entry equals the converged fixpoint (correct
         distance, smallest-id closer neighbor).  Only materialized rows are
         examined: an absent row *is* the fixpoint by construction."""
-        net = self._net
-        for d in sorted(self._touched_destinations()):
-            td = self._true_dist[d]
-            dist_row, hop_row = self.dist[d], self.hop[d]
-            for p in net.processors():
-                if p == d:
-                    if dist_row[p] != 0 or hop_row[p] != p:
-                        return False
-                    continue
-                if dist_row[p] != td[p]:
-                    return False
-                if hop_row[p] != min(
-                    q for q in net.neighbors(p) if td[q] == td[p] - 1
-                ):
-                    return False
-        return True
+        return not any(map(self._deviates, self._touched_destinations()))
 
     # -- Protocol --------------------------------------------------------------
 
@@ -201,47 +185,22 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             return [self._make_fix_action(pid, d, new_dist, new_hop)]
         return []
 
-    def _scan_actions(self, pid: ProcId) -> List[Action]:
-        """Classic scan over the destination components that can possibly
-        be enabled — the materialized rows (ascending, as the dense scan
-        examined them); every unmaterialized row is at the fixpoint and
+    def _active_sorted(self, pid: ProcId) -> List[DestId]:
+        """The destination components a scan must examine, ascending (as
+        the dense scan examined them) and the same at every processor: the
+        materialized rows — an unmaterialized row is at the fixpoint and
         silent by construction."""
-        dests = sorted(self._touched_destinations())
-        self.component_evals += len(dests)
-        actions: List[Action] = []
-        for d in dests:
-            actions.extend(self._eval_component(pid, d))
-        return actions
+        return sorted(self._touched_destinations())
+
+    @property
+    def component_evals(self) -> int:
+        """Component evaluations so far, scans and reconciles alike."""
+        return self._components.evals
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
-        if self._all_dirty:
-            return self._scan_actions(pid)
         cache = self._components
-        if not cache.valid[pid]:
-            entries = cache.entries[pid]
-            entries.clear()
-            dests = sorted(self._touched_destinations())
-            self.component_evals += len(dests)
-            for d in dests:
-                acts = self._eval_component(pid, d)
-                if acts:
-                    entries[d] = acts
-            cache.dirty[pid].clear()
-            cache.valid[pid] = True
-        else:
-            dirty = cache.dirty.get(pid)
-            if dirty:
-                entries = cache.entries[pid]
-                self.component_evals += len(dirty)
-                for d in dirty:
-                    acts = self._eval_component(pid, d)
-                    if acts:
-                        entries[d] = acts
-                    else:
-                        entries.pop(d, None)
-                dirty.clear()
-        cache.dirty_pids.discard(pid)
-        return cache.assemble(pid)
+        serve = cache.scan if self._all_dirty else cache.enabled_actions
+        return serve(pid, self._eval_component, self._active_sorted)
 
     def _make_self_action(self, pid: ProcId, d: DestId) -> Action:
         def effect() -> None:
@@ -299,10 +258,8 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             return self._anchor
         entries = []
         for d in sorted(self._touched_destinations()):
-            dist_row, hop_row = self.dist[d], self.hop[d]
-            if dist_row == self._fixpoint_dist_row(d) and hop_row == self._fixpoint_hop_row(d):
-                continue
-            entries.append((d, tuple(dist_row), tuple(hop_row)))
+            if self._deviates(d):
+                entries.append((d, tuple(self.dist[d]), tuple(self.hop[d])))
         return tuple(entries)
 
     def restore(self, vec: StateVector) -> None:
@@ -326,8 +283,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         target = {d: (dist_row, hop_row) for d, dist_row, hop_row in vec}
         n = self._net.n
         for d in sorted(self._touched_destinations() - set(target)):
-            fix_dist = self._fixpoint_dist_row(d)
-            fix_hop = self._fixpoint_hop_row(d)
+            fix_dist, fix_hop = self._fixpoint[d]
             dist_row, hop_row = self.dist[d], self.hop[d]
             for p in range(n):
                 if dist_row[p] != fix_dist[p] or hop_row[p] != fix_hop[p]:

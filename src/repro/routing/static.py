@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.network.graph import Network
-from repro.network.properties import bfs_tree
+from repro.network.properties import bfs_rows
 from repro.routing.lazyrows import LazyRows
 from repro.routing.table import RoutingService
 from repro.types import DestId, ProcId
@@ -38,8 +38,7 @@ class StaticRouting(RoutingService):
         self._hop = LazyRows(self._tree_row)
 
     def _tree_row(self, d: DestId) -> List[ProcId]:
-        parent = bfs_tree(self._net, d)
-        return [p if p == d else parent[p] for p in self._net.processors()]
+        return bfs_rows(self._net, d)[1]
 
     @property
     def network(self) -> Network:

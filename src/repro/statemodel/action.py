@@ -12,15 +12,16 @@ variables, hence no write conflicts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 from repro.types import ProcId
 
 
-@dataclass(frozen=True)
 class Action:
     """One enabled rule instance at one processor.
+
+    A plain slotted value (one is built per enabled guard per evaluation):
+    compared field by field, not hashable — ``info`` is a dict.
 
     Attributes
     ----------
@@ -38,15 +39,36 @@ class Action:
         Never read by the engine.
     """
 
-    pid: ProcId
-    rule: str
-    protocol: str
-    effect: Callable[[], None]
-    info: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("pid", "rule", "protocol", "effect", "info")
+
+    def __init__(
+        self,
+        pid: ProcId,
+        rule: str,
+        protocol: str,
+        effect: Callable[[], None],
+        info: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.pid = pid
+        self.rule = rule
+        self.protocol = protocol
+        self.effect = effect
+        self.info = {} if info is None else info
 
     def execute(self) -> None:
         """Apply the action's precomputed writes."""
         self.effect()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.pid == other.pid
+            and self.rule == other.rule
+            and self.protocol == other.protocol
+            and self.effect == other.effect
+            and self.info == other.info
+        )
 
     def __repr__(self) -> str:
         return f"Action(pid={self.pid}, rule={self.rule}, protocol={self.protocol})"

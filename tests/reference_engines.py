@@ -36,13 +36,10 @@ def fresh_actions(stack, pid):
     """Enabled actions of ``pid`` re-derived from the configuration alone: no
     component cache, no ``next_hop`` cache, no evaluation counting."""
     for proto in stack.protocols:
+        dests = proto._active_sorted(pid)
         if hasattr(proto, "_nh_cache"):  # a ForwardingProtocol
-            request = proto.hl.next_destination(pid) if proto.hl.request[pid] else None
-            dests = proto._active_sorted(request)
             proto = copy.copy(proto)  # same state, its own empty next_hop cache
             proto._nh_cache = {}
-        else:  # the routing protocol A
-            dests = sorted(proto._touched_destinations())
         actions = [a for d in dests for a in proto._eval_component(pid, d)]
         if actions:
             return actions

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro.app.workload import uniform_workload
+from repro.core.family import ForwardingProtocol
 from repro.errors import InvariantViolation
 from repro.network.topologies import (
     grid_network,
@@ -90,7 +91,7 @@ def _make_daemon(name: str, net, seed: int):
 
 def _make_scenario(seed: int, daemon_name: str, policy: str, *, full_scan: bool,
                    debug_check: bool = False, options=None,
-                   adversarial: bool = False) -> Simulation:
+                   adversarial: bool = False, protocol: str = "ssmfp") -> Simulation:
     rng = random.Random(seed)
     net = _make_net(rng)
     n = net.n
@@ -126,6 +127,7 @@ def _make_scenario(seed: int, daemon_name: str, policy: str, *, full_scan: bool,
         routing_corruption=corruption,
         garbage=garbage,
         scramble_choice_queues=scramble,
+        protocol=protocol,
         protocol_options=protocol_options,
     )
     if full_scan:
@@ -164,13 +166,14 @@ def _end_state(sim: Simulation):
 
 def _run_side_by_side(seed: int, daemon_name: str, policy: str = "fifo", *,
                       options=None, adversarial: bool = False,
-                      debug_check: bool = False,
+                      debug_check: bool = False, protocol: str = "ssmfp",
                       max_steps: int = MAX_STEPS) -> None:
     inc = _make_scenario(seed, daemon_name, policy, full_scan=False,
                          options=options, adversarial=adversarial,
-                         debug_check=debug_check)
+                         debug_check=debug_check, protocol=protocol)
     full = _make_scenario(seed, daemon_name, policy, full_scan=True,
-                          options=options, adversarial=adversarial)
+                          options=options, adversarial=adversarial,
+                          protocol=protocol)
     for _ in range(max_steps):
         ra = inc.step()
         rb = full.step()
@@ -219,6 +222,19 @@ class TestEngineEquivalence:
         seed = 4242 + 17 * ("lifo", "fixed", "aged_fair").index(policy)
         _run_side_by_side(seed, "distributed", policy, options=knobs,
                           adversarial=True, debug_check=True, max_steps=900)
+
+    @pytest.mark.parametrize("protocol", ("ssmfp", "ssmfp2"))
+    @pytest.mark.parametrize("policy", ("fifo", "aged_fair"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_routing_made_liveness_debug_checked(self, protocol, policy, seed):
+        # The start states where a routing move, not a buffer write, is what
+        # makes a neighbor live: fully corrupted SelfStabilizingBFSRouting
+        # on the PriorityStack, planted garbage and scrambled queues, for
+        # both rule sets and for the policy that re-syncs every step — the
+        # mark-time liveness filter judged by both oracles at once.
+        _run_side_by_side(9_100 + 37 * seed, "distributed", policy,
+                          adversarial=True, debug_check=True,
+                          protocol=protocol, max_steps=1_500)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_debug_check_mode_is_silent(self, seed):
@@ -317,3 +333,112 @@ class TestCrossCheckHasTeeth:
         sim = self._misroute_in_flight(_RewritableRouting)
         for _ in range(50):
             sim.step()
+
+
+def _live(proto, q, d):
+    """The liveness line of the ForwardingProtocol contract, spelled with
+    the public reads."""
+    return (
+        proto.bufs.R[d][q] is not None
+        or proto.bufs.E[d][q] is not None
+        or proto.queues[d][q].head() is not None
+    )
+
+
+def _mark_readers_without(dropped):
+    """``ForwardingProtocol._mark_readers`` rewritten by hand with one
+    clause of the liveness test left out (``None``: the faithful twin)."""
+
+    def mark_readers(self, p, d):
+        self._components.mark(p, d)
+        for q in self.net.neighbors(p):
+            clauses = {
+                "bufR": self.bufs.R[d][q] is not None,
+                "bufE": self.bufs.E[d][q] is not None,
+                "head": self.queues[d][q].head() is not None,
+            }
+            clauses.pop(dropped, None)
+            if any(clauses.values()):
+                self._components.mark(q, d)
+
+    return mark_readers
+
+
+_routing_sink = ForwardingProtocol._on_routing_change
+
+
+def _routing_change_with_filtered_resync(self, p, d):
+    """The routing sink with the liveness filter wrongly applied to the
+    queue re-sync set as well."""
+    before = set(self._resync.get(d, ()))
+    _routing_sink(self, p, d)
+    if d in self._resync:
+        self._resync[d] -= {
+            q for q in self._resync[d] - before
+            if q != p and not _live(self, q, d)
+        }
+
+
+class TestMarkTimeFilterHasTeeth:
+    """A neighbor is dirtied by a write only while it is live (it holds a
+    buffer or a queued requester in that component).  Each clause of that
+    test, and the rule that the queue re-sync set is *not* filtered, is
+    load-bearing: planted broken by hand, one of the two oracles catches
+    it."""
+
+    def _offer_waiting_at_1(self, monkeypatch, dropped):
+        # line 0-1-2, one message 0 -> 2, stopped where node 0 offers it,
+        # node 1 holds nothing but ``choice_1(2) = 0`` and its R3 (which
+        # binds a copy of the offered message) is evaluated and cached.
+        monkeypatch.setattr(
+            ForwardingProtocol, "_mark_readers", _mark_readers_without(dropped)
+        )
+        net = line_network(3)
+        proto = make_ssmfp(net)
+        proto.hl.submit(0, "m", 2)
+        sim = CheckedSimulator(net.n, [proto], SynchronousDaemon())
+        while proto.bufs.get_e(2, 0) is None:
+            assert not sim.step().terminal
+        sim.stack.before_step(sim.step_count)
+        assert [a.rule for a in sim.enabled_map()[1]] == ["R3"]
+        assert not _live(proto, 2, 2) and proto.queues.head(2, 1) == 0
+        return proto, sim
+
+    @pytest.mark.parametrize("dropped", (None, "bufR"))
+    def test_faithful_twin_and_redundant_clause_pass_here(self, monkeypatch, dropped):
+        # Node 1 is live through its queue head alone, so the hand-written
+        # twin — and even one without the bufR clause — keep this scenario
+        # exact; what follows is therefore about the clause it drops.
+        proto, sim = self._offer_waiting_at_1(monkeypatch, dropped)
+        proto.bufs.set_e(2, 0, proto.factory.invalid("other", 0, 1, 2))
+        while not sim.step().terminal:
+            pass
+
+    def test_dropping_the_queue_head_clause_is_caught(self, monkeypatch):
+        # The offered message is replaced out of band (what a restore() or
+        # a fault injector does): the candidate set, hence the head, stays,
+        # so only the buffer write can tell node 1 its bound copy is stale.
+        proto, sim = self._offer_waiting_at_1(monkeypatch, "head")
+        proto.bufs.set_e(2, 0, proto.factory.invalid("other", 0, 1, 2))
+        with pytest.raises(InvariantViolation, match=r"1: \(\[\('R3'"):
+            sim.step()
+
+    def test_dropping_the_bufE_clause_is_caught(self, monkeypatch):
+        # Node 0 holds only its emission buffer while it waits for node 1's
+        # copy; unmarked by that copy, its erase (R4) is never discovered.
+        proto, sim = self._offer_waiting_at_1(monkeypatch, "bufE")
+        with pytest.raises(InvariantViolation, match=r"0: \(\[\], \[\('R4'"):
+            for _ in range(3):
+                sim.step()
+
+    def test_filtering_the_resync_set_is_caught(self, monkeypatch):
+        # A hop that moves toward a neighbor that is not live must still
+        # re-sync that neighbor's queue — that is how it becomes live.  The
+        # queues are state, so the cache and a fresh scan agree on the
+        # stuck configuration; the full-scan engine does not.
+        monkeypatch.setattr(
+            ForwardingProtocol, "_on_routing_change",
+            _routing_change_with_filtered_resync,
+        )
+        with pytest.raises(AssertionError, match="diverged"):
+            _run_side_by_side(9_100, "distributed", adversarial=True)

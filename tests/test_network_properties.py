@@ -6,6 +6,7 @@ import pytest
 from repro.network.properties import (
     all_pairs_distances,
     bfs_distances,
+    bfs_rows,
     bfs_tree,
     degree_histogram,
     diameter,
@@ -18,6 +19,25 @@ from repro.network.topologies import (
     hypercube_network,
     random_connected_network,
     ring_network,
+    topology_by_name,
+)
+from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
+from repro.routing.static import StaticRouting
+
+#: One instance of every topology ``topology_by_name`` builds; most have
+#: equidistant parents (even rings, meshes, cliques, hypercubes) so the
+#: smallest-identity tie-break is exercised throughout.
+ZOO = (
+    ("line", {"n": 6}), ("ring", {"n": 8}), ("ring", {"n": 7}),
+    ("star", {"n": 6}), ("complete", {"n": 5}),
+    ("grid", {"rows": 3, "cols": 4}), ("torus", {"rows": 3, "cols": 4}),
+    ("hypercube", {"dim": 3}), ("lollipop", {"clique": 4, "tail": 3}),
+    ("binary_tree", {"depth": 3}), ("caterpillar", {"spine": 4, "legs_per_node": 2}),
+    ("barbell", {"clique": 3, "bridge": 2}), ("wheel", {"n": 7}),
+    ("random_regular", {"n": 10, "degree": 3, "seed": 1}),
+    ("random_tree", {"n": 11, "seed": 2}),
+    ("random", {"n": 12, "extra_edges": 9, "seed": 3}),
+    ("fig1", {}), ("fig3", {}),
 )
 
 
@@ -68,6 +88,51 @@ class TestBfsTree:
         # from root 0 -> parent must be 1.
         net = ring_network(4)
         assert bfs_tree(net, 0)[2] == 1
+
+
+class TestOneBfsPerRow:
+    """``bfs_rows`` computes distance and parent in one pass; the judge is
+    the rule it replaced three copies of — a distance BFS, then per
+    processor the smallest-identity neighbor one level closer."""
+
+    @staticmethod
+    def _two_pass(net, root):
+        g = to_nx(net)
+        length = nx.single_source_shortest_path_length(g, root)
+        dist = [length[p] for p in net.processors()]
+        hop = [
+            p if p == root
+            else min(q for q in net.neighbors(p) if dist[q] == dist[p] - 1)
+            for p in net.processors()
+        ]
+        return dist, hop
+
+    @pytest.mark.parametrize("name,kwargs", ZOO)
+    def test_rows_match_the_two_pass_rule_everywhere(self, name, kwargs):
+        net = topology_by_name(name, **kwargs)
+        static, selfstab = StaticRouting(net), SelfStabilizingBFSRouting(net)
+        for root in net.processors():
+            dist, hop = self._two_pass(net, root)
+            assert bfs_rows(net, root) == (dist, hop)
+            assert bfs_distances(net, root) == dist
+            parent = bfs_tree(net, root)
+            assert parent[root] is None
+            assert parent[:root] + parent[root + 1:] == hop[:root] + hop[root + 1:]
+            # Both providers serve the same rows, and the self-stabilizing
+            # one hands out fresh lists over one stored fixpoint.
+            assert [static.next_hop(p, root) for p in net.processors()] == hop
+            assert selfstab.dist[root] == dist and selfstab.hop[root] == hop
+            assert selfstab._fixpoint_hop_row(root) is not selfstab._fixpoint_hop_row(root)
+        assert selfstab.is_correct() and selfstab.snapshot() == ()
+
+    def test_tie_goes_to_the_smallest_identity_not_the_first_found(self):
+        # 0 - {1, 2}, 1 - 4, 2 - 3, {4, 3} - 5: level two is dequeued 4
+        # then 3 (discovery order), so a first-discoverer rule would route
+        # 5 through 4.
+        from repro.network.graph import Network
+
+        net = Network(6, [(0, 1), (0, 2), (1, 4), (2, 3), (4, 5), (3, 5)])
+        assert bfs_rows(net, 0) == ([0, 1, 1, 2, 2, 3], [0, 0, 0, 2, 1, 3])
 
 
 class TestGlobalProperties:

@@ -1,6 +1,25 @@
 """Tests for Message and MessageFactory."""
 
+import dataclasses
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.statemodel.message import Message, MessageFactory
+
+messages = st.builds(
+    Message,
+    payload=st.one_of(st.text(max_size=3), st.integers(), st.tuples(st.integers())),
+    last=st.integers(0, 9),
+    color=st.integers(0, 5),
+    dest=st.integers(0, 9),
+    uid=st.integers(-50, 50),
+    valid=st.booleans(),
+    source=st.one_of(st.none(), st.integers(0, 9)),
+    born_step=st.integers(-1, 99),
+    hops=st.integers(0, 9),
+)
 
 
 def make(payload="x", last=0, color=1, dest=2, uid=5, valid=True):
@@ -49,6 +68,24 @@ class TestDerivedCopies:
         assert r.last == 4
         assert r.color == 0
         assert r.uid == 7
+
+    @given(messages, st.integers(0, 9), st.integers(0, 5))
+    def test_copies_equal_dataclasses_replace(self, m, at, color):
+        # The copies are built field by field (no dataclasses.replace on the
+        # guard path); all nine fields must still come out as replace's.
+        assert len(dataclasses.fields(Message)) == 9
+        fwd, rec = m.forwarded_copy(at), m.recolored(at, color)
+        assert fwd == dataclasses.replace(m, last=at)
+        assert rec == dataclasses.replace(m, last=at, color=color, hops=m.hops + 1)
+        assert type(fwd) is type(rec) is Message
+
+    @given(messages)
+    def test_message_stays_frozen_and_hashable(self, m):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.last = 0
+        twin = m.forwarded_copy(m.last)
+        assert twin == m and twin is not m
+        assert hash(twin) == hash(m) and len({m, twin}) == 1
 
     def test_repr_flags_invalid(self):
         assert repr(make(valid=False)).startswith("<!")

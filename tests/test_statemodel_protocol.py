@@ -1,6 +1,8 @@
 """Tests for the Protocol base class defaults and the PriorityStack
 interface details not covered elsewhere."""
 
+import pytest
+
 from repro.statemodel.action import Action
 from repro.statemodel.composition import PriorityStack
 from repro.statemodel.protocol import Protocol
@@ -58,6 +60,40 @@ class TestActionDefaults:
     def test_repr(self):
         action = Action(pid=3, rule="R2", protocol="SSMFP", effect=lambda: None)
         assert "pid=3" in repr(action) and "R2" in repr(action)
+
+    def test_equality_is_field_wise(self):
+        def effect():
+            pass
+
+        def make(**changed):
+            fields = dict(pid=1, rule="R3", protocol="P", effect=effect, info={"dest": 2})
+            return Action(**{**fields, **changed})
+
+        assert make() == make() and not (make() != make())
+        for changed in (
+            {"pid": 2}, {"rule": "R4"}, {"protocol": "Q"},
+            {"effect": lambda: None}, {"info": {"dest": 3}},
+        ):
+            assert make() != make(**changed)
+        assert make() != ("R3", 1)
+
+    def test_membership_is_what_validate_selection_needs(self):
+        # Simulator._validate_selection tests ``action in enabled[pid]``:
+        # identity first, then field-wise equality — so a re-evaluated twin
+        # (same bound effect) passes and a foreign action does not.
+        def effect():
+            pass
+
+        offered = [Action(pid=0, rule="R1", protocol="P", effect=effect)]
+        assert offered[0] in offered
+        assert Action(pid=0, rule="R1", protocol="P", effect=effect) in offered
+        assert Action(pid=0, rule="R1", protocol="P", effect=lambda: None) not in offered
+
+    def test_slotted_and_unhashable(self):
+        action = Action(pid=0, rule="R", protocol="P", effect=lambda: None)
+        assert not hasattr(action, "__dict__")
+        with pytest.raises(TypeError):
+            hash(action)
 
 
 class TestPriorityStackDetails:
