@@ -14,12 +14,12 @@ Runs the same workload through three protocols and prints the scoreboard:
 Run:  python examples/baseline_comparison.py
 """
 
-from repro.experiments.comparison import run_comparison
+from repro.experiments import comparison
 from repro.sim.reporting import format_table
 
 
 def main() -> None:
-    rows = run_comparison(seeds=(1, 2, 3, 4, 5))
+    rows = comparison.SWEEP.rows(seeds=(1, 2, 3, 4, 5))
     print(
         format_table(
             rows,

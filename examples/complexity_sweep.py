@@ -12,14 +12,13 @@ two headline tables:
 Run:  python examples/complexity_sweep.py        (takes a few seconds)
 """
 
-from repro.experiments.prop5 import main as prop5_main
-from repro.experiments.prop7 import main as prop7_main
+from repro.experiments import prop5, prop7
 
 
 def main() -> None:
-    print(prop5_main(seeds=(1, 2)))
+    print(prop5.SWEEP.report(seeds=(1, 2)))
     print()
-    print(prop7_main(seeds=(1,), sizes=(6, 10, 14)))
+    print(prop7.SWEEP.report(seeds=(1,), n=(6, 10, 14)))
 
 
 if __name__ == "__main__":

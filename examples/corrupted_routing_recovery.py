@@ -30,22 +30,22 @@ def main() -> None:
     print(f"{'step':>6} {'round':>6} {'table errors':>13} {'in flight':>10} "
           f"{'generated':>10} {'delivered':>10}")
     stabilized_at = None
-    for tick in range(100_000):
-        if delivered_and_drained(sim):
-            break
-        if tick % 20 == 0:
-            errors = len(routing_errors(net, sim.routing))
-            if errors == 0 and stabilized_at is None:
-                stabilized_at = sim.sim.round_count
-            print(
-                f"{sim.sim.step_count:>6} {sim.sim.round_count:>6} "
-                f"{errors:>13} {sim.forwarding.bufs.total_occupied():>10} "
-                f"{sim.ledger.generated_count:>10} "
-                f"{sim.ledger.valid_delivered_count:>10}"
-            )
-        report = sim.step()
-        if report.terminal and not sim._fast_forward_workload():
-            break
+
+    def dashboard(sim) -> None:
+        nonlocal stabilized_at
+        if sim.sim.step_count % 20:
+            return
+        errors = len(routing_errors(net, sim.routing))
+        if errors == 0 and stabilized_at is None:
+            stabilized_at = sim.sim.round_count
+        print(
+            f"{sim.sim.step_count:>6} {sim.sim.round_count:>6} "
+            f"{errors:>13} {sim.forwarding.bufs.total_occupied():>10} "
+            f"{sim.ledger.generated_count:>10} "
+            f"{sim.ledger.valid_delivered_count:>10}"
+        )
+
+    sim.run(100_000, halt=delivered_and_drained, before_step=dashboard)
 
     assert sim.ledger.all_valid_delivered()
     print()

@@ -10,7 +10,7 @@ delivering all three.
 Run:  python examples/figure3_replay.py
 """
 
-from repro.experiments.fig3 import main as replay
+from repro.experiments.fig3 import report as replay
 
 
 def main() -> None:

@@ -18,17 +18,15 @@ Three stops:
 Run:  python examples/open_problems_tour.py     (a few seconds)
 """
 
-from repro.experiments.fast_choice import main as x2_main
-from repro.experiments.message_passing import main as x3_main
-from repro.experiments.open_problem import main as x1_main
+from repro.experiments import fast_choice, message_passing, open_problem
 
 
 def main() -> None:
-    print(x1_main())
+    print(open_problem.report())
     print()
-    print(x2_main(sizes=(8,), loads=(4,), seeds=(1, 2)))
+    print(fast_choice.SWEEP.report(n=(8,), per_source=(4,), seeds=(1, 2)))
     print()
-    print(x3_main(seeds=(1,)))
+    print(message_passing.report(seeds=(1,)))
 
 
 if __name__ == "__main__":

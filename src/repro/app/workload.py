@@ -109,6 +109,14 @@ def hotspot_workload(n: int, dest: DestId, per_source: int, seed: int) -> Worklo
     return Workload("hotspot", subs)
 
 
+def hotspot_per_source(messages: int, n: int) -> int:
+    """The ``per_source`` at which a hotspot workload on ``n`` processors
+    offers about ``messages`` messages (at least one per source) — how the
+    CLI, a live cluster and the congestion study size a hotspot from one
+    message count."""
+    return max(1, messages // max(n - 1, 1))
+
+
 def burst_workload(
     n: int, bursts: int, burst_size: int, gap: int, seed: int
 ) -> Workload:

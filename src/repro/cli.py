@@ -32,6 +32,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.app.workload import hotspot_per_source
+from repro.errors import ConfigurationError, ReproError, TopologyError
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.network.topologies import topology_by_name
 from repro.sim.runner import delivered_and_drained
@@ -48,6 +50,16 @@ _TOPOLOGY_ARGS = {
     "fig1": (),
     "fig3": (),
 }
+
+
+def _add_topology_flags(parser, topology: str, **sizes: int) -> None:
+    """``--topology`` and the size flags its builders take, with the
+    subcommand's defaults."""
+    parser.add_argument(
+        "--topology", default=topology, choices=sorted(_TOPOLOGY_ARGS)
+    )
+    for flag, default in sizes.items():
+        parser.add_argument(f"--{flag}", type=int, default=default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,13 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="path to a JSON record; omit to model-check the instance "
              "described by the flags below instead",
     )
-    ver.add_argument(
-        "--topology", default="line", choices=sorted(_TOPOLOGY_ARGS)
-    )
-    ver.add_argument("--n", type=int, default=3)
-    ver.add_argument("--rows", type=int, default=2)
-    ver.add_argument("--cols", type=int, default=2)
-    ver.add_argument("--dim", type=int, default=2)
+    _add_topology_flags(ver, "line", n=3, rows=2, cols=2, dim=2)
     ver.add_argument(
         "--messages", type=int, default=2,
         help="submissions fed to the instance (round-robin sources, "
@@ -206,11 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "runtime",
         help="run a live asyncio cluster and check conformance",
     )
-    run.add_argument("--topology", default="ring", choices=sorted(_TOPOLOGY_ARGS))
-    run.add_argument("--n", type=int, default=8)
-    run.add_argument("--rows", type=int, default=3)
-    run.add_argument("--cols", type=int, default=3)
-    run.add_argument("--dim", type=int, default=3)
+    _add_topology_flags(run, "ring", n=8, rows=3, cols=3, dim=3)
     run.add_argument("--messages", type=int, default=200)
     run.add_argument(
         "--workload", default="uniform", choices=["uniform", "hotspot"]
@@ -260,11 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     simp = sub.add_parser("simulate", help="run one simulation")
-    simp.add_argument("--topology", default="ring", choices=sorted(_TOPOLOGY_ARGS))
-    simp.add_argument("--n", type=int, default=8)
-    simp.add_argument("--rows", type=int, default=3)
-    simp.add_argument("--cols", type=int, default=3)
-    simp.add_argument("--dim", type=int, default=3)
+    _add_topology_flags(simp, "ring", n=8, rows=3, cols=3, dim=3)
     simp.add_argument("--messages", type=int, default=20)
     simp.add_argument(
         "--workload", default="uniform", choices=["uniform", "hotspot"]
@@ -313,7 +311,15 @@ def _make_network(args):
     return topology_by_name(args.topology, **_topology_section(args)["kwargs"])
 
 
-def _cmd_list() -> int:
+def _write_artifact(path: str, rows, **header) -> None:
+    """Write a ``repro.obs/v1`` artifact and say so on stderr."""
+    from repro.obs.export import write_jsonl
+
+    count = write_jsonl(path, rows, **header)
+    print(f"artifact: {path} ({count} rows)", file=sys.stderr)
+
+
+def _cmd_list(args) -> int:
     width = max(len(k) for k in EXPERIMENTS)
     for exp_id, (description, _) in EXPERIMENTS.items():
         print(f"{exp_id.ljust(width)}  {description}")
@@ -322,30 +328,30 @@ def _cmd_list() -> int:
 
 def _cmd_experiment(args) -> int:
     try:
-        if args.jsonl:
-            from repro.experiments.registry import run_experiment_with_artifact
-
-            print(run_experiment_with_artifact(args.id, args.jsonl))
-            print(f"artifact: {args.jsonl}", file=sys.stderr)
-        else:
-            print(run_experiment(args.id))
+        print(run_experiment(args.id, args.jsonl))
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    if args.jsonl:
+        print(f"artifact: {args.jsonl}", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.scenario import ScenarioSpec
 
     net = _make_network(args)
+    watched = args.watch
+    if watched is not None and not 0 <= watched < net.n:
+        raise ConfigurationError(
+            f"--watch {watched} outside topology (n={net.n})"
+        )
     if args.workload == "uniform":
         workload_kwargs = {"count": args.messages}
     else:
         workload_kwargs = {
             "dest": 0,
-            "per_source": max(1, args.messages // max(net.n - 1, 1)),
+            "per_source": hotspot_per_source(args.messages, net.n),
         }
     sim_section = {"daemon": {"name": args.daemon.replace("-", "_")}}
     if args.corrupt != "none":
@@ -358,32 +364,30 @@ def _cmd_simulate(args) -> int:
 
         registry = MetricsRegistry()
         tracer = MessageTracer()
-    try:
-        sim = ScenarioSpec.from_dict(
-            {
-                "name": "simulate",
-                "protocol": args.protocol,
-                "seed": args.seed,
-                "topology": _topology_section(args),
-                "workload": {"name": args.workload, "kwargs": workload_kwargs},
-                "sim": sim_section,
-            }
-        ).build_simulation(obs=registry, tracer=tracer)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sim = ScenarioSpec.from_dict(
+        {
+            "name": "simulate",
+            "protocol": args.protocol,
+            "seed": args.seed,
+            "topology": _topology_section(args),
+            "workload": {"name": args.workload, "kwargs": workload_kwargs},
+            "sim": sim_section,
+        }
+    ).build_simulation(obs=registry, tracer=tracer)
     print(render_network(net))
     print()
-    watched = args.watch
-    for _ in range(args.max_steps):
-        if delivered_and_drained(sim):
-            break
-        if watched is not None and sim.sim.step_count % 25 == 0:
+
+    def watch(sim) -> None:
+        if sim.sim.step_count % 25 == 0:
             print(f"-- step {sim.sim.step_count}")
             print(render_component_state(sim.forwarding, watched))
-        report = sim.step()
-        if report.terminal and not sim._fast_forward_workload():
-            break
+
+    sim.run(
+        args.max_steps,
+        halt=delivered_and_drained,
+        raise_on_limit=False,
+        before_step=None if watched is None else watch,
+    )
     ledger = sim.ledger
     print(
         f"steps={sim.sim.step_count} rounds={sim.sim.round_count} "
@@ -396,11 +400,8 @@ def _cmd_simulate(args) -> int:
         for uid in uids:
             print(tracer.format_timeline(uid))
     if registry is not None and args.jsonl:
-        from repro.obs.export import write_jsonl
-
-        rows = registry.rows() + tracer.to_rows()
-        count = write_jsonl(
-            args.jsonl, rows, name="simulate",
+        _write_artifact(
+            args.jsonl, registry.rows() + tracer.to_rows(), name="simulate",
             meta={
                 "topology": args.topology,
                 "protocol": args.protocol,
@@ -408,7 +409,6 @@ def _cmd_simulate(args) -> int:
                 "messages": args.messages,
             },
         )
-        print(f"artifact: {args.jsonl} ({count} rows)", file=sys.stderr)
     if not ledger.all_valid_delivered():
         print("WARNING: undelivered messages remain", file=sys.stderr)
         return 1
@@ -417,27 +417,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_all(args) -> int:
-    from repro.experiments.registry import main as run_all
+    from repro.experiments.registry import run_all
 
+    print(run_all(args.jsonl_dir))
     if args.jsonl_dir:
-        import pathlib
-
-        from repro.experiments.registry import run_experiment_with_artifact
-
-        out_dir = pathlib.Path(args.jsonl_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        parts = []
-        for exp_id, (description, _) in EXPERIMENTS.items():
-            parts.append(f"=== {exp_id}: {description} ===")
-            safe = exp_id.replace("/", "_")
-            parts.append(
-                run_experiment_with_artifact(exp_id, str(out_dir / f"{safe}.jsonl"))
-            )
-            parts.append("")
-        print("\n".join(parts))
-        print(f"artifacts: {out_dir}", file=sys.stderr)
-        return 0
-    print(run_all())
+        print(f"artifacts: {args.jsonl_dir}", file=sys.stderr)
     return 0
 
 
@@ -458,7 +442,6 @@ def _cmd_obs(args) -> int:
 def _cmd_record(args) -> int:
     import pathlib
 
-    from repro.errors import ReproError
     from repro.scenario import ScenarioSpec, record_scenario
 
     try:
@@ -482,7 +465,6 @@ def _cmd_verify(args) -> int:
     import json
     import pathlib
 
-    from repro.errors import ReproError
     from repro.scenario import RunRecord, verify_record
 
     try:
@@ -521,16 +503,18 @@ def _cmd_verify_exhaustive(args) -> int:
     from repro.core.corruption import plant_invalid_messages
     from repro.core.ledger import DeliveryLedger
     from repro.core.registry import resolve
-    from repro.errors import ConfigurationError, ReproError
     from repro.routing.static import StaticRouting
+    from repro.scenario.actions import check_fraction
     from repro.verify import LivenessChecker, ModelChecker
 
-    try:
-        proto_cls = resolve(args.protocol)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    proto_cls = resolve(args.protocol)
+    check_fraction("--garbage", args.garbage)
     net = _make_network(args)
+    if args.messages and net.n < 2:
+        raise TopologyError(
+            f"a message needs a destination other than its source: the "
+            f"instance needs at least 2 processors, got {net.n}"
+        )
 
     def make():
         proto = proto_cls(
@@ -563,21 +547,16 @@ def _cmd_verify_exhaustive(args) -> int:
 
         registry = MetricsRegistry()
 
-    try:
-        result = ModelChecker(
-            make,
-            max_states=args.max_states,
-            max_selection_width=args.max_width,
-            engine=args.engine,
-            reduction=args.reduction,
-            workers=args.workers,
-            log_every=args.log_every,
-            on_progress=on_progress,
-            obs=registry,
-        ).run()
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    search = dict(
+        max_states=args.max_states,
+        max_selection_width=args.max_width,
+        engine=args.engine,
+        workers=args.workers,
+        log_every=args.log_every,
+        on_progress=on_progress,
+        obs=registry,
+    )
+    result = ModelChecker(make, reduction=args.reduction, **search).run()
     print(
         f"safety: states={result.states} transitions={result.transitions} "
         f"terminal={result.terminal_states} violations={len(result.violations)}"
@@ -593,20 +572,7 @@ def _cmd_verify_exhaustive(args) -> int:
 
     live = None
     if args.liveness:
-        try:
-            live = LivenessChecker(
-                make,
-                max_states=args.max_states,
-                max_selection_width=args.max_width,
-                engine=args.engine,
-                workers=args.workers,
-                log_every=args.log_every,
-                on_progress=on_progress,
-                obs=registry,
-            ).run()
-        except (ReproError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        live = LivenessChecker(make, **search).run()
         print(
             f"liveness: states={live.states} sccs={live.sccs} "
             f"livelocks={len(live.livelocks)}"
@@ -618,10 +584,8 @@ def _cmd_verify_exhaustive(args) -> int:
                 file=sys.stderr,
             )
 
-    if args.jsonl and registry is not None:
-        from repro.obs.export import write_jsonl
-
-        count = write_jsonl(
+    if registry is not None:
+        _write_artifact(
             args.jsonl,
             registry.rows(),
             name="verify",
@@ -634,7 +598,6 @@ def _cmd_verify_exhaustive(args) -> int:
                 "seed": args.seed,
             },
         )
-        print(f"artifact: {args.jsonl} ({count} rows)", file=sys.stderr)
 
     if result.violations or (live is not None and live.livelocks):
         if live is not None and live.truncated:
@@ -651,7 +614,6 @@ def _cmd_verify_exhaustive(args) -> int:
 
 
 def _cmd_runtime(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.runtime import ClusterSpec, run_cluster
 
     netem = {
@@ -663,9 +625,9 @@ def _cmd_runtime(args) -> int:
         try:
             lo, hi = (float(x) for x in args.latency_ms.split(":"))
         except ValueError:
-            print(f"error: --latency-ms wants LO:HI, got {args.latency_ms!r}",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                f"--latency-ms wants LO:HI, got {args.latency_ms!r}"
+            ) from None
         netem["latency"] = (lo / 1000.0, hi / 1000.0)
     if args.flap_period is not None:
         netem["flap_period"] = args.flap_period
@@ -684,16 +646,10 @@ def _cmd_runtime(args) -> int:
         window=args.window,
         max_batch=args.max_batch,
     )
-    try:
-        result = run_cluster(spec)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_cluster(spec)
     print(result.summary())
     if args.jsonl:
-        from repro.obs.export import write_jsonl
-
-        count = write_jsonl(
+        _write_artifact(
             args.jsonl,
             result.obs_rows(),
             name="runtime",
@@ -707,12 +663,10 @@ def _cmd_runtime(args) -> int:
                 "partial": result.partial,
             },
         )
-        print(f"artifact: {args.jsonl} ({count} rows)", file=sys.stderr)
     return 1 if result.partial else 0
 
 
 def _cmd_scenario(args) -> int:
-    from repro.errors import ReproError
     from repro.scenario import (
         ScenarioSpec,
         load_scenario_file,
@@ -720,80 +674,57 @@ def _cmd_scenario(args) -> int:
         run_one_scenario,
     )
 
-    try:
-        data = load_scenario_file(args.spec)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     if args.scenario_command == "campaign":
-        try:
-            campaign = run_campaign(
-                data,
-                target=args.target,
-                smoke=args.smoke,
-                workers=args.workers,
-                artifact_dir=args.artifact_dir,
-                jsonl_path=args.jsonl,
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        campaign = run_campaign(
+            load_scenario_file(args.spec),
+            target=args.target,
+            smoke=args.smoke,
+            workers=args.workers,
+            artifact_dir=args.artifact_dir,
+            jsonl_path=args.jsonl,
+        )
         print(campaign.summary())
         if args.jsonl:
             print(f"artifact: {args.jsonl}", file=sys.stderr)
         return 0 if campaign.ok else 1
 
-    try:
-        if args.target is not None:
-            data = {**data, "target": args.target}
-        spec = ScenarioSpec.from_dict(data)
-        if args.smoke:
-            spec = spec.smoked()
-        result = run_one_scenario(spec)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = ScenarioSpec.from_file(args.spec, target=args.target)
+    if args.smoke:
+        spec = spec.smoked()
+    result = run_one_scenario(spec)
     print(result.summary())
     if args.jsonl:
-        from repro.obs.export import write_jsonl
-
-        count = write_jsonl(
-            args.jsonl,
-            result.obs_rows,
-            kind="metric",
-            name=spec.name,
-            meta={
-                "scenario": spec.name,
-                "target": spec.target,
-                "protocol": spec.protocol,
-                "verdict": result.verdict,
-            },
-        )
+        count = result.write_artifact(args.jsonl)
         print(f"artifact: {args.jsonl} ({count} rows)", file=sys.stderr)
     return 0 if result.ok else 1
 
 
+_COMMANDS = {
+    "list": _cmd_list,
+    "experiment": _cmd_experiment,
+    "all": _cmd_all,
+    "record": _cmd_record,
+    "verify": _cmd_verify,
+    "obs": _cmd_obs,
+    "scenario": _cmd_scenario,
+    "runtime": _cmd_runtime,
+    "simulate": _cmd_simulate,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    This is the one boundary where a library error becomes a message: any
+    :class:`~repro.errors.ReproError` a command lets through — a rejected
+    spec, an impossible topology, a flag out of range — ends in one
+    ``error:`` line and exit code 2, never a stack trace."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "all":
-        return _cmd_all(args)
-    if args.command == "record":
-        return _cmd_record(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "runtime":
-        return _cmd_runtime(args)
-    return _cmd_simulate(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,8 +27,10 @@ from repro.app.higher_layer import HigherLayer
 from repro.app.workload import adversarial_same_payload_workload
 from repro.core.ledger import DeliveryLedger
 from repro.core.protocol import SSMFP
+from repro.network.graph import Network
 from repro.network.topologies import line_network, ring_network, star_network
 from repro.routing.scripted import ScriptedRouting
+from repro.routing.static import StaticRouting
 from repro.sim.reporting import format_table
 from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.composition import PriorityStack
@@ -74,8 +76,6 @@ def run_a2_fairness(stream_lengths=(2, 6, 12, 20)) -> List[Dict[str, object]]:
             net = star_network(4)  # center 0, leaves 1, 2, 3
             hl = HigherLayer(net.n)
             ledger = DeliveryLedger()
-            from repro.routing.static import StaticRouting
-
             proto = SSMFP(
                 net, StaticRouting(net), hl, ledger, choice_policy=policy
             )
@@ -111,11 +111,8 @@ def run_a3_r5() -> List[Dict[str, object]]:
     wedges with the message undelivered."""
     rows: List[Dict[str, object]] = []
     for r5_on in (True, False):
-        net = line_network(4)
-        # Give processor 1 a second route for destination 3 by adding the
-        # edge 1-3: use a custom network.
-        from repro.network.graph import Network
-
+        # A line of 4 plus the edge 1-3, which gives processor 1 a second
+        # route for destination 3.
         net = Network(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         routing = ScriptedRouting(net)
         routing.set_hop(1, 3, 2)  # initially via 2 (the long way)
@@ -172,7 +169,7 @@ def run_a4_literal_r5(seeds=range(20)) -> Dict[str, object]:
     return results
 
 
-def main() -> str:
+def report() -> str:
     """Regenerate all four ablation tables."""
     parts = [
         format_table([run_a1_colors()], title="A1 - disabling the color flag"),
@@ -193,6 +190,3 @@ def main() -> str:
     ]
     return "\n\n".join(parts)
 
-
-if __name__ == "__main__":
-    print(main())

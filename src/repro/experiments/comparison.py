@@ -18,15 +18,20 @@ handshake moves.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.app.workload import uniform_workload
+from repro.experiments.sweep import Row, Sweep
 from repro.network.topologies import random_connected_network
-from repro.sim.reporting import format_table
 from repro.sim.runner import (
     build_baseline_simulation,
     build_simulation,
     delivered_and_drained,
+)
+
+_SUMMED = (
+    "generated", "delivered_once", "duplications", "losses", "undelivered",
+    "violations",
 )
 
 
@@ -37,7 +42,7 @@ def run_one(
     n: int = 8,
     messages: int = 16,
     max_steps: int = 400_000,
-) -> Dict[str, object]:
+) -> Row:
     """One run of one protocol in one regime; returns the measured row."""
     net = random_connected_network(n, n // 2, seed=seed)
     workload = uniform_workload(net.n, messages, seed=seed)
@@ -70,49 +75,34 @@ def run_one(
     }
 
 
-def run_comparison(seeds=(1, 2, 3, 4, 5)) -> List[Dict[str, object]]:
-    """Aggregate over seeds: totals per (protocol, regime)."""
-    rows: List[Dict[str, object]] = []
-    for protocol in ("ssmfp", "ms-atomic", "ms-split"):
-        for corrupted in (False, True):
-            total: Dict[str, object] = {
-                "protocol": protocol,
-                "tables": "corrupted" if corrupted else "correct",
-                "generated": 0, "delivered_once": 0, "duplications": 0,
-                "losses": 0, "undelivered": 0, "violations": 0,
-                "runs_finished": 0,
-            }
-            for seed in seeds:
-                row = run_one(protocol, corrupted, seed)
-                for key in (
-                    "generated", "delivered_once", "duplications",
-                    "losses", "undelivered", "violations",
-                ):
-                    total[key] += row[key]
-                total["runs_finished"] += int(row["finished"])
-            total["runs"] = len(seeds)
-            rows.append(total)
+def _totals(runs: List[Row]) -> Row:
+    """Totals over the seeds of one (protocol, regime)."""
+    total: Row = {"protocol": runs[0]["protocol"], "tables": runs[0]["tables"]}
+    for key in _SUMMED:
+        total[key] = sum(run[key] for run in runs)
+    total["runs_finished"] = sum(int(run["finished"]) for run in runs)
+    total["runs"] = len(runs)
+    return total
+
+
+def _checked(rows: List[Row]) -> List[Row]:
+    assert all(
+        r["violations"] == 0 and r["losses"] == 0
+        for r in rows
+        if r["protocol"] == "ssmfp"
+    ), "SSMFP must never violate the specification"
     return rows
 
 
-def main(seeds=(1, 2, 3, 4, 5)) -> str:
-    """Regenerate the T1 comparison table."""
-    rows = run_comparison(seeds)
-    ssmfp_rows = [r for r in rows if r["protocol"] == "ssmfp"]
-    assert all(r["violations"] == 0 and r["losses"] == 0 for r in ssmfp_rows), (
-        "SSMFP must never violate the specification"
-    )
-    return format_table(
-        rows,
-        columns=[
-            "protocol", "tables", "generated", "delivered_once",
-            "duplications", "losses", "undelivered", "violations",
-            "runs_finished", "runs",
-        ],
-        title="T1 - exactly-once delivery: SSMFP vs the classical scheme "
-              "(totals over seeds)",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="T1 - exactly-once delivery: SSMFP vs the classical scheme "
+          "(totals over seeds)",
+    run_one=run_one,
+    axes={
+        "protocol": ("ssmfp", "ms-atomic", "ms-split"),
+        "corrupted": (False, True),
+    },
+    seeds=(1, 2, 3, 4, 5),
+    fold=_totals,
+    derive=_checked,
+)

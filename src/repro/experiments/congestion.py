@@ -14,42 +14,40 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.app.workload import hotspot_workload, uniform_workload
+from repro.app.workload import hotspot_per_source, hotspot_workload, uniform_workload
+from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.topologies import grid_network, ring_network
-from repro.sim.reporting import format_table
 from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.sim.stats import jain_index
 
 
-def run_one(
-    topology: str, pattern: str, load: int, seed: int
-) -> Dict[str, object]:
+def run_one(topology: str, pattern: str, load: int, seed: int) -> Row:
     """One burst-drain run at the given offered load."""
     net = ring_network(10) if topology == "ring" else grid_network(3, 4)
     if pattern == "hotspot":
-        per_source = max(1, load // (net.n - 1))
-        workload = hotspot_workload(net.n, dest=0, per_source=per_source, seed=seed)
+        workload = hotspot_workload(
+            net.n, dest=0, per_source=hotspot_per_source(load, net.n), seed=seed
+        )
     else:
         workload = uniform_workload(net.n, load, seed=seed)
     sim = build_simulation(net, workload=workload, routing_mode="static", seed=seed)
     peak = 0
-    for _ in range(5_000_000):
-        if delivered_and_drained(sim):
-            break
+
+    def watch_occupancy(sim) -> None:
+        nonlocal peak
         peak = max(peak, sim.forwarding.bufs.total_occupied())
-        report = sim.step()
-        if report.terminal and not sim._fast_forward_workload():
-            break
+
+    sim.run(5_000_000, halt=delivered_and_drained, before_step=watch_occupancy)
     delivered = sim.ledger.valid_delivered_count
     rounds = max(sim.sim.round_count, 1)
     # Fairness across sources: Jain's index over per-source mean latency
     # (1.0 = perfectly even service — the `choice` queues at work).
     per_source: Dict[int, List[int]] = {}
-    for uid in range(1, sim.ledger.generated_count + 1):
-        info = sim.ledger.generation_info(uid)
+    for uid in sim.ledger.generated_uids():
         lat = sim.ledger.latency_steps(uid)
-        if info is not None and lat is not None:
-            per_source.setdefault(info[0], []).append(lat)
+        if lat is not None:
+            source = sim.ledger.generation_info(uid)[0]
+            per_source.setdefault(source, []).append(lat)
     fairness = jain_index(
         [sum(v) / len(v) for v in per_source.values() if v]
     )
@@ -66,34 +64,15 @@ def run_one(
     }
 
 
-def run_congestion(loads=(8, 16, 32, 64), seeds=(1, 2)) -> List[Dict[str, object]]:
-    """Sweep load for both patterns on both topologies, worst seed by
-    drain time."""
-    rows: List[Dict[str, object]] = []
-    for topology in ("ring", "grid"):
-        for pattern in ("uniform", "hotspot"):
-            for load in loads:
-                worst = None
-                for seed in seeds:
-                    row = run_one(topology, pattern, load, seed)
-                    if worst is None or row["drain_rounds"] > worst["drain_rounds"]:
-                        worst = row
-                rows.append(worst)
-    return rows
-
-
-def main(loads=(8, 16, 32, 64), seeds=(1, 2)) -> str:
-    """Regenerate the X7 table."""
-    return format_table(
-        run_congestion(loads, seeds),
-        columns=[
-            "topology", "pattern", "offered", "delivered", "drain_rounds",
-            "amortized", "throughput", "peak_buffers", "fairness_jain",
-        ],
-        title="X7 - burst drain under growing load: amortized cost and "
-              "throughput stay stable (worst of seeds)",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="X7 - burst drain under growing load: amortized cost and "
+          "throughput stay stable (worst of seeds)",
+    run_one=run_one,
+    axes={
+        "topology": ("ring", "grid"),
+        "pattern": ("uniform", "hotspot"),
+        "load": (8, 16, 32, 64),
+    },
+    seeds=(1, 2),
+    fold=worst(lambda row: row["drain_rounds"]),
+)

@@ -148,10 +148,7 @@ def render(rows: List[Dict[str, object]]) -> str:
     )
 
 
-def main() -> str:
+def report() -> str:
     """Regenerate the X5 table."""
     return render(run_exhaustive())
 
-
-if __name__ == "__main__":
-    print(main())

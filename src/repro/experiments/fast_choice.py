@@ -24,12 +24,13 @@ measured speed.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from itertools import groupby
+from typing import List
 
 from repro.app.workload import Workload
+from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.topologies import line_network
 from repro.sim.metrics import RoundClock, delivery_latency_rounds
-from repro.sim.reporting import format_table
 from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.trace import TraceRecorder
 
@@ -45,7 +46,7 @@ def _contended_probe_workload(n: int, per_source: int) -> Workload:
     return Workload("near-dest contention", subs)
 
 
-def run_one(policy: str, n: int, per_source: int, seed: int) -> Dict[str, object]:
+def run_one(policy: str, n: int, per_source: int, seed: int) -> Row:
     """One probe run under the given choice policy."""
     net = line_network(n)
     trace = TraceRecorder(kinds=("round",))  # round markers only; skips action Events
@@ -63,9 +64,8 @@ def run_one(policy: str, n: int, per_source: int, seed: int) -> Dict[str, object
     latencies = delivery_latency_rounds(sim.ledger, clock)
     probe_uid = next(
         uid
-        for uid in range(1, sim.ledger.generated_count + 1)
-        if sim.ledger.generation_info(uid)
-        and sim.ledger.generation_info(uid)[0] == 0
+        for uid in sim.ledger.generated_uids()
+        if sim.ledger.generation_info(uid)[0] == 0
     )
     return {
         "policy": policy,
@@ -77,51 +77,41 @@ def run_one(policy: str, n: int, per_source: int, seed: int) -> Dict[str, object
     }
 
 
-def run_fast_choice(
-    sizes=(8, 12), loads=(2, 4), seeds=(1, 2, 3)
-) -> List[Dict[str, object]]:
-    """FIFO vs aged, worst seed per configuration."""
-    rows: List[Dict[str, object]] = []
-    for n in sizes:
-        for per_source in loads:
-            per_policy: Dict[str, Dict[str, object]] = {}
-            for policy in ("fifo", "aged", "aged_fair"):
-                worst = None
-                for seed in seeds:
-                    row = run_one(policy, n, per_source, seed)
-                    if worst is None or row["probe_rounds"] > worst["probe_rounds"]:
-                        worst = row
-                per_policy[policy] = worst
-                rows.append(worst)
-            fifo = per_policy["fifo"]
-            for variant in ("aged", "aged_fair"):
-                rows.append(
+def _with_speedups(rows: List[Row]) -> List[Row]:
+    """After each configuration's per-policy rows, FIFO's probe latency
+    over each other policy's."""
+    out: List[Row] = []
+    for (n, per_source), group in groupby(
+        rows, key=lambda row: (row["n"], row["per_source"])
+    ):
+        policies = list(group)
+        out += policies
+        fifo = next(row for row in policies if row["policy"] == "fifo")
+        for row in policies:
+            if row is not fifo:
+                out.append(
                     {
-                        "policy": f"speedup fifo/{variant}",
+                        "policy": f"speedup fifo/{row['policy']}",
                         "n": n,
                         "per_source": per_source,
                         "probe_rounds": round(
-                            fifo["probe_rounds"]
-                            / max(per_policy[variant]["probe_rounds"], 1),
-                            2,
+                            fifo["probe_rounds"] / max(row["probe_rounds"], 1), 2
                         ),
                     }
                 )
-    return rows
+    return out
 
 
-def main(sizes=(8, 12), loads=(2, 4), seeds=(1, 2, 3)) -> str:
-    """Regenerate the X2 table."""
-    return format_table(
-        run_fast_choice(sizes, loads, seeds),
-        columns=[
-            "policy", "n", "per_source", "probe_rounds", "max_rounds",
-            "mean_rounds",
-        ],
-        title="X2 - future work: age-priority choice vs the paper's FIFO "
-              "(probe latency under near-destination contention, worst of seeds)",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="X2 - future work: age-priority choice vs the paper's FIFO "
+          "(probe latency under near-destination contention, worst of seeds)",
+    run_one=run_one,
+    axes={
+        "n": (8, 12),
+        "per_source": (2, 4),
+        "policy": ("fifo", "aged", "aged_fair"),
+    },
+    seeds=(1, 2, 3),
+    fold=worst(lambda row: row["probe_rounds"]),
+    derive=_with_speedups,
+)

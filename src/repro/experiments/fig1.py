@@ -66,7 +66,7 @@ def render_component(dest_name: str = "b") -> str:
     return "\n".join(lines)
 
 
-def main() -> str:
+def report() -> str:
     """Regenerate Figure 1's table and rendering."""
     rows = run_fig1()
     out = format_table(
@@ -76,6 +76,3 @@ def main() -> str:
     )
     return out + "\n\n" + render_component()
 
-
-if __name__ == "__main__":
-    print(main())

@@ -68,7 +68,7 @@ def render_component(dest_name: str = "b") -> str:
     return "\n".join(lines)
 
 
-def main() -> str:
+def report() -> str:
     """Regenerate Figure 2's table and rendering."""
     out = format_table(
         run_fig2(),
@@ -77,6 +77,3 @@ def main() -> str:
     )
     return out + "\n\n" + render_component()
 
-
-if __name__ == "__main__":
-    print(main())

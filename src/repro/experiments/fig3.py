@@ -164,20 +164,17 @@ def run_fig3() -> Fig3Report:
     return report
 
 
-def main() -> str:
+def report() -> str:
     """Regenerate Figure 3 as a configuration-by-configuration transcript."""
-    report = run_fig3()
+    replay = run_fig3()
     lines = ["F3 / Figure 3 - worked execution replay (destination b)"]
-    for snap in report.configurations:
+    for snap in replay.configurations:
         idx = snap.pop("config")
         state = ", ".join(f"{k}={v}" for k, v in snap.items()) or "(empty)"
         lines.append(f"  ({idx:>2}) {state}")
     lines.append("")
-    lines.extend(report.deliveries)
+    lines.extend(replay.deliveries)
     lines.append("")
-    lines.append(f"checked {len(report.checks)} narrated checkpoints, all hold")
+    lines.append(f"checked {len(replay.checks)} narrated checkpoints, all hold")
     return "\n".join(lines)
 
-
-if __name__ == "__main__":
-    print(main())

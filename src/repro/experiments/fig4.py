@@ -94,7 +94,7 @@ def run_fig4_evolution(steps: int = 40) -> List[Dict[str, object]]:
     return rows
 
 
-def main() -> str:
+def report() -> str:
     """Regenerate Figure 4's cases and the caterpillar-evolution table."""
     cases = format_table(
         run_fig4_cases(),
@@ -108,6 +108,3 @@ def main() -> str:
     )
     return cases + "\n\n" + evolution
 
-
-if __name__ == "__main__":
-    print(main())

@@ -15,26 +15,18 @@ into an OFFER/ACCEPT/RELEASE handshake over FIFO channels.  Two tables:
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.core.ledger import DeliveryLedger
+from repro.experiments.sweep import Row, Sweep, network_of, worst
 from repro.messagepassing.forwarding import OFFER, build_mp_network
 from repro.network.properties import all_pairs_distances
-from repro.network.topologies import grid_network, line_network, ring_network, star_network
 from repro.routing.static import StaticRouting
-from repro.sim.reporting import format_table
 
-TOPOLOGIES = {
-    "line(6)": lambda: line_network(6),
-    "ring(6)": lambda: ring_network(6),
-    "star(6)": lambda: star_network(6),
-    "grid(2x3)": lambda: grid_network(2, 3),
-}
+TOPOLOGIES = ("line(6)", "ring(6)", "star(6)", "grid(2x3)")
 
 
-def run_clean(topology: str, seed: int, messages_per_proc: int = 2) -> Dict[str, object]:
+def run_clean(topology: str, seed: int, messages_per_proc: int = 2) -> Row:
     """Clean-start run: exactly-once plus handshake cost."""
-    net = TOPOLOGIES[topology]()
+    net = network_of(topology)
     sim, nodes, ledger = build_mp_network(net, StaticRouting(net), seed=seed)
     dist = all_pairs_distances(net)
     total_hops = 0
@@ -62,10 +54,10 @@ def run_clean(topology: str, seed: int, messages_per_proc: int = 2) -> Dict[str,
     }
 
 
-def run_corrupted(topology: str, seed: int) -> Dict[str, object]:
+def run_corrupted(topology: str, seed: int) -> Row:
     """One garbage OFFER in a channel toward processor 0 (destination 0):
     does valid traffic to 0 still arrive?"""
-    net = TOPOLOGIES[topology]()
+    net = network_of(topology)
     ledger = DeliveryLedger(strict=False)
     sim, nodes, ledger = build_mp_network(
         net, StaticRouting(net), seed=seed, ledger=ledger
@@ -84,44 +76,25 @@ def run_corrupted(topology: str, seed: int) -> Dict[str, object]:
     }
 
 
-def run_message_passing(seeds=(1, 2)) -> Dict[str, List[Dict[str, object]]]:
-    """Both regimes across topologies (worst seed for the clean table)."""
-    clean: List[Dict[str, object]] = []
-    corrupted: List[Dict[str, object]] = []
-    for topology in TOPOLOGIES:
-        worst = None
-        for seed in seeds:
-            row = run_clean(topology, seed)
-            if worst is None or row["wire_msgs"] > worst["wire_msgs"]:
-                worst = row
-        clean.append(worst)
-        corrupted.append(run_corrupted(topology, seeds[0]))
-    return {"clean": clean, "corrupted": corrupted}
+CLEAN = Sweep(
+    title="X3a - message-passing port, clean starts: exactly-once and "
+          "handshake cost (3 wire messages per hop + offers queued)",
+    run_one=run_clean,
+    axes={"topology": TOPOLOGIES},
+    seeds=(1, 2),
+    fold=worst(lambda row: row["wire_msgs"]),
+)
+
+CORRUPTED = Sweep(
+    title="X3b - one garbage OFFER in a channel: liveness starves "
+          "(the open problem), safety holds",
+    run_one=run_corrupted,
+    axes={"topology": TOPOLOGIES},
+    seeds=(1,),
+    fold=worst(lambda row: row["starved"]),
+)
 
 
-def main(seeds=(1, 2)) -> str:
-    """Regenerate the X3 tables."""
-    result = run_message_passing(seeds)
-    clean = format_table(
-        result["clean"],
-        columns=[
-            "topology", "messages", "delivered_once", "violations",
-            "wire_msgs", "wire_per_hop",
-        ],
-        title="X3a - message-passing port, clean starts: exactly-once and "
-              "handshake cost (3 wire messages per hop + offers queued)",
-    )
-    corrupted = format_table(
-        result["corrupted"],
-        columns=[
-            "topology", "messages", "delivered_once", "starved",
-            "safety_violations",
-        ],
-        title="X3b - one garbage OFFER in a channel: liveness starves "
-              "(the open problem), safety holds",
-    )
-    return clean + "\n\n" + corrupted
-
-
-if __name__ == "__main__":
-    print(main())
+def report(seeds=CLEAN.seeds) -> str:
+    """Regenerate the X3 tables (the corrupted one at the first seed)."""
+    return CLEAN.report(seeds=seeds) + "\n\n" + CORRUPTED.report(seeds=seeds[:1])

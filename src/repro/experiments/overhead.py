@@ -14,34 +14,24 @@ copy + erase + commit instead of one move), not an asymptotic gap.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.app.workload import uniform_workload
-from repro.network.topologies import (
-    grid_network,
-    line_network,
-    ring_network,
-    star_network,
-)
+from repro.experiments.sweep import Row, Sweep, network_of
 from repro.sim.metrics import moves_per_delivery
-from repro.sim.reporting import format_table
 from repro.sim.runner import (
     build_baseline_simulation,
     build_simulation,
     delivered_and_drained,
 )
 
-TOPOLOGIES = {
-    "line(8)": lambda: line_network(8),
-    "ring(8)": lambda: ring_network(8),
-    "star(8)": lambda: star_network(8),
-    "grid(3x3)": lambda: grid_network(3, 3),
-}
+_MEASURES = ("delivered", "steps", "rounds", "moves_per_msg")
 
 
-def run_one(topology: str, protocol: str, seed: int, messages: int = 20) -> Dict[str, object]:
-    """One correct-tables run; returns the cost row."""
-    net = TOPOLOGIES[topology]()
+def run_one(topology: str, protocol: str, seed: int, messages: int = 20) -> Row:
+    """One correct-tables run of ``"ssmfp"`` or the ``"ms-atomic"``
+    baseline; returns the cost row."""
+    net = network_of(topology)
     workload = uniform_workload(net.n, messages, seed=seed)
     if protocol == "ssmfp":
         sim = build_simulation(
@@ -67,53 +57,35 @@ def run_one(topology: str, protocol: str, seed: int, messages: int = 20) -> Dict
     }
 
 
-def run_overhead(seeds=(1, 2, 3)) -> List[Dict[str, object]]:
-    """Mean-of-seeds rows plus the SSMFP/baseline ratios."""
-    rows: List[Dict[str, object]] = []
-    for topology in TOPOLOGIES:
-        per_protocol: Dict[str, Dict[str, float]] = {}
-        for protocol in ("ms-atomic", "ssmfp"):
-            acc = {"steps": 0.0, "rounds": 0.0, "moves_per_msg": 0.0, "delivered": 0.0}
-            buffers = 0
-            for seed in seeds:
-                row = run_one(topology, "ssmfp" if protocol == "ssmfp" else "ms", seed)
-                for key in acc:
-                    acc[key] += row[key] or 0
-                buffers = row["buffers_total"]
-            mean = {k: v / len(seeds) for k, v in acc.items()}
-            mean["buffers_total"] = buffers
-            per_protocol[protocol] = mean
-            rows.append({"topology": topology, "protocol": protocol, **mean})
-        ms, sf = per_protocol["ms-atomic"], per_protocol["ssmfp"]
-        rows.append(
-            {
-                "topology": topology,
-                "protocol": "ratio ssmfp/ms",
-                "steps": sf["steps"] / ms["steps"] if ms["steps"] else None,
-                "rounds": sf["rounds"] / ms["rounds"] if ms["rounds"] else None,
-                "moves_per_msg": (
-                    sf["moves_per_msg"] / ms["moves_per_msg"]
-                    if ms["moves_per_msg"]
-                    else None
-                ),
-                "buffers_total": sf["buffers_total"] / ms["buffers_total"],
-            }
-        )
-    return rows
+def _mean(runs: List[Row]) -> Row:
+    """Mean over the seeds of one (topology, protocol)."""
+    mean = dict(runs[0])
+    for key in _MEASURES:
+        mean[key] = sum(run[key] or 0 for run in runs) / len(runs)
+    return mean
 
 
-def main(seeds=(1, 2, 3)) -> str:
-    """Regenerate the T2 overhead table."""
-    return format_table(
-        run_overhead(seeds),
-        columns=[
-            "topology", "protocol", "delivered", "steps", "rounds",
-            "moves_per_msg", "buffers_total",
-        ],
-        title="T2 - over-cost of snap-stabilization vs the fault-free "
-              "baseline (correct tables, mean of seeds)",
-    )
+def _with_ratios(rows: List[Row]) -> List[Row]:
+    """After each topology's (baseline, SSMFP) pair, their ratio."""
+    out: List[Row] = []
+    for ms, sf in zip(rows[::2], rows[1::2]):
+        ratio: Row = {"topology": sf["topology"], "protocol": "ratio ssmfp/ms"}
+        for key in ("steps", "rounds", "moves_per_msg"):
+            ratio[key] = sf[key] / ms[key] if ms[key] else None
+        ratio["buffers_total"] = sf["buffers_total"] / ms["buffers_total"]
+        out += [ms, sf, ratio]
+    return out
 
 
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="T2 - over-cost of snap-stabilization vs the fault-free "
+          "baseline (correct tables, mean of seeds)",
+    run_one=run_one,
+    axes={
+        "topology": ("line(8)", "ring(8)", "star(8)", "grid(3x3)"),
+        "protocol": ("ms-atomic", "ssmfp"),
+    },
+    seeds=(1, 2, 3),
+    fold=_mean,
+    derive=_with_ratios,
+)

@@ -11,19 +11,17 @@ topologies and sizes.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.corruption import fill_all_buffers, scramble_queues
-from repro.network.topologies import line_network, ring_network, star_network
-from repro.sim.reporting import format_table
+from repro.experiments.sweep import Row, Sweep, worst
+from repro.network.topologies import topology_by_name
 from repro.sim.runner import build_simulation, fully_quiescent
 
-_BUILDERS = {"line": line_network, "ring": ring_network, "star": star_network}
 
-
-def run_one(topology: str, n: int, seed: int, dest: int = 0) -> Dict[str, object]:
+def run_one(topology: str, n: int, seed: int, dest: int = 0) -> Row:
     """One adversarial run; returns the measured row."""
-    net = _BUILDERS[topology](n)
+    net = topology_by_name(topology, n)
     sim = build_simulation(
         net,
         routing_corruption={"kind": "random", "fraction": 1.0, "seed": seed},
@@ -45,34 +43,17 @@ def run_one(topology: str, n: int, seed: int, dest: int = 0) -> Dict[str, object
     }
 
 
-def run_prop4(seeds=(1, 2, 3), sizes=(4, 6, 8, 10)) -> List[Dict[str, object]]:
-    """Sweep topology x size, keeping the worst (max deliveries) seed."""
-    rows: List[Dict[str, object]] = []
-    for topology in _BUILDERS:
-        for n in sizes:
-            worst = None
-            for seed in seeds:
-                row = run_one(topology, n, seed)
-                if worst is None or row["invalid_delivered"] > worst["invalid_delivered"]:
-                    worst = row
-            rows.append(worst)
+def _checked(rows: List[Row]) -> List[Row]:
+    assert all(r["within_bound"] for r in rows), "Proposition 4 violated!"
     return rows
 
 
-def main(seeds=(1, 2, 3), sizes=(4, 6, 8, 10)) -> str:
-    """Regenerate the Proposition-4 table."""
-    rows = run_prop4(seeds, sizes)
-    assert all(r["within_bound"] for r in rows), "Proposition 4 violated!"
-    return format_table(
-        rows,
-        columns=[
-            "topology", "n", "planted", "bound_2n",
-            "invalid_delivered", "ratio", "within_bound",
-        ],
-        title="P4 / Proposition 4 - invalid deliveries vs the 2n bound "
-              "(worst of seeds, all buffers initially full of garbage)",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="P4 / Proposition 4 - invalid deliveries vs the 2n bound "
+          "(worst of seeds, all buffers initially full of garbage)",
+    run_one=run_one,
+    axes={"topology": ("line", "ring", "star"), "n": (4, 6, 8, 10)},
+    seeds=(1, 2, 3),
+    fold=worst(lambda row: row["invalid_delivered"]),
+    derive=_checked,
+)

@@ -18,32 +18,15 @@ latencies (in rounds) in both regimes, with the proposition's bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.app.workload import Workload
+from repro.experiments.sweep import Row, Sweep, network_of, worst
 from repro.network.graph import Network
 from repro.network.properties import all_pairs_distances, diameter, max_degree
-from repro.network.topologies import (
-    grid_network,
-    hypercube_network,
-    line_network,
-    lollipop_network,
-    ring_network,
-    star_network,
-)
 from repro.sim.metrics import RoundClock, delivery_latency_rounds
-from repro.sim.reporting import format_table
-from repro.sim.runner import build_simulation, delivered_and_drained
+from repro.sim.runner import Simulation, build_simulation, delivered_and_drained
 from repro.statemodel.trace import TraceRecorder
-
-TOPOLOGIES: Dict[str, callable] = {
-    "star(9)": lambda: star_network(9),
-    "hypercube(3)": lambda: hypercube_network(3),
-    "grid(3x3)": lambda: grid_network(3, 3),
-    "ring(10)": lambda: ring_network(10),
-    "line(8)": lambda: line_network(8),
-    "lollipop(5,4)": lambda: lollipop_network(5, 4),
-}
 
 
 def _farthest_pair(net: Network) -> Tuple[int, int]:
@@ -58,10 +41,9 @@ def _farthest_pair(net: Network) -> Tuple[int, int]:
 
 def _probe_workload(net: Network, contention_per_source: int) -> Tuple[Workload, int, int]:
     """A probe across the diameter plus hotspot contention on its
-    destination.  Returns (workload, source, dest); the probe is always
-    uid 1 (first submission, sources sorted puts it first... we give it
-    step 0 and every contender step 0 as well — the probe's uid is found
-    via the ledger's generation info instead)."""
+    destination.  Returns (workload, source, dest); the probe and every
+    contender are submitted at step 0, so the probe's uid is found via the
+    ledger's generation info."""
     src, dest = _farthest_pair(net)
     subs = [(0, src, "probe", dest)]
     for p in net.processors():
@@ -72,12 +54,65 @@ def _probe_workload(net: Network, contention_per_source: int) -> Tuple[Workload,
     return Workload("probe+contention", subs), src, dest
 
 
-def _probe_uid(sim, src: int, dest: int) -> Optional[int]:
-    for uid in range(1, sim.ledger.generated_count + 1):
-        info = sim.ledger.generation_info(uid)
-        if info is not None and info[0] == src and info[1] == dest:
-            return uid
-    return None
+def run_to_delivery(
+    net: Network,
+    workload: Workload,
+    corrupted: bool,
+    seed: int,
+    probe: Optional[Callable[[Simulation], object]] = None,
+) -> Tuple[Simulation, RoundClock, Row]:
+    """Run ``workload`` to delivery in one of the proof's two regimes —
+    correct tables, or worst-case corrupted ones plus 30 % garbage — with
+    ``probe`` (if any) looking at every configuration.  Returns the
+    simulation, its round clock and the columns every P5/P6 row shares;
+    ``R_A_rounds`` is the empirical R_A: the first round at which the
+    routing tables are correct, monitored every step."""
+    trace = TraceRecorder(kinds=("round",))  # round markers only; skips action Events
+    sim = build_simulation(
+        net,
+        workload=workload,
+        routing_corruption={"kind": "worst", "seed": seed} if corrupted else None,
+        garbage={"fraction": 0.3, "seed": seed} if corrupted else None,
+        trace=trace,
+        seed=seed,
+    )
+    first_correct: Optional[int] = None
+
+    def before_step(sim: Simulation) -> None:
+        nonlocal first_correct
+        if first_correct is None and sim.routing.is_correct():
+            first_correct = sim.sim.round_count
+        if probe is not None:
+            probe(sim)
+
+    sim.run(3_000_000, halt=delivered_and_drained, before_step=before_step)
+    assert sim.ledger.all_valid_delivered()
+    delta = max_degree(net)
+    diam = diameter(net)
+    return sim, RoundClock(trace), {
+        "delta": delta,
+        "D": diam,
+        "delta^D": delta ** diam,
+        "tables": "corrupted" if corrupted else "correct",
+        "R_A_rounds": first_correct if corrupted else 0,
+    }
+
+
+def with_bound(column: str, *measured: str) -> Callable[[List[Row]], List[Row]]:
+    """A sweep's ``derive``: add the proposition's max(R_A, Δ^D) as
+    ``column`` and whether every ``measured`` column stays within
+    3·bound + 3·D rounds."""
+
+    def derive(rows: List[Row]) -> List[Row]:
+        for row in rows:
+            bound = max(row["R_A_rounds"] or 0, row["delta^D"])
+            row[column] = bound
+            row["within"] = all(
+                (row[name] or 0) <= 3 * bound + 3 * row["D"] for name in measured
+            )
+        return rows
+
+    return derive
 
 
 def run_one(
@@ -85,83 +120,41 @@ def run_one(
     corrupted: bool,
     seed: int,
     contention_per_source: int = 2,
-) -> Dict[str, object]:
+) -> Row:
     """One probe run; returns the measured row."""
-    net = TOPOLOGIES[topology]()
+    net = network_of(topology)
     workload, src, dest = _probe_workload(net, contention_per_source)
-    trace = TraceRecorder(kinds=("round",))  # round markers only; skips action Events
-    sim = build_simulation(
-        net,
-        workload=workload,
-        routing_corruption=(
-            {"kind": "worst", "seed": seed} if corrupted else None
-        ),
-        garbage={"fraction": 0.3, "seed": seed} if corrupted else None,
-        trace=trace,
-        seed=seed,
-    )
-    # Track the empirical R_A: the first round after which tables stay
-    # correct (monitored every step).
-    stabilization_round: Optional[int] = None
-    for _ in range(3_000_000):
-        if delivered_and_drained(sim):
-            break
-        if stabilization_round is None and sim.routing.is_correct():
-            stabilization_round = sim.sim.round_count
-        report = sim.step()
-        if report.terminal and not sim._fast_forward_workload():
-            break
-    assert sim.ledger.all_valid_delivered()
-
-    clock = RoundClock(trace)
+    sim, clock, regime = run_to_delivery(net, workload, corrupted, seed)
     latencies = delivery_latency_rounds(sim.ledger, clock)
-    uid = _probe_uid(sim, src, dest)
-    delta = max_degree(net)
-    diam = diameter(net)
+    uid = next(
+        (
+            uid
+            for uid in sim.ledger.generated_uids()
+            if sim.ledger.generation_info(uid)[:2] == (src, dest)
+        ),
+        None,
+    )
     return {
         "topology": topology,
         "n": net.n,
-        "delta": delta,
-        "D": diam,
-        "delta^D": delta ** diam,
-        "tables": "corrupted" if corrupted else "correct",
-        "R_A_rounds": stabilization_round if corrupted else 0,
+        **regime,
         "probe_rounds": latencies.get(uid),
         "max_rounds": max(latencies.values()) if latencies else None,
     }
 
 
-def run_prop5(seeds=(1, 2, 3)) -> List[Dict[str, object]]:
-    """Sweep topology x {correct, corrupted}, worst seed kept."""
-    rows: List[Dict[str, object]] = []
-    for topology in TOPOLOGIES:
-        for corrupted in (False, True):
-            worst = None
-            for seed in seeds:
-                row = run_one(topology, corrupted, seed)
-                if worst is None or (row["probe_rounds"] or 0) > (worst["probe_rounds"] or 0):
-                    worst = row
-            bound = max(worst["R_A_rounds"] or 0, worst["delta^D"])
-            worst["bound_max(R_A,delta^D)"] = bound
-            worst["within"] = (worst["probe_rounds"] or 0) <= 3 * bound + 3 * worst["D"]
-            rows.append(worst)
-    return rows
-
-
-def main(seeds=(1, 2, 3)) -> str:
-    """Regenerate the Proposition-5 table."""
-    rows = run_prop5(seeds)
-    return format_table(
-        rows,
-        columns=[
-            "topology", "n", "delta", "D", "delta^D", "tables",
-            "R_A_rounds", "probe_rounds", "max_rounds",
-            "bound_max(R_A,delta^D)", "within",
-        ],
-        title="P5 / Proposition 5 - probe delivery time (rounds) vs "
-              "max(R_A, Delta^D), worst of seeds",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="P5 / Proposition 5 - probe delivery time (rounds) vs "
+          "max(R_A, Delta^D), worst of seeds",
+    run_one=run_one,
+    axes={
+        "topology": (
+            "star(9)", "hypercube(3)", "grid(3x3)", "ring(10)", "line(8)",
+            "lollipop(5,4)",
+        ),
+        "corrupted": (False, True),
+    },
+    seeds=(1, 2, 3),
+    fold=worst(lambda row: row["probe_rounds"] or 0),
+    derive=with_bound("bound_max(R_A,delta^D)", "probe_rounds"),
+)

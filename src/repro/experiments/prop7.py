@@ -12,19 +12,17 @@ and sit far below Δ^D.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.app.workload import hotspot_workload
+from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.properties import diameter, max_degree
-from repro.network.topologies import line_network, ring_network
+from repro.network.topologies import topology_by_name
 from repro.sim.metrics import amortized_rounds_per_delivery
-from repro.sim.reporting import format_table
 from repro.sim.runner import build_simulation, delivered_and_drained
 
 
-def run_one(topology: str, n: int, seed: int, per_source: int = 3, corrupted: bool = False) -> Dict[str, object]:
+def run_one(topology: str, n: int, seed: int, per_source: int = 3, corrupted: bool = False) -> Row:
     """Heavy hotspot run; returns the amortized row."""
-    net = line_network(n) if topology == "line" else ring_network(n)
+    net = topology_by_name(topology, n)
     dest = 0
     sim = build_simulation(
         net,
@@ -50,36 +48,15 @@ def run_one(topology: str, n: int, seed: int, per_source: int = 3, corrupted: bo
     }
 
 
-def run_prop7(seeds=(1, 2), sizes=(6, 10, 14, 18)) -> List[Dict[str, object]]:
-    """Sweep D (via n) on lines and rings, worst seed kept."""
-    rows: List[Dict[str, object]] = []
-    for topology in ("line", "ring"):
-        for n in sizes:
-            for corrupted in (False, True):
-                worst = None
-                for seed in seeds:
-                    row = run_one(topology, n, seed, corrupted=corrupted)
-                    if worst is None or (row["amortized_rounds"] or 0) > (
-                        worst["amortized_rounds"] or 0
-                    ):
-                        worst = row
-                rows.append(worst)
-    return rows
-
-
-def main(seeds=(1, 2), sizes=(6, 10, 14, 18)) -> str:
-    """Regenerate the Proposition-7 table."""
-    rows = run_prop7(seeds, sizes)
-    return format_table(
-        rows,
-        columns=[
-            "topology", "n", "D", "delta^D", "tables", "delivered",
-            "total_rounds", "amortized_rounds", "amortized/D",
-        ],
-        title="P7 / Proposition 7 - amortized rounds per delivery scales "
-              "with D (not Delta^D), worst of seeds",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="P7 / Proposition 7 - amortized rounds per delivery scales "
+          "with D (not Delta^D), worst of seeds",
+    run_one=run_one,
+    axes={
+        "topology": ("line", "ring"),
+        "n": (6, 10, 14, 18),
+        "corrupted": (False, True),
+    },
+    seeds=(1, 2),
+    fold=worst(lambda row: row["amortized_rounds"] or 0),
+)

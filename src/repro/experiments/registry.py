@@ -1,12 +1,16 @@
 """Registry of experiments: id -> (description, entry point).
 
 Every entry point is a zero-argument callable returning the regenerated
-table/transcript as a string.  ``run_experiment`` looks up and executes
-one; the benchmark harness iterates over :data:`EXPERIMENTS`.
+table/transcript as a string: :meth:`~repro.experiments.sweep.Sweep.report`
+of the declared sweep for the experiments that are one, the module's own
+``report()`` for the multi-table and scripted ones.  ``run_experiment``
+looks up and executes one (``repro experiment <id>``), ``run_all`` the
+whole evaluation (``repro all``).
 """
 
 from __future__ import annotations
 
+import pathlib
 from typing import Callable, Dict, Tuple
 
 from repro.experiments import (
@@ -32,50 +36,45 @@ from repro.experiments import (
 
 #: Experiment id -> (one-line description, entry point).
 EXPERIMENTS: Dict[str, Tuple[str, Callable[[], str]]] = {
-    "F1": ("Figure 1: destination-based buffer graph", fig1.main),
-    "F2": ("Figure 2: SSMFP two-buffer graph", fig2.main),
-    "F3": ("Figure 3: worked execution replay", fig3.main),
-    "F4": ("Figure 4: caterpillar taxonomy", fig4.main),
-    "P4": ("Proposition 4: 2n invalid-delivery bound", prop4.main),
-    "P5": ("Proposition 5: delivery time O(max(R_A, Delta^D))", prop5.main),
-    "P6": ("Proposition 6: delay and waiting time", prop6.main),
-    "P7": ("Proposition 7: amortized complexity O(max(R_A, D))", prop7.main),
-    "T1": ("Comparison: SSMFP vs classical scheme", comparison.main),
-    "T2": ("Overhead of snap-stabilization", overhead.main),
-    "A1-A4": ("Ablations of colors, fairness, R5, literal R5", ablations.main),
-    "X1": ("Open problem: buffers/processor vs orientation covers", open_problem.main),
-    "X2": ("Future work: age-priority choice vs FIFO", fast_choice.main),
-    "X3": ("Future work: the message-passing port", message_passing.main),
-    "X4": ("Sustained transient faults: safety and cost", sustained_faults.main),
-    "X5": ("Exhaustive model checking of small instances", exhaustive.main),
-    "X6": ("Substrate study: the routing protocol's R_A", routing_study.main),
-    "X7": ("Congestion: burst drain under growing load", congestion.main),
+    "F1": ("Figure 1: destination-based buffer graph", fig1.report),
+    "F2": ("Figure 2: SSMFP two-buffer graph", fig2.report),
+    "F3": ("Figure 3: worked execution replay", fig3.report),
+    "F4": ("Figure 4: caterpillar taxonomy", fig4.report),
+    "P4": ("Proposition 4: 2n invalid-delivery bound", prop4.SWEEP.report),
+    "P5": ("Proposition 5: delivery time O(max(R_A, Delta^D))", prop5.SWEEP.report),
+    "P6": ("Proposition 6: delay and waiting time", prop6.SWEEP.report),
+    "P7": ("Proposition 7: amortized complexity O(max(R_A, D))", prop7.SWEEP.report),
+    "T1": ("Comparison: SSMFP vs classical scheme", comparison.SWEEP.report),
+    "T2": ("Overhead of snap-stabilization", overhead.SWEEP.report),
+    "A1-A4": ("Ablations of colors, fairness, R5, literal R5", ablations.report),
+    "X1": ("Open problem: buffers/processor vs orientation covers", open_problem.report),
+    "X2": ("Future work: age-priority choice vs FIFO", fast_choice.SWEEP.report),
+    "X3": ("Future work: the message-passing port", message_passing.report),
+    "X4": ("Sustained transient faults: safety and cost", sustained_faults.SWEEP.report),
+    "X5": ("Exhaustive model checking of small instances", exhaustive.report),
+    "X6": ("Substrate study: the routing protocol's R_A", routing_study.SWEEP.report),
+    "X7": ("Congestion: burst drain under growing load", congestion.SWEEP.report),
 }
 
 
-def run_experiment(exp_id: str) -> str:
-    """Run one experiment by id and return its report."""
+def run_experiment(exp_id: str, jsonl_path=None) -> str:
+    """Run one experiment by id and return its report.
+
+    With ``jsonl_path``, every table the run renders is also captured (via
+    the reporting sink) and its rows — kind ``table_row``, stamped with
+    their table's title — written there as a JSONL artifact.
+    """
     try:
-        _, entry = EXPERIMENTS[exp_id]
+        description, entry = EXPERIMENTS[exp_id]
     except KeyError:
         known = ", ".join(EXPERIMENTS)
         raise KeyError(f"unknown experiment {exp_id!r}; known: {known}") from None
-    return entry()
-
-
-def run_experiment_with_artifact(exp_id: str, jsonl_path: str) -> str:
-    """Run one experiment and write its tables as a JSONL artifact.
-
-    The experiments only print ASCII tables; this captures every table the
-    run renders (via the reporting sink) and writes the rows — kind
-    ``table_row``, stamped with their table's title — to ``jsonl_path``.
-    Returns the usual report string.
-    """
+    if jsonl_path is None:
+        return entry()
     from repro.obs.export import capture_tables, tables_to_rows, write_jsonl
 
-    description = EXPERIMENTS[exp_id][0] if exp_id in EXPERIMENTS else ""
     with capture_tables() as captured:
-        report = run_experiment(exp_id)
+        report = entry()
     write_jsonl(
         jsonl_path,
         tables_to_rows(captured),
@@ -86,15 +85,15 @@ def run_experiment_with_artifact(exp_id: str, jsonl_path: str) -> str:
     return report
 
 
-def main() -> str:
-    """Run every experiment back to back (the full evaluation)."""
+def run_all(jsonl_dir=None) -> str:
+    """Run every experiment back to back (the full evaluation); with
+    ``jsonl_dir``, also write one JSONL artifact per experiment there."""
     parts = []
-    for exp_id, (description, entry) in EXPERIMENTS.items():
+    for exp_id, (description, _) in EXPERIMENTS.items():
         parts.append(f"=== {exp_id}: {description} ===")
-        parts.append(entry())
+        name = f"{exp_id.replace('/', '_')}.jsonl"
+        parts.append(
+            run_experiment(exp_id, pathlib.Path(jsonl_dir, name) if jsonl_dir else None)
+        )
         parts.append("")
     return "\n".join(parts)
-
-
-if __name__ == "__main__":
-    print(main())

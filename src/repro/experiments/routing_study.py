@@ -13,34 +13,29 @@ constants, not the shape.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
+from repro.experiments.sweep import Row, Sweep, worst
+from repro.network.graph import Network
 from repro.network.properties import diameter, max_degree
-from repro.network.topologies import (
-    grid_network,
-    line_network,
-    random_connected_network,
-    ring_network,
-    star_network,
-)
+from repro.network.topologies import topology_by_name
 from repro.routing.corruption import corrupt_worst_case
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
-from repro.sim.reporting import format_table
 from repro.statemodel.daemon import DistributedRandomDaemon, SynchronousDaemon
 from repro.statemodel.scheduler import Simulator
 
-_FAMILIES = {
-    "line": line_network,
-    "ring": ring_network,
-    "star": star_network,
-    "grid": lambda n: grid_network(max(2, round(n ** 0.5)), max(2, round(n ** 0.5))),
-    "random": lambda n: random_connected_network(n, n, seed=5),
-}
+
+def _family_member(family: str, n: int) -> Network:
+    """The member of ``family`` with (about) ``n`` processors."""
+    if family == "grid":
+        side = max(2, round(n ** 0.5))
+        return topology_by_name("grid", side, side)
+    if family == "random":
+        return topology_by_name("random", n, n, seed=5)
+    return topology_by_name(family, n)
 
 
-def run_one(family: str, n: int, daemon_name: str, seed: int) -> Dict[str, object]:
+def run_one(family: str, n: int, daemon_name: str, seed: int) -> Row:
     """Rounds (and steps) to silence from worst-case corruption."""
-    net = _FAMILIES[family](n)
+    net = _family_member(family, n)
     routing = SelfStabilizingBFSRouting(net)
     corrupt_worst_case(routing, seed=seed)
     daemon = (
@@ -64,35 +59,15 @@ def run_one(family: str, n: int, daemon_name: str, seed: int) -> Dict[str, objec
     }
 
 
-def run_routing_study(
-    sizes=(6, 12, 18), seeds=(1, 2), daemons=("synchronous", "distributed")
-) -> List[Dict[str, object]]:
-    """Sweep family x size x daemon, worst seed kept."""
-    rows: List[Dict[str, object]] = []
-    for family in _FAMILIES:
-        for n in sizes:
-            for daemon_name in daemons:
-                worst = None
-                for seed in seeds:
-                    row = run_one(family, n, daemon_name, seed)
-                    if worst is None or row["R_A_rounds"] > worst["R_A_rounds"]:
-                        worst = row
-                rows.append(worst)
-    return rows
-
-
-def main(sizes=(6, 12, 18), seeds=(1, 2)) -> str:
-    """Regenerate the X6 table."""
-    return format_table(
-        run_routing_study(sizes, seeds),
-        columns=[
-            "family", "n", "delta", "D", "daemon", "R_A_rounds",
-            "steps", "rounds_per_n", "rounds_per_n2",
-        ],
-        title="X6 - the substrate's R_A: rounds to silence from worst-case "
-              "corruption (worst of seeds)",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="X6 - the substrate's R_A: rounds to silence from worst-case "
+          "corruption (worst of seeds)",
+    run_one=run_one,
+    axes={
+        "family": ("line", "ring", "star", "grid", "random"),
+        "n": (6, 12, 18),
+        "daemon_name": ("synchronous", "distributed"),
+    },
+    seeds=(1, 2),
+    fold=worst(lambda row: row["R_A_rounds"]),
+)

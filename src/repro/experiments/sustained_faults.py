@@ -14,24 +14,26 @@ Faults stop at ``stop_after``; the drain deadline then exists again.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Tuple
 
 from repro.app.workload import uniform_workload
+from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.topologies import grid_network, ring_network
 from repro.sim.faults import RoutingFaultInjector
-from repro.sim.reporting import format_table
 from repro.sim.runner import build_simulation, delivered_and_drained
 
 
 def run_one(
     topology: str,
-    period: int,
-    fraction: float,
+    pressure: Tuple[int, float],
     seed: int,
     messages: int = 16,
     stop_after: int = 500,
-) -> Dict[str, object]:
-    """One faulted run plus its fault-free twin; returns the cost row."""
+) -> Row:
+    """One run faulted at ``pressure`` = (injection period, corruption
+    fraction) plus its fault-free twin; returns the cost row."""
+    period, fraction = pressure
+
     def assemble():
         net = ring_network(8) if topology == "ring" else grid_network(3, 3)
         return build_simulation(
@@ -50,7 +52,9 @@ def run_one(
         faulted.routing, period=period, fraction=fraction,
         seed=seed, stop_after=stop_after,
     )
-    injector.drive(faulted, max_steps=2_000_000, halt=delivered_and_drained)
+    faulted.run(
+        2_000_000, halt=delivered_and_drained, before_step=injector.before_step
+    )
     assert faulted.ledger.all_valid_delivered()  # strict ledger anyway
 
     return {
@@ -68,32 +72,14 @@ def run_one(
     }
 
 
-def run_sustained_faults(seeds=(1, 2)) -> List[Dict[str, object]]:
-    """Sweep fault pressure on rings and grids (worst seed by slowdown)."""
-    rows: List[Dict[str, object]] = []
-    for topology in ("ring", "grid"):
-        for period, fraction in ((100, 0.3), (40, 0.6), (15, 1.0)):
-            worst = None
-            for seed in seeds:
-                row = run_one(topology, period, fraction, seed)
-                if worst is None or row["slowdown"] > worst["slowdown"]:
-                    worst = row
-            rows.append(worst)
-    return rows
-
-
-def main(seeds=(1, 2)) -> str:
-    """Regenerate the X4 table."""
-    return format_table(
-        run_sustained_faults(seeds),
-        columns=[
-            "topology", "period", "fraction", "injections", "delivered",
-            "violations", "rounds_faulted", "rounds_fault_free", "slowdown",
-        ],
-        title="X4 - sustained routing faults: safety never breaks, the "
-              "price is rounds (worst of seeds)",
-    )
-
-
-if __name__ == "__main__":
-    print(main())
+SWEEP = Sweep(
+    title="X4 - sustained routing faults: safety never breaks, the "
+          "price is rounds (worst of seeds)",
+    run_one=run_one,
+    axes={
+        "topology": ("ring", "grid"),
+        "pressure": ((100, 0.3), (40, 0.6), (15, 1.0)),
+    },
+    seeds=(1, 2),
+    fold=worst(lambda row: row["slowdown"]),
+)

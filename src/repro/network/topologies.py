@@ -256,8 +256,9 @@ def paper_figure3_network() -> Network:
     return Network(4, edges, names=names)
 
 
-def topology_by_name(name: str, **kwargs) -> Network:
-    """Build a topology from a string name (used by the campaign driver).
+def topology_by_name(name: str, *args, **kwargs) -> Network:
+    """Build a topology from a string name (the spec schema's vocabulary;
+    the experiments' ``"grid(3x3)"`` labels pass their sizes positionally).
 
     Supported names: ``line``, ``ring``, ``star``, ``complete``, ``grid``,
     ``torus``, ``hypercube``, ``lollipop``, ``random_tree``, ``random``,
@@ -286,4 +287,4 @@ def topology_by_name(name: str, **kwargs) -> Network:
         builder = builders[name]
     except KeyError:
         raise TopologyError(f"unknown topology {name!r}") from None
-    return builder(**kwargs)
+    return builder(*args, **kwargs)

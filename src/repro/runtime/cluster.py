@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.app.workload import workload_by_name
+from repro.app.workload import hotspot_per_source, workload_by_name
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
@@ -115,7 +115,7 @@ class ClusterSpec:
             "uniform": {"count": self.messages},
             "hotspot": {
                 "dest": 0,
-                "per_source": max(1, self.messages // max(net.n - 1, 1)),
+                "per_source": hotspot_per_source(self.messages, net.n),
             },
         }
         if self.workload not in sized:

@@ -157,13 +157,17 @@ def _check_edge(index: int, net: Network, value: Any) -> Tuple[int, int]:
     return normalized_edge(u, v)
 
 
-def _check_fraction(index: int, value: Any, key: str) -> float:
+def check_fraction(what: str, value: Any) -> float:
+    """The one range rule for every fraction a spec or flag carries —
+    schedule events, the ``[sim]`` initial corruption, ``--garbage``."""
     try:
         fraction = float(value)
     except (TypeError, ValueError):
-        raise _err(index, f"{key} must be a number, got {value!r}") from None
+        raise ConfigurationError(
+            f"{what} must be a number, got {value!r}"
+        ) from None
     if not 0.0 <= fraction <= 1.0:
-        raise _err(index, f"{key} must be in [0, 1], got {fraction}")
+        raise ConfigurationError(f"{what} must be in [0, 1], got {fraction}")
     return fraction
 
 
@@ -249,7 +253,9 @@ def validate_event(
     kwargs = {k: raw[k] for k in raw if k not in RESERVED_EVENT_KEYS}
     if action == "corrupt_routing":
         if "fraction" in kwargs:
-            kwargs["fraction"] = _check_fraction(index, kwargs["fraction"], "fraction")
+            kwargs["fraction"] = check_fraction(
+                f"schedule[{index}]: fraction", kwargs["fraction"]
+            )
         kwargs.setdefault("fraction", 0.5)
         period = float(kwargs.get("period", 1.0))
         if period <= 0:
@@ -257,7 +263,9 @@ def validate_event(
         kwargs["period"] = period
     elif action == "garbage":
         if "fraction" in kwargs:
-            kwargs["fraction"] = _check_fraction(index, kwargs["fraction"], "fraction")
+            kwargs["fraction"] = check_fraction(
+                f"schedule[{index}]: fraction", kwargs["fraction"]
+            )
         kwargs.setdefault("fraction", 0.3)
     elif action == "link_flap":
         period = float(kwargs.get("period", 1.0))
@@ -300,7 +308,9 @@ def validate_event(
             raise _err(index, "netem event changes nothing; set a knob")
         for key in ("loss", "dup", "reorder"):
             if key in kwargs:
-                kwargs[key] = _check_fraction(index, kwargs[key], key)
+                kwargs[key] = check_fraction(
+                    f"schedule[{index}]: {key}", kwargs[key]
+                )
         if "latency" in kwargs:
             try:
                 lo, hi = kwargs["latency"]

@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -43,13 +44,14 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text).strip("_") or "run"
 
 
-def expand_matrix(data: Dict[str, Any]) -> List[Tuple[str, Dict[str, Any]]]:
-    """All (label, spec-dict) runs a campaign spec denotes.
+def expand_matrix(data: Dict[str, Any]) -> List[Tuple[str, ScenarioSpec]]:
+    """All (label, validated spec) runs a campaign spec denotes.
 
     Axes apply in sorted-path order, repetitions innermost with the seed
-    offset by the repetition index; every expanded dict is re-validated so
-    an axis value that breaks the spec fails at expansion time with a
-    readable error naming the combo.
+    offset by the repetition index; every expanded dict is validated here,
+    once — the run takes the :class:`ScenarioSpec` as it is — so an axis
+    value that breaks the spec fails at expansion time with a readable
+    error naming the combo.
     """
     base_spec = ScenarioSpec.from_dict(data)  # validates the base shape
     matrix = base_spec.matrix
@@ -60,7 +62,7 @@ def expand_matrix(data: Dict[str, Any]) -> List[Tuple[str, Dict[str, Any]]]:
 
     axes = sorted(matrix)
     combos = list(product(*(matrix[axis] for axis in axes))) if axes else [()]
-    runs: List[Tuple[str, Dict[str, Any]]] = []
+    runs: List[Tuple[str, ScenarioSpec]] = []
     for combo in combos:
         data_combo = copy.deepcopy(template)
         parts: List[str] = []
@@ -79,10 +81,9 @@ def expand_matrix(data: Dict[str, Any]) -> List[Tuple[str, Dict[str, Any]]]:
                 else base_spec.name
             )
             try:
-                ScenarioSpec.from_dict(run_data)
+                runs.append((label, ScenarioSpec.from_dict(run_data)))
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{label}: {exc}") from None
-            runs.append((label, run_data))
     return runs
 
 
@@ -99,41 +100,22 @@ def run_one_scenario(spec: ScenarioSpec) -> ScenarioResult:
 
 def _scenario_row(
     *,
-    spec_data: Dict[str, Any],
+    spec: ScenarioSpec,
     label: str,
-    target: Optional[str] = None,
     smoke: bool = False,
     artifact_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One campaign run → one summary row.  Module-level (not a closure)
-    so :func:`_pool_map` can ship it to worker processes."""
-    data = dict(spec_data)
-    if target is not None:
-        data["target"] = target
-    spec = ScenarioSpec.from_dict(data)
+    so :func:`_pool_map` can ship it, and the validated (picklable) spec,
+    to worker processes."""
     if smoke:
         spec = spec.smoked()
     result = run_one_scenario(spec)
     row = result.row()
     row["label"] = label
     if artifact_dir is not None:
-        from pathlib import Path
-
-        from repro.obs.export import write_jsonl
-
         path = Path(artifact_dir) / f"{_slug(label)}.jsonl"
-        write_jsonl(
-            path,
-            result.obs_rows,
-            kind="metric",
-            name=label,
-            meta={
-                "scenario": spec.name,
-                "target": spec.target,
-                "protocol": spec.protocol,
-                "verdict": result.verdict,
-            },
-        )
+        result.write_artifact(path, name=label)
         row["artifact"] = str(path)
     return row
 
@@ -229,12 +211,12 @@ def run_campaign(
     runs = expand_matrix(data)
     configs: List[Dict[str, Any]] = [
         {
-            "spec_data": run_data,
+            "spec": spec,
             "label": label,
             "smoke": smoke,
             "artifact_dir": artifact_dir,
         }
-        for label, run_data in runs
+        for label, spec in runs
     ]
     rows = _pool_map(_scenario_row, configs, workers)
     for row, (label, _) in zip(rows, runs):

@@ -9,7 +9,7 @@ which compiler produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 
 def evaluate_pass(
@@ -85,6 +85,24 @@ class ScenarioResult:
         if self.failures:
             row["failures"] = "; ".join(self.failures)
         return row
+
+    def write_artifact(self, path, name: Optional[str] = None) -> int:
+        """Write the run's ``repro.obs/v1`` artifact (metrics, traces and
+        the fault timeline); returns the number of rows written."""
+        from repro.obs.export import write_jsonl
+
+        return write_jsonl(
+            path,
+            self.obs_rows,
+            kind="metric",
+            name=name or self.name,
+            meta={
+                "scenario": self.name,
+                "target": self.target,
+                "protocol": self.protocol,
+                "verdict": self.verdict,
+            },
+        )
 
     def summary(self) -> str:
         """Human-readable run summary (printed by the CLI)."""

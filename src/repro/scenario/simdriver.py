@@ -27,19 +27,23 @@ on the daemon:
 * ``flood`` — same-payload submissions handed straight to the higher
   layer at the scheduled step.
 
-With an **empty schedule** the drive loop reduces exactly to
-:meth:`repro.sim.runner.Simulation.run` under the
-``delivered_and_drained`` halt — the differential test pins that the
-fingerprint (steps, rounds, rule counts, delivery counts) is
-bit-identical, which is what lets ``repro record``/``repro verify``
-(:mod:`repro.scenario.record`) fingerprint any scenario through this
-one loop.
+The drive loop **is** :meth:`repro.sim.runner.Simulation.run`; the
+schedule hooks into it in three places.  ``before_step`` applies every
+batch that is due at the step about to execute; ``on_idle`` fires the
+earliest pending batch when the network went quiet before it was due;
+and the halt is ``delivered_and_drained`` *and* schedule exhausted.  With
+an empty schedule all three are vacuous — the differential test pins
+that the fingerprint (steps, rounds, rule counts, delivery counts) is
+bit-identical to a plain run, which is what lets ``repro record``/``repro
+verify`` (:mod:`repro.scenario.record`) fingerprint any scenario through
+this one loop.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.corruption import plant_invalid_message
@@ -244,44 +248,40 @@ def run_sim_scenario(spec: ScenarioSpec) -> ScenarioResult:
         simulation.sim.daemon = _CrashMaskDaemon(
             simulation.sim.daemon, crash_intervals
         )
-    due_steps = sorted(applications)
+    pending = deque(sorted(applications.items()))
     fault_events: List[Dict[str, Any]] = []
-    next_due = 0  # index into due_steps
 
-    def apply_batch(step_key: int) -> None:
-        for thunk in applications[step_key]:
+    def apply_next_batch() -> None:
+        for thunk in pending.popleft()[1]:
             detail = thunk()
             action = detail.pop("action")
-            event_row = {"step": simulation.sim.step_count, **detail}
-            fault_events.append({"action": action, **event_row})
+            step = simulation.sim.step_count
+            fault_events.append({"action": action, "step": step, **detail})
             registry.counter("faults_injected_total", action=action).inc()
-            tracer.record_fault(action, detail, step=simulation.sim.step_count)
+            tracer.record_fault(action, detail, step=step)
+
+    def apply_due(_: Simulation) -> None:
+        while pending and pending[0][0] <= simulation.sim.step_count:
+            apply_next_batch()
+
+    def apply_earliest(_: Simulation) -> bool:
+        # The network idled before the next scheduled fault: skip the dead
+        # time (the step clock cannot advance through a terminal
+        # configuration) and fire the earliest batch now — what the loop's
+        # own workload fast-forward does for submissions.
+        if not pending:
+            return False
+        apply_next_batch()
+        return True
 
     max_steps = int(spec.budgets["max_steps"])
-    halted = False
-    for _ in range(max_steps):
-        if delivered_and_drained(simulation) and next_due >= len(due_steps):
-            halted = True
-            break
-        while next_due < len(due_steps) and due_steps[next_due] <= simulation.sim.step_count:
-            apply_batch(due_steps[next_due])
-            next_due += 1
-        report = simulation.step()
-        if report.terminal:
-            if simulation._fast_forward_workload():
-                continue
-            if next_due < len(due_steps):
-                # The network idled before the next scheduled fault: skip
-                # the dead time (the step clock cannot advance through a
-                # terminal configuration) and fire the earliest batch now
-                # — the chaos twin of ``_fast_forward_workload``.
-                apply_batch(due_steps[next_due])
-                next_due += 1
-                continue
-            break
-    else:
-        if delivered_and_drained(simulation) and next_due >= len(due_steps):
-            halted = True
+    halted = simulation.run(
+        max_steps,
+        halt=lambda sim: delivered_and_drained(sim) and not pending,
+        raise_on_limit=False,
+        before_step=apply_due,
+        on_idle=apply_earliest,
+    ).halted_by_predicate
 
     elapsed = round(time.perf_counter() - started, 3)
     ledger = simulation.ledger

@@ -86,7 +86,12 @@ from repro.core.registry import resolve
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
-from repro.scenario.actions import ACTIONS, ScheduleEvent, validate_schedule
+from repro.scenario.actions import (
+    ACTIONS,
+    ScheduleEvent,
+    check_fraction,
+    validate_schedule,
+)
 from repro.sim.runner import Simulation, build_simulation
 from repro.statemodel.daemon import daemon_by_name
 
@@ -273,12 +278,14 @@ class ScenarioSpec:
         sim_extras = copy.deepcopy(sim_extras)
         routing = sim_extras.get("routing", {})
         _reject_unknown("sim.routing", routing, _ROUTING_KEYS)
-        if routing.get("corruption") is not None:
-            _reject_unknown(
-                "sim.routing.corruption", routing["corruption"], _CORRUPTION_KEYS
-            )
-        if sim_extras.get("garbage") is not None:
-            _reject_unknown("sim.garbage", sim_extras["garbage"], _GARBAGE_KEYS)
+        for section, mapping, keys in (
+            ("sim.routing.corruption", routing.get("corruption"), _CORRUPTION_KEYS),
+            ("sim.garbage", sim_extras.get("garbage"), _GARBAGE_KEYS),
+        ):
+            if mapping is not None:
+                _reject_unknown(section, mapping, keys)
+                if "fraction" in mapping:
+                    check_fraction(f"{section}.fraction", mapping["fraction"])
         if "daemon" in sim_extras:
             _named("sim.daemon", sim_extras["daemon"])
 
@@ -344,14 +351,10 @@ class ScenarioSpec:
         """Load + validate a scenario file; ``target`` overrides the
         spec's own (the acceptance path: one file, both targets)."""
         data = load_scenario_file(path)
-        if target is not None:
-            if not isinstance(data, dict):
-                raise ConfigurationError(
-                    f"{path}: scenario file must contain an object"
-                )
-            data = {**data, "target": target}
         if not isinstance(data, dict):
             raise ConfigurationError(f"{path}: scenario file must contain an object")
+        if target is not None:
+            data = {**data, "target": target}
         return cls.from_dict(data)
 
     # -- canonical form ------------------------------------------------------

@@ -8,10 +8,11 @@ variables* — never the forwarding buffers holding in-flight messages —
 Lemmas 4 and 5 keep holding: no valid message is lost or duplicated, and
 once faults stop, everything outstanding is delivered.
 
-:class:`RoutingFaultInjector` drives exactly that scenario: at scheduled
+:class:`RoutingFaultInjector` is exactly that scenario: at scheduled
 steps (periodic or seeded-random), it re-corrupts a fraction of the live
-routing tables of a running simulation.  The fault-injection tests and the
-sustained-faults experiment are built on it.
+routing tables of a running simulation —
+``simulation.run(..., before_step=injector.before_step)``.  The
+fault-injection tests and the sustained-faults experiment are built on it.
 """
 
 from __future__ import annotations
@@ -106,26 +107,7 @@ class RoutingFaultInjector:
             )
         return True
 
-    def drive(self, simulation, max_steps: int, halt=None) -> bool:
-        """Convenience loop: step the simulation, injecting on schedule.
-
-        ``halt`` has :func:`~repro.sim.runner.delivered_and_drained`
-        semantics and, mirroring :meth:`Simulation.run`, is evaluated one
-        final time when the step budget runs out — a halt condition
-        satisfied by the very last step must not be reported as a miss.
-        Returns True when the halt condition was met (never raises on
-        budget exhaustion — callers inspect the ledger).
-        """
-        halted = False
-        for _ in range(max_steps):
-            if halt is not None and halt(simulation):
-                halted = True
-                break
-            self.maybe_inject(simulation.sim.step_count)
-            report = simulation.step()
-            if report.terminal and not simulation._fast_forward_workload():
-                break
-        else:
-            if halt is not None and halt(simulation):
-                halted = True
-        return halted
+    def before_step(self, simulation) -> None:
+        """The injector as a :meth:`Simulation.run` ``before_step`` hook:
+        inject if the step about to execute is scheduled."""
+        self.maybe_inject(simulation.sim.step_count)

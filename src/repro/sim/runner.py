@@ -90,17 +90,36 @@ class Simulation:
         max_steps: int,
         halt: Optional[Callable[["Simulation"], bool]] = None,
         raise_on_limit: bool = True,
+        *,
+        before_step: Optional[Callable[["Simulation"], object]] = None,
+        on_idle: Optional[Callable[["Simulation"], bool]] = None,
     ) -> RunResult:
         """Run until terminal, halted, or out of budget (then raises by
-        default, like :meth:`Simulator.run`)."""
+        default, like :meth:`Simulator.run`).
+
+        This is the one loop that steps a :class:`Simulation`; a driver
+        hooks into it instead of copying it.  ``before_step`` sees the
+        configuration each step is about to execute from — after ``halt``
+        declined to stop there — and may probe it or fault it.  When
+        nothing is enabled and the workload has no batch left to
+        fast-forward, ``on_idle`` may offer more input (a fault batch, a
+        late submission): the run goes on if it returns true and ends
+        terminal otherwise.  ``halt`` is evaluated once more when the
+        budget runs out, so a condition met by the very last step is a
+        halt, not a miss.
+        """
         halted = False
         for _ in range(max_steps):
             if halt is not None and halt(self):
                 halted = True
                 break
+            if before_step is not None:
+                before_step(self)
             report = self.step()
             if report.terminal:
                 if self._fast_forward_workload():
+                    continue
+                if on_idle is not None and on_idle(self):
                     continue
                 break
         else:

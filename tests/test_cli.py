@@ -85,6 +85,74 @@ class TestSimulate:
         ) == 0
 
 
+def _exits_2_with_one_error_line(argv, capsys):
+    """The front-door contract: a bad flag or spec ends in exit code 2 and
+    exactly one ``error:`` line — an exception escaping ``main`` (a stack
+    trace for the user) fails the test."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+class TestFrontDoorsNeverEndInAStackTrace:
+    def test_watch_outside_the_topology(self, capsys):
+        # IndexError in Network.name, 25 steps into the run.
+        line = _exits_2_with_one_error_line(
+            ["simulate", "--n", "5", "--watch", "99"], capsys
+        )
+        assert "--watch 99" in line and "n=5" in line
+
+    @pytest.mark.parametrize(
+        "sim_section, named",
+        [
+            ({"garbage": {"fraction": 1.5}}, "sim.garbage.fraction"),
+            ({"garbage": {"fraction": "lots"}}, "sim.garbage.fraction"),
+            (
+                {"routing": {"corruption": {"kind": "random", "fraction": -0.1}}},
+                "sim.routing.corruption.fraction",
+            ),
+        ],
+    )
+    def test_initial_corruption_fraction_out_of_range(
+        self, sim_section, named, tmp_path, capsys
+    ):
+        # ValueError from plant_invalid_messages / corrupt_random escaped
+        # every ReproError handler; now the spec is range-checked at parse
+        # time with the rule schedule events already obey.
+        import json
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "bad-fraction",
+            "topology": {"name": "ring", "kwargs": {"n": 4}},
+            "sim": sim_section,
+        }))
+        line = _exits_2_with_one_error_line(
+            ["scenario", "run", str(spec)], capsys
+        )
+        assert named in line
+        if sim_section.get("garbage", {}).get("fraction") == 1.5:
+            line = _exits_2_with_one_error_line(
+                ["simulate", "--garbage", "1.5"], capsys
+            )
+            assert "[0, 1]" in line
+
+    @pytest.mark.parametrize("command", ["simulate", "runtime", "verify"])
+    def test_topology_too_small(self, command, capsys):
+        # TopologyError was raised outside every try; `verify --n 1` said
+        # "empty range for randrange()" on a one-processor line.
+        line = _exits_2_with_one_error_line(
+            [command, "--topology", "ring", "--n", "1"], capsys
+        )
+        assert "a ring needs at least 3 processors" in line
+        if command == "verify":
+            line = _exits_2_with_one_error_line(["verify", "--n", "1"], capsys)
+            assert "at least 2 processors" in line and "randrange" not in line
+
+
 class TestVerifyExhaustive:
     BASE = ["verify", "--topology", "line", "--n", "3", "--messages", "2"]
 

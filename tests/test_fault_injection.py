@@ -16,6 +16,16 @@ from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.daemon import DistributedRandomDaemon
 
 
+def drive(injector, sim, max_steps, halt=None):
+    """The injector under the one loop that steps a simulation; True when
+    the halt condition was met (never raises on budget exhaustion — the
+    tests inspect the ledger)."""
+    return sim.run(
+        max_steps, halt=halt, raise_on_limit=False,
+        before_step=injector.before_step,
+    ).halted_by_predicate
+
+
 def build(net, seed, workload_count=12):
     return build_simulation(
         net,
@@ -63,16 +73,17 @@ class TestInjectorMechanics:
 
 class TestDriveHaltSemantics:
     def test_halt_reported_when_met_exactly_at_budget(self):
-        # Regression: drive() checked halt only *before* each step, so a
-        # halt condition satisfied by the very last budgeted step was
-        # reported as a miss (Simulation.run's for-else does the final
-        # check; drive must too).
+        # Regression: RoutingFaultInjector.drive() — a copy of the run
+        # loop, since folded into it — checked halt only *before* each
+        # step, so a halt condition satisfied by the very last budgeted
+        # step was reported as a miss (Simulation.run's for-else does the
+        # final check).
         net = ring_network(6)
         sim = build(net, seed=2)
         injector = RoutingFaultInjector(
             sim.routing, period=25, fraction=0.5, seed=2, stop_after=200
         )
-        assert injector.drive(sim, 300_000, halt=delivered_and_drained)
+        assert drive(injector, sim, 300_000, halt=delivered_and_drained)
         assert sim.ledger.all_valid_delivered()
         steps_used = sim.sim.step_count
 
@@ -83,20 +94,20 @@ class TestDriveHaltSemantics:
         injector2 = RoutingFaultInjector(
             sim2.routing, period=25, fraction=0.5, seed=2, stop_after=200
         )
-        assert injector2.drive(sim2, steps_used, halt=delivered_and_drained)
+        assert drive(injector2, sim2, steps_used, halt=delivered_and_drained)
         assert sim2.sim.step_count == steps_used
 
     def test_returns_false_when_halt_not_reached(self):
         net = ring_network(6)
         sim = build(net, seed=5)
         injector = RoutingFaultInjector(sim.routing, period=25, seed=5)
-        assert not injector.drive(sim, 10, halt=delivered_and_drained)
+        assert not drive(injector, sim, 10, halt=delivered_and_drained)
 
     def test_returns_false_without_halt(self):
         net = ring_network(6)
         sim = build(net, seed=6)
         injector = RoutingFaultInjector(sim.routing, period=25, seed=6)
-        assert injector.drive(sim, 10) is False
+        assert drive(injector, sim, 10) is False
 
 
 class TestExactlyOnceUnderSustainedFaults:
@@ -107,7 +118,7 @@ class TestExactlyOnceUnderSustainedFaults:
         injector = RoutingFaultInjector(
             sim.routing, period=25, fraction=0.6, seed=seed, stop_after=400
         )
-        injector.drive(sim, max_steps=300_000, halt=delivered_and_drained)
+        drive(injector, sim, 300_000, halt=delivered_and_drained)
         assert injector.injections, "faults must actually have been injected"
         assert sim.ledger.all_valid_delivered()
 
@@ -117,7 +128,7 @@ class TestExactlyOnceUnderSustainedFaults:
         injector = RoutingFaultInjector(
             sim.routing, period=15, fraction=1.0, seed=9, stop_after=600
         )
-        injector.drive(sim, max_steps=500_000, halt=delivered_and_drained)
+        drive(injector, sim, 500_000, halt=delivered_and_drained)
         assert len(injector.injections) >= 10
         assert sim.ledger.all_valid_delivered()
 
@@ -128,7 +139,7 @@ class TestExactlyOnceUnderSustainedFaults:
         injector = RoutingFaultInjector(
             sim.routing, at_steps=[5, 12, 19, 26, 33], fraction=1.0, seed=3
         )
-        injector.drive(sim, max_steps=300_000, halt=delivered_and_drained)
+        drive(injector, sim, 300_000, halt=delivered_and_drained)
         assert sim.ledger.all_valid_delivered()
 
     def test_routing_recovers_after_last_fault(self):
@@ -137,7 +148,7 @@ class TestExactlyOnceUnderSustainedFaults:
         injector = RoutingFaultInjector(
             sim.routing, period=20, fraction=1.0, seed=4, stop_after=200
         )
-        injector.drive(sim, max_steps=300_000, halt=delivered_and_drained)
+        drive(injector, sim, 300_000, halt=delivered_and_drained)
         # Let the routing layer finish converging (forwarding may have
         # drained first).
         sim.run(100_000, halt=lambda s: s.routing.is_correct(), raise_on_limit=False)

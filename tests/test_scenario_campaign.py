@@ -43,17 +43,17 @@ class TestExpansion:
         labels = [label for label, _ in runs]
         assert labels[0] == "camp[protocol=ssmfp,n=5]"
         assert len(set(labels)) == 4
-        protocols = {data["protocol"] for _, data in runs}
-        sizes = {data["topology"]["kwargs"]["n"] for _, data in runs}
+        protocols = {spec.protocol for _, spec in runs}
+        sizes = {spec.topology["kwargs"]["n"] for _, spec in runs}
         assert protocols == {"ssmfp", "ssmfp2"} and sizes == {5, 7}
 
     def test_repeat_offsets_seeds(self):
         runs = expand_matrix(spec_data(repeat=3))
-        assert [data["seed"] for _, data in runs] == [20, 21, 22]
+        assert [spec.seed for _, spec in runs] == [20, 21, 22]
         assert [label for label, _ in runs] == [
             "camp[rep=0]", "camp[rep=1]", "camp[rep=2]"
         ]
-        assert all(data["repeat"] == 1 for _, data in runs)
+        assert all(spec.repeat == 1 for _, spec in runs)
 
     def test_bad_axis_value_fails_with_combo_name(self):
         with pytest.raises(ConfigurationError, match=r"camp\[n=3\]"):
@@ -66,8 +66,9 @@ class TestExpansion:
             )
 
     def test_expanded_runs_are_valid_specs(self):
-        for _, data in expand_matrix(spec_data(matrix={"seed": [1, 2]})):
-            ScenarioSpec.from_dict(data)
+        for _, spec in expand_matrix(spec_data(matrix={"seed": [1, 2]})):
+            assert isinstance(spec, ScenarioSpec) and not spec.matrix
+            assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestCampaign:
@@ -115,6 +116,38 @@ class TestCampaign:
             assert "ConfigurationError" in bad["error"] and "selfstab" in bad["error"]
             assert "elapsed_s" in bad
             assert "camp[mode=static]: ConfigurationError" in campaign.summary()
+
+    @pytest.mark.parametrize("smoke", [False, True])
+    def test_a_row_is_validated_once_and_built_once(self, smoke, monkeypatch):
+        # A row used to be parsed (= built) up to four times: at expansion,
+        # again in the row runner, again by smoked(), then for real.  Now:
+        # one validation at expansion + the run itself, one more parse for
+        # the shrunken spec under --smoke; the base spec costs one per
+        # campaign.  Serial and pooled rows stay equal (pooled builds
+        # happen in the workers, which get the validated spec).
+        from repro.scenario import spec as spec_mod
+
+        builds = []
+        real = spec_mod.build_simulation
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spec_mod, "build_simulation", counting)
+        data = spec_data(matrix={"protocol": ["ssmfp", "ssmfp2"]}, repeat=2)
+        serial = run_campaign(data, smoke=smoke)
+        rows = len(serial.rows)
+        assert rows == 4
+        assert len(builds) == 1 + rows * (3 if smoke else 2)
+
+        del builds[:]
+        pooled = run_campaign(data, smoke=smoke, workers=2)
+        assert len(builds) == 1 + rows  # the parent only validates
+        keys = ("label", "verdict", "steps", "rounds", "generated", "delivered")
+        assert [[r.get(k) for k in keys] for r in serial.rows] == [
+            [r.get(k) for k in keys] for r in pooled.rows
+        ]
 
     def test_per_run_artifacts_carry_fault_timeline(self, tmp_path):
         campaign = run_campaign(

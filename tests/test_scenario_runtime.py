@@ -178,3 +178,43 @@ class TestLatencyCriterion:
         assert result.metrics["latency_p99_s"] == pytest.approx(0.9)
         assert not result.ok
         assert any("latency_p99_s" in f for f in result.failures)
+
+    def test_p99_is_the_nearest_rank_the_artifact_reports(self, monkeypatch):
+        # 100 samples 0.01 .. 1.00 s: nearest-rank p99 is the 99th (0.99),
+        # which is what the runtime_msg_latency_s histogram in the same
+        # run's obs rows says; the driver's private int(0.99 * n) index
+        # picked the 100th — the maximum — and failed a 0.995 s ceiling the
+        # reported p99 meets.
+        from repro.runtime import cluster
+        from repro.runtime.conformance import RuntimeEvent, check_events
+        from repro.sim.stats import percentile
+
+        events = []
+        for uid in range(1, 101):
+            events.append(
+                RuntimeEvent("generated", uid, 0, 2, True, 100.0, uid, mono=7.0)
+            )
+            events.append(
+                RuntimeEvent("delivered", uid, 2, 2, True, 100.0 + uid / 100,
+                             uid, mono=7.0 + uid / 100)
+            )
+
+        def fake_run_cluster(cluster_spec):
+            return cluster.RuntimeResult(
+                spec=cluster_spec,
+                report=check_events(events, expect_generated=100),
+                events=list(events),
+                elapsed_s=1.0,
+            )
+
+        monkeypatch.setattr(cluster, "run_cluster", fake_run_cluster)
+        result = run_runtime_scenario(
+            spec_of(
+                workload={"name": "uniform", "kwargs": {"count": 100}},
+                **{"pass": {"max_latency_p99_s": 0.995}},
+            )
+        )
+        samples = [uid / 100 for uid in range(1, 101)]
+        assert percentile(samples, 99) == pytest.approx(0.99)
+        assert result.metrics["latency_p99_s"] == pytest.approx(0.99)
+        assert not any("latency_p99_s" in f for f in result.failures)

@@ -124,6 +124,80 @@ class TestRun:
         assert sim.ledger.valid_delivered_count == 3
 
 
+class TestRunHooks:
+    """The two places a driver hooks into the one loop."""
+
+    def build(self):
+        net = line_network(4)
+        return build_simulation(
+            net, workload=uniform_workload(net.n, 4, seed=2), seed=2,
+            routing_mode="static",
+        )
+
+    def test_hooks_do_not_change_the_execution(self):
+        plain, probed = self.build(), self.build()
+        plain.run(50_000, halt=delivered_and_drained)
+        probed.run(
+            50_000, halt=delivered_and_drained,
+            before_step=lambda sim: None, on_idle=lambda sim: False,
+        )
+        assert probed.sim.step_count == plain.sim.step_count
+        assert probed.sim.rule_counts == plain.sim.rule_counts
+
+    def test_before_step_sees_every_configuration_a_step_starts_from(self):
+        sim = self.build()
+        seen = []
+        result = sim.run(
+            50_000, halt=delivered_and_drained,
+            before_step=lambda s: seen.append(s.sim.step_count),
+        )
+        # Once per executed step, in order, and never after the halt fired.
+        assert result.halted_by_predicate
+        assert seen == list(range(result.steps))
+
+    def test_before_step_not_called_once_halted(self):
+        sim = self.build()
+        calls = []
+        sim.run(10, halt=lambda s: True, before_step=calls.append)
+        assert calls == []
+
+    def test_on_idle_input_keeps_the_run_going(self):
+        # No workload: the network is idle at once.  on_idle submits one
+        # message the first time it is asked and declines the second.
+        sim = build_simulation(line_network(3), routing_mode="static", seed=1)
+        asked = []
+
+        def late_submission(s):
+            asked.append(s.sim.step_count)
+            if len(asked) > 1:
+                return False
+            s.hl.submit(0, "late", 2, step=s.sim.step_count)
+            return True
+
+        result = sim.run(10_000, on_idle=late_submission)
+        assert result.terminal and not result.halted_by_predicate
+        assert sim.ledger.valid_delivered_count == 1
+        assert len(asked) == 2 and asked[0] == 0 and asked[1] == result.steps
+
+    def test_workload_fast_forward_is_asked_before_on_idle(self):
+        # A submission scheduled far in the future: the loop's own
+        # fast-forward feeds it when the network idles; on_idle is only
+        # consulted once the workload has nothing left.
+        from repro.app.workload import Workload
+
+        sim = build_simulation(
+            line_network(3), routing_mode="static", seed=1,
+            workload=Workload("late", [(500, 0, "m", 2)]),
+        )
+        idle_at = []
+        sim.run(
+            10_000,
+            on_idle=lambda s: bool(idle_at.append(s.ledger.valid_delivered_count)),
+        )
+        assert sim.ledger.valid_delivered_count == 1
+        assert idle_at == [1]  # asked once, after the message was delivered
+
+
 class TestBaselineBuilder:
     def test_ms_baseline(self):
         net = line_network(4)
