@@ -33,7 +33,12 @@ import sys
 from typing import List, Optional
 
 from repro.app.workload import hotspot_per_source
-from repro.errors import ConfigurationError, ReproError, TopologyError
+from repro.errors import (
+    ConfigurationError,
+    ReproError,
+    TopologyError,
+    check_fraction,
+)
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.network.topologies import topology_by_name
 from repro.sim.runner import delivered_and_drained
@@ -232,12 +237,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port-base", type=int, default=0,
         help="first TCP port (0 = auto-allocate free ports)",
     )
-    run.add_argument("--loss", type=float, default=0.0, help="frame loss probability")
-    run.add_argument("--dup", type=float, default=0.0, help="duplication probability")
-    run.add_argument("--reorder", type=float, default=0.0, help="reorder probability")
+    run.add_argument(
+        "--loss", type=float, default=0.0, help="per-record loss probability"
+    )
+    run.add_argument(
+        "--dup", type=float, default=0.0,
+        help="per-record duplication probability",
+    )
+    run.add_argument(
+        "--reorder", type=float, default=0.0,
+        help="per-record reorder probability",
+    )
     run.add_argument(
         "--latency-ms", default=None, metavar="LO:HI",
-        help="uniform per-frame latency range in milliseconds",
+        help="uniform per-record latency range in milliseconds",
     )
     run.add_argument(
         "--flap-period", type=float, default=None, metavar="S",
@@ -504,7 +517,6 @@ def _cmd_verify_exhaustive(args) -> int:
     from repro.core.ledger import DeliveryLedger
     from repro.core.registry import resolve
     from repro.routing.static import StaticRouting
-    from repro.scenario.actions import check_fraction
     from repro.verify import LivenessChecker, ModelChecker
 
     proto_cls = resolve(args.protocol)

@@ -6,6 +6,8 @@ callers can catch library failures without masking programming errors.
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class ReproError(Exception):
     """Base class of all errors raised by :mod:`repro`."""
@@ -58,3 +60,18 @@ class SimulationLimitExceeded(ReproError):
         super().__init__(message)
         self.steps = steps
         self.rounds = rounds
+
+
+def check_fraction(what: str, value: Any) -> float:
+    """The one range rule for every fraction a spec or flag carries —
+    schedule events, the ``[sim]`` initial corruption, ``--garbage``, the
+    netem loss / dup / reorder knobs."""
+    try:
+        fraction = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{what} must be a number, got {value!r}"
+        ) from None
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigurationError(f"{what} must be in [0, 1], got {fraction}")
+    return fraction

@@ -155,6 +155,10 @@ class RuntimeResult:
     batch_sizes: List[int] = field(default_factory=list)
     ack_coalesce: List[int] = field(default_factory=list)
     window_samples: List[int] = field(default_factory=list)
+    #: Records held on the netem deadline heap, sampled with ``in_flight``
+    #: (empty without a decorator): "held by the adversary" as opposed to
+    #: "unacked in a lane".
+    netem_held_samples: List[int] = field(default_factory=list)
     elapsed_s: float = 0.0
     errors: List[str] = field(default_factory=list)
     interrupted: bool = False
@@ -221,7 +225,7 @@ class RuntimeResult:
             registry.counter(f"transport_{key}").inc(value)
         for key, value in self.netem_stats.items():
             registry.counter(key).inc(value)
-        for name, samples in (
+        histograms = [
             ("runtime_hop_latency_s", self.hop_latencies),
             ("runtime_in_flight", self.in_flight_samples),
             ("runtime_batch_size", self.batch_sizes),
@@ -229,7 +233,10 @@ class RuntimeResult:
             ("runtime_rto_s", self.rto_samples),
             ("runtime_window_occupancy", self.window_samples),
             ("runtime_msg_latency_s", message_latencies(self.events)),
-        ):
+        ]
+        if self.netem_held_samples:  # no decorator, no row
+            histograms.append(("runtime_netem_held", self.netem_held_samples))
+        for name, samples in histograms:
             histogram = registry.histogram(name)
             for sample in samples:
                 histogram.observe(sample)
@@ -276,7 +283,9 @@ def _build_transport(
         # config until the first event fires.
         netem = NetemConfig()
     if netem is not None:
-        return NetemTransport(base, netem, seed=spec.seed + netem_seed)
+        return NetemTransport(
+            base, netem, seed=spec.seed + netem_seed, max_batch=spec.max_batch
+        )
     return base
 
 
@@ -377,15 +386,23 @@ async def _drive_chaos_event(
 
 
 class _Progress:
-    """Delivery progress shared between nodes and the monitor loop."""
+    """Delivery progress shared between nodes and the monitor loop: the
+    nodes' delivered hook, which sets :attr:`reached` the moment the
+    ``target``-th delivery is reported (never, for a negative target)."""
 
-    __slots__ = ("delivered",)
+    __slots__ = ("delivered", "target", "reached")
 
-    def __init__(self) -> None:
+    def __init__(self, target: int = -1) -> None:
         self.delivered = 0
+        self.target = target
+        self.reached = asyncio.Event()
+        if target == 0:
+            self.reached.set()
 
     def __call__(self, count: int) -> None:
         self.delivered += count
+        if 0 <= self.target <= self.delivered:
+            self.reached.set()
 
 
 async def _run_nodes(
@@ -394,13 +411,13 @@ async def _run_nodes(
     transport: Transport,
     submissions: List[Tuple[int, int, Any, int]],
     holder: Dict[str, Any],
-    target: int,
     progress: _Progress,
     stop_check=None,
 ) -> None:
-    """Host a set of nodes until the workload drains, the deadline passes,
-    or ``stop_check`` fires.  ``holder`` keeps the live objects reachable
-    for partial-result assembly even if this coroutine dies."""
+    """Host a set of nodes until ``progress`` signals its target reached,
+    the deadline passes, or ``stop_check`` fires.  ``holder`` keeps the
+    live objects reachable for partial-result assembly even if this
+    coroutine dies."""
     params = spec.build_params()
     routing = StaticRouting(net)
     local_pids = getattr(transport, "local_pids", None)
@@ -429,13 +446,12 @@ async def _run_nodes(
             )
             for index, event in enumerate(spec.chaos)
         ]
-    started = time.monotonic()
-    deadline = started + spec.deadline
+    deadline = time.monotonic() + spec.deadline
+    netem = transport if isinstance(transport, NetemTransport) else None
+    reached = progress.reached
     try:
-        while time.monotonic() < deadline:
+        while time.monotonic() < deadline and not reached.is_set():
             if stop_check is not None and stop_check():
-                break
-            if progress.delivered >= target and target >= 0:
                 break
             for task in tasks:
                 if task.done() and task.exception() is not None:
@@ -449,14 +465,22 @@ async def _run_nodes(
             window = holder.setdefault("window_samples", [])
             for node in nodes:
                 window.extend(node.core.window_occupancy())
-            await asyncio.sleep(0.02)
+            if netem is not None:
+                holder.setdefault("netem_held", []).append(netem.held())
+            # Sample every 20 ms, but leave the moment the target is
+            # reached: the end of run is signalled, not polled.
+            try:
+                async with asyncio.timeout(0.02):
+                    await reached.wait()
+            except TimeoutError:
+                pass
         # Grace period: let REL/RACK handshakes settle so the network is
         # actually empty, not merely delivered.
         grace_end = min(time.monotonic() + spec.drain_grace, deadline)
         while time.monotonic() < grace_end:
             if all(node.is_idle() for node in nodes):
                 break
-            await asyncio.sleep(0.02)
+            await asyncio.sleep(spec.tick)
     finally:
         for node in nodes:
             node.stop()
@@ -474,7 +498,7 @@ async def _run_nodes(
 _COUNT_FIELDS = ("counters", "transport_stats", "netem_stats")
 _SAMPLE_FIELDS = (
     "events", "hop_latencies", "rto_samples", "batch_sizes", "ack_coalesce",
-    "fault_events", "in_flight_samples", "window_samples",
+    "fault_events", "in_flight_samples", "window_samples", "netem_held_samples",
 )
 
 
@@ -487,6 +511,7 @@ def _harvest(holder: Dict[str, Any]) -> Dict[str, Any]:
     harvest["fault_events"].extend(holder.get("fault_events", []))
     harvest["in_flight_samples"] = holder.get("in_flight", [])
     harvest["window_samples"] = holder.get("window_samples", [])
+    harvest["netem_held_samples"] = holder.get("netem_held", [])
     for node in holder.get("nodes", []):
         core = node.core
         harvest["events"].extend(core.events)
@@ -529,7 +554,7 @@ def _worker_main(worker_args: Dict[str, Any], stop_event, delivered, result_q) -
 
     class _SharedProgress(_Progress):
         def __call__(self, count: int) -> None:
-            self.delivered += count
+            super().__call__(count)
             with delivered.get_lock():
                 delivered.value += count
 
@@ -545,11 +570,11 @@ def _worker_main(worker_args: Dict[str, Any], stop_event, delivered, result_q) -
             asyncio.get_running_loop().call_later(
                 spec.kill_worker_after[1], os._exit, 3
             )
+        # Workers never know the global target (their progress never
+        # signals): the parent tells them to stop.
         await _run_nodes(
-            spec, net, transport, submissions, holder,
-            target=-1,  # workers never know the global target ...
-            progress=progress,
-            stop_check=stop_event.is_set,  # ... the parent tells them to stop
+            spec, net, transport, submissions, holder, progress,
+            stop_check=stop_event.is_set,
         )
 
     try:
@@ -685,6 +710,7 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
     from repro.core.registry import resolve
 
     resolve(spec.protocol)  # raises ConfigurationError on unknown names
+    spec.build_netem()  # ... and on a netem knob out of range
     started = time.monotonic()
     result = RuntimeResult(spec=spec, report=ConformanceReport())
     if spec.procs > 1:
@@ -696,11 +722,11 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
     submissions = spec.build_submissions()
     target = len(submissions) + chaos_extra_messages(spec.chaos)
     holder: Dict[str, Any] = {}
-    progress = _Progress()
+    progress = _Progress(target)
     try:
         transport = _build_transport(spec, net)
         asyncio.run(
-            _run_nodes(spec, net, transport, submissions, holder, target, progress)
+            _run_nodes(spec, net, transport, submissions, holder, progress)
         )
     except KeyboardInterrupt:
         result.interrupted = True

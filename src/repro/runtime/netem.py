@@ -8,8 +8,15 @@ Faults are drawn **per record**, not per frame: batching many DATA/ACK
 records into one frame must not weaken the adversary, so every record in
 a batch gets its own independent loss/dup/reorder/latency draws.  The
 records that survive with no delay are re-batched and forwarded in one
-``base.send``; each delayed record travels as its own single-record frame
-(which is exactly how it reorders against the rest of the batch).
+``base.send``.  A delayed record is **held**: one entry ``(due, send
+order, src, dst, record)`` on the transport's single deadline heap, with
+one ``loop.call_at`` timer armed on the earliest deadline — never a Task
+or a timer of its own.  When the timer fires, everything due is popped
+and re-batched **per directed edge, in (due, send order) order**, into
+frames of at most ``max_batch`` records (the node's own flush bound), so
+a receiver sees each edge's held records in deadline order — which is
+exactly how a record reorders against the rest of its batch — and records
+of different edges never share a frame.
 
 * **latency** — each record is delayed by a uniform draw from
   ``latency=(lo, hi)`` seconds; unequal delays reorder records naturally;
@@ -32,12 +39,15 @@ above — that is precisely what the conformance harness checks.
 from __future__ import annotations
 
 import asyncio
+import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fraction
 from repro.runtime.transport import Transport
 from repro.types import Edge, ProcId, normalized_edge
 
@@ -81,7 +91,10 @@ class NetemConfig:
 
     @classmethod
     def from_spec(cls, spec: Dict[str, Any]) -> "NetemConfig":
-        """Build from a plain dict (CLI / JSON spec form).
+        """Build from a plain dict (CLI / JSON spec form) — the one
+        validator of netem knobs, for the static ``[runtime] netem``
+        section, the ``repro runtime`` flags and schedule ``netem`` events
+        alike; every failure is a :class:`ConfigurationError` naming the key.
 
         Unknown keys are rejected: netem specs configure an *adversary*,
         and a misspelled knob that silently does nothing would make a
@@ -94,19 +107,49 @@ class NetemConfig:
                 f"valid keys: {sorted(NETEM_SPEC_KEYS)}"
             )
         kwargs: Dict[str, Any] = {}
-        for key in ("loss", "dup", "reorder", "reorder_extra", "flap_down"):
+        for key in ("loss", "dup", "reorder"):
             if key in spec:
-                kwargs[key] = float(spec[key])
+                kwargs[key] = check_fraction(f"netem {key}", spec[key])
+        for key in ("reorder_extra", "flap_down"):
+            if key in spec:
+                kwargs[key] = _seconds(key, spec[key])
         if "latency" in spec:
-            lo, hi = spec["latency"]
-            kwargs["latency"] = (float(lo), float(hi))
+            try:
+                lo, hi = spec["latency"]
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"netem latency must be a [lo, hi] pair of seconds, "
+                    f"got {spec['latency']!r}"
+                ) from None
+            lo, hi = _seconds("latency", lo), _seconds("latency", hi)
+            if lo > hi:
+                raise ConfigurationError(
+                    f"netem latency must satisfy lo <= hi, got [{lo}, {hi}]"
+                )
+            kwargs["latency"] = (lo, hi)
         if spec.get("flap_period") is not None:
-            kwargs["flap_period"] = float(spec["flap_period"])
+            period = _seconds("flap_period", spec["flap_period"])
+            if period == 0.0:
+                raise ConfigurationError("netem flap_period must be > 0, got 0.0")
+            kwargs["flap_period"] = period
         if "blocked_edges" in spec:
             kwargs["blocked_edges"] = frozenset(
                 normalized_edge(int(u), int(v)) for u, v in spec["blocked_edges"]
             )
         return cls(**kwargs)
+
+
+def _seconds(key: str, value: Any) -> float:
+    """A finite, non-negative duration knob."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"netem {key} must be a number, got {value!r}"
+        ) from None
+    if not 0.0 <= seconds < math.inf:
+        raise ConfigurationError(f"netem {key} must be >= 0, got {seconds}")
+    return seconds
 
 
 class NetemTransport(Transport):
@@ -116,13 +159,30 @@ class NetemTransport(Transport):
     registry, so nodes bind to the *decorator* and never see the base.
     """
 
-    def __init__(self, base: Transport, config: NetemConfig, seed: int = 0) -> None:
+    def __init__(
+        self,
+        base: Transport,
+        config: NetemConfig,
+        seed: int = 0,
+        max_batch: int = 64,
+    ) -> None:
         super().__init__(base.net)
         self.base = base
         self.config = config
+        #: Records per re-batched frame of held records — the hosting
+        #: nodes' own flush bound, so the hold never builds a larger frame
+        #: than a node would.
+        self.max_batch = max_batch
         self._rng = random.Random(seed)
         self._down: Set[Edge] = set(config.blocked_edges)
-        self._pending: Set["asyncio.Task"] = set()
+        #: The hold: ``(due, send order, src, dst, record)`` on one heap.
+        #: The counter breaks ties — records are dicts, never compared.
+        self._held: List[Tuple[float, int, ProcId, ProcId, Dict[str, Any]]] = []
+        self._send_order = itertools.count()
+        #: The one armed timer (on ``_held[0]``'s deadline) and the one
+        #: task shipping what a wake-up found due.
+        self._timer: Optional["asyncio.TimerHandle"] = None
+        self._shipper: Optional["asyncio.Task"] = None
         self._flap_task: Optional["asyncio.Task"] = None
         self._closing = False
         #: Fault accounting, exported next to the base transport's stats.
@@ -197,22 +257,24 @@ class NetemTransport(Transport):
             self._flap_task = asyncio.get_running_loop().create_task(self._flap())
 
     async def close(self) -> None:
+        """Cancel the timer and drop the hold: held records are lost."""
         self._closing = True
-        if self._flap_task is not None:
-            self._flap_task.cancel()
-            try:
-                await self._flap_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        for task in list(self._pending):
-            task.cancel()
-        for task in list(self._pending):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        self._pending.clear()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._held.clear()
+        for task in (self._flap_task, self._shipper):
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                    pass
         await self.base.close()
+
+    def held(self) -> int:
+        """Records currently held by the adversary (delayed, not yet due)."""
+        return len(self._held)
 
     # -- fault pipeline ------------------------------------------------------
 
@@ -226,8 +288,13 @@ class NetemTransport(Transport):
             self.fault_stats["netem_dropped"] += len(records)
             return
         # Per-record fault draws: the batch is torn apart, each record
-        # faulted independently, and the undelayed survivors re-batched.
+        # faulted independently, the undelayed survivors re-batched and the
+        # delayed ones pushed on the hold.
         now_batch: List[Dict[str, Any]] = []
+        held = self._held
+        order = self._send_order
+        now = asyncio.get_running_loop().time()  # once per call
+        pushed = False
         for rec in records:
             if cfg.loss and rng.random() < cfg.loss:
                 self.fault_stats["netem_dropped"] += 1
@@ -248,23 +315,50 @@ class NetemTransport(Transport):
                 if delay <= 0.0:
                     now_batch.append(rec)
                 else:
-                    task = asyncio.get_running_loop().create_task(
-                        self._deliver_later(delay, src, dst, rec)
-                    )
-                    self._pending.add(task)
-                    task.add_done_callback(self._pending.discard)
+                    heappush(held, (now + delay, next(order), src, dst, rec))
+                    pushed = True
+        if pushed:
+            self._arm()
         if now_batch:
             await self.base.send(src, dst, now_batch)
 
-    async def _deliver_later(
-        self, delay: float, src: ProcId, dst: ProcId, rec: Dict[str, Any]
-    ) -> None:
+    def _arm(self) -> None:
+        """Keep the one timer on the earliest deadline, re-armed only when
+        a new entry is earlier than what it is armed on.  A running shipper
+        re-arms on its way out instead; a closing transport never does."""
+        if self._shipper is not None or self._closing or not self._held:
+            return
+        due = self._held[0][0]
+        timer = self._timer
+        if timer is not None:
+            if timer.when() <= due:
+                return
+            timer.cancel()
+        self._timer = asyncio.get_running_loop().call_at(due, self._wake, due)
+
+    def _wake(self, due: float) -> None:
+        self._timer = None
+        self._shipper = asyncio.get_running_loop().create_task(self._ship(due))
+
+    async def _ship(self, due: float) -> None:
+        """Pop everything due, group it by directed edge in due order, and
+        hand each group to the base transport in ``max_batch`` frames."""
+        held = self._held
+        max_batch = self.max_batch
+        # The timer may fire a clock resolution early: what it was armed
+        # on is due by definition.
+        limit = max(due, asyncio.get_running_loop().time())
+        groups: Dict[Tuple[ProcId, ProcId], List[Dict[str, Any]]] = {}
+        while held and held[0][0] <= limit:
+            _, _, src, dst, rec = heappop(held)
+            groups.setdefault((src, dst), []).append(rec)
         try:
-            await asyncio.sleep(delay)
-            if not self._closing:
-                await self.base.send(src, dst, [rec])
-        except asyncio.CancelledError:
-            pass
+            for (src, dst), recs in groups.items():
+                for i in range(0, len(recs), max_batch):
+                    await self.base.send(src, dst, recs[i : i + max_batch])
+        finally:
+            self._shipper = None
+            self._arm()
 
     async def _flap(self) -> None:
         """Every ``flap_period`` seconds take one random (non-statically-

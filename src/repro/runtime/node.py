@@ -118,8 +118,9 @@ class RuntimeNode:
                     await self._flush(out)
                 if not drained:
                     try:
-                        src, records = await asyncio.wait_for(inbox.get(), tick)
-                    except asyncio.TimeoutError:
+                        async with asyncio.timeout(tick):
+                            src, records = await inbox.get()
+                    except TimeoutError:
                         continue
                     core.on_records(src, records, time.monotonic(), out)
         except asyncio.CancelledError:

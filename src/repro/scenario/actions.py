@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fraction
 from repro.network.graph import Network
 from repro.types import normalized_edge
 
@@ -155,20 +155,6 @@ def _check_edge(index: int, net: Network, value: Any) -> Tuple[int, int]:
     if not net.are_neighbors(u, v):
         raise _err(index, f"({u}, {v}) is not an edge of the topology")
     return normalized_edge(u, v)
-
-
-def check_fraction(what: str, value: Any) -> float:
-    """The one range rule for every fraction a spec or flag carries —
-    schedule events, the ``[sim]`` initial corruption, ``--garbage``."""
-    try:
-        fraction = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{what} must be a number, got {value!r}"
-        ) from None
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError(f"{what} must be in [0, 1], got {fraction}")
-    return fraction
 
 
 def _partition_edges(
@@ -306,20 +292,18 @@ def validate_event(
     elif action == "netem":
         if not kwargs:
             raise _err(index, "netem event changes nothing; set a knob")
-        for key in ("loss", "dup", "reorder"):
-            if key in kwargs:
-                kwargs[key] = check_fraction(
-                    f"schedule[{index}]: {key}", kwargs[key]
-                )
-        if "latency" in kwargs:
-            try:
-                lo, hi = kwargs["latency"]
-                kwargs["latency"] = [float(lo), float(hi)]
-            except (TypeError, ValueError):
-                raise _err(
-                    index,
-                    f"latency must be a [lo, hi] pair, got {kwargs['latency']!r}",
-                ) from None
+        # The one validator of netem knobs; the event keeps the values
+        # it normalized (the unknown-key check above already held the
+        # keys to NETEM_EVENT_KEYS).
+        from repro.runtime.netem import NetemConfig
+
+        try:
+            config = NetemConfig.from_spec(kwargs)
+        except ConfigurationError as exc:
+            raise _err(index, str(exc)) from None
+        for key in kwargs:
+            value = getattr(config, key)
+            kwargs[key] = list(value) if key == "latency" else value
     return ScheduleEvent(index=index, at=at, until=until, action=action, kwargs=kwargs)
 
 

@@ -83,13 +83,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.workload import Workload, workload_by_name
 from repro.core.registry import resolve
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_fraction
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
 from repro.scenario.actions import (
     ACTIONS,
     ScheduleEvent,
-    check_fraction,
     validate_schedule,
 )
 from repro.sim.runner import Simulation, build_simulation

@@ -51,6 +51,22 @@ class TestRuntimeCommand:
         assert code == 2
         assert "LO:HI" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, names",
+        [("--loss", "1.5", "loss"), ("--latency-ms", "5:1", "latency")],
+    )
+    def test_netem_flag_out_of_range_exits_two(self, flag, value, names, capsys):
+        code = main(
+            ["runtime", "--topology", "ring", "--n", "3", "--messages", "4",
+             "--deadline", "3", flag, value]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""  # rejected before any run, not FAIL 0/4
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert names in err and "Traceback" not in err
+
     def test_window_batch_and_wire_flags(self, capsys):
         code = main(
             [

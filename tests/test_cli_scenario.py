@@ -179,3 +179,44 @@ class TestSpecErrorsSurfaceAtParseTime:
         err = captured.err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert named in err and "Traceback" not in err
+
+
+class TestStaticNetemKnobsMeetTheOneRangeRule:
+    """``[runtime] netem`` is validated where a schedule ``netem`` event
+    is: at parse time, by ``NetemConfig.from_spec``."""
+
+    @pytest.mark.parametrize(
+        "netem, names",
+        [
+            ({"loss": "x"}, "loss"),
+            ({"latency": [0.5]}, "latency"),
+            ({"loss": 1.5}, "loss"),
+            ({"latency": [-1.0, -0.5]}, "latency"),
+        ],
+    )
+    def test_exit_2_one_error_line_no_traceback(
+        self, netem, names, tmp_path, capsys
+    ):
+        data = {
+            **GOOD, "target": "runtime", "schedule": [], "sim": {},
+            "runtime": {"netem": netem}, "budgets": {"wall_s": 3},
+        }
+        code = main(["scenario", "run", write_spec(tmp_path, data)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert names in err and "Traceback" not in err
+
+    def test_schedule_event_and_static_section_agree(self, tmp_path, capsys):
+        data = {
+            **GOOD, "target": "runtime", "sim": {},
+            "schedule": [
+                {"at": 0.1, "action": "netem", "latency": [0.005, 0.001]}
+            ],
+        }
+        code = main(["scenario", "run", write_spec(tmp_path, data)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "schedule[0]" in err and "latency" in err

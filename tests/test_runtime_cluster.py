@@ -150,3 +150,63 @@ class TestSpecValidation:
         # "permutation" silently ignored ``messages``.
         with pytest.raises(ConfigurationError, match=r"\['hotspot', 'uniform'\]"):
             ring_spec(workload=workload).build_submissions()
+
+
+class TestEndOfRunIsSignalled:
+    def test_progress_sets_the_event_the_monitor_awaits(self):
+        from repro.runtime.cluster import _Progress
+
+        progress = _Progress(target=3)
+        progress(2)
+        assert not progress.reached.is_set()
+        progress(1)
+        assert progress.reached.is_set() and progress.delivered == 3
+        assert _Progress(target=0).reached.is_set()  # nothing to wait for
+        unknown = _Progress()  # a worker: the parent knows the target
+        unknown(10**6)
+        assert not unknown.reached.is_set()
+
+    def test_run_returns_within_milliseconds_of_the_last_delivery(self):
+        import statistics
+        import time
+
+        gaps = []
+        for seed in range(9):
+            result = run_cluster(
+                ring_spec(messages=200, seed=seed, drain_grace=0.0)
+            )
+            returned = time.monotonic()
+            assert not result.partial, result.summary()
+            last = max(e.mono for e in result.events if e.kind == "delivered")
+            gaps.append(returned - last)
+        # A 20 ms poll alone averages 10 ms; a signalled end of run is the
+        # teardown and the verdict, nothing else.
+        assert statistics.median(gaps) < 0.010, gaps
+
+
+class TestNetemHoldObservability:
+    @staticmethod
+    def held_rows(result):
+        return [
+            row for row in result.obs_rows()
+            if row.get("metric") == "runtime_netem_held"
+        ]
+
+    def test_latency_only_run_exports_the_hold(self):
+        # Enough traffic and delay that the hold is busy for most of the
+        # run (a 200-message run spends its tail waiting on a quiet lane's
+        # standalone REL with nothing held).
+        result = run_cluster(
+            ring_spec(messages=1000, netem={"latency": [0.02, 0.04]})
+        )
+        assert not result.partial, result.summary()
+        assert result.netem_held_samples
+        (row,) = self.held_rows(result)
+        assert row["type"] == "histogram"
+        assert row["n"] == len(result.netem_held_samples)
+        assert row["p50"] > 0  # the adversary was holding records
+
+    def test_clean_run_has_no_hold_row(self):
+        result = run_cluster(ring_spec(messages=8))
+        assert result.netem_held_samples == []
+        assert self.held_rows(result) == []
