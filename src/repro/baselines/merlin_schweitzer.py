@@ -125,6 +125,7 @@ class MerlinSchweitzerForwarding(Protocol):
         actions: List[Action] = []
         n = self.net.n
         hl = self.hl
+        name = self.name
         request_dest = hl.next_destination(pid) if hl.request[pid] else None
 
         for d in range(n):
@@ -132,14 +133,16 @@ class MerlinSchweitzerForwarding(Protocol):
 
             # BG: generation.
             if d == request_dest and stored is None:
-                actions.append(self._generate_action(pid, d))
+                actions.append(Action(pid, "BG", name, d, self._generate, (
+                    pid, d, hl.next_message(pid), self._next_flag[d][pid])))
 
             if stored is None:
                 continue
 
             # BC: consumption at the destination.
             if pid == d:
-                actions.append(self._consume_action(pid, d, stored))
+                actions.append(Action(pid, "BC", name, d, self._consume,
+                                      (pid, d, stored, self.current_step)))
                 continue
 
             nh = self.routing.next_hop(pid, d)
@@ -147,92 +150,73 @@ class MerlinSchweitzerForwarding(Protocol):
             if target is None:
                 # BF: transmission into the empty next-hop buffer (atomic:
                 # move; split: copy only).
-                actions.append(self._forward_action(pid, d, stored, nh))
+                actions.append(Action(pid, "BF", name, d, self._forward,
+                                      (pid, d, stored, nh)))
             elif not self.atomic_moves and target.same_identity(stored):
                 # BE (split mode only): erase once the next hop holds a
                 # matching identity.
-                actions.append(self._erase_action(pid, d, stored, nh, target))
+                actions.append(Action(pid, "BE", name, d, self._erase,
+                                      (pid, d, stored, nh, target)))
         return actions
 
-    def _generate_action(self, p: ProcId, d: DestId) -> Action:
-        payload = self.hl.next_message(p)
-        flag = self._next_flag[d][p]
+    # Effects, called with the values their guard bound; ``describe`` is
+    # what ``Action.info`` reports beyond ``dest``.
 
-        def effect() -> None:
-            # Per-buffer arbitration: a concurrent same-step move may have
-            # filled the buffer; abort and retry (request stays up).
-            if self.buf[d][p] is not None:
-                return
-            uid = self._next_uid
-            self._next_uid += 1
-            msg = FlaggedMessage(payload, p, flag, d, uid, True)
-            self.buf[d][p] = msg
-            self._next_flag[d][p] ^= 1
-            self.hl.consume_request(p)
-            self.ledger.record_generated(msg.as_message())
+    def _generate(self, p: ProcId, d: DestId, payload: Any, flag: int) -> None:
+        # Per-buffer arbitration: a concurrent same-step move may have
+        # filled the buffer; abort and retry (request stays up).
+        if self.buf[d][p] is not None:
+            return
+        uid = self._next_uid
+        self._next_uid += 1
+        msg = FlaggedMessage(payload, p, flag, d, uid, True)
+        self.buf[d][p] = msg
+        self._next_flag[d][p] ^= 1
+        self.hl.consume_request(p)
+        self.ledger.record_generated(msg.as_message())
 
-        return Action(
-            pid=p, rule="BG", protocol=self.name, effect=effect,
-            info={"dest": d, "payload": payload, "flag": flag},
-        )
+    _generate.describe = lambda p, d, payload, flag: {"payload": payload, "flag": flag}
 
-    def _forward_action(
-        self, p: ProcId, d: DestId, msg: FlaggedMessage, nh: ProcId
-    ) -> Action:
-        atomic = self.atomic_moves
+    def _forward(self, p: ProcId, d: DestId, msg: FlaggedMessage, nh: ProcId) -> None:
+        # Per-buffer arbitration: abort if a concurrent move of this same
+        # step filled the target; in atomic mode the source then keeps the
+        # message.
+        if self.buf[d][nh] is not None:
+            return
+        self.buf[d][nh] = msg
+        if self.atomic_moves:
+            self.buf[d][p] = None
 
-        def effect() -> None:
-            # Per-buffer arbitration: abort if a concurrent move of this
-            # same step filled the target; in atomic mode the source then
-            # keeps the message.
-            if self.buf[d][nh] is not None:
-                return
-            self.buf[d][nh] = msg
-            if atomic:
-                self.buf[d][p] = None
+    _forward.describe = lambda p, d, msg, nh: {"uid": msg.uid, "to": nh}
 
-        return Action(
-            pid=p, rule="BF", protocol=self.name, effect=effect,
-            info={"dest": d, "uid": msg.uid, "to": nh},
-        )
-
-    def _erase_action(
+    def _erase(
         self,
         p: ProcId,
         d: DestId,
         msg: FlaggedMessage,
         nh: ProcId,
         target: FlaggedMessage,
-    ) -> Action:
-        def effect() -> None:
-            # The scheme believes `target` is its own copy.  If the hidden
-            # uids differ, the erase destroys a message that was never
-            # transmitted — the loss mode moving tables induce.
-            if msg.valid and target.uid != msg.uid:
-                if self._copies_of(msg.uid) == 1:
-                    self.ledger.record_loss(
-                        msg.as_message(),
-                        f"BE matched a stale same-flag copy at {nh}",
-                    )
-            self.buf[d][p] = None
+    ) -> None:
+        # The scheme believes `target` is its own copy.  If the hidden
+        # uids differ, the erase destroys a message that was never
+        # transmitted — the loss mode moving tables induce.
+        if msg.valid and target.uid != msg.uid:
+            if self._copies_of(msg.uid) == 1:
+                self.ledger.record_loss(
+                    msg.as_message(),
+                    f"BE matched a stale same-flag copy at {nh}",
+                )
+        self.buf[d][p] = None
 
-        return Action(
-            pid=p, rule="BE", protocol=self.name, effect=effect,
-            info={"dest": d, "uid": msg.uid, "matched_uid": target.uid},
-        )
+    _erase.describe = lambda p, d, msg, nh, target: {
+        "uid": msg.uid, "matched_uid": target.uid}
 
-    def _consume_action(self, p: ProcId, d: DestId, msg: FlaggedMessage) -> Action:
-        step = self.current_step
+    def _consume(self, p: ProcId, d: DestId, msg: FlaggedMessage, step: int) -> None:
+        self.buf[d][p] = None
+        self.hl.deliver(p, msg.as_message(), step)
+        self.ledger.record_delivery(p, msg.as_message(), step)
 
-        def effect() -> None:
-            self.buf[d][p] = None
-            self.hl.deliver(p, msg.as_message(), step)
-            self.ledger.record_delivery(p, msg.as_message(), step)
-
-        return Action(
-            pid=p, rule="BC", protocol=self.name, effect=effect,
-            info={"dest": d, "uid": msg.uid, "payload": msg.payload},
-        )
+    _consume.describe = lambda p, d, msg, step: {"uid": msg.uid, "payload": msg.payload}
 
     # -- introspection -----------------------------------------------------------
 

@@ -87,82 +87,69 @@ class NaiveForwarding(Protocol):
     def enabled_actions(self, pid: ProcId) -> List[Action]:
         actions: List[Action] = []
         hl = self.hl
+        name = self.name
         free = self._free_slot(pid)
 
         # NG: generation into any free buffer.
         if hl.request[pid] and free is not None:
             dest = hl.next_destination(pid)
             if dest is not None:
-                actions.append(self._generate_action(pid, dest, free))
+                actions.append(Action(pid, "NG", name, dest, self._generate,
+                                      (pid, dest, free, hl.next_message(pid))))
 
         for i, pkt in enumerate(self.pool[pid]):
             if pkt is None:
                 continue
             # NC: consumption.
             if pkt.dest == pid:
-                actions.append(self._consume_action(pid, i, pkt))
+                actions.append(Action(pid, "NC", name, pkt.dest, self._consume,
+                                      (pid, i, pkt, self.current_step)))
                 continue
             # NF: forwarding into a free buffer of the next hop.
             nh = self.routing.next_hop(pid, pkt.dest)
-            slot = self._free_slot(nh)
-            if slot is not None:
-                actions.append(self._forward_action(pid, i, pkt, nh, slot))
+            if self._free_slot(nh) is not None:
+                actions.append(Action(pid, "NF", name, pkt.dest, self._forward,
+                                      (pid, i, pkt, nh)))
         return actions
 
-    def _generate_action(self, p: ProcId, dest: DestId, slot: int) -> Action:
-        payload = self.hl.next_message(p)
+    # Effects, called with the values their guard bound; ``describe`` is
+    # what ``Action.info`` reports beyond ``dest``.
 
-        def effect() -> None:
-            # Per-buffer arbitration: a concurrent same-step move may have
-            # taken the slot; find another or abort (request stays up).
-            target = slot if self.pool[p][slot] is None else self._free_slot(p)
-            if target is None:
-                return
-            uid = self._next_uid
-            self._next_uid += 1
-            pkt = Packet(payload, dest, uid, True)
-            self.pool[p][target] = pkt
-            self.hl.consume_request(p)
-            self.ledger.record_generated(
-                Message(
-                    payload=payload, last=p, color=0, dest=dest,
-                    uid=uid, valid=True, source=p,
-                )
+    def _generate(self, p: ProcId, dest: DestId, slot: int, payload: Any) -> None:
+        # Per-buffer arbitration: a concurrent same-step move may have
+        # taken the slot; find another or abort (request stays up).
+        target = slot if self.pool[p][slot] is None else self._free_slot(p)
+        if target is None:
+            return
+        uid = self._next_uid
+        self._next_uid += 1
+        self.pool[p][target] = Packet(payload, dest, uid, True)
+        self.hl.consume_request(p)
+        self.ledger.record_generated(
+            Message(
+                payload=payload, last=p, color=0, dest=dest,
+                uid=uid, valid=True, source=p,
             )
-
-        return Action(
-            pid=p, rule="NG", protocol=self.name, effect=effect,
-            info={"dest": dest, "payload": payload},
         )
 
-    def _forward_action(
-        self, p: ProcId, i: int, pkt: Packet, nh: ProcId, slot: int
-    ) -> Action:
-        def effect() -> None:
-            # Per-buffer arbitration: find a still-free slot at apply time.
-            target = self._free_slot(nh)
-            if target is None:
-                return
-            self.pool[nh][target] = pkt
-            self.pool[p][i] = None
+    _generate.describe = lambda p, dest, slot, payload: {"payload": payload}
 
-        return Action(
-            pid=p, rule="NF", protocol=self.name, effect=effect,
-            info={"dest": pkt.dest, "uid": pkt.uid, "to": nh},
-        )
+    def _forward(self, p: ProcId, i: int, pkt: Packet, nh: ProcId) -> None:
+        # Per-buffer arbitration: find a still-free slot at apply time.
+        target = self._free_slot(nh)
+        if target is None:
+            return
+        self.pool[nh][target] = pkt
+        self.pool[p][i] = None
 
-    def _consume_action(self, p: ProcId, i: int, pkt: Packet) -> Action:
-        step = self.current_step
+    _forward.describe = lambda p, i, pkt, nh: {"uid": pkt.uid, "to": nh}
 
-        def effect() -> None:
-            self.pool[p][i] = None
-            self.hl.deliver(p, pkt.as_message(), step)
-            self.ledger.record_delivery(p, pkt.as_message(), step)
+    def _consume(self, p: ProcId, i: int, pkt: Packet, step: int) -> None:
+        self.pool[p][i] = None
+        self.hl.deliver(p, pkt.as_message(), step)
+        self.ledger.record_delivery(p, pkt.as_message(), step)
 
-        return Action(
-            pid=p, rule="NC", protocol=self.name, effect=effect,
-            info={"dest": pkt.dest, "uid": pkt.uid},
-        )
+    _consume.describe = lambda p, i, pkt, step: {"uid": pkt.uid}
 
     # -- introspection -----------------------------------------------------------
 

@@ -15,11 +15,15 @@ concrete protocol (``repro.core.protocol.SSMFP``,
 ``repro.core.protocol2.SSMFP2``) declares:
 
 * ``name`` — the label stamped on actions, obs rows and arena tables;
-* ``rules`` — the guarded-rule evaluators, in guard-evaluation order.
+* ``evaluate`` / ``rule_order`` — the rule set as one evaluator
+  ``(proto, p, d) -> List[Action]`` that reads ``p``'s cells of component
+  ``d`` once and answers the enabled rules as action records, and the
+  labels it can answer, in guard-evaluation order.
   **Liveness**: no rule is enabled at ``(p, d)`` while ``p`` holds no
   buffer and no queued requester in ``d`` (``bufR_p(d)``, ``bufE_p(d)``
-  empty and ``choice_p(d)`` empty) — the engine neither evaluates such a
-  component nor dirties it when a neighbor writes;
+  empty and ``choice_p(d)`` empty) — the evaluator answers ``[]`` there
+  from its own three reads, and the engine does not dirty such a
+  component when a neighbor writes;
 * ``generation_rule`` — the label of the starting action (the verifier's
   partial-order reduction treats generations specially: they race the
   global uid counter);
@@ -100,10 +104,8 @@ class ForwardingProtocol(Protocol):
 
     #: Protocol label (actions, obs rows, arena tables).
     name = "forwarding"
-    #: Guarded-rule evaluators ``(proto, p, d) -> Optional[Action]`` in
-    #: guard-evaluation order; none may be enabled at a ``(p, d)`` that is
-    #: not live (see the module docstring).
-    rules: Tuple = ()
+    #: Labels the evaluator can answer, in guard-evaluation order.
+    rule_order: Tuple[str, ...] = ()
     #: Label of the generation (starting) rule — special-cased by the
     #: verifier's independence oracle (generations race the uid counter).
     generation_rule = "R1"
@@ -117,6 +119,13 @@ class ForwardingProtocol(Protocol):
     #: may pipeline while honoring the protocol's buffer budget
     #: (``None`` = no protocol-imposed cap).
     runtime_window_cap: Optional[int] = None
+
+    def evaluate(self, p: ProcId, d: DestId) -> List[Action]:
+        """The rule set: the enabled rules of ``p`` in component ``d`` as
+        action records, in :attr:`rule_order`; ``[]`` at a ``(p, d)`` that
+        is not live (see the module docstring).  A protocol binds its
+        module-level evaluator ``(proto, p, d)`` under this name."""
+        raise NotImplementedError
 
     def offered_message(self, d: DestId, q: ProcId) -> Optional[Message]:
         """The message processor ``q`` currently offers for forwarding in
@@ -466,26 +475,12 @@ class ForwardingProtocol(Protocol):
         return sorted(occ)
 
     def _eval_component(self, pid: ProcId, d: DestId) -> List[Action]:
-        """Evaluate the protocol's rules at the single component ``(pid, d)``.
-
-        Fast path: while ``(pid, d)`` is not live (both local buffers empty,
-        nobody queued) no rule is enabled — the liveness line of the family
-        contract.  Sound whether or not the component is active, so the
-        reconcile path can call this for any dirty component.
-        """
-        bufs = self.bufs
-        if (
-            bufs.get_r(d, pid) is None
-            and bufs.get_e(d, pid) is None
-            and self.queues.head(d, pid) is None
-        ):
-            return []
-        actions: List[Action] = []
-        for rule in self.rules:
-            action = rule(self, pid, d)
-            if action is not None:
-                actions.append(action)
-        return actions
+        """Evaluate the rule set at the single component ``(pid, d)`` — the
+        one seam the component cache, a classic scan and the test oracles
+        call.  Sound whether or not the component is active or live (the
+        evaluator answers ``[]`` there), so the reconcile path can call
+        this for any dirty component."""
+        return self.evaluate(pid, d)
 
     @property
     def component_evals(self) -> int:

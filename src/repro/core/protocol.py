@@ -36,7 +36,7 @@ from typing import Optional
 from repro.app.higher_layer import HigherLayer
 from repro.core.family import ForwardingProtocol
 from repro.core.ledger import DeliveryLedger
-from repro.core.rules import ALL_RULES
+from repro.core import rules
 from repro.network.graph import Network
 from repro.routing.table import RoutingService
 from repro.statemodel.message import Message
@@ -47,7 +47,8 @@ class SSMFP(ForwardingProtocol):
     """Snap-Stabilizing Message Forwarding Protocol (journal Algorithm 1)."""
 
     name = "SSMFP"
-    rules = ALL_RULES
+    evaluate = rules.evaluate
+    rule_order = rules.RULE_ORDER
     generation_rule = "R1"
     forwarding_rules = ("R2", "R3")
     buffer_kinds = ("R", "E")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.family import ForwardingProtocol
-from repro.core.rules2 import ALL_RULES2
+from repro.core import rules2
 from repro.network.graph import Network
 from repro.routing.table import RoutingService
 from repro.statemodel.message import Message
@@ -36,7 +36,8 @@ class SSMFP2(ForwardingProtocol):
     destination), ownership encoded in the ``last`` field."""
 
     name = "SSMFP2"
-    rules = ALL_RULES2
+    evaluate = rules2.evaluate
+    rule_order = rules2.RULE_ORDER2
     generation_rule = "F1"
     forwarding_rules = ("F2", "F3")
     buffer_kinds = ("R",)

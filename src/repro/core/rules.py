@@ -1,10 +1,13 @@
-"""The six guarded rules of Algorithm 1 (SSMFP).
+"""The six guarded rules of Algorithm 1 (SSMFP), as one evaluator.
 
-Each function evaluates one rule's guard for processor ``p`` in destination
-component ``d`` against the current configuration and, when enabled, returns
-an :class:`~repro.statemodel.Action` whose writes are fully bound (snapshot
-discipline — see :mod:`repro.statemodel.action`).  Disabled guards return
-None.
+:func:`evaluate` reads processor ``p``'s three cells of destination
+component ``d`` — ``bufR_p(d)``, ``bufE_p(d)`` and the head of
+``choice_p(d)`` — once, and dispatches on them to the guards that can hold.
+Every enabled rule becomes an :class:`~repro.statemodel.Action` record: a
+module-level ``apply_*`` function plus the values bound at guard time
+(snapshot discipline — see :mod:`repro.statemodel.action`); ``current_step``
+and the uid counter are read when the action executes, which with guard
+caching may be a later step than the one it was evaluated at.
 
 The rules, verbatim from the paper (with the R5 ``q ≠ p`` disambiguation
 documented in DESIGN.md):
@@ -20,7 +23,7 @@ R6  consumption        bufE_p(p) = (m,q,c)  →  deliver
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.statemodel.action import Action
 from repro.types import DestId, ProcId
@@ -28,174 +31,149 @@ from repro.types import DestId, ProcId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.protocol import SSMFP
 
-#: Rule labels in guard-evaluation order.
+#: Rule labels in guard-evaluation order (the order of an evaluated list).
 RULE_ORDER = ("R1", "R2", "R3", "R4", "R5", "R6")
 
 
-def rule_r1(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
-    """Generation of a message (the snap-stabilization *starting action*)."""
-    hl = proto.hl
-    if not hl.request[p] or hl.next_destination(p) != d:
-        return None
-    if proto.bufs.get_r(d, p) is not None:
-        return None
-    if proto.queues.head(d, p) != p:
-        return None
-    payload = hl.next_message(p)
+def evaluate(proto: "SSMFP", p: ProcId, d: DestId) -> List[Action]:
+    """The enabled rules of ``p`` in component ``d``, in :data:`RULE_ORDER`.
 
-    def effect() -> None:
-        # current_step is read at effect time: with guard caching the action
-        # may have been evaluated at an earlier step than it executes.
-        msg = proto.factory.generated(payload, p, d, color=0, step=proto.current_step)
-        proto.bufs.set_r(d, p, msg)
-        hl.consume_request(p)
-        proto.queues[d][p].serve(p)
-        proto.ledger.record_generated(msg)
-
-    return Action(
-        pid=p, rule="R1", protocol=proto.name, effect=effect,
-        info={"dest": d, "payload": payload},
-    )
-
-
-def rule_r2(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
-    """Internal forwarding ``bufR_p(d) -> bufE_p(d)`` with recoloring."""
-    if proto.bufs.get_e(d, p) is not None:
-        return None
-    msg = proto.bufs.get_r(d, p)
-    if msg is None:
-        return None
-    q = msg.last
-    if q != p:
-        source_e = proto.bufs.get_e(d, q)
-        if source_e is not None and source_e.same_payload_color(msg):
-            return None  # the source still holds the original: wait for R4
-    recolored = msg.recolored(p, proto.pick_color(p, d))
-
-    def effect() -> None:
-        proto.bufs.move_r_to_e(d, p, recolored)
-
-    return Action(
-        pid=p, rule="R2", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid, "color": recolored.color},
-    )
-
-
-def rule_r3(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
-    """Forwarding: copy the chosen neighbor's emission buffer into
-    ``bufR_p(d)`` (the original is erased later by the neighbor's R4)."""
-    if proto.bufs.get_r(d, p) is not None:
-        return None
-    s = proto.queues.head(d, p)
-    if s is None or s == p:
-        return None
-    src = proto.bufs.get_e(d, s)
-    if src is None:
-        return None  # stale queue entry (cannot happen after sync; guard anyway)
-    copy = src.forwarded_copy(s)
-
-    def effect() -> None:
-        proto.bufs.set_r(d, p, copy)
-        proto.queues[d][p].serve(s)
-
-    return Action(
-        pid=p, rule="R3", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": src.uid, "from": s},
-    )
+    ``[]`` without a further read while ``(p, d)`` is not live (both
+    buffers empty, nobody queued) — the liveness line of the family
+    contract."""
+    buf_r, buf_e = proto.bufs.rows(d)
+    msg_r = buf_r.get(p)
+    msg_e = buf_e.get(p)
+    queue = proto.queues.row(d).get(p)
+    head = None if queue is None else queue.head()
+    actions: List[Action] = []
+    if msg_r is None:
+        if head is None:
+            if msg_e is None:
+                return actions
+        elif head == p:
+            hl = proto.hl  # R1: generation (the *starting action*)
+            if hl.request[p] and hl.next_destination(p) == d:
+                actions.append(Action(p, "R1", proto.name, d, apply_generate,
+                                      (proto, p, d, hl.next_message(p), 0)))
+        else:
+            src = buf_e.get(head)  # R3: copy the chosen neighbor's bufE
+            if src is not None:  # (a stale entry cannot survive a sync)
+                actions.append(Action(p, "R3", proto.name, d, apply_forward,
+                                      (proto, p, d, src.forwarded_copy(head), head)))
+    else:
+        q = msg_r.last
+        source_e = msg_e if q == p else buf_e.get(q)
+        at_source = (
+            source_e is not None
+            and source_e.payload == msg_r.payload
+            and source_e.color == msg_r.color
+        )
+        # R2: bufR -> bufE with recoloring, unless the source still holds
+        # the original (then wait for its R4).
+        if msg_e is None and not at_source:
+            recolored = msg_r.recolored(p, proto.pick_color(p, d))
+            actions.append(Action(p, "R2", proto.name, d, apply_r2,
+                                  (proto, p, d, msg_r, recolored)))
+    if msg_e is not None and p != d:  # R4: erase bufE once confirmed
+        confirmed = confirmed_downstream(proto, p, d, buf_r, msg_e)
+        if confirmed is not None:
+            actions.append(Action(p, "R4", proto.name, d, apply_r4,
+                                  (proto, p, d, msg_e, *confirmed)))
+    # R5: erase a received copy whose emitter's next hop moved elsewhere.
+    # ``q = p`` would erase fresh local generations (DESIGN.md erratum);
+    # only the literal-paper ablation lets it through.
+    if (
+        msg_r is not None
+        and at_source
+        and proto.enable_r5
+        and (q != p or proto.r5_literal)
+        and proto.next_hop(q, d) != p
+    ):
+        actions.append(Action(p, "R5", proto.name, d, apply_r5, (proto, p, d, msg_r)))
+    if msg_e is not None and p == d:  # R6: consumption
+        actions.append(Action(p, "R6", proto.name, d, apply_r6, (proto, p, d, msg_e)))
+    return actions
 
 
-def rule_r4(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
-    """Erase the emission buffer once its message has exactly one copy
-    downstream, sitting at the current next hop."""
-    if p == d:
-        return None
-    msg = proto.bufs.get_e(d, p)
-    if msg is None:
-        return None
+def confirmed_downstream(proto, p, d, buf_r, msg):
+    """R4 / F4's confirmation of the message ``msg`` that ``p`` offers in
+    ``d``: ``(next hop, whether the copy there is a foreign message)`` once
+    exactly one copy ``(m, p, c)`` sits downstream, at the current next hop
+    — else None (a stale copy elsewhere is R5's / F5's to clean first)."""
+    payload, color = msg.payload, msg.color
     nh = proto.next_hop(p, d)
-    target = proto.bufs.get_r(d, nh)
-    if target is None or not target.matches(msg.payload, p, msg.color):
+    target = buf_r.get(nh)
+    if (
+        target is None
+        or target.last != p
+        or target.payload != payload
+        or target.color != color
+    ):
         return None
     for r in proto.net.neighbors(p):
-        if r == nh:
-            continue
-        other = proto.bufs.get_r(d, r)
-        if other is not None and other.matches(msg.payload, p, msg.color):
-            return None  # a stale copy exists; R5 must clean it first
-
-    confirmed_foreign = target.uid != msg.uid
-
-    def effect() -> None:
-        # The confirmation compares only (payload, last, color); if the
-        # "copy" at the next hop is actually a different message (possible
-        # only when the color discipline is ablated or from invalid
-        # garbage), this erase silently destroys the original.
+        other = buf_r.get(r)
         if (
-            confirmed_foreign
-            and msg.valid
-            and len(proto.bufs.copies_of(msg.uid)) == 1
+            other is not None
+            and r != nh
+            and other.last == p
+            and other.payload == payload
+            and other.color == color
         ):
-            proto.ledger.record_loss(msg, "R4 confirmed against a foreign copy")
-        proto.bufs.set_e(d, p, None)
-
-    return Action(
-        pid=p, rule="R4", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid, "next_hop": nh},
-    )
+            return None
+    return nh, target.uid != msg.uid
 
 
-def rule_r5(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
-    """Erase a received copy whose emitter's next hop moved elsewhere
-    (cleanup of duplicates created by routing-table motion)."""
-    if not proto.enable_r5:
-        return None
-    msg = proto.bufs.get_r(d, p)
-    if msg is None:
-        return None
-    q = msg.last
-    if q == p and not proto.r5_literal:
-        # Disambiguation (DESIGN.md erratum): the rule targets copies
-        # created by forwarding from a neighbor; q = p would erase fresh
-        # local generations.
-        return None
-    source_e = proto.bufs.get_e(d, q)
-    if source_e is None or not source_e.same_payload_color(msg):
-        return None
-    if proto.next_hop(q, d) == p:
-        return None
-
-    def effect() -> None:
-        if msg.valid and len(proto.bufs.copies_of(msg.uid)) == 1:
-            proto.ledger.record_loss(msg, "R5 erased the last copy")
-        proto.bufs.set_r(d, p, None)
-
-    return Action(
-        pid=p, rule="R5", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid},
-    )
+def apply_generate(proto, p, d, payload, color) -> None:
+    """R1 (and SSMFP2's F1, which colors at generation)."""
+    msg = proto.factory.generated(payload, p, d, color=color, step=proto.current_step)
+    proto.bufs.set_r(d, p, msg)
+    proto.hl.consume_request(p)
+    proto.queues[d][p].serve(p)
+    proto.ledger.record_generated(msg)
 
 
-def rule_r6(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
-    """Consumption: deliver the message in ``bufE_p(p)`` to the higher
-    layer."""
-    if p != d:
-        return None
-    msg = proto.bufs.get_e(d, p)
-    if msg is None:
-        return None
-
-    def effect() -> None:
-        # Effect-time step read — see rule_r1.
-        step = proto.current_step
-        proto.bufs.set_e(d, p, None)
-        proto.hl.deliver(p, msg, step)
-        proto.ledger.record_delivery(p, msg, step)
-
-    return Action(
-        pid=p, rule="R6", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid, "payload": msg.payload},
-    )
+def apply_forward(proto, p, d, copy, s) -> None:
+    """R3 / F3: the original is erased later by ``s``'s own R4 / F4."""
+    proto.bufs.set_r(d, p, copy)
+    proto.queues[d][p].serve(s)
 
 
-#: All rule evaluators in order.
-ALL_RULES = (rule_r1, rule_r2, rule_r3, rule_r4, rule_r5, rule_r6)
+def apply_r2(proto, p, d, msg, recolored) -> None:
+    """R2: ``bufR_p(d) -> bufE_p(d)``, stamped with the guard-time color."""
+    proto.bufs.move_r_to_e(d, p, recolored)
+
+
+def apply_r4(proto, p, d, msg, nh, confirmed_foreign) -> None:
+    """R4: erase ``bufE_p(d)``.  The confirmation compares only (payload,
+    last, color); if the "copy" at the next hop is actually a different
+    message (possible only when the color discipline is ablated or from
+    invalid garbage), this erase silently destroys the original."""
+    if confirmed_foreign and msg.valid and len(proto.bufs.copies_of(msg.uid)) == 1:
+        proto.ledger.record_loss(msg, "R4 confirmed against a foreign copy")
+    proto.bufs.set_e(d, p, None)
+
+
+def apply_r5(proto, p, d, msg) -> None:
+    """R5: erase the duplicate in ``bufR_p(d)``."""
+    if msg.valid and len(proto.bufs.copies_of(msg.uid)) == 1:
+        proto.ledger.record_loss(msg, "R5 erased the last copy")
+    proto.bufs.set_r(d, p, None)
+
+
+def apply_r6(proto, p, d, msg) -> None:
+    """R6: hand ``bufE_p(p)`` to the higher layer."""
+    step = proto.current_step
+    proto.bufs.set_e(d, p, None)
+    proto.hl.deliver(p, msg, step)
+    proto.ledger.record_delivery(p, msg, step)
+
+
+# What ``Action.info`` reports beyond ``dest`` (traces, error messages).
+apply_generate.describe = lambda proto, p, d, payload, color: {"payload": payload}
+apply_forward.describe = lambda proto, p, d, copy, s: {"uid": copy.uid, "from": s}
+apply_r2.describe = lambda proto, p, d, msg, recolored: {
+    "uid": msg.uid, "color": recolored.color}
+apply_r4.describe = lambda proto, p, d, msg, nh, foreign: {"uid": msg.uid, "next_hop": nh}
+apply_r5.describe = lambda proto, p, d, msg: {"uid": msg.uid}
+apply_r6.describe = lambda proto, p, d, msg: {"uid": msg.uid, "payload": msg.payload}

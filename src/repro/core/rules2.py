@@ -42,194 +42,116 @@ fused buffer.  F2 and F5 are mutually exclusive through the same
 upstream predicate that separates R2 and R5: while the upstream original
 survives *and* still routes here, the copy waits for the upstream F4.
 
-Snapshot discipline matches :mod:`repro.core.rules`: guards bind every
-value they read (F1/F2 bind the picked color at guard time — sound under
-the component-invalidation contract, any write that could change
-``free_color`` dirties this component and re-evaluates the cached
-action), effects read ``current_step`` and the uid counter at execution
-time.
+Like :mod:`repro.core.rules` this is one evaluator: :func:`evaluate`
+reads ``bufR_p(d)`` and the head of ``choice_p(d)`` once and dispatches;
+every enabled rule is an :class:`~repro.statemodel.Action` record over a
+module-level ``apply_*`` function and the values bound at guard time (F1 /
+F2 bind the picked color then — sound under the component-invalidation
+contract: any write that could change ``free_color`` dirties this component
+and re-evaluates the cached action); ``current_step`` and the uid counter
+are read when the action executes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List
 
+from repro.core.rules import apply_forward, apply_generate, confirmed_downstream
 from repro.statemodel.action import Action
 from repro.types import DestId, ProcId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.protocol2 import SSMFP2
 
-#: Rule labels in guard-evaluation order.
+#: Rule labels in guard-evaluation order (the order of an evaluated list).
 RULE_ORDER2 = ("F1", "F2", "F3", "F4", "F5", "F6")
 
 
-def rule_f1(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
-    """Generation (the snap-stabilization *starting action*).  Unlike R1,
-    the fused scheme colors at generation time — the single buffer is the
-    reception plane the color discipline ranges over."""
-    hl = proto.hl
-    if not hl.request[p] or hl.next_destination(p) != d:
-        return None
-    if proto.bufs.get_r(d, p) is not None:
-        return None
-    if proto.queues.head(d, p) != p:
-        return None
-    payload = hl.next_message(p)
-    color = proto.pick_color(p, d)
+def evaluate(proto: "SSMFP2", p: ProcId, d: DestId) -> List[Action]:
+    """The enabled rules of ``p`` in component ``d``, in :data:`RULE_ORDER2`.
 
-    def effect() -> None:
-        # current_step and the uid counter are read at effect time: with
-        # guard caching the action may execute later than it was evaluated.
-        msg = proto.factory.generated(
-            payload, p, d, color=color, step=proto.current_step
-        )
-        proto.bufs.set_r(d, p, msg)
-        hl.consume_request(p)
-        proto.queues[d][p].serve(p)
-        proto.ledger.record_generated(msg)
-
-    return Action(
-        pid=p, rule="F1", protocol=proto.name, effect=effect,
-        info={"dest": d, "payload": payload},
-    )
-
-
-def rule_f2(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
-    """Adoption: once the upstream original is gone, recolor the copy and
-    take ownership (the fused analogue of R2's internal forward)."""
-    msg = proto.bufs.get_r(d, p)
+    ``[]`` without a further read while ``(p, d)`` is not live (buffer
+    empty, nobody queued) — the liveness line of the family contract."""
+    buf = proto.bufs.rows(d)[0]
+    msg = buf.get(p)
+    actions: List[Action] = []
     if msg is None:
-        return None
+        queue = proto.queues.row(d).get(p)
+        head = None if queue is None else queue.head()
+        if head is None:
+            return actions
+        if head == p:
+            # F1: generation.  Unlike R1 the fused scheme colors here — the
+            # single buffer is the plane the color discipline ranges over.
+            hl = proto.hl
+            if hl.request[p] and hl.next_destination(p) == d:
+                actions.append(Action(
+                    p, "F1", proto.name, d, apply_generate,
+                    (proto, p, d, hl.next_message(p), proto.pick_color(p, d))))
+        else:
+            src = buf.get(head)  # F3: copy the neighbor's *owned* message
+            if src is not None and src.last == head:
+                actions.append(Action(p, "F3", proto.name, d, apply_forward,
+                                      (proto, p, d, src.forwarded_copy(head), head)))
+        return actions
     q = msg.last
-    if q == p:
-        return None  # already owned
-    source = proto.bufs.get_r(d, q)
-    if source is not None and source.same_payload_color(msg):
-        return None  # the upstream still holds the original: wait for F4
-    adopted = msg.recolored(p, proto.pick_color(p, d))
-
-    def effect() -> None:
-        proto.bufs.set_r(d, p, adopted)
-
-    return Action(
-        pid=p, rule="F2", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid, "color": adopted.color},
-    )
-
-
-def rule_f3(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
-    """Forwarding: copy the chosen neighbor's *owned* message into the
-    local buffer (the original is erased later by the neighbor's F4)."""
-    if proto.bufs.get_r(d, p) is not None:
-        return None
-    s = proto.queues.head(d, p)
-    if s is None or s == p:
-        return None
-    src = proto.bufs.get_r(d, s)
-    if src is None or src.last != s:
-        return None  # stale queue entry (cannot happen after sync; guard anyway)
-    copy = src.forwarded_copy(s)
-
-    def effect() -> None:
-        proto.bufs.set_r(d, p, copy)
-        proto.queues[d][p].serve(s)
-
-    return Action(
-        pid=p, rule="F3", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": src.uid, "from": s},
-    )
-
-
-def rule_f4(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
-    """Erase the owned original once its message has exactly one copy
-    downstream, sitting at the current next hop (the fused analogue of
-    R4, over the single buffer plane)."""
-    if p == d:
-        return None
-    msg = proto.bufs.get_r(d, p)
-    if msg is None or msg.last != p:
-        return None
-    nh = proto.next_hop(p, d)
-    target = proto.bufs.get_r(d, nh)
-    if target is None or not target.matches(msg.payload, p, msg.color):
-        return None
-    for r in proto.net.neighbors(p):
-        if r == nh:
-            continue
-        other = proto.bufs.get_r(d, r)
-        if other is not None and other.matches(msg.payload, p, msg.color):
-            return None  # a stale copy exists; F5 must clean it first
-
-    confirmed_foreign = target.uid != msg.uid
-
-    def effect() -> None:
-        # The confirmation compares only (payload, last, color); if the
-        # "copy" at the next hop is actually a different message (possible
-        # only when the color discipline is ablated or from invalid
-        # garbage), this erase silently destroys the original.
+    if q != p:
+        # An unadopted copy.  While the upstream original survives *and*
+        # still routes here it waits for the upstream F4; F2 adopts it once
+        # the original is gone, F5 erases it when the route moved away.
+        source = buf.get(q)
         if (
-            confirmed_foreign
-            and msg.valid
-            and len(proto.bufs.copies_of(msg.uid)) == 1
+            source is None
+            or source.payload != msg.payload
+            or source.color != msg.color
         ):
-            proto.ledger.record_loss(msg, "F4 confirmed against a foreign copy")
-        proto.bufs.set_r(d, p, None)
-
-    return Action(
-        pid=p, rule="F4", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid, "next_hop": nh},
-    )
-
-
-def rule_f5(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
-    """Erase an unadopted copy whose emitter's next hop moved elsewhere
-    (cleanup of duplicates created by routing-table motion)."""
-    msg = proto.bufs.get_r(d, p)
-    if msg is None:
-        return None
-    q = msg.last
-    if q == p:
-        return None  # owned messages are erased only through F4
-    source = proto.bufs.get_r(d, q)
-    if source is None or not source.same_payload_color(msg):
-        return None
-    if proto.next_hop(q, d) == p:
-        return None
-
-    def effect() -> None:
-        if msg.valid and len(proto.bufs.copies_of(msg.uid)) == 1:
-            proto.ledger.record_loss(msg, "F5 erased the last copy")
-        proto.bufs.set_r(d, p, None)
-
-    return Action(
-        pid=p, rule="F5", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid},
-    )
+            adopted = msg.recolored(p, proto.pick_color(p, d))
+            actions.append(Action(p, "F2", proto.name, d, apply_f2,
+                                  (proto, p, d, msg, adopted)))
+        elif proto.next_hop(q, d) != p:
+            actions.append(Action(p, "F5", proto.name, d, apply_f5, (proto, p, d, msg)))
+    elif p == d:
+        # F6: consumption.  Ownership is required — delivering an unadopted
+        # copy would wedge the upstream F4 — so an F2 precedes every delivery.
+        actions.append(Action(p, "F6", proto.name, d, apply_f6, (proto, p, d, msg)))
+    else:  # F4: erase the owned original once confirmed downstream
+        confirmed = confirmed_downstream(proto, p, d, buf, msg)
+        if confirmed is not None:
+            actions.append(Action(p, "F4", proto.name, d, apply_f4,
+                                  (proto, p, d, msg, *confirmed)))
+    return actions
 
 
-def rule_f6(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
-    """Consumption: deliver the owned message sitting at its destination.
-    Ownership is required — delivering an unadopted copy would wedge the
-    upstream F4 — so every delivery is preceded by one F2 adoption."""
-    if p != d:
-        return None
-    msg = proto.bufs.get_r(d, p)
-    if msg is None or msg.last != p:
-        return None
-
-    def effect() -> None:
-        # Effect-time step read — see rule_f1.
-        step = proto.current_step
-        proto.bufs.set_r(d, p, None)
-        proto.hl.deliver(p, msg, step)
-        proto.ledger.record_delivery(p, msg, step)
-
-    return Action(
-        pid=p, rule="F6", protocol=proto.name, effect=effect,
-        info={"dest": d, "uid": msg.uid, "payload": msg.payload},
-    )
+def apply_f2(proto, p, d, msg, adopted) -> None:
+    """F2: take ownership — ``last = p`` and the guard-time color."""
+    proto.bufs.set_r(d, p, adopted)
 
 
-#: All rule evaluators in order.
-ALL_RULES2 = (rule_f1, rule_f2, rule_f3, rule_f4, rule_f5, rule_f6)
+def apply_f4(proto, p, d, msg, nh, confirmed_foreign) -> None:
+    """F4: erase the owned original (see ``rules.apply_r4``: a confirmation
+    against a different message silently destroys it)."""
+    if confirmed_foreign and msg.valid and len(proto.bufs.copies_of(msg.uid)) == 1:
+        proto.ledger.record_loss(msg, "F4 confirmed against a foreign copy")
+    proto.bufs.set_r(d, p, None)
+
+
+def apply_f5(proto, p, d, msg) -> None:
+    """F5: erase the unadopted duplicate."""
+    if msg.valid and len(proto.bufs.copies_of(msg.uid)) == 1:
+        proto.ledger.record_loss(msg, "F5 erased the last copy")
+    proto.bufs.set_r(d, p, None)
+
+
+def apply_f6(proto, p, d, msg) -> None:
+    """F6: hand the owned message at its destination to the higher layer."""
+    step = proto.current_step
+    proto.bufs.set_r(d, p, None)
+    proto.hl.deliver(p, msg, step)
+    proto.ledger.record_delivery(p, msg, step)
+
+
+# What ``Action.info`` reports beyond ``dest`` (traces, error messages).
+apply_f2.describe = lambda proto, p, d, msg, adopted: {"uid": msg.uid, "color": adopted.color}
+apply_f4.describe = lambda proto, p, d, msg, nh, foreign: {"uid": msg.uid, "next_hop": nh}
+apply_f5.describe = lambda proto, p, d, msg: {"uid": msg.uid}
+apply_f6.describe = lambda proto, p, d, msg: {"uid": msg.uid, "payload": msg.payload}

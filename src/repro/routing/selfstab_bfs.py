@@ -178,11 +178,12 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             return []
         if pid == d:
             if self.dist[d][pid] != 0 or self.hop[d][pid] != pid:
-                return [self._make_self_action(pid, d)]
+                return [Action(pid, "RTself", self.name, d, self._reset_self, (d, pid))]
             return []
         new_dist, new_hop = self._target(pid, d)
         if self.dist[d][pid] != new_dist or self.hop[d][pid] != new_hop:
-            return [self._make_fix_action(pid, d, new_dist, new_hop)]
+            return [Action(pid, "RTfix", self.name, d, self._write,
+                           (d, pid, new_dist, new_hop))]
         return []
 
     def _active_sorted(self, pid: ProcId) -> List[DestId]:
@@ -202,30 +203,15 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         serve = cache.scan if self._all_dirty else cache.enabled_actions
         return serve(pid, self._eval_component, self._active_sorted)
 
-    def _make_self_action(self, pid: ProcId, d: DestId) -> Action:
-        def effect() -> None:
-            self._write(d, pid, 0, pid)
-
-        return Action(
-            pid=pid, rule="RTself", protocol=self.name, effect=effect,
-            info={"dest": d},
-        )
-
-    def _make_fix_action(
-        self, pid: ProcId, d: DestId, new_dist: int, new_hop: ProcId
-    ) -> Action:
-        def effect() -> None:
-            self._write(d, pid, new_dist, new_hop)
-
-        return Action(
-            pid=pid, rule="RTfix", protocol=self.name, effect=effect,
-            info={"dest": d, "dist": new_dist, "hop": new_hop},
-        )
+    def _reset_self(self, d: DestId, p: ProcId) -> None:
+        """RTself: the destination is at distance 0 of itself."""
+        self._write(d, p, 0, p)
 
     def _write(self, d: DestId, p: ProcId, new_dist: int, new_hop: ProcId) -> None:
-        """Apply one table write, feeding both dirty channels: this
-        protocol's own guards (closed neighborhood) and, when the hop
-        actually moved, the observers reading ``next_hop``."""
+        """Apply one table write (RTfix's effect, and every restore's),
+        feeding both dirty channels: this protocol's own guards (closed
+        neighborhood) and, when the hop actually moved, the observers
+        reading ``next_hop``."""
         if self._journal is not None:
             self._journal.setdefault((d, p), (self.dist[d][p], self.hop[d][p]))
         hop_changed = self.hop[d][p] != new_hop
@@ -234,6 +220,9 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         self._mark_dirty(p, d)
         if hop_changed:
             self._notify_entry(p, d)
+
+    # What an RTfix ``Action.info`` reports beyond ``dest``.
+    _write.describe = lambda d, p, dist, hop: {"dist": dist, "hop": hop}
 
     def dump(self) -> Dict[str, object]:
         """Materialized rows only — an absent destination is at its

@@ -163,7 +163,7 @@ class AdversarialScriptDaemon(Daemon):
 
     The script is a sequence of step entries; each entry is a list of
     ``(processor, rule_label)`` pairs (or ``(processor, rule_label, dest)``
-    triples — the third element is matched against ``action.info['dest']``).
+    triples — the third element is matched against ``action.dest``).
     When the script is exhausted the daemon delegates to ``fallback`` (a
     :class:`RoundRobinDaemon` unless another daemon is supplied), so runs can
     continue past the scripted prefix.
@@ -199,12 +199,12 @@ class AdversarialScriptDaemon(Daemon):
             for action in enabled[pid]:
                 if action.rule != rule:
                     continue
-                if dest is not None and action.info.get("dest") != dest:
+                if dest is not None and action.dest != dest:
                     continue
                 chosen[pid] = action
                 break
             else:
-                available = [(a.rule, a.info.get("dest")) for a in enabled[pid]]
+                available = [(a.rule, a.dest) for a in enabled[pid]]
                 raise ScheduleError(
                     f"script step {self._pos - 1}: rule {rule!r} (dest={dest!r}) "
                     f"not enabled at {pid}; enabled: {available}"

@@ -255,7 +255,7 @@ class IndependenceOracle:
         self._hl = proto.hl
 
     def _features(self, pid: int, action):
-        dest = action.info.get("dest")
+        dest = action.dest
         generation = action.rule == self._generation_rule
         upper = action.protocol != self._proto_name
         dests: Optional[Set[int]]

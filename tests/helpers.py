@@ -25,3 +25,13 @@ def make_ssmfp2(net, routing=None, **kwargs):
     hl = HigherLayer(net.n)
     ledger = DeliveryLedger()
     return SSMFP2(net, routing, hl, ledger, **kwargs)
+
+
+def rule(proto, label, p, d):
+    """The action labelled ``label`` among the enabled rules of ``(p, d)``,
+    or None when that guard is false — one rule out of the fused evaluator."""
+    assert label in proto.rule_order
+    for action in proto._eval_component(p, d):
+        if action.rule == label:
+            return action
+    return None

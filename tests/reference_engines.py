@@ -37,10 +37,14 @@ def fresh_actions(stack, pid):
     component cache, no ``next_hop`` cache, no evaluation counting."""
     for proto in stack.protocols:
         dests = proto._active_sorted(pid)
-        if hasattr(proto, "_nh_cache"):  # a ForwardingProtocol
-            proto = copy.copy(proto)  # same state, its own empty next_hop cache
+        hops = getattr(proto, "_nh_cache", None)  # a ForwardingProtocol's
+        if hops is not None:
             proto._nh_cache = {}
-        actions = [a for d in dests for a in proto._eval_component(pid, d)]
+        try:
+            actions = [a for d in dests for a in proto._eval_component(pid, d)]
+        finally:
+            if hops is not None:
+                proto._nh_cache = hops
         if actions:
             return actions
     return []
@@ -53,12 +57,12 @@ class CheckedSimulator(Simulator):
         enabled = super().enabled_map()
         diff = {}
         for pid in range(self.n):
-            cached, fresh = (
-                [(a.rule, a.protocol, a.info) for a in actions]
-                for actions in (enabled.get(pid, ()), fresh_actions(self.stack, pid))
-            )
-            if cached != fresh:
-                diff[pid] = (cached, fresh)
+            cached, fresh = enabled.get(pid, []), fresh_actions(self.stack, pid)
+            if cached != fresh:  # actions are records: compared by value
+                diff[pid] = tuple(
+                    [(a.rule, a.protocol, a.info) for a in actions]
+                    for actions in (cached, fresh)
+                )
         if diff:
             raise InvariantViolation(
                 f"incremental enabled-set cache diverged from full scan at "

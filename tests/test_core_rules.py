@@ -7,11 +7,10 @@ nextHop_p(d) moves toward d along the path, Δ = 2, colors in {0, 1, 2}.
 
 import pytest
 
-from repro.core import rules
 from repro.network.topologies import line_network, paper_figure3_network
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 
-from tests.helpers import make_ssmfp
+from tests.helpers import make_ssmfp, rule
 
 
 def gen(proto, source, dest, payload="m", color=0, step=0):
@@ -26,7 +25,7 @@ class TestR1Generation:
         proto = make_ssmfp(line5)
         proto.hl.submit(0, "hello", 3)
         proto.before_step(0)
-        action = rules.rule_r1(proto, 0, 3)
+        action = rule(proto, "R1", 0, 3)
         assert action is not None and action.rule == "R1"
         action.execute()
         msg = proto.bufs.R[3][0]
@@ -39,13 +38,13 @@ class TestR1Generation:
     def test_disabled_without_request(self, line5):
         proto = make_ssmfp(line5)
         proto.before_step(0)
-        assert rules.rule_r1(proto, 0, 3) is None
+        assert rule(proto, "R1", 0, 3) is None
 
     def test_disabled_for_wrong_destination(self, line5):
         proto = make_ssmfp(line5)
         proto.hl.submit(0, "x", 3)
         proto.before_step(0)
-        assert rules.rule_r1(proto, 0, 2) is None
+        assert rule(proto, "R1", 0, 2) is None
 
     def test_disabled_when_reception_occupied(self, line5):
         proto = make_ssmfp(line5)
@@ -53,20 +52,20 @@ class TestR1Generation:
         proto.bufs.set_r(3, 0, msg)
         proto.hl.submit(0, "y", 3)
         proto.before_step(0)
-        assert rules.rule_r1(proto, 0, 3) is None
+        assert rule(proto, "R1", 0, 3) is None
 
     def test_disabled_when_not_chosen(self, line5):
         proto = make_ssmfp(line5)
         proto.hl.submit(0, "x", 3)
         proto.hl.before_step(0)
         proto.queues[3][0].force([1, 0])  # neighbor ahead in the queue
-        assert rules.rule_r1(proto, 0, 3) is None
+        assert rule(proto, "R1", 0, 3) is None
 
     def test_serves_queue_on_generation(self, line5):
         proto = make_ssmfp(line5)
         proto.hl.submit(0, "x", 3)
         proto.before_step(0)
-        rules.rule_r1(proto, 0, 3).execute()
+        rule(proto, "R1", 0, 3).execute()
         assert 0 not in proto.queues[3][0].items()
 
 
@@ -75,7 +74,7 @@ class TestR2InternalForwarding:
         proto = make_ssmfp(line5)
         msg = gen(proto, 0, 3)
         proto.bufs.set_r(3, 0, msg)
-        action = rules.rule_r2(proto, 0, 3)
+        action = rule(proto, "R2", 0, 3)
         assert action is not None
         action.execute()
         assert proto.bufs.R[3][0] is None
@@ -89,14 +88,14 @@ class TestR2InternalForwarding:
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_e(3, 0, msg.recolored(0, 1))       # original at 0
         proto.bufs.set_r(3, 1, msg.recolored(0, 1).forwarded_copy(0))  # copy at 1
-        assert rules.rule_r2(proto, 1, 3) is None
+        assert rule(proto, "R2", 1, 3) is None
 
     def test_enabled_after_source_erased(self, line5):
         proto = make_ssmfp(line5)
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_r(3, 1, msg.recolored(0, 1).forwarded_copy(0))
         # bufE_0(3) is empty: the (q = p or bufE_q != (m,·,c)) disjunct holds.
-        action = rules.rule_r2(proto, 1, 3)
+        action = rule(proto, "R2", 1, 3)
         assert action is not None
         action.execute()
         assert proto.bufs.E[3][1].uid == msg.uid
@@ -107,14 +106,14 @@ class TestR2InternalForwarding:
         proto.bufs.set_r(3, 1, msg.recolored(0, 1).forwarded_copy(0))
         other = proto.factory.invalid("m", 0, 2, 3)  # same payload, color 2
         proto.bufs.set_e(3, 0, other)
-        assert rules.rule_r2(proto, 1, 3) is not None
+        assert rule(proto, "R2", 1, 3) is not None
 
     def test_blocked_when_emission_occupied(self, line5):
         proto = make_ssmfp(line5)
         msg = gen(proto, 0, 3)
         proto.bufs.set_r(3, 0, msg)
         proto.bufs.set_e(3, 0, proto.factory.invalid("z", 0, 2, 3))
-        assert rules.rule_r2(proto, 0, 3) is None
+        assert rule(proto, "R2", 0, 3) is None
 
     def test_recolor_avoids_neighbor_reception_colors(self, line5):
         proto = make_ssmfp(line5)
@@ -123,7 +122,7 @@ class TestR2InternalForwarding:
         # Neighbors 0 and 2 hold colors 0 and 1 -> must pick 2.
         proto.bufs.set_r(3, 0, proto.factory.invalid("a", 0, 0, 3))
         proto.bufs.set_r(3, 2, proto.factory.invalid("b", 2, 1, 3))
-        rules.rule_r2(proto, 1, 3).execute()
+        rule(proto, "R2", 1, 3).execute()
         assert proto.bufs.E[3][1].color == 2
 
 
@@ -138,7 +137,7 @@ class TestR3Forwarding:
     def test_copies_from_chosen_neighbor(self, line5):
         proto = make_ssmfp(line5)
         emitted = self._setup_candidate(proto)
-        action = rules.rule_r3(proto, 1, 3)
+        action = rule(proto, "R3", 1, 3)
         assert action is not None
         action.execute()
         copy = proto.bufs.R[3][1]
@@ -151,33 +150,33 @@ class TestR3Forwarding:
     def test_serves_queue(self, line5):
         proto = make_ssmfp(line5)
         self._setup_candidate(proto)
-        rules.rule_r3(proto, 1, 3).execute()
+        rule(proto, "R3", 1, 3).execute()
         assert 0 not in proto.queues[3][1].items()
 
     def test_disabled_when_reception_occupied(self, line5):
         proto = make_ssmfp(line5)
         self._setup_candidate(proto)
         proto.bufs.set_r(3, 1, proto.factory.invalid("z", 1, 0, 3))
-        assert rules.rule_r3(proto, 1, 3) is None
+        assert rule(proto, "R3", 1, 3) is None
 
     def test_disabled_without_candidates(self, line5):
         proto = make_ssmfp(line5)
         proto.before_step(0)
-        assert rules.rule_r3(proto, 1, 3) is None
+        assert rule(proto, "R3", 1, 3) is None
 
     def test_disabled_when_choice_is_self(self, line5):
         proto = make_ssmfp(line5)
         proto.hl.submit(1, "x", 3)
         proto.before_step(0)
         assert proto.queues[3][1].head() == 1
-        assert rules.rule_r3(proto, 1, 3) is None
+        assert rule(proto, "R3", 1, 3) is None
 
     def test_candidate_requires_next_hop_match(self, line5):
         # Emission at 0 targets 1 (nextHop_0(3) = 1); processor 2 must not
         # see 0 as a candidate.
         proto = make_ssmfp(line5)
         self._setup_candidate(proto)
-        assert rules.rule_r3(proto, 2, 3) is None
+        assert rule(proto, "R3", 2, 3) is None
 
 
 class TestR4EraseAfterForwarding:
@@ -191,7 +190,7 @@ class TestR4EraseAfterForwarding:
     def test_erases_after_unique_copy_at_next_hop(self, line5):
         proto = make_ssmfp(line5)
         self._handshake(proto)
-        action = rules.rule_r4(proto, 0, 3)
+        action = rule(proto, "R4", 0, 3)
         assert action is not None
         action.execute()
         assert proto.bufs.E[3][0] is None
@@ -200,7 +199,7 @@ class TestR4EraseAfterForwarding:
         proto = make_ssmfp(line5)
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_e(3, 0, msg.recolored(0, 1))
-        assert rules.rule_r4(proto, 0, 3) is None
+        assert rule(proto, "R4", 0, 3) is None
 
     def test_disabled_when_copy_color_differs(self, line5):
         proto = make_ssmfp(line5)
@@ -208,13 +207,13 @@ class TestR4EraseAfterForwarding:
         # Replace the copy with a same-payload different-color message.
         bad = proto.factory.invalid(emitted.payload, 0, 2, 3)
         proto.bufs.set_r(3, 1, bad)
-        assert rules.rule_r4(proto, 0, 3) is None
+        assert rule(proto, "R4", 0, 3) is None
 
     def test_disabled_at_destination(self, line5):
         proto = make_ssmfp(line5)
         msg = gen(proto, 2, 3, color=0)
         proto.bufs.set_e(3, 3, msg.recolored(3, 0))
-        assert rules.rule_r4(proto, 3, 3) is None
+        assert rule(proto, "R4", 3, 3) is None
 
     def test_blocked_by_stale_copy_elsewhere(self, line5):
         # Processor 1 emitted toward 2 but a stale copy also sits at 0.
@@ -224,7 +223,7 @@ class TestR4EraseAfterForwarding:
         proto.bufs.set_e(3, 1, emitted)
         proto.bufs.set_r(3, 2, emitted.forwarded_copy(1))  # at next hop
         proto.bufs.set_r(3, 0, emitted.forwarded_copy(1))  # stale copy
-        assert rules.rule_r4(proto, 1, 3) is None
+        assert rule(proto, "R4", 1, 3) is None
 
     def test_enabled_once_stale_copy_cleared(self, line5):
         proto = make_ssmfp(line5)
@@ -232,7 +231,7 @@ class TestR4EraseAfterForwarding:
         emitted = msg.recolored(1, 1)
         proto.bufs.set_e(3, 1, emitted)
         proto.bufs.set_r(3, 2, emitted.forwarded_copy(1))
-        assert rules.rule_r4(proto, 1, 3) is not None
+        assert rule(proto, "R4", 1, 3) is not None
 
 
 class TestR5EraseDuplicate:
@@ -247,7 +246,7 @@ class TestR5EraseDuplicate:
         proto.bufs.set_e(1, 0, emitted)
         proto.bufs.set_r(1, 2, emitted.forwarded_copy(0))  # stale copy at c
         # nextHop_a(b) = b != c, so the copy at c is erasable.
-        action = rules.rule_r5(proto, 2, 1)
+        action = rule(proto, "R5", 2, 1)
         assert action is not None
         action.execute()
         assert proto.bufs.R[1][2] is None
@@ -258,7 +257,7 @@ class TestR5EraseDuplicate:
         emitted = msg.recolored(0, 1)
         proto.bufs.set_e(3, 0, emitted)
         proto.bufs.set_r(3, 1, emitted.forwarded_copy(0))
-        assert rules.rule_r5(proto, 1, 3) is None  # nextHop_0(3) == 1
+        assert rule(proto, "R5", 1, 3) is None  # nextHop_0(3) == 1
 
     def test_disabled_when_source_buffer_differs(self, line5):
         net = paper_figure3_network()
@@ -266,7 +265,7 @@ class TestR5EraseDuplicate:
         msg = gen(proto, 0, 1, color=1)
         proto.bufs.set_r(1, 2, msg.recolored(0, 1).forwarded_copy(0))
         # bufE_a(b) empty: nothing to compare against.
-        assert rules.rule_r5(proto, 2, 1) is None
+        assert rule(proto, "R5", 2, 1) is None
 
     def test_disambiguation_protects_fresh_generation(self, line5):
         # Literal R5 would erase a fresh generation whose payload+color
@@ -277,7 +276,7 @@ class TestR5EraseDuplicate:
         proto.bufs.set_e(3, 0, older.recolored(0, 0))
         fresh = gen(proto, 0, 3, payload="dup", color=0)
         proto.bufs.set_r(3, 0, fresh)  # last = 0 = p
-        assert rules.rule_r5(proto, 0, 3) is None
+        assert rule(proto, "R5", 0, 3) is None
 
     def test_literal_mode_reproduces_erratum(self, line5):
         from repro.core.ledger import DeliveryLedger
@@ -288,7 +287,7 @@ class TestR5EraseDuplicate:
         proto.bufs.set_e(3, 0, older.recolored(0, 0))
         fresh = gen(proto, 0, 3, payload="dup", color=0)
         proto.bufs.set_r(3, 0, fresh)
-        action = rules.rule_r5(proto, 0, 3)
+        action = rule(proto, "R5", 0, 3)
         assert action is not None  # the literal rule fires...
         action.execute()
         assert proto.ledger.lost_count == 1  # ...and loses the message
@@ -300,7 +299,7 @@ class TestR5EraseDuplicate:
         emitted = msg.recolored(0, 1)
         proto.bufs.set_e(1, 0, emitted)
         proto.bufs.set_r(1, 2, emitted.forwarded_copy(0))
-        assert rules.rule_r5(proto, 2, 1) is None
+        assert rule(proto, "R5", 2, 1) is None
 
 
 class TestR6Consumption:
@@ -308,7 +307,7 @@ class TestR6Consumption:
         proto = make_ssmfp(line5)
         msg = gen(proto, 2, 3, color=1)
         proto.bufs.set_e(3, 3, msg.recolored(3, 1))
-        action = rules.rule_r6(proto, 3, 3)
+        action = rule(proto, "R6", 3, 3)
         assert action is not None
         action.execute()
         assert proto.bufs.E[3][3] is None
@@ -320,17 +319,17 @@ class TestR6Consumption:
         proto = make_ssmfp(line5)
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_e(3, 2, msg.recolored(2, 1))
-        assert rules.rule_r6(proto, 2, 3) is None
+        assert rule(proto, "R6", 2, 3) is None
 
     def test_disabled_on_empty_buffer(self, line5):
         proto = make_ssmfp(line5)
-        assert rules.rule_r6(proto, 3, 3) is None
+        assert rule(proto, "R6", 3, 3) is None
 
     def test_delivers_invalid_messages_too(self, line5):
         proto = make_ssmfp(line5)
         garbage = proto.factory.invalid("g", 3, 0, 3)
         proto.bufs.set_e(3, 3, garbage)
-        rules.rule_r6(proto, 3, 3).execute()
+        rule(proto, "R6", 3, 3).execute()
         assert proto.ledger.invalid_delivery_count == 1
 
 
@@ -341,12 +340,12 @@ class TestFullHandshakeSequence:
         proto = make_ssmfp(line5)
         proto.hl.submit(0, "payload", 1)
         proto.before_step(0)
-        rules.rule_r1(proto, 0, 1).execute()          # generated at 0
-        rules.rule_r2(proto, 0, 1).execute()          # into bufE_0(1)
+        rule(proto, "R1", 0, 1).execute()          # generated at 0
+        rule(proto, "R2", 0, 1).execute()          # into bufE_0(1)
         proto.before_step(1)
-        rules.rule_r3(proto, 1, 1).execute()          # copied to bufR_1(1)
-        rules.rule_r4(proto, 0, 1).execute()          # original erased
-        rules.rule_r2(proto, 1, 1).execute()          # into bufE_1(1)
-        rules.rule_r6(proto, 1, 1).execute()          # delivered
+        rule(proto, "R3", 1, 1).execute()          # copied to bufR_1(1)
+        rule(proto, "R4", 0, 1).execute()          # original erased
+        rule(proto, "R2", 1, 1).execute()          # into bufE_1(1)
+        rule(proto, "R6", 1, 1).execute()          # delivered
         assert proto.ledger.all_valid_delivered()
         assert proto.bufs.total_occupied() == 0

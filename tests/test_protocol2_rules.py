@@ -10,13 +10,12 @@ as in ``test_core_rules.py`` — but here the buffer plane is fused: one
 import pytest
 
 from repro.app.higher_layer import HigherLayer
-from repro.core import rules2
 from repro.core.ledger import DeliveryLedger
 from repro.core.protocol2 import SSMFP2
 from repro.errors import SpecificationViolation
 from repro.routing.static import StaticRouting
 
-from tests.helpers import make_ssmfp2
+from tests.helpers import make_ssmfp2, rule
 
 
 def gen(proto, source, dest, payload="m", color=0, step=0):
@@ -31,7 +30,7 @@ class TestF1Generation:
         proto = make_ssmfp2(line5)
         proto.hl.submit(0, "hello", 3)
         proto.before_step(0)
-        action = rules2.rule_f1(proto, 0, 3)
+        action = rule(proto, "F1", 0, 3)
         assert action is not None and action.rule == "F1"
         assert action.protocol == "SSMFP2"
         action.execute()
@@ -48,21 +47,21 @@ class TestF1Generation:
     def test_disabled_without_request(self, line5):
         proto = make_ssmfp2(line5)
         proto.before_step(0)
-        assert rules2.rule_f1(proto, 0, 3) is None
+        assert rule(proto, "F1", 0, 3) is None
 
     def test_disabled_when_buffer_occupied(self, line5):
         proto = make_ssmfp2(line5)
         proto.bufs.set_r(3, 0, gen(proto, 0, 3))
         proto.hl.submit(0, "y", 3)
         proto.before_step(0)
-        assert rules2.rule_f1(proto, 0, 3) is None
+        assert rule(proto, "F1", 0, 3) is None
 
     def test_disabled_when_not_chosen(self, line5):
         proto = make_ssmfp2(line5)
         proto.hl.submit(0, "x", 3)
         proto.hl.before_step(0)
         proto.queues[3][0].force([1, 0])  # neighbor ahead in the queue
-        assert rules2.rule_f1(proto, 0, 3) is None
+        assert rule(proto, "F1", 0, 3) is None
 
 
 class TestF2Adoption:
@@ -70,7 +69,7 @@ class TestF2Adoption:
         proto = make_ssmfp2(line5)
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_r(3, 1, msg.forwarded_copy(0))  # copy, upstream empty
-        action = rules2.rule_f2(proto, 1, 3)
+        action = rule(proto, "F2", 1, 3)
         assert action is not None and action.rule == "F2"
         action.execute()
         adopted = proto.bufs.R[3][1]
@@ -83,7 +82,7 @@ class TestF2Adoption:
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_r(3, 0, msg)                    # original, owned by 0
         proto.bufs.set_r(3, 1, msg.forwarded_copy(0))  # unadopted copy at 1
-        assert rules2.rule_f2(proto, 1, 3) is None
+        assert rule(proto, "F2", 1, 3) is None
 
     def test_enabled_when_upstream_holds_different_color(self, line5):
         proto = make_ssmfp2(line5)
@@ -91,12 +90,12 @@ class TestF2Adoption:
         proto.bufs.set_r(3, 1, msg.forwarded_copy(0))
         other = proto.factory.invalid("m", 0, 2, 3)  # same payload, color 2
         proto.bufs.set_r(3, 0, other)
-        assert rules2.rule_f2(proto, 1, 3) is not None
+        assert rule(proto, "F2", 1, 3) is not None
 
     def test_disabled_for_owned_message(self, line5):
         proto = make_ssmfp2(line5)
         proto.bufs.set_r(3, 1, gen(proto, 0, 3).recolored(1, 0))
-        assert rules2.rule_f2(proto, 1, 3) is None
+        assert rule(proto, "F2", 1, 3) is None
 
 
 class TestF3Forwarding:
@@ -105,7 +104,7 @@ class TestF3Forwarding:
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_r(3, 0, msg)  # owned at 0, routed through 1
         proto.before_step(0)
-        action = rules2.rule_f3(proto, 1, 3)
+        action = rule(proto, "F3", 1, 3)
         assert action is not None and action.rule == "F3"
         action.execute()
         copy = proto.bufs.R[3][1]
@@ -118,14 +117,14 @@ class TestF3Forwarding:
         proto.bufs.set_r(3, 0, gen(proto, 0, 3))
         proto.bufs.set_r(3, 1, proto.factory.invalid("g", 1, 0, 3))
         proto.before_step(0)
-        assert rules2.rule_f3(proto, 1, 3) is None
+        assert rule(proto, "F3", 1, 3) is None
 
     def test_stale_queue_entry_for_unowned_message_is_guarded(self, line5):
         proto = make_ssmfp2(line5)
         msg = gen(proto, 0, 3)
         proto.bufs.set_r(3, 0, msg.forwarded_copy(4))  # unadopted at 0
         proto.queues[3][1].force([0])                  # stale by construction
-        assert rules2.rule_f3(proto, 1, 3) is None
+        assert rule(proto, "F3", 1, 3) is None
 
 
 class TestF4EraseAfterForward:
@@ -134,7 +133,7 @@ class TestF4EraseAfterForward:
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_r(3, 0, msg)
         proto.bufs.set_r(3, 1, msg.forwarded_copy(0))
-        action = rules2.rule_f4(proto, 0, 3)
+        action = rule(proto, "F4", 0, 3)
         assert action is not None and action.rule == "F4"
         action.execute()
         assert proto.bufs.R[3][0] is None
@@ -143,7 +142,7 @@ class TestF4EraseAfterForward:
     def test_blocked_without_downstream_copy(self, line5):
         proto = make_ssmfp2(line5)
         proto.bufs.set_r(3, 0, gen(proto, 0, 3))
-        assert rules2.rule_f4(proto, 0, 3) is None
+        assert rule(proto, "F4", 0, 3) is None
 
     def test_blocked_while_stale_copy_on_other_neighbor(self, line5):
         proto = make_ssmfp2(line5)
@@ -151,12 +150,12 @@ class TestF4EraseAfterForward:
         proto.bufs.set_r(3, 1, msg)
         proto.bufs.set_r(3, 2, msg.forwarded_copy(1))  # next hop toward 3
         proto.bufs.set_r(3, 0, msg.forwarded_copy(1))  # stale copy behind
-        assert rules2.rule_f4(proto, 1, 3) is None
+        assert rule(proto, "F4", 1, 3) is None
 
     def test_blocked_at_destination(self, line5):
         proto = make_ssmfp2(line5)
         proto.bufs.set_r(3, 3, gen(proto, 0, 3).recolored(3, 0))
-        assert rules2.rule_f4(proto, 3, 3) is None
+        assert rule(proto, "F4", 3, 3) is None
 
     def test_foreign_confirmation_records_loss(self, line5):
         # Same (payload, last, color) pattern from a *different* message —
@@ -168,7 +167,7 @@ class TestF4EraseAfterForward:
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_r(3, 0, msg)
         proto.bufs.set_r(3, 1, proto.factory.invalid("m", 0, 1, 3))
-        action = rules2.rule_f4(proto, 0, 3)
+        action = rule(proto, "F4", 0, 3)
         assert action is not None
         action.execute()
         assert proto.bufs.R[3][0] is None
@@ -182,7 +181,7 @@ class TestF5EraseDuplicate:
         proto.bufs.set_r(3, 1, msg)
         proto.bufs.set_r(3, 2, msg.forwarded_copy(1))  # real copy, kept
         proto.bufs.set_r(3, 0, msg.forwarded_copy(1))  # stale copy at 0
-        action = rules2.rule_f5(proto, 0, 3)
+        action = rule(proto, "F5", 0, 3)
         assert action is not None and action.rule == "F5"
         action.execute()
         assert proto.bufs.R[3][0] is None
@@ -193,7 +192,7 @@ class TestF5EraseDuplicate:
         msg = gen(proto, 0, 3, color=1)
         proto.bufs.set_r(3, 0, msg)
         proto.bufs.set_r(3, 1, msg.forwarded_copy(0))
-        assert rules2.rule_f5(proto, 1, 3) is None  # that's F4's confirmation
+        assert rule(proto, "F5", 1, 3) is None  # that's F4's confirmation
 
     def test_erasing_last_copy_is_a_specification_violation(self, line5):
         proto = make_ssmfp2(line5)
@@ -201,7 +200,7 @@ class TestF5EraseDuplicate:
         proto.bufs.set_r(3, 0, msg.forwarded_copy(1))  # only copy anywhere
         # Plant a same-pattern invalid at the emitter so the guard fires.
         proto.bufs.set_r(3, 1, proto.factory.invalid("m", 1, 1, 3))
-        action = rules2.rule_f5(proto, 0, 3)
+        action = rule(proto, "F5", 0, 3)
         assert action is not None
         with pytest.raises(SpecificationViolation):
             action.execute()
@@ -212,7 +211,7 @@ class TestF6Consumption:
         proto = make_ssmfp2(line5)
         msg = gen(proto, 0, 3, color=1).recolored(3, 0)
         proto.bufs.set_r(3, 3, msg)
-        action = rules2.rule_f6(proto, 3, 3)
+        action = rule(proto, "F6", 3, 3)
         assert action is not None and action.rule == "F6"
         action.execute()
         assert proto.bufs.R[3][3] is None
@@ -226,13 +225,13 @@ class TestF6Consumption:
         proto = make_ssmfp2(line5)
         msg = gen(proto, 0, 3, color=1).recolored(2, 1)
         proto.bufs.set_r(3, 3, msg.forwarded_copy(2))
-        assert rules2.rule_f6(proto, 3, 3) is None
-        assert rules2.rule_f2(proto, 3, 3) is not None
+        assert rule(proto, "F6", 3, 3) is None
+        assert rule(proto, "F2", 3, 3) is not None
 
     def test_blocked_away_from_destination(self, line5):
         proto = make_ssmfp2(line5)
         proto.bufs.set_r(3, 1, gen(proto, 0, 3).recolored(1, 0))
-        assert rules2.rule_f6(proto, 1, 3) is None
+        assert rule(proto, "F6", 1, 3) is None
 
 
 class TestEndToEndHop:
@@ -241,12 +240,12 @@ class TestEndToEndHop:
         proto = make_ssmfp2(line5)
         proto.hl.submit(0, "x", 3)
         proto.before_step(0)
-        rules2.rule_f1(proto, 0, 3).execute()
+        rule(proto, "F1", 0, 3).execute()
         for hop in (1, 2, 3):
             proto.before_step(hop)
-            rules2.rule_f3(proto, hop, 3).execute()      # copy forward
-            rules2.rule_f4(proto, hop - 1, 3).execute()  # upstream erases
-            rules2.rule_f2(proto, hop, 3).execute()      # adopt
-        rules2.rule_f6(proto, 3, 3).execute()
+            rule(proto, "F3", hop, 3).execute()      # copy forward
+            rule(proto, "F4", hop - 1, 3).execute()  # upstream erases
+            rule(proto, "F2", hop, 3).execute()      # adopt
+        rule(proto, "F6", 3, 3).execute()
         assert proto.ledger.all_valid_delivered()
         assert proto.network_is_empty()

@@ -43,7 +43,8 @@ class TestFamilyContract:
         cls = resolve(name)
         assert issubclass(cls, ForwardingProtocol)
         assert isinstance(cls.name, str) and cls.name
-        assert len(cls.rules) == 6
+        assert len(cls.rule_order) == 6 and callable(cls.evaluate)
+        assert cls.generation_rule == cls.rule_order[0]
         assert cls.generation_rule in ("R1", "F1")
         assert set(cls.forwarding_rules)  # non-empty move labels
         assert cls.offer_kind in cls.buffer_kinds

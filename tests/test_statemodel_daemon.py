@@ -16,8 +16,7 @@ from repro.statemodel.daemon import (
 
 
 def act(pid, rule="R", dest=None):
-    info = {} if dest is None else {"dest": dest}
-    return Action(pid=pid, rule=rule, protocol="T", effect=lambda: None, info=info)
+    return Action(pid=pid, rule=rule, protocol="T", dest=dest, apply=lambda: None)
 
 
 def enabled_map(*pids):

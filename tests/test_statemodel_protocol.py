@@ -23,7 +23,7 @@ class Minimal(Protocol):
         def effect():
             self.fired = True
 
-        return [Action(pid=0, rule="GO", protocol=self.name, effect=effect)]
+        return [Action(pid=0, rule="GO", protocol=self.name, dest=None, apply=effect)]
 
 
 class TestProtocolDefaults:
@@ -49,48 +49,58 @@ class TestProtocolDefaults:
 class TestActionDefaults:
     def test_execute_runs_effect(self):
         hits = []
-        action = Action(pid=0, rule="R", protocol="P", effect=lambda: hits.append(1))
+        action = Action(pid=0, rule="R", protocol="P", dest=None, apply=lambda: hits.append(1))
         action.execute()
         assert hits == [1]
 
     def test_info_defaults_empty(self):
-        action = Action(pid=0, rule="R", protocol="P", effect=lambda: None)
+        action = Action(pid=0, rule="R", protocol="P", dest=None, apply=lambda: None)
         assert action.info == {}
 
     def test_repr(self):
-        action = Action(pid=3, rule="R2", protocol="SSMFP", effect=lambda: None)
+        action = Action(pid=3, rule="R2", protocol="SSMFP", dest=None, apply=lambda: None)
         assert "pid=3" in repr(action) and "R2" in repr(action)
 
     def test_equality_is_field_wise(self):
-        def effect():
+        def effect(*args):
             pass
 
         def make(**changed):
-            fields = dict(pid=1, rule="R3", protocol="P", effect=effect, info={"dest": 2})
+            fields = dict(pid=1, rule="R3", protocol="P", dest=2, apply=effect, args=("m",))
             return Action(**{**fields, **changed})
 
         assert make() == make() and not (make() != make())
         for changed in (
-            {"pid": 2}, {"rule": "R4"}, {"protocol": "Q"},
-            {"effect": lambda: None}, {"info": {"dest": 3}},
+            {"pid": 2}, {"rule": "R4"}, {"protocol": "Q"}, {"dest": 3},
+            {"apply": lambda *args: None}, {"args": ("m2",)},
         ):
             assert make() != make(**changed)
         assert make() != ("R3", 1)
 
+    def test_info_is_dest_plus_what_apply_describes(self):
+        def effect(payload):
+            pass
+
+        assert Action(0, "R", "P", 2, effect, ("m",)).info == {"dest": 2}
+        effect.describe = lambda payload: {"payload": payload}
+        assert Action(0, "R", "P", 2, effect, ("m",)).info == {"dest": 2, "payload": "m"}
+        assert Action(0, "R", "P", None, effect, ("m",)).info == {"payload": "m"}
+
     def test_membership_is_what_validate_selection_needs(self):
         # Simulator._validate_selection tests ``action in enabled[pid]``:
         # identity first, then field-wise equality — so a re-evaluated twin
-        # (same bound effect) passes and a foreign action does not.
+        # (same callable, equal bound values) passes and a foreign action
+        # does not.
         def effect():
             pass
 
-        offered = [Action(pid=0, rule="R1", protocol="P", effect=effect)]
+        offered = [Action(pid=0, rule="R1", protocol="P", dest=None, apply=effect)]
         assert offered[0] in offered
-        assert Action(pid=0, rule="R1", protocol="P", effect=effect) in offered
-        assert Action(pid=0, rule="R1", protocol="P", effect=lambda: None) not in offered
+        assert Action(pid=0, rule="R1", protocol="P", dest=None, apply=effect) in offered
+        assert Action(pid=0, rule="R1", protocol="P", dest=None, apply=lambda: None) not in offered
 
     def test_slotted_and_unhashable(self):
-        action = Action(pid=0, rule="R", protocol="P", effect=lambda: None)
+        action = Action(pid=0, rule="R", protocol="P", dest=None, apply=lambda: None)
         assert not hasattr(action, "__dict__")
         with pytest.raises(TypeError):
             hash(action)

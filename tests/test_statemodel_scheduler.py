@@ -28,7 +28,7 @@ class CountUp(Protocol):
         def effect():
             self.values[pid] = current + 1
 
-        return [Action(pid=pid, rule="INC", protocol=self.name, effect=effect)]
+        return [Action(pid=pid, rule="INC", protocol=self.name, dest=None, apply=effect)]
 
 
 class Swap(Protocol):
@@ -50,7 +50,7 @@ class Swap(Protocol):
             self.values[pid] = other_value
             self.done[pid] = True
 
-        return [Action(pid=pid, rule="CP", protocol=self.name, effect=effect)]
+        return [Action(pid=pid, rule="CP", protocol=self.name, dest=None, apply=effect)]
 
 
 class OneShotPair(Protocol):
@@ -70,7 +70,7 @@ class OneShotPair(Protocol):
         def effect():
             self.fired = True
 
-        return [Action(pid=pid, rule="FIRE", protocol=self.name, effect=effect)]
+        return [Action(pid=pid, rule="FIRE", protocol=self.name, dest=None, apply=effect)]
 
 
 class PickFirstDaemon(Daemon):
@@ -89,9 +89,9 @@ class BadDaemon(Daemon):
         if self.mode == "empty":
             return {}
         if self.mode == "disabled":
-            return {99: Action(pid=99, rule="X", protocol="T", effect=lambda: None)}
+            return {99: Action(pid=99, rule="X", protocol="T", dest=None, apply=lambda: None)}
         pid = min(enabled)
-        return {pid: Action(pid=pid, rule="X", protocol="T", effect=lambda: None)}
+        return {pid: Action(pid=pid, rule="X", protocol="T", dest=None, apply=lambda: None)}
 
 
 class TestStepBasics:
@@ -268,7 +268,7 @@ class GrowsDownward(Protocol):
         self.low_enabled = False
 
     def _noop_action(self, pid, rule):
-        return Action(pid=pid, rule=rule, protocol=self.name, effect=lambda: None)
+        return Action(pid=pid, rule=rule, protocol=self.name, dest=None, apply=lambda: None)
 
     def enabled_actions(self, pid):
         acts = []
@@ -280,7 +280,7 @@ class GrowsDownward(Protocol):
                     self.low_enabled = True
                     self._pending.add(0)
                 self._pending.add(2)
-            acts.append(Action(pid=2, rule="hi", protocol=self.name, effect=eff))
+            acts.append(Action(pid=2, rule="hi", protocol=self.name, dest=None, apply=eff))
         return acts
 
     def dirty_after(self, selection):
