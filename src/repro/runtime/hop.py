@@ -37,6 +37,11 @@ R2's guard   the receiver forwards/delivers a record only once the
              copy of each message per hop, exactly as in the paper
 R6           ``deliver``: at the destination, released records are consumed
              and delivery events appended to the conformance log
+bufR / bufE  the DATA dict itself, one object per side of the wire: the
+             receiver stores the dict it was handed (``ooo`` -> ``pending``
+             -> ``fwd``) and **never writes to it** — a channel may hand the
+             same object over twice — and forwarding copies it once into
+             the dict the sender keeps in ``unacked`` until R4 erases it
 ===========  ================================================================
 
 The sequence-number discipline is what upgrades best-effort transports to
@@ -99,17 +104,6 @@ class RuntimeParams:
 
 
 @dataclass(slots=True)
-class RuntimeRecord:
-    """One stored message (uid preserved across hops, as in the model)."""
-
-    payload: Any
-    uid: int
-    valid: bool
-    src: ProcId     #: who handed it to us (self for generated)
-    seq: int        #: lane sequence it arrived under (-1 for generated)
-
-
-@dataclass(slots=True)
 class _Pending:
     """One unacknowledged DATA record of an outgoing lane."""
 
@@ -150,10 +144,10 @@ class _InLane:
 
     cum: int = 0        #: highest seq accepted in order
     rel_cum: int = 0    #: highest release level applied
-    #: out-of-order accepted records, seq -> record.
-    ooo: Dict[int, RuntimeRecord] = field(default_factory=dict)
-    #: in-order accepted records not yet released by the sender.
-    pending: Deque[Tuple[int, RuntimeRecord]] = field(default_factory=deque)
+    #: out-of-order accepted records, seq -> the DATA dict as received.
+    ooo: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    #: in-order accepted DATA dicts (ascending ``s``) not yet released.
+    pending: Deque[Dict[str, Any]] = field(default_factory=deque)
     ack_due: bool = False
     coalesced: int = 0  #: DATA records covered since the last ACK went out
 
@@ -296,12 +290,16 @@ class HopCore:
         now: float,
         out: List[Tuple[ProcId, Dict[str, Any]]],
     ) -> None:
-        """Handle one inbound record batch from neighbor ``src``."""
+        """Handle one inbound record batch from neighbor ``src``.  A record
+        is applied whole or dropped whole: every field a handler needs is
+        read and type-checked before a lane is touched."""
         for rec in records:
             try:
                 kind = rec.get("k")
                 if kind == DATA:
                     self._on_data(src, rec)
+                elif any(not isinstance(v, int) for k, v in rec.items() if k != "k"):
+                    raise TypeError("ACK / REL / RACK carry integers only")
                 elif kind == ACK:
                     self._on_ack(src, rec, now, out)
                 elif kind == REL:
@@ -310,89 +308,84 @@ class HopCore:
                     self._on_rack(src, rec)
                 else:
                     self.counters["stale_records_dropped"] += 1
-            except (KeyError, TypeError, AttributeError):
+            except (KeyError, TypeError, ValueError, AttributeError):
                 self.counters["stale_records_dropped"] += 1
 
-    def _in_lane(self, src: ProcId, d: DestId) -> _InLane:
-        lane = self._in_lanes.get((src, d))
-        if lane is None:
-            lane = self._in_lanes[(src, d)] = _InLane()
-        return lane
-
     def _on_data(self, src: ProcId, rec: Dict[str, Any]) -> None:
-        d = rec["d"]
-        seq = rec["s"]
-        if not (isinstance(d, int) and 0 <= d < self.net.n):
+        d, seq, rel = rec["d"], rec["s"], rec["r"]
+        if not (
+            isinstance(d, int) and isinstance(seq, int) and isinstance(rel, int)
+            and 0 <= d < self.net.n
+        ):
             self.counters["stale_records_dropped"] += 1
             return
+        uid, valid = rec.get("u", 0), rec.get("v", False)
+        if (uid.__class__ is not int or valid.__class__ is not bool
+                or "p" not in rec or len(rec) != 7):
+            # Lenient: a forged DATA lacking u / v / p (or with odd types or
+            # extra keys) is stored as its coerced copy: uid 0, invalid, None.
+            rec = data_rec(d, seq, int(uid), rec.get("p"), bool(valid), rel)
         key = (src, d)
-        lane = self._in_lane(src, d)
-        if seq <= lane.cum:
+        lane = self._in_lanes.get(key)
+        if lane is None:
+            lane = self._in_lanes[key] = _InLane()
+        cum = lane.cum
+        if seq <= cum:
             # Retransmission (or transport duplicate) of something already
             # accepted: the repeat ACK is harmless and idempotent.
             self.counters["dup_data_acked"] += 1
-            lane.ack_due = True
-            self._ack_dirty.add(key)
-        elif seq == lane.cum + 1:
-            if len(lane.pending) + self.fwd.size(d) >= self.params.recv_queue:
+        elif seq == cum + 1:
+            pending = lane.pending
+            if len(pending) + self.fwd.size(d) >= self.params.recv_queue:
                 # Backpressure: stay silent, the sender's timer retries.
                 self.counters["recv_backpressure"] += 1
                 return
+            pending.append(rec)  # the stored message: never written to
+            coalesced = lane.coalesced + 1
+            ooo = lane.ooo
+            while ooo and seq + 1 in ooo:
+                seq += 1
+                pending.append(ooo.pop(seq))
+                coalesced += 1
             lane.cum = seq
-            lane.pending.append((seq, self._record_of(src, rec)))
-            lane.coalesced += 1
-            while lane.cum + 1 in lane.ooo:
-                lane.cum += 1
-                lane.pending.append((lane.cum, lane.ooo.pop(lane.cum)))
-                lane.coalesced += 1
-            lane.ack_due = True
-            self._ack_dirty.add(key)
-        elif seq <= lane.cum + MAX_WINDOW:
+            lane.coalesced = coalesced
+        elif seq <= cum + MAX_WINDOW:
             # Accept the full SACK-bitmap width beyond cum (not just the
             # sender's configured window): SACK pops let the sender's new
             # sequence numbers run ahead of the cumulative frontier.
-            if seq in lane.ooo:
+            ooo = lane.ooo
+            if seq in ooo:
                 self.counters["dup_data_acked"] += 1
             elif (
-                len(lane.ooo) + len(lane.pending) + self.fwd.size(d)
+                len(ooo) + len(lane.pending) + self.fwd.size(d)
                 >= self.params.recv_queue
             ):
                 self.counters["recv_backpressure"] += 1
                 return
             else:
-                lane.ooo[seq] = self._record_of(src, rec)
+                ooo[seq] = rec
                 lane.coalesced += 1
-            lane.ack_due = True
-            self._ack_dirty.add(key)
         else:
             # Beyond the window: forged, wildly reordered, or stale.
             self.counters["stale_records_dropped"] += 1
             return
-        self._apply_release(lane, d, rec["r"])
-
-    def _record_of(self, src: ProcId, rec: Dict[str, Any]) -> RuntimeRecord:
-        return RuntimeRecord(
-            payload=rec.get("p"),
-            uid=int(rec.get("u", 0)),
-            valid=bool(rec.get("v", False)),
-            src=src,
-            seq=rec["s"],
-        )
+        lane.ack_due = True
+        self._ack_dirty.add(key)
+        if rel > lane.rel_cum:  # a burst carries one level: its head moves it
+            self._apply_release(lane, d, rel)
 
     def _apply_release(self, lane: _InLane, d: DestId, rel: int) -> None:
         """Commit every pending record the sender has erased (<= ``rel``) —
         rule R2's guard, now a cumulative watermark."""
-        if rel <= lane.rel_cum:
-            return
         effective = min(rel, lane.cum)
         if effective <= lane.rel_cum:
             return
         lane.rel_cum = effective
         pending = lane.pending
-        if pending and pending[0][0] <= effective:
+        if pending and pending[0]["s"] <= effective:
             fwd = self.fwd.ensure(d)
-            while pending and pending[0][0] <= effective:
-                fwd.append(pending.popleft()[1])
+            while pending and pending[0]["s"] <= effective:
+                fwd.append(pending.popleft())
             self._active.add(d)
 
     def _on_ack(
@@ -402,44 +395,49 @@ class HopCore:
         now: float,
         out: List[Tuple[ProcId, Dict[str, Any]]],
     ) -> None:
-        d = rec["d"]
-        lane = self._out_lanes.get((src, d))
+        cum = rec["c"]
+        bits = rec["b"]
+        rel_seen = rec["r"]
+        lane = self._out_lanes.get((src, rec["d"]))
         if lane is None:
             return  # stale ACK for a lane we never opened
-        cum = rec["c"]
+        unacked = lane.unacked
         newly: List[int] = []
-        for seq in lane.unacked:  # ascending: inserted in seq order
+        for seq in unacked:  # ascending: inserted in seq order
             if seq > cum:
                 break
             newly.append(seq)
-        bits = rec["b"]
         sacked_max = 0
         if bits:
             for seq in sack_seqs(cum, bits):
                 sacked_max = seq
-                if seq in lane.unacked:
+                if seq in unacked:
                     newly.append(seq)
         if newly:
+            erase = unacked.pop
+            latency = self.hop_latencies.append
+            sample = self._rtt_sample
             for seq in newly:
-                pending = lane.unacked.pop(seq)
-                self.hop_latencies.append(now - pending.first_sent)
+                pending = erase(seq)
+                rtt = now - pending.first_sent
+                latency(rtt)
                 if not pending.retx:
-                    self._rtt_sample(lane, now - pending.first_sent)
+                    sample(lane, rtt)
         if cum > lane.cum_seen:
             lane.cum_seen = cum
             # Only *cumulative* progress restarts the retransmission timer:
             # a hole at the head must not be starved by SACKs for the
             # traffic flowing past it.
             lane.backoff = 1
-            lane.expiry = (now + lane.rto) if lane.unacked else None
-        elif not lane.unacked:
+            lane.expiry = (now + lane.rto) if unacked else None
+        elif not unacked:
             lane.expiry = None
         if sacked_max:
             # Fast retransmit: records the receiver SACKed around are holes.
             # Three strikes (dup-ack threshold), then resend without waiting
             # for the RTO — but give each resend one RTT to land first.
             grace = lane.srtt if lane.srtt is not None else lane.rto
-            for seq, pending in lane.unacked.items():
+            for seq, pending in unacked.items():
                 if seq >= sacked_max:
                     break
                 pending.sack_skips += 1
@@ -455,7 +453,6 @@ class HopCore:
             # release watermark may advance (piggybacked on the next DATA,
             # or announced standalone by the timer loop).
             lane.rel_cum = cum
-        rel_seen = rec["r"]
         if rel_seen > lane.rel_confirmed:
             lane.rel_confirmed = rel_seen
             lane.rel_backoff = 1
@@ -467,10 +464,10 @@ class HopCore:
         out: List[Tuple[ProcId, Dict[str, Any]]],
     ) -> None:
         d = rec["d"]
-        if not (isinstance(d, int) and 0 <= d < self.net.n):
+        rel = rec["r"]
+        if not 0 <= d < self.net.n:
             self.counters["stale_records_dropped"] += 1
             return
-        rel = rec["r"]
         lane = self._in_lanes.get((src, d))
         if lane is None or rel > lane.cum:
             # Release for records we never accepted: forged or reordered
@@ -482,23 +479,15 @@ class HopCore:
         out.append((src, rack_rec(d, lane.rel_cum)))
 
     def _on_rack(self, src: ProcId, rec: Dict[str, Any]) -> None:
+        rel = rec["r"]
         lane = self._out_lanes.get((src, rec["d"]))
         if lane is None:
             return
-        rel = rec["r"]
         if rel > lane.rel_confirmed:
             lane.rel_confirmed = rel
             lane.rel_backoff = 1
 
     # -- local rules -----------------------------------------------------------
-
-    def _out_lane(self, nbr: ProcId, d: DestId) -> _OutLane:
-        lane = self._out_lanes.get((nbr, d))
-        if lane is None:
-            lane = self._out_lanes[(nbr, d)] = _OutLane(
-                nbr=nbr, dest=d, rto=self._rto_start
-            )
-        return lane
 
     def advance(
         self, now: float, wall: float, out: List[Tuple[ProcId, Dict[str, Any]]]
@@ -513,49 +502,53 @@ class HopCore:
                 box = self.outbox[d]
                 if d == self.pid:
                     # R6: consume at the destination.
+                    self.counters["delivered"] += len(fwd)
                     while fwd:
-                        record = fwd.popleft()
-                        self.counters["delivered"] += 1
+                        got = fwd.popleft()
                         self._append_event(
-                            "delivered", record.uid, d, record.valid, now, wall
+                            "delivered", got["u"], d, got["v"], now, wall
                         )
                     self._active.discard(d)
                     self.fwd.evict(d)
                     continue
-                lane = self._out_lane(self.routing.next_hop(self.pid, d), d)
-                window = self._window
+                nbr = self.routing.next_hop(self.pid, d)
+                lane = self._out_lanes.get((nbr, d))
+                if lane is None:
+                    lane = self._out_lanes[(nbr, d)] = _OutLane(
+                        nbr=nbr, dest=d, rto=self._rto_start
+                    )
                 unacked = lane.unacked
+                rel_cum = lane.rel_cum
+                first = seq = lane.next_seq
                 # Two send gates: the in-flight window, and the receiver's
-                # acceptance horizon (cum + MAX_WINDOW, the bitmap width).
-                while (
-                    len(unacked) < window
-                    and lane.next_seq <= lane.cum_seen + MAX_WINDOW
-                    and (fwd or box)
-                ):
+                # acceptance horizon (cum + MAX_WINDOW, the bitmap width);
+                # only an ACK moves either, so both are fixed for the burst.
+                last = min(
+                    seq + self._window - len(unacked) - 1,
+                    lane.cum_seen + MAX_WINDOW,
+                )
+                while seq <= last and (fwd or box):
                     if fwd:
-                        record = fwd.popleft()
+                        # The stored dict stays untouched: the outgoing one
+                        # is its copy under this lane's seq and release level.
+                        rec = fwd.popleft().copy()
+                        rec["s"] = seq
+                        rec["r"] = rel_cum
                     else:
                         # R1: generate straight into the lane (born released).
-                        payload = box.popleft()
                         uid = self._next_uid
-                        self._next_uid += self.net.n
-                        record = RuntimeRecord(
-                            payload=payload, uid=uid, valid=True,
-                            src=self.pid, seq=-1,
-                        )
+                        self._next_uid = uid + self.net.n
+                        rec = data_rec(d, seq, uid, box.popleft(), True, rel_cum)
                         self.counters["generated"] += 1
                         self._append_event("generated", uid, d, True, now, wall)
                     # R3: pipeline into the window.
-                    seq = lane.next_seq
-                    lane.next_seq = seq + 1
-                    rec = data_rec(
-                        d, seq, record.uid, record.payload, record.valid,
-                        lane.rel_cum,
-                    )
                     unacked[seq] = _Pending(rec, now, now)
+                    out.append((nbr, rec))
+                    seq += 1
+                if seq != first:
+                    lane.next_seq = seq
                     if lane.expiry is None:
                         lane.expiry = now + lane.rto
-                    out.append((lane.nbr, rec))
                 if not fwd and not box:
                     self._active.discard(d)
                     self.fwd.evict(d)
@@ -579,29 +572,37 @@ class HopCore:
 
     def _rtt_sample(self, lane: _OutLane, rtt: float) -> None:
         """RFC 6298: SRTT/RTTVAR smoothing, RTO clamped to the configured
-        floor/ceiling.  Only never-retransmitted records sample (Karn)."""
-        if lane.srtt is None:
-            lane.srtt = rtt
-            lane.rttvar = rtt / 2.0
+        floor/ceiling.  Only never-retransmitted records sample (Karn).  Each
+        ``max`` / ``min`` of ``tests/reference_hop.py`` is a comparison here."""
+        srtt = lane.srtt
+        if srtt is None:
+            srtt, rttvar = rtt, rtt / 2.0
         else:
-            lane.rttvar = 0.75 * lane.rttvar + 0.25 * abs(lane.srtt - rtt)
-            lane.srtt = 0.875 * lane.srtt + 0.125 * rtt
+            rttvar = 0.75 * lane.rttvar + 0.25 * abs(srtt - rtt)
+            srtt = 0.875 * srtt + 0.125 * rtt
         # Smoothed estimators forget tail spikes quickly, but a cooperative
         # event loop stalls in bursts — keep a slowly decaying max so the
         # RTO stays above the recently observed worst case.
-        lane.rtt_max = max(rtt, lane.rtt_max * 0.999)
-        rto = max(
-            lane.srtt + max(4.0 * lane.rttvar, self.params.tick),
-            lane.rtt_max * 2.0,
-        )
-        lane.samples += 1
-        if lane.samples < 64:
+        rtt_max = lane.rtt_max * 0.999
+        if not rtt_max > rtt:
+            rtt_max = rtt
+        spread = 4.0 * rttvar
+        tick = self.params.tick
+        rto = srtt + (tick if tick > spread else spread)
+        if rtt_max * 2.0 > rto:
+            rto = rtt_max * 2.0
+        lane.samples = samples = lane.samples + 1
+        if samples < 64 and self._rto_start > rto:
             # Warmup: the startup burst is the most contended stretch of
             # the whole run, and a handful of fast early samples must not
             # collapse the RTO before the lane has seen its tail.
-            rto = max(rto, self._rto_start)
-        lane.rto = min(max(rto, self._rto_floor), self._rto_ceil)
-        self.rto_samples.append(lane.rto)
+            rto = self._rto_start
+        if self._rto_floor > rto:
+            rto = self._rto_floor
+        if self._rto_ceil < rto:
+            rto = self._rto_ceil
+        lane.srtt, lane.rttvar, lane.rtt_max, lane.rto = srtt, rttvar, rtt_max, rto
+        self.rto_samples.append(rto)
 
     def _timers(
         self, now: float, out: List[Tuple[ProcId, Dict[str, Any]]]

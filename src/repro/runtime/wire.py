@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 
@@ -62,7 +62,8 @@ class WireFormatError(ReproError, ValueError):
     internals (``struct.error``, ``json.JSONDecodeError``) never leak."""
 
 
-# -- record constructors (plain dicts; kept tiny and allocation-light) --------
+# -- record constructors -------------------------------------------------------
+# One plain dict per side of the wire: built here or by the codec, stored as is.
 
 
 def data_rec(
@@ -86,12 +87,6 @@ def rel_rec(dest: int, rel: int) -> Dict[str, Any]:
 def rack_rec(dest: int, rel: int) -> Dict[str, Any]:
     """A ``RACK`` record confirming releases up to ``rel``."""
     return {"k": RACK, "d": dest, "r": rel}
-
-
-def kind_of(rec: Dict[str, Any]) -> Optional[str]:
-    """The hop-protocol kind of a decoded record (None if malformed)."""
-    kind = rec.get("k")
-    return kind if kind in (DATA, ACK, REL, RACK) else None
 
 
 # -- v2 binary codec ----------------------------------------------------------
@@ -186,9 +181,11 @@ def _decode_v2(body: bytes) -> Tuple[int, int, List[Dict[str, Any]]]:
                         f"DATA payload does not decode as type {ptype}"
                     ) from None
                 offset += plen
-                records.append(
-                    data_rec(d, seq, uid, payload, bool(flags & _FLAG_VALID), rel)
-                )
+                # data_rec's dict, in place: the object the receiving lane stores.
+                records.append({
+                    "k": DATA, "d": d, "s": seq, "u": uid, "p": payload,
+                    "v": bool(flags & _FLAG_VALID), "r": rel,
+                })
             elif kind == _KIND_ACK:
                 _, d, cum, sack, rel_seen = _ACK_REC.unpack_from(body, offset)
                 offset += _ACK_REC.size

@@ -1,5 +1,7 @@
 """Tests for the message-passing substrate and the forwarding port."""
 
+import copy
+
 import pytest
 
 from repro.core.ledger import DeliveryLedger
@@ -272,12 +274,15 @@ class TestChannelFaults:
         assert sim.reordered_messages > 0
 
 
-def run_hardened(net, submissions, faults, seed, window=32, max_events=500_000):
+def run_hardened(net, submissions, faults, seed, window=32, max_events=500_000,
+                 prepare=None):
     ledger = DeliveryLedger()  # strict: raises on any duplicate/phantom
     sim, nodes, ledger = build_mp_network(
         net, StaticRouting(net), seed=seed, ledger=ledger,
         hardened=True, faults=faults, params=RuntimeParams(window=window),
     )
+    if prepare is not None:
+        prepare(nodes)  # e.g. wrap handlers before the first event
     for src, payload, dest in submissions:
         nodes[src].submit(payload, dest)
 
@@ -403,6 +408,46 @@ class TestHardenedPortUnderFaults:
         )
         assert done
         assert ledger.all_valid_delivered()
+
+    @pytest.mark.parametrize(
+        "net,subs",
+        [
+            (line_network(3), [(0, f"m{i}", 2) for i in range(40)]),
+            (ring_network(6), None),
+        ],
+        ids=["line3", "ring6"],
+    )
+    def test_received_records_are_read_only_forwarded_ones_fresh(self, net, subs):
+        # A duplication fault re-enqueues the *same object*, so a receiver
+        # that wrote to a record it was handed would corrupt the copy still
+        # in the channel.  Snapshot every payload on arrival, compare after
+        # the run's last event; and no dict a core emits is one it received.
+        subs = subs or self.ring_submissions(6, 120)
+        seen = []  # (the object handed over, its deep copy at that moment)
+
+        def spy(node):
+            on_message, ship = node.on_message, node._ship
+            mine = set()
+
+            def watched_on_message(frm, payload):
+                seen.append((payload, copy.deepcopy(payload)))
+                mine.add(id(payload))  # kept alive by ``seen``: ids are stable
+                on_message(frm, payload)
+
+            def watched_ship(out):
+                assert all(id(rec) not in mine for _, rec in out)
+                ship(out)
+
+            node.on_message, node._ship = watched_on_message, watched_ship
+
+        done, sim, nodes, ledger = run_hardened(
+            net, subs, ChannelFaults(dup=0.3, reorder=0.2), seed=3,
+            prepare=lambda nodes: [spy(node) for node in nodes],
+        )
+        assert done and ledger.valid_delivered_count == len(subs)
+        assert sim.duplicated_messages > 0 and sim.reordered_messages > 0
+        assert len({id(p) for p, _ in seen}) < len(seen)  # an object came twice
+        assert all(payload == snapshot for payload, snapshot in seen)
 
     def test_naive_port_breaks_under_duplication(self):
         # The demonstration that motivates the hardened port: under a

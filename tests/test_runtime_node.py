@@ -55,7 +55,7 @@ class TestReceiverWindow:
         handle(node, 0, data_rec(1, 2, 12, "b", True, rel=0), out)
         lane = node._in_lanes[(0, 1)]
         assert lane.cum == 2
-        assert [uid for _, r in lane.pending for uid in [r.uid]] == [11, 12]
+        assert [r["u"] for r in lane.pending] == [11, 12]
         node._emit_acks(out)
         acks = sent_kind(out, ACK)
         assert acks == [ack_rec(1, 2, 0, 0)]  # one coalesced cumulative ACK
@@ -125,6 +125,164 @@ class TestReceiverWindow:
         assert node.counters["stale_records_dropped"] == 3
 
 
+def lane_state(node):
+    """Everything a handler may write, in comparable form."""
+    return (
+        {
+            key: (lane.cum, lane.rel_cum, sorted(lane.ooo),
+                  [r["s"] for r in lane.pending], lane.ack_due, lane.coalesced)
+            for key, lane in node._in_lanes.items()
+        },
+        {
+            key: (lane.next_seq, sorted(lane.unacked), lane.rel_cum,
+                  lane.cum_seen, lane.rel_confirmed, lane.expiry, lane.rto,
+                  lane.samples, lane.backoff, lane.rel_backoff)
+            for key, lane in node._out_lanes.items()
+        },
+        set(node._ack_dirty),
+        {d: list(node.fwd[d]) for d in node.fwd.live()},
+        {k: v for k, v in node.counters.items() if k != "stale_records_dropped"},
+        list(node.hop_latencies),
+    )
+
+
+def receiver():
+    """Node 1 of line(2), one DATA from 0 accepted and its ACK sent."""
+    node = make_node()
+    out = []
+    handle(node, 0, data_rec(1, 1, 11, "a", True), out)
+    advance(node, out)
+    return node
+
+
+def sender():
+    """Node 0 of line(2) with one DATA to 1 in flight."""
+    node = make_node(pid=0)
+    node.submit("x", 1)
+    advance(node, [])
+    assert list(node._out_lanes[(1, 1)].unacked) == [1]
+    return node
+
+
+class TestAppliedWholeOrDropped:
+    """A malformed record changes nothing: each handler reads and
+    type-checks every field before it touches a lane."""
+
+    CASES = {
+        # Failing before PR 22: accepted (cum 0 -> 1, an ACK owed) *and*
+        # counted dropped, because "r" was read after the lane was written.
+        "data-lacks-r-fresh-lane": (
+            make_node, 0, {"k": DATA, "d": 1, "s": 1, "u": 5, "p": "x", "v": True},
+        ),
+        "data-lacks-r-open-lane": (
+            receiver, 0, {"k": DATA, "d": 1, "s": 2, "u": 5, "p": "x", "v": True},
+        ),
+        # Failing before: an empty _InLane left behind for a forged (src, d).
+        "data-seq-not-an-int": (
+            make_node, 0, {"k": DATA, "d": 1, "s": "1", "u": 5, "p": "x",
+                           "v": True, "r": 0},
+        ),
+        "data-rel-not-an-int": (
+            receiver, 0, {"k": DATA, "d": 1, "s": 2, "u": 5, "p": "x",
+                          "v": True, "r": None},
+        ),
+        "data-uid-not-coercible": (
+            receiver, 0, {"k": DATA, "d": 1, "s": 2, "u": "abc", "p": "x",
+                          "v": True, "r": 0},
+        ),
+        # Failing before: erased the sender's only copy, advanced rel_cum.
+        "ack-lacks-r": (sender, 1, {"k": ACK, "d": 1, "c": 1, "b": 0}),
+        "ack-cum-not-an-int": (
+            sender, 1, {"k": ACK, "d": 1, "c": 1.0, "b": 0, "r": 0},
+        ),
+        "ack-bitmap-not-an-int": (
+            sender, 1, {"k": ACK, "d": 1, "c": 0, "b": "1", "r": 0},
+        ),
+        # REL and RACK already read before they wrote: pinned (only a
+        # float level got through, into rel_confirmed).
+        "rel-lacks-r": (receiver, 0, {"k": REL, "d": 1}),
+        "rel-level-not-an-int": (receiver, 0, {"k": REL, "d": 1, "r": "1"}),
+        "rack-lacks-r": (sender, 1, {"k": RACK, "d": 1}),
+        "rack-level-not-an-int": (sender, 1, {"k": RACK, "d": 1, "r": 1.5}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_malformed_record_changes_nothing(self, case):
+        build, src, bad = self.CASES[case]
+        node = build()
+        before = lane_state(node)
+        handed = dict(bad)
+        out = []
+        handle(node, src, bad, out)
+        assert lane_state(node) == before
+        assert node.counters["stale_records_dropped"] == 1
+        assert out == [] and bad == handed
+        advance(node, out)  # and nothing is owed afterwards either
+        assert sent_kind(out, ACK) == [] and sent_kind(out, RACK) == []
+
+
+class TestLenientAcceptance:
+    """A forged DATA lacking ``u`` / ``v`` / ``p`` is still a record: uid 0,
+    invalid, payload ``None`` — coerced once, at acceptance."""
+
+    FORGED = {"k": DATA, "d": 1, "s": 1, "r": 0}
+
+    def test_delivered_as_one_invalid_event_with_uid_zero(self):
+        node = make_node()
+        forged = dict(self.FORGED)
+        out = []
+        handle(node, 0, forged, out)
+        assert node.counters["stale_records_dropped"] == 0
+        assert node._in_lanes[(0, 1)].cum == 1
+        handle(node, 0, rel_rec(1, 1), out)          # R2: released
+        assert sent_kind(out, RACK) == [rack_rec(1, 1)]
+        advance(node, out)
+        assert sent_kind(out, ACK) == [ack_rec(1, 1, 0, 1)]
+        (event,) = node.events
+        assert (event.kind, event.uid, event.valid, event.dest) == (
+            "delivered", 0, False, 1,
+        )
+        assert node.counters["delivered"] == 1
+        assert forged == self.FORGED                  # and left as handed
+
+    def test_forwarded_as_a_well_formed_record(self):
+        node = make_node(pid=1, n=3)
+        out = []
+        handle(node, 0, {"k": DATA, "d": 2, "s": 1, "r": 0, "junk": 1}, out)
+        handle(node, 0, rel_rec(2, 1), out)
+        advance(node, out)
+        assert sent_data(out) == [data_rec(2, 1, 0, None, False, 0)]
+
+    def test_odd_types_are_coerced_as_before(self):
+        node = make_node()
+        out = []
+        handle(node, 0, {"k": DATA, "d": 1, "s": 1, "u": "17", "p": "x",
+                         "v": 1, "r": 0}, out)
+        handle(node, 0, rel_rec(1, 1), out)
+        advance(node, out)
+        (event,) = node.events
+        assert (event.uid, event.valid) == (17, True)
+
+
+class TestRecordsAreReadOnly:
+    def test_a_relay_stores_what_it_was_handed_and_sends_a_fresh_dict(self):
+        node = make_node(pid=1, n=3)
+        handed = data_rec(2, 1, 11, ["p"], True, rel=0)
+        snapshot = {**handed, "p": ["p"]}
+        out = []
+        handle(node, 0, handed, out)
+        assert node._in_lanes[(0, 2)].pending[0] is handed  # boxed once
+        handle(node, 0, rel_rec(2, 1), out)
+        assert node.fwd[2][0] is handed
+        advance(node, out)
+        (sent,) = sent_data(out)
+        assert sent is not handed and handed == snapshot
+        assert sent == data_rec(2, 1, 11, ["p"], True, 0)
+        # A retransmission rewrites "r" in the sender's dict, not in ours.
+        advance(node, out, now=99.0)
+        assert node.counters["retries"] == 1 and handed == snapshot
+
+
 class TestReleaseWatermark:
     def test_release_piggybacked_on_data_moves_pending_to_fwd(self):
         node = make_node(pid=1, n=3)  # middle of a 3-line: must forward
@@ -135,7 +293,7 @@ class TestReleaseWatermark:
         # Next DATA piggybacks rel=1: seq 1 is erased upstream, forward it.
         handle(node, 0, data_rec(2, 2, 12, "b", True, rel=1), out)
         assert len(lane.pending) == 1  # seq 2 still unreleased
-        assert [r.uid for r in node.fwd[2]] == [11]
+        assert [r["u"] for r in node.fwd[2]] == [11]
         assert 2 in node._active
 
     def test_release_never_exceeds_cum(self):

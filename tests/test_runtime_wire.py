@@ -25,7 +25,6 @@ from repro.runtime.wire import (
     data_rec,
     decode_frame_body,
     encode_records,
-    kind_of,
     rack_rec,
     rel_rec,
     sack_bitmap,
@@ -224,12 +223,18 @@ class TestFraming:
 
 class TestHelpers:
     def test_constructors_and_kinds(self):
-        assert kind_of(data_rec(1, 2, 3, "p", True)) == DATA
-        assert kind_of(ack_rec(1, 2)) == ACK
-        assert kind_of(rel_rec(1, 2)) == REL
-        assert kind_of(rack_rec(1, 2)) == RACK
-        assert kind_of({}) is None
-        assert kind_of({"k": "BOGUS"}) is None
+        assert data_rec(1, 2, 3, "p", True)["k"] == DATA
+        assert ack_rec(1, 2)["k"] == ACK
+        assert rel_rec(1, 2)["k"] == REL
+        assert rack_rec(1, 2)["k"] == RACK
+
+    def test_decoded_data_is_the_constructor_dict(self):
+        # _decode_v2 builds the DATA dict where it unpacks it; it must stay
+        # the dict data_rec builds, key order included.
+        for rec in (data_rec(1, 2, 3, "p", True, 4), data_rec(0, 9, 0, 17, False)):
+            (decoded,) = decode_frame_body(encode_records(0, 1, [rec])[4:])[3]
+            assert decoded == rec and list(decoded) == list(rec)
+            assert type(decoded["v"]) is bool
 
     def test_sack_bitmap_round_trip(self):
         rng = random.Random(7)
