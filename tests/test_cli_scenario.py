@@ -130,13 +130,18 @@ class TestScenarioCampaign:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_campaign_workers_smoke(self, tmp_path, capsys):
+        summary = tmp_path / "campaign.jsonl"
         code = main(
             ["scenario", "campaign",
              str(SPECS_DIR / "corruption_burst_sweep.toml"),
-             "--workers", "2", "--smoke"]
+             "--workers", "2", "--smoke", "--jsonl", str(summary)]
         )
         assert code == 0
         assert "8/8 PASS" in capsys.readouterr().out
+        # The adversary really acted in every run the verdict covers.
+        rows = read_artifact(summary).rows
+        assert len(rows) == 8
+        assert all(row["faults_injected"] > 0 for row in rows)
 
 
 #: Spec errors no key set of the parent's first validator caught: each was

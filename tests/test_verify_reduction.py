@@ -208,7 +208,7 @@ class TestPartialOrderReduction:
 
         for name, make, _expect in _instances():
             if "line(4)" in name:
-                continue  # covered by the X-PAR benchmark
+                continue  # ~40 s: tests/slow_gates.py exhausts it under POR
             base = _checker(make, collect_canons=True).run()
             por = _checker(make, reduction="por", collect_canons=True).run()
             assert base.states == por.states, name
