@@ -22,7 +22,8 @@ Every mutation goes through :meth:`set_r` / :meth:`set_e` /
 the incremental engine uses to maintain its dirty sets — and, once the
 first :meth:`restore` has armed it, a *journal* remembers what every
 written cell held at the anchor (``statemodel/snapshot.py``), so going
-back costs what was written.
+back costs what was written.  The one silent write is :meth:`undo`, the
+quiet return to the anchor.
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ _Plane = Dict[DestId, Dict[ProcId, Message]]
 
 #: What an evicted row reads as.
 _NO_CELLS: Dict[ProcId, Message] = {}
+
+
+def cell_order(cell: Tuple) -> Tuple:
+    """Buffer order of a vector entry: destination, processor, R before E.
+
+    The sort key of :meth:`ForwardingBuffers.iter_messages` order for any
+    ``(d, p, kind, ...)`` entry; the symmetry reducer re-sorts permuted
+    canons by it."""
+    return cell[0], cell[1], cell[2] == "E"
 
 
 class _BufferRow:
@@ -140,9 +150,16 @@ class ForwardingBuffers:
 
     def _write(self, plane: _Plane, kind: str, d: DestId, p: ProcId,
                msg: Optional[Message]) -> None:
-        """Store one cell of ``plane`` (materializing/evicting as needed),
-        keep the occupancy index exact and notify — everything a buffer
-        write is, below the journal."""
+        """Store one cell and notify — everything a buffer write is, below
+        the journal."""
+        self._store(plane, d, p, msg)
+        if self._notify is not None:
+            self._notify(d, p, kind)
+
+    def _store(self, plane: _Plane, d: DestId, p: ProcId,
+               msg: Optional[Message]) -> None:
+        """Store one cell of ``plane`` (materializing/evicting as needed)
+        and keep the occupancy index exact."""
         row = plane.get(d)
         if msg is None:
             if row is not None and p in row:
@@ -156,8 +173,6 @@ class ForwardingBuffers:
             if p not in row:
                 self._bump(d, 1)
             row[p] = msg
-        if self._notify is not None:
-            self._notify(d, p, kind)
 
     def set_r(self, d: DestId, p: ProcId, msg: Optional[Message]) -> None:
         """Write ``bufR_p(d)``."""
@@ -216,10 +231,23 @@ class ForwardingBuffers:
         immutable and shared by reference.  Canonical: two instances with
         the same stored messages produce the same vector regardless of the
         materialization/eviction history.  With nothing written since the
-        last :meth:`restore` the anchor itself comes back."""
-        if self._anchor is not None and not self._journal:
-            return self._anchor
-        return tuple(self.iter_messages())
+        last :meth:`restore` the anchor itself comes back; otherwise the
+        anchor is patched with the journaled cells' current contents."""
+        anchor = self._anchor
+        if anchor is None:
+            return tuple(self.iter_messages())
+        journal = self._journal
+        if not journal:
+            return anchor
+        cells = [cell for cell in anchor if cell[:3] not in journal]
+        planes = self._planes
+        for key in journal:
+            d, p, kind = key
+            row = planes[kind].get(d)
+            if row is not None and p in row:
+                cells.append((d, p, kind, row[p]))
+        cells.sort(key=cell_order)
+        return tuple(cells)
 
     def restore(self, vec: StateVector) -> None:
         """Write only the cells that differ, keeping the occupancy indexes
@@ -252,6 +280,16 @@ class ForwardingBuffers:
             self._journal = {}
         else:
             journal.clear()
+
+    def undo(self) -> None:
+        """Put every journaled cell back to its anchor content: a plain
+        store, occupancy exact, nothing notified.  For an owner whose
+        change-derived state is already exact for the anchor (the quiet
+        return of ``statemodel/snapshot.py``); anyone else restores."""
+        planes = self._planes
+        for (d, p, kind), msg in self._journal.items():
+            self._store(planes[kind], d, p, msg)
+        self._journal.clear()
 
     # -- queries ------------------------------------------------------------
 

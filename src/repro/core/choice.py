@@ -45,6 +45,12 @@ _POLICIES = ("fifo", "lifo", "fixed", "aged", "aged_fair")
 ChangeNotifier = Callable[[object, str], None]
 
 
+def _waits(wait: Dict[ProcId, int]) -> Tuple:
+    """The wait-ages as a sorted tuple — ``()`` without sorting for every
+    policy but ``aged_fair``, whose queues are the only ones that keep any."""
+    return tuple(sorted(wait.items())) if wait else ()
+
+
 class FairChoiceQueue:
     """Queue of requesters for one reception buffer ``bufR_p(d)``."""
 
@@ -150,7 +156,7 @@ class FairChoiceQueue:
             and self._key not in journal
             and (q != old_q or self._wait != old_wait)
         ):
-            journal[self._key] = (tuple(old_q), tuple(sorted(old_wait.items())))
+            journal[self._key] = (tuple(old_q), _waits(old_wait))
         if self._notify is not None:
             if (q[0] if q else None) != (old_q[0] if old_q else None):
                 self._notify(self._key, "sync")
@@ -196,7 +202,7 @@ class FairChoiceQueue:
     def state(self) -> Tuple:
         """Canonical serialization (order plus wait-ages) for state-space
         exploration."""
-        return (tuple(self._q), tuple(sorted(self._wait.items())))
+        return (tuple(self._q), _waits(self._wait))
 
     # -- snapshot/restore ----------------------------------------------------
 
@@ -210,9 +216,9 @@ class FairChoiceQueue:
         the queue already matches; otherwise the content is replaced and an
         out-of-sync ``"mutate"`` change is reported (the restored order need
         not be reachable by a reconcile from the current candidates)."""
-        order, waits = vec
-        if tuple(self._q) == order and tuple(sorted(self._wait.items())) == waits:
+        if self.state() == vec:
             return
+        order, waits = vec
         self._touch()
         self._q = list(order)
         self._wait = dict(waits)
@@ -460,10 +466,24 @@ class LazyChoiceTable:
     def snapshot(self) -> Tuple:
         """State vector: :meth:`sorted_states` as a tuple — or, with no
         queue content changed since the last :meth:`restore`, the anchor
-        itself."""
-        if self._anchor is not None and not self._journal:
-            return self._anchor
-        return tuple(self.sorted_states())
+        itself, and otherwise the anchor patched with the journaled
+        queues' current states."""
+        anchor = self._anchor
+        if anchor is None:
+            return tuple(self.sorted_states())
+        journal = self._journal
+        if not journal:
+            return anchor
+        entries = [entry for entry in anchor if entry[:2] not in journal]
+        for key in journal:
+            d, p = key
+            queue = self.peek(d, p)
+            if queue is not None:
+                state = queue.state()
+                if state != EMPTY_QUEUE_STATE:
+                    entries.append((d, p, state))
+        entries.sort()  # (d, p) is unique: states are never compared
+        return tuple(entries)
 
     def restore(self, vec: Tuple) -> None:
         """Reinstate a previously captured :meth:`snapshot` through the
@@ -494,6 +514,26 @@ class LazyChoiceTable:
                 queue._journal = journal
         else:
             journal.clear()
+
+    def undo(self) -> None:
+        """Put every journaled queue back to its anchor content: the lists
+        are written straight back (a clean-empty queue is left absent),
+        nothing is compared or notified.  For an owner whose
+        change-derived state is already exact for the anchor (the quiet
+        return of ``statemodel/snapshot.py``); anyone else restores."""
+        rows = self._rows
+        for (d, p), (order, waits) in self._journal.items():
+            if order or waits:
+                queue = self.peek(d, p)
+                if queue is None:
+                    queue = self.materialize(d, p)
+                queue._q = list(order)
+                queue._wait = dict(waits)
+            else:
+                row = rows.get(d)
+                if row is not None and row.pop(p, None) is not None and not row:
+                    del rows[d]
+        self._journal.clear()
 
     def _restore_queue(self, d, p, state: Tuple) -> None:
         """Bring ``choice_p(d)`` to ``state``; a clean-empty one is left

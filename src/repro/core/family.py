@@ -190,12 +190,15 @@ class ForwardingProtocol(Protocol):
         #: restored to, plus the cache state :meth:`restore` left behind —
         #: the pending component dirt and the evaluation count.  While no
         #: guard has been evaluated and no routing entry has moved since,
-        #: a restore back to the anchor is *quiet*: its undo writes mark
-        #: nothing and the saved dirt is reinstated.
+        #: a restore back to the anchor is *quiet*: a plain undo that
+        #: marks nothing, and the saved dirt is reinstated.
         self._anchor: Optional[StateVector] = None
         self._home_dirt: Optional[Dict[ProcId, Set[DestId]]] = None
         self._home_evals = 0
-        self._quiet = False
+        #: True while the sinks mark no component dirt: during a quiet
+        #: return, and on an excursion (:meth:`begin_excursion`) — a
+        #: transition the next restore takes back.
+        self._excursion = False
         #: When the exhaustive verifier measures an action's *footprint*
         #: (see ``repro/verify/reduction.py``), it points this at a set and
         #: every notification sink records the ``(processor, destination)``
@@ -286,9 +289,10 @@ class ForwardingProtocol(Protocol):
         log = self.footprint_log
         if log is not None:
             log.update((x, d) for x in self._nbhd[p])
-        if self._all_dirty or self._quiet:
+        if self._all_dirty:
             return
-        self._mark_readers(p, d)
+        if not self._excursion:
+            self._mark_readers(p, d)
         if kind == self.offer_kind:
             # candidates(q, d) admits p only when nextHop_p(d) == q, so what
             # p offers can only alter that one queue (a hop that moves
@@ -304,9 +308,10 @@ class ForwardingProtocol(Protocol):
         log = self.footprint_log
         if log is not None:
             log.add((p, d))
-        if self._all_dirty or self._quiet:
+        if self._all_dirty:
             return
-        self._components.mark(p, d)
+        if not self._excursion:
+            self._components.mark(p, d)
         if kind == "mutate":
             self._resync.setdefault(d, set()).add(p)
 
@@ -317,14 +322,15 @@ class ForwardingProtocol(Protocol):
         log = self.footprint_log
         if log is not None:
             log.add((p, dest) if dest is not None else None)
-        if self._all_dirty or self._quiet:
+        if self._all_dirty:
             return
         if dest is None:
             # A raise/lower with no identifiable destination cannot be
             # localized; fall back to the full re-scan hatch.
             self.mark_all_dirty()
             return
-        self._components.mark(p, dest)
+        if not self._excursion:
+            self._components.mark(p, dest)
         self._resync.setdefault(dest, set()).add(p)
 
     def _on_routing_change(self, p: Optional[ProcId], d: Optional[DestId]) -> None:
@@ -367,7 +373,16 @@ class ForwardingProtocol(Protocol):
         self._all_dirty = True
         self._resync.clear()
 
+    def _rescan_after_excursion(self) -> None:
+        """Guards are about to be read at a configuration an excursion
+        reached: its writes marked nothing, so fall back to a full
+        rescan (and the next restore to the ordinary diff)."""
+        self._excursion = False
+        self.mark_all_dirty()
+
     def dirty_after(self, selection) -> Optional[Set[ProcId]]:
+        if self._excursion:
+            self._rescan_after_excursion()
         if self._all_dirty:
             self._all_dirty = False
             self._components.invalidate_all()
@@ -488,6 +503,8 @@ class ForwardingProtocol(Protocol):
         return self._components.evals
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
+        if self._excursion:
+            self._rescan_after_excursion()
         cache = self._components
         serve = cache.scan if self._all_dirty else cache.enabled_actions
         return serve(pid, self._eval_component, self._active_sorted)
@@ -527,6 +544,13 @@ class ForwardingProtocol(Protocol):
             self.current_step,
         )
 
+    def begin_excursion(self) -> None:
+        """Declare that the writes until the next :meth:`restore` are a
+        transition that restore takes back: the sinks keep the re-sync
+        set and the footprint log but mark no component dirt.  Guards
+        read before that restore fall back to a full rescan."""
+        self._excursion = True
+
     def restore(self, vec: StateVector) -> None:
         """Reinstate a previously captured :meth:`snapshot`.  Every real
         change flows through the component mutators, so the incremental
@@ -536,24 +560,28 @@ class ForwardingProtocol(Protocol):
         While no guard has been evaluated and no routing entry has moved
         since the last restore, the cache state that restore left
         (entries, pending dirt) is still exact for the anchor, so the way
-        back to it is *quiet*: the undo writes mark nothing and the dirt
-        accrued while away is replaced by the dirt saved then.  Any other
-        vector is then diffed from the anchor, not from wherever the last
-        transition led, and becomes the anchor.  Vectors are captured
-        after the environment phase, when every queue is reconciled with
-        its candidates, so nothing is left to re-sync after any restore."""
+        back to it is *quiet*: a plain undo of the journaled cells and
+        queues that notifies nothing, and the dirt saved then is
+        reinstated.  Otherwise an excursion's unmarked writes are undone
+        through the notifiers first.  Any other vector is then diffed
+        from the anchor, not from wherever the last transition led, and
+        becomes the anchor.  Vectors are captured after the environment
+        phase, when every queue is reconciled with its candidates, so
+        nothing is left to re-sync after any restore."""
+        away = self._excursion
         home = (
             self._home_dirt is not None
             and self._home_evals == self.component_evals
             and not self._all_dirty
         )
         if home:
-            self._quiet = True
-            try:
-                self._restore_parts(self._anchor)
-            finally:
-                self._quiet = False
-            self._components.reset(self._home_dirt)
+            self._excursion = True  # the higher layer's undo notifies
+            self._restore_parts(self._anchor, undo=True)
+            if not away:  # an excursion left the saved dirt as it was
+                self._components.reset(self._home_dirt)
+        self._excursion = False
+        if not home and away:
+            self._restore_parts(self._anchor)
         if not home or vec is not self._anchor:
             self._restore_parts(vec)
             self._anchor = vec
@@ -561,10 +589,14 @@ class ForwardingProtocol(Protocol):
             self._home_evals = self.component_evals
         self._resync = {}
 
-    def _restore_parts(self, vec: StateVector) -> None:
+    def _restore_parts(self, vec: StateVector, undo: bool = False) -> None:
         bufs_vec, queues_vec, hl_vec, ledger_vec, factory_vec, step = vec
-        self.bufs.restore(bufs_vec)
-        self.queues.restore(queues_vec)
+        if undo:
+            self.bufs.undo()
+            self.queues.undo()
+        else:
+            self.bufs.restore(bufs_vec)
+            self.queues.restore(queues_vec)
         self.hl.restore(hl_vec)
         self.ledger.restore(ledger_vec)
         self.factory.restore(factory_vec)

@@ -29,11 +29,14 @@ well-formedness checks hold unconditionally.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.family import ForwardingProtocol
 from repro.errors import InvariantViolation
 from repro.types import ProcId
+
+#: Where the stored copies of each valid uid sit: ``{uid: [(d, p, kind)]}``.
+Locations = Dict[int, List[Tuple[int, ProcId, str]]]
 
 
 class InvariantChecker:
@@ -44,63 +47,80 @@ class InvariantChecker:
         self._proto = proto
 
     def check(self) -> None:
-        """Run all checks; raises :class:`InvariantViolation` on failure."""
-        self.check_well_formed()
-        self.check_no_loss()
-        self.check_no_duplication()
-        self.check_copy_geometry()
+        """Run all checks, in the order listed above, over one walk of the
+        buffers; raises :class:`InvariantViolation` on failure."""
+        locations = self._walk(well_formed=True)
+        self._no_loss(locations)
+        self._no_duplication(locations)
+        self._copy_geometry(locations)
 
     # Individual checks -------------------------------------------------------
 
     def check_well_formed(self) -> None:
         """Colors in range, last-hop in ``N_p ∪ {p}``, dest tags match."""
+        self._walk(well_formed=True)
+
+    def check_no_loss(self) -> None:
+        """Every outstanding valid uid is stored somewhere (Lemma 4)."""
+        self._no_loss(self._walk(well_formed=False))
+
+    def check_no_duplication(self) -> None:
+        """A delivered valid uid has no residual stored copy (Lemma 5)."""
+        self._no_duplication(self._walk(well_formed=False))
+
+    def check_copy_geometry(self) -> None:
+        """Copies of a valid uid stay inside its destination's component."""
+        self._copy_geometry(self._walk(well_formed=False))
+
+    # One walk, three readers -------------------------------------------------
+
+    def _walk(self, well_formed: bool) -> Locations:
+        """The locations of every stored valid copy by uid, in buffer
+        order; with ``well_formed`` each stored message is checked on the
+        way.  The buffers' state vector is that order, and right after a
+        verifier restore it is the anchor — nothing to sort."""
         proto = self._proto
         delta = proto.delta
-        for d, p, kind, msg in proto.bufs.iter_messages():
-            if not (0 <= msg.color <= delta):
-                raise InvariantViolation(
-                    f"buf{kind}_{p}({d}) holds color {msg.color} outside 0..{delta}"
-                )
-            if msg.last != p and msg.last not in proto.net.neighbors(p):
-                raise InvariantViolation(
-                    f"buf{kind}_{p}({d}) holds last={msg.last}, "
-                    f"not in N_{p} ∪ {{{p}}}"
-                )
-            if msg.dest != d:
-                raise InvariantViolation(
-                    f"buf{kind}_{p}({d}) holds a message tagged dest={msg.dest}"
-                )
-
-    def _valid_copy_locations(self) -> Dict[int, List[Tuple[int, ProcId, str]]]:
-        locations: Dict[int, List[Tuple[int, ProcId, str]]] = {}
-        for d, p, kind, msg in self._proto.bufs.iter_messages():
+        neighbors = proto.net.neighbors
+        locations: Locations = {}
+        for d, p, kind, msg in proto.bufs.snapshot():
+            if well_formed:
+                if not (0 <= msg.color <= delta):
+                    raise InvariantViolation(
+                        f"buf{kind}_{p}({d}) holds color {msg.color} outside 0..{delta}"
+                    )
+                if msg.last != p and msg.last not in neighbors(p):
+                    raise InvariantViolation(
+                        f"buf{kind}_{p}({d}) holds last={msg.last}, "
+                        f"not in N_{p} ∪ {{{p}}}"
+                    )
+                if msg.dest != d:
+                    raise InvariantViolation(
+                        f"buf{kind}_{p}({d}) holds a message tagged dest={msg.dest}"
+                    )
             if msg.valid:
                 locations.setdefault(msg.uid, []).append((d, p, kind))
         return locations
 
-    def check_no_loss(self) -> None:
-        """Every outstanding valid uid is stored somewhere (Lemma 4)."""
-        stored: Set[int] = set(self._valid_copy_locations())
-        missing = self._proto.ledger.outstanding_uids().difference(stored)
+    def _no_loss(self, locations: Locations) -> None:
+        missing = self._proto.ledger.outstanding_uids().difference(locations)
         if missing:
             raise InvariantViolation(
                 f"valid messages lost (no stored copy, never delivered): "
                 f"uids {sorted(missing)}"
             )
 
-    def check_no_duplication(self) -> None:
-        """A delivered valid uid has no residual stored copy (Lemma 5)."""
+    def _no_duplication(self, locations: Locations) -> None:
         ledger = self._proto.ledger
-        for uid, locs in self._valid_copy_locations().items():
+        for uid, locs in locations.items():
             if ledger.delivery_record(uid) is not None:
                 raise InvariantViolation(
                     f"valid uid {uid} was delivered but copies remain at {locs}"
                 )
 
-    def check_copy_geometry(self) -> None:
-        """Copies of a valid uid stay inside its destination's component."""
+    def _copy_geometry(self, locations: Locations) -> None:
         ledger = self._proto.ledger
-        for uid, locs in self._valid_copy_locations().items():
+        for uid, locs in locations.items():
             info = ledger.generation_info(uid)
             if info is None:
                 raise InvariantViolation(

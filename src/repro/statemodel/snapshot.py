@@ -50,7 +50,9 @@ it has written since:
 * ``snapshot()`` of a component that wrote nothing returns the anchor
   object itself, so a child vector shares by identity every sub-vector
   its transition left alone (and ``_System.canon`` reuses its ledger
-  projection on ``ledger_vec is`` the previous one).
+  projection on ``ledger_vec is`` the previous one).  The buffers and the
+  choice table, having written, patch the anchor with their journaled
+  cells rather than re-sorting the store.
 
 Journals are armed by the first ``restore()``.  A simulation never
 restores: it pays one ``is not None`` test per write and holds nothing.
@@ -61,15 +63,28 @@ Quiet return to the anchor
 entries plus pending dirt — that is exact for the anchor.  As long as no
 guard has been evaluated (``component_evals`` unchanged) and no routing
 entry has moved since, it still is, whatever was executed in between: so
-the way back is *quiet* — the undo writes mark no dirt and no queue for
-re-sync (the ``next_hop`` cache invalidation and ``footprint_log`` are
-never skipped), the dirt accrued while away is dropped and the dirt saved
-at the anchor is reinstated (components priority-masked by a routing
-layer stay dirty until the mask lifts).  Any *other* vector is reached
-through the anchor: quiet road home, then the full diff, so a popped
-state re-evaluates diff(previous anchor → it), not the union of every
-sibling's footprint.  If guards were evaluated while away, or routing
-moved, the undo takes the ordinary marking path.
+the way back is *quiet* — a plain undo (``ForwardingBuffers.undo``,
+``LazyChoiceTable.undo``: journaled cells and queue lists stored straight
+back, occupancy exact, no notifier called; the higher layer's undo
+notifies, and marks nothing) after which the dirt saved at the anchor is
+what is pending (components priority-masked by a routing layer stay
+dirty until the mask lifts).  Any *other* vector is reached through the
+anchor: quiet road home, then the full diff through the notifiers, so a
+popped state re-evaluates diff(previous anchor → it), not the union of
+every sibling's footprint.  If guards were evaluated while away, or
+routing moved, the undo takes the ordinary marking path.
+
+The verifier's transition is an **excursion**: ``_System.successors``
+opens one (``ForwardingProtocol.begin_excursion``) right after restoring
+the parent, because the next restore takes back everything it does.  On
+an excursion the forwarding sinks keep filling the re-sync set (the
+environment phase needs it) and ``footprint_log`` (partial-order
+reduction needs it) but mark no component dirt — dirt the quiet return
+would only drop.  Two ways out stay exact: a way home that cannot be
+quiet first undoes the excursion through the notifiers, so its writes
+are marked after all; and guards read before any restore (``dirty_after``
+/ ``enabled_actions`` at a child) fall back to a full rescan.  Only
+``successors`` opens an excursion, so the simulator never runs one.
 
 Contract
 --------

@@ -23,9 +23,10 @@ actions — reusing the parent's already-bound
 restore reinstates the exact configuration they were evaluated against —
 and snapshots the child (:meth:`_System.successors`, the one loop both
 verifiers run).  A transition costs what it wrote: the parent vector is
-the components' *anchor*, so going back undoes only the journaled cells,
-marks nothing in the incremental engine's dirty sets, and the child
-vector shares by identity every sub-vector the transition left alone.
+the components' *anchor*, so going back undoes only the journaled cells
+(a plain undo, no notifier), neither the transition nor the undo marks
+anything in the incremental engine's dirty sets, and the child vector
+shares by identity every sub-vector and cell the transition left alone.
 A popped state is a different vector, diffed in full through the ordinary
 change notifiers, so it re-evaluates only the ``(processor,
 destination)`` components that differ from its predecessor on the
@@ -285,7 +286,11 @@ class _System:
         parent configuration ``vec`` — the actions in ``enabled`` were
         bound against exactly that state, so they are re-executed, not
         re-derived — execute, ``step += 1``, environment phase, snapshot,
-        canon.  Yields ``(selection, child_vec, key, None)``, or
+        canon.  The next restore takes all of that back, so each
+        transition runs as an *excursion*
+        (:meth:`ForwardingProtocol.begin_excursion`): the forwarding
+        layer marks no guard-cache dirt on the way out.  Yields
+        ``(selection, child_vec, key, None)``, or
         ``(selection, None, None, exc)`` when the execution raised a
         :class:`ReproError` (a strict-ledger specification violation).
 
@@ -301,6 +306,7 @@ class _System:
         proto = self.proto
         for selection in selections:
             self.restore(vec)
+            proto.begin_excursion()
             log = None
             if footprints is not None and len(selection) == 1:
                 log = proto.footprint_log = set()

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.core.buffers import cell_order
 from repro.network.properties import automorphisms
 
 Canon = Tuple
@@ -67,13 +68,6 @@ Perm = Tuple[int, ...]
 
 
 # -- canon permutation and uid relabeling ------------------------------------
-
-
-def _buffer_sort_key(entry: Tuple) -> Tuple:
-    """Replicates ``ForwardingBuffers.iter_messages`` order: destination
-    ascending, processor ascending, R before E."""
-    d, p, kind = entry[0], entry[1], entry[2]
-    return (d, p, 0 if kind == "R" else 1)
 
 
 def permute_canon(canon: Canon, perm: Perm) -> Canon:
@@ -88,7 +82,7 @@ def permute_canon(canon: Canon, perm: Perm) -> Canon:
             (perm[d], perm[p], kind, payload, perm[last], color, uid)
             for d, p, kind, payload, last, color, uid in buffers
         ),
-        key=_buffer_sort_key,
+        key=cell_order,
     ))
     new_queues = tuple(sorted(
         (

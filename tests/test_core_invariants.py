@@ -83,6 +83,97 @@ class TestLossAndDuplication:
             InvariantChecker(proto).check_copy_geometry()
 
 
+def _bad_color(proto):
+    proto.bufs.set_r(2, 1, Message(payload="x", last=1, color=99, dest=2, uid=-5, valid=False))
+    return InvariantChecker.check_well_formed, "bufR_1(2) holds color 99 outside 0..2"
+
+
+def _bad_last(proto):
+    proto.bufs.set_e(2, 0, Message(payload="x", last=4, color=0, dest=2, uid=-5, valid=False))
+    return InvariantChecker.check_well_formed, "bufE_0(2) holds last=4, not in N_0 ∪ {0}"
+
+
+def _bad_dest(proto):
+    proto.bufs.set_r(2, 1, Message(payload="x", last=1, color=0, dest=3, uid=-5, valid=False))
+    return InvariantChecker.check_well_formed, "bufR_1(2) holds a message tagged dest=3"
+
+
+def _lost(proto):
+    gen(proto, 0, 3)
+    gen(proto, 1, 4)
+    return (InvariantChecker.check_no_loss,
+            "valid messages lost (no stored copy, never delivered): uids [1, 2]")
+
+
+def _duplicated(proto):
+    msg = gen(proto, 0, 3)
+    proto.ledger.record_delivery(3, msg, step=5)
+    proto.bufs.set_r(3, 1, msg.forwarded_copy(0))
+    proto.bufs.set_e(3, 1, msg.forwarded_copy(0))
+    return (InvariantChecker.check_no_duplication,
+            "valid uid 1 was delivered but copies remain at [(3, 1, 'R'), (3, 1, 'E')]")
+
+
+def _foreign(proto):
+    msg = gen(proto, 0, 3)
+    proto.bufs.set_r(3, 0, msg)
+    proto.bufs.set_r(2, 0, Message(payload=msg.payload, last=0, color=0, dest=2,
+                                   uid=msg.uid, valid=True, source=0))
+    return (InvariantChecker.check_copy_geometry,
+            "valid uid 1 (dest 3) has copies in foreign components: [(2, 0, 'R')]")
+
+
+def _unrecorded(proto):
+    proto.bufs.set_r(2, 0, Message(payload="x", last=0, color=0, dest=2, uid=77,
+                                   valid=True, source=0))
+    return (InvariantChecker.check_copy_geometry,
+            "stored valid uid 77 was never recorded as generated")
+
+
+class TestCheckReachesEveryKind:
+    """``check()`` walks the buffers once for all four checks: each kind of
+    violation still surfaces through it, word for word as its own check
+    reports it."""
+
+    @pytest.mark.parametrize(
+        "plant",
+        [_bad_color, _bad_last, _bad_dest, _lost, _duplicated, _foreign, _unrecorded],
+        ids=["color", "last", "dest", "loss", "duplication", "foreign", "unrecorded"],
+    )
+    def test_check_raises_what_the_single_check_raises(self, line5, plant):
+        proto = make_ssmfp(line5)
+        single, text = plant(proto)
+        with pytest.raises(InvariantViolation) as alone:
+            single(InvariantChecker(proto))
+        with pytest.raises(InvariantViolation) as together:
+            InvariantChecker(proto).check()
+        assert str(alone.value) == str(together.value) == text
+
+    def test_checks_run_in_order(self, line5):
+        # All four kinds at once: check() reports them in the listed order,
+        # each one once the previous has been repaired.
+        proto = make_ssmfp(line5)
+        lost = gen(proto, 0, 3)
+        done = gen(proto, 1, 3)
+        proto.ledger.record_delivery(3, done, step=5)
+        proto.bufs.set_r(3, 2, done.forwarded_copy(1))
+        proto.bufs.set_r(2, 0, Message(payload="x", last=0, color=0, dest=2, uid=77,
+                                       valid=True, source=0))
+        proto.bufs.set_r(2, 1, Message(payload="x", last=1, color=0, dest=3, uid=-5,
+                                       valid=False))
+        repairs = [
+            ("tagged dest=3", lambda: proto.bufs.set_r(2, 1, None)),
+            ("lost", lambda: proto.bufs.set_r(3, 0, lost)),
+            ("delivered but copies remain", lambda: proto.bufs.set_r(3, 2, None)),
+            ("never recorded", lambda: proto.bufs.set_r(2, 0, None)),
+        ]
+        for words, repair in repairs:
+            with pytest.raises(InvariantViolation, match=words):
+                InvariantChecker(proto).check()
+            repair()
+        InvariantChecker(proto).check()
+
+
 class TestHookAdapter:
     def test_as_hook_runs_check(self, line5):
         proto = make_ssmfp(line5)

@@ -10,9 +10,11 @@ Two families of guarantees:
   the cells that changed — also asserted here.
 
 * **Anchored restore**: a seeded random walk of the verifier's moves
-  (expand, return to the anchor, jump to an unrelated vector, evaluate
-  while away, out-of-band writes) compared after every step against a
-  freshly built system brought to the same vector by the full diff.
+  (expand through ``_System.successors``, evaluate guards at a child the
+  excursion left, return to the anchor, jump to an unrelated vector,
+  evaluate while away, out-of-band writes) compared after every step
+  against a freshly built system brought to the same vector by the full
+  diff.
 
 * **Engine equivalence**: the snapshot-based explorers visit the
   bit-identical state set, transition count, terminal states and
@@ -81,7 +83,7 @@ class TestBufferSnapshot:
 
 
 class TestChoiceQueueSnapshot:
-    @pytest.mark.parametrize("policy", ["fifo", "lifo", "aged", "aged_fair"])
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "fixed", "aged", "aged_fair"])
     def test_round_trip_identity(self, policy):
         q = FairChoiceQueue(policy=policy)
         q.sync({1, 2, 3})
@@ -367,6 +369,26 @@ class TestAnchoredRestoreOracle:
             return False
         return True
 
+    def _executed(self, make, vec, selection):
+        """The child a fresh system reaches from ``vec`` by executing
+        ``selection`` by hand — no anchor, no excursion."""
+        fresh = make()
+        fresh.restore(vec)
+        enabled = fresh.enabled()
+        for pid, index in selection.items():
+            enabled[pid][index].execute()
+        fresh.step += 1
+        fresh.advance_env()
+        return _unanchored(fresh).snapshot()
+
+    def _selections(self, rng, enabled, count):
+        """``count`` random daemon selections ``{pid: action index}``."""
+        return [
+            {pid: rng.randrange(len(enabled[pid]))
+             for pid in rng.sample(sorted(enabled), rng.randint(1, len(enabled)))}
+            for _ in range(count)
+        ] if enabled else []
+
     @pytest.mark.parametrize(
         "make",
         [_walk_static, _walk_live_routing, _walk_ssmfp2, _walk_aged_fair,
@@ -379,26 +401,35 @@ class TestAnchoredRestoreOracle:
         walker.advance_env()
         anchor = walker.snapshot()
         pool = [anchor]
-        masked_dirt_survived = 0
+        masked_dirt_survived = children_evaluated = 0
         self._home(make, walker, anchor)
         for _ in range(60):
-            move = rng.choice(["expand", "expand", "jump", "home", "evaluate",
-                               "out_of_band"])
-            if move == "expand":
-                # The verifier's loop: evaluate once at the anchor, then
-                # restore / execute / env / snapshot per selection.
+            move = rng.choice(["expand", "expand", "child", "jump", "home",
+                               "evaluate", "out_of_band"])
+            if move in ("expand", "child"):
+                # The verifier's loop: evaluate once at the anchor, then one
+                # excursion per selection through _System.successors.  The
+                # walker stays where the last one left it.
                 walker.restore(anchor)
                 enabled = walker.enabled()
-                for _ in range(rng.randint(1, 3) if enabled else 0):
-                    pids = rng.sample(sorted(enabled), rng.randint(1, len(enabled)))
-                    self._home(make, walker, anchor)
+                count = rng.randint(1, 3) if move == "expand" else 1
+                for selection, child, key, error in walker.successors(
+                    anchor, enabled, self._selections(rng, enabled, count)
+                ):
+                    assert error is None
+                    assert walker.snapshot() == child
+                    assert self._executed(make, anchor, selection) == child
+                    assert key == walker.canon(_unanchored(walker).snapshot())
                     masked_dirt_survived += bool(walker.proto._components.dirty_pids)
-                    for pid in pids:
-                        rng.choice(enabled[pid]).execute()
-                    walker.step += 1
-                    walker.advance_env()
-                    pool.append(walker.snapshot())
-                    self._check(make, walker)
+                    pool.append(child)
+                    if move == "child":
+                        # Guards read where the excursion left, no restore.
+                        fresh = make()
+                        fresh.restore(child)
+                        assert _labels(walker) == _labels(fresh)
+                        children_evaluated += 1
+                    else:
+                        self._check(make, walker)
             elif move == "jump":
                 anchor = rng.choice(pool)
                 self._home(make, walker, anchor)
@@ -411,9 +442,11 @@ class TestAnchoredRestoreOracle:
                 assert _unanchored(walker).snapshot() == walker.snapshot()
                 assert walker.snapshot() != anchor
                 self._home(make, walker, anchor)
+        assert children_evaluated
         if make is _walk_live_routing:
             # Forwarding components masked by enabled routing moves keep
-            # their dirt across the quiet return to the anchor.
+            # their dirt across the quiet return to the anchor and through
+            # the excursion that follows.
             assert masked_dirt_survived
 
 
@@ -456,6 +489,36 @@ def test_routing_move_ends_the_quiet_return():
     fresh.restore(via_3)
     assert _labels(walker) == _labels(fresh)
     assert 0 not in _labels(walker)
+
+
+def _retuple(vec):
+    """An equal vector that shares no tuple with ``vec`` (leaves shared)."""
+    return tuple(_retuple(x) if isinstance(x, tuple) else x for x in vec)
+
+
+def test_an_excursion_that_moved_routing_is_undone_through_the_notifiers():
+    """One selection: R1 at processor 0 in component 2, and an RTfix at
+    processor 1 that moves ``nextHop_1(3)``.  The hop move ends the quiet
+    return, and the generation marked nothing on the way out.  Restoring a
+    vector equal to the child (but not the anchor) must still see
+    component 2 at processor 0 as changed."""
+    walker = _walk_live_routing()
+    walker.advance_env()
+    anchor = walker.snapshot()
+    walker.restore(anchor)
+    enabled = walker.enabled()
+    generate, move_hop = enabled[0][0], enabled[1][1]
+    assert (generate.rule, generate.dest) == ("R1", 2)
+    assert (move_hop.rule, move_hop.dest) == ("RTfix", 3)
+    ((_, child, _, error),) = walker.successors(anchor, enabled, [{0: 0, 1: 1}])
+    assert error is None
+    assert walker.proto._home_dirt is None    # the hop moved
+    assert 0 not in walker.proto._components.dirty_pids
+    twin = _retuple(child)
+    walker.restore(twin)
+    fresh = _walk_live_routing()
+    fresh.restore(twin)
+    assert _labels(walker) == _labels(fresh)
 
 
 def _clean_pair():
