@@ -122,17 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "see repro.core.registry)",
     )
     ver.add_argument(
-        "--engine", default="snapshot",
-        choices=["snapshot", "parallel"],
-    )
-    ver.add_argument(
         "--reduction", default="none",
         choices=["none", "por", "symmetry", "full"],
-        help="state-space reduction (snapshot/parallel engines only)",
-    )
-    ver.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --engine parallel",
+        help="state-space reduction (safety search only)",
     )
     ver.add_argument(
         "--liveness", action="store_true",
@@ -229,10 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "ssmfp2 caps lanes at window 1 — stop-and-wait hops)",
     )
     run.add_argument("--transport", default="local", choices=["local", "tcp"])
-    run.add_argument(
-        "--procs", type=int, default=1,
-        help="worker processes (>1 requires --transport tcp)",
-    )
     run.add_argument(
         "--port-base", type=int, default=0,
         help="first TCP port (0 = auto-allocate free ports)",
@@ -562,8 +550,6 @@ def _cmd_verify_exhaustive(args) -> int:
     search = dict(
         max_states=args.max_states,
         max_selection_width=args.max_width,
-        engine=args.engine,
-        workers=args.workers,
         log_every=args.log_every,
         on_progress=on_progress,
         obs=registry,
@@ -604,7 +590,6 @@ def _cmd_verify_exhaustive(args) -> int:
             meta={
                 "topology": args.topology,
                 "protocol": proto_cls.name,
-                "engine": args.engine,
                 "reduction": args.reduction,
                 "messages": args.messages,
                 "seed": args.seed,
@@ -650,7 +635,6 @@ def _cmd_runtime(args) -> int:
         seed=args.seed,
         protocol=args.protocol,
         transport=args.transport,
-        procs=args.procs,
         workload=args.workload,
         netem=netem,
         deadline=args.deadline,
@@ -669,7 +653,6 @@ def _cmd_runtime(args) -> int:
                 "topology": args.topology,
                 "protocol": args.protocol,
                 "transport": args.transport,
-                "procs": args.procs,
                 "messages": args.messages,
                 "seed": args.seed,
                 "partial": result.partial,

@@ -1,31 +1,27 @@
 """Cluster orchestration: run N live nodes from any repro topology.
 
-Three execution shapes behind one entry point, :func:`run_cluster`:
+Every node is an asyncio task in this one process, behind one entry
+point, :func:`run_cluster`, in two execution shapes:
 
-* ``transport="local"`` — every node is an asyncio task in this process,
-  frames move through in-memory queues;
-* ``transport="tcp", procs=1`` — same process, but frames cross real
-  loopback sockets with length-prefixed framing;
-* ``transport="tcp", procs=N`` — the nodes are partitioned over ``N``
-  worker *processes* (spawned, so no forked event-loop state), each
-  hosting its share of TCP servers; a shared counter reports delivery
-  progress and a shared event tells everyone to stop.
+* ``transport="local"`` — frames move through in-memory queues;
+* ``transport="tcp"`` — frames cross real loopback sockets with
+  length-prefixed framing.
 
 The cluster drives a :mod:`repro.app.workload` workload, records every
 generate/deliver event for the conformance oracle
 (:mod:`repro.runtime.conformance`), and exports per-hop latency
 histograms, retry counts and in-flight gauges as ``repro.obs/v1`` rows.
 
-Failure modes are first-class: a port already in use, a worker process
-dying mid-run, and KeyboardInterrupt all end the run with a *partial*
-:class:`RuntimeResult` (``partial=True``, errors recorded) instead of a
-hung event loop — the CLI turns that into a summary plus a nonzero exit.
+Failure modes are first-class: a port already in use, a node crashing,
+the deadline expiring and KeyboardInterrupt all end the run with a
+*partial* :class:`RuntimeResult` (``partial=True``, errors recorded)
+instead of a hung event loop — the CLI turns that into a summary plus a
+nonzero exit.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -44,7 +40,6 @@ from repro.runtime.conformance import (
 from repro.runtime.netem import NetemConfig, NetemTransport
 from repro.runtime.hop import RuntimeParams
 from repro.runtime.node import RuntimeNode
-from repro.runtime.sharding import partition as shard_destinations
 from repro.runtime.transport import (
     LocalTransport,
     TcpTransport,
@@ -54,7 +49,7 @@ from repro.runtime.transport import (
 
 @dataclass
 class ClusterSpec:
-    """Everything needed to run one live cluster (picklable)."""
+    """Everything needed to run one live cluster."""
 
     topology: Dict[str, Any]
     messages: int = 100
@@ -67,7 +62,6 @@ class ClusterSpec:
     #: at window 1 (stop-and-wait).
     protocol: str = "ssmfp"
     transport: str = "local"            #: "local" | "tcp"
-    procs: int = 1                      #: >1 => multi-process (tcp only)
     workload: str = "uniform"
     netem: Optional[Dict[str, Any]] = None
     deadline: float = 60.0              #: hard wall-clock budget (seconds)
@@ -78,13 +72,9 @@ class ClusterSpec:
     retry_cap: float = 0.4
     window: int = 32                    #: in-flight DATA per (edge, dest) lane
     max_batch: int = 64                 #: max records packed into one frame
-    #: Test hook: (worker_index, seconds) — that worker hard-exits mid-run.
-    kill_worker_after: Optional[Tuple[int, float]] = None
     #: Timed chaos events lowered onto the wall clock by
     #: :mod:`repro.scenario` — dicts ``{"action", "t0", "t1", ...}``
-    #: (seconds from run start).  Driven by per-event asyncio tasks in the
-    #: hosting process; single-process runs only (a multi-process cluster
-    #: has no one place to pause a node or flip a shared netem knob).
+    #: (seconds from run start).  Driven by per-event asyncio tasks.
     chaos: Optional[List[Dict[str, Any]]] = None
 
     def build_network(self) -> Network:
@@ -186,8 +176,7 @@ class RuntimeResult:
         status = "PARTIAL" if self.partial else "OK"
         lines = [
             f"runtime [{status}] protocol={self.spec.protocol} "
-            f"transport={self.spec.transport} "
-            f"procs={self.spec.procs} elapsed={self.elapsed_s:.2f}s "
+            f"transport={self.spec.transport} elapsed={self.elapsed_s:.2f}s "
             f"throughput={self.throughput:.0f} msg/s",
             self.report.summary(),
         ]
@@ -262,18 +251,11 @@ def _merge_counts(into: Dict[str, int], add: Dict[str, int]) -> None:
         into[key] = into.get(key, 0) + value
 
 
-def _build_transport(
-    spec: ClusterSpec,
-    net: Network,
-    local_pids: Optional[Tuple[int, ...]] = None,
-    ports: Optional[Dict[int, Tuple[str, int]]] = None,
-    netem_seed: int = 0,
-) -> Transport:
+def _build_transport(spec: ClusterSpec, net: Network) -> Transport:
     if spec.transport == "local":
         base: Transport = LocalTransport(net)
     elif spec.transport == "tcp":
-        ports = ports or allocate_ports(net, base=spec.port_base)
-        base = TcpTransport(net, ports, local_pids=local_pids)
+        base = TcpTransport(net, allocate_ports(net, base=spec.port_base))
     else:
         raise ConfigurationError(f"unknown transport {spec.transport!r}")
     netem = spec.build_netem()
@@ -284,7 +266,7 @@ def _build_transport(
         netem = NetemConfig()
     if netem is not None:
         return NetemTransport(
-            base, netem, seed=spec.seed + netem_seed, max_batch=spec.max_batch
+            base, netem, seed=spec.seed, max_batch=spec.max_batch
         )
     return base
 
@@ -388,11 +370,11 @@ async def _drive_chaos_event(
 class _Progress:
     """Delivery progress shared between nodes and the monitor loop: the
     nodes' delivered hook, which sets :attr:`reached` the moment the
-    ``target``-th delivery is reported (never, for a negative target)."""
+    ``target``-th delivery is reported."""
 
     __slots__ = ("delivered", "target", "reached")
 
-    def __init__(self, target: int = -1) -> None:
+    def __init__(self, target: int) -> None:
         self.delivered = 0
         self.target = target
         self.reached = asyncio.Event()
@@ -401,7 +383,7 @@ class _Progress:
 
     def __call__(self, count: int) -> None:
         self.delivered += count
-        if 0 <= self.target <= self.delivered:
+        if self.delivered >= self.target:
             self.reached.set()
 
 
@@ -410,63 +392,53 @@ async def _run_nodes(
     net: Network,
     transport: Transport,
     submissions: List[Tuple[int, int, Any, int]],
-    holder: Dict[str, Any],
     progress: _Progress,
-    stop_check=None,
+    result: RuntimeResult,
+    nodes: List[RuntimeNode],
 ) -> None:
-    """Host a set of nodes until ``progress`` signals its target reached,
-    the deadline passes, or ``stop_check`` fires.  ``holder`` keeps the
-    live objects reachable for partial-result assembly even if this
-    coroutine dies."""
+    """Host every node until ``progress`` signals its target reached or
+    the deadline passes.  ``nodes`` and ``result``'s samples and fault
+    events fill as the run goes, so a partial result survives this
+    coroutine dying."""
     params = spec.build_params()
     routing = StaticRouting(net)
-    local_pids = getattr(transport, "local_pids", None)
-    pids = list(local_pids) if local_pids is not None else list(net.processors())
-    nodes = [RuntimeNode(p, net, routing, transport, params) for p in pids]
+    nodes.extend(
+        RuntimeNode(p, net, routing, transport, params) for p in net.processors()
+    )
     for node in nodes:
         node._delivered_hook = progress
-    holder["nodes"] = nodes
-    holder["transport"] = transport
     await transport.start()
-    holder["started"] = True
     by_pid = {node.pid: node for node in nodes}
     for _, src, payload, dest in submissions:
-        if src in by_pid:
-            by_pid[src].submit(payload, dest)
+        by_pid[src].submit(payload, dest)
     tasks = [asyncio.get_running_loop().create_task(node.run()) for node in nodes]
-    holder["tasks"] = tasks
-    chaos_tasks: List["asyncio.Task"] = []
-    if spec.chaos:
-        fault_log = holder.setdefault("fault_events", [])
-        chaos_tasks = [
-            asyncio.get_running_loop().create_task(
-                _drive_chaos_event(
-                    dict(event), index, spec, net, transport, by_pid, fault_log
-                )
+    chaos_tasks = [
+        asyncio.get_running_loop().create_task(
+            _drive_chaos_event(
+                dict(event), index, spec, net, transport, by_pid,
+                result.fault_events,
             )
-            for index, event in enumerate(spec.chaos)
-        ]
+        )
+        for index, event in enumerate(spec.chaos or ())
+    ]
     deadline = time.monotonic() + spec.deadline
     netem = transport if isinstance(transport, NetemTransport) else None
     reached = progress.reached
     try:
         while time.monotonic() < deadline and not reached.is_set():
-            if stop_check is not None and stop_check():
-                break
             for task in tasks:
                 if task.done() and task.exception() is not None:
                     raise task.exception()  # a node crashed: abort the run
             for task in chaos_tasks:
                 if task.done() and task.exception() is not None:
                     raise task.exception()  # a chaos driver bug: surface it
-            holder.setdefault("in_flight", []).append(
+            result.in_flight_samples.append(
                 sum(node.core.in_flight() for node in nodes)
             )
-            window = holder.setdefault("window_samples", [])
             for node in nodes:
-                window.extend(node.core.window_occupancy())
+                result.window_samples.extend(node.core.window_occupancy())
             if netem is not None:
-                holder.setdefault("netem_held", []).append(netem.held())
+                result.netem_held_samples.append(netem.held())
             # Sample every 20 ms, but leave the moment the target is
             # reached: the end of run is signalled, not polled.
             try:
@@ -494,197 +466,29 @@ async def _run_nodes(
         await transport.close()
 
 
-#: :class:`RuntimeResult` fields a harvest carries, by how they merge.
-_COUNT_FIELDS = ("counters", "transport_stats", "netem_stats")
-_SAMPLE_FIELDS = (
-    "events", "hop_latencies", "rto_samples", "batch_sizes", "ack_coalesce",
-    "fault_events", "in_flight_samples", "window_samples", "netem_held_samples",
-)
-
-
-def _harvest(holder: Dict[str, Any]) -> Dict[str, Any]:
-    """Everything the hosted nodes and their transport recorded, merged
-    into one picklable dict keyed by :class:`RuntimeResult` field (a
-    worker ships it; the parent absorbs it)."""
-    harvest: Dict[str, Any] = {name: {} for name in _COUNT_FIELDS}
-    harvest.update({name: [] for name in _SAMPLE_FIELDS})
-    harvest["fault_events"].extend(holder.get("fault_events", []))
-    harvest["in_flight_samples"] = holder.get("in_flight", [])
-    harvest["window_samples"] = holder.get("window_samples", [])
-    harvest["netem_held_samples"] = holder.get("netem_held", [])
-    for node in holder.get("nodes", []):
+def _collect(
+    result: RuntimeResult,
+    nodes: List[RuntimeNode],
+    transport: Optional[Transport],
+) -> None:
+    """Fold everything the nodes and their transport recorded into
+    ``result`` — whatever exists, so a failed run still reports it."""
+    for node in nodes:
         core = node.core
-        harvest["events"].extend(core.events)
-        _merge_counts(harvest["counters"], core.counters)
-        _merge_counts(harvest["counters"], node.counters)
-        harvest["hop_latencies"].extend(core.hop_latencies)
-        harvest["rto_samples"].extend(core.rto_samples)
-        harvest["batch_sizes"].extend(node.batch_sizes)
-        harvest["ack_coalesce"].extend(core.ack_coalesce)
-    transport = holder.get("transport")
+        result.events.extend(core.events)
+        _merge_counts(result.counters, core.counters)
+        _merge_counts(result.counters, node.counters)
+        result.hop_latencies.extend(core.hop_latencies)
+        result.rto_samples.extend(core.rto_samples)
+        result.batch_sizes.extend(node.batch_sizes)
+        result.ack_coalesce.extend(core.ack_coalesce)
     if transport is not None:
-        _merge_counts(harvest["transport_stats"], transport.stats)
+        _merge_counts(result.transport_stats, transport.stats)
         if isinstance(transport, NetemTransport):
-            _merge_counts(harvest["netem_stats"], transport.fault_stats)
-            _merge_counts(harvest["transport_stats"], transport.base.stats)
-            harvest["fault_events"].extend(transport.fault_events)
-    return harvest
-
-
-def _absorb(result: RuntimeResult, harvest: Dict[str, Any]) -> None:
-    """Fold one :func:`_harvest` into the run's result."""
-    for name in _COUNT_FIELDS:
-        _merge_counts(getattr(result, name), harvest[name])
-    for name in _SAMPLE_FIELDS:
-        getattr(result, name).extend(harvest[name])
+            _merge_counts(result.netem_stats, transport.fault_stats)
+            _merge_counts(result.transport_stats, transport.base.stats)
+            result.fault_events.extend(transport.fault_events)
     result.fault_events.sort(key=lambda e: e.get("mono", 0.0))
-
-
-# -- multi-process execution ---------------------------------------------------
-
-
-def _worker_main(worker_args: Dict[str, Any], stop_event, delivered, result_q) -> None:
-    """Entry point of one spawned worker: host a node subset over TCP."""
-    spec: ClusterSpec = worker_args["spec"]
-    pids: Tuple[int, ...] = tuple(worker_args["pids"])
-    ports = worker_args["ports"]
-    submissions = worker_args["submissions"]
-    index = worker_args["index"]
-    net = spec.build_network()
-
-    class _SharedProgress(_Progress):
-        def __call__(self, count: int) -> None:
-            super().__call__(count)
-            with delivered.get_lock():
-                delivered.value += count
-
-    progress = _SharedProgress()
-    holder: Dict[str, Any] = {}
-    error: Optional[str] = None
-
-    async def body() -> None:
-        transport = _build_transport(
-            spec, net, local_pids=pids, ports=ports, netem_seed=1000 * (index + 1)
-        )
-        if spec.kill_worker_after is not None and spec.kill_worker_after[0] == index:
-            asyncio.get_running_loop().call_later(
-                spec.kill_worker_after[1], os._exit, 3
-            )
-        # Workers never know the global target (their progress never
-        # signals): the parent tells them to stop.
-        await _run_nodes(
-            spec, net, transport, submissions, holder, progress,
-            stop_check=stop_event.is_set,
-        )
-
-    try:
-        asyncio.run(body())
-    except Exception as exc:  # noqa: BLE001 - shipped to the parent
-        error = f"{type(exc).__name__}: {exc}"
-    payload = _harvest(holder)
-    payload.update(index=index, pids=pids, error=error)
-    try:
-        result_q.put(payload)
-    except Exception:  # noqa: BLE001 - parent may already be gone
-        pass
-
-
-def _run_multiprocess(spec: ClusterSpec, result: RuntimeResult) -> None:
-    import multiprocessing as mp
-
-    net = spec.build_network()
-    if spec.procs > net.n:
-        raise ConfigurationError(
-            f"more worker processes ({spec.procs}) than nodes ({net.n})"
-        )
-    submissions = spec.build_submissions()
-    target = len(submissions)
-    ports = allocate_ports(net, base=spec.port_base)
-    # Destination sharding by consistent hash: worker i hosts exactly the
-    # nodes (= destinations) its ring shard owns, so the per-destination
-    # state of the whole cluster is partitioned disjointly, and changing
-    # the worker count relocates only ~1/procs of the destinations.
-    groups = shard_destinations(net.processors(), spec.procs)
-    ctx = mp.get_context("spawn")
-    stop_event = ctx.Event()
-    delivered = ctx.Value("i", 0)
-    result_q = ctx.Queue()
-    workers = []
-    for index, pids in enumerate(groups):
-        hosted = set(pids)
-        worker_args = {
-            "spec": spec,
-            "pids": tuple(pids),
-            "ports": ports,
-            "submissions": [s for s in submissions if s[1] in hosted],
-            "index": index,
-        }
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(worker_args, stop_event, delivered, result_q),
-            daemon=True,
-        )
-        proc.start()
-        workers.append(proc)
-    started = time.monotonic()
-    deadline = started + spec.deadline
-    try:
-        while time.monotonic() < deadline:
-            if delivered.value >= target:
-                break
-            dead = [
-                (i, p.exitcode)
-                for i, p in enumerate(workers)
-                if p.exitcode is not None and p.exitcode != 0
-            ]
-            if dead:
-                for index, code in dead:
-                    result.errors.append(
-                        f"worker {index} (pids {groups[index]}) died "
-                        f"with exit code {code}"
-                    )
-                break
-            time.sleep(0.05)
-        else:
-            result.errors.append(
-                f"deadline of {spec.deadline}s reached with "
-                f"{delivered.value}/{target} deliveries"
-            )
-    except KeyboardInterrupt:
-        result.interrupted = True
-    finally:
-        # Drain grace, then stop everyone and harvest whatever exists.
-        if not result.errors and not result.interrupted:
-            time.sleep(min(spec.drain_grace, max(0.0, deadline - time.monotonic())))
-        stop_event.set()
-        harvested = 0
-        harvest_deadline = time.monotonic() + 10.0
-        while harvested < len(workers) and time.monotonic() < harvest_deadline:
-            try:
-                payload = result_q.get(timeout=0.25)
-            except Exception:  # noqa: BLE001 - queue.Empty and EOF alike
-                if all(p.exitcode is not None for p in workers):
-                    break
-                continue
-            harvested += 1
-            if payload.get("error"):
-                result.errors.append(
-                    f"worker {payload['index']}: {payload['error']}"
-                )
-            _absorb(result, payload)
-        for proc in workers:
-            proc.join(timeout=2.0)
-        for index, proc in enumerate(workers):
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-                result.errors.append(f"worker {index} had to be terminated")
-        if harvested < len(workers):
-            missing = len(workers) - harvested
-            result.errors.append(
-                f"{missing} worker(s) returned no results — counts are partial"
-            )
-    result.report = check_events(result.events, expect_generated=target)
 
 
 # -- entry point ---------------------------------------------------------------
@@ -694,39 +498,26 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
     """Run one live cluster to completion (or graceful failure).
 
     Never hangs and never loses the partial picture: startup failures
-    (e.g. a TCP port already in use), node crashes, dead worker processes,
-    deadline exhaustion and KeyboardInterrupt all come back as a
-    :class:`RuntimeResult` with ``partial=True`` and the errors listed.
+    (e.g. a TCP port already in use), node crashes, deadline exhaustion
+    and KeyboardInterrupt all come back as a :class:`RuntimeResult` with
+    ``partial=True`` and the errors listed.
     """
-    if spec.procs > 1 and spec.transport != "tcp":
-        raise ConfigurationError("multi-process clusters require transport='tcp'")
-    if spec.procs < 1:
-        raise ConfigurationError("procs must be >= 1")
-    if spec.chaos and spec.procs > 1:
-        raise ConfigurationError(
-            "chaos schedules require procs=1 (a multi-process cluster has "
-            "no single place to pause a node or reconfigure the transport)"
-        )
     from repro.core.registry import resolve
 
     resolve(spec.protocol)  # raises ConfigurationError on unknown names
     spec.build_netem()  # ... and on a netem knob out of range
     started = time.monotonic()
     result = RuntimeResult(spec=spec, report=ConformanceReport())
-    if spec.procs > 1:
-        _run_multiprocess(spec, result)
-        result.elapsed_s = time.monotonic() - started
-        return result
-
     net = spec.build_network()
     submissions = spec.build_submissions()
     target = len(submissions) + chaos_extra_messages(spec.chaos)
-    holder: Dict[str, Any] = {}
     progress = _Progress(target)
+    nodes: List[RuntimeNode] = []
+    transport: Optional[Transport] = None
     try:
         transport = _build_transport(spec, net)
         asyncio.run(
-            _run_nodes(spec, net, transport, submissions, holder, progress)
+            _run_nodes(spec, net, transport, submissions, progress, result, nodes)
         )
     except KeyboardInterrupt:
         result.interrupted = True
@@ -736,7 +527,13 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
         raise
     except Exception as exc:  # noqa: BLE001 - a node crash must not hang
         result.errors.append(f"{type(exc).__name__}: {exc}")
+    else:
+        if not progress.reached.is_set():
+            result.errors.append(
+                f"deadline of {spec.deadline}s reached with "
+                f"{progress.delivered}/{target} deliveries"
+            )
     result.elapsed_s = time.monotonic() - started
-    _absorb(result, _harvest(holder))
+    _collect(result, nodes, transport)
     result.report = check_events(result.events, expect_generated=target)
     return result

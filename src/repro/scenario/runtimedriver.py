@@ -77,7 +77,6 @@ def build_cluster_spec(spec: ScenarioSpec):
         seed=spec.seed,
         protocol=spec.protocol,
         transport=str(extras.get("transport", "local")),
-        procs=int(extras.get("procs", 1)),
         workload=spec.workload["name"],
         netem=extras.get("netem"),
         deadline=float(spec.budgets["wall_s"]),

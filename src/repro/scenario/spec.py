@@ -119,8 +119,8 @@ _CORRUPTION_KEYS = frozenset({"kind", "fraction", "seed"})
 _GARBAGE_KEYS = frozenset({"fraction", "seed"})
 #: Runtime-only extras, passed through to :class:`ClusterSpec`.
 _RUNTIME_KEYS = frozenset(
-    {"transport", "procs", "window", "max_batch", "netem", "drain_grace",
-     "tick", "port_base"}
+    {"transport", "window", "max_batch", "netem", "drain_grace", "tick",
+     "port_base"}
 )
 
 TARGETS = ("simulate", "runtime")

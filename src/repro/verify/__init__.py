@@ -7,21 +7,17 @@ daemon choice — including every simultaneous selection — checking the
 safety invariants in each.  On small instances this is genuine model
 checking of the protocol's Lemmas 4-5.
 
-The search scales through three composable layers (see ``docs/verify.md``):
-partial-order reduction and processor-permutation symmetry quotienting
-(:mod:`repro.verify.reduction`) shrink the explored space soundly, and the
-``"parallel"`` engine (:mod:`repro.verify.parallel`) shards the BFS
-frontier across forked worker processes.
+The search is serial.  Two composable reductions shrink the explored
+space soundly (see ``docs/verify.md``): partial-order reduction and
+processor-permutation symmetry quotienting (:mod:`repro.verify.reduction`).
 """
 
 from repro.verify.liveness import FairLivelock, LivenessChecker, LivenessResult
 from repro.verify.modelcheck import (
-    ENGINES,
     REDUCTIONS,
     ModelChecker,
     ModelCheckResult,
     ProgressMeter,
-    default_workers,
 )
 from repro.verify.reduction import (
     IndependenceOracle,
@@ -30,12 +26,10 @@ from repro.verify.reduction import (
 )
 
 __all__ = [
-    "ENGINES",
     "REDUCTIONS",
     "ModelChecker",
     "ModelCheckResult",
     "ProgressMeter",
-    "default_workers",
     "LivenessChecker",
     "LivenessResult",
     "FairLivelock",

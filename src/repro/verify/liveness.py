@@ -21,13 +21,9 @@ counterexample.  The paper's FIFO ``choice`` makes SSMFP free of them;
 the ``"fixed"`` ablation policy is not (the A2 starvation, now found
 exhaustively).
 
-Like the safety checker, the graph can be built by two engines: the
-default ``"snapshot"`` engine restores state vectors into one reused
-system (keeping the incremental guard caches engaged), and the
-``"parallel"`` engine fans the per-level expansions out to forked workers
-while the parent keeps the global node-id map (:func:`repro.verify.
-parallel.run_liveness` — bit-identical graph by construction).  The
-clone-per-transition differential oracle lives in
+Like the safety checker, the graph is built serially by restoring state
+vectors into one reused system (keeping the incremental guard caches
+engaged).  The clone-per-transition differential oracle lives in
 ``tests/reference_engines.py``.
 
 A selection fan-out overflow, or a selection whose execution violates
@@ -44,13 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import SelectionOverflow
-from repro.verify.modelcheck import (
-    _System,
-    ENGINES,
-    ProgressMeter,
-    default_workers,
-    enumerate_selections,
-)
+from repro.verify.modelcheck import _System, ProgressMeter, enumerate_selections
 
 
 @dataclass
@@ -72,7 +62,7 @@ class LivenessResult:
     truncated: bool
     livelocks: List[FairLivelock] = field(default_factory=list)
     #: Why a truncated search stopped early (state cap, selection
-    #: fan-out) or how the engine degraded; None for clean runs.
+    #: fan-out, a specification violation); None for complete runs.
     note: Optional[str] = None
 
     @property
@@ -90,35 +80,19 @@ class LivenessChecker:
         max_states: int = 30_000,
         max_selection_width: int = 1024,
         ignore_pending: Optional[Set[int]] = None,
-        engine: str = "snapshot",
-        workers: Optional[int] = None,
         log_every: int = 0,
         on_progress=None,
         obs=None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; want one of {ENGINES}")
         self._make_system = make_system
         self._max_states = max_states
         self._max_width = max_selection_width
         #: Processors whose pending submissions do not count as starvation
         #: (deliberately infinite pressure sources of the test harness).
         self._ignore_pending = frozenset(ignore_pending or ())
-        self._engine = engine
-        self._workers = workers
         self._log_every = log_every
         self._on_progress = on_progress
         self._obs = obs
-        #: Engine-degradation note, merged into the result by run().
-        self._engine_note: Optional[str] = None
-
-    def _meter(self) -> ProgressMeter:
-        return ProgressMeter(
-            log_every=self._log_every,
-            on_progress=self._on_progress,
-            obs=self._obs,
-            engine=f"liveness-{self._engine}",
-        )
 
     def _fresh(self) -> _System:
         made = self._make_system()
@@ -150,9 +124,7 @@ class LivenessChecker:
         frozenset), ...])`` — or, when the node cannot be expanded, the
         reason as a string: the fan-out exceeds the width cap (nothing
         executed), or a selection's execution violated the specification
-        (the instance is not safe, so its graph is not the protocol's).
-        Shared with the parallel workers
-        (:func:`repro.verify.parallel.run_liveness`)."""
+        (the instance is not safe, so its graph is not the protocol's)."""
         system.restore(vec)
         meta = self._node_metadata(system)
         enabled = system.enabled()
@@ -172,20 +144,6 @@ class LivenessChecker:
     def _explore(self):
         """Build the reachable graph.  Returns (metadata, enabled pids,
         edges, truncated, note)."""
-        if self._engine == "parallel":
-            from repro.verify import parallel as _parallel
-
-            workers = self._workers or default_workers()
-            if workers >= 2 and _parallel.fork_available():
-                return _parallel.run_liveness(self, workers)
-            self._engine_note = (
-                f"parallel engine degraded to in-process search "
-                f"(workers={workers}, fork "
-                f"{'available' if _parallel.fork_available() else 'unavailable'})"
-            )
-        return self._explore_snapshot()
-
-    def _explore_snapshot(self):
         system = self._fresh()
         system.advance_env()
         root_vec = system.snapshot()
@@ -198,7 +156,10 @@ class LivenessChecker:
         edges: List[List[Tuple[int, FrozenSet[int]]]] = []
         truncated = False
         note: Optional[str] = None
-        meter = self._meter()
+        meter = ProgressMeter(
+            log_every=self._log_every, on_progress=self._on_progress,
+            obs=self._obs, engine="liveness-snapshot",
+        )
 
         index = 0
         while index < len(vecs):
@@ -290,10 +251,7 @@ class LivenessChecker:
         """Explore and report fair livelocks.  Never raises on fan-out
         overflow or on a specification violation met while executing: the
         result comes back ``truncated`` with a ``note``."""
-        self._engine_note = None
         outstanding, enabled_pids, edges, truncated, note = self._explore()
-        if self._engine_note:
-            note = f"{note}; {self._engine_note}" if note else self._engine_note
         n = len(edges)
         sccs = self._sccs(n, edges)
         livelocks: List[FairLivelock] = []

@@ -13,9 +13,9 @@ This is genuine model checking (bounded only by the instance size), not
 sampling: on a 3-processor line with two same-payload messages it visits
 every configuration the paper's adversary could ever produce.
 
-Exploration engines
--------------------
-The default ``"snapshot"`` engine explores **one** reused system through
+Exploration
+-----------
+The search is serial and explores **one** reused system through
 the explicit snapshot/restore layer (:mod:`repro.statemodel.snapshot`):
 each transition restores the parent's state vector, executes the selected
 actions — reusing the parent's already-bound
@@ -33,21 +33,15 @@ destination)`` components that differ from its predecessor on the
 frontier.  The canonical form is a projection of the same state vector,
 so canonicalization and restoration can never diverge.
 
-The ``"parallel"`` engine (:mod:`repro.verify.parallel`) shards the BFS
-frontier across forked worker processes by canon hash, each worker
-holding its shard of the seen-set; cross-shard successors are exchanged
-in batched per-level rounds and the parent aggregates counts and
-violation witnesses deterministically.
-
-Both snapshot-based engines accept the state-space *reductions* of
+The search accepts the state-space *reductions* of
 :mod:`repro.verify.reduction` — canonical-form symmetry quotienting and
 partial-order reduction of decomposable daemon selections.
 
 The unreduced differential oracle — an explorer that clones the whole
 system per transition — lives in ``tests/reference_engines.py``: the
-equivalence suite pins that it and the snapshot engine visit the
+equivalence suite pins that it and the snapshot search visit the
 bit-identical state set, transition count and violations, and
-``tests/test_verify_reduction.py`` pins that every reduced/parallel
+``tests/test_verify_reduction.py`` pins that every reduced
 configuration reaches the same canon set and verdict (see
 ``docs/verify.md``).
 """
@@ -55,7 +49,6 @@ configuration reaches the same canon set and verdict (see
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -68,10 +61,7 @@ from repro.statemodel.composition import PriorityStack
 from repro.statemodel.snapshot import StateVector
 from repro.verify.reduction import IndependenceOracle, validate_symmetry
 
-#: The exploration engines accepted by the verifiers.
-ENGINES = ("snapshot", "parallel")
-
-#: The state-space reductions accepted by the snapshot-based engines.
+#: The state-space reductions accepted by :class:`ModelChecker`.
 REDUCTIONS = ("none", "por", "symmetry", "full")
 
 
@@ -338,8 +328,6 @@ def expand_state(system, vec, depth, max_width, oracle, reducer, result):
     terminal checks, enumerate the daemon selections (POR-filtered when
     ``oracle`` is given) and collect their :meth:`_System.successors`.
 
-    Shared by the serial snapshot engine and the parallel workers
-    (:mod:`repro.verify.parallel`) so the two expansions cannot drift.
     Updates ``result``'s transitions / terminal / violations / skipped
     counters; ``states`` and ``dedup_hits`` stay with the caller, which
     owns the seen-set.  Returns the children as ``[(child_vec, key,
@@ -411,12 +399,6 @@ def expand_state(system, vec, depth, max_width, oracle, reducer, result):
     return children
 
 
-def default_workers() -> int:
-    """Worker-count default for the parallel engine: the machine's CPUs,
-    capped (frontier exchange saturates quickly past 8 shards)."""
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 class ModelChecker:
     """Breadth-first exhaustive exploration.
 
@@ -434,10 +416,6 @@ class ModelChecker:
         Exceeding it also marks the result ``truncated`` (with
         :attr:`ModelCheckResult.note` explaining why) — ``run()`` never
         raises.
-    engine:
-        ``"snapshot"`` (default) explores one reused system through the
-        snapshot/restore layer; ``"parallel"`` shards the frontier across
-        forked worker processes.
     reduction:
         ``"none"`` (default), ``"por"`` (partial-order reduction of
         decomposable selections — preserves the reachable state set,
@@ -446,10 +424,6 @@ class ModelChecker:
         Reductions that do not apply to the instance are disabled with an
         explanatory :attr:`ModelCheckResult.reduction_note`, never
         silently wrong.
-    workers:
-        Worker processes for the parallel engine (default:
-        :func:`default_workers`).  With fewer than two effective workers
-        the parallel engine degrades to the in-process snapshot search.
     log_every / on_progress / obs:
         Progress reporting: every ``log_every`` expanded states a row is
         passed to ``on_progress`` and mirrored into the ``obs`` metrics
@@ -468,14 +442,14 @@ class ModelChecker:
         max_selection_width: int = 512,
         engine: str = "snapshot",
         reduction: str = "none",
-        workers: Optional[int] = None,
         log_every: int = 0,
         on_progress=None,
         obs=None,
         collect_canons: bool = False,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; want one of {ENGINES}")
+        # ``engine`` stays only because ``bench/verify.py`` passes it.
+        if engine != "snapshot":
+            raise ValueError(f"unknown engine {engine!r}; want 'snapshot'")
         if reduction not in REDUCTIONS:
             raise ValueError(
                 f"unknown reduction {reduction!r}; want one of {REDUCTIONS}"
@@ -483,9 +457,7 @@ class ModelChecker:
         self._make_system = make_system
         self._max_states = max_states
         self._max_width = max_selection_width
-        self._engine = engine
         self._reduction = reduction
-        self._workers = workers
         self._log_every = log_every
         self._on_progress = on_progress
         self._obs = obs
@@ -523,14 +495,6 @@ class ModelChecker:
             result.reduction_note = "; ".join(notes)
         return reducer, oracle
 
-    def _meter(self) -> ProgressMeter:
-        return ProgressMeter(
-            log_every=self._log_every,
-            on_progress=self._on_progress,
-            obs=self._obs,
-            engine=self._engine,
-        )
-
     def run(self) -> ModelCheckResult:
         """Explore exhaustively; never raises on protocol violations or
         fan-out overflow — violations are collected into the result and an
@@ -539,32 +503,13 @@ class ModelChecker:
             states=0, transitions=0, terminal_states=0,
             max_frontier=0, truncated=False, reduction=self._reduction,
         )
-        if self._engine == "parallel":
-            from repro.verify import parallel as _parallel
-
-            workers = self._workers or default_workers()
-            if workers >= 2 and _parallel.fork_available():
-                return _parallel.run_safety(self, result, workers)
-            fallback = (
-                f"parallel engine degraded to in-process search "
-                f"(workers={workers}, fork "
-                f"{'available' if _parallel.fork_available() else 'unavailable'})"
-            )
-            out = self._run_snapshot(result)
-            out.reduction_note = (
-                f"{out.reduction_note}; {fallback}"
-                if out.reduction_note else fallback
-            )
-            return out
-        return self._run_snapshot(result)
-
-    # -- snapshot engine -----------------------------------------------------
-
-    def _run_snapshot(self, result: ModelCheckResult) -> ModelCheckResult:
         system = self._fresh()
         system.advance_env()
         reducer, oracle = self._setup_reduction(system, result)
-        meter = self._meter()
+        meter = ProgressMeter(
+            log_every=self._log_every, on_progress=self._on_progress,
+            obs=self._obs,
+        )
         root_vec = system.snapshot()
         root_key = system.canon(root_vec)
         if reducer is not None:

@@ -24,11 +24,9 @@ from repro.verify.modelcheck import ModelChecker
 
 from tests.test_engine_pins import check_pair_sweep
 from tests.test_experiments import assert_report_matches_golden
-from tests.test_verify_parallel import needs_fork
 
-# Cheapest heap first: run after X5's 53k-state exploration, the forked
-# workers of the parallel engine took 85 s instead of 24 s and the sweeps
-# three times as long.
+# Cheapest heap first: run after X5's 53k-state exploration, the sweeps
+# took three times as long.
 
 
 @pytest.mark.parametrize(
@@ -72,19 +70,13 @@ def test_engine_memory_grows_with_n_not_n_squared():
     assert len(destinations) <= 8
 
 
-@pytest.mark.parametrize(
-    "engine",
-    [pytest.param("parallel", marks=needs_fork), "snapshot"],
-)
-def test_line4_under_por_reaches_the_golden_state_set(engine):
+def test_line4_under_por_reaches_the_golden_state_set():
     """Partial-order reduction prunes edges (decomposable composite
     selections), never states: the ``line(4)`` row of X5.txt, with about
-    half its 434,012 transitions, from the serial engine and from two
-    forked workers alike."""
+    half its 434,012 transitions."""
     make = next(make for name, make, _ in _instances() if "line(4)" in name)
     result = ModelChecker(
-        make, engine=engine, reduction="por", workers=2,
-        max_states=200_000, max_selection_width=20_000,
+        make, reduction="por", max_states=200_000, max_selection_width=20_000,
     ).run()
     assert not result.truncated
     assert result.violations == []

@@ -153,6 +153,40 @@ class TestFrontDoorsNeverEndInAStackTrace:
             assert "at least 2 processors" in line and "randrange" not in line
 
 
+class TestPooledModesAreGone:
+    """The verifier and the runtime are serial: a flag or spec key that
+    names a pooled mode is rejected before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["runtime", "--procs", "2"],
+            ["verify", "--engine", "parallel"],
+            ["verify", "--workers", "2"],
+        ],
+        ids=["runtime-procs", "verify-engine", "verify-workers"],
+    )
+    def test_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_runtime_procs_in_a_spec_is_one_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "pooled.toml"
+        spec.write_text(
+            'name = "pooled"\n'
+            'target = "runtime"\n'
+            "[topology]\n"
+            'name = "ring"\n'
+            "kwargs = { n = 4 }\n"
+            "[runtime]\n"
+            "procs = 2\n"
+        )
+        line = _exits_2_with_one_error_line(["scenario", "run", str(spec)], capsys)
+        assert "['procs']" in line and "'runtime'" in line
+
+
 class TestVerifyExhaustive:
     BASE = ["verify", "--topology", "line", "--n", "3", "--messages", "2"]
 
@@ -208,39 +242,31 @@ class TestVerifyExhaustive:
         assert "truncated" in err
 
     def test_rejected_configuration_exits_2(self, capsys):
-        # The clone-per-transition explorer is a test oracle
-        # (tests/reference_engines.py), not an engine of the product.
-        from repro.verify import ENGINES
+        # The search is serial: the clone-per-transition explorer is a test
+        # oracle (tests/reference_engines.py) and there is no engine flag.
+        import repro.verify
 
-        assert ENGINES == ("snapshot", "parallel")
+        assert not hasattr(repro.verify, "ENGINES")
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE + ["--engine", "deepcopy"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'deepcopy'" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_log_every_streams_progress(self, capsys):
         assert main(self.BASE + ["--log-every", "20"]) == 0
         err = capsys.readouterr().err
         assert "states=" in err and "rate=" in err
 
-    def test_parallel_engine_jsonl_artifact(self, tmp_path, capsys):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel engine requires fork")
+    def test_verify_jsonl_artifact(self, tmp_path, capsys):
         from repro.obs import read_artifact
 
         path = tmp_path / "verify.jsonl"
-        code = main(
-            self.BASE
-            + ["--engine", "parallel", "--workers", "2",
-               "--jsonl", str(path)]
-        )
-        assert code == 0
+        assert main(self.BASE + ["--jsonl", str(path)]) == 0
         capsys.readouterr()
         art = read_artifact(path)
         assert art.name == "verify"
-        assert art.meta["engine"] == "parallel"
+        assert art.meta["reduction"] == "none"
+        assert "engine" not in art.meta
         metrics = {r["metric"] for r in art.rows_of_kind("metric")}
         assert "verify_states_total" in metrics
         assert "verify_dedup_ratio" in metrics

@@ -24,6 +24,9 @@ from repro.routing.static import StaticRouting
 from repro.statemodel.message import Message, MessageFactory
 from repro.verify.liveness import LivenessChecker
 
+from tests.helpers import make_ssmfp
+from tests.reference_engines import DeepcopyLivenessChecker
+
 
 class FixedUidFactory(MessageFactory):
     """Valid messages get a uid determined by their source — repeated
@@ -199,11 +202,9 @@ class TestUnsafeInstance:
             proto.hl.submit(0, "dup", 2)
         return proto
 
-    @pytest.mark.parametrize("engine", ["snapshot", "parallel"])
-    def test_violation_truncates_with_a_note(self, engine):
+    def test_violation_truncates_with_a_note(self):
         result = LivenessChecker(
             self._colors_off, max_states=200_000, max_selection_width=4000,
-            engine=engine, workers=2,
         ).run()
         assert not result.ok
         assert result.truncated
@@ -211,3 +212,39 @@ class TestUnsafeInstance:
             "node 10: selection {0: 1}: valid uid 2 lost: "
             "R4 confirmed against a foreign copy"
         )
+
+
+class TestLivenessOverflow:
+    """LivenessChecker.run() must report a fan-out overflow as
+    truncated+note — the same convention as ModelChecker — instead of
+    raising."""
+
+    @staticmethod
+    def _fan_out_make():
+        """The fan-out overflow instance of test_modelcheck."""
+        net = line_network(5)
+        proto = make_ssmfp(net)
+        for p in range(4):
+            proto.hl.submit(p, f"m{p}", 4)
+        return proto
+
+    @pytest.mark.parametrize(
+        "checker", [LivenessChecker, DeepcopyLivenessChecker],
+        ids=["snapshot", "deepcopy"],
+    )
+    def test_truncates_with_note(self, checker):
+        result = checker(self._fan_out_make, max_selection_width=2).run()
+        assert result.truncated
+        assert not result.ok
+        assert result.note is not None and "fan-out" in result.note
+
+    def test_state_cap_notes(self):
+        def make():
+            net = line_network(3)
+            proto = make_ssmfp(net)
+            proto.hl.submit(0, "m", 2)
+            return proto
+
+        result = LivenessChecker(make, max_states=4).run()
+        assert result.truncated
+        assert result.note is not None and "state cap" in result.note

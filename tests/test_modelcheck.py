@@ -4,8 +4,11 @@ results it establishes on small instances."""
 import pytest
 
 from repro.core.corruption import plant_invalid_message
+from repro.experiments.exhaustive import _instances
 from repro.network.topologies import line_network, paper_figure3_network
+from repro.obs import MetricsRegistry
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
+from repro.verify.liveness import LivenessChecker
 from repro.verify.modelcheck import ModelChecker
 
 from tests.helpers import make_ssmfp
@@ -69,8 +72,15 @@ class TestCheckerMechanics:
         assert result.note is not None and "state cap" in result.note
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            ModelChecker(lambda: None, engine="teleport")
+        # The search is serial: "snapshot" is the one value the keyword
+        # still takes, and the pooled engine's knobs are gone.
+        for engine in ("teleport", "parallel"):
+            with pytest.raises(ValueError, match="engine"):
+                ModelChecker(lambda: None, engine=engine)
+        with pytest.raises(TypeError, match="workers"):
+            ModelChecker(lambda: None, workers=2)
+        with pytest.raises(TypeError, match="engine"):
+            LivenessChecker(lambda: None, engine="snapshot")
 
 
 class TestExhaustiveSafety:
@@ -173,3 +183,38 @@ class TestCheckerFindsRealBugs:
             make, max_states=200_000, max_selection_width=4000
         ).run()
         assert any("lost" in v or "undelivered" in v for v in result.violations)
+
+
+class TestProgressReporting:
+    INSTANCES = {name: make for name, make, _ in _instances()}
+
+    def test_safety_log_every_rows_and_metrics(self):
+        rows = []
+        registry = MetricsRegistry()
+        make = self.INSTANCES["line(3), garbage in 2 buffers"]
+        result = ModelChecker(
+            make, log_every=100, on_progress=rows.append, obs=registry
+        ).run()
+        assert result.states > 100
+        assert rows, "expected at least one progress row"
+        for row in rows:
+            assert set(row) == {
+                "states", "frontier", "states_per_s", "dedup_hits",
+                "elapsed_s",
+            }
+        assert [r["states"] for r in rows] == sorted(r["states"] for r in rows)
+        names = {r["metric"] for r in registry.rows()}
+        assert "verify_states_total" in names
+        assert "verify_transitions_total" in names
+        assert "verify_dedup_ratio" in names
+
+    def test_liveness_metrics_labelled_by_engine(self):
+        registry = MetricsRegistry()
+        make = self.INSTANCES["line(3), 2 same-payload msgs"]
+        LivenessChecker(make, obs=registry).run()
+        rows = [
+            r for r in registry.rows() if r["metric"] == "verify_states_total"
+        ]
+        assert rows and all(
+            r["labels"]["engine"] == "liveness-snapshot" for r in rows
+        )

@@ -60,14 +60,15 @@ class TestLowering:
         assert cluster.messages == 8
 
     def test_chaos_with_multiple_procs_rejected(self):
-        from repro.runtime.cluster import run_cluster
-
-        spec = spec_of(
-            schedule=[{"at": 0.5, "until": 1.0, "action": "crash", "node": 1}],
-            runtime={"procs": 2, "transport": "tcp"},
-        )
+        # A cluster is one process: ``procs`` is an unknown runtime key,
+        # rejected when the spec is read, before any run.
         with pytest.raises(ConfigurationError, match="procs"):
-            run_cluster(build_cluster_spec(spec))
+            spec_of(
+                schedule=[
+                    {"at": 0.5, "until": 1.0, "action": "crash", "node": 1}
+                ],
+                runtime={"procs": 2, "transport": "tcp"},
+            )
 
 
 class TestExecution:

@@ -1,8 +1,8 @@
 """Reduction-layer tests: automorphism detection, canon permutation and
 uid relabeling, symmetry validation, partial-order reduction soundness,
-and the randomized differential oracle pinning that every reduced or
-parallel configuration reaches the same canon set and verdict as the
-plain serial search."""
+and the randomized differential oracle pinning that every reduced
+configuration reaches the same canon set and verdict as the plain
+search."""
 
 import random
 
@@ -329,9 +329,9 @@ def _random_instance(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_differential_oracle_all_configurations(seed):
-    """The acceptance-criterion oracle: serial, POR, symmetry, full and
-    parallel configurations agree on the reachable canon set (modulo
-    orbit representatives) and on the violation verdict."""
+    """The acceptance-criterion oracle: unreduced, POR, symmetry, full and
+    clone-per-transition configurations agree on the reachable canon set
+    (modulo orbit representatives) and on the violation verdict."""
     make = _random_instance(seed)
     base = _checker(make, collect_canons=True).run()
     verdict = bool(base.violations)
@@ -343,10 +343,6 @@ def test_differential_oracle_all_configurations(seed):
         "symmetry": _checker(make, reduction="symmetry",
                              collect_canons=True).run(),
         "full": _checker(make, reduction="full", collect_canons=True).run(),
-        "parallel": _checker(make, engine="parallel", workers=2,
-                             collect_canons=True).run(),
-        "parallel-full": _checker(make, engine="parallel", workers=2,
-                                  reduction="full", collect_canons=True).run(),
         "deepcopy": DeepcopyModelChecker(
             make, max_states=200_000, max_selection_width=20_000
         ).run(),
@@ -402,8 +398,8 @@ def _small3(shape):
 def test_bench_shapes_exact_counts_and_canon_sets(shape, pinned):
     """``(states, transitions, dedup_hits, terminal_states)`` of the
     unreduced serial search, pinned — the bench pins states only and runs
-    outside tier-1 — and the same reachable canon set under POR, the full
-    reduction (modulo orbit representatives) and the parallel engine."""
+    outside tier-1 — and the same reachable canon set under POR and the
+    full reduction (modulo orbit representatives)."""
     make = _small3(shape)
     base = _checker(make, collect_canons=True).run()
     assert base.ok
@@ -414,7 +410,6 @@ def test_bench_shapes_exact_counts_and_canon_sets(shape, pinned):
     for label, kw in (
         ("por", dict(reduction="por")),
         ("full", dict(reduction="full")),
-        ("parallel", dict(engine="parallel", workers=2)),
     ):
         res = _checker(make, collect_canons=True, **kw).run()
         assert res.ok, label
