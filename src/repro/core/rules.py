@@ -169,7 +169,7 @@ def apply_r6(proto, p, d, msg) -> None:
     proto.ledger.record_delivery(p, msg, step)
 
 
-# What ``Action.info`` reports beyond ``dest`` (traces, error messages).
+# What ``Action.info`` reports beyond ``dest`` (debugging, differential tests).
 apply_generate.describe = lambda proto, p, d, payload, color: {"payload": payload}
 apply_forward.describe = lambda proto, p, d, copy, s: {"uid": copy.uid, "from": s}
 apply_r2.describe = lambda proto, p, d, msg, recolored: {

@@ -150,7 +150,7 @@ def apply_f6(proto, p, d, msg) -> None:
     proto.ledger.record_delivery(p, msg, step)
 
 
-# What ``Action.info`` reports beyond ``dest`` (traces, error messages).
+# What ``Action.info`` reports beyond ``dest`` (debugging, differential tests).
 apply_f2.describe = lambda proto, p, d, msg, adopted: {"uid": msg.uid, "color": adopted.color}
 apply_f4.describe = lambda proto, p, d, msg, nh, foreign: {"uid": msg.uid, "next_hop": nh}
 apply_f5.describe = lambda proto, p, d, msg: {"uid": msg.uid}

@@ -32,7 +32,6 @@ from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.topologies import line_network
 from repro.sim.metrics import RoundClock, delivery_latency_rounds
 from repro.sim.runner import build_simulation, delivered_and_drained
-from repro.statemodel.trace import TraceRecorder
 
 
 def _contended_probe_workload(n: int, per_source: int) -> Workload:
@@ -49,18 +48,16 @@ def _contended_probe_workload(n: int, per_source: int) -> Workload:
 def run_one(policy: str, n: int, per_source: int, seed: int) -> Row:
     """One probe run under the given choice policy."""
     net = line_network(n)
-    trace = TraceRecorder(kinds=("round",))  # round markers only; skips action Events
     sim = build_simulation(
         net,
         workload=_contended_probe_workload(n, per_source),
         routing_mode="static",
-        trace=trace,
         seed=seed,
         protocol_options={"choice_policy": policy},
     )
     sim.run(2_000_000, halt=delivered_and_drained)
     assert sim.ledger.all_valid_delivered()
-    clock = RoundClock(trace)
+    clock = RoundClock(sim.sim.round_ends)
     latencies = delivery_latency_rounds(sim.ledger, clock)
     probe_uid = next(
         uid

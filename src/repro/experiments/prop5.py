@@ -26,7 +26,6 @@ from repro.network.graph import Network
 from repro.network.properties import all_pairs_distances, diameter, max_degree
 from repro.sim.metrics import RoundClock, delivery_latency_rounds
 from repro.sim.runner import Simulation, build_simulation, delivered_and_drained
-from repro.statemodel.trace import TraceRecorder
 
 
 def _farthest_pair(net: Network) -> Tuple[int, int]:
@@ -67,13 +66,11 @@ def run_to_delivery(
     simulation, its round clock and the columns every P5/P6 row shares;
     ``R_A_rounds`` is the empirical R_A: the first round at which the
     routing tables are correct, monitored every step."""
-    trace = TraceRecorder(kinds=("round",))  # round markers only; skips action Events
     sim = build_simulation(
         net,
         workload=workload,
         routing_corruption={"kind": "worst", "seed": seed} if corrupted else None,
         garbage={"fraction": 0.3, "seed": seed} if corrupted else None,
-        trace=trace,
         seed=seed,
     )
     first_correct: Optional[int] = None
@@ -89,7 +86,7 @@ def run_to_delivery(
     assert sim.ledger.all_valid_delivered()
     delta = max_degree(net)
     diam = diameter(net)
-    return sim, RoundClock(trace), {
+    return sim, RoundClock(sim.sim.round_ends), {
         "delta": delta,
         "D": diam,
         "delta^D": delta ** diam,

@@ -125,12 +125,9 @@ class MPForwardingNode(MPNode):
             # makes this unambiguous from clean starts; a forged ACCEPT
             # passing this guard is the open-problem failure mode).
             if self.outstanding[d] == frm and self.buf_e[d] is not None:
-                erased = self.buf_e[d]
                 self.buf_e[d] = None
                 self.outstanding[d] = None
                 self.send(frm, (RELEASE, d))
-                if erased.valid and erased.uid < 0:
-                    pass  # planted garbage: nothing to account
         elif kind == RELEASE:
             rec = self.buf_r[d]
             if rec is not None and not rec.released and rec.src == frm:

@@ -3,8 +3,8 @@
 Three zero-dependency pieces, all strictly opt-in (a run that enables none
 of them pays nothing):
 
-* :class:`MetricsRegistry` / :class:`NullRegistry` — counters, gauges and
-  histograms the :class:`~repro.statemodel.scheduler.Simulator` feeds with
+* :class:`MetricsRegistry` — counters, gauges and histograms the
+  :class:`~repro.statemodel.scheduler.Simulator` feeds with
   per-rule/per-protocol execution counts and wall-time, guard-evaluation
   counts, and round/neutralization events;
 * :class:`MessageTracer` — per-message causal timelines (submit → R1 →
@@ -26,15 +26,7 @@ from repro.obs.export import (
     tables_to_rows,
     write_jsonl,
 )
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.registry import SCHEMA, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import LifecycleEvent, MessageTracer
 
 __all__ = [
@@ -43,8 +35,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "MessageTracer",
     "LifecycleEvent",
     "Artifact",

@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges and histograms.
 
 ``repro.obs`` is the structured observability layer: where the ledger and
-the trace recorder capture *what happened* in one execution, the registry
+the message tracer capture *what happened* in one execution, the registry
 captures *how much and how expensive* — per-rule/per-protocol execution
 counts and wall-time, guard-evaluation counts, round and neutralization
 events — as named, labeled instruments that export to schema-versioned
@@ -9,10 +9,7 @@ JSONL rows (:mod:`repro.obs.export`).
 
 Instrumentation is strictly opt-in.  The :class:`Simulator` takes an
 optional registry and guards every record with a single ``is not None``
-check, so a run without a registry pays nothing; :class:`NullRegistry`
-additionally lets library code hold a registry-shaped object
-unconditionally and still do no work (the same trick as the trace
-recorder's ``kinds`` gate).
+check, so a run without a registry (``obs=None``) pays nothing.
 
 Histograms use the repo's exact nearest-rank percentiles
 (:func:`repro.sim.stats.summarize`) — no new numeric dependencies.
@@ -83,29 +80,6 @@ class Histogram:
         return summarize(self.samples)
 
 
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram for :class:`NullRegistry`."""
-
-    __slots__ = ()
-    value = 0
-    samples: List[float] = []
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def summary(self) -> Dict[str, float]:
-        return {"n": 0}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
     """Named, labeled instruments with JSONL export.
 
@@ -117,10 +91,6 @@ class MetricsRegistry:
     Hot paths should hold the returned instrument instead of re-resolving
     it every event.
     """
-
-    #: False only on :class:`NullRegistry`; producers may skip expensive
-    #: derivations (timing calls, dict builds) when the registry is off.
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
@@ -218,36 +188,3 @@ class MetricsRegistry:
             row.update(hist.summary())
             out.append(row)
         return out
-
-    def clear(self) -> None:
-        """Drop every instrument (fresh registry for the next run)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry that records nothing and allocates nothing.
-
-    Every instrument accessor returns one shared no-op object, so code can
-    be written unconditionally against a registry and still cost only the
-    (inlined) method dispatch when observability is off.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, **labels: object):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: object):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, **labels: object):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def rows(self) -> List[Dict[str, object]]:
-        return []
-
-
-#: Shared process-wide null registry.
-NULL_REGISTRY = NullRegistry()

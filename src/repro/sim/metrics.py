@@ -2,7 +2,7 @@
 
 The paper's complexity statements are in *rounds*; the ledger records
 *steps*.  :class:`RoundClock` rebuilds the step→round mapping from the
-trace's round markers so both units are available.
+simulator's ``round_ends`` so both units are available.
 """
 
 from __future__ import annotations
@@ -11,40 +11,29 @@ import bisect
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.ledger import DeliveryLedger
-from repro.statemodel.trace import TraceRecorder
 
 
 class RoundClock:
-    """Step→round conversion built from a trace's round markers.
+    """Step→round conversion built from every round's last step.
 
-    Round ``k`` (1-based) completes **at** the step carrying the k-th
-    marker: the simulator stamps each marker with the step whose execution
-    paid the round's last debt, so the marker step is the *last* step of
-    round ``k`` and the following step opens round ``k+1``.  A step at or
-    before the first marker is in round 1.
-
-    (Historical note: the simulator used to stamp markers with the step at
-    which completion was *detected* — one step late — and this class used
-    ``bisect_right``, pushing the marker step into round k+1.  The two
-    off-by-ones cancelled for engine-produced traces but made both the
-    documented semantics and any hand-built trace wrong; both sides are
-    now aligned with the documented meaning, pinned by the marker-step
-    tests in ``tests/test_sim_metrics.py``.)
+    Takes ``Simulator.round_ends``.  Round ``k`` (1-based) completes
+    **at** the k-th round end: the step whose execution paid the round's
+    last debt is the *last* step of round ``k``, and the following step
+    opens round ``k+1``.  A step at or before the first round end is in
+    round 1.
     """
 
-    def __init__(self, trace: TraceRecorder) -> None:
-        self._boundaries: List[int] = [
-            e.step for e in trace.events if e.kind == "round"
-        ]
+    def __init__(self, round_ends: Sequence[int]) -> None:
+        self._boundaries: List[int] = list(round_ends)
 
     def round_of_step(self, step: int) -> int:
-        """The (1-based) round containing ``step``.  The step carrying the
-        k-th marker belongs to round ``k``, not ``k+1``."""
+        """The (1-based) round containing ``step``.  The k-th round end
+        belongs to round ``k``, not ``k+1``."""
         return bisect.bisect_left(self._boundaries, step) + 1
 
     @property
     def completed_rounds(self) -> int:
-        """Rounds completed in the traced execution."""
+        """Rounds completed in the execution."""
         return len(self._boundaries)
 
 

@@ -30,7 +30,6 @@ from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import Daemon, DistributedRandomDaemon
 from repro.statemodel.protocol import Protocol
 from repro.statemodel.scheduler import RunResult, Simulator
-from repro.statemodel.trace import TraceRecorder
 
 
 @dataclass
@@ -218,7 +217,6 @@ def build_simulation(
     scramble_choice_queues: bool = False,
     strict_invariants: bool = False,
     ledger_strict: bool = True,
-    trace: Optional[TraceRecorder] = None,
     protocol: str = "ssmfp",
     protocol_options: Optional[Dict] = None,
     obs: Optional[object] = None,
@@ -279,9 +277,7 @@ def build_simulation(
     if daemon is None:
         daemon = DistributedRandomDaemon(seed=seed)
     hooks = [InvariantChecker(proto).as_hook()] if strict_invariants else None
-    sim = Simulator(
-        net.n, stack, daemon, trace=trace, strict_hooks=hooks, obs=obs
-    )
+    sim = Simulator(net.n, stack, daemon, strict_hooks=hooks, obs=obs)
     simulation = Simulation(
         net=net, routing=routing, forwarding=proto, hl=hl,
         ledger=ledger, sim=sim, workload=workload, obs=obs, tracer=tracer,
@@ -302,7 +298,6 @@ def build_baseline_simulation(
     routing_corruption: Optional[Dict] = None,
     naive_buffers: int = 2,
     atomic_moves: bool = True,
-    trace: Optional[TraceRecorder] = None,
     obs: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> Simulation:
@@ -328,7 +323,7 @@ def build_baseline_simulation(
     )
     if daemon is None:
         daemon = DistributedRandomDaemon(seed=seed)
-    sim = Simulator(net.n, PriorityStack(protocols), daemon, trace=trace, obs=obs)
+    sim = Simulator(net.n, PriorityStack(protocols), daemon, obs=obs)
     simulation = Simulation(
         net=net, routing=routing, forwarding=proto, hl=hl,
         ledger=ledger, sim=sim, workload=workload, obs=obs, tracer=tracer,

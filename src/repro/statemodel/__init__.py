@@ -21,7 +21,6 @@ from repro.statemodel.daemon import (
 from repro.statemodel.message import Message, MessageFactory
 from repro.statemodel.protocol import Protocol
 from repro.statemodel.scheduler import Simulator, StepReport
-from repro.statemodel.trace import Event, TraceRecorder
 
 __all__ = [
     "Action",
@@ -37,6 +36,4 @@ __all__ = [
     "Protocol",
     "Simulator",
     "StepReport",
-    "Event",
-    "TraceRecorder",
 ]

@@ -36,7 +36,7 @@ class Action:
         Rule label, e.g. ``"R3"`` for SSMFP's forwarding rule.
     protocol:
         Name of the protocol the rule belongs to (used by priority
-        composition and by traces).
+        composition and by the metrics registry's labels).
     dest:
         The destination component the action reads and writes — engine
         state: scripted daemons select by it and the verifier's
@@ -76,9 +76,9 @@ class Action:
 
     @property
     def info(self) -> Dict[str, Any]:
-        """Diagnostic payload recorded in traces and error messages
-        (destination, message uid, ...), built on demand.  Never read by
-        the engine."""
+        """Diagnostic payload (destination, message uid, ...), built on
+        demand for debugging and for the differential tests that compare
+        rule sets through it.  Never read by the engine."""
         info: Dict[str, Any] = {} if self.dest is None else {"dest": self.dest}
         describe = getattr(self.apply, "describe", None)
         if describe is not None:

@@ -32,14 +32,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ScheduleError, SimulationLimitExceeded
 from repro.statemodel.action import Action
 from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import Daemon, EnabledMap
 from repro.statemodel.protocol import Protocol
-from repro.statemodel.trace import Event, TraceRecorder
 from repro.types import ProcId
 
 
@@ -77,9 +76,6 @@ class Simulator:
         prebuilt :class:`PriorityStack`.
     daemon:
         The scheduling adversary.
-    trace:
-        Optional :class:`TraceRecorder`; if omitted a fresh unfiltered
-        recorder is created.
     strict_hooks:
         Optional per-step invariant checkers, called after every step with
         the simulator; used by the core tests to machine-check safety after
@@ -99,7 +95,6 @@ class Simulator:
         n: int,
         protocols: Union[Protocol, Sequence[Protocol], PriorityStack],
         daemon: Daemon,
-        trace: Optional[TraceRecorder] = None,
         strict_hooks: Optional[Sequence[Callable[["Simulator"], None]]] = None,
         *,
         obs: Optional[Any] = None,
@@ -112,10 +107,12 @@ class Simulator:
             self._stack = PriorityStack(list(protocols))
         self._n = n
         self._daemon = daemon
-        self.trace = trace if trace is not None else TraceRecorder()
         self._strict_hooks = list(strict_hooks) if strict_hooks else []
         self._step = 0
-        self._rounds_completed = 0
+        #: The last step of every completed round, in order (the
+        #: :class:`~repro.sim.metrics.RoundClock` input): a round completes
+        #: at the step whose execution paid its last debt.
+        self.round_ends: List[int] = []
         self._round_pending: Optional[Set[ProcId]] = None
         self._rule_counts: Counter = Counter()
         self._terminal = False
@@ -175,7 +172,7 @@ class Simulator:
     @property
     def round_count(self) -> int:
         """Number of *completed* rounds so far."""
-        return self._rounds_completed
+        return len(self.round_ends)
 
     @property
     def rule_counts(self) -> Dict[str, int]:
@@ -236,7 +233,6 @@ class Simulator:
         step_started = perf_counter() if obs is not None else 0.0
         self._stack.before_step(self._step)
         enabled = self.enabled_map()
-        rec = self.trace
         if obs is not None and self.guard_evals != self._obs_guard_seen:
             self._obs_guard.inc(self.guard_evals - self._obs_guard_seen)
             self._obs_guard_seen = self.guard_evals
@@ -254,21 +250,17 @@ class Simulator:
         round_completed = False
         if not self._round_pending and enabled:
             # Every debtor executed or was neutralized: a round completed,
-            # the new round starts from the current enabled set.
-            self._rounds_completed += 1
+            # the new round starts from the current enabled set.  It
+            # completed at the step whose execution paid its last debt — the
+            # *previous* step (completion is detected at the next
+            # evaluation), so that is the step recorded.  (max() guards the
+            # vacuous round counted when an initially terminal configuration
+            # is revived by the environment before anything executed.)
+            self.round_ends.append(max(self._step - 1, 0))
             self._round_pending = set(enabled)
             round_completed = True
             if obs is not None:
                 self._obs_rounds.inc()
-            if rec.wants("round"):
-                # The round completed at the step whose execution paid its
-                # last debt — the *previous* step (completion is detected
-                # at the next evaluation).  Stamp that step, so a marker at
-                # step s means "s is the last step of its round"; the
-                # RoundClock relies on this.  (max() guards the vacuous
-                # round counted when an initially terminal configuration
-                # is revived by the environment before anything executed.)
-                rec.record(Event(step=max(self._step - 1, 0), kind="round"))
 
         # A configuration is terminal only while nothing is enabled; the
         # environment (higher layer) may revive it at a later step.
@@ -286,24 +278,12 @@ class Simulator:
         self._validate_selection(selection, enabled)
 
         counts = self._rule_counts
-        record_actions = rec.wants("action")
         if obs is None:
-            for pid, action in selection.items():
+            for action in selection.values():
                 action.execute()
                 counts[action.rule] += 1
-                if record_actions:
-                    rec.record(
-                        Event(
-                            step=self._step,
-                            kind="action",
-                            pid=pid,
-                            rule=action.rule,
-                            protocol=action.protocol,
-                            info=action.info,
-                        )
-                    )
         else:
-            for pid, action in selection.items():
+            for action in selection.values():
                 action_started = perf_counter()
                 action.execute()
                 wall = perf_counter() - action_started
@@ -319,17 +299,6 @@ class Simulator:
                     )
                 rule_count.inc()
                 self._obs_rule_wall[key].inc(wall)
-                if record_actions:
-                    rec.record(
-                        Event(
-                            step=self._step,
-                            kind="action",
-                            pid=pid,
-                            rule=action.rule,
-                            protocol=action.protocol,
-                            info=action.info,
-                        )
-                    )
         self._last_selection = selection
 
         # Round bookkeeping part 2: executions pay the round debt.
@@ -376,14 +345,14 @@ class Simulator:
             elif raise_on_limit:
                 raise SimulationLimitExceeded(
                     f"no termination within {max_steps} steps "
-                    f"({self._rounds_completed} rounds completed); "
+                    f"({self.round_count} rounds completed); "
                     f"rule counts: {self._rule_counts}",
                     steps=self._step,
-                    rounds=self._rounds_completed,
+                    rounds=self.round_count,
                 )
         return RunResult(
             steps=self._step,
-            rounds=self._rounds_completed,
+            rounds=self.round_count,
             terminal=self._terminal,
             halted_by_predicate=halted,
             rule_counts=dict(self._rule_counts),

@@ -14,7 +14,7 @@ from repro.verify.modelcheck import ModelChecker, ModelCheckResult, enumerate_se
 def use_engine(simulation, engine_cls):
     """Swap a not-yet-stepped ``Simulation``'s engine for ``engine_cls``."""
     old = simulation.sim
-    simulation.sim = engine_cls(old.n, old.stack, old.daemon, trace=old.trace)
+    simulation.sim = engine_cls(old.n, old.stack, old.daemon)
     return simulation
 
 

@@ -1,14 +1,17 @@
 """An enabled action is a record, not a closure: what that buys, and the
 measuring seam it must not break.
 
-* ``info`` is built on demand — a run nobody traces, and the verifier's
-  partial-order reduction, build none (``dest`` is a field of its own);
+* ``info`` is built on demand — a simulator run and the verifier's
+  partial-order reduction build none (``dest`` is a field of its own), and
+  a run retains nothing per executed move;
 * two evaluations of an unchanged component are equal and not identical;
 * every move of the simulator and of the exhaustive verifier goes through
   the class-level ``Action.execute`` and the instance-dispatched
   ``ForwardingProtocol.enabled_actions``, which is where ``bench/`` hangs
   its spans (``bench/statemodel.py`` replaces exactly these attributes).
 """
+
+import tracemalloc
 
 import pytest
 
@@ -18,7 +21,6 @@ from repro.network.topologies import grid_network, line_network, ring_network
 from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.action import Action
 from repro.statemodel.daemon import DistributedRandomDaemon
-from repro.statemodel.trace import TraceRecorder
 from repro.verify.modelcheck import ModelChecker, _System
 
 from tests.helpers import make_ssmfp, make_ssmfp2
@@ -60,16 +62,31 @@ def info_builds(monkeypatch):
 
 class TestInfoIsBuiltOnDemand:
     def test_an_untraced_run_builds_none(self, info_builds):
-        sim = _dense(trace=TraceRecorder(kinds=("round",)))
+        sim = _dense()
         result = sim.run(10_000, halt=delivered_and_drained)
         assert sum(result.rule_counts.values()) > 500
         assert info_builds == []
 
-    def test_the_action_trace_kind_builds_one_per_executed_move(self, info_builds):
-        sim = _dense()
-        result = sim.run(10_000, halt=delivered_and_drained)
-        assert len(info_builds) == sum(result.rule_counts.values())
-        assert sim.sim.guard_evals > len(info_builds)  # not one per guard
+    def test_a_run_retains_little_per_executed_move(self):
+        # A simulator keeps one int per completed round and nothing per
+        # executed move: what the run leaves allocated, divided by its moves.
+        net = grid_network(4, 4)
+        sim = build_simulation(
+            net,
+            workload=uniform_workload(net.n, 240, seed=7),
+            daemon=DistributedRandomDaemon(seed=7),
+            seed=7,
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = sim.run(100_000, halt=delivered_and_drained)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        moves = sum(result.rule_counts.values())
+        assert moves > 2_000
+        assert retained / moves <= 150, f"{retained / moves:.0f} bytes per move"
 
     def test_partial_order_reduction_builds_none(self, info_builds):
         result = ModelChecker(_line3, reduction="por").run()

@@ -1,14 +1,6 @@
 """Tests for the metrics registry (repro.obs.registry)."""
 
-from repro.obs import (
-    SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
+from repro.obs import SCHEMA, Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -89,28 +81,3 @@ class TestRegistry:
         assert by_type["counter"]["value"] == 3
         assert by_type["gauge"]["value"] == 1
         assert by_type["histogram"]["n"] == 1
-
-    def test_clear(self):
-        reg = MetricsRegistry()
-        reg.inc("x")
-        reg.clear()
-        assert reg.value("x") is None
-        assert reg.rows() == []
-
-
-class TestNullRegistry:
-    def test_disabled_flag(self):
-        assert MetricsRegistry().enabled
-        assert not NullRegistry().enabled
-        assert not NULL_REGISTRY.enabled
-
-    def test_all_instruments_noop_and_shared(self):
-        reg = NullRegistry()
-        c = reg.counter("x")
-        c.inc(100)
-        reg.gauge("y").set(5)
-        reg.histogram("z").observe(1.0)
-        assert c.value == 0
-        assert reg.counter("anything else") is c
-        assert reg.histogram("z").summary() == {"n": 0}
-        assert reg.rows() == []

@@ -13,29 +13,22 @@ from repro.sim.metrics import (
 from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.daemon import SynchronousDaemon
 from repro.statemodel.message import MessageFactory
-from repro.statemodel.trace import Event, TraceRecorder
 
 
 class TestRoundClock:
     def test_no_markers_everything_round_one(self):
-        clock = RoundClock(TraceRecorder())
+        clock = RoundClock([])
         assert clock.round_of_step(0) == 1
         assert clock.round_of_step(100) == 1
         assert clock.completed_rounds == 0
 
     def test_rounds_partition_steps(self):
-        # A marker at step s means "s is the LAST step of its round": the
-        # simulator stamps the step whose execution paid the round's final
-        # debt.  (Regression: markers used to be stamped one step late, at
-        # the detection step, and round_of_step used bisect_right — the two
-        # off-by-ones cancelled on engine traces but made hand-built traces
-        # like this one come out wrong.)
-        tr = TraceRecorder()
-        tr.record(Event(step=4, kind="round"))
-        tr.record(Event(step=9, kind="round"))
-        clock = RoundClock(tr)
+        # A round end at step s means "s is the LAST step of its round": the
+        # simulator records the step whose execution paid the round's final
+        # debt.  A hand-built clock pins that meaning apart from the engine.
+        clock = RoundClock([4, 9])
         assert clock.round_of_step(0) == 1
-        assert clock.round_of_step(4) == 1   # marker step belongs to round 1
+        assert clock.round_of_step(4) == 1   # round-end step belongs to round 1
         assert clock.round_of_step(5) == 2   # next step opens round 2
         assert clock.round_of_step(9) == 2
         assert clock.round_of_step(10) == 3
@@ -44,27 +37,31 @@ class TestRoundClock:
     def test_marker_step_is_last_step_of_its_round(self):
         # Under the synchronous daemon every enabled processor executes at
         # every step, so each round's debt is paid by exactly one step and
-        # round k's marker must carry that executing step — not the step
-        # at which completion was detected (one later).
+        # round k's end must be that executing step — not the step at
+        # which completion was detected (one later).
         net = line_network(4)
-        trace = TraceRecorder()
         sim = build_simulation(
             net,
             workload=uniform_workload(net.n, 4, seed=0),
             daemon=SynchronousDaemon(),
-            trace=trace,
             seed=1,
         )
-        sim.run(10_000, halt=delivered_and_drained)
-        markers = [e.step for e in trace.events if e.kind == "round"]
-        action_steps = sorted({e.step for e in trace.events if e.kind == "action"})
+        action_steps = []
+        for _ in range(10_000):
+            if delivered_and_drained(sim):
+                break
+            report = sim.step()
+            if report.executed:
+                action_steps.append(report.step)
+        assert delivered_and_drained(sim)
+        markers = sim.sim.round_ends
         assert markers, "expected completed rounds"
-        # Every marker is stamped with a step that actually executed
-        # actions, and (synchronous daemon: one round per step) the markers
-        # are exactly the first len(markers) executing steps.
+        # Every round end is a step that actually executed actions, and
+        # (synchronous daemon: one round per step) the round ends are
+        # exactly the first len(markers) executing steps.
         assert set(markers) <= set(action_steps)
         assert markers == action_steps[: len(markers)]
-        clock = RoundClock(trace)
+        clock = RoundClock(markers)
         for k, s in enumerate(markers, start=1):
             assert clock.round_of_step(s) == k
             assert clock.round_of_step(s + 1) == k + 1
@@ -84,9 +81,7 @@ class TestLatencies:
 
     def test_latency_rounds(self):
         led, msg = self._ledger_with_delivery(born=0, delivered=9)
-        tr = TraceRecorder()
-        tr.record(Event(step=4, kind="round"))
-        clock = RoundClock(tr)
+        clock = RoundClock([4])
         assert delivery_latency_rounds(led, clock) == {msg.uid: 1}
 
     def test_undelivered_excluded(self):
@@ -111,16 +106,14 @@ class TestLatencies:
 
     def test_end_to_end_latencies_nonnegative(self):
         net = line_network(5)
-        trace = TraceRecorder(predicate=lambda e: False)  # rounds only
         sim = build_simulation(
-            net, workload=uniform_workload(net.n, 6, seed=1),
-            trace=trace, seed=2,
+            net, workload=uniform_workload(net.n, 6, seed=1), seed=2,
         )
         sim.run(100_000, halt=delivered_and_drained)
         lat_steps = delivery_latency_steps(sim.ledger)
         assert len(lat_steps) == 6
         assert all(v >= 0 for v in lat_steps.values())
-        clock = RoundClock(trace)
+        clock = RoundClock(sim.sim.round_ends)
         lat_rounds = delivery_latency_rounds(sim.ledger, clock)
         assert all(v >= 0 for v in lat_rounds.values())
 
