@@ -9,12 +9,10 @@ does.  This is sound because an absent cell is semantically identical to a
 clean empty buffer — the exact invariant snap-stabilization already relies
 on (an arbitrary initial configuration may start with every buffer empty),
 so eviction-on-empty and re-materialization-as-empty are unobservable to
-the protocol.  External readers and tests keep the classic dense idiom —
-``bufs.R[d][p]`` returns the stored message or ``None`` through row views,
-agnostic to the representation — while the rule engine reads through
-:meth:`~ForwardingBuffers.get_r` / :meth:`~ForwardingBuffers.get_e` /
-:meth:`~ForwardingBuffers.rows`, which build no view per read.  Memory is
-O(live messages), not O(n²).
+the protocol.  Every reader goes through :meth:`~ForwardingBuffers.get_r`
+/ :meth:`~ForwardingBuffers.get_e` (one cell, ``None`` when empty) or
+:meth:`~ForwardingBuffers.rows` (the occupied cells of one component).
+Memory is O(live messages), not O(n²).
 
 Every mutation goes through :meth:`set_r` / :meth:`set_e` /
 :meth:`move_r_to_e`, so an optional *write notifier* installed with
@@ -54,51 +52,16 @@ def cell_order(cell: Tuple) -> Tuple:
     return cell[0], cell[1], cell[2] == "E"
 
 
-class _BufferRow:
-    """Read-only view of one destination row of a buffer plane.
-
-    ``row[p]`` returns the stored message or ``None`` — the dense-list
-    idiom — without materializing anything.
-    """
-
-    __slots__ = ("_plane", "_d")
-
-    def __init__(self, plane: _Plane, d: DestId) -> None:
-        self._plane = plane
-        self._d = d
-
-    def __getitem__(self, p: ProcId) -> Optional[Message]:
-        row = self._plane.get(self._d)
-        return None if row is None else row.get(p)
-
-
-class _BufferPlane:
-    """Read-only view of a whole buffer plane: ``plane[d]`` is a row view."""
-
-    __slots__ = ("_plane",)
-
-    def __init__(self, plane: _Plane) -> None:
-        self._plane = plane
-
-    def __getitem__(self, d: DestId) -> _BufferRow:
-        return _BufferRow(self._plane, d)
-
-
 class ForwardingBuffers:
     """All ``bufR``/``bufE`` buffers of one SSMFP instance."""
 
-    __slots__ = ("n", "R", "E", "_r", "_e", "_occupied", "_occupied_set",
+    __slots__ = ("n", "_r", "_e", "_occupied", "_occupied_set",
                  "_notify", "_planes", "_anchor", "_journal")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self._r: _Plane = {}
         self._e: _Plane = {}
-        #: ``R[d][p]`` — reception buffer of processor p for destination d
-        #: (read-only view over the sparse store).
-        self.R = _BufferPlane(self._r)
-        #: ``E[d][p]`` — emission buffer of processor p for destination d.
-        self.E = _BufferPlane(self._e)
         self._planes: Dict[str, _Plane] = {"R": self._r, "E": self._e}
         #: Per-destination occupancy counts; zero-count entries are evicted,
         #: so the dict's key set *is* the set of live destinations.
@@ -203,15 +166,15 @@ class ForwardingBuffers:
         if self._notify is not None:
             self._notify(d, p, "E")
 
-    # -- fast-path reads (no view allocation; used by the rule engine) ------
+    # -- reads ---------------------------------------------------------------
 
     def get_r(self, d: DestId, p: ProcId) -> Optional[Message]:
-        """``bufR_p(d)`` without allocating a row view."""
+        """``bufR_p(d)``, or None when empty."""
         row = self._r.get(d)
         return None if row is None else row.get(p)
 
     def get_e(self, d: DestId, p: ProcId) -> Optional[Message]:
-        """``bufE_p(d)`` without allocating a row view."""
+        """``bufE_p(d)``, or None when empty."""
         row = self._e.get(d)
         return None if row is None else row.get(p)
 

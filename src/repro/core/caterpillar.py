@@ -46,25 +46,23 @@ class Caterpillar:
 def caterpillars_at(proto: SSMFP, p: ProcId, d: DestId) -> List[Caterpillar]:
     """All caterpillars rooted at processor ``p`` for destination ``d``."""
     result: List[Caterpillar] = []
-    buf_r = proto.bufs.R[d]
-    buf_e = proto.bufs.E[d]
+    buf_r, buf_e = proto.bufs.rows(d)
 
-    msg_r = buf_r[p]
+    msg_r = buf_r.get(p)
     if msg_r is not None:
         q = msg_r.last
-        source_e = buf_e[q]
+        source_e = buf_e.get(q)
         if q == p or source_e is None or not source_e.same_payload_color(msg_r):
             result.append(
                 Caterpillar(1, p, d, msg_r, ((p, "R"),))
             )
 
-    msg_e = buf_e[p]
+    msg_e = buf_e.get(p)
     if msg_e is not None:
         holders = [
             q
             for q in proto.net.neighbors(p)
-            if buf_r[q] is not None
-            and buf_r[q].matches(msg_e.payload, p, msg_e.color)
+            if q in buf_r and buf_r[q].matches(msg_e.payload, p, msg_e.color)
         ]
         if holders:
             result.append(
@@ -80,7 +78,7 @@ def caterpillars_at(proto: SSMFP, p: ProcId, d: DestId) -> List[Caterpillar]:
                 result.append(Caterpillar(2, p, d, msg_e, ((p, "E"),)))
         else:
             nh = proto.routing.next_hop(p, d)
-            target = buf_r[nh]
+            target = buf_r.get(nh)
             if target is None or not target.matches(msg_e.payload, p, msg_e.color):
                 result.append(Caterpillar(2, p, d, msg_e, ((p, "E"),)))
     return result

@@ -27,6 +27,11 @@ count, so service is guaranteed — verified exhaustively in
 ``tests/test_liveness.py`` — while the slow accrual keeps in-flight
 messages' speed advantage (with ``wait_slowdown=1`` the policy degrades
 gracefully toward FIFO under saturation).
+
+One instance's queues live in a sparse :class:`LazyChoiceTable`: read
+through ``head`` / ``peek`` / ``row``, written by the rules through
+``serve`` / ``force`` and by the environment phase through the
+materialized queue's ``sync``.
 """
 
 from __future__ import annotations
@@ -241,111 +246,16 @@ _NO_QUEUES: Dict[ProcId, FairChoiceQueue] = {}
 EMPTY_QUEUE_STATE: Tuple = ((), ())
 
 
-class _QueueHandle:
-    """Lazy stand-in for one ``choice_p(d)`` queue.
-
-    Reads (``head``/``items``/``state``/``len``) answer the clean-empty
-    values without materializing anything; mutations (``sync`` with
-    candidates, ``serve``, ``force``, ``restore`` to a nonempty state)
-    materialize the real :class:`FairChoiceQueue` first and delegate.  This
-    keeps the classic ``proto.queues[d][p]`` idiom working unchanged over
-    sparse storage.
-    """
-
-    __slots__ = ("_table", "_d", "_p")
-
-    def __init__(self, table: "LazyChoiceTable", d, p) -> None:
-        self._table = table
-        self._d = d
-        self._p = p
-
-    def _peek(self) -> Optional[FairChoiceQueue]:
-        return self._table.peek(self._d, self._p)
-
-    @property
-    def policy(self) -> str:
-        return self._table.policy
-
-    def head(self) -> Optional[ProcId]:
-        q = self._peek()
-        return None if q is None else q.head()
-
-    def items(self) -> List[ProcId]:
-        q = self._peek()
-        return [] if q is None else q.items()
-
-    def state(self) -> Tuple:
-        q = self._peek()
-        return EMPTY_QUEUE_STATE if q is None else q.state()
-
-    def snapshot(self) -> Tuple:
-        return self.state()
-
-    def __len__(self) -> int:
-        q = self._peek()
-        return 0 if q is None else len(q)
-
-    def sync(
-        self,
-        candidates: Iterable[ProcId],
-        priority: Optional[Dict[ProcId, int]] = None,
-    ) -> None:
-        cand = set(candidates)
-        q = self._peek()
-        if q is None:
-            if not cand:
-                return  # empty-to-empty reconcile of an absent queue
-            q = self._table.materialize(self._d, self._p)
-        q.sync(cand, priority)
-
-    def serve(self, s: ProcId) -> None:
-        q = self._peek()
-        if q is None:
-            return  # serving from a clean-empty queue is a no-op
-        q.serve(s)
-
-    def force(self, order: List[ProcId]) -> None:
-        # Always materialize: the dense engine fired a "mutate"
-        # notification even when forcing an empty order, and the notifier
-        # lives on the real queue.
-        self._table.materialize(self._d, self._p).force(order)
-
-    def restore(self, vec: Tuple) -> None:
-        q = self._peek()
-        if q is None:
-            if vec == EMPTY_QUEUE_STATE:
-                return
-            q = self._table.materialize(self._d, self._p)
-        q.restore(vec)
-
-    def __repr__(self) -> str:
-        q = self._peek()
-        if q is None:
-            return f"FairChoiceQueue([], policy={self._table.policy})"
-        return repr(q)
-
-
-class _QueueRowView:
-    """``table[d]`` — indexable by processor, yielding queue handles."""
-
-    __slots__ = ("_table", "_d")
-
-    def __init__(self, table: "LazyChoiceTable", d) -> None:
-        self._table = table
-        self._d = d
-
-    def __getitem__(self, p: ProcId) -> _QueueHandle:
-        return _QueueHandle(self._table, self._d, p)
-
-
 class LazyChoiceTable:
     """Sparse ``{d: {p: FairChoiceQueue}}`` store of all ``choice_p(d)``
     queues of one SSMFP instance.
 
     Queues are materialized on first mutation and evicted once clean-empty
-    again (:meth:`evict_if_clean`); an absent queue reads as clean-empty
-    through the ``table[d][p]`` handles, which is semantically identical —
-    memory is O(queues with content or candidates), not O(n²).
+    again (:meth:`evict_if_clean`); an absent queue reads as clean-empty,
+    which is semantically identical — memory is O(queues with content or
+    candidates), not O(n²).  Readers use :meth:`head`, :meth:`peek` and
+    :meth:`row`, none of which materializes; the rules write through
+    :meth:`serve` and :meth:`force`.
 
     The table is the snapshot unit (``statemodel/snapshot.py``): its
     vector lists the nonempty queue states, and once the first
@@ -388,16 +298,13 @@ class LazyChoiceTable:
             for p, q in row.items():
                 q.bind_notifier(notify, (d, p))
 
-    def __getitem__(self, d) -> _QueueRowView:
-        return _QueueRowView(self, d)
-
     def peek(self, d, p) -> Optional[FairChoiceQueue]:
         """The materialized queue, or None — never materializes."""
         row = self._rows.get(d)
         return None if row is None else row.get(p)
 
     def head(self, d, p) -> Optional[ProcId]:
-        """``choice_p(d)`` without allocating a handle (hot-path read)."""
+        """``choice_p(d)``; None for an absent queue."""
         row = self._rows.get(d)
         if row is None:
             return None
@@ -410,6 +317,19 @@ class LazyChoiceTable:
         The stored row, for a reader that visits several processors of one
         component.  Never write it."""
         return self._rows.get(d, _NO_QUEUES)
+
+    def serve(self, d, p, s: ProcId) -> None:
+        """:meth:`FairChoiceQueue.serve` at ``(d, p)``; serving from an
+        absent (clean-empty) queue is a no-op."""
+        queue = self.peek(d, p)
+        if queue is not None:
+            queue.serve(s)
+
+    def force(self, d, p, order: List[ProcId]) -> None:
+        """:meth:`FairChoiceQueue.force` at ``(d, p)``.  Always
+        materializes, so even an empty ``order`` reports its ``"mutate"``
+        (the notifier lives on the real queue)."""
+        self.materialize(d, p).force(order)
 
     def materialize(self, d, p) -> FairChoiceQueue:
         """Get-or-create the real queue at ``(d, p)``."""

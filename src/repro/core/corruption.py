@@ -119,4 +119,4 @@ def scramble_queues(proto: ForwardingProtocol, seed: int) -> None:
             pool: List[ProcId] = [p] + list(net.neighbors(p))
             rng.shuffle(pool)
             take = rng.randrange(len(pool) + 1)
-            proto.queues[d][p].force(pool[:take])
+            proto.queues.force(d, p, pool[:take])

@@ -157,7 +157,7 @@ class ForwardingProtocol(Protocol):
         self.ledger = ledger if ledger is not None else DeliveryLedger()
         self.factory = MessageFactory()
         self.bufs = ForwardingBuffers(net.n)
-        #: ``queues[d][p]`` — the ``choice_p(d)`` fairness queue.  Sparse:
+        #: The ``choice_p(d)`` fairness queues, ``queues.head(d, p)``.  Sparse:
         #: queues materialize on first mutation and are evicted once
         #: clean-empty again (an absent queue reads as clean-empty, which is
         #: the identical observable state).
@@ -333,9 +333,8 @@ class ForwardingProtocol(Protocol):
             self._components.mark(p, dest)
         self._resync.setdefault(dest, set()).add(p)
 
-    def _on_routing_change(self, p: Optional[ProcId], d: Optional[DestId]) -> None:
-        """``nextHop_p(d)`` moved (or, with ``(None, None)``, the whole
-        table was rewritten).  Invalidate the hop cache and dirty every
+    def _on_routing_change(self, p: ProcId, d: DestId) -> None:
+        """``nextHop_p(d)`` moved.  Invalidate the hop cache and dirty every
         reader — all in component ``d``: ``p``'s own erase guard, the
         candidate sets of ``p``'s neighbors, and the duplicate-cleanup
         guards at holders of copies last forwarded by ``p`` (always within
@@ -344,12 +343,6 @@ class ForwardingProtocol(Protocol):
         # The saved cache state describes the anchor under the routing
         # entries of that moment: a move ends the quiet return to it.
         self._home_dirt = None
-        if p is None or d is None:
-            if log is not None:
-                log.add(None)
-            self._nh_cache.clear()
-            self.mark_all_dirty()
-            return
         if log is not None:
             log.update((x, d) for x in self._nbhd[p])
         row = self._nh_cache.get(d)

@@ -129,14 +129,14 @@ def apply_generate(proto, p, d, payload, color) -> None:
     msg = proto.factory.generated(payload, p, d, color=color, step=proto.current_step)
     proto.bufs.set_r(d, p, msg)
     proto.hl.consume_request(p)
-    proto.queues[d][p].serve(p)
+    proto.queues.serve(d, p, p)
     proto.ledger.record_generated(msg)
 
 
 def apply_forward(proto, p, d, copy, s) -> None:
     """R3 / F3: the original is erased later by ``s``'s own R4 / F4."""
     proto.bufs.set_r(d, p, copy)
-    proto.queues[d][p].serve(s)
+    proto.queues.serve(d, p, s)
 
 
 def apply_r2(proto, p, d, msg, recolored) -> None:

@@ -141,7 +141,7 @@ def run_a3_r5() -> List[Dict[str, object]]:
                 "ablation": "A3 R5 disabled" if not r5_on else "A3 R5 enabled",
                 "delivered": ledger.valid_delivered_count,
                 "wedged": wedged,
-                "stale_copy_remains": proto.bufs.R[3][2] is not None,
+                "stale_copy_remains": proto.bufs.get_r(3, 2) is not None,
             }
         )
     return rows

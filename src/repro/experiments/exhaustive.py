@@ -58,8 +58,7 @@ def _instances():
     def corrupted_routing():
         net = line_network(3)
         routing = SelfStabilizingBFSRouting(net)
-        routing.hop[2][1] = 0
-        routing.dist[2][1] = 1
+        routing.set_entry(2, 1, 1, 0)
         proto = _ssmfp(net, routing=routing)
         proto.hl.submit(0, "m", 2)
         return proto, [routing]

@@ -104,7 +104,7 @@ def run_fig3() -> Fig3Report:
         report.configurations.append(snap)
 
     record(0)
-    check(proto.bufs.R[b][b].uid == invalid.uid, "invalid m' present at b in (0)")
+    check(proto.bufs.get_r(b, b).uid == invalid.uid, "invalid m' present at b in (0)")
 
     for idx in range(len(script)):
         if idx == 5:
@@ -115,38 +115,38 @@ def run_fig3() -> Fig3Report:
 
         if idx == 0:
             check(
-                proto.bufs.R[b][c].matches("m", c, 0),
+                proto.bufs.get_r(b, c).matches("m", c, 0),
                 "(1) m generated in bufR_c(b) with color 0",
             )
         elif idx == 1:
             check(
-                proto.bufs.E[b][c].matches("m", c, 1),
+                proto.bufs.get_e(b, c).matches("m", c, 1),
                 "(2) m recolored to 1 in bufE_c(b) because 0 is forbidden",
             )
         elif idx == 2:
             check(
-                proto.bufs.R[b][a].matches("m", c, 1),
+                proto.bufs.get_r(b, a).matches("m", c, 1),
                 "(3) m copied to bufR_a(b), color kept",
             )
             check(
-                proto.bufs.R[b][c].matches("m2", c, 0),
+                proto.bufs.get_r(b, c).matches("m2", c, 0),
                 "(3) valid m' generated at c with the invalid one's payload",
             )
         elif idx == 4:
             check(
-                proto.bufs.E[b][c].matches("m2", c, 2),
+                proto.bufs.get_e(b, c).matches("m2", c, 2),
                 "(4) m' recolored to 2 (0 and 1 both forbidden)",
             )
         elif idx == 5:
             check(routing.is_correct(), "(5) routing tables repaired")
             check(
-                proto.bufs.E[b][a].matches("m", a, 1),
+                proto.bufs.get_e(b, a).matches("m", a, 1),
                 "(5) a forwarded m into its emission buffer",
             )
-            valid_mp = proto.bufs.E[b][c]
+            valid_mp = proto.bufs.get_e(b, c)
             check(
                 valid_mp is not None
-                and not valid_mp.same_payload_color(proto.bufs.E[b][a]),
+                and not valid_mp.same_payload_color(proto.bufs.get_e(b, a)),
                 "(5) colors keep the two same-payload messages distinct",
             )
 

@@ -203,8 +203,7 @@ class MessageTracer:
 
     def _reconcile_slot(self, d: int, p: int, kind: str) -> None:
         bufs = self._bufs
-        row = bufs.R[d] if kind == "R" else bufs.E[d]
-        msg = row[p]
+        msg = bufs.get_r(d, p) if kind == "R" else bufs.get_e(d, p)
         key = (d, p, kind)
         previous = self._slots.get(key)
         current = msg.uid if msg is not None else None

@@ -4,7 +4,9 @@ The paper quantifies over *arbitrary* initial configurations.  These helpers
 scramble a :class:`~repro.routing.selfstab_bfs.SelfStabilizingBFSRouting`
 instance into domain-valid garbage (next hops are always neighbors,
 distances always in range — the usual state-model convention).  All are
-seeded and deterministic.
+seeded and deterministic, and every entry goes through
+:meth:`~repro.routing.selfstab_bfs.SelfStabilizingBFSRouting.set_entry`,
+so a corruption mid-run is seen by the incremental engine entry by entry.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ def corrupt_random(
         for p in net.processors():
             if rng.random() >= fraction:
                 continue
-            routing.dist[d][p] = rng.randrange(net.n)
-            routing.hop[d][p] = rng.choice(net.neighbors(p))
+            dist = rng.randrange(net.n)
+            routing.set_entry(d, p, dist, rng.choice(net.neighbors(p)))
             hit += 1
-    routing.invalidate()
     return hit
 
 
@@ -68,9 +69,8 @@ def corrupt_with_cycle(
             raise ValueError(f"cycle step {p} -> {q} is not an edge")
         if p == dest:
             raise ValueError("the destination cannot be part of its own cycle")
-        routing.hop[dest][p] = q
-        routing.dist[dest][p] = max(1, (net.n - 1) - i % max(net.n - 1, 1))
-    routing.invalidate()
+        dist = max(1, (net.n - 1) - i % max(net.n - 1, 1))
+        routing.set_entry(dest, p, dist, q)
 
 
 def corrupt_worst_case(
@@ -88,9 +88,7 @@ def corrupt_worst_case(
         for p in net.processors():
             neighbors = net.neighbors(p)
             worst = max(neighbors, key=lambda q: (td[q], q))
-            routing.hop[d][p] = worst
-            routing.dist[d][p] = rng.randrange(1, max(net.n, 2))
+            routing.set_entry(d, p, rng.randrange(1, max(net.n, 2)), worst)
         # The destination's own entry is corrupted too.
-        routing.dist[d][d] = rng.randrange(1, max(net.n, 2))
-        routing.hop[d][d] = rng.choice(net.neighbors(d))
-    routing.invalidate()
+        dist = rng.randrange(1, max(net.n, 2))
+        routing.set_entry(d, d, dist, rng.choice(net.neighbors(d)))

@@ -9,10 +9,11 @@ as its fill function would produce it, which for routing means "the
 converged fixpoint" — the same absent≡clean invariant the forwarding
 buffers rely on.
 
-``LazyRows`` deliberately hands out the **real mutable list** on ``[d]``
-access (not a copy, not a read-only view): the corruption helpers and
-tests write ``routing.dist[d][p] = ...`` directly, and those writes must
-land in the store.
+``LazyRows`` hands out the **real list** on ``[d]`` access (not a copy,
+not a read-only view), so reads cost one lookup.  Only the owning
+provider writes into it: ``SelfStabilizingBFSRouting.set_entry`` is the
+one writer of its ``dist`` / ``hop`` rows, because a write must also
+reach the journal and the dirty channels.
 """
 
 from __future__ import annotations

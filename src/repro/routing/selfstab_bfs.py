@@ -44,8 +44,10 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     The instance starts *converged* (correct tables); use the functions in
     :mod:`repro.routing.corruption` to scramble it into an adversarial
-    initial configuration (they call :meth:`invalidate` so the incremental
-    engine re-scans).
+    initial configuration.  Every entry write — RTself, RTfix, a restore,
+    a corruption, a fault — goes through :meth:`set_entry`, which keeps
+    the journal and both dirty channels exact; the rows are never written
+    directly.
 
     Like SSMFP, the protocol is ``n`` mutually independent per-destination
     algorithms: RTself/RTfix at ``(p, d)`` read only ``dist(d)`` entries in
@@ -73,19 +75,17 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         self.dist: LazyRows = LazyRows(self._fixpoint_dist_row)
         self.hop: LazyRows = LazyRows(self._fixpoint_hop_row)
         # Incremental-engine bookkeeping.  The all-dirty regime is the safe
-        # initial state (external code may have scrambled the tables) and
-        # the fallback after :meth:`invalidate`; it ends — and the component
-        # cache starts being consulted — only once the simulator drains
-        # :meth:`dirty_after`.
+        # initial state (the tables may have been scrambled before the
+        # first step); it ends — and the component cache starts being
+        # consulted — only once the simulator drains :meth:`dirty_after`.
         self._all_dirty = True
         self._components = ComponentDirtyCache()
         #: Closed neighborhood of every processor, precomputed.
         self._nbhd = [(p, *net.neighbors(p)) for p in net.processors()]
         #: Snapshot anchor (``statemodel/snapshot.py``): the vector last
         #: restored to and ``{(d, p): (dist, hop) at the anchor}`` for every
-        #: entry :meth:`_write` has touched since; armed by the first
-        #: :meth:`restore`, dropped by :meth:`invalidate` (rows written
-        #: directly leave no journal).
+        #: entry :meth:`set_entry` has touched since; armed by the first
+        #: :meth:`restore`.
         self._anchor: Optional[StateVector] = None
         self._journal: Optional[Dict[Tuple[DestId, ProcId],
                                      Tuple[int, ProcId]]] = None
@@ -101,7 +101,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     def _touched_destinations(self) -> Set[DestId]:
         """Destinations with any materialized table row — the only ones
-        that can deviate from the fixpoint (direct writes materialize)."""
+        that can deviate from the fixpoint (a write materializes)."""
         return self.dist.materialized() | self.hop.materialized()
 
     def _deviates(self, d: DestId) -> bool:
@@ -110,16 +110,6 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         return self.dist[d] != fix_dist or self.hop[d] != fix_hop
 
     # -- incremental-engine hooks -------------------------------------------
-
-    def invalidate(self) -> None:
-        """Declare the whole table externally rewritten: every guard of this
-        protocol goes dirty and every observer (e.g. SSMFP's ``next_hop``
-        cache) is told to drop derived state.  The corruption helpers and
-        the fault injector call this after writing ``dist``/``hop`` rows
-        directly."""
-        self._all_dirty = True
-        self._anchor = None
-        self._notify_all()
 
     def _mark_dirty(self, p: ProcId, d: DestId) -> None:
         """RTfix at ``q`` for destination ``d`` reads ``dist_r(d)`` of every
@@ -182,7 +172,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             return []
         new_dist, new_hop = self._target(pid, d)
         if self.dist[d][pid] != new_dist or self.hop[d][pid] != new_hop:
-            return [Action(pid, "RTfix", self.name, d, self._write,
+            return [Action(pid, "RTfix", self.name, d, self.set_entry,
                            (d, pid, new_dist, new_hop))]
         return []
 
@@ -205,24 +195,25 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     def _reset_self(self, d: DestId, p: ProcId) -> None:
         """RTself: the destination is at distance 0 of itself."""
-        self._write(d, p, 0, p)
+        self.set_entry(d, p, 0, p)
 
-    def _write(self, d: DestId, p: ProcId, new_dist: int, new_hop: ProcId) -> None:
-        """Apply one table write (RTfix's effect, and every restore's),
-        feeding both dirty channels: this protocol's own guards (closed
-        neighborhood) and, when the hop actually moved, the observers
-        reading ``next_hop``."""
+    def set_entry(self, d: DestId, p: ProcId, new_dist: int, new_hop: ProcId) -> None:
+        """Write ``dist_p(d)`` and ``hop_p(d)`` — RTfix's effect, every
+        restore's, and every corruption's — feeding both dirty channels:
+        this protocol's own guards (closed neighborhood) and, when the hop
+        actually moved, the observers reading ``next_hop``."""
+        dist_row, hop_row = self.dist[d], self.hop[d]
         if self._journal is not None:
-            self._journal.setdefault((d, p), (self.dist[d][p], self.hop[d][p]))
-        hop_changed = self.hop[d][p] != new_hop
-        self.dist[d][p] = new_dist
-        self.hop[d][p] = new_hop
+            self._journal.setdefault((d, p), (dist_row[p], hop_row[p]))
+        hop_changed = hop_row[p] != new_hop
+        dist_row[p] = new_dist
+        hop_row[p] = new_hop
         self._mark_dirty(p, d)
         if hop_changed:
             self._notify_entry(p, d)
 
     # What an RTfix ``Action.info`` reports beyond ``dest``.
-    _write.describe = lambda d, p, dist, hop: {"dist": dist, "hop": hop}
+    set_entry.describe = lambda d, p, dist, hop: {"dist": dist, "hop": hop}
 
     def dump(self) -> Dict[str, object]:
         """Materialized rows only — an absent destination is at its
@@ -252,7 +243,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         return tuple(entries)
 
     def restore(self, vec: StateVector) -> None:
-        """Diff-restore through :meth:`_write`, so both dirty channels —
+        """Diff-restore through :meth:`set_entry`, so both dirty channels —
         this protocol's own guards and the ``next_hop`` observers — see
         exactly the entries that changed.  Rows absent from the vector go
         back to the fixpoint and are then evicted (quiescence: a converged
@@ -263,7 +254,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         if vec is self._anchor:
             for (d, p), (dist, hop) in list(journal.items()):
                 if self.dist[d][p] != dist or self.hop[d][p] != hop:
-                    self._write(d, p, dist, hop)
+                    self.set_entry(d, p, dist, hop)
             for d in {d for d, _ in journal}.difference(d for d, _, _ in vec):
                 self.dist.evict(d)
                 self.hop.evict(d)
@@ -276,7 +267,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             dist_row, hop_row = self.dist[d], self.hop[d]
             for p in range(n):
                 if dist_row[p] != fix_dist[p] or hop_row[p] != fix_hop[p]:
-                    self._write(d, p, fix_dist[p], fix_hop[p])
+                    self.set_entry(d, p, fix_dist[p], fix_hop[p])
             self.dist.evict(d)
             self.hop.evict(d)
         for d in sorted(target):
@@ -284,7 +275,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             dist_row, hop_row = self.dist[d], self.hop[d]
             for p in range(n):
                 if dist_row[p] != new_dist[p] or hop_row[p] != new_hop[p]:
-                    self._write(d, p, new_dist[p], new_hop[p])
+                    self.set_entry(d, p, new_dist[p], new_hop[p])
         self._anchor = vec
         if journal is None:
             self._journal = {}

@@ -11,22 +11,21 @@ Consumers cache ``next_hop`` values and enabled-action sets, so they must
 learn when a table entry moves.  Reporting every mutation is therefore part
 of the :class:`RoutingService` contract, not an opt-in: consumers register
 a callback with :meth:`add_observer`, and a provider that rewrites an entry
-**must** call :meth:`_notify_entry` for it (or :meth:`_notify_all` for bulk
-rewrites) before the next guard evaluation.  Immutable tables satisfy this
-vacuously.  A provider that mutates silently leaves stale caches behind —
+**must** call :meth:`_notify_entry` for it — a bulk rewrite for every
+entry it moves — before the next guard evaluation.  Immutable tables
+satisfy this vacuously.  A provider that mutates silently leaves stale caches behind —
 ``tests/test_engine_equivalence.py`` shows the divergence being caught.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.types import DestId, ProcId
 
-#: Observer callback: ``(p, d)`` for a single rewritten entry
-#: ``nextHop_p(d)``; ``(None, None)`` when the whole table may have changed.
-RoutingObserver = Callable[[Optional[ProcId], Optional[DestId]], None]
+#: Observer callback: ``(p, d)`` for a rewritten entry ``nextHop_p(d)``.
+RoutingObserver = Callable[[ProcId, DestId], None]
 
 
 class RoutingService(ABC):
@@ -41,7 +40,7 @@ class RoutingService(ABC):
     * for ``p == d`` the value is unused by the forwarding rules (R4 guards
       on ``p != d``); providers return ``p`` itself by convention;
     * every mutation of the tables is reported to the registered observers
-      (:meth:`_notify_entry` / :meth:`_notify_all`).
+      (:meth:`_notify_entry`).
     """
 
     @abstractmethod
@@ -70,8 +69,3 @@ class RoutingService(ABC):
         """Report that ``nextHop_p(d)`` changed."""
         for observer in getattr(self, "_routing_observers", ()):
             observer(p, d)
-
-    def _notify_all(self) -> None:
-        """Report a bulk rewrite (corruption, repair-all)."""
-        for observer in getattr(self, "_routing_observers", ()):
-            observer(None, None)

@@ -103,12 +103,10 @@ def _sever_edges(
             for d in net.processors():
                 if d == a:
                     continue
-                if routing.hop[d][a] == b:
-                    routing.hop[d][a] = rng.choice(alternatives)
-                    routing.dist[d][a] = rng.randrange(net.n)
+                if routing.next_hop(a, d) == b:
+                    hop = rng.choice(alternatives)  # drawn before dist
+                    routing.set_entry(d, a, rng.randrange(net.n), hop)
                     hits += 1
-    if hits:
-        routing.invalidate()
     return hits
 
 
@@ -126,8 +124,8 @@ def _plant_mid_run_garbage(
             for kind in forwarding.buffer_kinds:
                 if rng.random() >= fraction:
                     continue
-                row = forwarding.bufs.R[d] if kind == "R" else forwarding.bufs.E[d]
-                if row[p] is not None:
+                get = forwarding.bufs.get_r if kind == "R" else forwarding.bufs.get_e
+                if get(d, p) is not None:
                     continue
                 last = rng.choice([p] + list(net.neighbors(p)))
                 color = rng.randrange(forwarding.delta + 1)

@@ -100,9 +100,10 @@ Contract
   (``ForwardingProtocol._resync`` is empty) — a vector captured mid-step
   would lose its pending reconciliations.
 * A vector is the whole configuration: a routing provider outside the
-  protocol stack must be immutable, and rows written behind the
-  mutators' back must be followed by ``invalidate()`` (which drops the
-  routing anchor).
+  protocol stack must be immutable, and the routing rows have one way
+  in, ``SelfStabilizingBFSRouting.set_entry`` — the corruption helpers
+  and the fault drivers included — so the routing journal is never
+  stale.
 * Vectors are plain nested tuples: hashable when the payloads are, cheap
   to store by the hundred-thousand, and directly usable as the source of
   the verifier's canonical form (``_System.canon`` is a *projection* of

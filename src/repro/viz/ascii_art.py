@@ -48,8 +48,8 @@ def render_component_state(proto: SSMFP, d: DestId) -> str:
     for p in net.processors():
         label = net.name(p) + ("*" if p == d else "")
         top.append(label.center(11))
-        row_r.append(f"R:{_fmt_msg(proto.bufs.R[d][p])}")
-        row_e.append(f"E:{_fmt_msg(proto.bufs.E[d][p])}")
+        row_r.append(f"R:{_fmt_msg(proto.bufs.get_r(d, p))}")
+        row_e.append(f"E:{_fmt_msg(proto.bufs.get_e(d, p))}")
     lines = [
         f"destination {net.name(d)} component:",
         " ".join(top),

@@ -55,7 +55,7 @@ def rule_r1(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
         msg = proto.factory.generated(payload, p, d, color=0, step=proto.current_step)
         proto.bufs.set_r(d, p, msg)
         hl.consume_request(p)
-        proto.queues[d][p].serve(p)
+        proto.queues.serve(d, p, p)
         proto.ledger.record_generated(msg)
 
     return Action(
@@ -102,7 +102,7 @@ def rule_r3(proto: "SSMFP", p: ProcId, d: DestId) -> Optional[Action]:
 
     def effect() -> None:
         proto.bufs.set_r(d, p, copy)
-        proto.queues[d][p].serve(s)
+        proto.queues.serve(d, p, s)
 
     return Action(
         pid=p, rule="R3", protocol=proto.name, effect=effect,
@@ -225,7 +225,7 @@ def rule_f1(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
         )
         proto.bufs.set_r(d, p, msg)
         hl.consume_request(p)
-        proto.queues[d][p].serve(p)
+        proto.queues.serve(d, p, p)
         proto.ledger.record_generated(msg)
 
     return Action(
@@ -272,7 +272,7 @@ def rule_f3(proto: "SSMFP2", p: ProcId, d: DestId) -> Optional[Action]:
 
     def effect() -> None:
         proto.bufs.set_r(d, p, copy)
-        proto.queues[d][p].serve(s)
+        proto.queues.serve(d, p, s)
 
     return Action(
         pid=p, rule="F3", protocol=proto.name, effect=effect,

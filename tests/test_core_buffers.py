@@ -36,8 +36,8 @@ class TestOccupancy:
         bufs.set_r(1, 0, msg)
         bufs.move_r_to_e(1, 0, msg.recolored(0, 1))
         assert bufs.occupied_in_component(1) == 1
-        assert bufs.R[1][0] is None
-        assert bufs.E[1][0] is not None
+        assert bufs.get_r(1, 0) is None
+        assert bufs.get_e(1, 0) is not None
 
 
 class TestTotalOccupiedCycles:

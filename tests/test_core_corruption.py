@@ -17,13 +17,13 @@ class TestPlantInvalidMessage:
     def test_plants_into_reception(self, line5):
         proto = make_ssmfp(line5)
         msg = plant_invalid_message(proto, 2, 1, "R", "g")
-        assert proto.bufs.R[2][1] is msg
+        assert proto.bufs.get_r(2, 1) is msg
         assert not msg.valid and msg.uid < 0
 
     def test_plants_into_emission(self, line5):
         proto = make_ssmfp(line5)
         plant_invalid_message(proto, 2, 1, "E", "g", last=0, color=1)
-        assert proto.bufs.E[2][1].color == 1
+        assert proto.bufs.get_e(2, 1).color == 1
 
     def test_rejects_bad_kind(self, line5):
         proto = make_ssmfp(line5)
@@ -95,7 +95,7 @@ class TestScrambleQueues:
         scramble_queues(proto, seed=5)
         for d in line5.processors():
             for p in line5.processors():
-                for q in proto.queues[d][p].items():
+                for q in proto.queues.peek(d, p).items():
                     assert q == p or q in line5.neighbors(p)
 
     def test_deterministic(self, line5):
@@ -105,4 +105,4 @@ class TestScrambleQueues:
         scramble_queues(p2, seed=5)
         for d in line5.processors():
             for p in line5.processors():
-                assert p1.queues[d][p].items() == p2.queues[d][p].items()
+                assert p1.queues.peek(d, p).items() == p2.queues.peek(d, p).items()

@@ -37,7 +37,7 @@ def _make_live(proto, q, clause):
     elif clause == "bufE":
         proto.bufs.set_e(D, q, _garbage(proto, q))
     else:
-        proto.queues[D][q].force([1])
+        proto.queues.force(D, q, [1])
 
 
 @pytest.fixture(params=(make_ssmfp, make_ssmfp2), ids=("ssmfp", "ssmfp2"))
@@ -133,7 +133,7 @@ class TestOwnVariableSinks:
 
     def test_queue_event(self, proto):
         cache = _tracking(proto)
-        proto.queues[D][0].force([1])
+        proto.queues.force(D, 0, [1])
         assert cache.pending() == {0: {D}}
         assert proto._resync == {D: {0}}
 

@@ -77,9 +77,9 @@ class TestSimultaneousHandshakes:
         sim = scripted_sim(proto, script)
         for _ in range(3):
             sim.step()
-        assert proto.bufs.R[2][1] is not None  # the copy arrived
-        assert proto.bufs.R[2][0] is not None  # the new generation too
-        assert proto.bufs.R[2][0].payload == "second"
+        assert proto.bufs.get_r(2, 1) is not None  # the copy arrived
+        assert proto.bufs.get_r(2, 0) is not None  # the new generation too
+        assert proto.bufs.get_r(2, 0).payload == "second"
 
     def test_r4_and_next_hop_r2_never_coenabled(self):
         """R2 at the next hop requires the source's emission buffer to no
@@ -132,8 +132,8 @@ class TestStaleCopyRaces:
         assert {x.rule for x in proto.enabled_actions(b)} >= {"R3"}
         sim = scripted_sim(proto, [[(c, "R5", b), (b, "R3", b)]])
         sim.step()
-        assert proto.bufs.R[b][c] is None       # stale copy gone
-        assert proto.bufs.R[b][b] is not None   # fresh copy arrived
+        assert proto.bufs.get_r(b, c) is None       # stale copy gone
+        assert proto.bufs.get_r(b, b) is not None   # fresh copy arrived
 
     def test_r4_blocked_until_stale_cleaned(self):
         """R4's uniqueness conjunct holds the erase while two copies of
@@ -179,7 +179,7 @@ class TestGenerationRaces:
         # ...and 1 itself wants to generate for destination 2.
         proto.hl.submit(1, "local", 2)
         proto.before_step(0)
-        assert proto.queues[2][1].head() == 0  # the neighbor arrived first?
+        assert proto.queues.head(2, 1) == 0  # the neighbor arrived first?
         # FIFO: candidates added sorted on first sync -> 0 before 1.
         assert not [a for a in proto.enabled_actions(1) if a.rule == "R1"]
         assert [a for a in proto.enabled_actions(1) if a.rule == "R3"]

@@ -28,7 +28,7 @@ class TestR1Generation:
         action = rule(proto, "R1", 0, 3)
         assert action is not None and action.rule == "R1"
         action.execute()
-        msg = proto.bufs.R[3][0]
+        msg = proto.bufs.get_r(3, 0)
         assert msg.payload == "hello"
         assert msg.last == 0 and msg.color == 0
         assert msg.valid and msg.dest == 3
@@ -58,7 +58,7 @@ class TestR1Generation:
         proto = make_ssmfp(line5)
         proto.hl.submit(0, "x", 3)
         proto.hl.before_step(0)
-        proto.queues[3][0].force([1, 0])  # neighbor ahead in the queue
+        proto.queues.force(3, 0, [1, 0])  # neighbor ahead in the queue
         assert rule(proto, "R1", 0, 3) is None
 
     def test_serves_queue_on_generation(self, line5):
@@ -66,7 +66,7 @@ class TestR1Generation:
         proto.hl.submit(0, "x", 3)
         proto.before_step(0)
         rule(proto, "R1", 0, 3).execute()
-        assert 0 not in proto.queues[3][0].items()
+        assert 0 not in proto.queues.peek(3, 0).items()
 
 
 class TestR2InternalForwarding:
@@ -77,8 +77,8 @@ class TestR2InternalForwarding:
         action = rule(proto, "R2", 0, 3)
         assert action is not None
         action.execute()
-        assert proto.bufs.R[3][0] is None
-        moved = proto.bufs.E[3][0]
+        assert proto.bufs.get_r(3, 0) is None
+        moved = proto.bufs.get_e(3, 0)
         assert moved.uid == msg.uid
         assert moved.last == 0
         assert 0 <= moved.color <= proto.delta
@@ -98,7 +98,7 @@ class TestR2InternalForwarding:
         action = rule(proto, "R2", 1, 3)
         assert action is not None
         action.execute()
-        assert proto.bufs.E[3][1].uid == msg.uid
+        assert proto.bufs.get_e(3, 1).uid == msg.uid
 
     def test_enabled_when_source_holds_different_color(self, line5):
         proto = make_ssmfp(line5)
@@ -123,7 +123,7 @@ class TestR2InternalForwarding:
         proto.bufs.set_r(3, 0, proto.factory.invalid("a", 0, 0, 3))
         proto.bufs.set_r(3, 2, proto.factory.invalid("b", 2, 1, 3))
         rule(proto, "R2", 1, 3).execute()
-        assert proto.bufs.E[3][1].color == 2
+        assert proto.bufs.get_e(3, 1).color == 2
 
 
 class TestR3Forwarding:
@@ -140,18 +140,18 @@ class TestR3Forwarding:
         action = rule(proto, "R3", 1, 3)
         assert action is not None
         action.execute()
-        copy = proto.bufs.R[3][1]
+        copy = proto.bufs.get_r(3, 1)
         assert copy.uid == emitted.uid
         assert copy.last == 0          # stamped with the emitter
         assert copy.color == emitted.color  # color preserved
         # The original stays until R4.
-        assert proto.bufs.E[3][0] is not None
+        assert proto.bufs.get_e(3, 0) is not None
 
     def test_serves_queue(self, line5):
         proto = make_ssmfp(line5)
         self._setup_candidate(proto)
         rule(proto, "R3", 1, 3).execute()
-        assert 0 not in proto.queues[3][1].items()
+        assert 0 not in proto.queues.peek(3, 1).items()
 
     def test_disabled_when_reception_occupied(self, line5):
         proto = make_ssmfp(line5)
@@ -168,7 +168,7 @@ class TestR3Forwarding:
         proto = make_ssmfp(line5)
         proto.hl.submit(1, "x", 3)
         proto.before_step(0)
-        assert proto.queues[3][1].head() == 1
+        assert proto.queues.head(3, 1) == 1
         assert rule(proto, "R3", 1, 3) is None
 
     def test_candidate_requires_next_hop_match(self, line5):
@@ -193,7 +193,7 @@ class TestR4EraseAfterForwarding:
         action = rule(proto, "R4", 0, 3)
         assert action is not None
         action.execute()
-        assert proto.bufs.E[3][0] is None
+        assert proto.bufs.get_e(3, 0) is None
 
     def test_disabled_without_copy(self, line5):
         proto = make_ssmfp(line5)
@@ -249,7 +249,7 @@ class TestR5EraseDuplicate:
         action = rule(proto, "R5", 2, 1)
         assert action is not None
         action.execute()
-        assert proto.bufs.R[1][2] is None
+        assert proto.bufs.get_r(1, 2) is None
 
     def test_disabled_when_copy_at_current_next_hop(self, line5):
         proto = make_ssmfp(line5)
@@ -310,7 +310,7 @@ class TestR6Consumption:
         action = rule(proto, "R6", 3, 3)
         assert action is not None
         action.execute()
-        assert proto.bufs.E[3][3] is None
+        assert proto.bufs.get_e(3, 3) is None
         assert proto.ledger.all_valid_delivered()
         assert proto.hl.delivered[0][0] == 3
         assert proto.hl.delivered[0][1].uid == msg.uid

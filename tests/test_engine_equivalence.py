@@ -32,7 +32,10 @@ from repro.network.topologies import (
     random_tree_network,
     ring_network,
 )
+from repro.routing.corruption import corrupt_random
 from repro.routing.static import StaticRouting
+from repro.scenario import ScenarioSpec, run_sim_scenario
+from repro.sim.faults import RoutingFaultInjector
 from repro.sim.runner import Simulation, build_simulation, delivered_and_drained
 from repro.statemodel.daemon import (
     CentralRandomDaemon,
@@ -277,6 +280,91 @@ class TestEngineEquivalence:
         assert results[True] >= 3 * results[False]
 
 
+class TestRoutingFaultsAfterStepZero:
+    """Routing corrupted *mid-run*, once both layers serve guards from their
+    caches: every faulted entry reaches them through ``set_entry``, and the
+    product engine must still match the oracles step for step."""
+
+    ENGINES = (CheckedSimulator, FullScanSimulator)
+
+    @staticmethod
+    def _outcome(simulation):
+        return (simulation.sim.step_count, simulation.sim.round_count,
+                simulation.sim.rule_counts, simulation.ledger.valid_delivered_count)
+
+    def _injected(self, engine_cls):
+        sim = build_simulation(
+            ring_network(12),
+            workload=uniform_workload(12, count=30, seed=5, spread_steps=60),
+            daemon=DistributedRandomDaemon(seed=3),
+            seed=4,
+            routing_corruption={"kind": "random", "fraction": 0.3, "seed": 2},
+        )
+        use_engine(sim, engine_cls)
+        injector = RoutingFaultInjector(
+            sim.routing, period=15, fraction=0.3, seed=8, stop_after=100
+        )
+        sim.run(20_000, halt=delivered_and_drained,
+                before_step=injector.before_step)
+        assert injector.injections == [15, 30, 45, 60, 75, 90]
+        return self._outcome(sim)
+
+    def test_fault_injector_run_matches_the_oracles(self):
+        checked, full = (self._injected(engine) for engine in self.ENGINES)
+        assert checked == full
+        assert checked[3] == 30
+
+    def _scenario(self, engine_cls, monkeypatch):
+        spec = ScenarioSpec.from_dict({
+            "name": "mid-run-routing-faults",
+            "target": "simulate",
+            "seed": 21,
+            "topology": {"name": "grid", "kwargs": {"rows": 3, "cols": 4}},
+            "workload": {"name": "uniform", "kwargs": {"count": 40}},
+            "clock": {"sim_steps_per_unit": 20},
+            "schedule": [
+                {"at": 0.5, "until": 2.5, "action": "corrupt_routing",
+                 "fraction": 0.4, "period": 1.0},
+                {"at": 1.0, "until": 3.0, "action": "link_flap",
+                 "period": 0.5, "down": 0.25},
+                {"at": 3.0, "until": 4.0, "action": "partition",
+                 "edges": [[1, 2], [5, 6], [9, 10]]},
+            ],
+            "sim": {"routing": {"mode": "selfstab"}},
+        })
+        build = ScenarioSpec.build_simulation
+        monkeypatch.setattr(
+            ScenarioSpec, "build_simulation",
+            lambda self, **kw: use_engine(build(self, **kw), engine_cls),
+        )
+        result = run_sim_scenario(spec)
+        assert result.ok, result.failures
+        hits = {}
+        for event in result.fault_events:
+            assert event["step"] > 0
+            hits[event["action"]] = hits.get(event["action"], 0) + event["entries_hit"]
+        assert set(hits) == {"corrupt_routing", "link_flap", "partition"}
+        assert all(hits.values())
+        metrics = result.metrics
+        return (metrics["steps"], metrics["rounds"], metrics["rule_counts"],
+                metrics["delivered"])
+
+    def test_scenario_faults_match_the_oracles(self, monkeypatch):
+        checked, full = (self._scenario(engine, monkeypatch)
+                         for engine in self.ENGINES)
+        assert checked == full
+
+    def test_a_mid_run_corruption_keeps_the_caches(self):
+        # The faulted entries are marked one by one: neither layer falls
+        # back to the all-dirty full scan.
+        sim = build_simulation(ring_network(8), seed=1)
+        sim.step()
+        hit = corrupt_random(sim.routing, seed=3, fraction=0.5)
+        assert hit and not sim.routing.is_correct()
+        assert sim.routing._all_dirty is False
+        assert sim.forwarding._all_dirty is False
+
+
 class _RewritableRouting(StaticRouting):
     """Correct tables plus overrides.  ``notifies`` selects whether a rewrite
     honours the :class:`RoutingService` contract (report every mutation)."""
@@ -339,9 +427,9 @@ def _live(proto, q, d):
     """The liveness line of the ForwardingProtocol contract, spelled with
     the public reads."""
     return (
-        proto.bufs.R[d][q] is not None
-        or proto.bufs.E[d][q] is not None
-        or proto.queues[d][q].head() is not None
+        proto.bufs.get_r(d, q) is not None
+        or proto.bufs.get_e(d, q) is not None
+        or proto.queues.head(d, q) is not None
     )
 
 
@@ -353,9 +441,9 @@ def _mark_readers_without(dropped):
         self._components.mark(p, d)
         for q in self.net.neighbors(p):
             clauses = {
-                "bufR": self.bufs.R[d][q] is not None,
-                "bufE": self.bufs.E[d][q] is not None,
-                "head": self.queues[d][q].head() is not None,
+                "bufR": self.bufs.get_r(d, q) is not None,
+                "bufE": self.bufs.get_e(d, q) is not None,
+                "head": self.queues.head(d, q) is not None,
             }
             clauses.pop(dropped, None)
             if any(clauses.values()):

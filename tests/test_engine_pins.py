@@ -233,12 +233,12 @@ def check_pair_sweep(pairs, n):
         hl.before_step(i)
         payload, d = hl.consume_request(src)
         bufs.set_r(d, src, factory.generated(payload, src, d, 0, i))
-        queues[d][src].sync([src], None)
+        queues.materialize(d, src).sync([src], None)
         live.append((d, src))
         if len(live) > _LIVE_CAP:        # quiescence: vacate the oldest
             od, op = live.popleft()
             bufs.set_r(od, op, None)
-            queues[od][op].sync([], None)
+            queues.peek(od, op).sync([], None)
             queues.evict_if_clean(od, op)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()

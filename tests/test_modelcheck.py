@@ -116,8 +116,7 @@ class TestExhaustiveSafety:
         def make():
             net = line_network(3)
             routing = SelfStabilizingBFSRouting(net)
-            routing.hop[2][1] = 0  # misroute toward the wrong side
-            routing.dist[2][1] = 1
+            routing.set_entry(2, 1, 1, 0)  # misroute toward the wrong side
             proto = make_ssmfp(net, routing=routing)
             proto.hl.submit(0, "m", 2)
             return proto, [routing]

@@ -34,7 +34,7 @@ class TestF1Generation:
         assert action is not None and action.rule == "F1"
         assert action.protocol == "SSMFP2"
         action.execute()
-        msg = proto.bufs.R[3][0]
+        msg = proto.bufs.get_r(3, 0)
         assert msg.payload == "hello"
         assert msg.last == 0  # owned from birth
         assert 0 <= msg.color <= proto.delta
@@ -42,7 +42,7 @@ class TestF1Generation:
         assert not proto.hl.request[0]
         assert proto.ledger.generated_count == 1
         # The E plane stays empty in the fused scheme.
-        assert proto.bufs.E[3][0] is None
+        assert proto.bufs.get_e(3, 0) is None
 
     def test_disabled_without_request(self, line5):
         proto = make_ssmfp2(line5)
@@ -60,7 +60,7 @@ class TestF1Generation:
         proto = make_ssmfp2(line5)
         proto.hl.submit(0, "x", 3)
         proto.hl.before_step(0)
-        proto.queues[3][0].force([1, 0])  # neighbor ahead in the queue
+        proto.queues.force(3, 0, [1, 0])  # neighbor ahead in the queue
         assert rule(proto, "F1", 0, 3) is None
 
 
@@ -72,7 +72,7 @@ class TestF2Adoption:
         action = rule(proto, "F2", 1, 3)
         assert action is not None and action.rule == "F2"
         action.execute()
-        adopted = proto.bufs.R[3][1]
+        adopted = proto.bufs.get_r(3, 1)
         assert adopted.uid == msg.uid
         assert adopted.last == 1  # ownership taken
         assert adopted.hops == msg.hops + 1
@@ -107,10 +107,10 @@ class TestF3Forwarding:
         action = rule(proto, "F3", 1, 3)
         assert action is not None and action.rule == "F3"
         action.execute()
-        copy = proto.bufs.R[3][1]
+        copy = proto.bufs.get_r(3, 1)
         assert copy.uid == msg.uid
         assert copy.last == 0 and copy.color == msg.color  # unadopted
-        assert proto.bufs.R[3][0] is msg  # original stays until F4
+        assert proto.bufs.get_r(3, 0) is msg  # original stays until F4
 
     def test_blocked_when_local_buffer_occupied(self, line5):
         proto = make_ssmfp2(line5)
@@ -123,7 +123,7 @@ class TestF3Forwarding:
         proto = make_ssmfp2(line5)
         msg = gen(proto, 0, 3)
         proto.bufs.set_r(3, 0, msg.forwarded_copy(4))  # unadopted at 0
-        proto.queues[3][1].force([0])                  # stale by construction
+        proto.queues.force(3, 1, [0])                  # stale by construction
         assert rule(proto, "F3", 1, 3) is None
 
 
@@ -136,7 +136,7 @@ class TestF4EraseAfterForward:
         action = rule(proto, "F4", 0, 3)
         assert action is not None and action.rule == "F4"
         action.execute()
-        assert proto.bufs.R[3][0] is None
+        assert proto.bufs.get_r(3, 0) is None
         assert proto.ledger.lost_count == 0  # the real copy survives
 
     def test_blocked_without_downstream_copy(self, line5):
@@ -170,7 +170,7 @@ class TestF4EraseAfterForward:
         action = rule(proto, "F4", 0, 3)
         assert action is not None
         action.execute()
-        assert proto.bufs.R[3][0] is None
+        assert proto.bufs.get_r(3, 0) is None
         assert ledger.lost_count == 1
 
 
@@ -184,7 +184,7 @@ class TestF5EraseDuplicate:
         action = rule(proto, "F5", 0, 3)
         assert action is not None and action.rule == "F5"
         action.execute()
-        assert proto.bufs.R[3][0] is None
+        assert proto.bufs.get_r(3, 0) is None
         assert proto.ledger.lost_count == 0  # other copies survive
 
     def test_blocked_when_still_the_next_hop(self, line5):
@@ -214,7 +214,7 @@ class TestF6Consumption:
         action = rule(proto, "F6", 3, 3)
         assert action is not None and action.rule == "F6"
         action.execute()
-        assert proto.bufs.R[3][3] is None
+        assert proto.bufs.get_r(3, 3) is None
         assert proto.ledger.all_valid_delivered()
         (at, delivered, _step) = proto.hl.delivered[0]
         assert at == 3 and delivered.uid == msg.uid

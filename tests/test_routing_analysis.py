@@ -21,7 +21,7 @@ class TestRoutingErrors:
     def test_corrupted_tables_reported(self):
         net = line_network(5)
         routing = SelfStabilizingBFSRouting(net)
-        routing.hop[0][2] = 3  # away from destination 0
+        routing.set_entry(0, 2, 2, 3)  # away from destination 0
         errors = routing_errors(net, routing)
         assert any("not on a minimal path" in e for e in errors)
         assert not routing_is_correct(net, routing)
@@ -29,7 +29,7 @@ class TestRoutingErrors:
     def test_non_neighbor_hop_reported(self):
         net = line_network(5)
         routing = SelfStabilizingBFSRouting(net)
-        routing.hop[0][2] = 0  # 0 is not adjacent to 2 on the line
+        routing.set_entry(0, 2, 2, 0)  # 0 is not adjacent to 2 on the line
         errors = routing_errors(net, routing)
         assert any("not a neighbor" in e for e in errors)
 

@@ -80,7 +80,7 @@ class TestSimulationFromSpec:
 
     def test_ssmfp_options_section(self):
         sim = build(sim_spec(protocol_options={"choice_policy": "aged"}))
-        assert sim.forwarding.queues[0][0].policy == "aged"
+        assert sim.forwarding.queues.policy == "aged"
         # "ssmfp" is not a spec key; the rejection lists the valid spelling.
         with pytest.raises(ConfigurationError, match="protocol_options"):
             build(sim_spec(ssmfp={"choice_policy": "aged"}))

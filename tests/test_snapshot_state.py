@@ -180,9 +180,7 @@ class TestRoutingSnapshot:
         net = ring_network(4)
         routing = SelfStabilizingBFSRouting(net)
         vec = routing.snapshot()
-        routing.hop[2][1] = 0
-        routing.dist[2][1] = 3
-        routing.invalidate()
+        routing.set_entry(2, 1, 3, 0)
         routing.restore(vec)
         assert routing.snapshot() == vec
         assert routing.is_correct()
@@ -191,7 +189,7 @@ class TestRoutingSnapshot:
         net = line_network(3)
         routing = SelfStabilizingBFSRouting(net)
         vec = routing.snapshot()
-        routing.hop[2][0] = 0           # direct corruption, hop moved
+        routing.set_entry(2, 0, 2, 0)   # corruption: the hop moved
         events = []
         routing.add_observer(lambda p, d: events.append((p, d)))
         routing.restore(vec)
@@ -219,9 +217,7 @@ class TestFullSystemRoundTrip:
     def _system(self):
         net = line_network(3)
         routing = SelfStabilizingBFSRouting(net)
-        routing.hop[2][1] = 0
-        routing.dist[2][1] = 1
-        routing.invalidate()
+        routing.set_entry(2, 1, 1, 0)
         proto = make_ssmfp(net, routing=routing)
         plant_invalid_messages(proto, seed=4, fill_fraction=0.4)
         proto.hl.submit(0, "m", 2)
@@ -271,9 +267,7 @@ def _walk_live_routing():
     net = ring_network(4)
     routing = SelfStabilizingBFSRouting(net)
     for d, p, hop, dist in ((2, 0, 3, 2), (2, 1, 0, 3), (0, 2, 1, 1), (3, 1, 2, 3)):
-        routing.hop[d][p] = hop
-        routing.dist[d][p] = dist
-    routing.invalidate()
+        routing.set_entry(d, p, dist, hop)
     proto = make_ssmfp(net, routing=routing)
     for src, dest in ((0, 2), (1, 3), (2, 0)):
         proto.hl.submit(src, f"m{src}{dest}", dest)
@@ -302,7 +296,7 @@ def _walk_garbage():
     net = ring_network(4)
     proto = make_ssmfp(net)
     plant_invalid_messages(proto, seed=11, fill_fraction=0.3)
-    proto.queues[2][1].force([0, 2])      # scrambled choice queue
+    proto.queues.force(2, 1, [0, 2])      # scrambled choice queue
     proto.hl.submit(0, "m", 2)
     proto.hl.submit(3, "w", 1)
     return _System(proto)
@@ -362,7 +356,7 @@ class TestAnchoredRestoreOracle:
             proto.hl.request[rng.choice(raised)] = False
         elif kind == "force" and queued:
             d, p = rng.choice(queued)
-            proto.queues[d][p].force([])
+            proto.queues.force(d, p, [])
         elif kind == "flag" and not proto.ledger._strict:
             proto.ledger._flag("planted")
         else:
@@ -474,9 +468,8 @@ def test_routing_move_ends_the_quiet_return():
     via_1 = system.snapshot()
     assert [a.rule for a in system.enabled()[0]] == ["R4"]
     routing = system.protocols[0]
-    routing.dist[2][1] = 2              # 1 looks far: 0 routes through 3
-    routing.dist[2][0], routing.hop[2][0] = 2, 3
-    routing.invalidate()
+    routing.set_entry(2, 1, 2, routing.next_hop(1, 2))  # 1 looks far:
+    routing.set_entry(2, 0, 2, 3)                       # 0 routes through 3
     system.step += 1
     system.advance_env()
     via_3 = system.snapshot()
@@ -541,8 +534,7 @@ def _with_garbage():
 def _live_routing():
     net = line_network(3)
     routing = SelfStabilizingBFSRouting(net)
-    routing.hop[2][1] = 0
-    routing.dist[2][1] = 1
+    routing.set_entry(2, 1, 1, 0)
     proto = make_ssmfp(net, routing=routing)
     proto.hl.submit(0, "m", 2)
     return proto, [routing]

@@ -55,14 +55,16 @@ def _churn(sim, rng: random.Random) -> None:
     for _ in range(rng.randrange(1, 4)):
         d, p = rng.randrange(n), rng.randrange(n)
         proto.queues.materialize(d, p)
-    # ... and read others without materializing: the handle answer must
-    # agree with the allocation-free fast path.
+    # ... and read others without materializing: the per-entry reads must
+    # agree with the per-component rows.
     for _ in range(rng.randrange(1, 4)):
         d, p = rng.randrange(n), rng.randrange(n)
-        handle = proto.queues[d][p]
-        assert handle.head() == proto.queues.head(d, p)
-        assert (proto.bufs.R[d][p] is None) == (proto.bufs.get_r(d, p) is None)
-        assert (proto.bufs.E[d][p] is None) == (proto.bufs.get_e(d, p) is None)
+        queue = proto.queues.peek(d, p)
+        assert proto.queues.row(d).get(p) is queue
+        assert proto.queues.head(d, p) == (None if queue is None else queue.head())
+        buf_r, buf_e = proto.bufs.rows(d)
+        assert proto.bufs.get_r(d, p) is buf_r.get(p)
+        assert proto.bufs.get_e(d, p) is buf_e.get(p)
     # Evict every clean queue entry the dice pick.
     for d, p, _q in list(proto.queues.iter_materialized()):
         if rng.random() < 0.5:
@@ -131,33 +133,34 @@ class TestEvictedReadsAreCleanEmpty:
         bufs.set_r(3, 1, None)
         # Quiescent: the row is gone, and reads are clean-empty.
         assert bufs.materialized_destinations() == set()
-        assert bufs.R[3][1] is None and bufs.E[3][1] is None
+        assert bufs.get_r(3, 1) is None and bufs.get_e(3, 1) is None
         assert bufs.total_occupied() == 0
 
-    def test_queue_handle_reads_never_materialize(self):
+    def test_queue_reads_never_materialize(self):
         table = LazyChoiceTable("fifo")
-        handle = table[5][2]
-        assert handle.head() is None
-        assert handle.items() == []
-        assert handle.state() == EMPTY_QUEUE_STATE
-        assert len(handle) == 0
-        assert table.materialized_count() == 0  # reads allocated nothing
+        assert table.head(5, 2) is None
+        assert table.peek(5, 2) is None
+        assert table.row(5) == {}
+        table.serve(5, 2, 2)             # serving an absent queue: no-op
+        assert table.snapshot() == ()
+        assert table.materialized_count() == 0  # nothing was allocated
 
     def test_queue_evict_then_read_is_clean_empty(self):
         table = LazyChoiceTable("fifo")
-        table[1][0].sync([7], None)
+        table.materialize(1, 0).sync([7], None)
         assert table.materialized_count() == 1
-        table[1][0].sync([], None)  # candidate gone: reconciles to empty
+        table.peek(1, 0).sync([], None)  # candidate gone: reconciles to empty
+        assert table.peek(1, 0).state() == EMPTY_QUEUE_STATE
         table.evict_if_clean(1, 0)
         assert table.materialized_count() == 0
-        assert table[1][0].state() == EMPTY_QUEUE_STATE
+        assert table.head(1, 0) is None and table.peek(1, 0) is None
 
     def test_evict_refuses_dirty_queues(self):
         table = LazyChoiceTable("fifo")
-        table[1][0].sync([7], None)
+        table.materialize(1, 0).sync([7], None)
         table.evict_if_clean(1, 0)  # nonempty: must refuse
         assert table.materialized_count() == 1
-        assert table[1][0].head() == 7
+        assert table.head(1, 0) == 7
 
     def test_lazyrows_evicted_row_refills_identically(self):
         calls = []

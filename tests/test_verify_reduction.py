@@ -184,8 +184,7 @@ class TestValidateSymmetry:
 
         net = line_network(3)
         routing = SelfStabilizingBFSRouting(net)
-        routing.hop[2][1] = 0  # corrupted table: layer A has work to do
-        routing.dist[2][1] = 1
+        routing.set_entry(2, 1, 1, 0)  # corrupted table: layer A has work to do
         proto = make_ssmfp(net, routing=routing)
         proto.hl.submit(0, "m", 2)
         system = _System(proto, [routing])
