@@ -396,10 +396,10 @@ async def _run_nodes(
     result: RuntimeResult,
     nodes: List[RuntimeNode],
 ) -> None:
-    """Host every node until ``progress`` signals its target reached or
-    the deadline passes.  ``nodes`` and ``result``'s samples and fault
-    events fill as the run goes, so a partial result survives this
-    coroutine dying."""
+    """Host every node until ``progress`` signals its target reached and
+    every chaos event has played out, or the deadline passes.  ``nodes``
+    and ``result``'s samples and fault events fill as the run goes, so a
+    partial result survives this coroutine dying."""
     params = spec.build_params()
     routing = StaticRouting(net)
     nodes.extend(
@@ -425,7 +425,7 @@ async def _run_nodes(
     netem = transport if isinstance(transport, NetemTransport) else None
     reached = progress.reached
     try:
-        while time.monotonic() < deadline and not reached.is_set():
+        while True:
             for task in tasks:
                 if task.done() and task.exception() is not None:
                     raise task.exception()  # a node crashed: abort the run
@@ -439,13 +439,37 @@ async def _run_nodes(
                 result.window_samples.extend(node.core.window_occupancy())
             if netem is not None:
                 result.netem_held_samples.append(netem.held())
+            # Halt once delivered *and* the schedule has played out (the
+            # simulate target's halt), or at the deadline.  The sample above
+            # is then the closing one: a run shorter than the period still
+            # records its lanes.
+            playing = [task for task in chaos_tasks if not task.done()]
+            if reached.is_set() and not playing:
+                break
+            if time.monotonic() >= deadline:
+                break
             # Sample every 20 ms, but leave the moment the target is
-            # reached: the end of run is signalled, not polled.
-            try:
-                async with asyncio.timeout(0.02):
-                    await reached.wait()
-            except TimeoutError:
-                pass
+            # reached or the last event ends: the end of run is signalled,
+            # not polled.  ``asyncio.wait`` leaves the events running when
+            # the timeout fires (``gather`` would cancel them).
+            if not reached.is_set():
+                try:
+                    async with asyncio.timeout(0.02):
+                        await reached.wait()
+                except TimeoutError:
+                    pass
+            else:
+                await asyncio.wait(playing, timeout=0.02)
+        unfinished = [
+            f"#{index} {event['action']} at {event.get('t0', 0.0)}s"
+            for index, event in enumerate(spec.chaos or ())
+            if not chaos_tasks[index].done()
+        ]
+        if unfinished:
+            result.errors.append(
+                f"deadline of {spec.deadline}s reached before chaos events "
+                f"finished: {', '.join(unfinished)}"
+            )
         # Grace period: let REL/RACK handshakes settle so the network is
         # actually empty, not merely delivered.
         grace_end = min(time.monotonic() + spec.drain_grace, deadline)

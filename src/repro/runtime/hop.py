@@ -425,11 +425,11 @@ class HopCore:
                     sample(lane, rtt)
         if cum > lane.cum_seen:
             lane.cum_seen = cum
-            # Only *cumulative* progress restarts the retransmission timer:
-            # a hole at the head must not be starved by SACKs for the
-            # traffic flowing past it.
+            # Only *cumulative* progress restarts the retransmission timer
+            # (a hole at the head must not be starved by SACKs for the
+            # traffic flowing past it), and it restarts at the probe timeout.
             lane.backoff = 1
-            lane.expiry = (now + lane.rto) if unacked else None
+            lane.expiry = (now + self._pto(lane)) if unacked else None
         elif not unacked:
             lane.expiry = None
         if sacked_max:
@@ -451,7 +451,7 @@ class HopCore:
         if cum > lane.rel_cum:
             # R4, cumulative: everything <= cum is erased here, so the
             # release watermark may advance (piggybacked on the next DATA,
-            # or announced standalone by the timer loop).
+            # or announced standalone by the next ``advance``).
             lane.rel_cum = cum
         if rel_seen > lane.rel_confirmed:
             lane.rel_confirmed = rel_seen
@@ -548,7 +548,7 @@ class HopCore:
                 if seq != first:
                     lane.next_seq = seq
                     if lane.expiry is None:
-                        lane.expiry = now + lane.rto
+                        lane.expiry = now + self._pto(lane)
                 if not fwd and not box:
                     self._active.discard(d)
                     self.fwd.evict(d)
@@ -604,6 +604,19 @@ class HopCore:
         lane.srtt, lane.rttvar, lane.rtt_max, lane.rto = srtt, rttvar, rtt_max, rto
         self.rto_samples.append(rto)
 
+    def _pto(self, lane: _OutLane) -> float:
+        """Probe timeout: the first wait after progress, ``2·SRTT`` floored
+        at ``retry_base`` and never above the RTO (the RTO itself before the
+        first RTT sample).  The RTO holds ``2·rtt_max`` to ride out event-loop
+        stalls; a first expiry only probes, so it need not wait that long."""
+        srtt = lane.srtt
+        if srtt is None:
+            return lane.rto
+        pto = 2.0 * srtt
+        if self._rto_floor > pto:
+            pto = self._rto_floor
+        return pto if lane.rto > pto else lane.rto
+
     def _timers(
         self, now: float, out: List[Tuple[ProcId, Dict[str, Any]]]
     ) -> None:
@@ -612,11 +625,12 @@ class HopCore:
                 if lane.expiry is None or now < lane.expiry:
                     continue
                 if lane.backoff == 1:
-                    # First expiry since the lane last made progress: this
-                    # is far more often a scheduling stall than a loss, so
-                    # probe with the head-of-line record only (tail-loss
-                    # probe).  A real head loss is repaired by exactly this
-                    # record; a spurious timeout costs one duplicate.
+                    # First expiry since the lane last made progress (armed
+                    # at the probe timeout): this is far more often a
+                    # scheduling stall than a loss, so probe with the
+                    # head-of-line record only (tail-loss probe).  A real
+                    # head loss is repaired by exactly this record; a
+                    # spurious timeout costs one duplicate.
                     head = next(iter(lane.unacked))
                     resend = [lane.unacked[head]]
                 else:
@@ -639,20 +653,23 @@ class HopCore:
                 lane.backoff = min(lane.backoff * 2, 64)
                 lane.expiry = now + min(lane.rto * lane.backoff, self._rto_ceil)
             elif lane.rel_confirmed < lane.rel_cum:
-                # Quiet lane with unconfirmed releases: standalone REL,
-                # retransmitted on its own backed-off timer.
-                if now < lane.rel_expiry:
-                    continue
-                out.append((lane.nbr, rel_rec(lane.dest, lane.rel_cum)))
-                if lane.rel_sent == lane.rel_cum:
-                    self.counters["retries"] += 1
-                    lane.rel_backoff = min(lane.rel_backoff * 2, 64)
-                else:
+                # Quiet lane with unconfirmed releases: a new level goes out
+                # standalone at once; only a repeat of the level already
+                # announced waits for its timer (a probe timeout, then the
+                # backed-off RTO).
+                if lane.rel_sent != lane.rel_cum:
                     lane.rel_sent = lane.rel_cum
                     lane.rel_backoff = 1
-                lane.rel_expiry = now + min(
-                    lane.rto * lane.rel_backoff, self._rto_ceil
-                )
+                    lane.rel_expiry = now + self._pto(lane)
+                elif now < lane.rel_expiry:
+                    continue
+                else:
+                    self.counters["retries"] += 1
+                    lane.rel_backoff = min(lane.rel_backoff * 2, 64)
+                    lane.rel_expiry = now + min(
+                        lane.rto * lane.rel_backoff, self._rto_ceil
+                    )
+                out.append((lane.nbr, rel_rec(lane.dest, lane.rel_cum)))
 
     # -- events ----------------------------------------------------------------
 

@@ -12,7 +12,9 @@ RTO estimate that moved in its last bit fails the comparison.
 
 Regenerate only for a deliberate protocol change, at the commit whose
 behaviour is the reference:
-``PYTHONPATH=src:. python tests/test_hop_golden.py --regenerate``.
+``PYTHONPATH=src:. python tests/test_hop_golden.py --regenerate``.  It
+prints, per window, what moved: channel events, retries, repeat ACKs and
+the virtual time of the last delivery, old -> new.
 """
 
 import json
@@ -84,9 +86,40 @@ def test_the_golden_runs_exercise_the_slow_path():
             assert max(c for n in doc["nodes"] for c in n["ack_coalesce"]) > 1
 
 
+def headline(text: str) -> dict:
+    """The figures a deliberate lane change reports, read off one golden."""
+    doc = json.loads(text)
+    counters = [n["counters"] for n in doc["nodes"]]
+    return {
+        "channel events": doc["sim"]["events"],
+        "retries": sum(c["retries"] for c in counters),
+        "dup_data_acked": sum(c["dup_data_acked"] for c in counters),
+        "last delivery t": max(
+            e[5] for n in doc["nodes"] for e in n["events"] if e[0] == "delivered"
+        ),
+    }
+
+
+def show(value) -> str:
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
+
+
+def test_headline_reads_the_golden():
+    figures = headline((GOLDEN_DIR / "ring6-w4.json").read_text())
+    assert figures["channel events"] > 0 and figures["last delivery t"] > 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: PYTHONPATH=src:. python tests/test_hop_golden.py --regenerate")
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for w in WINDOWS:
-        (GOLDEN_DIR / f"ring6-w{w}.json").write_text(render(w))
+        path = GOLDEN_DIR / f"ring6-w{w}.json"
+        old = headline(path.read_text()) if path.exists() else {}
+        text = render(w)
+        path.write_text(text)
+        moved = ", ".join(
+            f"{name} {show(old.get(name, '-'))} -> {show(value)}"
+            for name, value in headline(text).items()
+        )
+        print(f"w{w}: {moved}")

@@ -460,6 +460,111 @@ class TestSenderWindow:
             node.submit("m", 0)
 
 
+class TestTimers:
+    """The lane's timers on explicit clocks: release news goes out at once,
+    the first wait after progress is the probe timeout
+    ``min(rto, max(2·srtt, retry_base))``, later ones back off the RTO."""
+
+    @staticmethod
+    def round_trip(node, now, rtt):
+        """One message out at ``now``, cumulatively ACKed ``rtt`` later."""
+        node.submit("m", 1)
+        out = []
+        advance(node, out, now)
+        lane = node._out_lanes[(1, 1)]
+        handle(node, 1, ack_rec(1, lane.next_seq - 1), out, now + rtt)
+        return lane
+
+    def stalled_lane(self):
+        """A lane whose one slow sample pinned ``rto`` to ``retry_cap``
+        through ``rtt_max`` while 70 fast ones brought ``srtt`` down."""
+        node = make_node(pid=0)  # retry_base 0.05, retry_cap 0.4
+        lane = self.round_trip(node, 0.0, 0.3)
+        for i in range(70):
+            self.round_trip(node, 1.0 + i, 0.04)
+        assert lane.rto == node.params.retry_cap
+        assert 0.04 <= lane.srtt < 0.041
+        return node, lane
+
+    def test_higher_release_goes_out_on_the_next_advance(self):
+        node = make_node(pid=0)
+        lane = self.round_trip(node, 1.0, 0.01)
+        out = []
+        advance(node, out, 1.01)
+        assert sent_kind(out, REL) == [rel_rec(1, 1)]  # arms the REL timer
+        assert lane.rel_expiry > 1.03
+        self.round_trip(node, 1.02, 0.01)
+        out = []
+        advance(node, out, 1.03)  # the timer has not expired: news anyway
+        assert sent_kind(out, REL) == [rel_rec(1, 2)]
+        out = []
+        advance(node, out, 1.031)  # announced: a repeat waits for the timer
+        assert sent_kind(out, REL) == []
+        assert node.counters["retries"] == 0
+
+    def test_progress_arms_the_probe_timeout_not_the_stalled_rto(self):
+        node, lane = self.stalled_lane()
+        for i in range(2):
+            node.submit(f"m{i}", 1)
+        out = []
+        advance(node, out, 100.0)
+        assert lane.expiry == 100.0 + 2 * lane.srtt  # sending arms the PTO
+        handle(node, 1, ack_rec(1, lane.next_seq - 2), out, 100.04)
+        assert len(lane.unacked) == 1
+        assert lane.expiry == pytest.approx(100.04 + 2 * lane.srtt)
+        assert lane.expiry < 100.04 + lane.rto
+
+    def test_the_probe_timeout_is_floored_at_retry_base(self):
+        node = make_node(pid=0, retry_base=0.05)
+        lane = self.round_trip(node, 1.0, 0.001)
+        assert 2 * lane.srtt < 0.05 < lane.rto
+        node.submit("m", 1)
+        advance(node, [], 2.0)
+        assert lane.expiry == 2.05
+
+    def test_rel_repeat_waits_a_probe_timeout_then_backs_off(self):
+        node, lane = self.stalled_lane()
+        out = []
+        advance(node, out, 100.0)
+        assert sent_kind(out, REL) == [rel_rec(1, lane.rel_cum)]
+        pto = 2 * lane.srtt
+        assert lane.rel_expiry == 100.0 + pto
+        out = []
+        advance(node, out, 100.0 + pto)  # first repeat: the probe timeout
+        assert sent_kind(out, REL) == [rel_rec(1, lane.rel_cum)]
+        assert node.counters["retries"] == 1
+        assert lane.rel_expiry == pytest.approx(
+            100.0 + pto + min(lane.rto * 2, node.params.retry_cap)
+        )
+
+    def test_a_second_expiry_backs_off_and_resends_only_aged_records(self):
+        # Unchanged path: after the head probe, wait min(rto·backoff, cap)
+        # and resend every record at least one RTO old.
+        node = make_node(pid=0, window=8, rto_initial=0.1, retry_cap=0.4)
+        for i in range(2):
+            node.submit(f"m{i}", 1)
+        out = []
+        advance(node, out, 1.0)  # s1, s2; no sample yet: PTO = RTO = 0.1
+        lane = node._out_lanes[(1, 1)]
+        assert lane.expiry == 1.1
+        node.submit("m2", 1)
+        advance(node, out, 1.08)  # s3
+        out.clear()
+        advance(node, out, 1.1)  # first expiry: the head probe only
+        assert [d["s"] for d in sent_data(out)] == [1]
+        assert lane.expiry == pytest.approx(1.1 + min(0.1 * 2, 0.4))
+        node.submit("m3", 1)
+        advance(node, out, 1.25)  # s4, young at the next expiry
+        out.clear()
+        advance(node, out, lane.expiry - 0.001)
+        assert sent_data(out) == []
+        advance(node, out, lane.expiry)  # second expiry, no progress
+        assert sorted(d["s"] for d in sent_data(out)) == [1, 2, 3]
+        assert lane.backoff == 4
+        assert lane.expiry == pytest.approx(1.3 + min(0.1 * 4, 0.4))
+        assert node.counters["retries"] == 4
+
+
 class TestObservabilityHooks:
     def test_batch_and_coalesce_metrics_populate(self):
         async def body():

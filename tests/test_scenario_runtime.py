@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime.cluster import run_cluster
 from repro.scenario import ScenarioSpec, run_runtime_scenario
 from repro.scenario.runtimedriver import build_cluster_spec, lower_runtime_schedule
 
@@ -140,6 +141,46 @@ class TestExecution:
             and r.get("metric") == "faults_injected_total"
         ]
         assert totals and totals[0]["value"] == len(fault_rows)
+
+
+class TestScheduleHalt:
+    """A runtime run halts when delivered *and* its schedule has played
+    out (the simulate target's halt), still bounded by the deadline."""
+
+    def test_events_after_the_workload_drained_still_play_out(self):
+        spec = spec_of(
+            schedule=[
+                {"at": 1.0, "until": 2.0, "action": "crash", "node": 1},
+                {"at": 6.0, "until": 7.0, "action": "crash", "node": 2},
+            ]
+        )
+        result = run_cluster(build_cluster_spec(spec))
+        assert not result.partial, result.summary()
+        actions = [e["action"] for e in result.fault_events]
+        assert actions == ["crash", "restart", "crash", "restart"]
+        last_delivery = max(
+            e.mono for e in result.events if e.kind == "delivered"
+        )
+        assert result.fault_events[2]["mono"] > last_delivery
+        assert result.elapsed_s >= 0.7
+
+    def test_a_deadline_that_cuts_the_schedule_names_what_did_not_finish(self):
+        result = run_runtime_scenario(
+            spec_of(
+                schedule=[
+                    {"at": 0.5, "action": "flood", "source": 0, "dest": 1,
+                     "count": 2},
+                    {"at": 20.0, "until": 30.0, "action": "crash", "node": 1},
+                ],
+                budgets={"wall_s": 0.5},
+            )
+        )
+        assert result.metrics["delivered"] == 8 + 2
+        assert not result.ok
+        assert [f for f in result.failures if "chaos" in f] == [
+            "runtime: deadline of 0.5s reached before chaos events "
+            "finished: #1 crash at 2.0s"
+        ]
 
 
 class TestLatencyCriterion:
