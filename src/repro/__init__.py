@@ -5,9 +5,9 @@ Villain; IPPS 2009).
 The package implements the paper's SSMFP protocol and every substrate it
 depends on — the locally shared memory state model with adversarial
 daemons, a self-stabilizing silent routing protocol composed with priority,
-buffer graphs and deadlock-free controllers, the classical fault-free
-baseline, and an experiment harness regenerating each of the paper's
-figures and propositions.
+the buffer graphs of Figures 1 and 2, the classical fault-free baseline,
+and an experiment harness regenerating each of the paper's figures and
+propositions.
 
 Quickstart::
 

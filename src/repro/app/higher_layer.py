@@ -222,11 +222,6 @@ class HigherLayer:
             (p, tuple(self._outbox[p])) for p in sorted(self._outbox)
         )
 
-    def live_sources(self) -> Set[ProcId]:
-        """Processors with a materialized (nonempty) outbox — the memory
-        footprint index used by tests and the scale bench."""
-        return set(self._outbox)
-
     # -- snapshot/restore ----------------------------------------------------
 
     def snapshot(self) -> StateVector:
@@ -308,8 +303,3 @@ class HigherLayer:
     def delivered(self) -> List[Tuple[ProcId, Message, int]]:
         """Every delivery so far: (processor, message, step)."""
         return self._delivered
-
-    @property
-    def local_deliveries(self) -> int:
-        """Count of self-addressed submissions short-circuited locally."""
-        return self._local_deliveries

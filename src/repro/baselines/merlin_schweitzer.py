@@ -231,12 +231,3 @@ class MerlinSchweitzerForwarding(Protocol):
     def network_is_empty(self) -> bool:
         """True iff every buffer is empty."""
         return all(m is None for row in self.buf for m in row)
-
-    def plant_invalid(
-        self, d: DestId, p: ProcId, payload: Any, source: ProcId, flag: int
-    ) -> FlaggedMessage:
-        """Plant an invalid message (initial-configuration garbage)."""
-        msg = FlaggedMessage(payload, source, flag, d, -self._next_uid, False)
-        self._next_uid += 1
-        self.buf[d][p] = msg
-        return msg

@@ -156,16 +156,3 @@ class NaiveForwarding(Protocol):
     def network_is_empty(self) -> bool:
         """True iff every buffer of every pool is empty."""
         return all(slot is None for pool in self.pool for slot in pool)
-
-    def is_deadlocked(self) -> bool:
-        """True iff messages are stored but no action (anywhere) is enabled
-        and nothing is waiting to generate — a true store-and-forward
-        deadlock."""
-        if self.network_is_empty():
-            return False
-        return all(not self.enabled_actions(p) for p in self.net.processors())
-
-    def plant_packet(self, p: ProcId, slot: int, payload: Any, dest: DestId) -> None:
-        """Plant an invalid packet (initial-configuration garbage)."""
-        self.pool[p][slot] = Packet(payload, dest, -self._next_uid, False)
-        self._next_uid += 1

@@ -1,4 +1,4 @@
-"""Buffer graphs and deadlock-free controllers (Merlin & Schweitzer).
+"""Buffer graphs (Merlin & Schweitzer).
 
 The paper's deadlock-freedom story rests on restricting message moves to the
 edges of an acyclic directed graph over the network's buffers.  This package
@@ -6,13 +6,12 @@ provides the generic :class:`BufferGraph`, the classic "destination-based"
 construction of Figure 1 (one buffer per (processor, destination)), the
 paper's adapted two-buffer construction of Figure 2 (reception + emission
 buffer per (processor, destination)), acyclicity checking, and the
-deadlock-free controller predicate.
+orientation covers of the open-problem study.
 """
 
 from repro.buffergraph.graph import BufferGraph, BufferId
 from repro.buffergraph.destination_based import destination_based_buffer_graph
 from repro.buffergraph.ssmfp_graph import ssmfp_buffer_graph
-from repro.buffergraph.controller import DeadlockFreeController
 from repro.buffergraph.orientation_cover import (
     Orientation,
     OrientationCover,
@@ -28,7 +27,6 @@ __all__ = [
     "BufferId",
     "destination_based_buffer_graph",
     "ssmfp_buffer_graph",
-    "DeadlockFreeController",
     "Orientation",
     "OrientationCover",
     "cover_from_order",

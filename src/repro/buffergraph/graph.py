@@ -4,14 +4,14 @@ A buffer is identified by a :class:`BufferId` — ``(processor, destination,
 kind)`` where ``kind`` distinguishes reception/emission buffers in the
 paper's construction ("single" for one-buffer schemes).  The class offers
 the graph-theoretic queries the deadlock-freedom argument needs: acyclicity,
-topological order, connected components, and per-destination subgraphs.
+topological order and per-destination subgraphs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.types import DestId, ProcId
@@ -84,10 +84,6 @@ class BufferGraph:
         """Buffers a message in ``b`` may move to."""
         return self._succ[b]
 
-    def predecessors(self, b: BufferId) -> List[BufferId]:
-        """Buffers that may feed ``b``."""
-        return self._pred[b]
-
     # -- structure -------------------------------------------------------------
 
     def is_acyclic(self) -> bool:
@@ -108,65 +104,6 @@ class BufferGraph:
                 if indeg[s] == 0:
                     queue.append(s)
         return order if len(order) == len(self._nodes) else None
-
-    def find_cycle(self) -> Optional[List[BufferId]]:
-        """Some directed cycle, or None if acyclic (diagnostics)."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[BufferId, int] = {b: WHITE for b in self._nodes}
-        parent: Dict[BufferId, Optional[BufferId]] = {}
-
-        for root in self._nodes:
-            if color[root] != WHITE:
-                continue
-            stack: List[Tuple[BufferId, int]] = [(root, 0)]
-            color[root] = GRAY
-            parent[root] = None
-            while stack:
-                node, idx = stack[-1]
-                succs = self._succ[node]
-                if idx < len(succs):
-                    stack[-1] = (node, idx + 1)
-                    nxt = succs[idx]
-                    if color[nxt] == GRAY:
-                        # Reconstruct the cycle from `node` back to `nxt`.
-                        cycle = [node]
-                        cur = node
-                        while cur != nxt:
-                            cur = parent[cur]  # type: ignore[assignment]
-                            cycle.append(cur)
-                        cycle.reverse()
-                        return cycle
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        parent[nxt] = node
-                        stack.append((nxt, 0))
-                else:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
-
-    def weakly_connected_components(self) -> List[FrozenSet[BufferId]]:
-        """Connected components ignoring edge direction, sorted by their
-        smallest buffer.  The destination-based construction yields exactly
-        one component per destination."""
-        seen: Set[BufferId] = set()
-        comps: List[FrozenSet[BufferId]] = []
-        for b in self._nodes:
-            if b in seen:
-                continue
-            comp: Set[BufferId] = set()
-            stack = [b]
-            seen.add(b)
-            while stack:
-                x = stack.pop()
-                comp.add(x)
-                for y in self._succ[x] + self._pred[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-        comps.sort(key=lambda c: min(c))
-        return comps
 
     def subgraph_for_destination(self, dest: DestId) -> "BufferGraph":
         """The component of the construction serving destination ``dest``."""

@@ -157,12 +157,6 @@ class OrientationCover:
                 queue.append((p, c + 1))
         return best
 
-    def covers(self, u: ProcId, v: ProcId) -> bool:
-        """True iff some class-monotone walk leads from u to v (the weak,
-        any-walk notion — enough for reachability, not for a routing
-        function's chosen paths; see :meth:`covers_path`)."""
-        return v in self.reachable_classes(u)
-
     def covers_path(self, path: Sequence[ProcId]) -> bool:
         """True iff this *specific* walk is class-monotone coverable.
 
@@ -202,16 +196,6 @@ class OrientationCover:
                 path = routing_path(self._net, routing, u, d)
                 if path is None or not self.covers_path(path):
                     missing.append((u, d))
-        return missing
-
-    def uncovered_pairs(self) -> List[Tuple[ProcId, ProcId]]:
-        """All ordered pairs no class-monotone walk serves (diagnostics)."""
-        missing: List[Tuple[ProcId, ProcId]] = []
-        for u in self._net.processors():
-            reach = self.reachable_classes(u)
-            for v in self._net.processors():
-                if v not in reach:
-                    missing.append((u, v))
         return missing
 
 

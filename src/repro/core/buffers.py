@@ -256,10 +256,6 @@ class ForwardingBuffers:
 
     # -- queries ------------------------------------------------------------
 
-    def occupied_in_component(self, d: DestId) -> int:
-        """Number of nonempty buffers in destination ``d``'s component."""
-        return self._occupied.get(d, 0)
-
     def occupied_components(self) -> Set[DestId]:
         """Destinations with at least one nonempty buffer — the live index
         maintained by the mutators (treat as read-only)."""
@@ -271,12 +267,6 @@ class ForwardingBuffers:
         dense O(n) sweep."""
         occupied = self._occupied
         return sum(occupied[d] for d in self._occupied_set)
-
-    def materialized_destinations(self) -> Set[DestId]:
-        """Destinations with at least one materialized buffer cell — the
-        memory footprint index (equals :meth:`occupied_components` because
-        empty cells and rows are evicted eagerly)."""
-        return set(self._r) | set(self._e)
 
     def iter_messages(self) -> Iterator[Tuple[DestId, ProcId, str, Message]]:
         """Yield every stored message as ``(dest, proc, kind, message)``

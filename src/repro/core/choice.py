@@ -466,11 +466,3 @@ class LazyChoiceTable:
         elif queue is not None:
             queue.restore(state)
             self.evict_if_clean(d, p)
-
-    def materialized_destinations(self) -> set:
-        """Destinations with at least one materialized queue — the memory
-        footprint index used by tests and the scale bench."""
-        return set(self._rows)
-
-    def materialized_count(self) -> int:
-        return sum(len(row) for row in self._rows.values())

@@ -37,8 +37,6 @@ concrete protocol (``repro.core.protocol.SSMFP``,
   sets (drives incremental ``choice``-queue reconciliation);
 * :meth:`offered_message` — the message a neighbor is currently offering
   for forwarding (the candidate predicate and the aged-policy priority);
-* :meth:`buffer_graph` — the protocol's Merlin-Schweitzer buffer graph
-  shape (acyclicity is the deadlock-freedom argument);
 * ``runtime_window_cap`` — the per-lane pipelining the live runtime may
   use while staying faithful to the protocol's buffer budget.
 
@@ -130,11 +128,6 @@ class ForwardingProtocol(Protocol):
     def offered_message(self, d: DestId, q: ProcId) -> Optional[Message]:
         """The message processor ``q`` currently offers for forwarding in
         component ``d`` (None when ``q`` offers nothing)."""
-        raise NotImplementedError
-
-    @classmethod
-    def buffer_graph(cls, net: Network, routing: RoutingService):
-        """The protocol's buffer graph (Merlin-Schweitzer shape)."""
         raise NotImplementedError
 
     # -- construction --------------------------------------------------------

@@ -54,24 +54,6 @@ class InvariantChecker:
         self._no_duplication(locations)
         self._copy_geometry(locations)
 
-    # Individual checks -------------------------------------------------------
-
-    def check_well_formed(self) -> None:
-        """Colors in range, last-hop in ``N_p ∪ {p}``, dest tags match."""
-        self._walk(well_formed=True)
-
-    def check_no_loss(self) -> None:
-        """Every outstanding valid uid is stored somewhere (Lemma 4)."""
-        self._no_loss(self._walk(well_formed=False))
-
-    def check_no_duplication(self) -> None:
-        """A delivered valid uid has no residual stored copy (Lemma 5)."""
-        self._no_duplication(self._walk(well_formed=False))
-
-    def check_copy_geometry(self) -> None:
-        """Copies of a valid uid stay inside its destination's component."""
-        self._copy_geometry(self._walk(well_formed=False))
-
     # One walk, three readers -------------------------------------------------
 
     def _walk(self, well_formed: bool) -> Locations:

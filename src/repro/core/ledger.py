@@ -185,11 +185,6 @@ class DeliveryLedger:
         """Total deliveries of invalid messages."""
         return len(self._invalid_deliveries)
 
-    @property
-    def invalid_deliveries(self) -> List[DeliveryRecord]:
-        """Every invalid-message delivery."""
-        return list(self._invalid_deliveries)
-
     def invalid_deliveries_by_destination(self) -> Dict[ProcId, int]:
         """Histogram destination -> invalid deliveries (Proposition 4 is a
         per-destination 2n bound)."""

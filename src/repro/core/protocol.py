@@ -85,9 +85,3 @@ class SSMFP(ForwardingProtocol):
     def offered_message(self, d: DestId, q: ProcId) -> Optional[Message]:
         """SSMFP offers through the emission plane: ``bufE_q(d)``."""
         return self.bufs.get_e(d, q)
-
-    @classmethod
-    def buffer_graph(cls, net: Network, routing: RoutingService):
-        from repro.buffergraph.ssmfp_graph import ssmfp_buffer_graph
-
-        return ssmfp_buffer_graph(net, routing)

@@ -25,8 +25,6 @@ from typing import Optional
 
 from repro.core.family import ForwardingProtocol
 from repro.core import rules2
-from repro.network.graph import Network
-from repro.routing.table import RoutingService
 from repro.statemodel.message import Message
 from repro.types import DestId, ProcId
 
@@ -52,9 +50,3 @@ class SSMFP2(ForwardingProtocol):
         if msg is not None and msg.last == q:
             return msg
         return None
-
-    @classmethod
-    def buffer_graph(cls, net: Network, routing: RoutingService):
-        from repro.buffergraph.destination_based import destination_based_buffer_graph
-
-        return destination_based_buffer_graph(net, routing)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationLimitExceeded
@@ -67,10 +67,6 @@ class ChannelFaults:
                 raise ConfigurationError(
                     f"fault probability {name}={value} outside [0, 1]"
                 )
-
-    def is_reliable_fifo(self) -> bool:
-        """True iff this configuration never perturbs a delivery."""
-        return self.loss == 0.0 and self.dup == 0.0 and self.reorder == 0.0
 
 
 class Channel:

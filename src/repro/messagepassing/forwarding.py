@@ -224,15 +224,6 @@ class MPForwardingNode(MPNode):
 
     # -- introspection -----------------------------------------------------------
 
-    def is_empty(self) -> bool:
-        """True iff no buffer or offer queue holds anything."""
-        return (
-            all(r is None for r in self.buf_r)
-            and all(e is None for e in self.buf_e)
-            and all(not q for q in self.offers)
-            and not self.outbox
-        )
-
 
 class HopMPNode(MPNode):
     """The live runtime's hop protocol on simulator channels.

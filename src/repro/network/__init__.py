@@ -11,10 +11,8 @@ from repro.network.graph import Network
 from repro.network.properties import (
     all_pairs_distances,
     bfs_distances,
-    bfs_tree,
     diameter,
     eccentricity,
-    is_connected,
     max_degree,
 )
 from repro.network.topologies import (
@@ -41,10 +39,8 @@ __all__ = [
     "Network",
     "all_pairs_distances",
     "bfs_distances",
-    "bfs_tree",
     "diameter",
     "eccentricity",
-    "is_connected",
     "max_degree",
     "barbell_network",
     "binary_tree_network",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.network.graph import Network
 from repro.types import ProcId
@@ -58,19 +58,6 @@ def bfs_distances(net: Network, source: ProcId) -> List[int]:
     return bfs_rows(net, source)[0]
 
 
-def bfs_tree(net: Network, root: ProcId) -> List[Optional[ProcId]]:
-    """A BFS spanning tree rooted at ``root``.
-
-    Returns ``parent`` with ``parent[root] is None`` and, for every other
-    processor ``p``, ``parent[p]`` the neighbor of ``p`` on a shortest path
-    toward ``root`` (ties broken toward the smallest identity, see
-    :func:`bfs_rows`).  This is the tree the paper calls ``T_root``.
-    """
-    parent: List[Optional[ProcId]] = list(bfs_rows(net, root)[1])
-    parent[root] = None
-    return parent
-
-
 def all_pairs_distances(net: Network) -> List[List[int]]:
     """Matrix of shortest-path distances; ``result[u][v] == dist(u, v)``."""
     return [bfs_distances(net, s) for s in net.processors()]
@@ -89,21 +76,6 @@ def diameter(net: Network) -> int:
 def max_degree(net: Network) -> int:
     """The paper's ``Δ``: the maximum processor degree."""
     return max(net.degree(p) for p in net.processors())
-
-
-def is_connected(net: Network) -> bool:
-    """Always True for a constructed :class:`Network`; provided for
-    completeness and for validating edge lists before construction."""
-    return all(d != _UNREACHED for d in bfs_distances(net, 0))
-
-
-def degree_histogram(net: Network) -> Dict[int, int]:
-    """Map degree -> number of processors with that degree."""
-    hist: Dict[int, int] = {}
-    for p in net.processors():
-        d = net.degree(p)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
 
 
 def _preserves_edges(net: Network, perm: Tuple[ProcId, ...]) -> bool:

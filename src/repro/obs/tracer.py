@@ -118,11 +118,6 @@ class MessageTracer:
             bufs.add_notifier(self._on_buffer_write)
         return self
 
-    @property
-    def attached(self) -> bool:
-        """True once :meth:`attach` ran."""
-        return self._sim is not None
-
     # -- stamps ------------------------------------------------------------------
 
     def _stamp(self) -> Tuple[int, int]:
@@ -259,11 +254,6 @@ class MessageTracer:
             }
         )
 
-    @property
-    def fault_count(self) -> int:
-        """Number of faults recorded so far."""
-        return len(self._faults)
-
     # -- queries -----------------------------------------------------------------
 
     def uids(self) -> List[int]:
@@ -274,28 +264,6 @@ class MessageTracer:
         """The causal timeline of one uid, in step order (ties broken by
         the causal order of one atomic step, then by arrival)."""
         return [e for *_, e in sorted(self._events.get(uid, []))]
-
-    def timelines(self) -> Dict[int, List[LifecycleEvent]]:
-        """All timelines, keyed by uid."""
-        return {uid: self.timeline(uid) for uid in self.uids()}
-
-    def is_complete(self, uid: int) -> bool:
-        """True iff the uid's timeline runs generation → delivery."""
-        kinds = {e.kind for *_, e in self._events.get(uid, [])}
-        return "generated" in kinds and "delivered" in kinds
-
-    def complete_uids(self) -> List[int]:
-        """Uids whose full generation → delivery lifecycle was captured."""
-        return [uid for uid in self.uids() if self.is_complete(uid)]
-
-    def hop_path(self, uid: int) -> List[Tuple[int, str]]:
-        """The buffer hops ``(processor, "R"|"E")`` in arrival order —
-        the compact route the message actually took."""
-        return [
-            (e.proc, e.buffer)
-            for e in self.timeline(uid)
-            if e.kind == "buffer"
-        ]
 
     # -- rendering / export ------------------------------------------------------
 

@@ -21,12 +21,10 @@ from repro.routing.static import StaticRouting
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.routing.corruption import (
     corrupt_random,
-    corrupt_with_cycle,
     corrupt_worst_case,
 )
 from repro.routing.analysis import (
     next_hop_cycles,
-    routing_is_correct,
     routing_errors,
 )
 
@@ -35,9 +33,7 @@ __all__ = [
     "StaticRouting",
     "SelfStabilizingBFSRouting",
     "corrupt_random",
-    "corrupt_with_cycle",
     "corrupt_worst_case",
     "next_hop_cycles",
-    "routing_is_correct",
     "routing_errors",
 ]

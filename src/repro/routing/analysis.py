@@ -6,7 +6,7 @@ protocols themselves never call them.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List
 
 from repro.network.graph import Network
 from repro.network.properties import all_pairs_distances
@@ -37,11 +37,6 @@ def routing_errors(net: Network, routing: RoutingService) -> List[str]:
                     f"(dist({q},{d})={td[q]}, dist({p},{d})={td[p]})"
                 )
     return problems
-
-
-def routing_is_correct(net: Network, routing: RoutingService) -> bool:
-    """True iff every entry lies on a minimal path."""
-    return not routing_errors(net, routing)
 
 
 def next_hop_cycles(
@@ -75,20 +70,3 @@ def next_hop_cycles(
         for q in path:
             color[q] = 2
     return cycles
-
-
-def measure_stabilization_rounds(
-    run_round: Callable[[], None],
-    is_correct: Callable[[], bool],
-    max_rounds: int = 10_000,
-) -> Optional[int]:
-    """Drive ``run_round`` until ``is_correct`` holds; returns the number of
-    calls made (the empirical ``R_A``), or None if the budget is exhausted.
-
-    Generic so experiments can plug any execution driver.
-    """
-    for k in range(max_rounds + 1):
-        if is_correct():
-            return k
-        run_round()
-    return None

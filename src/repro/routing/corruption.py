@@ -12,10 +12,10 @@ so a corruption mid-run is seen by the incremental engine entry by entry.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
-from repro.types import DestId, ProcId
+from repro.types import DestId
 
 
 def corrupt_random(
@@ -45,32 +45,6 @@ def corrupt_random(
             routing.set_entry(d, p, dist, rng.choice(net.neighbors(p)))
             hit += 1
     return hit
-
-
-def corrupt_with_cycle(
-    routing: SelfStabilizingBFSRouting,
-    dest: DestId,
-    cycle: Sequence[ProcId],
-) -> None:
-    """Point each processor of ``cycle`` at the next one (mod length) for
-    destination ``dest`` — the corrupted-routing loop of Figure 3.
-
-    Every consecutive pair must be an edge of the network.  Distances along
-    the cycle are set to a plausible-looking descending ramp so the entries
-    are not locally suspicious.
-    """
-    net = routing.network
-    k = len(cycle)
-    if k < 2:
-        raise ValueError("a routing cycle needs at least 2 processors")
-    for i, p in enumerate(cycle):
-        q = cycle[(i + 1) % k]
-        if not net.are_neighbors(p, q):
-            raise ValueError(f"cycle step {p} -> {q} is not an edge")
-        if p == dest:
-            raise ValueError("the destination cannot be part of its own cycle")
-        dist = max(1, (net.n - 1) - i % max(net.n - 1, 1))
-        routing.set_entry(dest, p, dist, q)
 
 
 def corrupt_worst_case(

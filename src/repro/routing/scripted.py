@@ -42,11 +42,6 @@ class ScriptedRouting(RoutingService):
         self._overrides[(p, d)] = q
         self._notify_entry(p, d)
 
-    def repair(self, p: ProcId, d: DestId) -> None:
-        """Remove one override (that entry reads correct again)."""
-        if self._overrides.pop((p, d), None) is not None:
-            self._notify_entry(p, d)
-
     def repair_all(self) -> None:
         """The figure's "routing tables are repaired" moment."""
         repaired = list(self._overrides)

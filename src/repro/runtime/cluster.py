@@ -38,7 +38,7 @@ from repro.runtime.conformance import (
     message_latencies,
 )
 from repro.runtime.netem import NetemConfig, NetemTransport
-from repro.runtime.hop import RuntimeParams
+from repro.runtime.hop import MAX_WINDOW, RuntimeParams
 from repro.runtime.node import RuntimeNode
 from repro.runtime.transport import (
     LocalTransport,
@@ -47,9 +47,19 @@ from repro.runtime.transport import (
     allocate_ports,
 )
 
+#: The sizes a live cluster can honour: ``(field, CLI flag, test, wanted)``.
+_SIZE_RANGES = (
+    ("window", "--window", lambda v: 1 <= v <= MAX_WINDOW, f"in 1..{MAX_WINDOW}"),
+    ("max_batch", "--max-batch", lambda v: v >= 1, "at least 1"),
+    ("messages", "--messages", lambda v: v >= 0, "at least 0"),
+    ("deadline", "--deadline", lambda v: v > 0, "positive"),
+)
+
+
 @dataclass
 class ClusterSpec:
-    """Everything needed to run one live cluster."""
+    """Everything needed to run one live cluster.  A size the runtime
+    cannot honour (:meth:`check_sizes`) is refused at construction."""
 
     topology: Dict[str, Any]
     messages: int = 100
@@ -76,6 +86,27 @@ class ClusterSpec:
     #: :mod:`repro.scenario` — dicts ``{"action", "t0", "t1", ...}``
     #: (seconds from run start).  Driven by per-event asyncio tasks.
     chaos: Optional[List[Dict[str, Any]]] = None
+
+    def __post_init__(self) -> None:
+        self.check_sizes(
+            window=self.window,
+            max_batch=self.max_batch,
+            messages=self.messages,
+            deadline=self.deadline,
+        )
+
+    @staticmethod
+    def check_sizes(**sizes: Any) -> None:
+        """Raise :class:`ConfigurationError` for any given size out of its
+        range: ``window`` in 1..``MAX_WINDOW`` (the SACK bitmap width),
+        ``max_batch`` ≥ 1, ``messages`` ≥ 0, ``deadline`` > 0.  The one
+        check behind ``repro runtime`` and a scenario's ``[runtime]``."""
+        for name, flag, ok, wanted in _SIZE_RANGES:
+            if name in sizes and not ok(sizes[name]):
+                raise ConfigurationError(
+                    f"runtime {name} ({flag}) must be {wanted}, "
+                    f"got {sizes[name]!r}"
+                )
 
     def build_network(self) -> Network:
         return topology_by_name(
@@ -162,14 +193,6 @@ class RuntimeResult:
     def throughput(self) -> float:
         """Delivered messages per second of wall clock."""
         return self.report.delivered / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def records_dropped(self) -> int:
-        """Hop-protocol records discarded by the transport layer (edge-queue
-        overflow against a stalled peer, frames for unknown inboxes).  The
-        windowed protocol retransmits, so drops cost latency rather than
-        messages — but they are never silent."""
-        return self.transport_stats.get("records_dropped", 0)
 
     def summary(self) -> str:
         """Human-readable run summary (printed by the CLI)."""

@@ -291,6 +291,13 @@ class ScenarioSpec:
         runtime_extras = data.get("runtime", {})
         _reject_unknown("runtime", runtime_extras, _RUNTIME_KEYS)
         runtime_extras = dict(runtime_extras)
+        from repro.runtime.cluster import ClusterSpec
+
+        ClusterSpec.check_sizes(**{
+            key: runtime_extras[key]
+            for key in ("window", "max_batch")
+            if key in runtime_extras
+        })
         if "netem" in runtime_extras and runtime_extras["netem"] is not None:
             # Validate eagerly: a typo'd netem knob must fail at parse
             # time, not 30 s into a soak.

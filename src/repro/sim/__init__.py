@@ -15,7 +15,6 @@ from repro.sim.runner import (
 from repro.sim.metrics import (
     RoundClock,
     delivery_latency_rounds,
-    delivery_latency_steps,
     moves_per_delivery,
 )
 from repro.sim.reporting import format_table, set_table_sink
@@ -27,7 +26,6 @@ __all__ = [
     "delivered_and_drained",
     "RoundClock",
     "delivery_latency_rounds",
-    "delivery_latency_steps",
     "moves_per_delivery",
     "format_table",
     "set_table_sink",

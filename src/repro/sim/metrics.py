@@ -31,21 +31,6 @@ class RoundClock:
         belongs to round ``k``, not ``k+1``."""
         return bisect.bisect_left(self._boundaries, step) + 1
 
-    @property
-    def completed_rounds(self) -> int:
-        """Rounds completed in the execution."""
-        return len(self._boundaries)
-
-
-def delivery_latency_steps(ledger: DeliveryLedger) -> Dict[int, int]:
-    """Map valid uid -> steps from generation to delivery (delivered only)."""
-    out: Dict[int, int] = {}
-    for uid in _delivered_uids(ledger):
-        lat = ledger.latency_steps(uid)
-        if lat is not None:
-            out[uid] = lat
-    return out
-
 
 def delivery_latency_rounds(
     ledger: DeliveryLedger, clock: RoundClock

@@ -44,24 +44,6 @@ def summarize(values: Iterable[float]) -> Dict[str, float]:
     }
 
 
-def summarize_prefixed(values: Iterable[float], prefix: str) -> Dict[str, float]:
-    """Like :func:`summarize` with keys prefixed — ready to merge into a
-    sweep row (``latency_p50``, ``latency_max``, ...)."""
-    return {f"{prefix}_{k}": v for k, v in summarize(values).items()}
-
-
-def ratio_of_means(
-    numerators: Sequence[float], denominators: Sequence[float]
-) -> Optional[float]:
-    """Mean(numerators) / mean(denominators); None when undefined."""
-    if not numerators or not denominators:
-        return None
-    denom = sum(denominators) / len(denominators)
-    if denom == 0:
-        return None
-    return (sum(numerators) / len(numerators)) / denom
-
-
 def jain_index(values: Sequence[float]) -> Optional[float]:
     """Jain's fairness index: (Σx)² / (n · Σx²), in (0, 1]; 1 means all
     equal.  Used to quantify how evenly the ``choice`` fairness spreads

@@ -14,7 +14,6 @@ from repro.statemodel.daemon import (
     CentralRandomDaemon,
     Daemon,
     DistributedRandomDaemon,
-    LocallyCentralRandomDaemon,
     RoundRobinDaemon,
     SynchronousDaemon,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "CentralRandomDaemon",
     "Daemon",
     "DistributedRandomDaemon",
-    "LocallyCentralRandomDaemon",
     "RoundRobinDaemon",
     "SynchronousDaemon",
     "Message",

@@ -30,7 +30,7 @@ cached action list is bit-identical to a fresh evaluation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, KeysView, List, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Sequence, Set
 
 from repro.statemodel.action import Action
 from repro.types import DestId, ProcId
@@ -54,12 +54,6 @@ class ComponentDirtyCache:
         #: Component evaluations performed so far — one per destination
         #: examined, by a scan, a rebuild or a reconcile alike.
         self.evals = 0
-
-    @property
-    def dirty_pids(self) -> KeysView[ProcId]:
-        """Processors with any dirty component (a live view) — what the
-        owner's ``dirty_after`` reports to the simulator."""
-        return self.dirty.keys()
 
     def mark(self, pid: ProcId, d: DestId) -> None:
         """Dirty the single component ``(pid, d)``."""

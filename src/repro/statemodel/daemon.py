@@ -106,35 +106,6 @@ class DistributedRandomDaemon(Daemon):
         self._rng = random.Random(self._seed)
 
 
-class LocallyCentralRandomDaemon(Daemon):
-    """Distributed daemon that never selects two *neighboring* processors in
-    the same step (the locally central daemon of the literature).  Requires
-    the adjacency to be provided; selection is a random maximal independent
-    subset of the enabled processors.
-    """
-
-    def __init__(self, seed: int, neighbors: Sequence[Sequence[ProcId]]) -> None:
-        self._seed = seed
-        self._rng = random.Random(seed)
-        self._neighbors = [frozenset(ns) for ns in neighbors]
-
-    def select(self, enabled: EnabledMap, step: int) -> Selection:
-        rng = self._rng
-        order = sorted(enabled)
-        rng.shuffle(order)
-        chosen: Selection = {}
-        blocked: set = set()
-        for pid in order:
-            if pid in blocked:
-                continue
-            chosen[pid] = rng.choice(enabled[pid])
-            blocked.update(self._neighbors[pid])
-        return chosen
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
-
-
 class RoundRobinDaemon(Daemon):
     """Deterministic weakly fair central daemon: serves enabled processors
     in cyclic identity order starting after the last served identity.
@@ -177,11 +148,6 @@ class AdversarialScriptDaemon(Daemon):
         self._script: List[Sequence[Tuple]] = [list(entry) for entry in script]
         self._pos = 0
         self._fallback = fallback if fallback is not None else RoundRobinDaemon()
-
-    @property
-    def script_exhausted(self) -> bool:
-        """True once every scripted entry has been replayed."""
-        return self._pos >= len(self._script)
 
     def select(self, enabled: EnabledMap, step: int) -> Selection:
         if self._pos >= len(self._script):

@@ -111,8 +111,3 @@ class Protocol(ABC):
                 f"{type(self).__name__} returned a non-empty state vector "
                 "but does not implement restore()"
             )
-
-    def is_enabled(self, pid: ProcId) -> bool:
-        """True iff at least one action of this protocol is enabled at
-        ``pid``.  Subclasses may override with a cheaper check."""
-        return bool(self.enabled_actions(pid))

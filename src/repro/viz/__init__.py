@@ -1,24 +1,12 @@
-"""ASCII visualization of networks, buffer graphs and configurations.
+"""ASCII visualization of networks and configurations.
 
-Renders the same objects the paper draws: the network, one destination's
-buffer-graph component, and the buffer occupancy of a configuration
-(Figure 3's diagrams), plus a compact execution timeline.
+Renders what Figure 3 draws: the network and the buffer occupancy of one
+destination's component in a configuration.
 """
 
-from repro.viz.ascii_art import (
-    render_component_state,
-    render_execution_strip,
-    render_network,
-    render_routing_tables,
-)
-from repro.viz.dot import buffer_graph_to_dot, network_to_dot, routing_to_dot
+from repro.viz.ascii_art import render_component_state, render_network
 
 __all__ = [
     "render_component_state",
-    "render_execution_strip",
     "render_network",
-    "render_routing_tables",
-    "buffer_graph_to_dot",
-    "network_to_dot",
-    "routing_to_dot",
 ]

@@ -8,11 +8,10 @@ destination component.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.protocol import SSMFP
 from repro.network.graph import Network
-from repro.routing.table import RoutingService
 from repro.statemodel.message import Message
 from repro.types import DestId
 
@@ -57,32 +56,3 @@ def render_component_state(proto: SSMFP, d: DestId) -> str:
         " ".join(f"[{cell}]" for cell in row_e),
     ]
     return "\n".join(lines)
-
-
-def render_routing_tables(
-    net: Network, routing: RoutingService, dest: Optional[DestId] = None
-) -> str:
-    """``nextHop`` table(s): one line per destination (or just ``dest``)."""
-    dests = [dest] if dest is not None else list(net.processors())
-    lines = ["next-hop tables:"]
-    for d in dests:
-        hops = ", ".join(
-            f"{net.name(p)}->{net.name(routing.next_hop(p, d))}"
-            for p in net.processors()
-            if p != d
-        )
-        lines.append(f"  dest {net.name(d)}: {hops}")
-    return "\n".join(lines)
-
-
-def render_execution_strip(
-    snapshots: Sequence[str], per_row: int = 1
-) -> str:
-    """Join configuration renderings into a numbered strip (the figure's
-    (0), (1), ... panels)."""
-    parts: List[str] = []
-    for i, snap in enumerate(snapshots):
-        parts.append(f"({i})")
-        parts.append(snap)
-        parts.append("")
-    return "\n".join(parts)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import random
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
 from repro.app.higher_layer import HigherLayer
+from repro.buffergraph.graph import BufferGraph, BufferId
 from repro.core.ledger import DeliveryLedger
 from repro.core.protocol import SSMFP
 from repro.core.protocol2 import SSMFP2
+from repro.errors import TopologyError
+from repro.network.properties import bfs_distances
+from repro.routing.analysis import routing_errors
 from repro.routing.static import StaticRouting
+from repro.statemodel.daemon import Daemon
 
 
 def make_ssmfp(net, routing=None, **kwargs):
@@ -35,3 +43,198 @@ def rule(proto, label, p, d):
         if action.rule == label:
             return action
     return None
+
+
+# -- Fixtures the product never runs ------------------------------------------
+# Tests of product behaviour need these as inputs or as judges; nothing under
+# src/ calls them, so they live here rather than in the package.
+
+
+def routing_is_correct(net, routing) -> bool:
+    """True iff every routing entry lies on a minimal path."""
+    return not routing_errors(net, routing)
+
+
+def is_connected(net) -> bool:
+    """True iff every processor is reachable from processor 0."""
+    return all(d >= 0 for d in bfs_distances(net, 0))
+
+
+def corrupt_with_cycle(routing, dest, cycle: Sequence[int]) -> None:
+    """Point each processor of ``cycle`` at the next one (mod length) for
+    destination ``dest`` — the corrupted-routing loop of Figure 3.
+
+    Every consecutive pair must be an edge of the network.  Distances along
+    the cycle are set to a plausible-looking descending ramp so the entries
+    are not locally suspicious.
+    """
+    net = routing.network
+    k = len(cycle)
+    if k < 2:
+        raise ValueError("a routing cycle needs at least 2 processors")
+    for i, p in enumerate(cycle):
+        q = cycle[(i + 1) % k]
+        if not net.are_neighbors(p, q):
+            raise ValueError(f"cycle step {p} -> {q} is not an edge")
+        if p == dest:
+            raise ValueError("the destination cannot be part of its own cycle")
+        dist = max(1, (net.n - 1) - i % max(net.n - 1, 1))
+        routing.set_entry(dest, p, dist, q)
+
+
+class LocallyCentralRandomDaemon(Daemon):
+    """Distributed daemon that never selects two *neighboring* processors in
+    the same step (the locally central daemon of the literature); selection
+    is a random maximal independent subset of the enabled processors.  The
+    engine-equivalence adversary: a schedule shape no shipped daemon makes.
+    """
+
+    def __init__(self, seed: int, neighbors: Sequence[Sequence[int]]) -> None:
+        self._seed = seed
+        self._rng = random.Random(seed)
+        self._neighbors = [frozenset(ns) for ns in neighbors]
+
+    def select(self, enabled, step):
+        rng = self._rng
+        order = sorted(enabled)
+        rng.shuffle(order)
+        chosen = {}
+        blocked: set = set()
+        for pid in order:
+            if pid in blocked:
+                continue
+            chosen[pid] = rng.choice(enabled[pid])
+            blocked.update(self._neighbors[pid])
+        return chosen
+
+    def reset(self) -> None:
+        self._rng = random.Random(self._seed)
+
+
+class DeadlockFreeController:
+    """Move-permission oracle over an acyclic buffer graph (Merlin &
+    Schweitzer): a move into buffer ``b`` is allowed only along a graph
+    edge, so messages in buffers maximal in the topological order can
+    always advance or be consumed.  A cyclic graph is rejected eagerly.
+    """
+
+    def __init__(self, graph: BufferGraph) -> None:
+        order = graph.topological_order()
+        if order is None:
+            raise TopologyError(
+                "buffer graph is cyclic, cannot build a deadlock-free controller"
+            )
+        self._graph = graph
+        self._rank: Dict[BufferId, int] = {b: i for i, b in enumerate(order)}
+
+    def rank(self, b: BufferId) -> int:
+        """Position of ``b`` in the certified topological order."""
+        return self._rank[b]
+
+    def permits_move(self, src: BufferId, dst: BufferId) -> bool:
+        """True iff forwarding from ``src`` into ``dst`` follows a graph edge."""
+        return dst in self._graph.successors(src)
+
+    def permits_generation(self, into: BufferId) -> bool:
+        """Generation is allowed into any buffer of the graph."""
+        return into in self._rank
+
+    def certify_progress(
+        self,
+        occupancy: Dict[BufferId, object],
+        consumable: Callable[[BufferId], bool],
+    ) -> Optional[Tuple[str, BufferId]]:
+        """``("consume", b)`` or ``("forward", b)`` for some occupied buffer
+        that can act, or None iff the network is empty.  On an acyclic graph
+        this never returns None while occupied buffers exist — the
+        deadlock-freedom theorem the property tests assert."""
+        if not occupancy:
+            return None
+        occupied = sorted(occupancy, key=lambda b: self._rank[b], reverse=True)
+        for b in occupied:
+            if consumable(b):
+                return ("consume", b)
+            for s in self._graph.successors(b):
+                if s not in occupancy:
+                    return ("forward", b)
+        # Every occupied buffer is stuck: only possible when some occupied
+        # buffer has no successor and is not consumable — a routing fault.
+        return None
+
+
+def weakly_connected_components(graph: BufferGraph) -> List[FrozenSet[BufferId]]:
+    """Components of ``graph`` ignoring edge direction, sorted by their
+    smallest buffer.  The destination-based construction yields exactly one
+    component per destination."""
+    adjacent: Dict[BufferId, List[BufferId]] = {b: [] for b in graph.nodes}
+    for u, v in graph.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen: Set[BufferId] = set()
+    comps: List[FrozenSet[BufferId]] = []
+    for b in graph.nodes:
+        if b in seen:
+            continue
+        comp: Set[BufferId] = set()
+        stack = [b]
+        seen.add(b)
+        while stack:
+            x = stack.pop()
+            comp.add(x)
+            for y in adjacent[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(frozenset(comp))
+    comps.sort(key=min)
+    return comps
+
+
+# -- Reads of private state the memory and engine pins assert on ---------------
+
+
+def live_sources(hl: HigherLayer) -> Set[int]:
+    """Processors with a materialized outbox (the higher layer evicts an
+    outbox as soon as it empties)."""
+    return set(hl._outbox)
+
+
+def occupied_in_component(bufs, d) -> int:
+    """Nonempty buffers in destination ``d``'s component, as counted by
+    the buffers' own occupancy index."""
+    return bufs._occupied.get(d, 0)
+
+
+def materialized_buffer_destinations(bufs) -> Set[int]:
+    """Destinations with at least one materialized buffer cell."""
+    return set(bufs._r) | set(bufs._e)
+
+
+def materialized_queue_destinations(queues) -> Set[int]:
+    """Destinations with at least one materialized choice queue."""
+    return set(queues._rows)
+
+
+def materialized_queue_count(queues) -> int:
+    """Number of materialized choice queues across every destination."""
+    return sum(len(row) for row in queues._rows.values())
+
+
+def mp_node_is_empty(node) -> bool:
+    """True iff an ``MPForwardingNode`` holds nothing in a buffer, an offer
+    queue or its outbox."""
+    return (
+        all(r is None for r in node.buf_r)
+        and all(e is None for e in node.buf_e)
+        and all(not q for q in node.offers)
+        and not node.outbox
+    )
+
+
+def complete_uids(tracer) -> List[int]:
+    """Uids whose full generation → delivery lifecycle the tracer captured."""
+    return [
+        uid
+        for uid in tracer.uids()
+        if {"generated", "delivered"} <= {e.kind for e in tracer.timeline(uid)}
+    ]

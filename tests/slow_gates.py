@@ -22,6 +22,11 @@ from repro.network.topologies import ring_network
 from repro.sim.runner import build_simulation
 from repro.verify.modelcheck import ModelChecker
 
+from tests.helpers import (
+    materialized_buffer_destinations,
+    materialized_queue_destinations,
+)
+
 from tests.test_engine_pins import check_pair_sweep
 from tests.test_experiments import assert_report_matches_golden
 
@@ -53,8 +58,8 @@ def _engine_peak(n):
     tracemalloc.stop()
     forwarding = sim.forwarding
     return peak, (
-        forwarding.bufs.materialized_destinations()
-        | forwarding.queues.materialized_destinations()
+        materialized_buffer_destinations(forwarding.bufs)
+        | materialized_queue_destinations(forwarding.queues)
     )
 
 

@@ -23,7 +23,7 @@ class TestSubmission:
         hl = HigherLayer(3)
         hl.submit(1, "me", 1)
         assert hl.pending_count(1) == 0
-        assert hl.local_deliveries == 1
+        assert hl.snapshot()[-1] == 1  # the local-delivery count
 
 
 class TestRequestHandshake:

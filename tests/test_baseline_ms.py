@@ -175,7 +175,7 @@ class TestInvalidGarbage:
     def test_planted_garbage_delivered_as_invalid(self):
         net = line_network(3)
         proto = make_ms(net)
-        proto.plant_invalid(2, 1, "junk", source=0, flag=0)
+        proto.buf[2][1] = FlaggedMessage("junk", 0, 0, 2, -1, False)  # garbage
         sim = Simulator(3, PriorityStack([proto]), SynchronousDaemon())
         for _ in range(50):
             if sim.step().terminal:

@@ -11,9 +11,10 @@ from repro.network.topologies import (
     random_connected_network,
     ring_network,
 )
-from repro.routing.corruption import corrupt_with_cycle
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.routing.static import StaticRouting
+
+from tests.helpers import corrupt_with_cycle, weakly_connected_components
 
 
 class TestDestinationBased:
@@ -31,7 +32,7 @@ class TestDestinationBased:
     def test_one_component_per_destination(self):
         net = paper_figure1_network()
         g = destination_based_buffer_graph(net, StaticRouting(net))
-        comps = g.weakly_connected_components()
+        comps = weakly_connected_components(g)
         assert len(comps) == net.n
 
     def test_component_isomorphic_to_tree(self):
@@ -79,7 +80,7 @@ class TestSsmfpGraph:
     def test_one_component_per_destination(self):
         net = ring_network(5)
         g = ssmfp_buffer_graph(net, StaticRouting(net))
-        assert len(g.weakly_connected_components()) == net.n
+        assert len(weakly_connected_components(g)) == net.n
 
     def test_component_edge_count(self):
         # n R->E edges plus n-1 E->R forwarding edges per destination.

@@ -1,17 +1,18 @@
 """Tests for the deadlock-free controller, including the progress
 certificate over random occupancies (the Merlin-Schweitzer theorem as a
-property test)."""
+property test over the product's destination-based buffer graph)."""
 
 import random
 
 import pytest
 
-from repro.buffergraph.controller import DeadlockFreeController
 from repro.buffergraph.destination_based import destination_based_buffer_graph
 from repro.buffergraph.graph import BufferGraph, BufferId
 from repro.errors import TopologyError
 from repro.network.topologies import random_connected_network, ring_network
 from repro.routing.static import StaticRouting
+
+from tests.helpers import DeadlockFreeController
 
 
 def b(p, d=0, kind="single"):

@@ -67,6 +67,31 @@ class TestRuntimeCommand:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert names in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-batch", "0"),
+            ("--window", "0"),
+            ("--window", "100"),
+            ("--messages", "-1"),
+            ("--deadline", "-1"),
+        ],
+    )
+    def test_size_the_cluster_cannot_honour_exits_two(self, flag, value, capsys):
+        # At the parent: max_batch 0 started the run and died on range()
+        # (exit 1), windows were clamped to 1..64, -1 messages passed and
+        # a negative deadline ran until it was "reached".
+        code = main(
+            ["runtime", "--topology", "ring", "--n", "3", "--messages", "4",
+             flag, value]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""  # rejected before any run
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert flag in err and "Traceback" not in err
+
     def test_window_batch_and_wire_flags(self, capsys):
         code = main(
             [

@@ -3,6 +3,8 @@
 from repro.core.buffers import ForwardingBuffers
 from repro.statemodel.message import MessageFactory
 
+from tests.helpers import materialized_buffer_destinations, occupied_in_component
+
 
 def make_msg(f=None, payload="m", dest=1):
     f = f or MessageFactory()
@@ -13,13 +15,13 @@ class TestOccupancy:
     def test_starts_empty(self):
         bufs = ForwardingBuffers(3)
         assert bufs.total_occupied() == 0
-        assert bufs.occupied_in_component(0) == 0
+        assert occupied_in_component(bufs, 0) == 0
 
     def test_set_r_counts(self):
         bufs = ForwardingBuffers(3)
         bufs.set_r(1, 0, make_msg())
-        assert bufs.occupied_in_component(1) == 1
-        assert bufs.occupied_in_component(0) == 0
+        assert occupied_in_component(bufs, 1) == 1
+        assert occupied_in_component(bufs, 0) == 0
         bufs.set_r(1, 0, None)
         assert bufs.total_occupied() == 0
 
@@ -28,14 +30,14 @@ class TestOccupancy:
         bufs = ForwardingBuffers(3)
         bufs.set_e(1, 2, make_msg(f))
         bufs.set_e(1, 2, make_msg(f))
-        assert bufs.occupied_in_component(1) == 1
+        assert occupied_in_component(bufs, 1) == 1
 
     def test_move_r_to_e_preserves_count(self):
         bufs = ForwardingBuffers(3)
         msg = make_msg()
         bufs.set_r(1, 0, msg)
         bufs.move_r_to_e(1, 0, msg.recolored(0, 1))
-        assert bufs.occupied_in_component(1) == 1
+        assert occupied_in_component(bufs, 1) == 1
         assert bufs.get_r(1, 0) is None
         assert bufs.get_e(1, 0) is not None
 
@@ -93,7 +95,7 @@ class TestTotalOccupiedCycles:
             assert bufs.total_occupied() == 1 == self._recount(bufs)
             bufs.set_e(1, 0, None)
             assert bufs.total_occupied() == 0 == self._recount(bufs)
-        assert bufs.materialized_destinations() == set()
+        assert materialized_buffer_destinations(bufs) == set()
 
 
 class TestIteration:
@@ -155,5 +157,5 @@ class TestOccupiedComponentsIndex:
         bufs.set_r(0, 1, make_msg(f, dest=0))
         bufs.set_e(3, 2, make_msg(f, dest=3))
         bufs.set_r(3, 4, make_msg(f, dest=3))
-        want = {d for d in range(5) if bufs.occupied_in_component(d)}
+        want = {d for d in range(5) if occupied_in_component(bufs, d)}
         assert bufs.occupied_components() == want

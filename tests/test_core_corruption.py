@@ -10,7 +10,7 @@ from repro.core.corruption import (
 )
 from repro.core.invariants import InvariantChecker
 
-from tests.helpers import make_ssmfp
+from tests.helpers import make_ssmfp, occupied_in_component
 
 
 class TestPlantInvalidMessage:
@@ -79,8 +79,8 @@ class TestFillAllBuffers:
     def test_fills_2n_buffers(self, line5):
         proto = make_ssmfp(line5)
         assert fill_all_buffers(proto, d=3, seed=1) == 2 * 5
-        assert proto.bufs.occupied_in_component(3) == 10
-        assert proto.bufs.occupied_in_component(2) == 0
+        assert occupied_in_component(proto.bufs, 3) == 10
+        assert occupied_in_component(proto.bufs, 2) == 0
 
     def test_distinct_payloads(self, line5):
         proto = make_ssmfp(line5)

@@ -9,6 +9,24 @@ from repro.statemodel.message import Message
 from tests.helpers import make_ssmfp
 
 
+# Each check alone, over its own walk of the buffers: ``check()`` fuses all
+# four into one walk and must report exactly what each reports alone.
+def well_formed(checker):
+    checker._walk(well_formed=True)
+
+
+def no_loss(checker):
+    checker._no_loss(checker._walk(well_formed=False))
+
+
+def no_duplication(checker):
+    checker._no_duplication(checker._walk(well_formed=False))
+
+
+def copy_geometry(checker):
+    checker._copy_geometry(checker._walk(well_formed=False))
+
+
 def gen(proto, source, dest, payload="m", color=0):
     msg = proto.factory.generated(payload, source, dest, color, 0)
     proto.ledger.record_generated(msg)
@@ -25,21 +43,21 @@ class TestWellFormedness:
         bad = Message(payload="x", last=1, color=99, dest=2, uid=-5, valid=False)
         proto.bufs.set_r(2, 1, bad)
         with pytest.raises(InvariantViolation, match="color"):
-            InvariantChecker(proto).check_well_formed()
+            well_formed(InvariantChecker(proto))
 
     def test_non_neighbor_last_caught(self, line5):
         proto = make_ssmfp(line5)
         bad = Message(payload="x", last=4, color=0, dest=2, uid=-5, valid=False)
         proto.bufs.set_r(2, 0, bad)  # 4 is not adjacent to 0 on the line
         with pytest.raises(InvariantViolation, match="last"):
-            InvariantChecker(proto).check_well_formed()
+            well_formed(InvariantChecker(proto))
 
     def test_mismatched_dest_tag_caught(self, line5):
         proto = make_ssmfp(line5)
         bad = Message(payload="x", last=1, color=0, dest=3, uid=-5, valid=False)
         proto.bufs.set_r(2, 1, bad)  # stored in component 2, tagged 3
         with pytest.raises(InvariantViolation, match="dest"):
-            InvariantChecker(proto).check_well_formed()
+            well_formed(InvariantChecker(proto))
 
 
 class TestLossAndDuplication:
@@ -52,7 +70,7 @@ class TestLossAndDuplication:
         proto = make_ssmfp(line5)
         gen(proto, 0, 3)  # generated, never stored anywhere
         with pytest.raises(InvariantViolation, match="lost"):
-            InvariantChecker(proto).check_no_loss()
+            no_loss(InvariantChecker(proto))
 
     def test_residual_copy_after_delivery_caught(self, line5):
         proto = make_ssmfp(line5)
@@ -60,7 +78,7 @@ class TestLossAndDuplication:
         proto.ledger.record_delivery(3, msg, step=5)
         proto.bufs.set_r(3, 1, msg.forwarded_copy(0))
         with pytest.raises(InvariantViolation, match="delivered but copies"):
-            InvariantChecker(proto).check_no_duplication()
+            no_duplication(InvariantChecker(proto))
 
     def test_foreign_component_copy_caught(self, line5):
         proto = make_ssmfp(line5)
@@ -73,35 +91,35 @@ class TestLossAndDuplication:
         )
         proto.bufs.set_r(2, 0, wrong)
         with pytest.raises(InvariantViolation, match="foreign"):
-            InvariantChecker(proto).check_copy_geometry()
+            copy_geometry(InvariantChecker(proto))
 
     def test_unrecorded_valid_uid_caught(self, line5):
         proto = make_ssmfp(line5)
         ghost = Message(payload="x", last=0, color=0, dest=2, uid=77, valid=True, source=0)
         proto.bufs.set_r(2, 0, ghost)
         with pytest.raises(InvariantViolation, match="never recorded"):
-            InvariantChecker(proto).check_copy_geometry()
+            copy_geometry(InvariantChecker(proto))
 
 
 def _bad_color(proto):
     proto.bufs.set_r(2, 1, Message(payload="x", last=1, color=99, dest=2, uid=-5, valid=False))
-    return InvariantChecker.check_well_formed, "bufR_1(2) holds color 99 outside 0..2"
+    return well_formed, "bufR_1(2) holds color 99 outside 0..2"
 
 
 def _bad_last(proto):
     proto.bufs.set_e(2, 0, Message(payload="x", last=4, color=0, dest=2, uid=-5, valid=False))
-    return InvariantChecker.check_well_formed, "bufE_0(2) holds last=4, not in N_0 ∪ {0}"
+    return well_formed, "bufE_0(2) holds last=4, not in N_0 ∪ {0}"
 
 
 def _bad_dest(proto):
     proto.bufs.set_r(2, 1, Message(payload="x", last=1, color=0, dest=3, uid=-5, valid=False))
-    return InvariantChecker.check_well_formed, "bufR_1(2) holds a message tagged dest=3"
+    return well_formed, "bufR_1(2) holds a message tagged dest=3"
 
 
 def _lost(proto):
     gen(proto, 0, 3)
     gen(proto, 1, 4)
-    return (InvariantChecker.check_no_loss,
+    return (no_loss,
             "valid messages lost (no stored copy, never delivered): uids [1, 2]")
 
 
@@ -110,7 +128,7 @@ def _duplicated(proto):
     proto.ledger.record_delivery(3, msg, step=5)
     proto.bufs.set_r(3, 1, msg.forwarded_copy(0))
     proto.bufs.set_e(3, 1, msg.forwarded_copy(0))
-    return (InvariantChecker.check_no_duplication,
+    return (no_duplication,
             "valid uid 1 was delivered but copies remain at [(3, 1, 'R'), (3, 1, 'E')]")
 
 
@@ -119,14 +137,14 @@ def _foreign(proto):
     proto.bufs.set_r(3, 0, msg)
     proto.bufs.set_r(2, 0, Message(payload=msg.payload, last=0, color=0, dest=2,
                                    uid=msg.uid, valid=True, source=0))
-    return (InvariantChecker.check_copy_geometry,
+    return (copy_geometry,
             "valid uid 1 (dest 3) has copies in foreign components: [(2, 0, 'R')]")
 
 
 def _unrecorded(proto):
     proto.bufs.set_r(2, 0, Message(payload="x", last=0, color=0, dest=2, uid=77,
                                    valid=True, source=0))
-    return (InvariantChecker.check_copy_geometry,
+    return (copy_geometry,
             "stored valid uid 77 was never recorded as generated")
 
 

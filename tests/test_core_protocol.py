@@ -8,7 +8,7 @@ from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import RoundRobinDaemon, SynchronousDaemon
 from repro.statemodel.scheduler import Simulator
 
-from tests.helpers import make_ssmfp
+from tests.helpers import make_ssmfp, occupied_in_component
 
 
 def drive(proto, daemon=None, max_steps=10_000, expect=None):
@@ -157,7 +157,7 @@ class TestActiveDestinationIndex:
             slow = {
                 d
                 for d in proto.net.processors()
-                if proto.bufs.occupied_in_component(d) > 0
+                if occupied_in_component(proto.bufs, d) > 0
             }
             for p in proto.net.processors():
                 if proto.hl.request[p]:

@@ -40,13 +40,12 @@ from repro.sim.runner import Simulation, build_simulation, delivered_and_drained
 from repro.statemodel.daemon import (
     CentralRandomDaemon,
     DistributedRandomDaemon,
-    LocallyCentralRandomDaemon,
     RoundRobinDaemon,
     SynchronousDaemon,
 )
 from repro.statemodel.scheduler import Simulator
 
-from tests.helpers import make_ssmfp
+from tests.helpers import LocallyCentralRandomDaemon, make_ssmfp
 from tests.reference_engines import CheckedSimulator, FullScanSimulator, use_engine
 
 MAX_STEPS = 4_000

@@ -27,6 +27,8 @@ from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.daemon import DistributedRandomDaemon
 from repro.statemodel.message import MessageFactory
 
+from tests.helpers import live_sources, materialized_queue_count
+
 # trickle = sparse traffic on converged routing (the locality showcase),
 # churn = 30 % corrupted routing recovering while traffic flows (repair
 # floods processors, but each repair move touches one destination
@@ -247,8 +249,8 @@ def check_pair_sweep(pairs, n):
         f"{SWEEP_CEILING} ({peak / SWEEP_CEILING:.1%})"
     )
     assert bufs.total_occupied() == len(live)
-    assert queues.materialized_count() <= _LIVE_CAP + 1
-    assert not hl.live_sources()
+    assert materialized_queue_count(queues) <= _LIVE_CAP + 1
+    assert not live_sources(hl)
 
 
 def test_pair_sweep_peak_is_the_live_window():

@@ -32,10 +32,11 @@ from repro.sim.runner import build_simulation, delivered_and_drained, fully_quie
 from repro.statemodel.daemon import (
     CentralRandomDaemon,
     DistributedRandomDaemon,
-    LocallyCentralRandomDaemon,
     RoundRobinDaemon,
     SynchronousDaemon,
 )
+
+from tests.helpers import LocallyCentralRandomDaemon
 
 TOPOLOGIES = [
     ("line", lambda: line_network(6)),

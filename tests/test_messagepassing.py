@@ -23,6 +23,8 @@ from repro.network.topologies import (
 from repro.routing.static import StaticRouting
 from repro.runtime.hop import RuntimeParams
 
+from tests.helpers import mp_node_is_empty
+
 
 class EchoNode(MPNode):
     """Test node: counts receptions; one local action until fired."""
@@ -145,8 +147,8 @@ class TestForwardingPortCleanStart:
     def test_network_drains(self):
         net = line_network(4)
         sim, nodes, ledger = run_port(net, [(0, "m", 3), (3, "w", 0)], seed=2)
-        sim.run(100_000, halt=lambda s: all(n.is_empty() for n in nodes))
-        assert all(node.is_empty() for node in nodes)
+        sim.run(100_000, halt=lambda s: all(mp_node_is_empty(n) for n in nodes))
+        assert all(mp_node_is_empty(node) for node in nodes)
 
 
 class TestOpenProblemFailures:
@@ -227,10 +229,6 @@ class TestChannelFaults:
             ChannelFaults(loss=1.5)
         with pytest.raises(ConfigurationError, match="outside"):
             ChannelFaults(dup=-0.1)
-
-    def test_reliable_fifo_predicate(self):
-        assert ChannelFaults().is_reliable_fifo()
-        assert not ChannelFaults(reorder=0.1).is_reliable_fifo()
 
     def test_loss_drops_raw_messages(self):
         net = line_network(2)

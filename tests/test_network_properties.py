@@ -7,11 +7,8 @@ from repro.network.properties import (
     all_pairs_distances,
     bfs_distances,
     bfs_rows,
-    bfs_tree,
-    degree_histogram,
     diameter,
     eccentricity,
-    is_connected,
     max_degree,
 )
 from repro.network.topologies import (
@@ -23,6 +20,8 @@ from repro.network.topologies import (
 )
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.routing.static import StaticRouting
+
+from tests.helpers import is_connected
 
 #: One instance of every topology ``topology_by_name`` builds; most have
 #: equidistant parents (even rings, meshes, cliques, hypercubes) so the
@@ -67,16 +66,17 @@ class TestBfsDistances:
 
 
 class TestBfsTree:
+    """The hop row of :func:`bfs_rows` is the BFS tree ``T_root`` the paper
+    routes along: every processor's entry is its parent."""
+
     def test_root_has_no_parent(self):
         net = ring_network(5)
-        parent = bfs_tree(net, 0)
-        assert parent[0] is None
+        assert bfs_rows(net, 0)[1][0] == 0  # the root points at itself
 
     def test_parents_strictly_closer(self):
         net = random_connected_network(12, 8, seed=2)
         for root in net.processors():
-            dist = bfs_distances(net, root)
-            parent = bfs_tree(net, root)
+            dist, parent = bfs_rows(net, root)
             for p in net.processors():
                 if p == root:
                     continue
@@ -87,7 +87,7 @@ class TestBfsTree:
         # Ring of 4: processor 2 has neighbors 1 and 3, both at distance 1
         # from root 0 -> parent must be 1.
         net = ring_network(4)
-        assert bfs_tree(net, 0)[2] == 1
+        assert bfs_rows(net, 0)[1][2] == 1
 
 
 class TestOneBfsPerRow:
@@ -115,9 +115,6 @@ class TestOneBfsPerRow:
             dist, hop = self._two_pass(net, root)
             assert bfs_rows(net, root) == (dist, hop)
             assert bfs_distances(net, root) == dist
-            parent = bfs_tree(net, root)
-            assert parent[root] is None
-            assert parent[:root] + parent[root + 1:] == hop[:root] + hop[root + 1:]
             # Both providers serve the same rows, and the self-stabilizing
             # one hands out fresh lists over one stored fixpoint.
             assert [static.next_hop(p, root) for p in net.processors()] == hop
@@ -157,7 +154,3 @@ class TestGlobalProperties:
 
     def test_is_connected_true(self):
         assert is_connected(ring_network(5))
-
-    def test_degree_histogram_sums_to_n(self):
-        net = random_connected_network(10, 4, seed=3)
-        assert sum(degree_histogram(net).values()) == net.n

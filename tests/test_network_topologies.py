@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.network.properties import diameter, is_connected, max_degree
+from repro.network.properties import diameter, max_degree
 from repro.network.topologies import (
     complete_network,
     grid_network,
@@ -19,6 +19,8 @@ from repro.network.topologies import (
     topology_by_name,
     torus_network,
 )
+
+from tests.helpers import is_connected
 
 
 class TestLine:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.network.properties import diameter, is_connected, max_degree
+from repro.network.properties import diameter, max_degree
 from repro.network.topologies import (
     barbell_network,
     binary_tree_network,
@@ -11,6 +11,8 @@ from repro.network.topologies import (
     random_regular_network,
     wheel_network,
 )
+
+from tests.helpers import is_connected
 
 
 class TestBinaryTree:

@@ -11,6 +11,8 @@ from repro.obs import MetricsRegistry, MessageTracer
 from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.daemon import DistributedRandomDaemon
 
+from tests.helpers import complete_uids
+
 
 def run_instrumented(seed=2, count=8):
     reg = MetricsRegistry()
@@ -85,5 +87,5 @@ class TestRegistryAgreesWithSimulator:
             tracer=tracer,
         )
         sim.run(200_000, halt=delivered_and_drained)
-        assert tracer.complete_uids() == tracer.uids()
+        assert complete_uids(tracer) == tracer.uids()
         assert reg.value("steps_executed") == sim.sim.step_count

@@ -33,6 +33,8 @@ from repro.statemodel.daemon import DistributedRandomDaemon
 from repro.statemodel.message import Message
 from repro.statemodel.scheduler import Simulator
 
+from tests.helpers import weakly_connected_components
+
 # Strategy: a small random connected network described by (n, extra, seed).
 networks = st.builds(
     random_connected_network,
@@ -117,7 +119,7 @@ class TestBufferGraphProperties:
     def test_components_one_per_destination(self, net):
         routing = StaticRouting(net)
         g = ssmfp_buffer_graph(net, routing)
-        assert len(g.weakly_connected_components()) == net.n
+        assert len(weakly_connected_components(g)) == net.n
 
 
 class TestColorTotality:

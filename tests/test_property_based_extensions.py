@@ -15,6 +15,8 @@ from repro.network.topologies import random_connected_network, random_tree_netwo
 from repro.routing.static import StaticRouting
 from repro.sim.runner import build_simulation, delivered_and_drained
 
+from tests.helpers import mp_node_is_empty
+
 networks = st.builds(
     random_connected_network,
     st.integers(min_value=2, max_value=7),
@@ -60,7 +62,7 @@ class TestMessagePassingPort:
         nodes[0].submit("probe", net.n - 1)
         sim.run(
             2_000_000,
-            halt=lambda s: all(n.is_empty() for n in s.nodes)
+            halt=lambda s: all(mp_node_is_empty(n) for n in s.nodes)
             and not s.in_flight(),
         )
         assert ledger.all_valid_delivered()

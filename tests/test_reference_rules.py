@@ -20,6 +20,8 @@ from repro.errors import ReproError
 from repro.sim.runner import delivered_and_drained
 from repro.statemodel.scheduler import Simulator
 
+from tests.helpers import materialized_queue_destinations
+
 from tests.reference_engines import use_engine
 from tests.reference_rules import reference_actions
 from tests.test_engine_equivalence import ABLATION_KNOBS, POLICIES, _make_scenario
@@ -51,7 +53,7 @@ class DifferentialSimulator(Simulator):
         enabled = super().enabled_map()
         (proto,) = (p for p in self.stack.protocols if hasattr(p, "evaluate"))
         dests = sorted(
-            proto.active_destinations() | proto.queues.materialized_destinations()
+            proto.active_destinations() | materialized_queue_destinations(proto.queues)
         )
         home = None
         for d in dests:

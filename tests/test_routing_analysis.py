@@ -1,15 +1,11 @@
 """Tests for routing analysis helpers."""
 
 from repro.network.topologies import line_network, ring_network
-from repro.routing.analysis import (
-    measure_stabilization_rounds,
-    next_hop_cycles,
-    routing_errors,
-    routing_is_correct,
-)
-from repro.routing.corruption import corrupt_random, corrupt_with_cycle
+from repro.routing.analysis import next_hop_cycles, routing_errors
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.routing.static import StaticRouting
+
+from tests.helpers import corrupt_with_cycle, routing_is_correct
 
 
 class TestRoutingErrors:
@@ -65,31 +61,3 @@ class TestNextHopCycles:
         corrupt_with_cycle(routing, dest=0, cycle=[5, 6])
         cycles = next_hop_cycles(net, routing, dest=0)
         assert len(cycles) == 2
-
-
-class TestMeasureStabilization:
-    def test_zero_when_already_correct(self):
-        routing = SelfStabilizingBFSRouting(ring_network(5))
-        rounds = measure_stabilization_rounds(
-            run_round=lambda: None, is_correct=routing.is_correct
-        )
-        assert rounds == 0
-
-    def test_counts_rounds(self):
-        counter = {"n": 0}
-
-        def run_round():
-            counter["n"] += 1
-
-        rounds = measure_stabilization_rounds(
-            run_round=run_round, is_correct=lambda: counter["n"] >= 4
-        )
-        assert rounds == 4
-
-    def test_budget_exhausted_returns_none(self):
-        assert (
-            measure_stabilization_rounds(
-                run_round=lambda: None, is_correct=lambda: False, max_rounds=5
-            )
-            is None
-        )

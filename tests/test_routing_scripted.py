@@ -24,7 +24,7 @@ class TestScriptedRouting:
         routing.set_hop(a, b, c)
         assert routing.next_hop(a, b) == c
         assert not routing.is_correct()
-        routing.repair(a, b)
+        routing.repair_all()
         assert routing.next_hop(a, b) == b
         assert routing.is_correct()
 
@@ -47,5 +47,5 @@ class TestScriptedRouting:
     def test_repair_unknown_entry_is_noop(self):
         net = paper_figure3_network()
         routing = ScriptedRouting(net)
-        routing.repair(0, 1)  # nothing overridden
+        routing.repair_all()  # nothing overridden
         assert routing.is_correct()

@@ -10,8 +10,7 @@ from repro.network.topologies import (
     ring_network,
     star_network,
 )
-from repro.routing.analysis import routing_is_correct
-from repro.routing.corruption import corrupt_random, corrupt_with_cycle, corrupt_worst_case
+from repro.routing.corruption import corrupt_random, corrupt_worst_case
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.statemodel.daemon import (
     DistributedRandomDaemon,
@@ -19,6 +18,8 @@ from repro.statemodel.daemon import (
     SynchronousDaemon,
 )
 from repro.statemodel.scheduler import Simulator
+
+from tests.helpers import corrupt_with_cycle, routing_is_correct
 
 
 def run_to_silence(routing, daemon, max_steps=50_000):

@@ -7,7 +7,6 @@ from repro.sim.metrics import (
     RoundClock,
     amortized_rounds_per_delivery,
     delivery_latency_rounds,
-    delivery_latency_steps,
     moves_per_delivery,
 )
 from repro.sim.runner import build_simulation, delivered_and_drained
@@ -20,7 +19,6 @@ class TestRoundClock:
         clock = RoundClock([])
         assert clock.round_of_step(0) == 1
         assert clock.round_of_step(100) == 1
-        assert clock.completed_rounds == 0
 
     def test_rounds_partition_steps(self):
         # A round end at step s means "s is the LAST step of its round": the
@@ -32,7 +30,6 @@ class TestRoundClock:
         assert clock.round_of_step(5) == 2   # next step opens round 2
         assert clock.round_of_step(9) == 2
         assert clock.round_of_step(10) == 3
-        assert clock.completed_rounds == 2
 
     def test_marker_step_is_last_step_of_its_round(self):
         # Under the synchronous daemon every enabled processor executes at
@@ -75,10 +72,6 @@ class TestLatencies:
         led.record_delivery(1, msg, step=delivered)
         return led, msg
 
-    def test_latency_steps(self):
-        led, msg = self._ledger_with_delivery()
-        assert delivery_latency_steps(led) == {msg.uid: 8}
-
     def test_latency_rounds(self):
         led, msg = self._ledger_with_delivery(born=0, delivered=9)
         clock = RoundClock([4])
@@ -87,7 +80,7 @@ class TestLatencies:
     def test_undelivered_excluded(self):
         led = DeliveryLedger()
         led.record_generated(MessageFactory().generated("x", 0, 1, 0, 0))
-        assert delivery_latency_steps(led) == {}
+        assert delivery_latency_rounds(led, RoundClock([])) == {}
 
     def test_noncontiguous_uids_all_measured(self):
         # Regression: latency collection used to scan range(1,
@@ -101,8 +94,9 @@ class TestLatencies:
         for msg in msgs[1::2]:
             led.record_generated(msg)
             led.record_delivery(1, msg, step=10)
-        assert sorted(delivery_latency_steps(led)) == [m.uid for m in msgs[1::2]]
-        assert all(v == 8 for v in delivery_latency_steps(led).values())
+        lat = delivery_latency_rounds(led, RoundClock([5]))  # born round 1, delivered 2
+        assert sorted(lat) == [m.uid for m in msgs[1::2]]
+        assert all(v == 1 for v in lat.values())
 
     def test_end_to_end_latencies_nonnegative(self):
         net = line_network(5)
@@ -110,11 +104,9 @@ class TestLatencies:
             net, workload=uniform_workload(net.n, 6, seed=1), seed=2,
         )
         sim.run(100_000, halt=delivered_and_drained)
-        lat_steps = delivery_latency_steps(sim.ledger)
-        assert len(lat_steps) == 6
-        assert all(v >= 0 for v in lat_steps.values())
         clock = RoundClock(sim.sim.round_ends)
         lat_rounds = delivery_latency_rounds(sim.ledger, clock)
+        assert len(lat_rounds) == 6
         assert all(v >= 0 for v in lat_rounds.values())
 
 

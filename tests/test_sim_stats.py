@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from repro.sim.stats import percentile, ratio_of_means, summarize, summarize_prefixed
+from repro.sim.stats import percentile, summarize
 
 
 class TestPercentile:
@@ -48,11 +48,6 @@ class TestSummarize:
     def test_empty_sample_marker(self):
         assert summarize([]) == {"n": 0}
 
-    def test_prefixed_keys(self):
-        s = summarize_prefixed([1, 2], "lat")
-        assert s["lat_n"] == 2
-        assert "lat_p90" in s
-
 
 class TestJainIndex:
     def test_all_equal_is_one(self):
@@ -76,14 +71,3 @@ class TestJainIndex:
 
         v = jain_index([1, 2, 3, 4, 100])
         assert 0 < v <= 1
-
-
-class TestRatioOfMeans:
-    def test_basic(self):
-        assert ratio_of_means([4, 6], [1, 3]) == 2.5
-
-    def test_empty_none(self):
-        assert ratio_of_means([], [1]) is None
-
-    def test_zero_denominator_none(self):
-        assert ratio_of_means([1], [0]) is None

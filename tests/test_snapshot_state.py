@@ -414,7 +414,7 @@ class TestAnchoredRestoreOracle:
                     assert walker.snapshot() == child
                     assert self._executed(make, anchor, selection) == child
                     assert key == walker.canon(_unanchored(walker).snapshot())
-                    masked_dirt_survived += bool(walker.proto._components.dirty_pids)
+                    masked_dirt_survived += bool(walker.proto._components.dirty)
                     pool.append(child)
                     if move == "child":
                         # Guards read where the excursion left, no restore.
@@ -506,7 +506,7 @@ def test_an_excursion_that_moved_routing_is_undone_through_the_notifiers():
     ((_, child, _, error),) = walker.successors(anchor, enabled, [{0: 0, 1: 1}])
     assert error is None
     assert walker.proto._home_dirt is None    # the hop moved
-    assert 0 not in walker.proto._components.dirty_pids
+    assert 0 not in walker.proto._components.dirty
     twin = _retuple(child)
     walker.restore(twin)
     fresh = _walk_live_routing()

@@ -26,6 +26,12 @@ from repro.routing.lazyrows import LazyRows
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.sim.runner import build_simulation, delivered_and_drained
 from repro.statemodel.message import MessageFactory
+
+from tests.helpers import (
+    live_sources,
+    materialized_buffer_destinations,
+    materialized_queue_count,
+)
 from tests.test_engine_equivalence import _end_state, _make_scenario, _signature
 
 MAX_STEPS = 1_500
@@ -129,10 +135,10 @@ class TestEvictedReadsAreCleanEmpty:
         bufs = ForwardingBuffers(8)
         msg = f.generated("m", 0, 3, 0, 0)
         bufs.set_r(3, 1, msg)
-        assert bufs.materialized_destinations() == {3}
+        assert materialized_buffer_destinations(bufs) == {3}
         bufs.set_r(3, 1, None)
         # Quiescent: the row is gone, and reads are clean-empty.
-        assert bufs.materialized_destinations() == set()
+        assert materialized_buffer_destinations(bufs) == set()
         assert bufs.get_r(3, 1) is None and bufs.get_e(3, 1) is None
         assert bufs.total_occupied() == 0
 
@@ -143,23 +149,23 @@ class TestEvictedReadsAreCleanEmpty:
         assert table.row(5) == {}
         table.serve(5, 2, 2)             # serving an absent queue: no-op
         assert table.snapshot() == ()
-        assert table.materialized_count() == 0  # nothing was allocated
+        assert materialized_queue_count(table) == 0  # nothing was allocated
 
     def test_queue_evict_then_read_is_clean_empty(self):
         table = LazyChoiceTable("fifo")
         table.materialize(1, 0).sync([7], None)
-        assert table.materialized_count() == 1
+        assert materialized_queue_count(table) == 1
         table.peek(1, 0).sync([], None)  # candidate gone: reconciles to empty
         assert table.peek(1, 0).state() == EMPTY_QUEUE_STATE
         table.evict_if_clean(1, 0)
-        assert table.materialized_count() == 0
+        assert materialized_queue_count(table) == 0
         assert table.head(1, 0) is None and table.peek(1, 0) is None
 
     def test_evict_refuses_dirty_queues(self):
         table = LazyChoiceTable("fifo")
         table.materialize(1, 0).sync([7], None)
         table.evict_if_clean(1, 0)  # nonempty: must refuse
-        assert table.materialized_count() == 1
+        assert materialized_queue_count(table) == 1
         assert table.head(1, 0) == 7
 
     def test_lazyrows_evicted_row_refills_identically(self):
@@ -237,10 +243,10 @@ class TestHigherLayerSparsity:
 
         hl = HigherLayer(6)
         hl.submit(2, "a", 4)
-        assert hl.live_sources() == {2}
+        assert live_sources(hl) == {2}
         hl.before_step(0)
         hl.consume_request(2)
-        assert hl.live_sources() == set()
+        assert live_sources(hl) == set()
         assert hl.pending_count(2) == 0
         assert hl.next_destination(2) is None
         assert hl.outboxes() == ()

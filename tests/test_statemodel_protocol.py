@@ -38,13 +38,6 @@ class TestProtocolDefaults:
         proto.before_step(0)  # must not raise
         assert not proto.fired
 
-    def test_is_enabled_delegates_to_actions(self):
-        proto = Minimal()
-        assert proto.is_enabled(0)
-        assert not proto.is_enabled(1)
-        proto.fired = True
-        assert not proto.is_enabled(0)
-
 
 class TestActionDefaults:
     def test_execute_runs_effect(self):

@@ -1,12 +1,7 @@
 """Tests for the ASCII renderers."""
 
 from repro.network.topologies import paper_figure3_network
-from repro.viz.ascii_art import (
-    render_component_state,
-    render_execution_strip,
-    render_network,
-    render_routing_tables,
-)
+from repro.viz.ascii_art import render_component_state, render_network
 
 from tests.helpers import make_ssmfp
 
@@ -44,24 +39,3 @@ class TestRenderComponent:
         proto = make_ssmfp(net)
         out = render_component_state(proto, net.id_of("b"))
         assert "b*" in out
-
-
-class TestRenderRouting:
-    def test_single_destination(self):
-        net = paper_figure3_network()
-        proto = make_ssmfp(net)
-        out = render_routing_tables(net, proto.routing, dest=net.id_of("b"))
-        assert "dest b:" in out
-        assert "a->b" in out
-
-    def test_all_destinations(self):
-        net = paper_figure3_network()
-        proto = make_ssmfp(net)
-        out = render_routing_tables(net, proto.routing)
-        assert out.count("dest ") == net.n
-
-
-class TestRenderStrip:
-    def test_numbers_panels(self):
-        out = render_execution_strip(["one", "two"])
-        assert "(0)" in out and "(1)" in out and "one" in out
