@@ -240,14 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--latency-ms", default=None, metavar="LO:HI",
         help="uniform per-record latency range in milliseconds",
     )
-    run.add_argument(
-        "--flap-period", type=float, default=None, metavar="S",
-        help="take one random link down every S seconds",
-    )
-    run.add_argument(
-        "--flap-down", type=float, default=0.05, metavar="S",
-        help="how long a flapped link stays down",
-    )
     run.add_argument("--deadline", type=float, default=60.0, metavar="S")
     run.add_argument(
         "--window", type=int, default=32,
@@ -626,9 +618,6 @@ def _cmd_runtime(args) -> int:
                 f"--latency-ms wants LO:HI, got {args.latency_ms!r}"
             ) from None
         netem["latency"] = (lo / 1000.0, hi / 1000.0)
-    if args.flap_period is not None:
-        netem["flap_period"] = args.flap_period
-        netem["flap_down"] = args.flap_down
     spec = ClusterSpec(
         topology=_topology_section(args),
         messages=args.messages,

@@ -168,7 +168,7 @@ class RuntimeResult:
     transport_stats: Dict[str, int] = field(default_factory=dict)
     netem_stats: Dict[str, int] = field(default_factory=dict)
     hop_latencies: List[float] = field(default_factory=list)
-    #: Mono-stamped fault transitions (netem flaps/partitions, crashes,
+    #: Mono-stamped fault transitions (link flaps/partitions, crashes,
     #: floods) merged from the transport log and the chaos driver.
     fault_events: List[Dict[str, Any]] = field(default_factory=list)
     in_flight_samples: List[int] = field(default_factory=list)
@@ -308,9 +308,8 @@ def chaos_extra_messages(chaos: Optional[List[Dict[str, Any]]]) -> int:
 async def _drive_chaos_event(
     event: Dict[str, Any],
     index: int,
-    spec: ClusterSpec,
     net: Network,
-    transport: Transport,
+    netem: NetemTransport,
     by_pid: Dict[int, RuntimeNode],
     fault_log: List[Dict[str, Any]],
 ) -> None:
@@ -318,13 +317,13 @@ async def _drive_chaos_event(
 
     One task per event; the scenario layer has already validated actions,
     nodes and edges and lowered ``at``/``until`` to seconds (``t0``/``t1``
-    from run start).
+    from run start).  A scheduled run always has a ``netem`` decorator;
+    its ``force_down`` / ``force_up``, called only here, own edge state.
     """
     import random as _random
 
-    netem = transport if isinstance(transport, NetemTransport) else None
     action = event["action"]
-    t0 = float(event.get("t0", 0.0))
+    t0 = float(event["t0"])
     t1 = event.get("t1")
     hold = max(0.0, float(t1) - t0) if t1 is not None else None
 
@@ -341,9 +340,9 @@ async def _drive_chaos_event(
     await asyncio.sleep(t0)
     if action == "flood":
         node = by_pid.get(int(event["source"]))
-        count = int(event.get("count", 0))
+        count = int(event["count"])
         if node is not None:
-            prefix = event.get("payload", "flood")
+            prefix = event["payload"]
             for i in range(count):
                 node.submit(f"{prefix}-{index}-{i}", int(event["dest"]))
         log("flood", source=event["source"], dest=event["dest"], count=count)
@@ -357,24 +356,20 @@ async def _drive_chaos_event(
             node.resume()
             log("restart", node=event["node"])
     elif action == "partition":
-        assert netem is not None
         for u, v in event["edges"]:
             netem.force_down(int(u), int(v))
         await asyncio.sleep(hold or 0.0)
         for u, v in event["edges"]:
             netem.force_up(int(u), int(v))
     elif action == "netem":
-        assert netem is not None
         previous = netem.config
         netem.reconfigure(NetemConfig.from_spec(event["config"]))
         if hold is not None:
             await asyncio.sleep(hold)
             netem.reconfigure(previous)
     elif action == "link_flap":
-        assert netem is not None
-        rng = _random.Random(int(event.get("seed", 0)))
-        period = max(float(event.get("period", 1.0)), 0.01)
-        down = min(max(float(event.get("down", 0.05)), 0.01), period)
+        rng = _random.Random(int(event["seed"]))
+        period, down = float(event["period"]), float(event["down"])
         edges = [tuple(e) for e in event.get("edges") or []] or list(net.edges)
         loop = asyncio.get_running_loop()
         end = loop.time() + (hold if hold is not None else 0.0)
@@ -435,17 +430,16 @@ async def _run_nodes(
     for _, src, payload, dest in submissions:
         by_pid[src].submit(payload, dest)
     tasks = [asyncio.get_running_loop().create_task(node.run()) for node in nodes]
+    netem = transport if isinstance(transport, NetemTransport) else None
     chaos_tasks = [
         asyncio.get_running_loop().create_task(
             _drive_chaos_event(
-                dict(event), index, spec, net, transport, by_pid,
-                result.fault_events,
+                dict(event), index, net, netem, by_pid, result.fault_events
             )
         )
         for index, event in enumerate(spec.chaos or ())
     ]
     deadline = time.monotonic() + spec.deadline
-    netem = transport if isinstance(transport, NetemTransport) else None
     reached = progress.reached
     try:
         while True:

@@ -24,11 +24,13 @@ of different edges never share a frame.
 * **duplication** — with probability ``dup`` a record is delivered twice,
   each copy with an independent delay;
 * **reordering** — with probability ``reorder`` a record is additionally
-  held for ``reorder_extra`` seconds, pushing it behind later traffic;
-* **link flaps** — every ``flap_period`` seconds one random edge goes down
-  for ``flap_down`` seconds (records on a down edge are dropped);
-* **partitions** — ``blocked_edges`` silences a static set of undirected
-  edges for the whole run.
+  held for ``reorder_extra`` seconds, pushing it behind later traffic.
+
+These per-record knobs are the whole configuration — the live
+counterpart of the message-passing engine's ``ChannelFaults``.  Edge
+state is not a knob: only :meth:`NetemTransport.force_down` / ``force_up``
+change it (records on a down edge are dropped), and only a scenario
+schedule's ``link_flap`` / ``partition`` events call them.
 
 All randomness comes from one ``random.Random(seed)``, so a scenario is
 reproducible up to asyncio scheduling.  The hop protocol of
@@ -43,27 +45,13 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, check_fraction
 from repro.runtime.transport import Transport
 from repro.types import Edge, ProcId, normalized_edge
-
-#: Every key :meth:`NetemConfig.from_spec` understands — anything else in a
-#: spec is rejected, so a typo ("los") cannot silently become a no-op run.
-NETEM_SPEC_KEYS = (
-    "loss",
-    "dup",
-    "reorder",
-    "reorder_extra",
-    "latency",
-    "flap_period",
-    "flap_down",
-    "blocked_edges",
-)
-
 
 @dataclass(frozen=True)
 class NetemConfig:
@@ -74,9 +62,6 @@ class NetemConfig:
     reorder: float = 0.0
     latency: Tuple[float, float] = (0.0, 0.0)
     reorder_extra: float = 0.01
-    flap_period: Optional[float] = None
-    flap_down: float = 0.05
-    blocked_edges: FrozenSet[Edge] = field(default_factory=frozenset)
 
     def is_noop(self) -> bool:
         """True iff this configuration perturbs nothing."""
@@ -85,8 +70,6 @@ class NetemConfig:
             and self.dup == 0.0
             and self.reorder == 0.0
             and self.latency == (0.0, 0.0)
-            and self.flap_period is None
-            and not self.blocked_edges
         )
 
     @classmethod
@@ -94,25 +77,25 @@ class NetemConfig:
         """Build from a plain dict (CLI / JSON spec form) — the one
         validator of netem knobs, for the static ``[runtime] netem``
         section, the ``repro runtime`` flags and schedule ``netem`` events
-        alike; every failure is a :class:`ConfigurationError` naming the key.
+        alike, all with the same :data:`NETEM_KEYS`; every failure is a
+        :class:`ConfigurationError` naming the key.
 
         Unknown keys are rejected: netem specs configure an *adversary*,
         and a misspelled knob that silently does nothing would make a
         chaos run vacuously green.
         """
-        unknown = sorted(set(spec) - set(NETEM_SPEC_KEYS))
+        unknown = sorted(set(spec) - set(NETEM_KEYS))
         if unknown:
             raise ConfigurationError(
                 f"unknown netem key(s) {unknown}; "
-                f"valid keys: {sorted(NETEM_SPEC_KEYS)}"
+                f"valid keys: {sorted(NETEM_KEYS)}"
             )
         kwargs: Dict[str, Any] = {}
         for key in ("loss", "dup", "reorder"):
             if key in spec:
                 kwargs[key] = check_fraction(f"netem {key}", spec[key])
-        for key in ("reorder_extra", "flap_down"):
-            if key in spec:
-                kwargs[key] = _seconds(key, spec[key])
+        if "reorder_extra" in spec:
+            kwargs["reorder_extra"] = _seconds("reorder_extra", spec["reorder_extra"])
         if "latency" in spec:
             try:
                 lo, hi = spec["latency"]
@@ -127,16 +110,13 @@ class NetemConfig:
                     f"netem latency must satisfy lo <= hi, got [{lo}, {hi}]"
                 )
             kwargs["latency"] = (lo, hi)
-        if spec.get("flap_period") is not None:
-            period = _seconds("flap_period", spec["flap_period"])
-            if period == 0.0:
-                raise ConfigurationError("netem flap_period must be > 0, got 0.0")
-            kwargs["flap_period"] = period
-        if "blocked_edges" in spec:
-            kwargs["blocked_edges"] = frozenset(
-                normalized_edge(int(u), int(v)) for u, v in spec["blocked_edges"]
-            )
         return cls(**kwargs)
+
+
+#: Every key :meth:`NetemConfig.from_spec` understands — the config's own
+#: fields — and so every key a schedule ``netem`` event may set.  Anything
+#: else is rejected, so a typo ("los") cannot silently become a no-op run.
+NETEM_KEYS = tuple(f.name for f in fields(NetemConfig))
 
 
 def _seconds(key: str, value: Any) -> float:
@@ -174,7 +154,8 @@ class NetemTransport(Transport):
         #: than a node would.
         self.max_batch = max_batch
         self._rng = random.Random(seed)
-        self._down: Set[Edge] = set(config.blocked_edges)
+        #: Edges taken down by :meth:`force_down` and not yet brought up.
+        self._down: Set[Edge] = set()
         #: The hold: ``(due, send order, src, dst, record)`` on one heap.
         #: The counter breaks ties — records are dicts, never compared.
         self._held: List[Tuple[float, int, ProcId, ProcId, Dict[str, Any]]] = []
@@ -183,7 +164,6 @@ class NetemTransport(Transport):
         #: task shipping what a wake-up found due.
         self._timer: Optional["asyncio.TimerHandle"] = None
         self._shipper: Optional["asyncio.Task"] = None
-        self._flap_task: Optional["asyncio.Task"] = None
         self._closing = False
         #: Fault accounting, exported next to the base transport's stats.
         self.fault_stats: Dict[str, int] = {
@@ -192,8 +172,8 @@ class NetemTransport(Transport):
             "netem_reordered": 0,
             "netem_flaps": 0,
         }
-        #: Timeline of discrete fault transitions (flaps, forced edge
-        #: state, reconfigurations) — mono+wall stamped so the obs layer
+        #: Timeline of discrete fault transitions (forced edge state,
+        #: reconfigurations) — mono+wall stamped so the obs layer
         #: can correlate them with message-latency spikes.
         self.fault_events: List[Dict[str, Any]] = []
 
@@ -214,11 +194,8 @@ class NetemTransport(Transport):
             self._log_fault("link_down", edge=list(edge))
 
     def force_up(self, u: ProcId, v: ProcId) -> None:
-        """Bring a forced-down edge back (statically blocked edges stay
-        down: the config is the floor, chaos only adds on top)."""
+        """Bring a forced-down edge back."""
         edge = normalized_edge(u, v)
-        if edge in self.config.blocked_edges:
-            return
         if edge in self._down:
             self._down.discard(edge)
             self._log_fault("link_up", edge=list(edge))
@@ -227,16 +204,9 @@ class NetemTransport(Transport):
         """Swap the fault knobs mid-run (scenario ``netem`` action).
 
         Loss/dup/reorder/latency draws pick up the new values on the next
-        record; the periodic flap task re-reads ``self.config`` each cycle.
-        Statically blocked edges of the old/new configs are re-based while
-        chaos-forced edges are left alone.
+        record; edge state is left alone.
         """
-        old = self.config
         self.config = config
-        for edge in old.blocked_edges - config.blocked_edges:
-            self._down.discard(edge)
-        for edge in config.blocked_edges - old.blocked_edges:
-            self._down.add(edge)
         self._log_fault(
             "netem_change",
             loss=config.loss,
@@ -253,8 +223,6 @@ class NetemTransport(Transport):
 
     async def start(self) -> None:
         await self.base.start()
-        if self.config.flap_period is not None:
-            self._flap_task = asyncio.get_running_loop().create_task(self._flap())
 
     async def close(self) -> None:
         """Cancel the timer and drop the hold: held records are lost."""
@@ -263,13 +231,12 @@ class NetemTransport(Transport):
             self._timer.cancel()
             self._timer = None
         self._held.clear()
-        for task in (self._flap_task, self._shipper):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                    pass
+        if self._shipper is not None:
+            self._shipper.cancel()
+            try:
+                await self._shipper
+            except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                pass
         await self.base.close()
 
     def held(self) -> int:
@@ -359,27 +326,3 @@ class NetemTransport(Transport):
         finally:
             self._shipper = None
             self._arm()
-
-    async def _flap(self) -> None:
-        """Every ``flap_period`` seconds take one random (non-statically-
-        blocked) edge down for ``flap_down`` seconds.  ``self.config`` is
-        re-read each cycle so :meth:`reconfigure` changes take effect."""
-        try:
-            while True:
-                cfg = self.config
-                await asyncio.sleep(cfg.flap_period or 0.05)
-                cfg = self.config
-                candidates = [
-                    e for e in self.net.edges if e not in cfg.blocked_edges
-                ]
-                if not candidates:
-                    continue
-                edge = self._rng.choice(candidates)
-                self._down.add(edge)
-                self.fault_stats["netem_flaps"] += 1
-                self._log_fault("flap_down", edge=list(edge))
-                await asyncio.sleep(cfg.flap_down)
-                self._down.discard(edge)
-                self._log_fault("flap_up", edge=list(edge))
-        except asyncio.CancelledError:
-            pass

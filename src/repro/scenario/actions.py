@@ -28,10 +28,6 @@ from repro.types import normalized_edge
 #: Keys every schedule event understands besides action kwargs.
 RESERVED_EVENT_KEYS = ("at", "until", "action")
 
-#: Netem knobs a ``netem`` event may change mid-run (edge state is owned
-#: by ``link_flap``/``partition``; flap scheduling by ``link_flap``).
-NETEM_EVENT_KEYS = ("loss", "dup", "reorder", "reorder_extra", "latency")
-
 
 @dataclass(frozen=True)
 class ActionDef:
@@ -43,8 +39,10 @@ class ActionDef:
     #: Window discipline: "required" (until must be given), "optional"
     #: (one-shot without, windowed with) or "forbidden" (one-shot only).
     windowed: str
-    #: Allowed kwargs with their defaults (None = no default, optional).
-    keys: Tuple[str, ...]
+    #: Allowed kwargs, or None when the action's validator owns them
+    #: (``netem``: ``NetemConfig.from_spec``, imported lazily so that
+    #: loading the scenario layer never loads asyncio).
+    keys: Optional[Tuple[str, ...]]
     doc: str
 
 
@@ -103,7 +101,7 @@ ACTIONS: Dict[str, ActionDef] = {
             "netem",
             frozenset({"runtime"}),
             "optional",
-            NETEM_EVENT_KEYS,
+            None,
             "change transport fault knobs for the window (reverted at "
             "`until`; permanent without one)",
         ),
@@ -206,13 +204,15 @@ def validate_event(
         raise _err(
             index, f"unknown action {action!r}; known: {sorted(ACTIONS)}"
         )
-    unknown = sorted(set(raw) - set(RESERVED_EVENT_KEYS) - set(definition.keys))
-    if unknown:
-        raise _err(
-            index,
-            f"unknown key(s) {unknown} for action {action!r}; "
-            f"valid keys: {sorted(set(RESERVED_EVENT_KEYS) | set(definition.keys))}",
-        )
+    if definition.keys is not None:
+        valid = set(RESERVED_EVENT_KEYS) | set(definition.keys)
+        unknown = sorted(set(raw) - valid)
+        if unknown:
+            raise _err(
+                index,
+                f"unknown key(s) {unknown} for action {action!r}; "
+                f"valid keys: {sorted(valid)}",
+            )
     if "at" not in raw:
         raise _err(index, "event needs an 'at' time")
     try:
@@ -292,9 +292,8 @@ def validate_event(
     elif action == "netem":
         if not kwargs:
             raise _err(index, "netem event changes nothing; set a knob")
-        # The one validator of netem knobs; the event keeps the values
-        # it normalized (the unknown-key check above already held the
-        # keys to NETEM_EVENT_KEYS).
+        # The one validator of netem knobs and of their names; the event
+        # keeps the values it normalized.
         from repro.runtime.netem import NetemConfig
 
         try:

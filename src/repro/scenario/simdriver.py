@@ -191,12 +191,12 @@ def _lower_schedule(
             edges = [tuple(e) for e in event.kwargs.get("edges") or []]
             pool = edges or list(simulation.net.edges)
             for step in range(start, end, stride):  # type: ignore[arg-type]
-                def _flap(pool=pool, rng=rng):
+                def _link_flap(pool=pool, rng=rng):
                     edge = pool[rng.randrange(len(pool))]
                     hit = _sever_edges(routing, [edge], rng)
                     return {"action": "link_flap",
                             "edge": list(edge), "entries_hit": hit}
-                add(step, _flap)
+                add(step, _link_flap)
         elif event.action == "partition":
             cut = [tuple(e) for e in event.kwargs["edges"]]
             stride = max(1, spec.sim_steps_per_unit)

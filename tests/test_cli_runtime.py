@@ -67,6 +67,14 @@ class TestRuntimeCommand:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert names in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--flap-period", "--flap-down"])
+    def test_flap_flags_are_gone(self, flag, capsys):
+        # A live flap is a schedule's link_flap event.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["runtime", flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value",
         [

@@ -214,6 +214,28 @@ class TestStaticNetemKnobsMeetTheOneRangeRule:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert names in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section", ["runtime", "schedule"])
+    @pytest.mark.parametrize("key", ["flap_period", "flap_down", "blocked_edges"])
+    def test_removed_knobs_refused_by_name(self, key, section, tmp_path, capsys):
+        # A live flap or partition is a schedule event: the static section
+        # and a netem event take the same five per-record knobs.
+        partition = {"at": 0.5, "until": 4.0, "action": "partition",
+                     "edges": [[0, 1]]}
+        netem = {key: 0.05}
+        data = {**GOOD, "target": "runtime", "sim": {}, "schedule": [partition],
+                "budgets": {"wall_s": 3}, "runtime": {"netem": netem}}
+        if section == "schedule":
+            data["schedule"].append({"at": 5.0, "action": "netem", **netem})
+            del data["runtime"]
+        code = main(["scenario", "run", write_spec(tmp_path, data)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert (
+            f"unknown netem key(s) ['{key}']; valid keys: "
+            "['dup', 'latency', 'loss', 'reorder', 'reorder_extra']"
+        ) in captured.err
+
     def test_schedule_event_and_static_section_agree(self, tmp_path, capsys):
         data = {
             **GOOD, "target": "runtime", "sim": {},

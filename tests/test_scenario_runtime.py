@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.cluster import run_cluster
+from repro.runtime.netem import NetemConfig, NetemTransport
+from repro.runtime.transport import LocalTransport
 from repro.scenario import ScenarioSpec, run_runtime_scenario
 from repro.scenario.runtimedriver import build_cluster_spec, lower_runtime_schedule
 
@@ -141,6 +144,57 @@ class TestExecution:
             and r.get("metric") == "faults_injected_total"
         ]
         assert totals and totals[0]["value"] == len(fault_rows)
+
+
+class TestLinkFlap:
+    """The schedule's ``link_flap`` is the one flap implementation of the
+    live runtime."""
+
+    def test_a_lowered_flap_keeps_its_duty_cycle(self, monkeypatch):
+        # 1 unit = 5 ms: a period-1, down-0.4 flap is 2 ms down, 3 ms up.
+        from repro.runtime import cluster
+
+        spec = spec_of(
+            clock={"runtime_s_per_unit": 0.005},
+            schedule=[{"at": 0.0, "until": 1.0, "action": "link_flap",
+                       "period": 1.0, "down": 0.4, "edges": [[0, 1]]}],
+        )
+        (event,) = lower_runtime_schedule(spec)
+        clock, waits = [0.0], []
+
+        async def sleep(seconds):  # records each wait on a virtual clock
+            waits.append(seconds)
+            clock[0] += seconds
+
+        async def body():
+            net = build_cluster_spec(spec).build_network()
+            netem = NetemTransport(LocalTransport(net), NetemConfig())
+            with monkeypatch.context() as patch:
+                patch.setattr(asyncio.get_running_loop(), "time", lambda: clock[0])
+                patch.setattr(cluster.asyncio, "sleep", sleep)
+                await cluster._drive_chaos_event(event, 0, net, netem, {}, [])
+            return [e["action"] for e in netem.fault_events]
+
+        assert asyncio.run(body()) == ["link_down", "link_up"]
+        # The window start, then 2 ms down and 3 ms up.
+        assert waits == [0.0, pytest.approx(0.002), pytest.approx(0.003)]
+
+    def test_a_flap_window_takes_only_pool_edges_down_and_back(self):
+        pool = [[0, 1], [2, 3]]
+        result = run_runtime_scenario(
+            spec_of(
+                schedule=[{"at": 0.2, "until": 2.0, "action": "link_flap",
+                           "period": 0.3, "down": 0.1, "edges": pool}]
+            )
+        )
+        assert result.ok, result.failures
+        assert result.metrics["delivered"] == result.metrics["expected"] == 8
+        # Only link_down / link_up rows (no flap_down / flap_up), in pairs.
+        events = result.fault_events
+        assert len(events) >= 4 and len(events) % 2 == 0
+        for down, up in zip(events[0::2], events[1::2]):
+            assert (down["action"], up["action"]) == ("link_down", "link_up")
+            assert down["edge"] == up["edge"] and down["edge"] in pool
 
 
 class TestScheduleHalt:
