@@ -69,26 +69,16 @@ class HigherLayer:
     ----------
     n:
         Number of processors.
-    on_deliver:
-        Optional callback ``(pid, message, step)`` invoked at every
-        delivery, *in addition* to the internal log (the ledger hooks in
-        here).
     """
 
-    def __init__(
-        self,
-        n: int,
-        on_deliver: Optional[Callable[[ProcId, Message, int], None]] = None,
-    ) -> None:
+    def __init__(self, n: int) -> None:
         self._n = n
         #: Sparse outboxes: materialized while nonempty, evicted once
         #: drained.  An absent outbox reads as empty everywhere.
         self._outbox: Dict[ProcId, Deque[Pending]] = {}
         #: The shared variable ``request_p`` read by rule R1.
         self.request = _RequestFlags(self)
-        self._on_deliver = on_deliver
         self._delivered: List[Tuple[ProcId, Message, int]] = []
-        self._local_deliveries = 0
         #: ``p -> dest`` for every raised request — the incremental index
         #: behind :meth:`requested_destinations`.  Maintained by the raise
         #: (:meth:`before_step`) / lower (:meth:`consume_request`) pair;
@@ -138,10 +128,9 @@ class HigherLayer:
             raise ConfigurationError(
                 f"submit({p} -> {dest}) out of range for n={self._n}"
             )
-        self._anchor = None
         if dest == p:
-            self._local_deliveries += 1
             return
+        self._anchor = None
         box = self._outbox.get(p)
         if box is None:
             box = self._outbox[p] = deque()
@@ -226,9 +215,9 @@ class HigherLayer:
 
     def snapshot(self) -> StateVector:
         """State vector: nonempty outboxes (sparse), raised ``request_p``
-        flags (sparse, ascending), the raised-request index, the delivery
-        log and the local-delivery count — or the anchor itself while no
-        mutator has run since the last :meth:`restore`."""
+        flags (sparse, ascending), the raised-request index and the
+        delivery log — or the anchor itself while no mutator has run since
+        the last :meth:`restore`."""
         if self._anchor is not None:
             return self._anchor
         return (
@@ -236,7 +225,6 @@ class HigherLayer:
             tuple(sorted(self.request.raised())),
             tuple(sorted(self._requested.items())),
             tuple(self._delivered),
-            self._local_deliveries,
         )
 
     def restore(self, vec: StateVector) -> None:
@@ -250,7 +238,7 @@ class HigherLayer:
         to do; any other vector becomes the anchor."""
         if vec is self._anchor:
             return
-        outboxes, raised_vec, requested, delivered, local = vec
+        outboxes, raised_vec, requested, delivered = vec
         notify = self._on_request_change
         target_boxes: Dict[ProcId, Tuple[Pending, ...]] = dict(outboxes)
         target_raised = set(raised_vec)
@@ -275,7 +263,6 @@ class HigherLayer:
                     notify(p, new_dest)
         self._requested = dict(requested)
         self._delivered = list(delivered)
-        self._local_deliveries = local
         self._anchor = vec
 
     def requested_destinations(self) -> Set[DestId]:
@@ -296,8 +283,6 @@ class HigherLayer:
         at ``p``."""
         self._anchor = None
         self._delivered.append((p, message, step))
-        if self._on_deliver is not None:
-            self._on_deliver(p, message, step)
 
     @property
     def delivered(self) -> List[Tuple[ProcId, Message, int]]:

@@ -7,17 +7,12 @@
   deadlock-free when routing tables are correct from the start; under
   corrupted/moving tables it loses and duplicates messages — the behavior
   SSMFP's colors and R4/R5 handshake eliminate.
-* :class:`NaiveForwarding` — store-and-forward with a shared buffer pool
-  and *no* controller: deadlocks under load even with correct tables (the
-  classic motivation for buffer graphs).
 """
 
 from repro.baselines.merlin_schweitzer import MerlinSchweitzerForwarding
-from repro.baselines.naive import NaiveForwarding
 from repro.baselines.orientation_forwarding import OrientationForwarding
 
 __all__ = [
     "MerlinSchweitzerForwarding",
-    "NaiveForwarding",
     "OrientationForwarding",
 ]

@@ -42,6 +42,11 @@ from repro.types import ProcId
 
 DirectedEdge = Tuple[ProcId, ProcId]
 
+#: Classes :func:`cover_from_order` adds before giving up on an order.
+MAX_CLASSES = 32
+#: Random vertex orders :func:`greedy_cover` tries beyond the fixed ones.
+GREEDY_SHUFFLES = 16
+
 
 class Orientation:
     """An acyclic orientation of a network's edges.
@@ -232,7 +237,6 @@ def cover_from_order(
     net: Network,
     order: Sequence[ProcId],
     routing=None,
-    max_classes: int = 32,
 ) -> OrientationCover:
     """The linear-order scheme: alternate the up-orientation and the
     down-orientation induced by ``order``, adding classes until valid.
@@ -240,7 +244,7 @@ def cover_from_order(
     With ``routing`` given, validity means every routing path is covered
     (what the forwarding scheme needs — a ring then costs 3 classes);
     without, it means plain reachability coverage.  Always succeeds for
-    connected graphs within ``max_classes`` classes (a path of length L
+    connected graphs within :data:`MAX_CLASSES` classes (a path of length L
     alternates direction at most L times); the resulting size depends
     heavily on the order — :func:`greedy_cover` searches over orders.
     """
@@ -252,7 +256,7 @@ def cover_from_order(
     up = _orient_by_order(net, rank, up=True)
     down = _orient_by_order(net, rank, up=False)
     orientations: List[Orientation] = []
-    for i in range(max_classes):
+    for i in range(MAX_CLASSES):
         orientations.append(up if i % 2 == 0 else down)
         cover = OrientationCover(orientations)
         valid = (
@@ -263,7 +267,7 @@ def cover_from_order(
         if valid:
             return cover
     raise TopologyError(
-        f"no valid cover within {max_classes} classes for this order"
+        f"no valid cover within {MAX_CLASSES} classes for this order"
     )
 
 
@@ -321,9 +325,7 @@ def ring_cover(net: Network, routing=None) -> OrientationCover:
     return cover_from_order(net, order, routing=routing)
 
 
-def greedy_cover(
-    net: Network, seed: int = 0, attempts: int = 16, routing=None
-) -> OrientationCover:
+def greedy_cover(net: Network, seed: int = 0, routing=None) -> OrientationCover:
     """Heuristic minimal cover: try several seeded vertex orders (identity,
     BFS orders from a few roots, random shuffles) and keep the smallest
     cover found.  The exact minimum is NP-hard [19]; this is the
@@ -339,7 +341,7 @@ def greedy_cover(
     for root in list(net.processors())[: min(4, net.n)]:
         dist = bfs_distances(net, root)
         candidates.append(sorted(net.processors(), key=lambda p: (dist[p], p)))
-    for _ in range(attempts):
+    for _ in range(GREEDY_SHUFFLES):
         order = list(net.processors())
         rng.shuffle(order)
         candidates.append(order)

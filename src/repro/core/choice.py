@@ -8,18 +8,17 @@ satisfying the candidate predicate, leave when served or when they stop
 satisfying it, and ``choice_p(d)`` is the head.  Bounded bypass: a candidate
 waits behind at most Δ others.
 
-Two deliberately *broken* policies are provided for the ablation benches:
-``"lifo"`` (new candidates preempt the head) and ``"fixed"`` (always the
-smallest identity) — both can starve a requester forever, which is the
-livelock the paper's fairness exists to prevent.
+One deliberately *broken* policy is provided for the ablation benches:
+``"fixed"`` (always the smallest identity) can starve a requester forever,
+which is the livelock the paper's fairness exists to prevent.
 
-A fourth policy, ``"aged"``, explores the paper's §4 future work (speed up
+A third policy, ``"aged"``, explores the paper's §4 future work (speed up
 the worst case by changing the selection scheme): candidates are served in
 decreasing order of how far their waiting message has already traveled
 (its hop count), so fresh traffic cannot keep passing an old message at
 every hop.  The exhaustive liveness checker found its flaw: a *generation
 request* has no hops, so a persistent stream outranks it forever —
-starvation.  The fifth policy, ``"aged_fair"``, fixes that: every
+starvation.  The fourth policy, ``"aged_fair"``, fixes that: every
 candidate also ages by *waiting time* (syncs spent in the queue, divided
 by ``wait_slowdown`` and capped), and the effective priority is the max of
 the two ages.  A starving request's wait-age grows past any bounded hop
@@ -40,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.types import ProcId
 
-_POLICIES = ("fifo", "lifo", "fixed", "aged", "aged_fair")
+_POLICIES = ("fifo", "fixed", "aged", "aged_fair")
 
 #: Change-notification callback installed by :meth:`FairChoiceQueue.bind_notifier`:
 #: called with the queue's bound key plus an event kind — ``"sync"`` when a
@@ -106,9 +105,9 @@ class FairChoiceQueue:
         """Reconcile the queue with the current candidate set.
 
         Requesters that stopped satisfying the predicate leave; new ones
-        enter (tail for fifo, head for lifo); "fixed" ignores arrival
-        order entirely; "aged" orders by decreasing ``priority`` (the
-        waiting message's hop count), FIFO-stable within equal ages.
+        enter at the tail (fifo); "fixed" ignores arrival order entirely;
+        "aged" orders by decreasing ``priority`` (the waiting message's hop
+        count), FIFO-stable within equal ages.
         """
         cand = set(candidates)
         if not cand and not self._q:
@@ -127,8 +126,6 @@ class FairChoiceQueue:
         fresh = sorted(cand.difference(kept))
         if self._policy == "fifo":
             self._q = kept + fresh
-        elif self._policy == "lifo":
-            self._q = fresh + kept
         elif self._policy == "aged":
             prio = priority or {}
             arrival = {x: i for i, x in enumerate(kept + fresh)}

@@ -23,7 +23,7 @@ Ablation knobs (all default to the paper's design):
 
 * ``enable_colors=False`` — ``color_p(d)`` degenerates to the constant 0
   (shows merges/losses the color flag prevents);
-* ``choice_policy="lifo" | "fixed"`` — unfair selection (shows starvation);
+* ``choice_policy="fixed"`` — unfair selection (shows starvation);
 * ``enable_r5=False`` — no duplicate cleanup (shows R4 wedging);
 * ``r5_literal=True`` — the paper's literal R5 without the ``q ≠ p``
   disambiguation (shows the erratum's loss of fresh generations).

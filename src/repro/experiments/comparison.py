@@ -55,7 +55,7 @@ def run_one(
         )
     else:
         sim = build_baseline_simulation(
-            net, baseline="ms", atomic_moves=(protocol == "ms-atomic"),
+            net, atomic_moves=(protocol == "ms-atomic"),
             workload=workload, routing_corruption=corruption, seed=seed,
         )
     result = sim.run(max_steps, halt=delivered_and_drained, raise_on_limit=False)

@@ -40,8 +40,7 @@ def run_one(topology: str, protocol: str, seed: int, messages: int = 20) -> Row:
         buffers = 2 * net.n * net.n
     else:
         sim = build_baseline_simulation(
-            net, baseline="ms", workload=workload, routing_mode="static",
-            seed=seed,
+            net, workload=workload, routing_mode="static", seed=seed,
         )
         buffers = net.n * net.n
     result = sim.run(500_000, halt=delivered_and_drained)

@@ -66,6 +66,14 @@ def lower_runtime_schedule(spec: ScenarioSpec) -> List[Dict[str, Any]]:
     return chaos
 
 
+#: ``[runtime]`` keys passed on to :class:`ClusterSpec`, each with its
+#: coercion; a key the spec does not set keeps ClusterSpec's own default.
+_CLUSTER_KEYS = {
+    "transport": str, "drain_grace": float, "port_base": int,
+    "tick": float, "window": int, "max_batch": int,
+}
+
+
 def build_cluster_spec(spec: ScenarioSpec):
     """The :class:`~repro.runtime.cluster.ClusterSpec` for this scenario."""
     from repro.runtime.cluster import ClusterSpec
@@ -76,16 +84,15 @@ def build_cluster_spec(spec: ScenarioSpec):
         messages=spec.messages(),
         seed=spec.seed,
         protocol=spec.protocol,
-        transport=str(extras.get("transport", "local")),
         workload=spec.workload["name"],
         netem=extras.get("netem"),
         deadline=float(spec.budgets["wall_s"]),
-        drain_grace=float(extras.get("drain_grace", 1.0)),
-        port_base=int(extras.get("port_base", 0)),
-        tick=float(extras.get("tick", 0.005)),
-        window=int(extras.get("window", 32)),
-        max_batch=int(extras.get("max_batch", 64)),
         chaos=lower_runtime_schedule(spec),
+        **{
+            key: coerce(extras[key])
+            for key, coerce in _CLUSTER_KEYS.items()
+            if key in extras
+        },
     )
 
 

@@ -158,10 +158,11 @@ def _named(section: str, mapping: Any) -> Tuple[str, Dict[str, Any]]:
 
 def _build(section: str, builder, *args, **kwargs):
     """Call a builder with kwargs taken verbatim from the spec: a misspelt
-    or missing argument is a spec error naming the section, not a crash."""
+    or missing argument, or a value the builder refuses, is a spec error
+    naming the section, not a crash."""
     try:
         return builder(*args, **kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(
             f"bad kwargs in scenario section {section!r}: {exc}"
         ) from None

@@ -1,8 +1,10 @@
 """Simulation assembly, metrics and reporting.
 
 :func:`build_simulation` wires a network, a routing provider (static or the
-self-stabilizing protocol, optionally corrupted), the SSMFP core (or a
-baseline), a workload and a daemon into a ready-to-run :class:`Simulation`.
+self-stabilizing protocol, optionally corrupted), the SSMFP core, a
+workload and a daemon into a ready-to-run :class:`Simulation`;
+:func:`build_baseline_simulation` does the same for the Merlin-Schweitzer
+baseline.
 The experiments and benchmarks are thin layers over this module.
 """
 

@@ -15,7 +15,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.app.higher_layer import HigherLayer
 from repro.app.workload import Workload
 from repro.baselines.merlin_schweitzer import MerlinSchweitzerForwarding
-from repro.baselines.naive import NaiveForwarding
 from repro.core.corruption import plant_invalid_messages, scramble_queues
 from repro.core.family import ForwardingProtocol
 from repro.core.invariants import InvariantChecker
@@ -148,8 +147,6 @@ class Simulation:
             return fw.bufs.total_occupied()
         if isinstance(fw, MerlinSchweitzerForwarding):
             return sum(1 for row in fw.buf for m in row if m is not None)
-        if isinstance(fw, NaiveForwarding):
-            return sum(1 for pool in fw.pool for m in pool if m is not None)
         return -1
 
 
@@ -290,34 +287,27 @@ def build_simulation(
 def build_baseline_simulation(
     net: Network,
     *,
-    baseline: str = "ms",
     workload: Optional[Workload] = None,
     daemon: Optional[Daemon] = None,
     seed: int = 0,
     routing_mode: str = "selfstab",
     routing_corruption: Optional[Dict] = None,
-    naive_buffers: int = 2,
     atomic_moves: bool = True,
     obs: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> Simulation:
-    """Assemble a baseline system (``"ms"`` Merlin-Schweitzer or
-    ``"naive"``) under the same routing/daemon machinery as SSMFP.
-    ``atomic_moves`` selects the MS hosting semantics (see the baseline's
-    module docstring).  ``obs``/``tracer`` as in :func:`build_simulation`
-    (baselines lack SSMFP's buffer notifiers, so the tracer records the
-    ledger-level lifecycle only)."""
+    """Assemble the Merlin-Schweitzer baseline under the same
+    routing/daemon machinery as SSMFP.  ``atomic_moves`` selects the MS
+    hosting semantics (see the baseline's module docstring).
+    ``obs``/``tracer`` as in :func:`build_simulation` (the baseline lacks
+    SSMFP's buffer notifiers, so the tracer records the ledger-level
+    lifecycle only)."""
     routing = _make_routing(net, routing_mode, routing_corruption, seed)
     hl = HigherLayer(net.n)
     ledger = DeliveryLedger(strict=False)
-    if baseline == "ms":
-        proto: Protocol = MerlinSchweitzerForwarding(
-            net, routing, hl, ledger, atomic_moves=atomic_moves
-        )
-    elif baseline == "naive":
-        proto = NaiveForwarding(net, routing, hl, naive_buffers, ledger)
-    else:
-        raise ConfigurationError(f"unknown baseline {baseline!r}")
+    proto = MerlinSchweitzerForwarding(
+        net, routing, hl, ledger, atomic_moves=atomic_moves
+    )
     protocols: List[Protocol] = (
         [routing, proto] if isinstance(routing, SelfStabilizingBFSRouting) else [proto]
     )

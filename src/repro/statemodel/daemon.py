@@ -14,15 +14,15 @@ Fairness notes
 * The random daemons are weakly fair with probability 1, which is the right
   notion for statistical reproduction of worst-case bounds.
 * :class:`AdversarialScriptDaemon` replays an explicit schedule — used to
-  reproduce the paper's Figure 3 configuration by configuration.  A script
-  can be *unfair*.
+  reproduce the paper's Figure 3 configuration by configuration — then
+  continues round-robin.  A script can be *unfair*.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ScheduleError
 from repro.statemodel.action import Action
@@ -135,19 +135,14 @@ class AdversarialScriptDaemon(Daemon):
     The script is a sequence of step entries; each entry is a list of
     ``(processor, rule_label)`` pairs (or ``(processor, rule_label, dest)``
     triples — the third element is matched against ``action.dest``).
-    When the script is exhausted the daemon delegates to ``fallback`` (a
-    :class:`RoundRobinDaemon` unless another daemon is supplied), so runs can
-    continue past the scripted prefix.
+    When the script is exhausted the daemon continues as a
+    :class:`RoundRobinDaemon`, so runs can go on past the scripted prefix.
     """
 
-    def __init__(
-        self,
-        script: Iterable[Sequence[Tuple]],
-        fallback: Optional[Daemon] = None,
-    ) -> None:
+    def __init__(self, script: Iterable[Sequence[Tuple]]) -> None:
         self._script: List[Sequence[Tuple]] = [list(entry) for entry in script]
         self._pos = 0
-        self._fallback = fallback if fallback is not None else RoundRobinDaemon()
+        self._fallback = RoundRobinDaemon()
 
     def select(self, enabled: EnabledMap, step: int) -> Selection:
         if self._pos >= len(self._script):

@@ -40,7 +40,12 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import SelectionOverflow
-from repro.verify.modelcheck import _System, ProgressMeter, enumerate_selections
+from repro.verify.modelcheck import (
+    _System,
+    ProgressMeter,
+    enumerate_selections,
+    _fresh_system,
+)
 
 
 @dataclass
@@ -94,13 +99,6 @@ class LivenessChecker:
         self._on_progress = on_progress
         self._obs = obs
 
-    def _fresh(self) -> _System:
-        made = self._make_system()
-        if isinstance(made, tuple):
-            proto, extra = made
-            return _System(proto, extra)
-        return _System(made)
-
     # -- graph construction -------------------------------------------------------
 
     def _node_metadata(self, system: _System) -> FrozenSet[int]:
@@ -144,7 +142,7 @@ class LivenessChecker:
     def _explore(self):
         """Build the reachable graph.  Returns (metadata, enabled pids,
         edges, truncated, note)."""
-        system = self._fresh()
+        system = _fresh_system(self._make_system)
         system.advance_env()
         root_vec = system.snapshot()
         keys: Dict[Tuple, int] = {system.canon(root_vec): 0}

@@ -323,6 +323,16 @@ class _System:
                 yield selection, child_vec, self.canon(child_vec), None
 
 
+def _fresh_system(make_system) -> _System:
+    """The explorable system a checker's factory builds: ``make_system()``
+    returns the protocol, or ``(protocol, extra_protocols)``."""
+    made = make_system()
+    if isinstance(made, tuple):
+        proto, extra = made
+        return _System(proto, extra)
+    return _System(made)
+
+
 def expand_state(system, vec, depth, max_width, oracle, reducer, result):
     """Expand one configuration: restore it, run the invariant and
     terminal checks, enumerate the daemon selections (POR-filtered when
@@ -463,13 +473,6 @@ class ModelChecker:
         self._obs = obs
         self._collect_canons = collect_canons
 
-    def _fresh(self) -> _System:
-        made = self._make_system()
-        if isinstance(made, tuple):
-            proto, extra = made
-            return _System(proto, extra)
-        return _System(made)
-
     def _setup_reduction(self, system: _System, result: ModelCheckResult):
         """Validate the requested reductions against the instance (the
         system must be in its root configuration).  Returns ``(symmetry
@@ -503,7 +506,7 @@ class ModelChecker:
             states=0, transitions=0, terminal_states=0,
             max_frontier=0, truncated=False, reduction=self._reduction,
         )
-        system = self._fresh()
+        system = _fresh_system(self._make_system)
         system.advance_env()
         reducer, oracle = self._setup_reduction(system, result)
         meter = ProgressMeter(

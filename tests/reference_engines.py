@@ -8,7 +8,12 @@ from repro.core.invariants import InvariantChecker
 from repro.errors import InvariantViolation, ReproError, SelectionOverflow
 from repro.statemodel.scheduler import Simulator
 from repro.verify.liveness import LivenessChecker
-from repro.verify.modelcheck import ModelChecker, ModelCheckResult, enumerate_selections
+from repro.verify.modelcheck import (
+    ModelChecker,
+    ModelCheckResult,
+    _fresh_system,
+    enumerate_selections,
+)
 
 
 def use_engine(simulation, engine_cls):
@@ -76,7 +81,7 @@ def _clone_bfs(checker, visit, violations=None):
     returns the enabled map to expand; every daemon selection runs on its own
     ``copy.deepcopy`` (a ``ReproError`` there goes to ``violations`` if given).
     Returns ``(canon -> node id, per-node [(target, pids)], early-stop note)``."""
-    root = checker._fresh()
+    root = _fresh_system(checker._make_system)
     root.advance_env()
     keys = {root.canon(): 0}
     frontier, edges = deque([(root, 0)]), []

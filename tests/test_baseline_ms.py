@@ -54,7 +54,7 @@ class TestAtomicMode:
     def test_exactly_once_with_correct_tables(self):
         net = ring_network(6)
         sim = build_baseline_simulation(
-            net, baseline="ms",
+            net,
             workload=uniform_workload(net.n, 15, seed=3),
             routing_mode="static", seed=3,
         )
@@ -66,7 +66,7 @@ class TestAtomicMode:
     def test_same_payload_stream_safe_in_atomic_mode(self):
         net = line_network(4)
         sim = build_baseline_simulation(
-            net, baseline="ms",
+            net,
             workload=adversarial_same_payload_workload(0, 3, 6),
             routing_mode="static", seed=1,
         )
@@ -135,7 +135,7 @@ class TestSplitMode:
         for seed in range(8):
             net = line_network(5)
             sim = build_baseline_simulation(
-                net, baseline="ms", atomic_moves=False,
+                net, atomic_moves=False,
                 workload=uniform_workload(net.n, 10, seed=seed),
                 routing_mode="static",
                 daemon=DistributedRandomDaemon(seed=seed),

@@ -185,6 +185,32 @@ class TestSpecErrorsSurfaceAtParseTime:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, sim",
+        [
+            ("sim.protocol_options",
+             {"protocol_options": {"choice_policy": "bogus"}}),
+            ("sim.protocol_options",
+             {"protocol_options": {"choice_policy": "aged_fair",
+                                   "choice_wait_cap": 0}}),
+            ("sim.daemon",
+             {"daemon": {"name": "distributed",
+                         "kwargs": {"p_select": 5.0}}}),
+        ],
+        ids=["unknown-policy", "zero-wait-cap", "p_select-above-one"],
+    )
+    def test_a_value_the_builder_refuses_exits_2(
+        self, section, sim, tmp_path, capsys
+    ):
+        data = {**GOOD, "schedule": [], "sim": sim}
+        code = main(["scenario", "run", write_spec(tmp_path, data)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert section in err and "Traceback" not in err
+
 
 class TestStaticNetemKnobsMeetTheOneRangeRule:
     """``[runtime] netem`` is validated where a schedule ``netem`` event

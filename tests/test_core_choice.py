@@ -68,21 +68,6 @@ class TestFifoPolicy:
 
 
 class TestBrokenPolicies:
-    def test_lifo_preempts(self):
-        q = FairChoiceQueue(policy="lifo")
-        q.sync({2})
-        q.sync({2, 0})
-        assert q.head() == 0  # newcomer preempts: starvation possible
-
-    def test_lifo_can_starve(self):
-        q = FairChoiceQueue(policy="lifo")
-        q.sync({5})
-        for newcomer in (1, 2, 3):
-            q.sync({5, newcomer})
-            q.serve(q.head())
-            # 5 never reaches the head while newcomers keep arriving.
-            assert q.head() != 5 or len(q) == 1
-
     def test_fixed_always_sorted(self):
         q = FairChoiceQueue(policy="fixed")
         q.sync({3, 1})

@@ -48,20 +48,12 @@ class TestInjectorMechanics:
             injector.maybe_inject(step)
         assert injector.injections == [10, 20, 30]
 
-    def test_explicit_steps(self):
-        net = ring_network(5)
-        sim = build(net, seed=1)
-        injector = RoutingFaultInjector(sim.routing, at_steps=[3, 7], fraction=1.0)
-        for step in range(10):
-            injector.maybe_inject(step)
-        assert injector.injections == [3, 7]
-
     def test_injection_actually_corrupts(self):
         net = ring_network(5)
         sim = build_simulation(net, seed=1)  # starts correct
         assert sim.routing.is_correct()
-        injector = RoutingFaultInjector(sim.routing, at_steps=[0], fraction=1.0)
-        injector.maybe_inject(0)
+        injector = RoutingFaultInjector(sim.routing, period=1, fraction=1.0)
+        injector.maybe_inject(1)
         assert not sim.routing.is_correct()
 
     def test_rejects_bad_period(self):
@@ -137,9 +129,10 @@ class TestExactlyOnceUnderSustainedFaults:
         net = ring_network(6)
         sim = build(net, seed=3)
         injector = RoutingFaultInjector(
-            sim.routing, at_steps=[5, 12, 19, 26, 33], fraction=1.0, seed=3
+            sim.routing, period=6, fraction=1.0, seed=3, stop_after=35
         )
         drive(injector, sim, 300_000, halt=delivered_and_drained)
+        assert injector.injections == [6, 12, 18, 24, 30]
         assert sim.ledger.all_valid_delivered()
 
     def test_routing_recovers_after_last_fault(self):

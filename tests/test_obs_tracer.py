@@ -119,7 +119,6 @@ class TestAttachment:
         net = ring_network(5)
         sim = build_baseline_simulation(
             net,
-            baseline="ms",
             workload=uniform_workload(net.n, 4, seed=2),
             seed=3,
             tracer=tracer,

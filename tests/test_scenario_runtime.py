@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.cluster import run_cluster
+from repro.runtime.cluster import ClusterSpec, run_cluster
 from repro.runtime.netem import NetemConfig, NetemTransport
 from repro.runtime.transport import LocalTransport
 from repro.scenario import ScenarioSpec, run_runtime_scenario
@@ -62,6 +63,15 @@ class TestLowering:
         assert cluster.deadline == 30.0
         assert cluster.window == 8
         assert cluster.messages == 8
+
+    def test_unset_runtime_keys_keep_the_cluster_defaults(self):
+        # A scenario and ``repro runtime`` share one set of defaults: a
+        # spec with no [runtime] section changes none of them.
+        cluster = build_cluster_spec(spec_of())
+        defaults = {f.name: f.default for f in dataclasses.fields(ClusterSpec)}
+        for key in ("transport", "drain_grace", "port_base", "tick",
+                    "window", "max_batch"):
+            assert getattr(cluster, key) == defaults[key], key
 
     def test_chaos_with_multiple_procs_rejected(self):
         # A cluster is one process: ``procs`` is an unknown runtime key,

@@ -202,22 +202,9 @@ class TestBaselineBuilder:
     def test_ms_baseline(self):
         net = line_network(4)
         sim = build_baseline_simulation(
-            net, baseline="ms", workload=uniform_workload(net.n, 4, seed=1),
+            net, workload=uniform_workload(net.n, 4, seed=1),
             routing_mode="static",
         )
         sim.run(50_000, halt=delivered_and_drained)
         assert sim.ledger.valid_delivered_count == 4
         assert sim.ledger.violations == []
-
-    def test_naive_baseline(self):
-        net = line_network(4)
-        sim = build_baseline_simulation(
-            net, baseline="naive", workload=uniform_workload(net.n, 3, seed=2),
-            routing_mode="static", naive_buffers=4,
-        )
-        sim.run(50_000, halt=delivered_and_drained)
-        assert sim.ledger.valid_delivered_count == 3
-
-    def test_unknown_baseline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_baseline_simulation(line_network(4), baseline="fancy")
