@@ -27,33 +27,49 @@ Quickstart::
     assert sim.ledger.all_valid_delivered()   # exactly once, per message
 """
 
-from repro.app import HigherLayer, uniform_workload
-from repro.core import SSMFP, DeliveryLedger, InvariantChecker
-from repro.errors import (
-    ConfigurationError,
-    InvariantViolation,
-    ReproError,
-    ScheduleError,
-    SimulationLimitExceeded,
-    SpecificationViolation,
-    TopologyError,
-)
-from repro.network import Network
-from repro.routing import SelfStabilizingBFSRouting, StaticRouting
-from repro.sim import (
-    Simulation,
-    build_baseline_simulation,
-    build_simulation,
-    delivered_and_drained,
-)
-from repro.statemodel import (
-    Daemon,
-    DistributedRandomDaemon,
-    Message,
-    RoundRobinDaemon,
-    Simulator,
-    SynchronousDaemon,
-)
+import importlib
+import sys
+
+
+def _lazy_facade(package, exports):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package facade.
+
+    ``exports`` maps a module (relative to ``package``) to the names it
+    gives the facade, space-separated.  A name is imported from its module
+    on first access and then kept in the package namespace, so importing a
+    package loads none of its modules; an unknown name raises the
+    ``AttributeError`` that names the package."""
+    where = {
+        name: f"{package}.{module}"
+        for module, names in exports.items()
+        for name in names.split()
+    }
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = getattr(importlib.import_module(where[name]), name)
+        return namespace[name]
+
+    def __dir__():
+        return sorted(namespace.keys() | where.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "app": "HigherLayer uniform_workload",
+    "core": "SSMFP DeliveryLedger InvariantChecker",
+    "errors": "ConfigurationError InvariantViolation ReproError ScheduleError "
+              "SimulationLimitExceeded SpecificationViolation TopologyError",
+    "network": "Network",
+    "routing": "SelfStabilizingBFSRouting StaticRouting",
+    "sim": "Simulation build_baseline_simulation build_simulation "
+           "delivered_and_drained",
+    "statemodel": "Daemon DistributedRandomDaemon Message RoundRobinDaemon "
+                  "Simulator SynchronousDaemon",
+})
 
 __version__ = "1.0.0"
 

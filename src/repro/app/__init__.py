@@ -7,16 +7,14 @@ per-processor outboxes with the paper's blocking request handshake and a
 delivery sink — plus workload generators that fill the outboxes.
 """
 
-from repro.app.higher_layer import HigherLayer
-from repro.app.workload import (
-    Workload,
-    adversarial_same_payload_workload,
-    burst_workload,
-    hotspot_workload,
-    permutation_workload,
-    single_message_workload,
-    uniform_workload,
-)
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "higher_layer": "HigherLayer",
+    "workload": "Workload adversarial_same_payload_workload burst_workload "
+                "hotspot_workload permutation_workload "
+                "single_message_workload uniform_workload",
+})
 
 __all__ = [
     "HigherLayer",

@@ -9,8 +9,12 @@
   SSMFP's colors and R4/R5 handshake eliminate.
 """
 
-from repro.baselines.merlin_schweitzer import MerlinSchweitzerForwarding
-from repro.baselines.orientation_forwarding import OrientationForwarding
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "merlin_schweitzer": "MerlinSchweitzerForwarding",
+    "orientation_forwarding": "OrientationForwarding",
+})
 
 __all__ = [
     "MerlinSchweitzerForwarding",

@@ -9,18 +9,16 @@ buffer per (processor, destination)), acyclicity checking, and the
 orientation covers of the open-problem study.
 """
 
-from repro.buffergraph.graph import BufferGraph, BufferId
-from repro.buffergraph.destination_based import destination_based_buffer_graph
-from repro.buffergraph.ssmfp_graph import ssmfp_buffer_graph
-from repro.buffergraph.orientation_cover import (
-    Orientation,
-    OrientationCover,
-    cover_from_order,
-    greedy_cover,
-    orientation_cover_buffer_graph,
-    ring_cover,
-    tree_cover,
-)
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "graph": "BufferGraph BufferId",
+    "destination_based": "destination_based_buffer_graph",
+    "ssmfp_graph": "ssmfp_buffer_graph",
+    "orientation_cover": "Orientation OrientationCover cover_from_order "
+                         "greedy_cover orientation_cover_buffer_graph "
+                         "ring_cover tree_cover",
+})
 
 __all__ = [
     "BufferGraph",

@@ -32,17 +32,12 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.app.workload import hotspot_per_source
 from repro.errors import (
     ConfigurationError,
     ReproError,
     TopologyError,
     check_fraction,
 )
-from repro.experiments import EXPERIMENTS, run_experiment
-from repro.network.topologies import topology_by_name
-from repro.sim.runner import delivered_and_drained
-from repro.viz.ascii_art import render_component_state, render_network
 
 _TOPOLOGY_ARGS = {
     "line": ("n",),
@@ -301,6 +296,8 @@ def _topology_section(args) -> dict:
 
 
 def _make_network(args):
+    from repro.network.topologies import topology_by_name
+
     return topology_by_name(args.topology, **_topology_section(args)["kwargs"])
 
 
@@ -313,6 +310,8 @@ def _write_artifact(path: str, rows, **header) -> None:
 
 
 def _cmd_list(args) -> int:
+    from repro.experiments.registry import EXPERIMENTS
+
     width = max(len(k) for k in EXPERIMENTS)
     for exp_id, (description, _) in EXPERIMENTS.items():
         print(f"{exp_id.ljust(width)}  {description}")
@@ -320,6 +319,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from repro.experiments.registry import run_experiment
+
     try:
         print(run_experiment(args.id, args.jsonl))
     except KeyError as exc:
@@ -331,7 +332,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.app.workload import hotspot_per_source
     from repro.scenario import ScenarioSpec
+    from repro.sim.runner import delivered_and_drained
+    from repro.viz.ascii_art import render_component_state, render_network
 
     net = _make_network(args)
     watched = args.watch
@@ -603,6 +607,7 @@ def _cmd_verify_exhaustive(args) -> int:
 
 
 def _cmd_runtime(args) -> int:
+    from repro.core.registry import runtime_window
     from repro.runtime import ClusterSpec, run_cluster
 
     netem = {
@@ -622,7 +627,6 @@ def _cmd_runtime(args) -> int:
         topology=_topology_section(args),
         messages=args.messages,
         seed=args.seed,
-        protocol=args.protocol,
         transport=args.transport,
         workload=args.workload,
         netem=netem,
@@ -631,6 +635,7 @@ def _cmd_runtime(args) -> int:
         window=args.window,
         max_batch=args.max_batch,
     )
+    spec.window = runtime_window(args.protocol, spec.window)
     result = run_cluster(spec)
     print(result.summary())
     if args.jsonl:

@@ -13,22 +13,22 @@
 * :mod:`~repro.core.corruption` — adversarial initial buffer/queue states.
 """
 
-from repro.core.buffers import ForwardingBuffers
-from repro.core.caterpillar import Caterpillar, all_caterpillars, caterpillars_at
-from repro.core.choice import FairChoiceQueue
-from repro.core.colors import free_color
-from repro.core.corruption import (
-    fill_all_buffers,
-    plant_invalid_message,
-    plant_invalid_messages,
-    scramble_queues,
-)
-from repro.core.family import ForwardingProtocol
-from repro.core.invariants import InvariantChecker
-from repro.core.ledger import DeliveryLedger
-from repro.core.protocol import SSMFP
-from repro.core.protocol2 import SSMFP2
-from repro.core.registry import PROTOCOLS, available, resolve
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "buffers": "ForwardingBuffers",
+    "caterpillar": "Caterpillar all_caterpillars caterpillars_at",
+    "choice": "FairChoiceQueue",
+    "colors": "free_color",
+    "corruption": "fill_all_buffers plant_invalid_message "
+                  "plant_invalid_messages scramble_queues",
+    "family": "ForwardingProtocol",
+    "invariants": "InvariantChecker",
+    "ledger": "DeliveryLedger",
+    "protocol": "SSMFP",
+    "protocol2": "SSMFP2",
+    "registry": "PROTOCOLS available resolve",
+})
 
 __all__ = [
     "ForwardingProtocol",

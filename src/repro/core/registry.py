@@ -1,10 +1,11 @@
 """The protocol registry: resolve a protocol family member by name.
 
 Every place the stack instantiates a forwarding protocol — the
-simulation builder, the CLI subcommands, the sweep spec compiler, the
-live-runtime cluster — goes through :func:`resolve`, so new family
-members (the tree/linear variants of arXiv:1107.6014 / arXiv:1006.3432)
-plug in by registering here once.
+simulation builder, the CLI subcommands, the sweep spec compiler — goes
+through :func:`resolve`, and every caller that runs a protocol live caps
+the lane window through :func:`runtime_window`, so new family members
+(the tree/linear variants of arXiv:1107.6014 / arXiv:1006.3432) plug in
+by registering here once.
 """
 
 from __future__ import annotations
@@ -35,3 +36,9 @@ def resolve(name: str) -> Type[ForwardingProtocol]:
         known = ", ".join(available())
         raise ConfigurationError(f"unknown protocol {name!r}; known: {known}")
     return cls
+
+
+def runtime_window(name: str, window: int) -> int:
+    """``window`` capped at protocol ``name``'s ``runtime_window_cap``."""
+    cap = resolve(name).runtime_window_cap
+    return window if cap is None else min(window, cap)

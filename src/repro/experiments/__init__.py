@@ -10,6 +10,10 @@ experiment ids (F1-F4, P4-P7, T1, T2, A1-A4, X1-X7) to those entry points
 and ``repro experiment <id>`` regenerates one.
 """
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "registry": "EXPERIMENTS run_experiment",
+})
 
 __all__ = ["EXPERIMENTS", "run_experiment"]

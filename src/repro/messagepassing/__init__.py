@@ -29,18 +29,13 @@ naive port demonstrably breaks and :class:`HopMPNode` — an adapter over
 runs over real sockets — stays exactly-once.
 """
 
-from repro.messagepassing.engine import (
-    Channel,
-    ChannelFaults,
-    LocalAction,
-    MessagePassingSimulator,
-    MPNode,
-)
-from repro.messagepassing.forwarding import (
-    HopMPNode,
-    MPForwardingNode,
-    build_mp_network,
-)
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "engine": "Channel ChannelFaults LocalAction MessagePassingSimulator "
+              "MPNode",
+    "forwarding": "HopMPNode MPForwardingNode build_mp_network",
+})
 
 __all__ = [
     "Channel",

@@ -7,33 +7,19 @@ benchmarks, and graph-property helpers (degree Δ, diameter D, shortest-path
 distances) that the paper's complexity analysis is phrased in.
 """
 
-from repro.network.graph import Network
-from repro.network.properties import (
-    all_pairs_distances,
-    bfs_distances,
-    diameter,
-    eccentricity,
-    max_degree,
-)
-from repro.network.topologies import (
-    barbell_network,
-    binary_tree_network,
-    caterpillar_network,
-    complete_network,
-    grid_network,
-    hypercube_network,
-    line_network,
-    lollipop_network,
-    paper_figure1_network,
-    paper_figure3_network,
-    random_connected_network,
-    random_regular_network,
-    random_tree_network,
-    ring_network,
-    star_network,
-    torus_network,
-    wheel_network,
-)
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "graph": "Network",
+    "properties": "all_pairs_distances bfs_distances diameter eccentricity "
+                  "max_degree",
+    "topologies": "barbell_network binary_tree_network caterpillar_network "
+                  "complete_network grid_network hypercube_network "
+                  "line_network lollipop_network paper_figure1_network "
+                  "paper_figure3_network random_connected_network "
+                  "random_regular_network random_tree_network ring_network "
+                  "star_network torus_network wheel_network",
+})
 
 __all__ = [
     "Network",

@@ -17,17 +17,14 @@ of them pays nothing):
 See ``docs/observability.md`` for the full story and the overhead numbers.
 """
 
-from repro.obs.export import (
-    Artifact,
-    capture_tables,
-    diff_artifacts,
-    read_artifact,
-    summarize_artifact,
-    tables_to_rows,
-    write_jsonl,
-)
-from repro.obs.registry import SCHEMA, Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracer import LifecycleEvent, MessageTracer
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "export": "Artifact capture_tables diff_artifacts read_artifact "
+              "summarize_artifact tables_to_rows write_jsonl",
+    "registry": "SCHEMA Counter Gauge Histogram MetricsRegistry",
+    "tracer": "LifecycleEvent MessageTracer",
+})
 
 __all__ = [
     "SCHEMA",

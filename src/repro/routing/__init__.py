@@ -16,17 +16,15 @@ only through ``nextHop_p(d)``.  This package provides:
   measurement of the stabilization time ``R_A``.
 """
 
-from repro.routing.table import RoutingService
-from repro.routing.static import StaticRouting
-from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
-from repro.routing.corruption import (
-    corrupt_random,
-    corrupt_worst_case,
-)
-from repro.routing.analysis import (
-    next_hop_cycles,
-    routing_errors,
-)
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "table": "RoutingService",
+    "static": "StaticRouting",
+    "selfstab_bfs": "SelfStabilizingBFSRouting",
+    "corruption": "corrupt_random corrupt_worst_case",
+    "analysis": "next_hop_cycles routing_errors",
+})
 
 __all__ = [
     "RoutingService",

@@ -10,22 +10,17 @@ run against the paper's specification.
 See ``docs/runtime.md`` for the architecture and the transport contract.
 """
 
-from repro.runtime.cluster import ClusterSpec, RuntimeResult, run_cluster
-from repro.runtime.conformance import (
-    ConformanceReport,
-    RuntimeEvent,
-    check_events,
-)
-from repro.runtime.hop import HopCore, RuntimeParams
-from repro.runtime.netem import NetemConfig, NetemTransport
-from repro.runtime.node import RuntimeNode
-from repro.runtime.transport import (
-    LocalTransport,
-    TcpTransport,
-    Transport,
-    allocate_ports,
-)
-from repro.runtime.wire import WIRE_V2, WireFormatError
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "cluster": "ClusterSpec RuntimeResult run_cluster",
+    "conformance": "ConformanceReport RuntimeEvent check_events",
+    "hop": "HopCore RuntimeParams",
+    "netem": "NetemConfig NetemTransport",
+    "node": "RuntimeNode",
+    "transport": "LocalTransport TcpTransport Transport allocate_ports",
+    "wire": "WIRE_V2 WireFormatError",
+})
 
 __all__ = [
     "ClusterSpec",

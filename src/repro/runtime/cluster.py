@@ -64,13 +64,6 @@ class ClusterSpec:
     topology: Dict[str, Any]
     messages: int = 100
     seed: int = 0
-    #: Forwarding protocol the cluster emulates (registry name).  The live
-    #: hop protocol is the same DATA/ACK/REL/RACK lane machinery for every
-    #: family member; what differs is the buffer budget, enforced through
-    #: the protocol's ``runtime_window_cap`` — SSMFP's two buffers per hop
-    #: admit pipelined lanes, SSMFP2's single fused buffer caps every lane
-    #: at window 1 (stop-and-wait).
-    protocol: str = "ssmfp"
     transport: str = "local"            #: "local" | "tcp"
     workload: str = "uniform"
     netem: Optional[Dict[str, Any]] = None
@@ -80,7 +73,10 @@ class ClusterSpec:
     tick: float = 0.005
     retry_base: float = 0.05
     retry_cap: float = 0.4
-    window: int = 32                    #: in-flight DATA per (edge, dest) lane
+    #: In-flight DATA per (edge, dest) lane.  The cluster runs the hop lane
+    #: machine alone; a caller that picks a protocol by name caps this at
+    #: its ``runtime_window_cap`` (:func:`repro.core.registry.runtime_window`).
+    window: int = 32
     max_batch: int = 64                 #: max records packed into one frame
     #: Timed chaos events lowered onto the wall clock by
     #: :mod:`repro.scenario` — dicts ``{"action", "t0", "t1", ...}``
@@ -114,17 +110,11 @@ class ClusterSpec:
         )
 
     def build_params(self) -> RuntimeParams:
-        from repro.core.registry import resolve
-
-        window = self.window
-        cap = resolve(self.protocol).runtime_window_cap
-        if cap is not None:
-            window = min(window, cap)
         return RuntimeParams(
             tick=self.tick,
             retry_base=self.retry_base,
             retry_cap=self.retry_cap,
-            window=window,
+            window=self.window,
             max_batch=self.max_batch,
         )
 
@@ -198,7 +188,7 @@ class RuntimeResult:
         """Human-readable run summary (printed by the CLI)."""
         status = "PARTIAL" if self.partial else "OK"
         lines = [
-            f"runtime [{status}] protocol={self.spec.protocol} "
+            f"runtime [{status}] window={self.spec.window} "
             f"transport={self.spec.transport} elapsed={self.elapsed_s:.2f}s "
             f"throughput={self.throughput:.0f} msg/s",
             self.report.summary(),
@@ -543,10 +533,7 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
     and KeyboardInterrupt all come back as a :class:`RuntimeResult` with
     ``partial=True`` and the errors listed.
     """
-    from repro.core.registry import resolve
-
-    resolve(spec.protocol)  # raises ConfigurationError on unknown names
-    spec.build_netem()  # ... and on a netem knob out of range
+    spec.build_netem()  # raises ConfigurationError on a netem knob out of range
     started = time.monotonic()
     result = RuntimeResult(spec=spec, report=ConformanceReport())
     net = spec.build_network()

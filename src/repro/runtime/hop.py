@@ -56,11 +56,12 @@ the event log of every run.
 
 The same core serves every member of the protocol family: the
 fused single-buffer protocol (``repro.core.protocol2``) differs only in
-its buffer budget, which :class:`~repro.runtime.cluster.ClusterSpec`
-enforces by clamping ``params.window`` to the protocol's declared
-``runtime_window_cap`` (1 for SSMFP2 — each lane degenerates to the
-stop-and-wait handshake, the faithful live analogue of one fused buffer
-per hop).
+its buffer budget.  The runtime imports no protocol class: the callers
+that pick a protocol by name (``repro runtime --protocol`` and a runtime
+scenario's lowering) cap ``ClusterSpec.window`` at the protocol's declared
+``runtime_window_cap`` through :func:`repro.core.registry.runtime_window`
+(1 for SSMFP2 — each lane degenerates to the stop-and-wait handshake, the
+faithful live analogue of one fused buffer per hop).
 """
 
 from __future__ import annotations

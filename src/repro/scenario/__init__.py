@@ -11,18 +11,17 @@ artifacts behind; :mod:`repro.scenario.record` fingerprints a run so it
 can be re-verified bit for bit.
 """
 
-from repro.scenario.actions import ACTIONS, ScheduleEvent, validate_schedule
-from repro.scenario.campaign import (
-    CampaignResult,
-    expand_matrix,
-    run_campaign,
-    run_one_scenario,
-)
-from repro.scenario.record import RunRecord, record_scenario, verify_record
-from repro.scenario.result import ScenarioResult, evaluate_pass
-from repro.scenario.runtimedriver import run_runtime_scenario
-from repro.scenario.simdriver import run_sim_scenario
-from repro.scenario.spec import ScenarioSpec, load_scenario_file
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "actions": "ACTIONS ScheduleEvent validate_schedule",
+    "campaign": "CampaignResult expand_matrix run_campaign run_one_scenario",
+    "record": "RunRecord record_scenario verify_record",
+    "result": "ScenarioResult evaluate_pass",
+    "runtimedriver": "run_runtime_scenario",
+    "simdriver": "run_sim_scenario",
+    "spec": "ScenarioSpec load_scenario_file",
+})
 
 __all__ = [
     "ACTIONS",

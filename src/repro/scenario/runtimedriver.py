@@ -76,14 +76,14 @@ _CLUSTER_KEYS = {
 
 def build_cluster_spec(spec: ScenarioSpec):
     """The :class:`~repro.runtime.cluster.ClusterSpec` for this scenario."""
+    from repro.core.registry import runtime_window
     from repro.runtime.cluster import ClusterSpec
 
     extras = spec.runtime_extras
-    return ClusterSpec(
+    cluster = ClusterSpec(
         topology=dict(spec.topology),
         messages=spec.messages(),
         seed=spec.seed,
-        protocol=spec.protocol,
         workload=spec.workload["name"],
         netem=extras.get("netem"),
         deadline=float(spec.budgets["wall_s"]),
@@ -94,6 +94,8 @@ def build_cluster_spec(spec: ScenarioSpec):
             if key in extras
         },
     )
+    cluster.window = runtime_window(spec.protocol, cluster.window)
+    return cluster
 
 
 def run_runtime_scenario(spec: ScenarioSpec) -> ScenarioResult:

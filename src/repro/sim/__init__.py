@@ -8,18 +8,14 @@ baseline.
 The experiments and benchmarks are thin layers over this module.
 """
 
-from repro.sim.runner import (
-    Simulation,
-    build_baseline_simulation,
-    build_simulation,
-    delivered_and_drained,
-)
-from repro.sim.metrics import (
-    RoundClock,
-    delivery_latency_rounds,
-    moves_per_delivery,
-)
-from repro.sim.reporting import format_table, set_table_sink
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "runner": "Simulation build_baseline_simulation build_simulation "
+              "delivered_and_drained",
+    "metrics": "RoundClock delivery_latency_rounds moves_per_delivery",
+    "reporting": "format_table set_table_sink",
+})
 
 __all__ = [
     "Simulation",

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.app.higher_layer import HigherLayer
 from repro.app.workload import Workload
-from repro.baselines.merlin_schweitzer import MerlinSchweitzerForwarding
 from repro.core.corruption import plant_invalid_messages, scramble_queues
 from repro.core.family import ForwardingProtocol
 from repro.core.invariants import InvariantChecker
@@ -145,6 +144,8 @@ class Simulation:
         fw = self.forwarding
         if isinstance(fw, ForwardingProtocol):
             return fw.bufs.total_occupied()
+        from repro.baselines.merlin_schweitzer import MerlinSchweitzerForwarding
+
         if isinstance(fw, MerlinSchweitzerForwarding):
             return sum(1 for row in fw.buf for m in row if m is not None)
         return -1
@@ -302,6 +303,8 @@ def build_baseline_simulation(
     ``obs``/``tracer`` as in :func:`build_simulation` (the baseline lacks
     SSMFP's buffer notifiers, so the tracer records the ledger-level
     lifecycle only)."""
+    from repro.baselines.merlin_schweitzer import MerlinSchweitzerForwarding
+
     routing = _make_routing(net, routing_mode, routing_corruption, seed)
     hl = HigherLayer(net.n)
     ledger = DeliveryLedger(strict=False)

@@ -8,18 +8,16 @@ exactly the paper's three-phase semantics); rounds are accounted per the
 Dolev-Israeli-Moran definition as modified by Bui-Datta-Petit-Villain.
 """
 
-from repro.statemodel.action import Action
-from repro.statemodel.daemon import (
-    AdversarialScriptDaemon,
-    CentralRandomDaemon,
-    Daemon,
-    DistributedRandomDaemon,
-    RoundRobinDaemon,
-    SynchronousDaemon,
-)
-from repro.statemodel.message import Message, MessageFactory
-from repro.statemodel.protocol import Protocol
-from repro.statemodel.scheduler import Simulator, StepReport
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "action": "Action",
+    "daemon": "AdversarialScriptDaemon CentralRandomDaemon Daemon "
+              "DistributedRandomDaemon RoundRobinDaemon SynchronousDaemon",
+    "message": "Message MessageFactory",
+    "protocol": "Protocol",
+    "scheduler": "Simulator StepReport",
+})
 
 __all__ = [
     "Action",

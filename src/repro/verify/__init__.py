@@ -12,18 +12,13 @@ space soundly (see ``docs/verify.md``): partial-order reduction and
 processor-permutation symmetry quotienting (:mod:`repro.verify.reduction`).
 """
 
-from repro.verify.liveness import FairLivelock, LivenessChecker, LivenessResult
-from repro.verify.modelcheck import (
-    REDUCTIONS,
-    ModelChecker,
-    ModelCheckResult,
-    ProgressMeter,
-)
-from repro.verify.reduction import (
-    IndependenceOracle,
-    SymmetryReducer,
-    validate_symmetry,
-)
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "liveness": "FairLivelock LivenessChecker LivenessResult",
+    "modelcheck": "REDUCTIONS ModelChecker ModelCheckResult ProgressMeter",
+    "reduction": "IndependenceOracle SymmetryReducer validate_symmetry",
+})
 
 __all__ = [
     "REDUCTIONS",

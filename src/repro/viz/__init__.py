@@ -4,7 +4,11 @@ Renders what Figure 3 draws: the network and the buffer occupancy of one
 destination's component in a configuration.
 """
 
-from repro.viz.ascii_art import render_component_state, render_network
+from repro import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "ascii_art": "render_component_state render_network",
+})
 
 __all__ = [
     "render_component_state",

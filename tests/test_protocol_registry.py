@@ -3,6 +3,8 @@ and every layer that resolves protocols by name (runner, spec, cluster,
 CLI).
 """
 
+import json
+
 import pytest
 
 from repro.buffergraph.destination_based import destination_based_buffer_graph
@@ -11,11 +13,12 @@ from repro.cli import main
 from repro.core.family import ForwardingProtocol
 from repro.core.protocol import SSMFP
 from repro.core.protocol2 import SSMFP2
-from repro.core.registry import PROTOCOLS, available, resolve
+from repro.core.registry import PROTOCOLS, available, resolve, runtime_window
 from repro.errors import ConfigurationError
 from repro.network.topologies import line_network
 from repro.runtime.cluster import ClusterSpec
 from repro.scenario import ScenarioSpec
+from repro.scenario.runtimedriver import build_cluster_spec
 from repro.sim.runner import build_simulation, delivered_and_drained
 
 #: Each member's Merlin-Schweitzer buffer graph: SSMFP's R/E pair per
@@ -142,23 +145,62 @@ class TestRunnerDispatch:
         assert sim.ledger.all_valid_delivered()
 
 
-class TestClusterSpecProtocol:
-    def test_window_clamped_to_protocol_cap(self):
-        spec = ClusterSpec(
-            topology={"name": "line", "kwargs": {"n": 3}}, protocol="ssmfp2"
-        )
-        assert spec.build_params().window == 1
+class TestRuntimeProtocolWindow:
+    """The live cluster knows no protocol: its two callers that pick one by
+    name, ``repro runtime --protocol`` and a runtime scenario's lowering,
+    cap the lane window at the protocol's ``runtime_window_cap``."""
 
-    def test_default_protocol_keeps_configured_window(self):
-        spec = ClusterSpec(topology={"name": "line", "kwargs": {"n": 3}})
-        assert spec.build_params().window == spec.window
+    RUNTIME = ["runtime", "--topology", "line", "--n", "3", "--messages", "3"]
 
-    def test_unknown_protocol_raises_at_build(self):
-        spec = ClusterSpec(
-            topology={"name": "line", "kwargs": {"n": 3}}, protocol="bogus"
-        )
-        with pytest.raises(ConfigurationError):
-            spec.build_params()
+    @staticmethod
+    def scenario_data(protocol, **runtime):
+        return {
+            "target": "runtime",
+            "protocol": protocol,
+            "topology": {"name": "line", "kwargs": {"n": 3}},
+            "workload": {"name": "uniform", "kwargs": {"count": 3}},
+            "runtime": runtime,
+        }
+
+    def lowered_window(self, protocol, **runtime):
+        spec = ScenarioSpec.from_dict(self.scenario_data(protocol, **runtime))
+        return build_cluster_spec(spec).window
+
+    def test_runtime_window_caps_at_the_protocol_cap(self):
+        assert runtime_window("ssmfp2", 32) == 1
+        assert runtime_window("ssmfp", 8) == 8
+        with pytest.raises(ConfigurationError, match="unknown protocol"):
+            runtime_window("bogus", 8)
+
+    def test_cli_ssmfp2_runs_every_lane_at_window_1(self, capsys):
+        assert main(self.RUNTIME + ["--protocol", "ssmfp2"]) == 0
+        assert "runtime [OK] window=1 " in capsys.readouterr().out
+
+    def test_cli_ssmfp_keeps_the_configured_window(self, capsys):
+        assert main(self.RUNTIME + ["--protocol", "ssmfp", "--window", "8"]) == 0
+        assert "runtime [OK] window=8 " in capsys.readouterr().out
+
+    def test_cli_unknown_protocol_exits_2(self, capsys):
+        assert main(self.RUNTIME + ["--protocol", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown protocol" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_scenario_ssmfp2_lowers_to_window_1(self):
+        assert self.lowered_window("ssmfp2") == 1
+
+    def test_scenario_ssmfp_keeps_the_configured_window(self):
+        assert self.lowered_window("ssmfp", window=8) == 8
+        assert self.lowered_window("ssmfp") == ClusterSpec.window
+
+    def test_scenario_unknown_protocol_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(self.scenario_data("bogus")))
+        code = main(["scenario", "run", str(path), "--target", "runtime"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown protocol" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestCliProtocolFlag:
