@@ -27,6 +27,9 @@ scheduler into a lossy/duplicating/reordering adversary, under which the
 naive port demonstrably breaks and :class:`HopMPNode` — an adapter over
 :class:`repro.runtime.hop.HopCore`, the very lane code :mod:`repro.runtime`
 runs over real sockets — stays exactly-once.
+
+Every run here is judged as a live cluster is: after it, by
+:func:`repro.runtime.conformance.check_events` over the nodes' event logs.
 """
 
 from repro import _lazy_facade

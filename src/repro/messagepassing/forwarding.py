@@ -38,6 +38,11 @@ Two node classes live here:
   retransmission, release watermarks), from simulator channels.  The
   seeded :class:`~repro.messagepassing.engine.ChannelFaults` adversary
   here and the live netem adversary execute the same code.
+
+Both log generations and deliveries as
+:class:`~repro.runtime.conformance.RuntimeEvent` rows, judged after the run
+by :func:`~repro.runtime.conformance.check_events`: validity comes from the
+generation log, so a forged record cannot classify itself.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.core.ledger import DeliveryLedger
 from repro.messagepassing.engine import (
     ChannelFaults,
     LocalAction,
@@ -55,8 +59,8 @@ from repro.messagepassing.engine import (
 )
 from repro.network.graph import Network
 from repro.routing.table import RoutingService
+from repro.runtime.conformance import RuntimeEvent
 from repro.runtime.hop import HopCore, RuntimeParams
-from repro.statemodel.message import Message
 from repro.types import DestId, ProcId
 
 #: Wire message kinds of the naive port.
@@ -73,28 +77,16 @@ class StoredRecord:
     src: ProcId  # who handed it to us (self for generated)
     released: bool  # the upstream copy has been erased; commit allowed
 
-    def as_message(self, dest: DestId) -> Message:
-        """Bridge to the ledger's message shape."""
-        return Message(
-            payload=self.payload, last=self.src, color=0, dest=dest,
-            uid=self.uid, valid=self.valid,
-        )
-
 
 class MPForwardingNode(MPNode):
     """One processor of the message-passing port."""
 
-    def __init__(
-        self,
-        pid: ProcId,
-        net: Network,
-        routing: RoutingService,
-        ledger: DeliveryLedger,
-    ) -> None:
+    def __init__(self, pid: ProcId, net: Network, routing: RoutingService) -> None:
         super().__init__(pid)
         self.net = net
         self.routing = routing
-        self.ledger = ledger
+        #: Generations and deliveries, as :class:`HopCore` logs them.
+        self.events: List[RuntimeEvent] = []
         n = net.n
         self.buf_r: List[Optional[StoredRecord]] = [None] * n
         self.buf_e: List[Optional[StoredRecord]] = [None] * n
@@ -172,14 +164,8 @@ class MPForwardingNode(MPNode):
     def _generate(self) -> None:
         payload, dest = self.outbox.popleft()
         uid = self._uid_source()
-        rec = StoredRecord(payload, uid, True, self.pid, released=True)
-        self.buf_r[dest] = rec
-        self.ledger.record_generated(
-            Message(
-                payload=payload, last=self.pid, color=0, dest=dest,
-                uid=uid, valid=True, source=self.pid,
-            )
-        )
+        self.buf_r[dest] = StoredRecord(payload, uid, True, self.pid, released=True)
+        self._log("generated", uid, dest, True)
 
     def _make_accept(self, d: DestId):
         def effect() -> None:
@@ -218,11 +204,13 @@ class MPForwardingNode(MPNode):
             if rec is None:
                 return
             self.buf_e[d] = None
-            self.ledger.record_delivery(self.pid, rec.as_message(d), step=0)
+            self._log("delivered", rec.uid, d, rec.valid)
 
         return effect
 
-    # -- introspection -----------------------------------------------------------
+    def _log(self, kind: str, uid: int, dest: DestId, valid: bool) -> None:
+        events = self.events
+        events.append(RuntimeEvent(kind, uid, self.pid, dest, valid, len(events)))
 
 
 class HopMPNode(MPNode):
@@ -233,8 +221,8 @@ class HopMPNode(MPNode):
     holds anything) moves this node's clock one ``params.tick`` forward and
     lets the core fire its rules, owed ACKs and expired timers — so the
     scheduler decides how many records arrive between two heartbeats and
-    how long every acknowledgement takes.  Logged generations and
-    deliveries go to the shared ledger.
+    how long every acknowledgement takes.  The core's event log, stamped
+    with that virtual time, is judged after the run.
     """
 
     def __init__(
@@ -242,14 +230,11 @@ class HopMPNode(MPNode):
         pid: ProcId,
         net: Network,
         routing: RoutingService,
-        ledger: DeliveryLedger,
         params: Optional[RuntimeParams] = None,
     ) -> None:
         super().__init__(pid)
         self.core = HopCore(pid, net, routing, params)
-        self.ledger = ledger
         self.now = 0.0
-        self._accounted = 0  # core events already fed to the ledger
 
     def submit(self, payload: Any, dest: DestId) -> None:
         """Queue an application send."""
@@ -268,17 +253,8 @@ class HopMPNode(MPNode):
     def _timer(self) -> None:
         self.now += self.core.params.tick
         out: List[Tuple[ProcId, Dict[str, Any]]] = []
-        self.core.advance(self.now, self.now, out)
+        self.core.advance(self.now, out)
         self._ship(out)
-        events = self.core.events
-        for event in events[self._accounted:]:
-            if event.kind == "generated":
-                self.ledger.record_generated(event.as_message(source=self.pid))
-            else:
-                self.ledger.record_delivery(
-                    self.pid, event.as_message(source=None), step=event.order
-                )
-        self._accounted = len(events)
 
     def _ship(self, out: List[Tuple[ProcId, Dict[str, Any]]]) -> None:
         # Channels carry values: the core rewrites a pending record's
@@ -291,24 +267,24 @@ def build_mp_network(
     net: Network,
     routing: RoutingService,
     seed: int = 0,
-    ledger: Optional[DeliveryLedger] = None,
     hardened: bool = False,
     faults: Optional[ChannelFaults] = None,
     params: Optional[RuntimeParams] = None,
-) -> Tuple[MessagePassingSimulator, List[MPNode], DeliveryLedger]:
+) -> Tuple[MessagePassingSimulator, List[MPNode]]:
     """Assemble the message-passing port over a network.
 
     ``hardened=True`` builds :class:`HopMPNode` processors (``params``
     configures their lanes); ``faults`` configures the channel adversary
-    of the simulator.
+    of the simulator.  A run is judged after it by
+    :func:`~repro.runtime.conformance.check_events` over the nodes' event
+    logs (``node.events``, or ``node.core.events`` when hardened).
     """
-    ledger = ledger if ledger is not None else DeliveryLedger()
     if hardened:
         nodes: List[MPNode] = [
-            HopMPNode(p, net, routing, ledger, params) for p in net.processors()
+            HopMPNode(p, net, routing, params) for p in net.processors()
         ]
     else:
-        nodes = [MPForwardingNode(p, net, routing, ledger) for p in net.processors()]
+        nodes = [MPForwardingNode(p, net, routing) for p in net.processors()]
         counter = {"next": 1}
 
         def next_uid() -> int:
@@ -319,4 +295,4 @@ def build_mp_network(
         for node in nodes:
             node._uid_source = next_uid
     sim = MessagePassingSimulator(net, nodes, seed=seed, faults=faults)
-    return sim, nodes, ledger
+    return sim, nodes

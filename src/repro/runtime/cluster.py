@@ -563,5 +563,11 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
             )
     result.elapsed_s = time.monotonic() - started
     _collect(result, nodes, transport)
-    result.report = check_events(result.events, expect_generated=target)
+    report = result.report = check_events(result.events, expect_generated=target)
+    if report.invalid_delivered:
+        # A live cluster starts clean: whatever it delivers was generated.
+        report.violations.append(
+            f"{report.invalid_delivered} invalid deliveries (no generation "
+            "addressed to the delivering node) from a clean start"
+        )
     return result

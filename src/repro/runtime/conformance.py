@@ -1,25 +1,41 @@
-"""Conformance: checking a live run against the paper's specification.
+"""Conformance: judging a message-passing run by the paper's specification.
 
 A live run is not deterministic — asyncio scheduling, OS timers and real
 sockets see to that — so unlike the state-model verifiers we cannot replay
 it bit for bit.  What we *can* do is record every generate/deliver event
-and check the properties the specification SP demands of any execution:
+and check the properties the specification SP demands of any execution.
+The same verdict judges the seeded message-passing engine's runs
+(:mod:`repro.messagepassing`), so both substrates answer to one judge:
 
-* **SP-2 / exactly-once** — every valid generated message is delivered at
-  its destination, and only once.  Retrying senders and duplicating
+* **Validity is the generation log's fact.**  SP speaks of *generated*
+  messages, and a forged channel record must be judged, never trusted: a
+  delivery is valid iff the log holds a generation of its uid whose
+  destination is the delivering node.  Anything else — a uid nobody
+  generated, or one delivered away from its destination — is an invalid
+  delivery (initial garbage surfacing), counted in ``invalid_delivered``.
+  The record's own ``valid`` bit is not read.  SP allows invalid
+  deliveries from a corrupted start; the live runtime only ever starts
+  clean, so :func:`~repro.runtime.cluster.run_cluster` fails its verdict
+  on any.
+* **SP-2 / exactly-once** — every generated message is delivered at its
+  destination, and only once.  Retrying senders and duplicating
   transports make "only once" a real claim: one deduplication bug and the
   oracle sees a double delivery.
-* **No phantoms** — nothing is delivered that was never generated.
 * **Sequence consistency** — for each (source, destination) pair,
   deliveries occur in generation order (the per-destination lanes are
   FIFO, so the runtime must preserve per-pair order end to end).
 
-The verdict is one sort and two passes over plain dicts: it makes the four
-non-strict checks of :class:`~repro.core.ledger.DeliveryLedger` itself,
-violation strings included.  The ledger-backed verdict it replaced is the
-oracle in ``tests/reference_conformance.py``, and equal reports from the two
-(``tests/test_conformance_differential.py``) are what keeps the simulated
-and live execution paths judged by one specification.
+A uid is the judge's label, not protocol data: no rule reads it.  A forged
+record that carries a live uid therefore reads as that message — a second
+delivery of it is a duplicate, but one that stands in for the original
+before it arrives is invisible here.  Test harnesses draw forged uids
+from a range the generator never issues (≤ 0).
+
+The verdict is one sort and two passes over plain tuples.  The
+ledger-backed verdict it replaced is the oracle in
+``tests/reference_conformance.py``, and equal reports from the two
+(``tests/test_conformance_differential.py``) keep the message-passing
+substrates judged by the state model's specification.
 """
 
 from __future__ import annotations
@@ -29,24 +45,22 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.statemodel.message import Message
 from repro.types import DestId, ProcId
 
 
 class RuntimeEvent(NamedTuple):
-    """One conformance event from a live node.
+    """One conformance event from a node.
 
     ``order`` is the node-local event index: events of one node are totally
     ordered, which is all sequence consistency needs (generations order at
-    the source, deliveries order at the destination).  Two timestamps, two
-    jobs: ``t`` is a wall-clock stamp for human-readable report rows only;
-    ``mono`` is ``time.monotonic()`` (CLOCK_MONOTONIC — comparable across
-    processes on one machine) and is the *only* stamp durations may be
-    computed from — a wall-clock step (NTP, manual adjustment) between two
-    events must never skew a latency metric.  Neither is used for
-    correctness.  ``mono == 0.0`` marks an event from a source that does
-    not stamp monotonic time (synthetic test events); duration metrics
-    skip such pairs.
+    the source, deliveries order at the destination).  ``mono`` is
+    ``time.monotonic()`` on the live runtime (CLOCK_MONOTONIC — comparable
+    across processes on one machine) and virtual time on the
+    message-passing engine; it is the stamp durations are computed from and
+    is never used for correctness.  ``mono == 0.0`` marks an event from a
+    source that does not stamp time (synthetic test events); duration
+    metrics skip such pairs.  ``valid`` is the bit the delivered record
+    carried; the verdict does not read it.
 
     A named tuple: ``HopCore._append_event`` builds one positionally per
     generation and per delivery, so the field order is part of the contract.
@@ -57,27 +71,13 @@ class RuntimeEvent(NamedTuple):
     node: ProcId    #: source for generations, destination for deliveries
     dest: DestId
     valid: bool
-    t: float        #: wall clock — for exported rows, never for durations
     order: int
-    mono: float = 0.0  #: monotonic clock — the duration domain
-
-    def as_message(self, source: Optional[ProcId]) -> Message:
-        """Bridge to the ledger's message shape."""
-        return Message(
-            payload=None,
-            last=self.node,
-            color=0,
-            dest=self.dest,
-            uid=self.uid,
-            valid=self.valid,
-            source=source,
-            born_step=0,
-        )
+    mono: float = 0.0  #: the duration domain
 
 
 @dataclass
 class ConformanceReport:
-    """The verdict over one live run's event log."""
+    """The verdict over one run's event log."""
 
     generated: int = 0
     delivered: int = 0
@@ -158,9 +158,9 @@ def check_events(
     for event in _node_ordered(events):
         kind = event.kind
         if kind == "generated":
-            if not event.valid:
-                raise ValueError(f"a generation must be valid, got {event!r}")
             report.generated += 1
+            # A uid logged twice (no generator issues one) is judged by its
+            # last generation in node order.
             generated[event.uid] = event
             pair_generated[event.node, event.dest].append(event.uid)
         elif kind == "delivered":
@@ -172,28 +172,18 @@ def check_events(
     # the keys come out grouped by destination in first-delivery order.
     pair_delivered: Dict[Tuple[ProcId, DestId], List[int]] = defaultdict(list)
     for event in deliveries:
-        if not event.valid:
+        uid = event.uid
+        at = event.node
+        origin = generated.get(uid)
+        if origin is None or origin.dest != at:
             report.invalid_delivered += 1
             continue
         report.delivered += 1
-        uid = event.uid
-        at = event.node
-        problems: List[str] = []
-        origin = generated.get(uid)
-        if origin is None:
-            problems.append(f"delivery of unknown valid uid {uid}")
-        else:
-            if at != origin.dest:
-                problems.append(
-                    f"uid {uid} delivered at {at}, destination is {origin.dest}"
-                )
-            pair_delivered[origin.node, at].append(uid)
+        pair_delivered[origin.node, at].append(uid)
         if uid in delivered_uids:
-            problems.append(f"uid {uid} delivered twice (duplication)")
+            report.violations.append(f"uid {uid} delivered twice (duplication)")
         else:
             delivered_uids.add(uid)
-        if problems:
-            report.violations.append("; ".join(problems))
     report.duplicates = report.delivered - len(delivered_uids)
     report.undelivered = sorted(generated.keys() - delivered_uids)
     if expect_generated is not None and report.generated != expect_generated:
@@ -219,9 +209,8 @@ def message_latencies(events: Sequence[RuntimeEvent]) -> List[float]:
 
     One sample per delivery whose generation is in the log, joined in two
     passes: the log is node-ordered, so a delivery may precede its
-    generation at a later node.  Only ``mono`` is read (a wall-clock step
-    must not skew a duration), and events without a monotonic stamp
-    (``mono == 0.0``, synthetic logs) are skipped, not measured on ``t``.
+    generation at a later node.  Events without a stamp (``mono == 0.0``,
+    synthetic logs) are skipped.
     """
     started = {
         event.uid: event.mono

@@ -490,11 +490,9 @@ class HopCore:
 
     # -- local rules -----------------------------------------------------------
 
-    def advance(
-        self, now: float, wall: float, out: List[Tuple[ProcId, Dict[str, Any]]]
-    ) -> None:
+    def advance(self, now: float, out: List[Tuple[ProcId, Dict[str, Any]]]) -> None:
         """Fire every enabled local rule and expired timer at monotonic
-        time ``now``; ``wall`` only stamps the events logged meanwhile."""
+        time ``now``, which also stamps the events logged meanwhile."""
         if self._ack_dirty:
             self._emit_acks(out)
         if self._active:
@@ -506,9 +504,7 @@ class HopCore:
                     self.counters["delivered"] += len(fwd)
                     while fwd:
                         got = fwd.popleft()
-                        self._append_event(
-                            "delivered", got["u"], d, got["v"], now, wall
-                        )
+                        self._append_event("delivered", got["u"], d, got["v"], now)
                     self._active.discard(d)
                     self.fwd.evict(d)
                     continue
@@ -541,7 +537,7 @@ class HopCore:
                         self._next_uid = uid + self.net.n
                         rec = data_rec(d, seq, uid, box.popleft(), True, rel_cum)
                         self.counters["generated"] += 1
-                        self._append_event("generated", uid, d, True, now, wall)
+                        self._append_event("generated", uid, d, True, now)
                     # R3: pipeline into the window.
                     unacked[seq] = _Pending(rec, now, now)
                     out.append((nbr, rec))
@@ -675,16 +671,9 @@ class HopCore:
     # -- events ----------------------------------------------------------------
 
     def _append_event(
-        self, kind: str, uid: int, dest: DestId, valid: bool,
-        mono: float, wall: float,
+        self, kind: str, uid: int, dest: DestId, valid: bool, mono: float
     ) -> None:
-        # Two clock domains, never mixed: ``t`` (wall) is for exported
-        # report rows only; ``mono`` (CLOCK_MONOTONIC, shared by every
-        # process on the machine) is what durations are computed from, so
-        # an NTP step mid-run cannot skew the latency histograms.
         events = self.events
-        # Positional (kind, uid, node, dest, valid, t, order, mono): this
-        # runs once per generation and delivery inside the node loop.
-        events.append(
-            RuntimeEvent(kind, uid, self.pid, dest, valid, wall, len(events), mono)
-        )
+        # Positional (kind, uid, node, dest, valid, order, mono): this runs
+        # once per generation and delivery inside the node loop.
+        events.append(RuntimeEvent(kind, uid, self.pid, dest, valid, len(events), mono))

@@ -2,10 +2,10 @@
 
 :class:`RuntimeNode` is the IO adapter around
 :class:`~repro.runtime.hop.HopCore`: it owns the inbox a
-:class:`~repro.runtime.transport.Transport` delivers into, reads the two
-clocks, runs the receive → advance → flush loop, and packs the core's
-outgoing records into batched frames.  All lane state, timers, counters
-and the conformance event log live in :attr:`RuntimeNode.core`.
+:class:`~repro.runtime.transport.Transport` delivers into, reads the
+monotonic clock, runs the receive → advance → flush loop, and packs the
+core's outgoing records into batched frames.  All lane state, timers,
+counters and the conformance event log live in :attr:`RuntimeNode.core`.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class RuntimeNode:
                         drained = True
                         now = time.monotonic()
                     core.on_records(src, records, now, out)
-                core.advance(time.monotonic(), time.time(), out)
+                core.advance(time.monotonic(), out)
                 delivered = core.counters["delivered"]
                 if delivered != reported:
                     if self._delivered_hook is not None:

@@ -9,17 +9,60 @@ in one sort and two passes; ``tests/test_conformance_differential.py``
 holds the two to equal reports, violation strings included, so "simulator
 and runtime are judged by one specification" is enforced by test.
 
-Not a test module and not for production use; the bodies of
-``check_events`` and ``_check_sequences`` are not to be edited.
+Validity is the generation log's fact, on both sides: a delivery is valid
+iff the log holds a generation of its uid (the last one in node order)
+addressed to the delivering node.  This module's own :class:`_Logged`
+adapter applies that rule before the ledger sees an event, so the bit a
+record carried never decides; the one line that applies it is the only
+edit to the bodies of ``check_events`` and ``_check_sequences``, which are
+otherwise not to be edited.
+
+Not a test module and not for production use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.ledger import DeliveryLedger
 from repro.runtime.conformance import ConformanceReport, RuntimeEvent
+from repro.statemodel.message import Message
 from repro.types import DestId, ProcId
+
+
+class _Logged(NamedTuple):
+    """An event as the ledger sees it: ``valid`` from the generation log."""
+
+    kind: str
+    uid: int
+    node: ProcId
+    dest: DestId
+    valid: bool
+    order: int
+
+    def as_message(self, source: Optional[ProcId]) -> Message:
+        """Bridge to the ledger's message shape."""
+        return Message(
+            payload=None, last=self.node, color=0, dest=self.dest,
+            uid=self.uid, valid=self.valid, source=source, born_step=0,
+        )
+
+
+def _classified(events: Iterable[RuntimeEvent]) -> List[_Logged]:
+    """Every event with ``valid`` replaced by the generation log's verdict."""
+    events = list(events)
+    addressed: Dict[int, DestId] = {}
+    for event in sorted(events, key=lambda e: (e.node, e.order)):
+        if event.kind == "generated":
+            addressed[event.uid] = event.dest
+    return [
+        _Logged(
+            event.kind, event.uid, event.node, event.dest,
+            event.kind == "generated" or addressed.get(event.uid) == event.node,
+            event.order,
+        )
+        for event in events
+    ]
 
 
 def check_events(
@@ -32,6 +75,7 @@ def check_events(
     generated exactly that many messages (a soak that silently failed to
     submit its workload must not pass vacuously).
     """
+    events = _classified(events)
     # Node-local order is the only order that exists (there is no global
     # clock in a live run); the ledger only needs generations known before
     # deliveries, so feed the two kinds in separate passes.

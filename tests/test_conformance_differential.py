@@ -1,12 +1,13 @@
 """The linear conformance verdict against its ledger-backed reference.
 
-``repro.runtime.conformance.check_events`` inlines the four non-strict
-checks of ``DeliveryLedger`` and the per-pair FIFO check; the verdict it
-replaced lives verbatim in ``tests/reference_conformance.py``.  Equal
-reports on every fuzzed log — counts, uid lists and violation strings —
-is what keeps the live runtime judged by the specification the state-model
-engine is judged by.  The scaling guards fail on a quadratic verdict by
-two orders of magnitude, not by a tuned threshold.
+``repro.runtime.conformance.check_events`` inlines the non-strict checks of
+``DeliveryLedger`` and the per-pair FIFO check; the verdict it replaced
+lives in ``tests/reference_conformance.py``, and both classify a delivery
+by the generation log.  Equal reports on every fuzzed log — counts, uid
+lists and violation strings — is what keeps the message-passing substrates
+judged by the specification the state-model engine is judged by.  The
+scaling guards fail on a quadratic verdict by two orders of magnitude, not
+by a tuned threshold.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
+from collections import defaultdict
 from typing import List, Optional, Tuple
-
-import pytest
 
 from repro.runtime.conformance import RuntimeEvent, check_events
 from tests import reference_conformance
@@ -77,10 +77,12 @@ def fuzzed_log(seed: int) -> Tuple[List[RuntimeEvent], Optional[int]]:
                     corrupted[index + 1], corrupted[index],
                 )
         per_node[node] = corrupted
+    # The bit a record carried is noise to both judges.
+    noise = random.Random(-1 - seed)
     events = [
-        RuntimeEvent(kind, uid, node, dest, valid, 0.0, order)
+        RuntimeEvent(kind, uid, node, dest, noise.random() < 0.5, order)
         for node, log in enumerate(per_node)
-        for order, (kind, uid, dest, valid) in enumerate(log)
+        for order, (kind, uid, dest, _) in enumerate(log)
     ]
     rng.shuffle(events)
     generated = sum(event.kind == "generated" for event in events)
@@ -88,11 +90,32 @@ def fuzzed_log(seed: int) -> Tuple[List[RuntimeEvent], Optional[int]]:
     return events, expect
 
 
+def foreign_deliveries(events: List[RuntimeEvent]) -> Tuple[int, int, int]:
+    """Deliveries of a uid nobody generated, deliveries of a generated uid
+    at a node none of its generations addresses, and deliveries every
+    generation of their uid addresses to the delivering node."""
+    addressed = defaultdict(set)
+    for event in events:
+        if event.kind == "generated":
+            addressed[event.uid].add(event.dest)
+    phantoms = misdelivered = valid = 0
+    for event in events:
+        if event.kind != "delivered":
+            continue
+        if event.uid not in addressed:
+            phantoms += 1
+        elif event.node not in addressed[event.uid]:
+            misdelivered += 1
+        elif addressed[event.uid] == {event.node}:
+            valid += 1
+    return phantoms, misdelivered, valid
+
+
 def test_equal_reports_on_fuzzed_logs():
     seen = {
-        "unknown valid uid": 0, "destination is": 0, "delivered twice": 0,
-        "unknown event kind": 0, "expected": 0, "pair ": 0,
-        "undelivered": 0, "invalid": 0, "clean": 0,
+        "delivered twice": 0, "unknown event kind": 0, "expected": 0,
+        "pair ": 0, "undelivered": 0, "phantom": 0, "misdelivered": 0,
+        "clean": 0,
     }
     for seed in range(LOGS):
         events, expect = fuzzed_log(seed)
@@ -101,29 +124,28 @@ def test_equal_reports_on_fuzzed_logs():
             list(events), expect_generated=expect
         )
         assert dataclasses.asdict(report) == dataclasses.asdict(reference), seed
+        # Phantoms and misdeliveries are invalid deliveries, not violations;
+        # only a uid generated to several nodes may go either way.
+        phantoms, misdelivered, valid = foreign_deliveries(events)
+        deliveries = report.delivered + report.invalid_delivered
+        assert phantoms + misdelivered <= report.invalid_delivered, seed
+        assert report.invalid_delivered <= deliveries - valid, seed
         for text in report.violations + report.sequence_violations:
             for needle in seen:
                 seen[needle] += needle in text
         seen["undelivered"] += bool(report.undelivered)
-        seen["invalid"] += bool(report.invalid_delivered)
+        seen["phantom"] += bool(phantoms)
+        seen["misdelivered"] += bool(misdelivered)
         seen["clean"] += report.ok
     # The corpus is not vacuous: every class of finding occurs, often.
     assert all(count >= 50 for count in seen.values()), seen
 
 
-def test_both_reject_an_invalid_generation():
-    events = [RuntimeEvent("generated", 1, 0, 1, False, 0.0, 0)]
-    with pytest.raises(ValueError):
-        check_events(events)
-    with pytest.raises(ValueError):
-        reference_conformance.check_events(events)
-
-
 def single_pair_log(messages: int) -> List[RuntimeEvent]:
     return [
-        RuntimeEvent("generated", uid, 0, 1, True, 0.0, uid) for uid in range(messages)
+        RuntimeEvent("generated", uid, 0, 1, True, uid) for uid in range(messages)
     ] + [
-        RuntimeEvent("delivered", uid, 1, 1, True, 0.0, uid) for uid in range(messages)
+        RuntimeEvent("delivered", uid, 1, 1, True, uid) for uid in range(messages)
     ]
 
 

@@ -94,8 +94,9 @@ def headline(text: str) -> dict:
         "channel events": doc["sim"]["events"],
         "retries": sum(c["retries"] for c in counters),
         "dup_data_acked": sum(c["dup_data_acked"] for c in counters),
+        # The last field of an event row is its (virtual) time stamp.
         "last delivery t": max(
-            e[5] for n in doc["nodes"] for e in n["events"] if e[0] == "delivered"
+            e[-1] for n in doc["nodes"] for e in n["events"] if e[0] == "delivered"
         ),
     }
 

@@ -28,6 +28,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 STATE_MODEL = (
     "repro.core", "repro.sim", "repro.verify", "repro.scenario",
     "repro.experiments", "repro.baselines", "repro.buffergraph",
+    "repro.statemodel",
 )
 
 

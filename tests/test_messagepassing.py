@@ -1,10 +1,17 @@
-"""Tests for the message-passing substrate and the forwarding port."""
+"""Tests for the message-passing substrate and the forwarding port.
+
+Every port run is judged after it by ``check_events``, the live runtime's
+verdict, over the nodes' event logs.  Forged records carry uids from ≤ 0,
+a range the generator never issues, except where a test forges a uid on
+purpose: the pinned ``v``-bit probe (999, past any uid a 3-message run
+issues) and the collision cases (the live uid 1).
+"""
 
 import copy
+import dataclasses
 
 import pytest
 
-from repro.core.ledger import DeliveryLedger
 from repro.errors import ConfigurationError
 from repro.messagepassing.engine import (
     ChannelFaults,
@@ -21,7 +28,9 @@ from repro.network.topologies import (
     star_network,
 )
 from repro.routing.static import StaticRouting
+from repro.runtime.conformance import check_events
 from repro.runtime.hop import RuntimeParams
+from repro.runtime.wire import data_rec
 
 from tests.helpers import mp_node_is_empty
 
@@ -92,22 +101,29 @@ class TestEngine:
         assert sim.in_flight() == 1
 
 
-def run_port(net, submissions, seed, max_events=200_000, ledger=None):
-    sim, nodes, ledger = build_mp_network(
-        net, StaticRouting(net), seed=seed, ledger=ledger
+def verdict(nodes, expect_generated=None):
+    """``check_events`` over every node's log (the core's, when hardened)."""
+    return check_events(
+        (event for node in nodes for event in getattr(node, "core", node).events),
+        expect_generated=expect_generated,
     )
+
+
+def run_port(net, submissions, seed, max_events=200_000):
+    sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
     for src, payload, dest in submissions:
         nodes[src].submit(payload, dest)
-    sim.run(max_events, halt=lambda s: ledger.all_valid_delivered()
-            and ledger.generated_count == len(submissions))
-    return sim, nodes, ledger
+    # Two events per message once it is generated and delivered.
+    sim.run(max_events, halt=lambda s: sum(len(n.events) for n in nodes)
+            == 2 * len(submissions))
+    return sim, nodes, verdict(nodes, expect_generated=len(submissions))
 
 
 class TestForwardingPortCleanStart:
     def test_single_message(self):
         net = line_network(4)
-        _, _, ledger = run_port(net, [(0, "m", 3)], seed=1)
-        assert ledger.valid_delivered_count == 1
+        _, _, report = run_port(net, [(0, "m", 3)], seed=1)
+        assert report.ok and report.delivered == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exactly_once_under_asynchrony(self, seed):
@@ -118,15 +134,15 @@ class TestForwardingPortCleanStart:
             for d in net.processors()
             if s != d and (s + d + seed) % 3 == 0
         ]
-        _, _, ledger = run_port(net, subs, seed=seed)
-        assert ledger.generated_count == len(subs)
-        assert ledger.all_valid_delivered()  # strict ledger: exactly once
+        _, _, report = run_port(net, subs, seed=seed)
+        assert report.generated == len(subs)
+        assert report.ok and report.invalid_delivered == 0  # exactly once
 
     def test_same_payload_stream(self):
         net = line_network(5)
         subs = [(0, "dup", 4)] * 6
-        _, _, ledger = run_port(net, subs, seed=9)
-        assert ledger.valid_delivered_count == 6
+        _, _, report = run_port(net, subs, seed=9)
+        assert report.ok and report.delivered == 6
 
     @pytest.mark.parametrize(
         "builder",
@@ -141,12 +157,12 @@ class TestForwardingPortCleanStart:
         net = builder()
         subs = [(p, f"m{p}", (p + 2) % net.n) for p in net.processors()
                 if p != (p + 2) % net.n]
-        _, _, ledger = run_port(net, subs, seed=5)
-        assert ledger.all_valid_delivered()
+        _, _, report = run_port(net, subs, seed=5)
+        assert report.ok
 
     def test_network_drains(self):
         net = line_network(4)
-        sim, nodes, ledger = run_port(net, [(0, "m", 3), (3, "w", 0)], seed=2)
+        sim, nodes, _ = run_port(net, [(0, "m", 3), (3, "w", 0)], seed=2)
         sim.run(100_000, halt=lambda s: all(mp_node_is_empty(n) for n in nodes))
         assert all(mp_node_is_empty(node) for node in nodes)
 
@@ -173,21 +189,16 @@ class TestOpenProblemFailures:
         # payload — the message is still delivered exactly once.
         for seed in range(8):
             net = line_network(3)
-            ledger = DeliveryLedger()  # strict: raises on any violation
-            sim, nodes, ledger = build_mp_network(
-                net, StaticRouting(net), seed=seed, ledger=ledger
-            )
+            sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
             sim.inject(1, 0, (ACCEPT, 2))  # garbage present from step 0
             nodes[0].submit("m", 2)
             sim.run(100_000, raise_on_limit=False)
-            assert ledger.valid_delivered_count == 1
+            report = verdict(nodes)
+            assert report.ok and report.delivered == 1
 
     def test_forged_offer_wedges_the_reception_buffer(self):
         net = line_network(3)
-        ledger = DeliveryLedger(strict=False)
-        sim, nodes, ledger = build_mp_network(
-            net, StaticRouting(net), seed=3, ledger=ledger
-        )
+        sim, nodes = build_mp_network(net, StaticRouting(net), seed=3)
         # Garbage OFFER in the 1 -> 2 channel: node 2 accepts the phantom
         # into bufR_2(2); nobody will ever RELEASE it.
         sim.inject(1, 2, (OFFER, 2, "phantom", -99, False))
@@ -200,27 +211,22 @@ class TestOpenProblemFailures:
         # The liveness violation: after the phantom wedges bufR_2(2), a
         # real message to 2 is never delivered.
         net = line_network(3)
-        ledger = DeliveryLedger(strict=False)
-        sim, nodes, ledger = build_mp_network(
-            net, StaticRouting(net), seed=5, ledger=ledger
-        )
+        sim, nodes = build_mp_network(net, StaticRouting(net), seed=5)
         sim.inject(1, 2, (OFFER, 2, "phantom", -99, False))
         nodes[0].submit("real", 2)
         sim.run(200_000, raise_on_limit=False)
-        assert ledger.generated_count == 1
-        assert not ledger.all_valid_delivered()  # starved: SP's liveness broken
+        report = verdict(nodes)
+        assert report.generated == 1
+        assert report.undelivered  # starved: SP's liveness broken
 
     def test_garbage_of_unknown_kind_is_dropped(self):
         net = line_network(3)
-        sim, nodes, ledger = build_mp_network(net, StaticRouting(net), seed=7)
+        sim, nodes = build_mp_network(net, StaticRouting(net), seed=7)
         sim.inject(0, 1, ("NOISE", 2, "x"))
         nodes[0].submit("m", 2)
-        sim.run(
-            100_000,
-            halt=lambda s: ledger.all_valid_delivered()
-            and ledger.generated_count == 1,
-        )
-        assert ledger.valid_delivered_count == 1
+        sim.run(100_000, halt=lambda s: sum(len(n.events) for n in nodes) == 2)
+        report = verdict(nodes)
+        assert report.ok and report.delivered == 1
 
 
 class TestChannelFaults:
@@ -274,9 +280,8 @@ class TestChannelFaults:
 
 def run_hardened(net, submissions, faults, seed, window=32, max_events=500_000,
                  prepare=None):
-    ledger = DeliveryLedger()  # strict: raises on any duplicate/phantom
-    sim, nodes, ledger = build_mp_network(
-        net, StaticRouting(net), seed=seed, ledger=ledger,
+    sim, nodes = build_mp_network(
+        net, StaticRouting(net), seed=seed,
         hardened=True, faults=faults, params=RuntimeParams(window=window),
     )
     if prepare is not None:
@@ -286,14 +291,13 @@ def run_hardened(net, submissions, faults, seed, window=32, max_events=500_000,
 
     def halt(s):
         return (
-            ledger.generated_count == len(submissions)
-            and ledger.all_valid_delivered()
+            core_counter(nodes, "delivered") == len(submissions)
             and s.in_flight() == 0
             and all(n.core.is_idle() for n in nodes)
         )
 
     done = sim.run(max_events, halt=halt, raise_on_limit=False)
-    return done, sim, nodes, ledger
+    return done, sim, nodes, verdict(nodes, expect_generated=len(submissions))
 
 
 def core_counter(nodes, name):
@@ -343,13 +347,12 @@ class TestHardenedPortUnderFaults:
         # 1, 4 and 32 to behave differently (SACK holes, fast retransmit,
         # tail-loss probes, standalone REL/RACK all fire in this matrix).
         subs = self.ring_submissions(4, 60)
-        done, sim, nodes, ledger = run_hardened(
+        done, sim, nodes, report = run_hardened(
             NETS[net](4), subs, FAULTS[mix], seed, window
         )
-        assert done, f"no drain: {ledger.valid_delivered_count}/{len(subs)}"
-        # Strict ledger would have raised on any duplicate; double-check.
-        assert ledger.valid_delivered_count == len(subs)
-        assert not ledger.violations
+        assert done, f"no drain: {report.delivered}/{len(subs)}"
+        assert report.ok, report.summary()
+        assert report.delivered == len(subs) and report.invalid_delivered == 0
 
     @pytest.mark.parametrize("window", [1, 4, 32])
     def test_same_seed_twice_is_the_same_run(self, window):
@@ -375,11 +378,11 @@ class TestHardenedPortUnderFaults:
         # exactly-once must survive both (the satellite's core claim).
         net = line_network(4)
         subs = [(0, f"m{i}", 3) for i in range(8)]
-        done, sim, nodes, ledger = run_hardened(
+        done, sim, nodes, report = run_hardened(
             net, subs, ChannelFaults(dup=0.3), seed=11
         )
         assert done
-        assert ledger.valid_delivered_count == 8
+        assert report.ok and report.delivered == 8
         assert sim.duplicated_messages > 0  # the adversary really acted
         dups_reacked = core_counter(nodes, "dup_data_acked")
         stale = core_counter(nodes, "stale_records_dropped")
@@ -388,11 +391,11 @@ class TestHardenedPortUnderFaults:
     def test_loss_forces_retransmissions(self):
         net = line_network(3)
         subs = [(0, f"m{i}", 2) for i in range(5)]
-        done, sim, nodes, ledger = run_hardened(
+        done, sim, nodes, report = run_hardened(
             net, subs, ChannelFaults(loss=0.3), seed=2
         )
         assert done
-        assert ledger.valid_delivered_count == 5
+        assert report.ok and report.delivered == 5
         assert sim.lost_messages > 0
         assert core_counter(nodes, "retries") > 0
 
@@ -401,11 +404,11 @@ class TestHardenedPortUnderFaults:
         net = grid_network(2, 3)
         subs = [(p, f"m{p}", (p + 2) % net.n) for p in net.processors()
                 if p != (p + 2) % net.n]
-        done, sim, nodes, ledger = run_hardened(
+        done, sim, nodes, report = run_hardened(
             net, subs, ChannelFaults(), seed=4
         )
         assert done
-        assert ledger.all_valid_delivered()
+        assert report.ok
 
     @pytest.mark.parametrize(
         "net,subs",
@@ -438,11 +441,11 @@ class TestHardenedPortUnderFaults:
 
             node.on_message, node._ship = watched_on_message, watched_ship
 
-        done, sim, nodes, ledger = run_hardened(
+        done, sim, nodes, report = run_hardened(
             net, subs, ChannelFaults(dup=0.3, reorder=0.2), seed=3,
             prepare=lambda nodes: [spy(node) for node in nodes],
         )
-        assert done and ledger.valid_delivered_count == len(subs)
+        assert done and report.ok and report.delivered == len(subs)
         assert sim.duplicated_messages > 0 and sim.reordered_messages > 0
         assert len({id(p) for p, _ in seen}) < len(seen)  # an object came twice
         assert all(payload == snapshot for payload, snapshot in seen)
@@ -454,14 +457,51 @@ class TestHardenedPortUnderFaults:
         violating = 0
         for seed in range(10):
             net = ring_network(4)
-            ledger = DeliveryLedger(strict=False)
-            sim, nodes, ledger = build_mp_network(
-                net, StaticRouting(net), seed=seed, ledger=ledger,
-                faults=ChannelFaults(dup=0.3),
+            sim, nodes = build_mp_network(
+                net, StaticRouting(net), seed=seed, faults=ChannelFaults(dup=0.3)
             )
             for src, payload, dest in self.ring_submissions(4, 6):
                 nodes[src].submit(payload, dest)
             sim.run(200_000, raise_on_limit=False)
-            if ledger.violations:
+            if verdict(nodes).violations:
                 violating += 1
         assert violating > 0
+
+
+def forged_probe(window, seq, uid, valid):
+    """``line(2)``, seed 7: three messages 0 -> 1 and one forged DATA in
+    the 0 -> 1 channel.  Returns whether the run quiesced, and its verdict."""
+    sim, nodes = build_mp_network(
+        line_network(2), StaticRouting(line_network(2)), seed=7,
+        hardened=True, params=RuntimeParams(window=window),
+    )
+    for i in range(3):
+        nodes[0].submit(f"m{i}", 1)
+    sim.inject(0, 1, data_rec(1, seq, uid, "forged", valid, 0))
+    done = sim.run(100_000, raise_on_limit=False)
+    return done, verdict(nodes)
+
+
+class TestForgedData:
+    """A forged DATA record is judged by the generation log, never by the
+    ``v`` bit it carries."""
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_the_valid_bit_does_not_decide_the_verdict(self, window):
+        # A forged uid 999 claiming ``v = True`` once stopped the run with a
+        # mid-run SpecificationViolation; it now reads exactly as the same
+        # record with ``v = False`` does.
+        done_true, claims_valid = forged_probe(window, 1, 999, True)
+        done_false, claims_invalid = forged_probe(window, 1, 999, False)
+        assert done_true and done_false
+        assert dataclasses.asdict(claims_valid) == dataclasses.asdict(claims_invalid)
+
+    @pytest.mark.parametrize("valid", [True, False])
+    @pytest.mark.parametrize("seq", [2, 4])
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_a_forged_live_uid_reads_as_a_double_delivery(self, window, seq, valid):
+        # A uid is the judge's label: a forged record carrying live uid 1
+        # past the original's slot is a second delivery of message 1.
+        done, report = forged_probe(window, seq, 1, valid)
+        assert done and not report.ok
+        assert "uid 1 delivered twice (duplication)" in report.violations

@@ -13,6 +13,7 @@ from repro.buffergraph.orientation_cover import (
 from repro.messagepassing.forwarding import build_mp_network
 from repro.network.topologies import random_connected_network, random_tree_network
 from repro.routing.static import StaticRouting
+from repro.runtime.conformance import check_events
 from repro.sim.runner import build_simulation, delivered_and_drained
 
 from tests.helpers import mp_node_is_empty
@@ -37,7 +38,7 @@ class TestMessagePassingPort:
     def test_exactly_once_from_clean_starts(self, net, seed):
         if net.n < 2:
             return
-        sim, nodes, ledger = build_mp_network(net, StaticRouting(net), seed=seed)
+        sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
         rng = _random.Random(seed)
         count = 0
         for p in net.processors():
@@ -45,27 +46,30 @@ class TestMessagePassingPort:
             dest = dest if dest < p else dest + 1
             nodes[p].submit(f"m{p}", dest)
             count += 1
+        # Two events per message once it is generated and delivered.
         sim.run(
             2_000_000,
-            halt=lambda s: ledger.all_valid_delivered()
-            and ledger.generated_count == count,
+            halt=lambda s: sum(len(n.events) for n in nodes) == 2 * count,
         )
-        # Strict ledger: any duplication/misdelivery would have raised.
-        assert ledger.valid_delivered_count == count
+        report = check_events(
+            (e for n in nodes for e in n.events), expect_generated=count
+        )
+        assert report.ok and report.delivered == count
+        assert report.invalid_delivered == 0  # no duplication or misdelivery
 
     @slow
     @given(net=networks, seed=st.integers(min_value=0, max_value=10_000))
     def test_port_quiesces_and_drains(self, net, seed):
         if net.n < 2:
             return
-        sim, nodes, ledger = build_mp_network(net, StaticRouting(net), seed=seed)
+        sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
         nodes[0].submit("probe", net.n - 1)
         sim.run(
             2_000_000,
             halt=lambda s: all(mp_node_is_empty(n) for n in s.nodes)
             and not s.in_flight(),
         )
-        assert ledger.all_valid_delivered()
+        assert check_events(e for n in nodes for e in n.events).ok
 
 
 class TestOrientationCovers:

@@ -87,6 +87,32 @@ class TestLocalCluster:
             assert metric in names, metric
 
 
+class TestCleanStartVerdict:
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_a_delivered_ungenerated_uid_fails_the_run(self, monkeypatch, valid):
+        # One forged DATA, released at once, on a lane the hotspot workload
+        # (everything to node 0) never uses: node 1 delivers uid -7, which
+        # nobody generated.  Whatever its ``v`` bit says, a live cluster
+        # starts clean, so the verdict is FAIL.
+        from repro.runtime import cluster
+        from repro.runtime.wire import data_rec
+
+        class ForgingNode(cluster.RuntimeNode):
+            async def run(self):
+                if self.pid == 1:
+                    forged = data_rec(1, 1, -7, "forged", valid, 1)
+                    self.inbox.put_nowait((0, [forged]))
+                await super().run()
+
+        monkeypatch.setattr(cluster, "RuntimeNode", ForgingNode)
+        result = run_cluster(ring_spec(workload="hotspot", messages=12))
+        report = result.report
+        assert (report.delivered, report.invalid_delivered) == (12, 1)
+        assert not report.undelivered and report.duplicates == 0
+        assert any("invalid deliveries" in v for v in report.violations)
+        assert result.partial and "verdict: FAIL" in result.summary()
+
+
 class TestProtocolKnobs:
     def test_small_window_still_exactly_once(self):
         result = run_cluster(ring_spec(window=1, max_batch=1))

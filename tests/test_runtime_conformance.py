@@ -12,9 +12,9 @@ from repro.runtime.conformance import (
 )
 
 
-def ev(kind, uid, node, dest, order, valid=True, t=0.0):
+def ev(kind, uid, node, dest, order, valid=True):
     return RuntimeEvent(
-        kind=kind, uid=uid, node=node, dest=dest, valid=valid, t=t, order=order
+        kind=kind, uid=uid, node=node, dest=dest, valid=valid, order=order
     )
 
 
@@ -43,11 +43,25 @@ class TestCheckEvents:
         assert report.duplicates == 1
         assert "verdict: FAIL" in report.summary()
 
-    def test_phantom_delivery_fails(self):
+    def test_phantom_delivery_is_invalid(self):
+        # Nobody generated uid 999: its record's ``valid`` bit does not
+        # make it a valid delivery.
         events = clean_run() + [ev("delivered", 999, node=2, dest=2, order=2)]
         report = check_events(events)
-        assert not report.ok
-        assert any("999" in v for v in report.violations)
+        assert (report.delivered, report.invalid_delivered) == (2, 1)
+        assert not report.violations
+
+    def test_misdelivery_is_invalid(self):
+        # Uid 10 is addressed to node 2; a copy surfacing at node 1 is not
+        # a delivery of it, and the original still counts.
+        events = clean_run() + [ev("delivered", 10, node=1, dest=2, order=0)]
+        report = check_events(events)
+        assert (report.delivered, report.invalid_delivered) == (2, 1)
+        assert report.ok
+
+    def test_the_valid_bit_is_not_read(self):
+        flipped = [event._replace(valid=not event.valid) for event in clean_run()]
+        assert check_events(flipped) == check_events(clean_run())
 
     def test_undelivered_uids_reported(self):
         events = [ev("generated", 10, node=0, dest=2, order=0)]
@@ -130,18 +144,18 @@ class TestMessageLatencies:
         # Generated at node 5, delivered at node 2: in the node-ordered log
         # the delivery comes first.
         events = [
-            RuntimeEvent("delivered", 6, 2, 2, True, 0.0, 0, mono=7.3),
-            RuntimeEvent("delivered", 14, 2, 2, True, 0.0, 1, mono=7.5),
-            RuntimeEvent("generated", 6, 5, 2, True, 0.0, 0, mono=7.0),
-            RuntimeEvent("generated", 14, 5, 2, True, 0.0, 1, mono=7.0),
+            RuntimeEvent("delivered", 6, 2, 2, True, 0, mono=7.3),
+            RuntimeEvent("delivered", 14, 2, 2, True, 1, mono=7.5),
+            RuntimeEvent("generated", 6, 5, 2, True, 0, mono=7.0),
+            RuntimeEvent("generated", 14, 5, 2, True, 1, mono=7.0),
         ]
         assert message_latencies(events) == pytest.approx([0.3, 0.5])
 
     def test_unstamped_and_unmatched_events_give_no_sample(self):
         events = [
             ev("generated", 1, node=0, dest=1, order=0),  # mono == 0.0
-            RuntimeEvent("delivered", 1, 1, 1, True, 0.0, 0, mono=3.0),
-            RuntimeEvent("delivered", 99, 1, 1, True, 0.0, 1, mono=4.0),
+            RuntimeEvent("delivered", 1, 1, 1, True, 0, mono=3.0),
+            RuntimeEvent("delivered", 99, 1, 1, True, 1, mono=4.0),
         ]
         assert message_latencies(events) == []
 
@@ -150,13 +164,12 @@ class TestRuntimeEventContract:
     """What hop.py, cluster.py (spawn workers) and the bench harness rely on."""
 
     FIELDS = dict(
-        kind="delivered", uid=9, node=2, dest=2, valid=True, t=5.0, order=3,
-        mono=1.5,
+        kind="delivered", uid=9, node=2, dest=2, valid=True, order=3, mono=1.5,
     )
 
     def test_keyword_and_positional_construction_agree(self):
         event = RuntimeEvent(**self.FIELDS)
-        assert event == RuntimeEvent("delivered", 9, 2, 2, True, 5.0, 3, 1.5)
+        assert event == RuntimeEvent("delivered", 9, 2, 2, True, 3, 1.5)
         for name, value in self.FIELDS.items():
             assert getattr(event, name) == value
 
@@ -176,10 +189,3 @@ class TestRuntimeEventContract:
         event = RuntimeEvent(**self.FIELDS)
         clone = pickle.loads(pickle.dumps(event))
         assert type(clone) is RuntimeEvent and clone == event
-
-    def test_as_message_bridges_to_the_ledger_shape(self):
-        msg = RuntimeEvent(**self.FIELDS).as_message(source=0)
-        assert (msg.uid, msg.dest, msg.last, msg.valid, msg.source) == (
-            9, 2, 2, True, 0
-        )
-        assert RuntimeEvent(**self.FIELDS).as_message(source=None).source is None

@@ -36,7 +36,7 @@ def handle(node, src, rec, out, now=1.0):
 
 
 def advance(node, out, now=1.0):
-    node.advance(now, now, out)
+    node.advance(now, out)
 
 
 def sent_data(out):

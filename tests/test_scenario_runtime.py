@@ -258,10 +258,10 @@ class TestLatencyCriterion:
         from repro.runtime.conformance import RuntimeEvent, check_events
 
         events = [
-            RuntimeEvent("generated", 8, 0, 2, True, 100.0, 0, mono=7.0),
-            RuntimeEvent("delivered", 8, 2, 2, True, 100.1, 0, mono=7.1),
-            RuntimeEvent("delivered", 13, 2, 2, True, 100.9, 1, mono=7.9),
-            RuntimeEvent("generated", 13, 5, 2, True, 100.0, 0, mono=7.0),
+            RuntimeEvent("generated", 8, 0, 2, True, 0, mono=7.0),
+            RuntimeEvent("delivered", 8, 2, 2, True, 0, mono=7.1),
+            RuntimeEvent("delivered", 13, 2, 2, True, 1, mono=7.9),
+            RuntimeEvent("generated", 13, 5, 2, True, 0, mono=7.0),
         ]
 
         def fake_run_cluster(cluster_spec):
@@ -298,11 +298,10 @@ class TestLatencyCriterion:
         events = []
         for uid in range(1, 101):
             events.append(
-                RuntimeEvent("generated", uid, 0, 2, True, 100.0, uid, mono=7.0)
+                RuntimeEvent("generated", uid, 0, 2, True, uid, mono=7.0)
             )
             events.append(
-                RuntimeEvent("delivered", uid, 2, 2, True, 100.0 + uid / 100,
-                             uid, mono=7.0 + uid / 100)
+                RuntimeEvent("delivered", uid, 2, 2, True, uid, mono=7.0 + uid / 100)
             )
 
         def fake_run_cluster(cluster_spec):
