@@ -25,7 +25,11 @@ from repro.experiments.sweep import Row, Sweep, network_of, worst
 from repro.messagepassing.forwarding import OFFER, MPForwardingNode, build_mp_network
 from repro.network.properties import all_pairs_distances
 from repro.routing.static import StaticRouting
-from repro.runtime.conformance import ConformanceReport, check_events
+from repro.runtime.conformance import (
+    ConformanceReport,
+    check_events,
+    require_clean_start,
+)
 
 TOPOLOGIES = ("line(6)", "ring(6)", "star(6)", "grid(2x3)")
 
@@ -56,7 +60,7 @@ def run_clean(topology: str, seed: int, messages_per_proc: int = 2) -> Row:
             count += 1
     # Every message generated and delivered: one event each, two per message.
     sim.run(2_000_000, halt=lambda s: sum(len(n.events) for n in nodes) == 2 * count)
-    report = _judge(nodes)
+    report = require_clean_start(_judge(nodes))
     return {
         "topology": topology,
         "messages": count,

@@ -222,7 +222,8 @@ class HopMPNode(MPNode):
     lets the core fire its rules, owed ACKs and expired timers — so the
     scheduler decides how many records arrive between two heartbeats and
     how long every acknowledgement takes.  The core's event log, stamped
-    with that virtual time, is judged after the run.
+    with that virtual time and read as ``events`` like the naive port's, is
+    judged after the run.
     """
 
     def __init__(
@@ -234,6 +235,7 @@ class HopMPNode(MPNode):
     ) -> None:
         super().__init__(pid)
         self.core = HopCore(pid, net, routing, params)
+        self.events = self.core.events
         self.now = 0.0
 
     def submit(self, payload: Any, dest: DestId) -> None:
@@ -277,7 +279,7 @@ def build_mp_network(
     configures their lanes); ``faults`` configures the channel adversary
     of the simulator.  A run is judged after it by
     :func:`~repro.runtime.conformance.check_events` over the nodes' event
-    logs (``node.events``, or ``node.core.events`` when hardened).
+    logs, ``node.events``.
     """
     if hardened:
         nodes: List[MPNode] = [

@@ -36,6 +36,7 @@ from repro.runtime.conformance import (
     RuntimeEvent,
     check_events,
     message_latencies,
+    require_clean_start,
 )
 from repro.runtime.netem import NetemConfig, NetemTransport
 from repro.runtime.hop import MAX_WINDOW, RuntimeParams
@@ -563,11 +564,8 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
             )
     result.elapsed_s = time.monotonic() - started
     _collect(result, nodes, transport)
-    report = result.report = check_events(result.events, expect_generated=target)
-    if report.invalid_delivered:
-        # A live cluster starts clean: whatever it delivers was generated.
-        report.violations.append(
-            f"{report.invalid_delivered} invalid deliveries (no generation "
-            "addressed to the delivering node) from a clean start"
-        )
+    # A live cluster starts clean: whatever it delivers was generated.
+    result.report = require_clean_start(
+        check_events(result.events, expect_generated=target)
+    )
     return result

@@ -14,9 +14,9 @@ The same verdict judges the seeded message-passing engine's runs
   generated, or one delivered away from its destination — is an invalid
   delivery (initial garbage surfacing), counted in ``invalid_delivered``.
   The record's own ``valid`` bit is not read.  SP allows invalid
-  deliveries from a corrupted start; the live runtime only ever starts
-  clean, so :func:`~repro.runtime.cluster.run_cluster` fails its verdict
-  on any.
+  deliveries from a corrupted start; a run that starts clean — every live
+  cluster, every message-passing run with nothing injected — fails its
+  verdict on any (:func:`require_clean_start`).
 * **SP-2 / exactly-once** — every generated message is delivered at its
   destination, and only once.  Retrying senders and duplicating
   transports make "only once" a real claim: one deduplication bug and the
@@ -201,6 +201,20 @@ def check_events(
                 f"pair {source}->{dest}: delivered order {got[:12]} != "
                 f"generation order {expected[:12]}"
             )
+    return report
+
+
+def require_clean_start(report: ConformanceReport) -> ConformanceReport:
+    """Fail ``report`` on any invalid delivery, and return it.
+
+    A run that started clean generated everything it could deliver, so an
+    invalid delivery there is a protocol fault, not surfacing garbage.
+    """
+    if report.invalid_delivered:
+        report.violations.append(
+            f"{report.invalid_delivered} invalid deliveries (no generation "
+            "addressed to the delivering node) from a clean start"
+        )
     return report
 
 

@@ -9,6 +9,7 @@ from repro.runtime.conformance import (
     RuntimeEvent,
     check_events,
     message_latencies,
+    require_clean_start,
 )
 
 
@@ -115,6 +116,19 @@ class TestCheckEvents:
         report = check_events(events)
         assert report.invalid_delivered == 1
         assert report.delivered == 2  # invalid ones are not "delivered"
+
+    def test_a_clean_start_fails_on_an_invalid_delivery(self):
+        # Garbage may surface as invalid deliveries only from a corrupted
+        # start; after a clean one, the same phantom fails the verdict.
+        events = clean_run() + [ev("delivered", 77, node=1, dest=1, order=0)]
+        assert check_events(events).ok
+        report = require_clean_start(check_events(events))
+        assert not report.ok
+        assert report.violations == [
+            "1 invalid deliveries (no generation addressed to the delivering "
+            "node) from a clean start"
+        ]
+        assert require_clean_start(check_events(clean_run())).ok
 
     def test_unknown_kind_flagged(self):
         report = check_events([ev("exploded", 1, node=0, dest=1, order=0)])
