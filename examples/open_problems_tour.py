@@ -10,10 +10,13 @@ Three stops:
 2. **Faster worst case** (X2): changing ``choice_p(d)`` from FIFO to
    age-priority — the paper's suggested direction — measurably cuts the
    worst-case probe latency under contention.
-3. **The message-passing model** (X3): the forwarding scheme ported to
-   explicit OFFER/ACCEPT/RELEASE handshakes works perfectly from clean
-   starts, and a single piece of channel garbage wedges it — why the
-   snap-stabilizing port is still open.
+3. **The message-passing model** (X3): the live runtime's lane protocol
+   (``HopCore``) on the seeded message-passing engine delivers exactly
+   once from clean starts, and a window of 4 pipelines each lane with
+   fewer records per hop than stop-and-wait.  Corrupted starts are still
+   open: the naive OFFER/ACCEPT/RELEASE port starves on one garbage OFFER
+   (``tests/reference_mp_naive.py``), and one forged DATA record can
+   make ``HopCore`` lose a message.
 
 Run:  python examples/open_problems_tour.py     (a few seconds)
 """

@@ -1,16 +1,16 @@
 """Experiment X3 — the §4 future work: SSMFP in the message-passing model.
 
-The port (see :mod:`repro.messagepassing`) translates each state-model hop
-into an OFFER/ACCEPT/RELEASE handshake over FIFO channels.  Two tables:
+This repository's port (see :mod:`repro.messagepassing`) is
+:class:`~repro.runtime.hop.HopCore`, the lane protocol the live runtime
+ships, run by :class:`~repro.messagepassing.forwarding.HopMPNode` on the
+seeded message-passing engine.  One table:
 
-* **clean starts** — exactly-once delivery and handshake cost (wire
-  messages per delivered application message ≈ 3 per hop) across
-  topologies and adversarial schedules;
-* **corrupted channels** — one garbage OFFER per run: the phantom wedges
-  a reception buffer (no RELEASE will ever come) and valid traffic
-  through it starves, while the same adversary cannot break safety
-  (forged ACCEPTs are absorbed).  The liveness column is the measured
-  face of the open problem.
+* **clean starts** — exactly-once delivery and the record cost per hop
+  (DATA, ACK and release records over the channels, divided by the hops
+  the messages travel) at windows 1 and 4, across topologies and
+  adversarial schedules.  Every processor sends several messages to one
+  neighbor-ward destination, so each lane carries a stream and a wider
+  window can pipeline it.
 
 Every row is judged after its run by
 :func:`~repro.runtime.conformance.check_events` over the nodes' event
@@ -19,97 +19,64 @@ logs, the verdict the live runtime gets.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.experiments.sweep import Row, Sweep, network_of, worst
-from repro.messagepassing.forwarding import OFFER, MPForwardingNode, build_mp_network
+from repro.messagepassing.forwarding import build_mp_network
 from repro.network.properties import all_pairs_distances
 from repro.routing.static import StaticRouting
-from repro.runtime.conformance import (
-    ConformanceReport,
-    check_events,
-    require_clean_start,
-)
+from repro.runtime.conformance import check_events, require_clean_start
+from repro.runtime.hop import RuntimeParams
 
 TOPOLOGIES = ("line(6)", "ring(6)", "star(6)", "grid(2x3)")
+WINDOWS = (1, 4)
+#: Messages each processor sends to its successor: several per lane.
+PER_SOURCE = 6
 
 
-def _judge(nodes: List[MPForwardingNode]) -> ConformanceReport:
-    """The verdict over every node's event log."""
-    return check_events(event for node in nodes for event in node.events)
+def run_clean(topology: str, window: int, seed: int) -> Row:
+    """Clean-start run: exactly-once plus record cost per hop.
 
-
-def _violations(report: ConformanceReport) -> int:
-    return len(report.violations) + len(report.sequence_violations)
-
-
-def run_clean(topology: str, seed: int, messages_per_proc: int = 2) -> Row:
-    """Clean-start run: exactly-once plus handshake cost."""
+    Every processor ``p`` sends :data:`PER_SOURCE` messages to ``p + 1``;
+    the run is drained to quiescence."""
     net = network_of(topology)
-    sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
+    sim, nodes = build_mp_network(
+        net, StaticRouting(net), seed=seed, params=RuntimeParams(window=window)
+    )
     dist = all_pairs_distances(net)
     total_hops = 0
-    count = 0
     for p in net.processors():
-        for i in range(messages_per_proc):
-            dest = (p + 1 + i) % net.n
-            if dest == p:
-                continue
+        dest = (p + 1) % net.n
+        for i in range(PER_SOURCE):
             nodes[p].submit(f"m{p}.{i}", dest)
-            total_hops += dist[p][dest]
-            count += 1
-    # Every message generated and delivered: one event each, two per message.
-    sim.run(2_000_000, halt=lambda s: sum(len(n.events) for n in nodes) == 2 * count)
-    report = require_clean_start(_judge(nodes))
+        total_hops += PER_SOURCE * dist[p][dest]
+    count = PER_SOURCE * net.n
+    # Quiescent once every core is idle: delivered, acknowledged, released.
+    sim.run(2_000_000)
+    report = require_clean_start(check_events(
+        (event for node in nodes for event in node.events),
+        expect_generated=count,
+    ))
     return {
         "topology": topology,
+        "window": window,
         "messages": count,
         "delivered_once": report.delivered - report.duplicates,
-        "violations": _violations(report),
-        "wire_msgs": sim.delivered_messages,
-        "wire_per_hop": round(sim.delivered_messages / max(total_hops, 1), 2),
-    }
-
-
-def run_corrupted(topology: str, seed: int) -> Row:
-    """One garbage OFFER in a channel toward processor 0 (destination 0):
-    does valid traffic to 0 still arrive?"""
-    net = network_of(topology)
-    sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
-    neighbor = net.neighbors(0)[0]
-    sim.inject(neighbor, 0, (OFFER, 0, "phantom", -1, False))
-    src = max(net.processors())
-    nodes[src].submit("real", 0)
-    sim.run(300_000, raise_on_limit=False)
-    report = _judge(nodes)
-    return {
-        "topology": topology,
-        "messages": 1,
-        "delivered_once": report.delivered - report.duplicates,
-        "starved": int(bool(report.undelivered)),
-        "safety_violations": _violations(report),
+        "violations": len(report.violations) + len(report.sequence_violations),
+        "records": sim.delivered_messages,
+        "records_per_hop": round(sim.delivered_messages / total_hops, 2),
+        "retries": sum(node.core.counters["retries"] for node in nodes),
     }
 
 
 CLEAN = Sweep(
-    title="X3a - message-passing port, clean starts: exactly-once and "
-          "handshake cost (3 wire messages per hop + offers queued)",
+    title="X3a - HopCore on the message-passing engine, clean starts: "
+          "exactly-once and records per hop at windows 1 and 4",
     run_one=run_clean,
-    axes={"topology": TOPOLOGIES},
+    axes={"topology": TOPOLOGIES, "window": WINDOWS},
     seeds=(1, 2),
-    fold=worst(lambda row: row["wire_msgs"]),
-)
-
-CORRUPTED = Sweep(
-    title="X3b - one garbage OFFER in a channel: liveness starves "
-          "(the open problem), safety holds",
-    run_one=run_corrupted,
-    axes={"topology": TOPOLOGIES},
-    seeds=(1,),
-    fold=worst(lambda row: row["starved"]),
+    fold=worst(lambda row: row["records"]),
 )
 
 
 def report(seeds=CLEAN.seeds) -> str:
-    """Regenerate the X3 tables (the corrupted one at the first seed)."""
-    return CLEAN.report(seeds=seeds) + "\n\n" + CORRUPTED.report(seeds=seeds[:1])
+    """Regenerate the X3 table."""
+    return CLEAN.report(seeds=seeds)

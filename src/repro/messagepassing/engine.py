@@ -16,7 +16,7 @@ adversary is weaker still: :class:`ChannelFaults` makes delivery *lossy*
 (the head is consumed but never handed over), *duplicating* (the head is
 handed over and a copy re-enqueued at the tail) and/or *reordering* (a
 random queue position is delivered instead of the head), all driven by the
-simulator's seeded RNG.  The naive port breaks under these (see the tests);
+simulator's seeded RNG.
 :class:`~repro.messagepassing.forwarding.HopMPNode` runs the live runtime's
 own lane protocol (:mod:`repro.runtime.hop`: sequence numbers,
 retransmission, idempotent acknowledgements) on these channels and stays
@@ -151,11 +151,6 @@ class MessagePassingSimulator:
             raise ConfigurationError(
                 f"no channel {frm} -> {to} (not an edge)"
             ) from None
-
-    def inject(self, frm: ProcId, to: ProcId, payload: Any) -> None:
-        """Plant a message directly into a channel — the corrupted
-        initial-configuration adversary of the open-problem tests."""
-        self._enqueue(frm, to, payload)
 
     def in_flight(self) -> int:
         """Messages currently queued on any channel."""

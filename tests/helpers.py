@@ -220,15 +220,10 @@ def materialized_queue_count(queues) -> int:
     return sum(len(row) for row in queues._rows.values())
 
 
-def mp_node_is_empty(node) -> bool:
-    """True iff an ``MPForwardingNode`` holds nothing in a buffer, an offer
-    queue or its outbox."""
-    return (
-        all(r is None for r in node.buf_r)
-        and all(e is None for e in node.buf_e)
-        and all(not q for q in node.offers)
-        and not node.outbox
-    )
+def inject(sim, frm, to, payload) -> None:
+    """Plant ``payload`` directly into the ``frm -> to`` channel of a
+    ``MessagePassingSimulator``: a corrupted initial channel content."""
+    sim._enqueue(frm, to, payload)
 
 
 def complete_uids(tracer) -> List[int]:

@@ -1,4 +1,6 @@
-"""Tests for the message-passing substrate and the forwarding port.
+"""Tests for the message-passing substrate, the product's port
+(``HopCore`` behind ``HopMPNode``) and the naive reference port
+(``tests/reference_mp_naive.py``) whose starvation is the open problem.
 
 Every port run is judged after it by ``check_events``, the live runtime's
 verdict, over the nodes' event logs; a run with nothing injected is a clean
@@ -21,7 +23,7 @@ from repro.messagepassing.engine import (
     MessagePassingSimulator,
     MPNode,
 )
-from repro.messagepassing.forwarding import ACCEPT, OFFER, build_mp_network
+from repro.messagepassing.forwarding import build_mp_network
 from repro.network.topologies import (
     grid_network,
     line_network,
@@ -34,7 +36,8 @@ from repro.runtime.conformance import check_events, require_clean_start
 from repro.runtime.hop import RuntimeParams
 from repro.runtime.wire import data_rec
 
-from tests.helpers import mp_node_is_empty
+from tests.helpers import inject
+from tests.reference_mp_naive import ACCEPT, OFFER, build_naive_network
 
 
 class EchoNode(MPNode):
@@ -99,7 +102,7 @@ class TestEngine:
         net = line_network(2)
         nodes = [EchoNode(p) for p in range(2)]
         sim = MessagePassingSimulator(net, nodes, seed=4)
-        sim.inject(0, 1, "garbage")
+        inject(sim, 0, 1, "garbage")
         assert sim.in_flight() == 1
 
 
@@ -112,7 +115,9 @@ def verdict(nodes, expect_generated=None):
 
 
 def run_port(net, submissions, seed, max_events=200_000):
-    sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
+    """The naive reference port from a clean start, until every message is
+    generated and delivered."""
+    sim, nodes = build_naive_network(net, seed=seed)
     for src, payload, dest in submissions:
         nodes[src].submit(payload, dest)
     # Two events per message once it is generated and delivered.
@@ -167,12 +172,12 @@ class TestForwardingPortCleanStart:
     def test_network_drains(self):
         net = line_network(4)
         sim, nodes, _ = run_port(net, [(0, "m", 3), (3, "w", 0)], seed=2)
-        sim.run(100_000, halt=lambda s: all(mp_node_is_empty(n) for n in nodes))
-        assert all(mp_node_is_empty(node) for node in nodes)
+        sim.run(100_000, halt=lambda s: all(n.is_drained() for n in nodes))
+        assert all(node.is_drained() for node in nodes)
 
 
 class TestOpenProblemFailures:
-    """Arbitrary initial channel contents break the port's *liveness* —
+    """Arbitrary initial channel contents break the naive port's *liveness* —
     the concrete face of the open problem the paper names.
 
     Interestingly, the stop-and-wait handshake is robust in *safety* to a
@@ -193,8 +198,8 @@ class TestOpenProblemFailures:
         # payload — the message is still delivered exactly once.
         for seed in range(8):
             net = line_network(3)
-            sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
-            sim.inject(1, 0, (ACCEPT, 2))  # garbage present from step 0
+            sim, nodes = build_naive_network(net, seed=seed)
+            inject(sim, 1, 0, (ACCEPT, 2))  # garbage present from step 0
             nodes[0].submit("m", 2)
             sim.run(100_000, raise_on_limit=False)
             report = verdict(nodes)
@@ -203,10 +208,10 @@ class TestOpenProblemFailures:
 
     def test_forged_offer_wedges_the_reception_buffer(self):
         net = line_network(3)
-        sim, nodes = build_mp_network(net, StaticRouting(net), seed=3)
+        sim, nodes = build_naive_network(net, seed=3)
         # Garbage OFFER in the 1 -> 2 channel: node 2 accepts the phantom
         # into bufR_2(2); nobody will ever RELEASE it.
-        sim.inject(1, 2, (OFFER, 2, "phantom", -99, False))
+        inject(sim, 1, 2, (OFFER, 2, "phantom", -99, False))
         sim.run(50_000, raise_on_limit=False)
         rec = nodes[2].buf_r[2]
         assert rec is not None and rec.payload == "phantom"
@@ -216,8 +221,8 @@ class TestOpenProblemFailures:
         # The liveness violation: after the phantom wedges bufR_2(2), a
         # real message to 2 is never delivered.
         net = line_network(3)
-        sim, nodes = build_mp_network(net, StaticRouting(net), seed=5)
-        sim.inject(1, 2, (OFFER, 2, "phantom", -99, False))
+        sim, nodes = build_naive_network(net, seed=5)
+        inject(sim, 1, 2, (OFFER, 2, "phantom", -99, False))
         nodes[0].submit("real", 2)
         sim.run(200_000, raise_on_limit=False)
         report = verdict(nodes)
@@ -226,8 +231,8 @@ class TestOpenProblemFailures:
 
     def test_garbage_of_unknown_kind_is_dropped(self):
         net = line_network(3)
-        sim, nodes = build_mp_network(net, StaticRouting(net), seed=7)
-        sim.inject(0, 1, ("NOISE", 2, "x"))
+        sim, nodes = build_naive_network(net, seed=7)
+        inject(sim, 0, 1, ("NOISE", 2, "x"))
         nodes[0].submit("m", 2)
         sim.run(100_000, halt=lambda s: sum(len(n.events) for n in nodes) == 2)
         report = verdict(nodes)
@@ -288,7 +293,7 @@ def run_hardened(net, submissions, faults, seed, window=32, max_events=500_000,
                  prepare=None):
     sim, nodes = build_mp_network(
         net, StaticRouting(net), seed=seed,
-        hardened=True, faults=faults, params=RuntimeParams(window=window),
+        faults=faults, params=RuntimeParams(window=window),
     )
     if prepare is not None:
         prepare(nodes)  # e.g. wrap handlers before the first event
@@ -465,8 +470,8 @@ class TestHardenedPortUnderFaults:
         violating = 0
         for seed in range(10):
             net = ring_network(4)
-            sim, nodes = build_mp_network(
-                net, StaticRouting(net), seed=seed, faults=ChannelFaults(dup=0.3)
+            sim, nodes = build_naive_network(
+                net, seed=seed, faults=ChannelFaults(dup=0.3)
             )
             for src, payload, dest in self.ring_submissions(4, 6):
                 nodes[src].submit(payload, dest)
@@ -481,11 +486,11 @@ def forged_probe(window, seq, uid, valid):
     the 0 -> 1 channel.  Returns whether the run quiesced, and its verdict."""
     sim, nodes = build_mp_network(
         line_network(2), StaticRouting(line_network(2)), seed=7,
-        hardened=True, params=RuntimeParams(window=window),
+        params=RuntimeParams(window=window),
     )
     for i in range(3):
         nodes[0].submit(f"m{i}", 1)
-    sim.inject(0, 1, data_rec(1, seq, uid, "forged", valid, 0))
+    inject(sim, 0, 1, data_rec(1, seq, uid, "forged", valid, 0))
     done = sim.run(100_000, raise_on_limit=False)
     return done, verdict(nodes)
 

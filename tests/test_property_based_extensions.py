@@ -14,9 +14,8 @@ from repro.messagepassing.forwarding import build_mp_network
 from repro.network.topologies import random_connected_network, random_tree_network
 from repro.routing.static import StaticRouting
 from repro.runtime.conformance import check_events, require_clean_start
+from repro.runtime.hop import RuntimeParams
 from repro.sim.runner import build_simulation, delivered_and_drained
-
-from tests.helpers import mp_node_is_empty
 
 networks = st.builds(
     random_connected_network,
@@ -32,13 +31,27 @@ slow = settings(
 )
 
 
+def drained(sim) -> bool:
+    """Nothing in flight and every core idle."""
+    return not sim.in_flight() and all(n.core.is_idle() for n in sim.nodes)
+
+
 class TestMessagePassingPort:
+    """The product's port, ``HopCore`` behind ``HopMPNode``, from clean
+    starts on random networks and schedules."""
+
     @slow
-    @given(net=networks, seed=st.integers(min_value=0, max_value=10_000))
-    def test_exactly_once_from_clean_starts(self, net, seed):
+    @given(
+        net=networks,
+        seed=st.integers(min_value=0, max_value=10_000),
+        window=st.sampled_from([1, 4]),
+    )
+    def test_exactly_once_from_clean_starts(self, net, seed, window):
         if net.n < 2:
             return
-        sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
+        sim, nodes = build_mp_network(
+            net, StaticRouting(net), seed=seed, params=RuntimeParams(window=window)
+        )
         rng = _random.Random(seed)
         count = 0
         for p in net.processors():
@@ -46,31 +59,30 @@ class TestMessagePassingPort:
             dest = dest if dest < p else dest + 1
             nodes[p].submit(f"m{p}", dest)
             count += 1
-        # Two events per message once it is generated and delivered.
-        sim.run(
-            2_000_000,
-            halt=lambda s: sum(len(n.events) for n in nodes) == 2 * count,
-        )
+        assert sim.run(2_000_000) and drained(sim)  # quiescent
         report = require_clean_start(
             check_events((e for n in nodes for e in n.events), expect_generated=count)
         )
         assert report.ok and report.delivered == count
 
     @slow
-    @given(net=networks, seed=st.integers(min_value=0, max_value=10_000))
-    def test_port_quiesces_and_drains(self, net, seed):
+    @given(
+        net=networks,
+        seed=st.integers(min_value=0, max_value=10_000),
+        window=st.sampled_from([1, 4]),
+    )
+    def test_port_quiesces_and_drains(self, net, seed, window):
         if net.n < 2:
             return
-        sim, nodes = build_mp_network(net, StaticRouting(net), seed=seed)
-        nodes[0].submit("probe", net.n - 1)
-        sim.run(
-            2_000_000,
-            halt=lambda s: all(mp_node_is_empty(n) for n in s.nodes)
-            and not s.in_flight(),
+        sim, nodes = build_mp_network(
+            net, StaticRouting(net), seed=seed, params=RuntimeParams(window=window)
         )
-        assert require_clean_start(
-            check_events(e for n in nodes for e in n.events)
-        ).ok
+        nodes[0].submit("probe", net.n - 1)
+        assert sim.run(2_000_000) and drained(sim)  # quiescent
+        report = require_clean_start(check_events(
+            (e for n in nodes for e in n.events), expect_generated=1
+        ))
+        assert report.ok and report.delivered == 1
 
 
 class TestOrientationCovers:

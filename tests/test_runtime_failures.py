@@ -4,15 +4,18 @@ partial-results summary and a nonzero exit, never a hang or a stack trace."""
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.runtime import ClusterSpec, run_cluster
+from repro.runtime import ClusterSpec, cluster, run_cluster
+from repro.runtime.wire import MAX_FRAME
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -57,6 +60,56 @@ class TestPortInUse:
         out = capsys.readouterr().out
         assert "PARTIAL" in out
         assert "transport start failed" in out
+
+
+class TestCorruptFrameOnALiveSocket:
+    """Garbage written to a live node's listening port is dropped by the
+    transport and never reaches the run's verdict."""
+
+    def test_bad_frames_are_dropped_and_the_run_passes(self, monkeypatch):
+        ports = {}
+        allocate_ports = cluster.allocate_ports
+
+        def capture(net, **kwargs):  # learn the ports the cluster binds
+            ports.update(allocate_ports(net, **kwargs))
+            return dict(ports)
+
+        monkeypatch.setattr(cluster, "allocate_ports", capture)
+        frames = [
+            struct.pack(">I", 4) + b"\x07bad",  # body not led by the 0x02 tag
+            struct.pack(">I", MAX_FRAME + 1),  # length prefix past MAX_FRAME
+        ]
+        sent = []
+
+        def write_garbage():
+            deadline = time.monotonic() + 30
+            while not ports and time.monotonic() < deadline:
+                time.sleep(0.001)
+            for frame in frames:  # one raw connection per frame
+                while time.monotonic() < deadline:
+                    try:
+                        with socket.create_connection(ports[1], timeout=5) as conn:
+                            conn.sendall(frame)
+                        sent.append(frame)
+                        break
+                    except ConnectionRefusedError:  # not listening yet
+                        time.sleep(0.001)
+
+        writer = threading.Thread(target=write_garbage, daemon=True)
+        writer.start()
+        result = run_cluster(ClusterSpec(
+            topology={"name": "ring", "kwargs": {"n": 4}},
+            messages=3_000,
+            transport="tcp",
+            deadline=60.0,
+        ))
+        both_sent_during_run = len(sent) == 2
+        writer.join(timeout=30)
+        assert both_sent_during_run
+        assert result.errors == []
+        assert not result.partial, result.summary()
+        assert result.transport_stats["frames_dropped"] == 2
+        assert result.transport_stats["records_dropped"] == 0
 
 
 class TestDeadline:
