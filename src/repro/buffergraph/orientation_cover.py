@@ -208,14 +208,13 @@ class OrientationCover:
 
 
 def routing_path(
-    net: Network, routing, u: ProcId, d: ProcId, limit: Optional[int] = None
+    net: Network, routing, u: ProcId, d: ProcId
 ) -> Optional[List[ProcId]]:
     """The walk u -> d obtained by following ``next_hop``; None if it does
-    not reach d within ``limit`` hops (cyclic tables)."""
-    limit = limit if limit is not None else net.n
+    not reach d within ``n`` hops (cyclic tables)."""
     path = [u]
     p = u
-    for _ in range(limit):
+    for _ in range(net.n):
         if p == d:
             return path
         p = routing.next_hop(p, d)
@@ -271,8 +270,8 @@ def cover_from_order(
     )
 
 
-def tree_cover(net: Network, root: ProcId = 0) -> OrientationCover:
-    """s = 2 for trees: orient toward the root, then away from it.
+def tree_cover(net: Network) -> OrientationCover:
+    """s = 2 for trees: orient toward the root 0, then away from it.
 
     Any tree path climbs toward the root then descends — one up-segment,
     one down-segment.
@@ -281,7 +280,7 @@ def tree_cover(net: Network, root: ProcId = 0) -> OrientationCover:
         raise TopologyError("tree_cover needs a tree (m == n - 1)")
     from repro.network.properties import bfs_distances
 
-    depth = bfs_distances(net, root)
+    depth = bfs_distances(net, 0)
     arcs = []
     for u, v in net.edges:
         # Orient toward the root: deeper endpoint -> shallower endpoint.

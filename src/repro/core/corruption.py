@@ -16,7 +16,7 @@ break quiescence).
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.core.family import ForwardingProtocol
 from repro.statemodel.message import Message
@@ -62,7 +62,6 @@ def plant_invalid_messages(
     proto: ForwardingProtocol,
     seed: int,
     fill_fraction: float = 0.3,
-    destinations: Optional[Iterable[DestId]] = None,
 ) -> int:
     """Fill a random fraction of all buffers with invalid garbage.
 
@@ -74,9 +73,8 @@ def plant_invalid_messages(
         raise ValueError(f"fill_fraction must be in [0, 1], got {fill_fraction}")
     rng = random.Random(seed)
     net = proto.net
-    dests = list(destinations) if destinations is not None else list(net.processors())
     planted = 0
-    for d in dests:
+    for d in net.processors():
         for p in net.processors():
             for kind in proto.buffer_kinds:
                 if rng.random() >= fill_fraction:

@@ -115,14 +115,3 @@ class InvariantChecker:
                     f"valid uid {uid} (dest {dest}) has copies in foreign "
                     f"components: {wrong}"
                 )
-
-    # Simulator hook -------------------------------------------------------------
-
-    def as_hook(self):
-        """Adapter usable as a :class:`~repro.statemodel.Simulator` strict
-        hook (ignores the simulator argument)."""
-
-        def hook(_sim) -> None:
-            self.check()
-
-        return hook

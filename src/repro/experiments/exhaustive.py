@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.corruption import plant_invalid_message
+from repro.errors import SpecificationViolation
 from repro.network.topologies import line_network, paper_figure3_network
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.sim.reporting import format_table
@@ -132,10 +133,8 @@ def run_exhaustive() -> List[Dict[str, object]]:
 def render(rows: List[Dict[str, object]]) -> str:
     """Check the verdicts and format the X5 table from precomputed rows."""
     for row in rows:
-        if row["expected"] == "safe":
-            assert row["violations"] == 0, row
-        else:
-            assert row["violations"] > 0, row
+        if (row["violations"] == 0) != (row["expected"] == "safe"):
+            raise SpecificationViolation(str(row))
     return format_table(
         rows,
         columns=[

@@ -28,6 +28,7 @@ from itertools import groupby
 from typing import List
 
 from repro.app.workload import Workload
+from repro.errors import SpecificationViolation
 from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.topologies import line_network
 from repro.sim.metrics import RoundClock, delivery_latency_rounds
@@ -56,7 +57,8 @@ def run_one(policy: str, n: int, per_source: int, seed: int) -> Row:
         protocol_options={"choice_policy": policy},
     )
     sim.run(2_000_000, halt=delivered_and_drained)
-    assert sim.ledger.all_valid_delivered()
+    if not sim.ledger.all_valid_delivered():
+        raise SpecificationViolation("a valid message was not delivered")
     clock = RoundClock(sim.sim.round_ends)
     latencies = delivery_latency_rounds(sim.ledger, clock)
     probe_uid = next(

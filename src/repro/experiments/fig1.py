@@ -54,15 +54,14 @@ def run_fig1() -> List[Dict[str, object]]:
     return rows
 
 
-def render_component(dest_name: str = "b") -> str:
-    """ASCII rendering of one component (the figure's right-hand side)."""
+def render_component() -> str:
+    """ASCII rendering of b's component (the figure's right-hand side)."""
     net = paper_figure1_network()
     graph = destination_based_buffer_graph(net, StaticRouting(net))
-    d = net.id_of(dest_name)
-    sub = graph.subgraph_for_destination(d)
-    lines = [f"destination-based buffer graph, component of destination {dest_name}:"]
+    sub = graph.subgraph_for_destination(net.id_of("b"))
+    lines = ["destination-based buffer graph, component of destination b:"]
     for u, v in sub.edges:
-        lines.append(f"  b_{net.name(u.proc)}({dest_name}) -> b_{net.name(v.proc)}({dest_name})")
+        lines.append(f"  b_{net.name(u.proc)}(b) -> b_{net.name(v.proc)}(b)")
     return "\n".join(lines)
 
 

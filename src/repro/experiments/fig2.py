@@ -17,11 +17,11 @@ from repro.routing.static import StaticRouting
 from repro.sim.reporting import format_table
 
 
-def run_fig2(dest_name: str = "b") -> List[Dict[str, object]]:
-    """Structural summary of the two-buffer component for one destination,
+def run_fig2() -> List[Dict[str, object]]:
+    """Structural summary of the two-buffer component for destination b,
     with correct and with cyclically corrupted tables."""
     net = paper_figure1_network()
-    d = net.id_of(dest_name)
+    d = net.id_of("b")
     rows: List[Dict[str, object]] = []
 
     graph = ssmfp_buffer_graph(net, StaticRouting(net))
@@ -53,17 +53,16 @@ def run_fig2(dest_name: str = "b") -> List[Dict[str, object]]:
     return rows
 
 
-def render_component(dest_name: str = "b") -> str:
-    """ASCII rendering of the component (the figure's right-hand side)."""
+def render_component() -> str:
+    """ASCII rendering of b's component (the figure's right-hand side)."""
     net = paper_figure1_network()
-    d = net.id_of(dest_name)
     graph = ssmfp_buffer_graph(net, StaticRouting(net))
-    sub = graph.subgraph_for_destination(d)
-    lines = [f"SSMFP buffer graph, component of destination {dest_name}:"]
+    sub = graph.subgraph_for_destination(net.id_of("b"))
+    lines = ["SSMFP buffer graph, component of destination b:"]
     for u, v in sub.edges:
         lines.append(
-            f"  buf{u.kind}_{net.name(u.proc)}({dest_name}) -> "
-            f"buf{v.kind}_{net.name(v.proc)}({dest_name})"
+            f"  buf{u.kind}_{net.name(u.proc)}(b) -> "
+            f"buf{v.kind}_{net.name(v.proc)}(b)"
         )
     return "\n".join(lines)
 

@@ -26,6 +26,7 @@ from repro.core.invariants import InvariantChecker
 from repro.core.corruption import plant_invalid_message
 from repro.core.ledger import DeliveryLedger
 from repro.core.protocol import SSMFP
+from repro.errors import InvariantViolation
 from repro.network.topologies import paper_figure3_network
 from repro.routing.scripted import ScriptedRouting
 from repro.statemodel.composition import PriorityStack
@@ -89,7 +90,8 @@ def run_fig3() -> Fig3Report:
     report = Fig3Report()
 
     def check(condition: bool, text: str) -> None:
-        assert condition, f"figure-3 checkpoint failed: {text}"
+        if not condition:
+            raise InvariantViolation(f"figure-3 checkpoint failed: {text}")
         report.checks.append(text)
 
     def record(idx: int) -> None:

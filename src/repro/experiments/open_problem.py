@@ -28,6 +28,7 @@ from repro.buffergraph.orientation_cover import (
     tree_cover,
 )
 from repro.core.ledger import DeliveryLedger
+from repro.errors import InvariantViolation
 from repro.experiments.sweep import network_of
 from repro.network.graph import Network
 from repro.routing.static import StaticRouting
@@ -49,24 +50,25 @@ CASES = {
 }
 
 
-def _cover(net: Network, routing: StaticRouting, seed: int) -> Tuple[object, str]:
+def _cover(net: Network, routing: StaticRouting) -> Tuple[object, str]:
     """The orientation cover our constructions achieve on ``net`` and the
     method that found it (exact on trees and rings, greedy elsewhere)."""
     if net.m == net.n - 1:
         return tree_cover(net), "tree (exact)"
     if net.m == net.n and all(net.degree(p) == 2 for p in net.processors()):
         return ring_cover(net, routing), "mountain (exact)"
-    return greedy_cover(net, seed=seed, routing=routing), "greedy (heuristic)"
+    return greedy_cover(net, routing=routing), "greedy (heuristic)"
 
 
-def run_one(case: str, seed: int = 0) -> Dict[str, object]:
+def run_one(case: str) -> Dict[str, object]:
     """Buffer requirements of the three schemes on one topology."""
     net = network_of(case, **CASES[case])
     routing = StaticRouting(net)
-    cover, method = _cover(net, routing, seed)
-    assert cover.is_valid_for_routing(routing)
-    graph = orientation_cover_buffer_graph(cover)
-    assert graph.is_acyclic()
+    cover, method = _cover(net, routing)
+    if not cover.is_valid_for_routing(routing):
+        raise InvariantViolation(f"{case}: the cover misses a routing path")
+    if not orientation_cover_buffer_graph(cover).is_acyclic():
+        raise InvariantViolation(f"{case}: the cover's buffer graph has a cycle")
     return {
         "topology": case,
         "n": net.n,
@@ -78,25 +80,25 @@ def run_one(case: str, seed: int = 0) -> Dict[str, object]:
     }
 
 
-def run_open_problem(seed: int = 0) -> List[Dict[str, object]]:
+def run_open_problem() -> List[Dict[str, object]]:
     """All topologies."""
-    return [run_one(case, seed=seed) for case in CASES]
+    return [run_one(case) for case in CASES]
 
 
-def run_live(case: str, seed: int = 0, messages_per_proc: int = 2) -> Dict[str, object]:
+def run_live(case: str) -> Dict[str, object]:
     """Actually *run* the orientation-cover forwarding protocol: deliver a
-    workload with only s buffers per processor (exactly-once, strict
-    ledger), demonstrating the scheme works fault-free at the counts the
-    open problem asks about."""
+    workload of two messages per processor with only s buffers per
+    processor (exactly-once, strict ledger), demonstrating the scheme works
+    fault-free at the counts the open problem asks about."""
     net = network_of(case, **CASES[case])
     routing = StaticRouting(net)
-    cover, _ = _cover(net, routing, seed)
+    cover, _ = _cover(net, routing)
     hl = HigherLayer(net.n)
     proto = OrientationForwarding(net, routing, cover, hl, DeliveryLedger())
-    sim = Simulator(net.n, PriorityStack([proto]), DistributedRandomDaemon(seed=seed))
+    sim = Simulator(net.n, PriorityStack([proto]), DistributedRandomDaemon(seed=0))
     count = 0
     for p in net.processors():
-        for i in range(messages_per_proc):
+        for i in range(2):
             dest = (p + 1 + i) % net.n
             if dest != p:
                 hl.submit(p, f"m{p}.{i}", dest)
@@ -115,9 +117,9 @@ def run_live(case: str, seed: int = 0, messages_per_proc: int = 2) -> Dict[str, 
     }
 
 
-def report(seed: int = 0) -> str:
+def report() -> str:
     """Regenerate the X1 tables."""
-    rows = run_open_problem(seed)
+    rows = run_open_problem()
     structure = format_table(
         rows,
         columns=[
@@ -128,7 +130,7 @@ def report(seed: int = 0) -> str:
               "fault-free orientation-cover scheme (the open problem's gap)",
     )
     live = format_table(
-        [run_live(case, seed=seed) for case in CASES],
+        [run_live(case) for case in CASES],
         columns=[
             "topology", "buffers_per_proc", "messages", "delivered_once",
             "steps",

@@ -28,11 +28,11 @@ from repro.sim.runner import (
 _MEASURES = ("delivered", "steps", "rounds", "moves_per_msg")
 
 
-def run_one(topology: str, protocol: str, seed: int, messages: int = 20) -> Row:
+def run_one(topology: str, protocol: str, seed: int) -> Row:
     """One correct-tables run of ``"ssmfp"`` or the ``"ms-atomic"``
-    baseline; returns the cost row."""
+    baseline over 20 messages; returns the cost row."""
     net = network_of(topology)
-    workload = uniform_workload(net.n, messages, seed=seed)
+    workload = uniform_workload(net.n, 20, seed=seed)
     if protocol == "ssmfp":
         sim = build_simulation(
             net, workload=workload, routing_mode="static", seed=seed

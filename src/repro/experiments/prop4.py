@@ -14,23 +14,24 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.corruption import fill_all_buffers, scramble_queues
+from repro.errors import SpecificationViolation
 from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.topologies import topology_by_name
 from repro.sim.runner import build_simulation, fully_quiescent
 
 
-def run_one(topology: str, n: int, seed: int, dest: int = 0) -> Row:
-    """One adversarial run; returns the measured row."""
+def run_one(topology: str, n: int, seed: int) -> Row:
+    """One adversarial run on destination 0; returns the measured row."""
     net = topology_by_name(topology, n)
     sim = build_simulation(
         net,
         routing_corruption={"kind": "random", "fraction": 1.0, "seed": seed},
         seed=seed,
     )
-    planted = fill_all_buffers(sim.forwarding, d=dest, seed=seed)
+    planted = fill_all_buffers(sim.forwarding, d=0, seed=seed)
     scramble_queues(sim.forwarding, seed=seed + 1)
     sim.run(2_000_000, halt=fully_quiescent)
-    delivered = sim.ledger.invalid_deliveries_by_destination().get(dest, 0)
+    delivered = sim.ledger.invalid_deliveries_by_destination().get(0, 0)
     bound = 2 * net.n
     return {
         "topology": topology,
@@ -44,7 +45,8 @@ def run_one(topology: str, n: int, seed: int, dest: int = 0) -> Row:
 
 
 def _checked(rows: List[Row]) -> List[Row]:
-    assert all(r["within_bound"] for r in rows), "Proposition 4 violated!"
+    if not all(r["within_bound"] for r in rows):
+        raise SpecificationViolation("Proposition 4 violated!")
     return rows
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.app.workload import Workload
+from repro.errors import SpecificationViolation
 from repro.experiments.sweep import Row, Sweep, network_of, worst
 from repro.network.graph import Network
 from repro.network.properties import all_pairs_distances, diameter, max_degree
@@ -38,9 +39,9 @@ def _farthest_pair(net: Network) -> Tuple[int, int]:
     return best
 
 
-def _probe_workload(net: Network, contention_per_source: int) -> Tuple[Workload, int, int]:
+def _probe_workload(net: Network) -> Tuple[Workload, int, int]:
     """A probe across the diameter plus hotspot contention on its
-    destination.  Returns (workload, source, dest); the probe and every
+    destination (two messages from every other processor).  Returns (workload, source, dest); the probe and every
     contender are submitted at step 0, so the probe's uid is found via the
     ledger's generation info."""
     src, dest = _farthest_pair(net)
@@ -48,7 +49,7 @@ def _probe_workload(net: Network, contention_per_source: int) -> Tuple[Workload,
     for p in net.processors():
         if p in (src, dest):
             continue
-        for i in range(contention_per_source):
+        for i in range(2):
             subs.append((0, p, f"bg{p}.{i}", dest))
     return Workload("probe+contention", subs), src, dest
 
@@ -83,7 +84,8 @@ def run_to_delivery(
             probe(sim)
 
     sim.run(3_000_000, halt=delivered_and_drained, before_step=before_step)
-    assert sim.ledger.all_valid_delivered()
+    if not sim.ledger.all_valid_delivered():
+        raise SpecificationViolation("a valid message was not delivered")
     delta = max_degree(net)
     diam = diameter(net)
     return sim, RoundClock(sim.sim.round_ends), {
@@ -112,15 +114,10 @@ def with_bound(column: str, *measured: str) -> Callable[[List[Row]], List[Row]]:
     return derive
 
 
-def run_one(
-    topology: str,
-    corrupted: bool,
-    seed: int,
-    contention_per_source: int = 2,
-) -> Row:
+def run_one(topology: str, corrupted: bool, seed: int) -> Row:
     """One probe run; returns the measured row."""
     net = network_of(topology)
-    workload, src, dest = _probe_workload(net, contention_per_source)
+    workload, src, dest = _probe_workload(net)
     sim, clock, regime = run_to_delivery(net, workload, corrupted, seed)
     latencies = delivery_latency_rounds(sim.ledger, clock)
     uid = next(

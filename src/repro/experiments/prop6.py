@@ -27,17 +27,17 @@ from repro.experiments.sweep import Row, Sweep, network_of, worst
 EMITTERS = {"line(7)": 3, "ring(8)": 0, "star(8)": 0, "grid(3x3)": 4}
 
 
-def run_one(topology: str, corrupted: bool, seed: int, stream: int = 4) -> Row:
+def run_one(topology: str, corrupted: bool, seed: int) -> Row:
     """Saturate the chosen emitter with through-traffic; measure its
     generation delay and waiting times."""
     net = network_of(topology)
     emitter = EMITTERS[topology]
-    # The emitter streams `stream` messages to a fixed remote destination
+    # The emitter streams 4 messages to a fixed remote destination
     # (the highest id != emitter) and every other processor sends 2
     # messages there too, so the flows cross the emitter's buffers.
     dest = net.n - 1 if emitter != net.n - 1 else net.n - 2
     subs = []
-    for i in range(stream):
+    for i in range(4):
         subs.append((0, emitter, f"own{i}", dest))
     for p in net.processors():
         if p in (emitter, dest):

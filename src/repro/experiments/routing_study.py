@@ -13,6 +13,7 @@ constants, not the shape.
 
 from __future__ import annotations
 
+from repro.errors import InvariantViolation
 from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.graph import Network
 from repro.network.properties import diameter, max_degree
@@ -45,7 +46,8 @@ def run_one(family: str, n: int, daemon_name: str, seed: int) -> Row:
     )
     sim = Simulator(net.n, routing, daemon)
     result = sim.run(max_steps=5_000_000)
-    assert result.terminal and routing.is_correct()
+    if not (result.terminal and routing.is_correct()):
+        raise InvariantViolation("routing did not stabilize to correct tables")
     return {
         "family": family,
         "n": net.n,

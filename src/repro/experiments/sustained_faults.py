@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.app.workload import uniform_workload
+from repro.errors import SpecificationViolation
 from repro.experiments.sweep import Row, Sweep, worst
 from repro.network.topologies import grid_network, ring_network
 from repro.sim.faults import RoutingFaultInjector
@@ -27,18 +28,17 @@ def run_one(
     topology: str,
     pressure: Tuple[int, float],
     seed: int,
-    messages: int = 16,
-    stop_after: int = 500,
 ) -> Row:
-    """One run faulted at ``pressure`` = (injection period, corruption
-    fraction) plus its fault-free twin; returns the cost row."""
+    """One run of 16 messages faulted at ``pressure`` = (injection period,
+    corruption fraction) for its first 500 steps, plus its fault-free twin;
+    returns the cost row."""
     period, fraction = pressure
 
     def assemble():
         net = ring_network(8) if topology == "ring" else grid_network(3, 3)
         return build_simulation(
             net,
-            workload=uniform_workload(net.n, messages, seed=seed, spread_steps=60),
+            workload=uniform_workload(net.n, 16, seed=seed, spread_steps=60),
             routing_corruption={"kind": "random", "fraction": 1.0, "seed": seed},
             seed=seed,
         )
@@ -50,12 +50,13 @@ def run_one(
     faulted = assemble()
     injector = RoutingFaultInjector(
         faulted.routing, period=period, fraction=fraction,
-        seed=seed, stop_after=stop_after,
+        seed=seed, stop_after=500,
     )
     faulted.run(
         2_000_000, halt=delivered_and_drained, before_step=injector.before_step
     )
-    assert faulted.ledger.all_valid_delivered()  # strict ledger anyway
+    if not faulted.ledger.all_valid_delivered():  # strict ledger anyway
+        raise SpecificationViolation("a valid message was not delivered")
 
     return {
         "topology": topology,

@@ -205,22 +205,19 @@ class MessagePassingSimulator:
         self,
         max_events: int,
         halt: Optional[Callable[["MessagePassingSimulator"], bool]] = None,
-        raise_on_limit: bool = True,
-    ) -> bool:
-        """Run until quiescent, halted, or out of events.  Returns True if
-        halted/quiesced within budget."""
+    ) -> None:
+        """Run until quiescent or halted; raises
+        :class:`SimulationLimitExceeded` when ``max_events`` run out first."""
         for _ in range(max_events):
             if halt is not None and halt(self):
-                return True
+                return
             if not self.step():
-                return True
+                return
         if halt is not None and halt(self):
-            return True
-        if raise_on_limit:
-            raise SimulationLimitExceeded(
-                f"no quiescence within {max_events} events; "
-                f"{self.in_flight()} messages in flight",
-                steps=self.events,
-                rounds=0,
-            )
-        return False
+            return
+        raise SimulationLimitExceeded(
+            f"no quiescence within {max_events} events; "
+            f"{self.in_flight()} messages in flight",
+            steps=self.events,
+            rounds=0,
+        )

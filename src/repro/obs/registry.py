@@ -125,10 +125,6 @@ class MetricsRegistry:
 
     # -- one-shot conveniences ---------------------------------------------------
 
-    def inc(self, name: str, amount: float = 1, **labels: object) -> None:
-        """Increment the counter ``name{labels}`` by ``amount``."""
-        self.counter(name, **labels).inc(amount)
-
     def set(self, name: str, value: float, **labels: object) -> None:
         """Set the gauge ``name{labels}``."""
         self.gauge(name, **labels).set(value)

@@ -65,18 +65,14 @@ class LifecycleEvent:
 
 
 class MessageTracer:
-    """Records hop-by-hop lifecycles of messages, keyed by hidden uid.
+    """Records hop-by-hop lifecycles of valid messages, keyed by hidden uid.
 
-    Parameters
-    ----------
-    include_invalid:
-        Also trace invalid messages (negative uids — the pre-planted
-        garbage of an arbitrary initial configuration).  Off by default:
-        the valid traffic is the Figure-3 story.
+    Invalid messages (negative uids — the pre-planted garbage of an
+    arbitrary initial configuration) are not traced: the valid traffic is
+    the Figure-3 story.
     """
 
-    def __init__(self, include_invalid: bool = False) -> None:
-        self.include_invalid = include_invalid
+    def __init__(self) -> None:
         self._events: Dict[int, List[Tuple[int, int, int, LifecycleEvent]]] = {}
         self._seq = 0
         #: Per-source queue of submissions not yet matched to a generation.
@@ -134,7 +130,7 @@ class MessageTracer:
         )
 
     def _wants(self, uid: int) -> bool:
-        return uid > 0 or self.include_invalid
+        return uid > 0
 
     # -- subscription sinks ------------------------------------------------------
 

@@ -12,17 +12,14 @@ so a corruption mid-run is seen by the incremental engine entry by entry.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
 
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
-from repro.types import DestId
 
 
 def corrupt_random(
     routing: SelfStabilizingBFSRouting,
     seed: int,
     fraction: float = 1.0,
-    destinations: Optional[Iterable[DestId]] = None,
 ) -> int:
     """Randomize a fraction of table entries; returns how many were hit.
 
@@ -35,9 +32,8 @@ def corrupt_random(
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     rng = random.Random(seed)
     net = routing.network
-    dests = list(destinations) if destinations is not None else list(net.processors())
     hit = 0
-    for d in dests:
+    for d in net.processors():
         for p in net.processors():
             if rng.random() >= fraction:
                 continue

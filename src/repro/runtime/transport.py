@@ -121,38 +121,25 @@ class TcpTransport(Transport):
     net:
         The topology; sends are restricted to its edges.
     ports:
-        Complete map pid -> (host, port) for *every* node of the network
-        (local and remote alike).
-    local_pids:
-        The nodes hosted by this process; one listening server is started
-        for each.
-    backoff_base / backoff_cap:
-        Reconnect backoff: ``base * 2**attempt`` seconds, capped.
-    edge_queue:
-        Bounded per-edge outbound queue; on overflow the oldest frame is
-        dropped (best-effort, the hop protocol retries).
+        Complete map pid -> (host, port) for every node of the network; one
+        listening server is started for each.
     """
 
+    #: Reconnect backoff: ``_BACKOFF_BASE * 2**attempt`` seconds, capped.
+    _BACKOFF_BASE = 0.05
+    _BACKOFF_CAP = 1.0
+    #: Bounded per-edge outbound queue; on overflow the oldest frame is
+    #: dropped (best-effort, the hop protocol retries).
+    _EDGE_QUEUE = 1024
+
     def __init__(
-        self,
-        net: Network,
-        ports: Dict[ProcId, Tuple[str, int]],
-        local_pids: Optional[Tuple[ProcId, ...]] = None,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        edge_queue: int = 1024,
+        self, net: Network, ports: Dict[ProcId, Tuple[str, int]]
     ) -> None:
         super().__init__(net)
         missing = [p for p in net.processors() if p not in ports]
         if missing:
             raise ConfigurationError(f"ports missing for processors {missing}")
         self.ports = dict(ports)
-        self.local_pids = tuple(local_pids) if local_pids is not None else tuple(
-            net.processors()
-        )
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.edge_queue = edge_queue
         self._servers: list = []
         #: Each queued item is (encoded frame, record count): the count
         #: rides along so a drop-oldest overflow can account for the
@@ -166,10 +153,10 @@ class TcpTransport(Transport):
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Start one server per local pid.  Raises ``OSError`` (e.g.
+        """Start one server per node.  Raises ``OSError`` (e.g.
         ``EADDRINUSE``) if a port cannot be bound — callers surface that as
         a graceful startup failure, not a hang."""
-        for pid in self.local_pids:
+        for pid in self.net.processors():
             host, port = self.ports[pid]
             server = await asyncio.start_server(
                 self._conn_handler, host=host, port=port
@@ -233,13 +220,11 @@ class TcpTransport(Transport):
         self, src: ProcId, dst: ProcId, records: Sequence[Dict[str, Any]]
     ) -> None:
         self._check_edge(src, dst)
-        if src not in self._inboxes and src not in self.local_pids:
-            raise ConfigurationError(f"processor {src} is not hosted here")
         frame = encode_records(src, dst, records, WIRE_V2)
         key = (src, dst)
         queue = self._edge_queues.get(key)
         if queue is None:
-            queue = self._edge_queues[key] = asyncio.Queue(maxsize=self.edge_queue)
+            queue = self._edge_queues[key] = asyncio.Queue(maxsize=self._EDGE_QUEUE)
             self._edge_tasks[key] = asyncio.get_running_loop().create_task(
                 self._edge_pump(key)
             )
@@ -266,7 +251,7 @@ class TcpTransport(Transport):
         host, port = self.ports[dst]
         queue = self._edge_queues[key]
         writer: Optional[asyncio.StreamWriter] = None
-        backoff = self.backoff_base
+        backoff = self._BACKOFF_BASE
         try:
             while True:
                 blob, _ = await queue.get()
@@ -282,11 +267,11 @@ class TcpTransport(Transport):
                     if writer is None:
                         try:
                             _, writer = await asyncio.open_connection(host, port)
-                            backoff = self.backoff_base
+                            backoff = self._BACKOFF_BASE
                         except OSError:
                             self.stats["reconnects"] += 1
                             await asyncio.sleep(backoff)
-                            backoff = min(backoff * 2, self.backoff_cap)
+                            backoff = min(backoff * 2, self._BACKOFF_CAP)
                             continue
                     try:
                         writer.write(blob)

@@ -16,7 +16,6 @@ from repro.app.higher_layer import HigherLayer
 from repro.app.workload import Workload
 from repro.core.corruption import plant_invalid_messages, scramble_queues
 from repro.core.family import ForwardingProtocol
-from repro.core.invariants import InvariantChecker
 from repro.core.ledger import DeliveryLedger
 from repro.core.registry import resolve
 from repro.errors import ConfigurationError, SimulationLimitExceeded
@@ -91,8 +90,8 @@ class Simulation:
         before_step: Optional[Callable[["Simulation"], object]] = None,
         on_idle: Optional[Callable[["Simulation"], bool]] = None,
     ) -> RunResult:
-        """Run until terminal, halted, or out of budget (then raises by
-        default, like :meth:`Simulator.run`).
+        """Run until terminal, halted, or out of budget (then raises
+        :class:`SimulationLimitExceeded` unless ``raise_on_limit`` is false).
 
         This is the one loop that steps a :class:`Simulation`; a driver
         hooks into it instead of copying it.  ``before_step`` sees the
@@ -213,7 +212,6 @@ def build_simulation(
     routing_corruption: Optional[Dict] = None,
     garbage: Optional[Dict] = None,
     scramble_choice_queues: bool = False,
-    strict_invariants: bool = False,
     ledger_strict: bool = True,
     protocol: str = "ssmfp",
     protocol_options: Optional[Dict] = None,
@@ -235,9 +233,6 @@ def build_simulation(
         fraction of all buffers.
     scramble_choice_queues:
         Randomize all ``choice`` queues (arbitrary initial state).
-    strict_invariants:
-        Install the per-step :class:`InvariantChecker` hook (O(n²)/step —
-        for tests, not large benches).
     protocol:
         Registry name of the forwarding protocol to assemble
         (``"ssmfp"``, ``"ssmfp2"``; see :mod:`repro.core.registry`).
@@ -274,8 +269,7 @@ def build_simulation(
     stack = PriorityStack(protocols)
     if daemon is None:
         daemon = DistributedRandomDaemon(seed=seed)
-    hooks = [InvariantChecker(proto).as_hook()] if strict_invariants else None
-    sim = Simulator(net.n, stack, daemon, strict_hooks=hooks, obs=obs)
+    sim = Simulator(net.n, stack, daemon, obs=obs)
     simulation = Simulation(
         net=net, routing=routing, forwarding=proto, hl=hl,
         ledger=ledger, sim=sim, workload=workload, obs=obs, tracer=tracer,
@@ -289,20 +283,15 @@ def build_baseline_simulation(
     net: Network,
     *,
     workload: Optional[Workload] = None,
-    daemon: Optional[Daemon] = None,
     seed: int = 0,
     routing_mode: str = "selfstab",
     routing_corruption: Optional[Dict] = None,
     atomic_moves: bool = True,
-    obs: Optional[object] = None,
-    tracer: Optional[object] = None,
 ) -> Simulation:
     """Assemble the Merlin-Schweitzer baseline under the same
-    routing/daemon machinery as SSMFP.  ``atomic_moves`` selects the MS
-    hosting semantics (see the baseline's module docstring).
-    ``obs``/``tracer`` as in :func:`build_simulation` (the baseline lacks
-    SSMFP's buffer notifiers, so the tracer records the ledger-level
-    lifecycle only)."""
+    routing/daemon machinery as SSMFP (a distributed random daemon seeded
+    with ``seed``).  ``atomic_moves`` selects the MS hosting semantics (see
+    the baseline's module docstring)."""
     from repro.baselines.merlin_schweitzer import MerlinSchweitzerForwarding
 
     routing = _make_routing(net, routing_mode, routing_corruption, seed)
@@ -314,13 +303,10 @@ def build_baseline_simulation(
     protocols: List[Protocol] = (
         [routing, proto] if isinstance(routing, SelfStabilizingBFSRouting) else [proto]
     )
-    if daemon is None:
-        daemon = DistributedRandomDaemon(seed=seed)
-    sim = Simulator(net.n, PriorityStack(protocols), daemon, obs=obs)
-    simulation = Simulation(
-        net=net, routing=routing, forwarding=proto, hl=hl,
-        ledger=ledger, sim=sim, workload=workload, obs=obs, tracer=tracer,
+    sim = Simulator(
+        net.n, PriorityStack(protocols), DistributedRandomDaemon(seed=seed)
     )
-    if tracer is not None:
-        tracer.attach(simulation)
-    return simulation
+    return Simulation(
+        net=net, routing=routing, forwarding=proto, hl=hl,
+        ledger=ledger, sim=sim, workload=workload,
+    )

@@ -76,10 +76,6 @@ class Simulator:
         prebuilt :class:`PriorityStack`.
     daemon:
         The scheduling adversary.
-    strict_hooks:
-        Optional per-step invariant checkers, called after every step with
-        the simulator; used by the core tests to machine-check safety after
-        each atomic step.
     obs:
         Optional metrics registry (:class:`repro.obs.MetricsRegistry`,
         duck-typed so the state model stays import-free of the
@@ -95,7 +91,6 @@ class Simulator:
         n: int,
         protocols: Union[Protocol, Sequence[Protocol], PriorityStack],
         daemon: Daemon,
-        strict_hooks: Optional[Sequence[Callable[["Simulator"], None]]] = None,
         *,
         obs: Optional[Any] = None,
     ) -> None:
@@ -107,7 +102,6 @@ class Simulator:
             self._stack = PriorityStack(list(protocols))
         self._n = n
         self._daemon = daemon
-        self._strict_hooks = list(strict_hooks) if strict_hooks else []
         self._step = 0
         #: The last step of every completed round, in order (the
         #: :class:`~repro.sim.metrics.RoundClock` input): a round completes
@@ -305,8 +299,6 @@ class Simulator:
         self._round_pending -= selection.keys()
 
         self._step += 1
-        for hook in self._strict_hooks:
-            hook(self)
         if obs is not None:
             self._obs_steps.inc()
             self._obs_step_wall.observe(perf_counter() - step_started)
@@ -321,15 +313,13 @@ class Simulator:
         self,
         max_steps: int,
         halt: Optional[Callable[["Simulator"], bool]] = None,
-        raise_on_limit: bool = True,
     ) -> RunResult:
         """Run until the configuration is terminal, ``halt`` returns True,
         or ``max_steps`` elapse.
 
         ``halt`` is evaluated before each step (so a halt condition already
-        true costs zero steps).  If the step budget is exhausted and
-        ``raise_on_limit`` is set, :class:`SimulationLimitExceeded` is
-        raised with diagnostics.
+        true costs zero steps).  If the step budget is exhausted,
+        :class:`SimulationLimitExceeded` is raised with diagnostics.
         """
         halted = False
         for _ in range(max_steps):
@@ -342,7 +332,7 @@ class Simulator:
         else:
             if halt is not None and halt(self):
                 halted = True
-            elif raise_on_limit:
+            else:
                 raise SimulationLimitExceeded(
                     f"no termination within {max_steps} steps "
                     f"({self.round_count} rounds completed); "

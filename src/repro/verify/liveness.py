@@ -37,7 +37,7 @@ reports any livelock already found instead of discarding the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import SelectionOverflow
 from repro.verify.modelcheck import (
@@ -84,7 +84,6 @@ class LivenessChecker:
         make_system,
         max_states: int = 30_000,
         max_selection_width: int = 1024,
-        ignore_pending: Optional[Set[int]] = None,
         log_every: int = 0,
         on_progress=None,
         obs=None,
@@ -92,9 +91,6 @@ class LivenessChecker:
         self._make_system = make_system
         self._max_states = max_states
         self._max_width = max_selection_width
-        #: Processors whose pending submissions do not count as starvation
-        #: (deliberately infinite pressure sources of the test harness).
-        self._ignore_pending = frozenset(ignore_pending or ())
         self._log_every = log_every
         self._on_progress = on_progress
         self._obs = obs
@@ -110,7 +106,7 @@ class LivenessChecker:
         pending_markers = frozenset(
             -(p + 1)
             for p in range(system.proto.net.n)
-            if p not in self._ignore_pending and hl.pending_count(p) > 0
+            if hl.pending_count(p) > 0
         )
         return frozenset(system.proto.ledger.outstanding_uids()) | pending_markers
 

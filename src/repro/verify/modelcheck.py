@@ -52,7 +52,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.invariants import InvariantChecker
 from repro.core.family import ForwardingProtocol
@@ -90,9 +90,6 @@ class ModelCheckResult:
     group_size: int = 1
     #: How the reductions were applied or why they were disabled.
     reduction_note: Optional[str] = None
-    #: The reachable canon set (orbit representatives under symmetry);
-    #: populated only when ``collect_canons=True``.
-    canons: Optional[FrozenSet] = None
 
     @property
     def ok(self) -> bool:
@@ -439,10 +436,6 @@ class ModelChecker:
         passed to ``on_progress`` and mirrored into the ``obs`` metrics
         registry; final totals are exported as ``verify_states_total`` /
         ``verify_dedup_ratio`` (see :class:`ProgressMeter`).
-    collect_canons:
-        Populate :attr:`ModelCheckResult.canons` with the reachable canon
-        set (orbit representatives under symmetry) — the differential
-        oracle's raw material.
     """
 
     def __init__(
@@ -455,7 +448,6 @@ class ModelChecker:
         log_every: int = 0,
         on_progress=None,
         obs=None,
-        collect_canons: bool = False,
     ) -> None:
         # ``engine`` stays only because ``bench/verify.py`` passes it.
         if engine != "snapshot":
@@ -471,7 +463,6 @@ class ModelChecker:
         self._log_every = log_every
         self._on_progress = on_progress
         self._obs = obs
-        self._collect_canons = collect_canons
 
     def _setup_reduction(self, system: _System, result: ModelCheckResult):
         """Validate the requested reductions against the instance (the
@@ -498,6 +489,11 @@ class ModelChecker:
             result.reduction_note = "; ".join(notes)
         return reducer, oracle
 
+    def _visited(self, root_key) -> Set:
+        """The set of canons seen, holding ``root_key``; it lives only as
+        long as one :meth:`run` (a result never holds the state space)."""
+        return {root_key}
+
     def run(self) -> ModelCheckResult:
         """Explore exhaustively; never raises on protocol violations or
         fan-out overflow — violations are collected into the result and an
@@ -517,7 +513,7 @@ class ModelChecker:
         root_key = system.canon(root_vec)
         if reducer is not None:
             root_key = reducer.representative(root_key)
-        seen = {root_key}
+        seen = self._visited(root_key)
         frontier: deque = deque([(root_vec, 0)])
 
         while frontier:
@@ -540,7 +536,5 @@ class ModelChecker:
                 else:
                     seen.add(key)
                     frontier.append((child_vec, child_depth))
-        if self._collect_canons:
-            result.canons = frozenset(seen)
         meter.finish(result.states, result.transitions, result.dedup_hits)
         return result

@@ -348,8 +348,3 @@ class IndependenceOracle:
         home_a = {(pid_a, d) for d in dests_a}
         home_b = {(pid_b, d) for d in dests_b}
         return not (home_b & trail_a) and not (home_a & trail_b)
-
-    def filter(self, selections, enabled, footprints=None):
-        """Split selections into (kept, skipped-count)."""
-        kept = [s for s in selections if self.admissible(s, enabled, footprints)]
-        return kept, len(selections) - len(kept)

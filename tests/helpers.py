@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.app.higher_layer import HigherLayer
 from repro.buffergraph.graph import BufferGraph, BufferId
+from repro.core.invariants import InvariantChecker
 from repro.core.ledger import DeliveryLedger
 from repro.core.protocol import SSMFP
 from repro.core.protocol2 import SSMFP2
-from repro.errors import TopologyError
+from repro.errors import SimulationLimitExceeded, TopologyError
 from repro.network.properties import bfs_distances
+from repro.obs.tracer import MessageTracer
 from repro.routing.analysis import routing_errors
 from repro.routing.static import StaticRouting
+from repro.runtime.transport import TcpTransport
 from repro.statemodel.daemon import Daemon
+from repro.verify.modelcheck import ModelChecker
 
 
 def make_ssmfp(net, routing=None, **kwargs):
@@ -233,3 +238,103 @@ def complete_uids(tracer) -> List[int]:
         for uid in tracer.uids()
         if {"generated", "delivered"} <= {e.kind for e in tracer.timeline(uid)}
     ]
+
+
+# -- Values of product parameters that only tests need ------------------------
+# The product runs one configuration of each of these; a test that needs
+# another gets it here, by subclass or wrapper, never through a product
+# parameter.
+
+
+def after_each_step(simulator, check):
+    """Call ``check()`` after every step ``simulator`` executes (a terminal
+    step executes nothing): wraps the instance's ``step``, the one call
+    :meth:`Simulator.run` and :meth:`Simulation.run` both make.  Returns
+    ``simulator``."""
+    step = simulator.step
+
+    def checked_step():
+        report = step()
+        if not report.terminal:
+            check()
+        return report
+
+    simulator.step = checked_step
+    return simulator
+
+
+def checked(simulation):
+    """A :func:`build_simulation` result that re-checks Lemmas 4-5
+    (:class:`InvariantChecker`) after every step."""
+    after_each_step(simulation.sim, InvariantChecker(simulation.forwarding).check)
+    return simulation
+
+
+class AllMessagesTracer(MessageTracer):
+    """A :class:`MessageTracer` that also traces invalid messages (negative
+    uids, the planted garbage of an arbitrary initial configuration)."""
+
+    def _wants(self, uid: int) -> bool:
+        return True
+
+
+class CanonModelChecker(ModelChecker):
+    """A :class:`ModelChecker` whose result also carries ``canons``: the
+    reachable canon set (orbit representatives under symmetry), the
+    differential oracles' raw material."""
+
+    def _visited(self, root_key):
+        self._seen = super()._visited(root_key)
+        return self._seen
+
+    def run(self):
+        result = super().run()
+        result.canons = frozenset(self._seen)
+        del self._seen
+        return result
+
+
+def ignoring_pending(checker_cls, pids):
+    """``checker_cls`` (a :class:`LivenessChecker`) whose starvation
+    targets leave out the pending submissions of ``pids`` — the
+    deliberately infinite pressure sources of a starvation instance."""
+    markers = frozenset(-(p + 1) for p in pids)
+
+    class Checker(checker_cls):
+        def _node_metadata(self, system):
+            return super()._node_metadata(system) - markers
+
+    return Checker
+
+
+class HostTcpTransport(TcpTransport):
+    """A :class:`TcpTransport` serving only ``local_pids``, so that two of
+    them in one process stand in for two hosts; it reconnects fast, and
+    ``edge_queue`` shrinks its per-edge outbound queue."""
+
+    _BACKOFF_BASE = 0.02
+    _BACKOFF_CAP = 0.1
+
+    def __init__(self, net, ports, local_pids, edge_queue=None):
+        super().__init__(net, ports)
+        self._local_pids = tuple(local_pids)
+        if edge_queue is not None:
+            self._EDGE_QUEUE = edge_queue
+
+    async def start(self) -> None:
+        for pid in self._local_pids:
+            host, port = self.ports[pid]
+            self._servers.append(
+                await asyncio.start_server(self._conn_handler, host=host, port=port)
+            )
+
+
+def run_events(sim, max_events, halt=None) -> bool:
+    """Run a ``MessagePassingSimulator`` like its ``run``, but return False
+    where the event budget runs out (``run`` raises): for the runs whose
+    subject is what a wedged or livelocked network leaves behind."""
+    try:
+        sim.run(max_events, halt=halt)
+    except SimulationLimitExceeded:
+        return False
+    return True

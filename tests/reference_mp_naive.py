@@ -236,7 +236,7 @@ def run_corrupted(topology: str, seed: int) -> Row:
     sim, nodes = build_naive_network(net, seed=seed)
     inject(sim, net.neighbors(0)[0], 0, (OFFER, 0, "phantom", -1, False))
     nodes[max(net.processors())].submit("real", 0)
-    sim.run(300_000, raise_on_limit=False)
+    sim.run(300_000)
     report = judge(nodes)
     return {
         "topology": topology,

@@ -14,9 +14,10 @@ for both protocols and checked three ways:
 * per-pair FIFO — deliveries for each (source, destination) pair arrive
   in generation order (single buffer per hop per destination: no
   overtaking on a fixed routing tree);
-* per-step invariants — ``strict_invariants=True`` installs the
-  :class:`InvariantChecker` hook, so any intermediate configuration that
-  loses or duplicates a valid message fails the run immediately.
+* per-step invariants — ``tests.helpers.checked`` runs the
+  :class:`InvariantChecker` after every step, so any intermediate
+  configuration that loses or duplicates a valid message fails the run
+  immediately.
 """
 
 import pytest
@@ -28,6 +29,8 @@ from repro.network.topologies import (
     star_network,
 )
 from repro.sim.runner import build_simulation, fully_quiescent
+
+from tests.helpers import checked
 
 PROTOCOLS = ("ssmfp", "ssmfp2")
 
@@ -71,14 +74,13 @@ def _run(protocol, net_builder, extra):
     from repro.app.workload import uniform_workload
 
     net = net_builder()
-    sim = build_simulation(
+    sim = checked(build_simulation(
         net,
         workload=uniform_workload(net.n, count=2 * net.n, seed=9),
         protocol=protocol,
         seed=13,
-        strict_invariants=True,
         **extra,
-    )
+    ))
     sim.run(200_000, halt=fully_quiescent)
     return sim
 
@@ -134,14 +136,13 @@ def test_fused_plane_stays_consistent_under_duplication(protocol):
 
     net = line_network(4)
     subs = [(0, 0, "dup", 3), (0, 0, "dup", 3), (0, 1, "dup", 3)]
-    sim = build_simulation(
+    sim = checked(build_simulation(
         net,
         workload=Workload("dup-pairs", subs),
         protocol=protocol,
         seed=21,
         routing_mode="static",
-        strict_invariants=True,
-    )
+    ))
     sim.run(50_000, halt=fully_quiescent)
     assert sim.ledger.all_valid_delivered()
     assert len(sim.ledger.delivered_uids()) == 3

@@ -10,7 +10,7 @@ from repro.network.topologies import line_network, ring_network
 from repro.routing.static import StaticRouting
 from repro.sim.runner import build_baseline_simulation, delivered_and_drained
 from repro.statemodel.composition import PriorityStack
-from repro.statemodel.daemon import DistributedRandomDaemon, SynchronousDaemon
+from repro.statemodel.daemon import SynchronousDaemon
 from repro.statemodel.scheduler import Simulator
 
 
@@ -137,8 +137,7 @@ class TestSplitMode:
             sim = build_baseline_simulation(
                 net, atomic_moves=False,
                 workload=uniform_workload(net.n, 10, seed=seed),
-                routing_mode="static",
-                daemon=DistributedRandomDaemon(seed=seed),
+                routing_mode="static", seed=seed,
             )
             sim.run(60_000, halt=delivered_and_drained, raise_on_limit=False)
             violations += len(sim.ledger.violations)

@@ -16,9 +16,9 @@ import pytest
 
 from repro.core.corruption import plant_invalid_message
 from repro.network.topologies import line_network
-from repro.verify.modelcheck import ModelChecker, _System
+from repro.verify.modelcheck import _System
 
-from tests.helpers import make_ssmfp
+from tests.helpers import CanonModelChecker, make_ssmfp
 from tests.reference_engines import DeepcopyModelChecker
 
 
@@ -98,7 +98,7 @@ class TestCanonStability:
         # Inside the real checker loop: the snapshot engine's one reused
         # (churning) system and the reference explorer's per-state clones
         # must agree on the full reachable canon set.
-        snap = ModelChecker(_make, collect_canons=True).run()
-        deep = DeepcopyModelChecker(_make, collect_canons=True).run()
+        snap = CanonModelChecker(_make).run()
+        deep = DeepcopyModelChecker(_make).run()
         assert snap.canons == deep.canons
         assert (snap.states, snap.transitions) == (deep.states, deep.transitions)

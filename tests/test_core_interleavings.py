@@ -16,15 +16,15 @@ from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import AdversarialScriptDaemon, RoundRobinDaemon
 from repro.statemodel.scheduler import Simulator
 
-from tests.helpers import make_ssmfp
+from tests.helpers import after_each_step, make_ssmfp
 
 
 def scripted_sim(proto, script):
-    return Simulator(
-        proto.net.n,
-        PriorityStack([proto]),
-        AdversarialScriptDaemon(script),
-        strict_hooks=[InvariantChecker(proto).as_hook()],
+    return after_each_step(
+        Simulator(
+            proto.net.n, PriorityStack([proto]), AdversarialScriptDaemon(script)
+        ),
+        InvariantChecker(proto).check,
     )
 
 
@@ -51,9 +51,9 @@ class TestSimultaneousHandshakes:
         for _ in range(5):
             sim.step()
         # Finish under a fair daemon; exactly-once enforced throughout.
-        finisher = Simulator(
-            net.n, PriorityStack([proto]), RoundRobinDaemon(),
-            strict_hooks=[InvariantChecker(proto).as_hook()],
+        finisher = after_each_step(
+            Simulator(net.n, PriorityStack([proto]), RoundRobinDaemon()),
+            InvariantChecker(proto).check,
         )
         for _ in range(2000):
             if proto.ledger.valid_delivered_count == 2:
@@ -153,9 +153,9 @@ class TestStaleCopyRaces:
 
     def test_full_recovery_delivers_exactly_once(self):
         net, proto = self._fig3_with_stale_copy()
-        sim = Simulator(
-            net.n, PriorityStack([proto]), RoundRobinDaemon(),
-            strict_hooks=[InvariantChecker(proto).as_hook()],
+        sim = after_each_step(
+            Simulator(net.n, PriorityStack([proto]), RoundRobinDaemon()),
+            InvariantChecker(proto).check,
         )
         for _ in range(2000):
             if proto.ledger.valid_delivered_count == 1:

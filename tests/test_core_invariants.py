@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.invariants import InvariantChecker
 from repro.errors import InvariantViolation
+from repro.statemodel.composition import PriorityStack
+from repro.statemodel.daemon import SynchronousDaemon
 from repro.statemodel.message import Message
+from repro.statemodel.scheduler import Simulator
 
-from tests.helpers import make_ssmfp
+from tests.helpers import after_each_step, make_ssmfp
 
 
 # Each check alone, over its own walk of the buffers: ``check()`` fuses all
@@ -192,10 +195,14 @@ class TestCheckReachesEveryKind:
         InvariantChecker(proto).check()
 
 
-class TestHookAdapter:
-    def test_as_hook_runs_check(self, line5):
+class TestCheckedSteps:
+    def test_a_checked_step_raises_on_a_lost_message(self, line5):
         proto = make_ssmfp(line5)
         gen(proto, 0, 3)  # lost message
-        hook = InvariantChecker(proto).as_hook()
+        proto.hl.submit(1, "m", 4)  # something to execute
+        sim = after_each_step(
+            Simulator(line5.n, PriorityStack([proto]), SynchronousDaemon()),
+            InvariantChecker(proto).check,
+        )
         with pytest.raises(InvariantViolation):
-            hook(None)
+            sim.step()

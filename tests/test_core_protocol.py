@@ -8,7 +8,7 @@ from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import RoundRobinDaemon, SynchronousDaemon
 from repro.statemodel.scheduler import Simulator
 
-from tests.helpers import make_ssmfp, occupied_in_component
+from tests.helpers import after_each_step, make_ssmfp, occupied_in_component
 
 
 def drive(proto, daemon=None, max_steps=10_000, expect=None):
@@ -74,12 +74,11 @@ class TestEndToEndSmall:
 
     def test_invariants_hold_throughout(self, ring6):
         proto = make_ssmfp(ring6)
-        checker = InvariantChecker(proto)
         for s in ring6.processors():
             proto.hl.submit(s, f"m{s}", (s + 3) % 6)
-        sim = Simulator(
-            ring6.n, PriorityStack([proto]), SynchronousDaemon(),
-            strict_hooks=[checker.as_hook()],
+        sim = after_each_step(
+            Simulator(ring6.n, PriorityStack([proto]), SynchronousDaemon()),
+            InvariantChecker(proto).check,
         )
         for _ in range(5000):
             if proto.ledger.valid_delivered_count >= ring6.n:

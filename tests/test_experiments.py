@@ -142,7 +142,7 @@ class TestFig1:
         assert {"a", "b", "c", "d", "e"}.issubset(names)
 
     def test_render_mentions_buffers(self):
-        out = fig1.render_component("b")
+        out = fig1.render_component()
         assert "b_" in out and "->" in out
 
     def test_one_tree_per_destination_and_a_cycle_when_corrupted(self):
@@ -160,7 +160,7 @@ class TestFig2:
         assert rows[0]["acyclic"] and not rows[1]["acyclic"]
 
     def test_render_has_internal_edges(self):
-        out = fig2.render_component("b")
+        out = fig2.render_component()
         assert "bufR_" in out and "bufE_" in out
 
     def test_two_buffers_per_processor(self):
@@ -189,7 +189,7 @@ class TestFig4:
         assert [r["classified"] for r in fig4.run_fig4_cases()] == [1, 1, 2, 3]
 
     def test_evolution_monotone_delivery(self):
-        rows = fig4.run_fig4_evolution(steps=60)
+        rows = fig4.run_fig4_evolution()
         delivered = [r["delivered"] for r in rows]
         assert delivered == sorted(delivered)
 

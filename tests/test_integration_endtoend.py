@@ -36,7 +36,7 @@ from repro.statemodel.daemon import (
     SynchronousDaemon,
 )
 
-from tests.helpers import LocallyCentralRandomDaemon
+from tests.helpers import LocallyCentralRandomDaemon, checked
 
 TOPOLOGIES = [
     ("line", lambda: line_network(6)),
@@ -56,17 +56,16 @@ TOPOLOGIES = [
 def test_adversarial_initial_configuration_full_stack(name, builder):
     """Corrupted tables + planted garbage + scrambled queues + random
     daemon: every valid message delivered exactly once (strict ledger),
-    every per-step invariant holds (strict hooks)."""
+    every per-step invariant holds (checked after each step)."""
     net = builder()
-    sim = build_simulation(
+    sim = checked(build_simulation(
         net,
         workload=uniform_workload(net.n, count=2 * net.n, seed=11),
         routing_corruption={"kind": "random", "fraction": 1.0, "seed": 11},
         garbage={"fraction": 0.5, "seed": 11},
         scramble_choice_queues=True,
-        strict_invariants=True,
         seed=11,
-    )
+    ))
     sim.run(500_000, halt=fully_quiescent)
     assert sim.ledger.all_valid_delivered()
     assert sim.forwarding.network_is_empty()

@@ -24,7 +24,7 @@ from repro.routing.static import StaticRouting
 from repro.statemodel.message import Message, MessageFactory
 from repro.verify.liveness import LivenessChecker
 
-from tests.helpers import make_ssmfp
+from tests.helpers import ignoring_pending, make_ssmfp
 from tests.reference_engines import DeepcopyLivenessChecker
 
 
@@ -110,11 +110,11 @@ class TestFairLivelocks:
     VICTIM_MARKER = -2  # pending-submission marker for processor 1
 
     def _check(self, policy):
-        return LivenessChecker(
+        # Processor 0 is the deliberately infinite pressure source.
+        return ignoring_pending(LivenessChecker, {0})(
             make_starvation_instance(policy),
             max_states=60_000,
             max_selection_width=4000,
-            ignore_pending={0},  # the deliberately infinite pressure source
         ).run()
 
     def test_fifo_choice_is_starvation_free(self):
@@ -172,11 +172,10 @@ class TestPinnedGraphs:
         ],
     )
     def test_states_transitions_sccs_and_witnesses(self, policy, graph, livelocks):
-        result = LivenessChecker(
+        result = ignoring_pending(LivenessChecker, {0})(
             make_starvation_instance(policy),
             max_states=60_000,
             max_selection_width=4000,
-            ignore_pending={0},
         ).run()
         assert not result.truncated
         assert (result.states, result.transitions, result.sccs) == graph

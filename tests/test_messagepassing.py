@@ -36,7 +36,7 @@ from repro.runtime.conformance import check_events, require_clean_start
 from repro.runtime.hop import RuntimeParams
 from repro.runtime.wire import data_rec
 
-from tests.helpers import inject
+from tests.helpers import inject, run_events
 from tests.reference_mp_naive import ACCEPT, OFFER, build_naive_network
 
 
@@ -95,7 +95,7 @@ class TestEngine:
         net = line_network(2)
         nodes = [EchoNode(p) for p in range(2)]
         sim = MessagePassingSimulator(net, nodes, seed=3)
-        assert sim.run(100)  # fires both actions then quiesces
+        sim.run(100)  # fires both actions then quiesces, or raises
         assert not sim.step()
 
     def test_inject_plants_garbage(self):
@@ -201,7 +201,7 @@ class TestOpenProblemFailures:
             sim, nodes = build_naive_network(net, seed=seed)
             inject(sim, 1, 0, (ACCEPT, 2))  # garbage present from step 0
             nodes[0].submit("m", 2)
-            sim.run(100_000, raise_on_limit=False)
+            sim.run(100_000)
             report = verdict(nodes)
             assert report.ok and report.delivered == 1
             assert report.invalid_delivered == 0
@@ -212,7 +212,7 @@ class TestOpenProblemFailures:
         # Garbage OFFER in the 1 -> 2 channel: node 2 accepts the phantom
         # into bufR_2(2); nobody will ever RELEASE it.
         inject(sim, 1, 2, (OFFER, 2, "phantom", -99, False))
-        sim.run(50_000, raise_on_limit=False)
+        sim.run(50_000)
         rec = nodes[2].buf_r[2]
         assert rec is not None and rec.payload == "phantom"
         assert not rec.released  # wedged forever
@@ -224,7 +224,7 @@ class TestOpenProblemFailures:
         sim, nodes = build_naive_network(net, seed=5)
         inject(sim, 1, 2, (OFFER, 2, "phantom", -99, False))
         nodes[0].submit("real", 2)
-        sim.run(200_000, raise_on_limit=False)
+        sim.run(200_000)
         report = verdict(nodes)
         assert report.generated == 1
         assert report.undelivered  # starved: SP's liveness broken
@@ -307,7 +307,7 @@ def run_hardened(net, submissions, faults, seed, window=32, max_events=500_000,
             and all(n.core.is_idle() for n in nodes)
         )
 
-    done = sim.run(max_events, halt=halt, raise_on_limit=False)
+    done = run_events(sim, max_events, halt=halt)
     return done, sim, nodes, require_clean_start(
         verdict(nodes, expect_generated=len(submissions))
     )
@@ -475,7 +475,7 @@ class TestHardenedPortUnderFaults:
             )
             for src, payload, dest in self.ring_submissions(4, 6):
                 nodes[src].submit(payload, dest)
-            sim.run(200_000, raise_on_limit=False)
+            sim.run(200_000)
             if require_clean_start(verdict(nodes)).violations:
                 violating += 1
         assert violating > 0
@@ -491,7 +491,7 @@ def forged_probe(window, seq, uid, valid):
     for i in range(3):
         nodes[0].submit(f"m{i}", 1)
     inject(sim, 0, 1, data_rec(1, seq, uid, "forged", valid, 0))
-    done = sim.run(100_000, raise_on_limit=False)
+    done = run_events(sim, 100_000)
     return done, verdict(nodes)
 
 

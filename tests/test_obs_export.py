@@ -37,7 +37,7 @@ class TestWriteRead:
 
     def test_rows_keep_their_own_kind(self, tmp_path):
         reg = MetricsRegistry()
-        reg.inc("steps", 5)
+        reg.counter("steps").inc(5)
         path = tmp_path / "m.jsonl"
         write_jsonl(path, reg.rows(), kind="row")
         art = read_artifact(path)

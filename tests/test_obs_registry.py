@@ -51,8 +51,8 @@ class TestRegistry:
 
     def test_conveniences(self):
         reg = MetricsRegistry()
-        reg.inc("hits")
-        reg.inc("hits", 2)
+        reg.counter("hits").inc()
+        reg.counter("hits").inc(2)
         reg.set("depth", 9)
         reg.observe("lat", 0.5)
         assert reg.value("hits") == 3
@@ -64,13 +64,13 @@ class TestRegistry:
 
     def test_counters_iterates_sorted(self):
         reg = MetricsRegistry()
-        reg.inc("b")
-        reg.inc("a", 2)
+        reg.counter("b").inc()
+        reg.counter("a").inc(2)
         assert list(reg.counters()) == [("a", {}, 2), ("b", {}, 1)]
 
     def test_rows_schema_tagged(self):
         reg = MetricsRegistry()
-        reg.inc("n", 3, proto="SSMFP")
+        reg.counter("n", proto="SSMFP").inc(3)
         reg.set("g", 1)
         reg.observe("h", 2.0)
         rows = reg.rows()

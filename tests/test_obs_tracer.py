@@ -11,7 +11,7 @@ from repro.sim.runner import (
     delivered_and_drained,
 )
 
-from tests.helpers import complete_uids
+from tests.helpers import AllMessagesTracer, complete_uids
 
 
 def traced_run(net, *, count=6, seed=1, tracer=None, **kwargs):
@@ -83,7 +83,7 @@ class TestLifecycles:
         _, tracer = traced_run(
             ring_network(5),
             garbage={"fraction": 0.4, "seed": 3},
-            tracer=MessageTracer(include_invalid=True),
+            tracer=AllMessagesTracer(),
         )
         assert any(uid < 0 for uid in tracer.uids())
 
@@ -121,8 +121,8 @@ class TestAttachment:
             net,
             workload=uniform_workload(net.n, 4, seed=2),
             seed=3,
-            tracer=tracer,
         )
+        tracer.attach(sim)
         sim.run(200_000, halt=delivered_and_drained, raise_on_limit=False)
         assert tracer.uids()
         for uid in tracer.uids():

@@ -59,7 +59,8 @@ class TestMessagePassingPort:
             dest = dest if dest < p else dest + 1
             nodes[p].submit(f"m{p}", dest)
             count += 1
-        assert sim.run(2_000_000) and drained(sim)  # quiescent
+        sim.run(2_000_000)  # raises unless quiescent
+        assert drained(sim)
         report = require_clean_start(
             check_events((e for n in nodes for e in n.events), expect_generated=count)
         )
@@ -78,7 +79,8 @@ class TestMessagePassingPort:
             net, StaticRouting(net), seed=seed, params=RuntimeParams(window=window)
         )
         nodes[0].submit("probe", net.n - 1)
-        assert sim.run(2_000_000) and drained(sim)  # quiescent
+        sim.run(2_000_000)  # raises unless quiescent
+        assert drained(sim)
         report = require_clean_start(check_events(
             (e for n in nodes for e in n.events), expect_generated=1
         ))

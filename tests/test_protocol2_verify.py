@@ -12,7 +12,7 @@ from repro.sim.runner import build_simulation, fully_quiescent
 from repro.verify.liveness import LivenessChecker
 from repro.verify.modelcheck import ModelChecker
 
-from tests.helpers import make_ssmfp2
+from tests.helpers import CanonModelChecker, make_ssmfp2
 from tests.reference_engines import (
     CheckedSimulator,
     DeepcopyModelChecker,
@@ -62,16 +62,14 @@ class TestEngineOracles:
     def test_snapshot_matches_deepcopy_canons(self):
         """Bit-equivalence of the reachable sets: the snapshot/restore
         engine and the deepcopy oracle agree canon-for-canon."""
-        snap = ModelChecker(_dup_pair_line3, collect_canons=True).run()
-        deep = DeepcopyModelChecker(_dup_pair_line3, collect_canons=True).run()
+        snap = CanonModelChecker(_dup_pair_line3).run()
+        deep = DeepcopyModelChecker(_dup_pair_line3).run()
         assert snap.ok and deep.ok
         assert snap.canons == deep.canons
 
     def test_por_preserves_the_reachable_set(self):
-        full = ModelChecker(_dup_pair_line3, collect_canons=True).run()
-        por = ModelChecker(
-            _dup_pair_line3, reduction="por", collect_canons=True
-        ).run()
+        full = CanonModelChecker(_dup_pair_line3).run()
+        por = CanonModelChecker(_dup_pair_line3, reduction="por").run()
         assert por.ok
         assert por.canons == full.canons
 

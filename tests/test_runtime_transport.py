@@ -15,6 +15,8 @@ from repro.runtime.transport import (
 )
 from repro.runtime.wire import ack_rec, data_rec, encode_records
 
+from tests.helpers import HostTcpTransport
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -154,7 +156,7 @@ class TestTcpTransport:
         async def body():
             net = line_network(2)
             ports = allocate_ports(net)
-            receiver = TcpTransport(net, ports, local_pids=(1,))
+            receiver = HostTcpTransport(net, ports, local_pids=(1,))
             inbox = asyncio.Queue()
             receiver.bind(1, inbox)
             await receiver.start()
@@ -206,10 +208,7 @@ class TestTcpTransport:
         async def body():
             net = line_network(2)
             ports = allocate_ports(net)
-            sender = TcpTransport(
-                net, ports, local_pids=(0,),
-                backoff_base=0.02, backoff_cap=0.1, edge_queue=4,
-            )
+            sender = HostTcpTransport(net, ports, local_pids=(0,), edge_queue=4)
             sender.bind(0, asyncio.Queue())
             await sender.start()
             try:
@@ -255,15 +254,13 @@ class TestTcpTransport:
         async def body():
             net = line_network(2)
             ports = allocate_ports(net)
-            sender = TcpTransport(
-                net, ports, local_pids=(0,), backoff_base=0.02, backoff_cap=0.1
-            )
+            sender = HostTcpTransport(net, ports, local_pids=(0,))
             sender.bind(0, asyncio.Queue())
             await sender.start()
             batch = [data_rec(1, 1, 3, "late", True)]
             await sender.send(0, 1, batch)  # peer not listening yet
             await asyncio.sleep(0.1)
-            receiver = TcpTransport(net, ports, local_pids=(1,))
+            receiver = HostTcpTransport(net, ports, local_pids=(1,))
             inbox = asyncio.Queue()
             receiver.bind(1, inbox)
             await receiver.start()

@@ -43,7 +43,7 @@ from repro.statemodel.protocol import Protocol
 from repro.verify.liveness import LivenessChecker
 from repro.verify.modelcheck import ModelChecker, _System
 
-from tests.helpers import make_ssmfp, make_ssmfp2
+from tests.helpers import ignoring_pending, make_ssmfp, make_ssmfp2
 from tests.reference_engines import DeepcopyLivenessChecker, DeepcopyModelChecker
 
 
@@ -582,11 +582,10 @@ class TestEngineEquivalence:
         from tests.test_liveness import make_starvation_instance
 
         base, snap = (
-            checker(
+            ignoring_pending(checker, {0})(
                 make_starvation_instance(policy),
                 max_states=60_000,
                 max_selection_width=4000,
-                ignore_pending={0},
             ).run()
             for checker in (DeepcopyLivenessChecker, LivenessChecker)
         )

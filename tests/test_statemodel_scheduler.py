@@ -10,6 +10,8 @@ from repro.statemodel.daemon import Daemon, RoundRobinDaemon, SynchronousDaemon
 from repro.statemodel.protocol import Protocol
 from repro.statemodel.scheduler import Simulator
 
+from tests.helpers import after_each_step
+
 
 class CountUp(Protocol):
     """Every processor increments its own counter up to `limit`."""
@@ -173,12 +175,6 @@ class TestRun:
             sim.run(max_steps=5)
         assert exc.value.steps == 5
 
-    def test_run_budget_soft_mode(self):
-        proto = CountUp(2, limit=10**9)
-        sim = Simulator(2, proto, SynchronousDaemon())
-        result = sim.run(max_steps=5, raise_on_limit=False)
-        assert result.steps == 5
-
     def test_run_terminal(self):
         proto = CountUp(2, limit=2)
         sim = Simulator(2, proto, SynchronousDaemon())
@@ -236,21 +232,25 @@ class TestPriorityComposition:
 
 
 class TestStrictHooks:
+    """The per-step checks of the safety tests (``tests.helpers``
+    ``after_each_step``) hold only while ``run`` steps through the
+    instance's ``step``."""
+
     def test_hook_called_after_each_step(self):
         calls = []
         proto = CountUp(1, limit=3)
-        sim = Simulator(
-            1, proto, SynchronousDaemon(),
-            strict_hooks=[lambda s: calls.append(s.step_count)],
-        )
+        sim = Simulator(1, proto, SynchronousDaemon())
+        after_each_step(sim, lambda: calls.append(sim.step_count))
         sim.run(max_steps=10)
         assert calls == [1, 2, 3]
 
     def test_hook_exception_propagates(self):
-        def boom(_):
+        def boom():
             raise RuntimeError("invariant broken")
 
-        sim = Simulator(1, CountUp(1, limit=1), SynchronousDaemon(), strict_hooks=[boom])
+        sim = after_each_step(
+            Simulator(1, CountUp(1, limit=1), SynchronousDaemon()), boom
+        )
         with pytest.raises(RuntimeError, match="invariant"):
             sim.step()
 

@@ -16,7 +16,7 @@ from repro.network.topologies import (
     ring_network,
     star_network,
 )
-from repro.verify.modelcheck import ModelChecker, _System
+from repro.verify.modelcheck import _System
 from repro.verify.reduction import (
     SymmetryReducer,
     permute_canon,
@@ -24,14 +24,14 @@ from repro.verify.reduction import (
     validate_symmetry,
 )
 
-from tests.helpers import make_ssmfp
+from tests.helpers import CanonModelChecker, make_ssmfp
 from tests.reference_engines import DeepcopyModelChecker
 
 
 def _checker(make, **kw):
     kw.setdefault("max_states", 200_000)
     kw.setdefault("max_selection_width", 20_000)
-    return ModelChecker(make, **kw)
+    return CanonModelChecker(make, **kw)
 
 
 def _root_system(make) -> _System:
@@ -208,8 +208,8 @@ class TestPartialOrderReduction:
         for name, make, _expect in _instances():
             if "line(4)" in name:
                 continue  # ~40 s: tests/slow_gates.py exhausts it under POR
-            base = _checker(make, collect_canons=True).run()
-            por = _checker(make, reduction="por", collect_canons=True).run()
+            base = _checker(make).run()
+            por = _checker(make, reduction="por").run()
             assert base.states == por.states, name
             assert base.canons == por.canons, name
             assert base.truncated == por.truncated, name
@@ -253,8 +253,8 @@ class TestPartialOrderReduction:
             proto.hl.submit(3, "b", 0)
             return proto
 
-        base = _checker(make, collect_canons=True).run()
-        por = _checker(make, reduction="por", collect_canons=True).run()
+        base = _checker(make).run()
+        por = _checker(make, reduction="por").run()
         assert base.canons == por.canons
         assert por.transitions < base.transitions
 
@@ -277,8 +277,8 @@ class TestSymmetryReduction:
         make = TestCanonAlgebra._ring_make()
         system = _root_system(make)
         reducer, _ = validate_symmetry(system.proto, system.canon())
-        base = _checker(make, collect_canons=True).run()
-        sym = _checker(make, reduction="symmetry", collect_canons=True).run()
+        base = _checker(make).run()
+        sym = _checker(make, reduction="symmetry").run()
         quotient = {reducer.representative(c) for c in base.canons}
         assert quotient == sym.canons
 
@@ -332,16 +332,15 @@ def test_differential_oracle_all_configurations(seed):
     clone-per-transition configurations agree on the reachable canon set
     (modulo orbit representatives) and on the violation verdict."""
     make = _random_instance(seed)
-    base = _checker(make, collect_canons=True).run()
+    base = _checker(make).run()
     verdict = bool(base.violations)
     system = _root_system(make)
     reducer, _ = validate_symmetry(system.proto, system.canon())
 
     configs = {
-        "por": _checker(make, reduction="por", collect_canons=True).run(),
-        "symmetry": _checker(make, reduction="symmetry",
-                             collect_canons=True).run(),
-        "full": _checker(make, reduction="full", collect_canons=True).run(),
+        "por": _checker(make, reduction="por").run(),
+        "symmetry": _checker(make, reduction="symmetry").run(),
+        "full": _checker(make, reduction="full").run(),
         "deepcopy": DeepcopyModelChecker(
             make, max_states=200_000, max_selection_width=20_000
         ).run(),
@@ -400,7 +399,7 @@ def test_bench_shapes_exact_counts_and_canon_sets(shape, pinned):
     outside tier-1 — and the same reachable canon set under POR and the
     full reduction (modulo orbit representatives)."""
     make = _small3(shape)
-    base = _checker(make, collect_canons=True).run()
+    base = _checker(make).run()
     assert base.ok
     assert (base.states, base.transitions, base.dedup_hits,
             base.terminal_states) == pinned
@@ -410,7 +409,7 @@ def test_bench_shapes_exact_counts_and_canon_sets(shape, pinned):
         ("por", dict(reduction="por")),
         ("full", dict(reduction="full")),
     ):
-        res = _checker(make, collect_canons=True, **kw).run()
+        res = _checker(make, **kw).run()
         assert res.ok, label
         if label == "full" and reducer is not None:
             assert res.canons == {
