@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import DestId, ProcId
@@ -115,6 +115,20 @@ def hotspot_per_source(messages: int, n: int) -> int:
     CLI, a live cluster and the congestion study size a hotspot from one
     message count."""
     return max(1, messages // max(n - 1, 1))
+
+
+def sized_workload_kwargs(name: str, messages: int, n: int) -> Dict[str, int]:
+    """The kwargs with which workload ``name`` on ``n`` processors offers
+    about ``messages`` messages: the one rule by which ``repro simulate``
+    and a live cluster size a workload from a message count."""
+    if name == "uniform":
+        return {"count": messages}
+    if name == "hotspot":
+        return {"dest": 0, "per_source": hotspot_per_source(messages, n)}
+    raise ConfigurationError(
+        f"unknown workload {name!r} for a live cluster, which sizes its "
+        f"workload from 'messages' alone; supported: ['hotspot', 'uniform']"
+    )
 
 
 def burst_workload(

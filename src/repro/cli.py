@@ -20,10 +20,17 @@ Entry points (also available via ``python -m repro``):
 * ``repro record`` / ``repro verify <record>`` — run a scenario spec on
   the simulator and write its outcome fingerprint; re-run a record and
   check the execution reproduces bit for bit (``repro verify`` without a
-  record model-checks an instance exhaustively instead);
+  record model-checks an instance exhaustively instead; with one, it
+  refuses every model-check flag);
 * ``repro runtime`` — run the protocol *live*: an asyncio cluster over an
   in-memory or TCP transport, optionally behind seeded fault injection,
   judged by the conformance oracle (``docs/runtime.md``).
+
+This module is parsers and dispatch.  A flag several subcommands share is
+declared once; every decision belongs to the layer that owns it (the spec
+validates ``--target``, :mod:`repro.app.workload` sizes a workload from
+``--messages``, each loader of outside input words its own refusal); and
+:func:`main` is the one place an error becomes an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -52,18 +59,38 @@ _TOPOLOGY_ARGS = {
 }
 
 
-def _add_topology_flags(parser, topology: str, **sizes: int) -> None:
-    """``--topology`` and the size flags its builders take, with the
-    subcommand's defaults."""
+class _Parser(argparse.ArgumentParser):
+    """Notes the long flags given on the command line as ``args.flags``
+    (``repro verify <record>`` refuses every one)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        given = sys.argv[1:] if args is None else args
+        namespace.flags = [
+            a.split("=")[0] for a in given if a.startswith("--") and a != "--"
+        ]
+        return namespace, extras
+
+
+def _add_system_flags(parser, topology: str, messages: int, **sizes: int) -> None:
+    """The flags that name one system, with the subcommand's defaults:
+    ``--topology`` and the size flags its builders take, ``--messages``,
+    ``--seed`` and ``--protocol``."""
     parser.add_argument(
         "--topology", default=topology, choices=sorted(_TOPOLOGY_ARGS)
     )
     for flag, default in sizes.items():
         parser.add_argument(f"--{flag}", type=int, default=default)
+    parser.add_argument("--messages", type=int, default=messages)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--protocol", default="ssmfp", metavar="NAME",
+        help="forwarding protocol (registry name; see repro.core.registry)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Snap-stabilizing message forwarding (SSMFP) reproduction",
     )
@@ -73,10 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="regenerate one experiment")
     exp.add_argument("id", help="experiment id (e.g. F3, P5, T1, X1)")
-    exp.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="also write the experiment's tables as a JSONL artifact",
-    )
 
     alla = sub.add_parser("all", help="regenerate every experiment back to back")
     alla.add_argument(
@@ -97,25 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument(
         "record", nargs="?", default=None,
-        help="path to a JSON record; omit to model-check the instance "
-             "described by the flags below instead",
+        help="path to a JSON record (it takes no other flag); omit to "
+             "model-check the instance described by the flags below instead",
     )
-    _add_topology_flags(ver, "line", n=3, rows=2, cols=2, dim=2)
-    ver.add_argument(
-        "--messages", type=int, default=2,
-        help="submissions fed to the instance (round-robin sources, "
-             "seeded random destinations)",
-    )
-    ver.add_argument(
-        "--garbage", type=float, default=0.0,
-        help="fraction of buffers pre-filled with invalid messages",
-    )
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument(
-        "--protocol", default="ssmfp", metavar="NAME",
-        help="forwarding protocol to model-check (registry name; "
-             "see repro.core.registry)",
-    )
+    _add_system_flags(ver, "line", messages=2, n=3, rows=2, cols=2, dim=2)
     ver.add_argument(
         "--reduction", default="none",
         choices=["none", "por", "symmetry", "full"],
@@ -134,10 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--log-every", type=int, default=0, metavar="STATES",
         help="print a progress row every STATES expanded states",
     )
-    ver.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="write verify metrics as a repro.obs/v1 JSONL artifact",
-    )
 
     obs = sub.add_parser(
         "obs", help="inspect schema-versioned JSONL artifacts"
@@ -153,68 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="numeric differences at or below this are ignored",
     )
 
-    scn = sub.add_parser(
-        "scenario",
-        help="run declarative chaos scenarios (docs/scenarios.md)",
-    )
-    scn_sub = scn.add_subparsers(dest="scenario_command", required=True)
-    scn_run = scn_sub.add_parser(
-        "run", help="run one scenario spec (TOML or JSON) once"
-    )
-    scn_run.add_argument("spec", help="path to a scenario spec (.toml/.json)")
-    scn_run.add_argument(
-        "--target", default=None, choices=["simulate", "runtime"],
-        help="override the spec's execution target",
-    )
-    scn_run.add_argument(
-        "--smoke", action="store_true",
-        help="shrink workload and budgets for a fast CI-sized run",
-    )
-    scn_run.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="write the run's metrics + fault timeline as a JSONL artifact",
-    )
-    scn_camp = scn_sub.add_parser(
-        "campaign",
-        help="expand the spec's matrix axes and run the whole family",
-    )
-    scn_camp.add_argument("spec", help="path to a scenario spec (.toml/.json)")
-    scn_camp.add_argument(
-        "--target", default=None, choices=["simulate", "runtime"],
-        help="override the spec's execution target for every run",
-    )
-    scn_camp.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan runs out over N worker processes (default: serial)",
-    )
-    scn_camp.add_argument(
-        "--smoke", action="store_true",
-        help="shrink every run's workload and budgets for CI",
-    )
-    scn_camp.add_argument(
-        "--artifact-dir", default=None, metavar="DIR",
-        help="write one repro.obs/v1 artifact per run into DIR",
-    )
-    scn_camp.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="write the campaign summary as a JSONL artifact",
-    )
-
     run = sub.add_parser(
         "runtime",
         help="run a live asyncio cluster and check conformance",
     )
-    _add_topology_flags(run, "ring", n=8, rows=3, cols=3, dim=3)
-    run.add_argument("--messages", type=int, default=200)
-    run.add_argument(
-        "--workload", default="uniform", choices=["uniform", "hotspot"]
-    )
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--protocol", default="ssmfp", metavar="NAME",
-        help="forwarding protocol the cluster runs (registry name; "
-             "ssmfp2 caps lanes at window 1 — stop-and-wait hops)",
-    )
+    _add_system_flags(run, "ring", messages=200, n=8, rows=3, cols=3, dim=3)
     run.add_argument("--transport", default="local", choices=["local", "tcp"])
     run.add_argument(
         "--port-base", type=int, default=0,
@@ -238,35 +185,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--deadline", type=float, default=60.0, metavar="S")
     run.add_argument(
         "--window", type=int, default=32,
-        help="in-flight DATA window per (edge, destination) lane",
+        help="in-flight DATA window per (edge, destination) lane "
+             "(ssmfp2 caps it at 1: stop-and-wait hops)",
     )
     run.add_argument(
         "--max-batch", type=int, default=64,
         help="max records packed into one wire frame",
     )
-    run.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="write run metrics as a repro.obs/v1 JSONL artifact",
-    )
 
     simp = sub.add_parser("simulate", help="run one simulation")
-    _add_topology_flags(simp, "ring", n=8, rows=3, cols=3, dim=3)
-    simp.add_argument("--messages", type=int, default=20)
-    simp.add_argument(
-        "--workload", default="uniform", choices=["uniform", "hotspot"]
-    )
-    simp.add_argument("--seed", type=int, default=0)
-    simp.add_argument(
-        "--protocol", default="ssmfp", metavar="NAME",
-        help="forwarding protocol to simulate (registry name)",
-    )
+    _add_system_flags(simp, "ring", messages=20, n=8, rows=3, cols=3, dim=3)
     simp.add_argument(
         "--corrupt", default="none", choices=["none", "random", "worst"],
         help="initial routing-table corruption",
-    )
-    simp.add_argument(
-        "--garbage", type=float, default=0.0,
-        help="fraction of buffers pre-filled with invalid messages",
     )
     simp.add_argument(
         "--daemon", default="distributed",
@@ -278,13 +209,57 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print DEST's component every 25 steps",
     )
     simp.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="write metrics and message lifecycles as a JSONL artifact",
-    )
-    simp.add_argument(
         "--timeline", type=int, default=None, metavar="UID",
         help="print the hop-by-hop causal timeline of one message "
              "(0 = every delivered message)",
+    )
+    for each in (run, simp):
+        each.add_argument(
+            "--workload", default="uniform", choices=["uniform", "hotspot"]
+        )
+    for each in (ver, simp):
+        each.add_argument(
+            "--garbage", type=float, default=0.0,
+            help="fraction of buffers pre-filled with invalid messages",
+        )
+
+    # ``scenario run`` and ``scenario campaign`` take one spec the same way.
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("spec", help="path to a scenario spec (.toml/.json)")
+    spec.add_argument(
+        "--target", default=None, metavar="TARGET",
+        help="override the spec's execution target (docs/scenarios.md)",
+    )
+    spec.add_argument(
+        "--smoke", action="store_true",
+        help="shrink workload and budgets for a fast CI-sized run",
+    )
+    for each in (exp, ver, run, simp, spec):
+        each.add_argument(
+            "--jsonl", default=None, metavar="PATH",
+            help="also write what the command reports (tables, metrics, "
+                 "lifecycles, summary rows) as a repro.obs/v1 JSONL artifact",
+        )
+
+    scn = sub.add_parser(
+        "scenario",
+        help="run declarative chaos scenarios (docs/scenarios.md)",
+    )
+    scn_sub = scn.add_subparsers(dest="scenario_command", required=True)
+    scn_sub.add_parser(
+        "run", parents=[spec], help="run one scenario spec (TOML or JSON) once"
+    )
+    scn_camp = scn_sub.add_parser(
+        "campaign", parents=[spec],
+        help="expand the spec's matrix axes and run the whole family",
+    )
+    scn_camp.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="fan runs out over N worker processes (default: serial)",
+    )
+    scn_camp.add_argument(
+        "--artifact-dir", default=None, metavar="DIR",
+        help="write one repro.obs/v1 artifact per run into DIR",
     )
     return parser
 
@@ -301,12 +276,16 @@ def _make_network(args):
     return topology_by_name(args.topology, **_topology_section(args)["kwargs"])
 
 
-def _write_artifact(path: str, rows, **header) -> None:
-    """Write a ``repro.obs/v1`` artifact and say so on stderr."""
+def _write_artifact(args, rows, **meta) -> None:
+    """Write ``rows`` to ``--jsonl`` as a ``repro.obs/v1`` artifact named
+    after the command, its meta the system flags plus ``meta``, and say so
+    on stderr."""
     from repro.obs.export import write_jsonl
 
-    count = write_jsonl(path, rows, **header)
-    print(f"artifact: {path} ({count} rows)", file=sys.stderr)
+    system = ("topology", "protocol", "seed", "messages")
+    meta = {**{key: getattr(args, key) for key in system}, **meta}
+    count = write_jsonl(args.jsonl, rows, name=args.command, meta=meta)
+    print(f"artifact: {args.jsonl} ({count} rows)", file=sys.stderr)
 
 
 def _cmd_list(args) -> int:
@@ -321,18 +300,14 @@ def _cmd_list(args) -> int:
 def _cmd_experiment(args) -> int:
     from repro.experiments.registry import run_experiment
 
-    try:
-        print(run_experiment(args.id, args.jsonl))
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    print(run_experiment(args.id, args.jsonl))
     if args.jsonl:
         print(f"artifact: {args.jsonl}", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from repro.app.workload import hotspot_per_source
+    from repro.app.workload import sized_workload_kwargs
     from repro.scenario import ScenarioSpec
     from repro.sim.runner import delivered_and_drained
     from repro.viz.ascii_art import render_component_state, render_network
@@ -343,13 +318,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError(
             f"--watch {watched} outside topology (n={net.n})"
         )
-    if args.workload == "uniform":
-        workload_kwargs = {"count": args.messages}
-    else:
-        workload_kwargs = {
-            "dest": 0,
-            "per_source": hotspot_per_source(args.messages, net.n),
-        }
+    wl_kwargs = sized_workload_kwargs(args.workload, args.messages, net.n)
     sim_section = {"daemon": {"name": args.daemon.replace("-", "_")}}
     if args.corrupt != "none":
         sim_section["routing"] = {"corruption": {"kind": args.corrupt}}
@@ -367,7 +336,7 @@ def _cmd_simulate(args) -> int:
             "protocol": args.protocol,
             "seed": args.seed,
             "topology": _topology_section(args),
-            "workload": {"name": args.workload, "kwargs": workload_kwargs},
+            "workload": {"name": args.workload, "kwargs": wl_kwargs},
             "sim": sim_section,
         }
     ).build_simulation(obs=registry, tracer=tracer)
@@ -397,15 +366,7 @@ def _cmd_simulate(args) -> int:
         for uid in uids:
             print(tracer.format_timeline(uid))
     if registry is not None and args.jsonl:
-        _write_artifact(
-            args.jsonl, registry.rows() + tracer.to_rows(), name="simulate",
-            meta={
-                "topology": args.topology,
-                "protocol": args.protocol,
-                "seed": args.seed,
-                "messages": args.messages,
-            },
-        )
+        _write_artifact(args, registry.rows() + tracer.to_rows())
     if not ledger.all_valid_delivered():
         print("WARNING: undelivered messages remain", file=sys.stderr)
         return 1
@@ -425,29 +386,19 @@ def _cmd_all(args) -> int:
 def _cmd_obs(args) -> int:
     from repro.obs.export import diff_artifacts, summarize_artifact
 
-    try:
-        if args.obs_command == "summarize":
-            print(summarize_artifact(args.artifact))
-        else:
-            print(diff_artifacts(args.a, args.b, tolerance=args.tolerance))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.obs_command == "summarize":
+        print(summarize_artifact(args.artifact))
+    else:
+        print(diff_artifacts(args.a, args.b, tolerance=args.tolerance))
     return 0
 
 
 def _cmd_record(args) -> int:
     import pathlib
 
-    from repro.scenario import ScenarioSpec, record_scenario
+    from repro.scenario import record_file
 
-    try:
-        record = record_scenario(
-            ScenarioSpec.from_file(args.spec, target="simulate")
-        )
-    except ReproError as exc:
-        print(f"error: spec rejected: {exc}", file=sys.stderr)
-        return 2
+    record = record_file(args.spec)
     out = args.output or (str(pathlib.Path(args.spec).with_suffix("")) + ".record.json")
     pathlib.Path(out).write_text(record.to_json() + "\n")
     print(f"recorded: {out}")
@@ -459,26 +410,14 @@ def _cmd_record(args) -> int:
 def _cmd_verify(args) -> int:
     if args.record is None:
         return _cmd_verify_exhaustive(args)
-    import json
-    import pathlib
-
+    if args.flags:
+        raise ConfigurationError(
+            f"verify <record> takes no model-check flag (a record fixes "
+            f"its own instance), got {', '.join(args.flags)}"
+        )
     from repro.scenario import RunRecord, verify_record
 
-    try:
-        record = RunRecord.from_json(pathlib.Path(args.record).read_text())
-    except OSError as exc:
-        print(f"error: cannot read record: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(
-            f"error: {args.record} is not a run record: {exc}", file=sys.stderr
-        )
-        return 2
-    try:
-        problems = verify_record(record)
-    except ReproError as exc:
-        print(f"error: record's spec no longer runs: {exc}", file=sys.stderr)
-        return 2
+    problems = verify_record(RunRecord.load(args.record))
     if problems:
         for problem in problems:
             print(f"MISMATCH {problem}", file=sys.stderr)
@@ -497,9 +436,11 @@ def _cmd_verify_exhaustive(args) -> int:
     import random as _random
 
     from repro.app.higher_layer import HigherLayer
+    from repro.app.workload import _other
     from repro.core.corruption import plant_invalid_messages
     from repro.core.ledger import DeliveryLedger
     from repro.core.registry import resolve
+    from repro.obs import MetricsRegistry
     from repro.routing.static import StaticRouting
     from repro.verify import LivenessChecker, ModelChecker
 
@@ -519,30 +460,21 @@ def _cmd_verify_exhaustive(args) -> int:
         rng = _random.Random(args.seed)
         for i in range(args.messages):
             src = i % net.n
-            dest = rng.randrange(net.n - 1)
-            if dest >= src:
-                dest += 1
-            proto.hl.submit(src, f"m{i}", dest)
+            proto.hl.submit(src, f"m{i}", _other(rng, net.n, src))
         if args.garbage:
             plant_invalid_messages(
                 proto, seed=args.seed, fill_fraction=args.garbage
             )
         return proto
 
-    on_progress = None
-    if args.log_every:
-        def on_progress(row):
-            print(
-                f"  states={row['states']} frontier={row['frontier']} "
-                f"rate={row['states_per_s']}/s dedup={row['dedup_hits']}",
-                file=sys.stderr,
-            )
-    registry = None
-    if args.jsonl:
-        from repro.obs import MetricsRegistry
+    def on_progress(row):  # the meter calls it only under --log-every
+        print(
+            f"  states={row['states']} frontier={row['frontier']} "
+            f"rate={row['states_per_s']}/s dedup={row['dedup_hits']}",
+            file=sys.stderr,
+        )
 
-        registry = MetricsRegistry()
-
+    registry = MetricsRegistry() if args.jsonl else None
     search = dict(
         max_states=args.max_states,
         max_selection_width=args.max_width,
@@ -580,16 +512,8 @@ def _cmd_verify_exhaustive(args) -> int:
 
     if registry is not None:
         _write_artifact(
-            args.jsonl,
-            registry.rows(),
-            name="verify",
-            meta={
-                "topology": args.topology,
-                "protocol": proto_cls.name,
-                "reduction": args.reduction,
-                "messages": args.messages,
-                "seed": args.seed,
-            },
+            args, registry.rows(),
+            protocol=proto_cls.name, reduction=args.reduction,
         )
 
     if result.violations or (live is not None and live.livelocks):
@@ -640,17 +564,8 @@ def _cmd_runtime(args) -> int:
     print(result.summary())
     if args.jsonl:
         _write_artifact(
-            args.jsonl,
-            result.obs_rows(),
-            name="runtime",
-            meta={
-                "topology": args.topology,
-                "protocol": args.protocol,
-                "transport": args.transport,
-                "messages": args.messages,
-                "seed": args.seed,
-                "partial": result.partial,
-            },
+            args, result.obs_rows(),
+            transport=args.transport, partial=result.partial,
         )
     return 1 if result.partial else 0
 

@@ -16,6 +16,8 @@ import importlib
 import pathlib
 from typing import Dict, Tuple
 
+from repro.errors import ConfigurationError
+
 #: Experiment id -> (one-line description, entry point's dotted path).
 EXPERIMENTS: Dict[str, Tuple[str, str]] = {
     "F1": ("Figure 1: destination-based buffer graph", "fig1.report"),
@@ -50,7 +52,9 @@ def run_experiment(exp_id: str, jsonl_path=None) -> str:
         description, path = EXPERIMENTS[exp_id]
     except KeyError:
         known = ", ".join(EXPERIMENTS)
-        raise KeyError(f"unknown experiment {exp_id!r}; known: {known}") from None
+        raise ConfigurationError(
+            f"unknown experiment {exp_id!r}; known: {known}"
+        ) from None
     module, *attrs = path.split(".")
     entry = importlib.import_module(f"repro.experiments.{module}")
     for attr in attrs:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.obs.registry import SCHEMA
 from repro.sim import reporting
 from repro.sim.stats import summarize
@@ -90,27 +91,31 @@ def write_jsonl(
 def read_artifact(path) -> Artifact:
     """Parse and validate a JSONL artifact.
 
-    Raises :class:`ValueError` on malformed JSON, a missing/unknown schema
-    tag, or a row without a ``kind``.
+    Raises :class:`~repro.errors.ConfigurationError` on an unreadable
+    file, malformed JSON, a missing/unknown schema tag, or a row without a
+    ``kind``.
     """
     artifact = Artifact(path=str(path))
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(str(exc)) from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
+            raise ConfigurationError(f"{path}:{lineno}: not JSON: {exc}") from None
         if not isinstance(row, dict):
-            raise ValueError(f"{path}:{lineno}: row is not an object")
+            raise ConfigurationError(f"{path}:{lineno}: row is not an object")
         if row.get("schema") != SCHEMA:
-            raise ValueError(
+            raise ConfigurationError(
                 f"{path}:{lineno}: schema {row.get('schema')!r} "
                 f"(this reader understands {SCHEMA!r})"
             )
         if "kind" not in row:
-            raise ValueError(f"{path}:{lineno}: row has no 'kind'")
+            raise ConfigurationError(f"{path}:{lineno}: row has no 'kind'")
         if row["kind"] == "header" and artifact.name is None:
             artifact.name = row.get("artifact")
             meta = row.get("meta")

@@ -123,11 +123,7 @@ class MetricsRegistry:
             inst = self._histograms[key] = Histogram()
         return inst
 
-    # -- one-shot conveniences ---------------------------------------------------
-
-    def set(self, name: str, value: float, **labels: object) -> None:
-        """Set the gauge ``name{labels}``."""
-        self.gauge(name, **labels).set(value)
+    # -- one-shot convenience ----------------------------------------------------
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Add one observation to the histogram ``name{labels}``."""

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.app.workload import hotspot_per_source, workload_by_name
+from repro.app.workload import sized_workload_kwargs, workload_by_name
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
@@ -121,24 +121,8 @@ class ClusterSpec:
 
     def build_submissions(self) -> List[Tuple[int, int, Any, int]]:
         net = self.build_network()
-        # ``messages`` is the cluster's one size field: the workload kwargs
-        # it stands for, per workload the cluster can size that way.
-        sized = {
-            "uniform": {"count": self.messages},
-            "hotspot": {
-                "dest": 0,
-                "per_source": hotspot_per_source(self.messages, net.n),
-            },
-        }
-        if self.workload not in sized:
-            raise ConfigurationError(
-                f"unknown workload {self.workload!r} for a live cluster, "
-                f"which sizes its workload from 'messages' alone; "
-                f"supported: {sorted(sized)}"
-            )
-        wl = workload_by_name(
-            self.workload, net.n, self.seed, **sized[self.workload]
-        )
+        kwargs = sized_workload_kwargs(self.workload, self.messages, net.n)
+        wl = workload_by_name(self.workload, net.n, self.seed, **kwargs)
         return list(wl.submissions)
 
     def build_netem(self) -> Optional[NetemConfig]:

@@ -16,7 +16,7 @@ from repro import _lazy_facade
 __getattr__, __dir__ = _lazy_facade(__name__, {
     "actions": "ACTIONS ScheduleEvent validate_schedule",
     "campaign": "CampaignResult expand_matrix run_campaign run_one_scenario",
-    "record": "RunRecord record_scenario verify_record",
+    "record": "RunRecord record_file record_scenario verify_record",
     "result": "ScenarioResult evaluate_pass",
     "runtimedriver": "run_runtime_scenario",
     "simdriver": "run_sim_scenario",
@@ -33,6 +33,7 @@ __all__ = [
     "evaluate_pass",
     "expand_matrix",
     "load_scenario_file",
+    "record_file",
     "record_scenario",
     "run_campaign",
     "run_one_scenario",

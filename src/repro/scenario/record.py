@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List
 
+from repro.errors import ConfigurationError, ReproError
 from repro.scenario.simdriver import run_sim_scenario
 from repro.scenario.spec import ScenarioSpec
 
@@ -50,6 +52,19 @@ class RunRecord:
             )
         return cls(spec=data["spec"], outcome=data.get("outcome", {}))
 
+    @classmethod
+    def load(cls, path) -> "RunRecord":
+        """Read a record file; an unreadable or malformed one is one
+        :class:`ConfigurationError`."""
+        try:
+            return cls.from_json(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read record: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{path} is not a run record: {exc}"
+            ) from None
+
 
 def _fingerprint(spec: ScenarioSpec) -> Dict[str, Any]:
     metrics = run_sim_scenario(spec).metrics
@@ -61,10 +76,23 @@ def record_scenario(spec: ScenarioSpec) -> RunRecord:
     return RunRecord(spec=spec.to_dict(), outcome=_fingerprint(spec))
 
 
+def record_file(path) -> RunRecord:
+    """Record the spec file at ``path`` on the simulator; a spec that
+    does not load or run is one :class:`ConfigurationError`."""
+    try:
+        return record_scenario(ScenarioSpec.from_file(path, target="simulate"))
+    except ReproError as exc:
+        raise ConfigurationError(f"spec rejected: {exc}") from None
+
+
 def verify_record(record: RunRecord) -> List[str]:
     """Re-run a record's spec; return the list of fingerprint mismatches
-    (empty == bit-identical reproduction)."""
-    fresh = _fingerprint(ScenarioSpec.from_dict(record.spec))
+    (empty == bit-identical reproduction).  A spec that no longer runs is
+    one :class:`ConfigurationError`."""
+    try:
+        fresh = _fingerprint(ScenarioSpec.from_dict(record.spec))
+    except ReproError as exc:
+        raise ConfigurationError(f"record's spec no longer runs: {exc}") from None
     problems: List[str] = []
     for key, expected in record.outcome.items():
         got = fresh.get(key)

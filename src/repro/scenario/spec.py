@@ -104,7 +104,7 @@ _TOP_KEYS = frozenset(
 #: Sections naming a builder: topology, workload, sim.daemon.
 _NAMED_KEYS = frozenset({"name", "kwargs"})
 _CLOCK_KEYS = frozenset({"sim_steps_per_unit", "runtime_s_per_unit"})
-_BUDGET_KEYS = frozenset({"max_steps", "wall_s", "messages"})
+_BUDGET_KEYS = frozenset({"max_steps", "wall_s"})
 _PASS_KEYS = frozenset(
     {"deliver_all", "max_duplicates", "max_steps", "max_rounds",
      "max_wall_s", "max_latency_p99_s"}

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
+
+SPECS_DIR = pathlib.Path(__file__).parent.parent / "specs"
 
 
 class TestList:
@@ -151,6 +155,42 @@ class TestFrontDoorsNeverEndInAStackTrace:
         if command == "verify":
             line = _exits_2_with_one_error_line(["verify", "--n", "1"], capsys)
             assert "at least 2 processors" in line and "randrange" not in line
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # The registry's refusal was printed without "error:".
+            (["experiment", "ZZ"], "unknown experiment 'ZZ'"),
+            # --target had its own copy of the spec's targets (an argparse
+            # SystemExit); the spec is the one that refuses it now.
+            (["scenario", "run", str(SPECS_DIR / "flapping_ring_soak.toml"),
+              "--target", "bogus"], "target must be one of"),
+            (["scenario", "campaign", str(SPECS_DIR / "daemon_sweep.json"),
+              "--target", "bogus"], "target must be one of"),
+            (["obs", "summarize", str(SPECS_DIR / "nope.jsonl")], "nope.jsonl"),
+            (["verify", str(SPECS_DIR / "nope.json")], "cannot read record"),
+        ],
+        ids=["experiment", "run-target", "campaign-target", "artifact", "record"],
+    )
+    def test_loader_refusals(self, argv, named, capsys):
+        assert named in _exits_2_with_one_error_line(argv, capsys)
+
+    def test_budgets_messages_in_a_spec_is_one_error_line(self, tmp_path, capsys):
+        # Nothing read budgets.messages: 12 messages ran under a budget of 1.
+        spec = tmp_path / "budget.toml"
+        spec.write_text(
+            'name = "budget"\n'
+            "[topology]\n"
+            'name = "ring"\n'
+            "kwargs = { n = 4 }\n"
+            "[workload]\n"
+            'name = "uniform"\n'
+            "kwargs = { count = 12 }\n"
+            "[budgets]\n"
+            "messages = 1\n"
+        )
+        line = _exits_2_with_one_error_line(["scenario", "run", str(spec)], capsys)
+        assert "['messages']" in line and "'budgets'" in line
 
 
 class TestPooledModesAreGone:

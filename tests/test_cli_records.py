@@ -114,6 +114,35 @@ class TestRecordVerify:
         assert main(["verify", str(out_path)]) == 0
         assert out_path.read_text() == first
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--liveness", "--n", "9", "--reduction", "full",
+             "--max-states", "1"],
+            ["--topology", "ring"], ["--rows", "2"], ["--cols", "2"],
+            ["--dim", "2"], ["--messages", "2"], ["--garbage", "0.5"],
+            ["--seed", "0"], ["--protocol", "ssmfp2"], ["--max-width", "1"],
+            ["--log-every", "5"], ["--jsonl=out.jsonl"], ["--n", "3"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_verify_record_refuses_model_check_flags(
+        self, flags, spec_file, tmp_path, capsys
+    ):
+        # A record fixes its own instance: a model-check flag next to one
+        # was ignored and the run said "verified", even at its default.
+        out_path = tmp_path / "rec.json"
+        assert main(["record", str(spec_file), "-o", str(out_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        for flag in flags:
+            if flag.startswith("--"):
+                assert flag.split("=")[0] in lines[0]
+
 
     def test_chaos_schedule_round_trips(self, tmp_path, capsys):
         # A record covers the timed fault schedule too: same seed, same

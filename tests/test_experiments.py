@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments import (
     ablations,
@@ -70,7 +71,7 @@ class TestRegistry:
         }
 
     def test_unknown_id_raises(self):
-        with pytest.raises(KeyError, match="unknown experiment"):
+        with pytest.raises(ConfigurationError, match="unknown experiment"):
             run_experiment("F9")
 
     def test_dispatch_runs_entry(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs import (
     SCHEMA,
     MetricsRegistry,
@@ -65,25 +66,25 @@ class TestValidation:
         path.write_text(
             json.dumps({"schema": "repro.obs/v999", "kind": "header"}) + "\n"
         )
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ConfigurationError, match="schema"):
             read_artifact(path)
 
     def test_rejects_missing_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"kind": "row"}) + "\n")
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ConfigurationError, match="schema"):
             read_artifact(path)
 
     def test_rejects_missing_kind(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"schema": SCHEMA}) + "\n")
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(ConfigurationError, match="kind"):
             read_artifact(path)
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{nope\n")
-        with pytest.raises(ValueError, match="not JSON"):
+        with pytest.raises(ConfigurationError, match="not JSON"):
             read_artifact(path)
 
 

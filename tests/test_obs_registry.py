@@ -53,7 +53,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("hits").inc()
         reg.counter("hits").inc(2)
-        reg.set("depth", 9)
+        reg.gauge("depth").set(9)
         reg.observe("lat", 0.5)
         assert reg.value("hits") == 3
         assert reg.value("depth") == 9
@@ -71,7 +71,7 @@ class TestRegistry:
     def test_rows_schema_tagged(self):
         reg = MetricsRegistry()
         reg.counter("n", proto="SSMFP").inc(3)
-        reg.set("g", 1)
+        reg.gauge("g").set(1)
         reg.observe("h", 2.0)
         rows = reg.rows()
         assert all(r["schema"] == SCHEMA and r["kind"] == "metric" for r in rows)
