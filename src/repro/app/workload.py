@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import DestId, ProcId
@@ -129,6 +129,19 @@ def sized_workload_kwargs(name: str, messages: int, n: int) -> Dict[str, int]:
         f"unknown workload {name!r} for a live cluster, which sizes its "
         f"workload from 'messages' alone; supported: ['hotspot', 'uniform']"
     )
+
+
+def flood_total(events: Iterable[Any]) -> int:
+    """Messages a chaos schedule's ``flood`` events submit on top of the
+    workload: every target counts them toward its delivery target."""
+    return sum(e.kwargs["count"] for e in events if e.action == "flood")
+
+
+def event_rng(seed: int, index: int) -> random.Random:
+    """The random stream of schedule event ``index`` in a run seeded
+    ``seed``: every target draws the same one, so a ``link_flap`` picks
+    the same edges on each."""
+    return random.Random(seed * 1_000_003 + index)
 
 
 def burst_workload(

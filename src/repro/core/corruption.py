@@ -19,6 +19,7 @@ import random
 from typing import List, Optional
 
 from repro.core.family import ForwardingProtocol
+from repro.errors import check_fraction
 from repro.statemodel.message import Message
 from repro.types import Color, DestId, ProcId
 
@@ -69,8 +70,7 @@ def plant_invalid_messages(
     alphabet) to stress the color/flag machinery.  Returns the number of
     planted messages.
     """
-    if not (0.0 <= fill_fraction <= 1.0):
-        raise ValueError(f"fill_fraction must be in [0, 1], got {fill_fraction}")
+    fill_fraction = check_fraction("fill_fraction", fill_fraction)
     rng = random.Random(seed)
     net = proto.net
     planted = 0

@@ -99,7 +99,7 @@ def read_artifact(path) -> Artifact:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(str(exc)) from None
+        raise ConfigurationError(f"cannot read artifact: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -26,7 +26,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.app.workload import sized_workload_kwargs, workload_by_name
+from repro.app.workload import (
+    event_rng,
+    flood_total,
+    sized_workload_kwargs,
+    workload_by_name,
+)
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
@@ -55,6 +60,9 @@ _SIZE_RANGES = (
     ("messages", "--messages", lambda v: v >= 0, "at least 0"),
     ("deadline", "--deadline", lambda v: v > 0, "positive"),
 )
+#: Longest wait, after the last delivery, for REL/RACK handshakes to
+#: settle so that the network ends empty, not merely delivered (seconds).
+DRAIN_GRACE = 2.0
 
 
 @dataclass
@@ -69,7 +77,6 @@ class ClusterSpec:
     workload: str = "uniform"
     netem: Optional[Dict[str, Any]] = None
     deadline: float = 60.0              #: hard wall-clock budget (seconds)
-    drain_grace: float = 2.0            #: extra wait for handshakes to settle
     port_base: int = 0                  #: 0 = auto-allocate free ports
     tick: float = 0.005
     retry_base: float = 0.05
@@ -79,10 +86,10 @@ class ClusterSpec:
     #: its ``runtime_window_cap`` (:func:`repro.core.registry.runtime_window`).
     window: int = 32
     max_batch: int = 64                 #: max records packed into one frame
-    #: Timed chaos events lowered onto the wall clock by
-    #: :mod:`repro.scenario` — dicts ``{"action", "t0", "t1", ...}``
-    #: (seconds from run start).  Driven by per-event asyncio tasks.
-    chaos: Optional[List[Dict[str, Any]]] = None
+    #: The scenario's validated schedule events
+    #: (:class:`repro.scenario.actions.ScheduleEvent`), their times lowered
+    #: to seconds from run start; one asyncio task drives each.
+    chaos: Optional[List[Any]] = None
 
     def __post_init__(self) -> None:
         self.check_sizes(
@@ -269,20 +276,9 @@ def _build_transport(spec: ClusterSpec, net: Network) -> Transport:
     return base
 
 
-def chaos_extra_messages(chaos: Optional[List[Dict[str, Any]]]) -> int:
-    """Messages that scheduled ``flood`` events will inject on top of the
-    workload — they count toward the delivery target and the conformance
-    oracle's expected-generated total."""
-    return sum(
-        int(event.get("count", 0))
-        for event in chaos or ()
-        if event.get("action") == "flood"
-    )
-
-
 async def _drive_chaos_event(
-    event: Dict[str, Any],
-    index: int,
+    event: Any,
+    seed: int,
     net: Network,
     netem: NetemTransport,
     by_pid: Dict[int, RuntimeNode],
@@ -290,17 +286,14 @@ async def _drive_chaos_event(
 ) -> None:
     """Sleep until the event's window, apply it, undo it at window end.
 
-    One task per event; the scenario layer has already validated actions,
-    nodes and edges and lowered ``at``/``until`` to seconds (``t0``/``t1``
-    from run start).  A scheduled run always has a ``netem`` decorator;
-    its ``force_down`` / ``force_up``, called only here, own edge state.
+    One task per event of a run seeded ``seed``; the scenario layer has
+    already validated actions, nodes and edges and lowered ``at`` /
+    ``until`` / ``period`` / ``down`` to seconds from run start.  A
+    scheduled run always has a ``netem`` decorator; its ``force_down`` /
+    ``force_up``, called only here, own edge state.
     """
-    import random as _random
-
-    action = event["action"]
-    t0 = float(event["t0"])
-    t1 = event.get("t1")
-    hold = max(0.0, float(t1) - t0) if t1 is not None else None
+    action, kwargs = event.action, event.kwargs
+    hold = 0.0 if event.until is None else max(0.0, event.until - event.at)
 
     def log(kind: str, **detail: Any) -> None:
         fault_log.append(
@@ -312,52 +305,49 @@ async def _drive_chaos_event(
             }
         )
 
-    await asyncio.sleep(t0)
+    await asyncio.sleep(event.at)
     if action == "flood":
-        node = by_pid.get(int(event["source"]))
-        count = int(event["count"])
+        source, dest, count = kwargs["source"], kwargs["dest"], kwargs["count"]
+        node = by_pid.get(source)
         if node is not None:
-            prefix = event["payload"]
             for i in range(count):
-                node.submit(f"{prefix}-{index}-{i}", int(event["dest"]))
-        log("flood", source=event["source"], dest=event["dest"], count=count)
+                node.submit(f"{kwargs['payload']}-{event.index}-{i}", dest)
+        log("flood", source=source, dest=dest, count=count)
     elif action == "crash":
-        node = by_pid.get(int(event["node"]))
+        node = by_pid.get(kwargs["node"])
         if node is not None:
             node.pause()
-            log("crash", node=event["node"])
-        await asyncio.sleep(hold or 0.0)
+            log("crash", node=kwargs["node"])
+        await asyncio.sleep(hold)
         if node is not None:
             node.resume()
-            log("restart", node=event["node"])
+            log("restart", node=kwargs["node"])
     elif action == "partition":
-        for u, v in event["edges"]:
-            netem.force_down(int(u), int(v))
-        await asyncio.sleep(hold or 0.0)
-        for u, v in event["edges"]:
-            netem.force_up(int(u), int(v))
+        for u, v in kwargs["edges"]:
+            netem.force_down(u, v)
+        await asyncio.sleep(hold)
+        for u, v in kwargs["edges"]:
+            netem.force_up(u, v)
     elif action == "netem":
         previous = netem.config
-        netem.reconfigure(NetemConfig.from_spec(event["config"]))
-        if hold is not None:
+        netem.reconfigure(NetemConfig.from_spec(kwargs))
+        if event.until is not None:
             await asyncio.sleep(hold)
             netem.reconfigure(previous)
-    elif action == "link_flap":
-        rng = _random.Random(int(event["seed"]))
-        period, down = float(event["period"]), float(event["down"])
-        edges = [tuple(e) for e in event.get("edges") or []] or list(net.edges)
+    else:  # link_flap, the last action the spec admits on this target
+        rng = event_rng(seed, event.index)
+        period, down = kwargs["period"], kwargs["down"]
+        edges = [tuple(e) for e in kwargs.get("edges", ())] or list(net.edges)
         loop = asyncio.get_running_loop()
-        end = loop.time() + (hold if hold is not None else 0.0)
+        end = loop.time() + hold
         while loop.time() < end:
             u, v = edges[rng.randrange(len(edges))]
-            netem.force_down(int(u), int(v))
+            netem.force_down(u, v)
             await asyncio.sleep(min(down, max(0.0, end - loop.time())))
-            netem.force_up(int(u), int(v))
+            netem.force_up(u, v)
             remainder = period - down
             if remainder > 0:
                 await asyncio.sleep(min(remainder, max(0.0, end - loop.time())))
-    else:  # pragma: no cover - the scenario layer validates actions
-        raise ConfigurationError(f"unknown chaos action {action!r}")
 
 
 class _Progress:
@@ -409,10 +399,10 @@ async def _run_nodes(
     chaos_tasks = [
         asyncio.get_running_loop().create_task(
             _drive_chaos_event(
-                dict(event), index, net, netem, by_pid, result.fault_events
+                event, spec.seed, net, netem, by_pid, result.fault_events
             )
         )
-        for index, event in enumerate(spec.chaos or ())
+        for event in spec.chaos or ()
     ]
     deadline = time.monotonic() + spec.deadline
     reached = progress.reached
@@ -453,9 +443,9 @@ async def _run_nodes(
             else:
                 await asyncio.wait(playing, timeout=0.02)
         unfinished = [
-            f"#{index} {event['action']} at {event.get('t0', 0.0)}s"
-            for index, event in enumerate(spec.chaos or ())
-            if not chaos_tasks[index].done()
+            f"#{event.index} {event.action} at {event.at}s"
+            for event, task in zip(spec.chaos or (), chaos_tasks)
+            if not task.done()
         ]
         if unfinished:
             result.errors.append(
@@ -464,7 +454,7 @@ async def _run_nodes(
             )
         # Grace period: let REL/RACK handshakes settle so the network is
         # actually empty, not merely delivered.
-        grace_end = min(time.monotonic() + spec.drain_grace, deadline)
+        grace_end = min(time.monotonic() + DRAIN_GRACE, deadline)
         while time.monotonic() < grace_end:
             if all(node.is_idle() for node in nodes):
                 break
@@ -523,7 +513,7 @@ def run_cluster(spec: ClusterSpec) -> RuntimeResult:
     result = RuntimeResult(spec=spec, report=ConformanceReport())
     net = spec.build_network()
     submissions = spec.build_submissions()
-    target = len(submissions) + chaos_extra_messages(spec.chaos)
+    target = len(submissions) + flood_total(spec.chaos or ())
     progress = _Progress(target)
     nodes: List[RuntimeNode] = []
     transport: Optional[Transport] = None

@@ -98,10 +98,8 @@ class RuntimeParams:
     tick: float = 0.005         #: event-loop heartbeat / stop-poll period
     retry_base: float = 0.05    #: RTO floor (clamps the RFC 6298 estimate)
     retry_cap: float = 0.4      #: RTO ceiling (also caps timeout backoff)
-    rto_initial: float = 0.25   #: RTO before the first RTT sample
     window: int = 32            #: max in-flight DATA per (neighbor, dest) lane
     max_batch: int = 64         #: max records packed into one frame
-    recv_queue: int = 256       #: per-destination reception backlog ceiling
 
 
 @dataclass(slots=True)
@@ -205,6 +203,12 @@ class HopCore:
     themselves.
     """
 
+    #: RTO before the first RTT sample (seconds), clamped to the params'
+    #: floor and ceiling.
+    _RTO_INITIAL = 0.25
+    #: Per-destination reception backlog ceiling (records).
+    _RECV_QUEUE = 256
+
     def __init__(
         self,
         pid: ProcId,
@@ -220,7 +224,7 @@ class HopCore:
         self._rto_floor = max(0.0, self.params.retry_base)
         self._rto_ceil = max(self.params.retry_cap, self._rto_floor)
         self._rto_start = min(
-            max(self.params.rto_initial, self._rto_floor), self._rto_ceil
+            max(self._RTO_INITIAL, self._rto_floor), self._rto_ceil
         )
         #: Released records awaiting forwarding (or delivery), per dest —
         #: sparse: queues exist only for destinations with live traffic.
@@ -337,7 +341,7 @@ class HopCore:
             self.counters["dup_data_acked"] += 1
         elif seq == cum + 1:
             pending = lane.pending
-            if len(pending) + self.fwd.size(d) >= self.params.recv_queue:
+            if len(pending) + self.fwd.size(d) >= self._RECV_QUEUE:
                 # Backpressure: stay silent, the sender's timer retries.
                 self.counters["recv_backpressure"] += 1
                 return
@@ -359,7 +363,7 @@ class HopCore:
                 self.counters["dup_data_acked"] += 1
             elif (
                 len(ooo) + len(lane.pending) + self.fwd.size(d)
-                >= self.params.recv_queue
+                >= self._RECV_QUEUE
             ):
                 self.counters["recv_backpressure"] += 1
                 return

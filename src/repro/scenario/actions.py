@@ -18,8 +18,8 @@ that silently does less than its spec says would be vacuously green.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, check_fraction
 from repro.network.graph import Network
@@ -27,6 +27,8 @@ from repro.types import normalized_edge
 
 #: Keys every schedule event understands besides action kwargs.
 RESERVED_EVENT_KEYS = ("at", "until", "action")
+#: Action kwargs that are durations in time units, lowered with the times.
+_DURATION_KEYS = ("period", "down")
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,21 @@ class ScheduleEvent:
         for key in sorted(self.kwargs):
             out[key] = self.kwargs[key]
         return out
+
+    def on_clock(self, to_clock: Callable[[float], Any]) -> "ScheduleEvent":
+        """This event with every time in it (``at``, ``until``, and the
+        ``period`` / ``down`` durations) lowered from units by ``to_clock``:
+        the one step that puts a schedule on a target's clock."""
+        kwargs = dict(self.kwargs)
+        for key in _DURATION_KEYS:
+            if key in kwargs:
+                kwargs[key] = to_clock(kwargs[key])
+        return replace(
+            self,
+            at=to_clock(self.at),
+            until=None if self.until is None else to_clock(self.until),
+            kwargs=kwargs,
+        )
 
 
 def _err(index: int, message: str) -> ConfigurationError:

@@ -1,9 +1,10 @@
 """Lowering a scenario onto the live-runtime wall clock.
 
 The schedule's abstract time units become seconds from run start
-(``clock.runtime_s_per_unit``); each event becomes one chaos dict on
-:attr:`~repro.runtime.cluster.ClusterSpec.chaos`, driven by a per-event
-asyncio task inside the cluster (:mod:`repro.runtime.cluster`):
+(``clock.runtime_s_per_unit``, :meth:`ScheduleEvent.on_clock`); the
+lowered events go on :attr:`~repro.runtime.cluster.ClusterSpec.chaos` as
+they are, and the cluster drives each one with its own asyncio task
+(:mod:`repro.runtime.cluster`):
 
 * ``link_flap`` / ``partition`` — :class:`NetemTransport` edges forced
   down and back up (the transport logs every transition, mono-stamped);
@@ -20,58 +21,12 @@ primary pass criterion.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
+from repro.app.workload import flood_total
 from repro.scenario.result import ScenarioResult, evaluate_pass
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import RUNTIME_KEYS, ScenarioSpec
 from repro.sim.stats import percentile
-
-
-def lower_runtime_schedule(spec: ScenarioSpec) -> List[Dict[str, Any]]:
-    """The schedule as wall-clock chaos dicts for ``ClusterSpec.chaos``."""
-    chaos: List[Dict[str, Any]] = []
-    for event in spec.schedule:
-        lowered: Dict[str, Any] = {
-            "action": event.action,
-            "t0": round(spec.seconds_at(event.at), 6),
-        }
-        if event.until is not None:
-            lowered["t1"] = round(spec.seconds_at(event.until), 6)
-        if event.action == "link_flap":
-            lowered["period"] = spec.seconds_at(event.kwargs["period"])
-            lowered["down"] = spec.seconds_at(event.kwargs["down"])
-            if event.kwargs.get("edges") is not None:
-                lowered["edges"] = [list(e) for e in event.kwargs["edges"]]
-            lowered["seed"] = spec.seed * 1_000_003 + event.index
-        elif event.action == "partition":
-            lowered["edges"] = [list(e) for e in event.kwargs["edges"]]
-        elif event.action == "crash":
-            lowered["node"] = event.kwargs["node"]
-        elif event.action == "flood":
-            lowered.update(
-                source=event.kwargs["source"],
-                dest=event.kwargs["dest"],
-                count=event.kwargs["count"],
-                payload=event.kwargs["payload"],
-            )
-        elif event.action == "netem":
-            lowered["config"] = dict(event.kwargs)
-        else:  # pragma: no cover - spec validation rejects these
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"action {event.action!r} cannot lower to the runtime"
-            )
-        chaos.append(lowered)
-    return chaos
-
-
-#: ``[runtime]`` keys passed on to :class:`ClusterSpec`, each with its
-#: coercion; a key the spec does not set keeps ClusterSpec's own default.
-_CLUSTER_KEYS = {
-    "transport": str, "drain_grace": float, "port_base": int,
-    "tick": float, "window": int, "max_batch": int,
-}
 
 
 def build_cluster_spec(spec: ScenarioSpec):
@@ -85,12 +40,11 @@ def build_cluster_spec(spec: ScenarioSpec):
         messages=spec.messages(),
         seed=spec.seed,
         workload=spec.workload["name"],
-        netem=extras.get("netem"),
         deadline=float(spec.budgets["wall_s"]),
-        chaos=lower_runtime_schedule(spec),
+        chaos=[event.on_clock(spec.seconds_at) for event in spec.schedule],
         **{
             key: coerce(extras[key])
-            for key, coerce in _CLUSTER_KEYS.items()
+            for key, coerce in RUNTIME_KEYS.items()
             if key in extras
         },
     )
@@ -111,7 +65,7 @@ def run_runtime_scenario(spec: ScenarioSpec) -> ScenarioResult:
         "generated": report.generated,
         "delivered": report.delivered,
         "duplicates": report.duplicates,
-        "expected": spec.messages() + spec.flood_total(),
+        "expected": spec.messages() + flood_total(spec.schedule),
         "elapsed_s": round(result.elapsed_s, 3),
         "faults_injected": len(result.fault_events),
     }

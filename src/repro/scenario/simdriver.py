@@ -46,6 +46,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.app.workload import event_rng, flood_total
 from repro.core.corruption import plant_invalid_message
 from repro.errors import ConfigurationError
 from repro.obs import MessageTracer, MetricsRegistry
@@ -158,15 +159,15 @@ def _lower_schedule(
                 f"schedule[{event.index}]: action {event.action!r} needs "
                 f"routing mode 'selfstab' (static tables cannot be faulted)"
             )
-        rng = random.Random(spec.seed * 1_000_003 + event.index)
-        start = spec.steps_at(event.at)
-        end = spec.steps_at(event.until) if event.until is not None else None
+        rng = event_rng(spec.seed, event.index)
+        event = event.on_clock(spec.steps_at)
+        start, end = event.at, event.until
 
         if event.action == "corrupt_routing":
             fraction = float(event.kwargs["fraction"])
             pulse_steps = [start]
             if end is not None:
-                stride = max(1, spec.steps_at(event.kwargs["period"]))
+                stride = max(1, event.kwargs["period"])
                 pulse_steps = list(range(start, end, stride))
             for step in pulse_steps:
                 def _corrupt(fraction=fraction, rng=rng):
@@ -187,7 +188,7 @@ def _lower_schedule(
                         "fraction": fraction, "planted": planted}
             add(start, _garbage)
         elif event.action == "link_flap":
-            stride = max(1, spec.steps_at(event.kwargs["period"]))
+            stride = max(1, event.kwargs["period"])
             edges = [tuple(e) for e in event.kwargs.get("edges") or []]
             pool = edges or list(simulation.net.edges)
             for step in range(start, end, stride):  # type: ignore[arg-type]
@@ -292,7 +293,7 @@ def run_sim_scenario(spec: ScenarioSpec) -> ScenarioResult:
         "invalid_delivered": ledger.invalid_delivery_count,
         "routing_correct": bool(simulation.routing.is_correct()),
         "duplicates": 0,  # a strict ledger raises on duplicate delivery
-        "expected": simulation.workload.size + spec.flood_total(),
+        "expected": simulation.workload.size + flood_total(spec.schedule),
         "elapsed_s": elapsed,
         "faults_injected": len(fault_events),
     }

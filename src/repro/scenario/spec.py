@@ -117,11 +117,13 @@ _SIM_KEYS = frozenset(
 _ROUTING_KEYS = frozenset({"mode", "corruption"})
 _CORRUPTION_KEYS = frozenset({"kind", "fraction", "seed"})
 _GARBAGE_KEYS = frozenset({"fraction", "seed"})
-#: Runtime-only extras, passed through to :class:`ClusterSpec`.
-_RUNTIME_KEYS = frozenset(
-    {"transport", "window", "max_batch", "netem", "drain_grace", "tick",
-     "port_base"}
-)
+#: Runtime-only extras: the :class:`ClusterSpec` fields a spec may set,
+#: each with its coercion.  A key the spec leaves unset keeps the
+#: ClusterSpec default.
+RUNTIME_KEYS = {
+    "transport": str, "port_base": int, "tick": float, "window": int,
+    "max_batch": int, "netem": copy.deepcopy,
+}
 
 TARGETS = ("simulate", "runtime")
 
@@ -290,7 +292,7 @@ class ScenarioSpec:
             _named("sim.daemon", sim_extras["daemon"])
 
         runtime_extras = data.get("runtime", {})
-        _reject_unknown("runtime", runtime_extras, _RUNTIME_KEYS)
+        _reject_unknown("runtime", runtime_extras, frozenset(RUNTIME_KEYS))
         runtime_extras = dict(runtime_extras)
         from repro.runtime.cluster import ClusterSpec
 
@@ -452,16 +454,9 @@ class ScenarioSpec:
         return max(0, round(units * self.sim_steps_per_unit))
 
     def seconds_at(self, units: float) -> float:
-        """Lower an abstract time to runtime seconds from start."""
-        return max(0.0, units * self.runtime_s_per_unit)
-
-    def flood_total(self) -> int:
-        """Messages scheduled ``flood`` events add on top of the workload."""
-        return sum(
-            int(event.kwargs["count"])
-            for event in self.schedule
-            if event.action == "flood"
-        )
+        """Lower an abstract time to runtime seconds from start, to the
+        microsecond."""
+        return max(0.0, round(units * self.runtime_s_per_unit, 6))
 
     def smoked(self) -> "ScenarioSpec":
         """A budget-capped copy for CI smoke runs: fewer messages, tight
@@ -481,5 +476,5 @@ class ScenarioSpec:
         data["repeat"] = 1
         for event in data["schedule"]:
             if event["action"] == "flood":
-                event["count"] = min(int(event["count"]), 6)
+                event["count"] = min(event["count"], 6)
         return ScenarioSpec.from_dict(data)

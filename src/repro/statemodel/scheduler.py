@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import ScheduleError, SimulationLimitExceeded
 from repro.statemodel.action import Action
@@ -309,42 +309,26 @@ class Simulator:
             round_completed=round_completed,
         )
 
-    def run(
-        self,
-        max_steps: int,
-        halt: Optional[Callable[["Simulator"], bool]] = None,
-    ) -> RunResult:
-        """Run until the configuration is terminal, ``halt`` returns True,
-        or ``max_steps`` elapse.
-
-        ``halt`` is evaluated before each step (so a halt condition already
-        true costs zero steps).  If the step budget is exhausted,
-        :class:`SimulationLimitExceeded` is raised with diagnostics.
-        """
-        halted = False
+    def run(self, max_steps: int) -> RunResult:
+        """Run until the configuration is terminal or ``max_steps`` elapse;
+        an exhausted step budget raises :class:`SimulationLimitExceeded`
+        with diagnostics."""
         for _ in range(max_steps):
-            if halt is not None and halt(self):
-                halted = True
-                break
-            report = self.step()
-            if report.terminal:
+            if self.step().terminal:
                 break
         else:
-            if halt is not None and halt(self):
-                halted = True
-            else:
-                raise SimulationLimitExceeded(
-                    f"no termination within {max_steps} steps "
-                    f"({self.round_count} rounds completed); "
-                    f"rule counts: {self._rule_counts}",
-                    steps=self._step,
-                    rounds=self.round_count,
-                )
+            raise SimulationLimitExceeded(
+                f"no termination within {max_steps} steps "
+                f"({self.round_count} rounds completed); "
+                f"rule counts: {self._rule_counts}",
+                steps=self._step,
+                rounds=self.round_count,
+            )
         return RunResult(
             steps=self._step,
             rounds=self.round_count,
             terminal=self._terminal,
-            halted_by_predicate=halted,
+            halted_by_predicate=False,
             rule_counts=dict(self._rule_counts),
         )
 

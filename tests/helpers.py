@@ -17,6 +17,7 @@ from repro.network.properties import bfs_distances
 from repro.obs.tracer import MessageTracer
 from repro.routing.analysis import routing_errors
 from repro.routing.static import StaticRouting
+from repro.runtime.hop import HopCore
 from repro.runtime.transport import TcpTransport
 from repro.statemodel.daemon import Daemon
 from repro.verify.modelcheck import ModelChecker
@@ -327,6 +328,22 @@ class HostTcpTransport(TcpTransport):
             self._servers.append(
                 await asyncio.start_server(self._conn_handler, host=host, port=port)
             )
+
+
+def tuned_hop_core(
+    *args,
+    rto_initial: float = HopCore._RTO_INITIAL,
+    recv_queue: int = HopCore._RECV_QUEUE,
+) -> HopCore:
+    """A :class:`HopCore` built from ``args`` whose initial RTO and
+    per-destination reception ceiling are ``rto_initial`` / ``recv_queue``
+    instead of the product's constants."""
+    tuned = type(
+        "TunedHopCore",
+        (HopCore,),
+        {"_RTO_INITIAL": rto_initial, "_RECV_QUEUE": recv_queue},
+    )
+    return tuned(*args)
 
 
 def run_events(sim, max_events, halt=None) -> bool:

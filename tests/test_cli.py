@@ -167,7 +167,8 @@ class TestFrontDoorsNeverEndInAStackTrace:
               "--target", "bogus"], "target must be one of"),
             (["scenario", "campaign", str(SPECS_DIR / "daemon_sweep.json"),
               "--target", "bogus"], "target must be one of"),
-            (["obs", "summarize", str(SPECS_DIR / "nope.jsonl")], "nope.jsonl"),
+            (["obs", "summarize", str(SPECS_DIR / "nope.jsonl")],
+             "cannot read artifact"),
             (["verify", str(SPECS_DIR / "nope.json")], "cannot read record"),
         ],
         ids=["experiment", "run-target", "campaign-target", "artifact", "record"],

@@ -9,6 +9,7 @@ from repro.core.corruption import (
     scramble_queues,
 )
 from repro.core.invariants import InvariantChecker
+from repro.errors import ConfigurationError
 
 from tests.helpers import make_ssmfp, occupied_in_component
 
@@ -65,9 +66,13 @@ class TestPlantInvalidMessages:
         assert p1.dump() == p2.dump()
 
     def test_rejects_bad_fraction(self, line5):
+        # The one fraction rule (``errors.check_fraction``): a configuration
+        # error naming the parameter, not a bare ValueError.
         proto = make_ssmfp(line5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"fill_fraction must be in \[0, 1\]"):
             plant_invalid_messages(proto, seed=1, fill_fraction=-0.1)
+        with pytest.raises(ConfigurationError, match="fill_fraction must be a number"):
+            plant_invalid_messages(proto, seed=1, fill_fraction="lots")
 
     def test_always_well_formed(self, ring6):
         proto = make_ssmfp(ring6)

@@ -10,22 +10,24 @@ import random
 
 from repro.network.topologies import line_network
 from repro.routing.static import StaticRouting
-from repro.runtime.hop import HopCore, RuntimeParams, _OutLane
+from repro.runtime.hop import RuntimeParams, _OutLane
 
 from tests import reference_hop
+from tests.helpers import tuned_hop_core
 
 SEQUENCES = 10_000
 FIELDS = ("srtt", "rttvar", "rtt_max", "rto", "samples")
 
 
-def _params(rng: random.Random) -> RuntimeParams:
-    return RuntimeParams(
+def _core_args(rng: random.Random):
+    """``(params, initial RTO)`` of one drawn lane."""
+    params = RuntimeParams(
         # tick on both sides of 4 * rttvar for the RTT scales drawn below
         tick=rng.choice((0.0, 0.0005, 0.002, 0.005, 0.05, 1.0)),
         retry_base=rng.choice((0.0, 0.001, 0.03, 0.05)),
         retry_cap=rng.choice((0.01, 0.2, 0.4, 5.0)),
-        rto_initial=rng.choice((0.0, 0.05, 0.25, 10.0)),
     )
+    return params, rng.choice((0.0, 0.05, 0.25, 10.0))
 
 
 def _rtts(rng: random.Random):
@@ -52,8 +54,11 @@ def test_rtt_sample_equals_the_reference_float_for_float():
             "tick_wins": 0, "spread_wins": 0, "peak_wins": 0}
     for case in range(SEQUENCES):
         rng = random.Random(case)
-        params = _params(rng)
-        new, old = HopCore(0, net, routing, params), HopCore(0, net, routing, params)
+        params, rto_initial = _core_args(rng)
+        new, old = (
+            tuned_hop_core(0, net, routing, params, rto_initial=rto_initial)
+            for _ in range(2)
+        )
         lane = _OutLane(nbr=1, dest=1, rto=new._rto_start)
         ref = _OutLane(nbr=1, dest=1, rto=old._rto_start)
         for rtt in _rtts(rng):

@@ -106,68 +106,34 @@ class TestHarness:
         assert a == b  # identical in every canonical field
 
 
-class TestFairLivelocks:
-    VICTIM_MARKER = -2  # pending-submission marker for processor 1
-
-    def _check(self, policy):
-        # Processor 0 is the deliberately infinite pressure source.
-        return ignoring_pending(LivenessChecker, {0})(
-            make_starvation_instance(policy),
-            max_states=60_000,
-            max_selection_width=4000,
-        ).run()
-
-    def test_fifo_choice_is_starvation_free(self):
-        """The paper's FIFO queue, exhaustively: no weakly-fair cycle
-        keeps the victim's submission (or any generated message)
-        outstanding forever."""
-        result = self._check("fifo")
-        assert not result.truncated
-        assert result.livelocks == [], result.livelocks
-
-    def test_fixed_choice_has_a_fair_livelock(self):
-        """Ablation A2 as a concrete counterexample cycle: under fixed
-        priority the stream is always served first, and the victim's R1
-        never fires along a 783-state weakly-fair SCC."""
-        result = self._check("fixed")
-        assert not result.truncated
-        assert result.livelocks, "expected the A2 starvation cycle"
-        assert any(
-            self.VICTIM_MARKER in ll.starved_uids for ll in result.livelocks
-        )
-
-    def test_aged_choice_trades_generation_fairness_for_speed(self):
-        """A finding about the X2 future-work variant: age priority speeds
-        up in-flight messages (X2's measurement) but a *generation
-        request* has the lowest age, so a persistent stream outranks it
-        forever — the liveness checker finds the starvation cycle the
-        statistical experiments missed."""
-        result = self._check("aged")
-        assert not result.truncated
-        assert result.livelocks
-        assert any(
-            self.VICTIM_MARKER in ll.starved_uids for ll in result.livelocks
-        )
-
-    def test_aged_fair_choice_is_starvation_free(self):
-        """The constructive fix: aging *requests* by waiting time restores
-        starvation-freedom (exhaustively, at scaled-down wait parameters)
-        while X2 shows it keeps the aged policy's speed."""
-        result = self._check("aged_fair")
-        assert not result.truncated
-        assert result.livelocks == [], result.livelocks
-
-
 class TestPinnedGraphs:
     """The reachable graphs of the four policies, bit for bit: the
-    verifier's bookkeeping may get cheaper, the graph may not move."""
+    verifier's bookkeeping may get cheaper, the graph may not move.  A
+    livelock ``(states, starved, cycle)`` with ``starved == (-2,)`` is the
+    victim's pending submission (processor 1) starved forever; processor 0
+    is the deliberately infinite pressure source."""
 
     @pytest.mark.parametrize(
         "policy,graph,livelocks",
         [
+            # The paper's FIFO queue, exhaustively: no weakly-fair cycle
+            # keeps the victim's submission (or any generated message)
+            # outstanding forever.
             ("fifo", (2252, 10420, 1470), []),
+            # Ablation A2 as a concrete counterexample cycle: under fixed
+            # priority the stream is always served first, and the victim's
+            # R1 never fires along a 783-state weakly-fair SCC.
             ("fixed", (6426, 29861, 4862), [(783, (-2,), 3587)]),
+            # A finding about the X2 future-work variant: age priority
+            # speeds up in-flight messages (X2's measurement) but a
+            # *generation request* has the lowest age, so a persistent
+            # stream outranks it forever -- the liveness checker finds the
+            # starvation cycle the statistical experiments missed.
             ("aged", (6426, 29861, 4862), [(783, (-2,), 3587)]),
+            # The constructive fix: aging *requests* by waiting time
+            # restores starvation-freedom (exhaustively, at scaled-down
+            # wait parameters) while X2 shows it keeps the aged policy's
+            # speed.
             ("aged_fair", (14959, 69179, 9303), []),
         ],
     )

@@ -100,21 +100,26 @@ def test_allowlist_is_short_and_explained():
 # test that needs the other value builds it in ``tests/helpers.py``.
 
 #: Parameters with a literal default that no product call site sets, kept on
-#: purpose: ``"callable(parameter)"`` -> reason.
-ALLOWED_VALUES: Dict[str, str] = {
-    "runtime.transport.allocate_ports(host)": (
+#: purpose: ``("callable(parameter)", ...)`` sharing one reason -> reason.
+ALLOWED_VALUES: Dict[Tuple[str, ...], str] = {
+    ("runtime.transport.allocate_ports(host)",): (
         "a deployment address: loopback is what one machine runs, another "
         "host is a deployment setting"
     ),
-    "verify.modelcheck.ModelChecker(engine)": (
+    ("verify.modelcheck.ModelChecker(engine)",): (
         "the frozen bench/verify.py passes engine=\"snapshot\"; the "
         "parameter leaves with the harness that passes it"
     ),
-    "messagepassing.forwarding.build_mp_network(faults)": (
+    (
+        "messagepassing.forwarding.build_mp_network(faults)",
+        "messagepassing.engine.ChannelFaults(loss)",
+        "messagepassing.engine.ChannelFaults(dup)",
+        "messagepassing.engine.ChannelFaults(reorder)",
+    ): (
         "the message-passing engine's channel adversary; only tests drive "
         "it until a product scenario runs on that engine"
     ),
-    "buffergraph.orientation_cover.greedy_cover(seed)": (
+    ("buffergraph.orientation_cover.greedy_cover(seed)",): (
         "the heuristic's shuffle seed: X1 runs seed 0, the cover tests draw "
         "it to show every shuffled vertex order yields a valid cover"
     ),
@@ -171,11 +176,69 @@ def _is_static(fn: ast.FunctionDef) -> bool:
     )
 
 
+def _dataclass_init(node: ast.ClassDef, state: Set[str]) -> Optional[ast.FunctionDef]:
+    """The ``__init__`` that ``@dataclass`` generates for ``node``, as the
+    syntax of a function: one parameter per annotated field, in order, each
+    with its default.  A field in ``state`` (an attribute some product code
+    assigns or augments after construction) keeps no literal default: it is
+    state, not an option.  None for a class that is no dataclass or writes
+    its own ``__init__``."""
+    decorated = any(
+        _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+    if not decorated or any(
+        isinstance(sub, ast.FunctionDef) and sub.name == "__init__"
+        for sub in node.body
+    ):
+        return None
+    fields = [
+        sub for sub in node.body
+        if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+    ]
+    args = [ast.arg("self")] + [ast.arg(f.target.id) for f in fields]
+    defaults = [
+        f.value if f.target.id not in state else ast.Name("state")
+        for f in fields
+        if f.value is not None
+    ]
+    return ast.FunctionDef(
+        name="__init__",
+        args=ast.arguments(
+            posonlyargs=[], args=args, kwonlyargs=[], kw_defaults=[],
+            defaults=defaults,
+        ),
+    )
+
+
+def _assigned_attributes(product: Sequence[pathlib.Path]) -> Set[str]:
+    """Every attribute name product code assigns or augments
+    (``result.note = ...``, ``report.duplicates += ...``)."""
+    names: Set[str] = set()
+    for base in product:
+        for path in base.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                    if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                    else []
+                )
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute):
+                            names.add(sub.attr)
+    return names
+
+
 class _Surface:
     """Every public callable of ``src`` with a literal-defaulted parameter,
-    indexed by the bare name a call site uses."""
+    indexed by the bare name a call site uses.  A dataclass's generated
+    ``__init__`` reads its fields; attributes in ``state`` are not options
+    (:func:`_dataclass_init`)."""
 
-    def __init__(self, src: pathlib.Path):
+    def __init__(self, src: pathlib.Path, state: Set[str]):
+        self.state = state
         self.by_name: Dict[str, List[_Signature]] = {}
         self.bases: Dict[str, List[str]] = {}
         self.inits: Dict[str, _Signature] = {}
@@ -196,6 +259,11 @@ class _Surface:
     def _add_class(self, module: str, node: ast.ClassDef) -> None:
         self.bases[node.name] = [_name(b) for b in node.bases]
         public = not node.name.startswith("_")
+        generated = _dataclass_init(node, self.state)
+        if generated is not None:
+            self.inits[node.name] = _Signature(
+                f"{module}.{node.name}", generated, True
+            )
         for sub in node.body:
             if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -278,26 +346,53 @@ def _dict_keys(node: ast.AST) -> Optional[List[Tuple[str, ast.AST]]]:
 
 def _assigned_keys(name: str, scope: ast.AST) -> List[Tuple[str, ast.AST]]:
     """``(key, value)`` pairs of every dict literal the function (or
-    module) ``scope`` assigns to the variable ``name``."""
-    return [
-        pair
+    module) ``scope`` assigns to the variable ``name``, and of every item
+    it stores into ``name`` under a visible key: a string literal, or a
+    loop variable running over a literal tuple or list."""
+    loops = {
+        node.target.id: node.iter.elts
         for node in ast.walk(scope)
-        if isinstance(node, ast.Assign)
-        and any(getattr(target, "id", None) == name for target in node.targets)
-        for pair in _dict_keys(node.value) or ()
-    ]
+        if isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, (ast.Tuple, ast.List))
+    }
+    pairs: List[Tuple[str, ast.AST]] = []
+    for node in ast.walk(scope):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if getattr(target, "id", None) == name:
+                pairs += _dict_keys(node.value) or ()
+            elif (
+                isinstance(target, ast.Subscript)
+                and getattr(target.value, "id", None) == name
+            ):
+                key = target.slice
+                keys = loops.get(key.id, ()) if isinstance(key, ast.Name) else [key]
+                pairs += [
+                    (k.value, node.value)
+                    for k in keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                ]
+    return pairs
 
 
-def _scoped(tree: ast.Module) -> Iterator[Tuple[ast.AST, ast.AST]]:
-    """``(node, innermost enclosing function or module)`` for every node of
-    ``tree``."""
-    stack = [(tree, tree)]
+def _scoped(
+    tree: ast.Module,
+) -> Iterator[Tuple[ast.AST, ast.AST, Optional[str]]]:
+    """``(node, innermost enclosing function or module, innermost
+    enclosing class name)`` for every node of ``tree``."""
+    stack: List[Tuple[ast.AST, ast.AST, Optional[str]]] = [(tree, tree, None)]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     while stack:
-        node, scope = stack.pop()
-        yield node, scope
+        node, scope, klass = stack.pop()
+        yield node, scope, klass
         for child in ast.iter_child_nodes(node):
-            functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            stack.append((child, child if isinstance(child, functions) else scope))
+            stack.append((
+                child,
+                child if isinstance(child, functions) else scope,
+                child.name if isinstance(child, ast.ClassDef) else klass,
+            ))
 
 
 def _given(sig: _Signature, call: ast.Call, scope: ast.AST) -> Set[str]:
@@ -345,34 +440,42 @@ def unset_parameters(
 
     A call site gives a parameter by keyword, by position, or through a
     ``**`` dict whose keys are visible in the same function (a ``{...}`` /
-    ``dict(...)`` literal, or a variable the function assigns one to);
-    passing the default literal does not count.  A class call runs the
+    ``dict(...)`` literal, or a variable the function assigns one to or
+    stores items into under visible keys); passing the default literal
+    does not count.  A classmethod's ``cls(...)`` calls its class, and a
+    class call runs the
     ``__init__`` the class has or inherits (bases resolved by name within
     ``src``).  A callable registered as a value in a product dict literal
     is reached from a spec's ``kwargs`` or ``protocol_options`` -- input
     from outside the program -- so every parameter it has counts as set;
     a callable handed to another call receives that call's keywords (see
-    :func:`_forwarded`).
+    :func:`_forwarded`).  A dataclass's parameters are its fields with
+    literal defaults, less the fields product code writes after
+    construction (:func:`_dataclass_init`).
 
     Known blind spots.  Calls are matched by bare name, like
     :func:`product_orphans`: methods of several classes that share a name
     (``run``) count as one, so a value one class's ``run`` receives hides
     the same parameter of another's.  A ``super().__init__(...)`` call and
-    a dict filled item by item are not read.
+    a dict built by comprehension or filled under a computed key are not
+    read.
     """
-    surface = _Surface(src)
+    surface = _Surface(src, _assigned_attributes(product))
     remaining = surface.public()
     for base in product:
         for path in base.rglob("*.py"):
             tree = ast.parse(path.read_text(), filename=str(path))
-            for node, scope in _scoped(tree):
+            for node, scope, klass in _scoped(tree):
                 if isinstance(node, ast.Dict):
                     for value in node.values:
                         for sig in surface.targets(_name(value)):
                             remaining -= sig.params()
                 if not isinstance(node, ast.Call):
                     continue
-                for sig in surface.targets(_name(node.func)):
+                called = _name(node.func)
+                if called == "cls" and klass is not None:
+                    called = klass  # a classmethod's ``cls(...)``
+                for sig in surface.targets(called):
                     remaining -= {
                         f"{sig.qualified}({p})" for p in _given(sig, node, scope)
                     }
@@ -386,11 +489,12 @@ def unset_parameters(
 
 def test_every_literal_default_has_a_product_caller_that_changes_it():
     unset = unset_parameters()
-    assert unset - set(ALLOWED_VALUES) == set(), (
+    allowed = {param for params in ALLOWED_VALUES for param in params}
+    assert unset - allowed == set(), (
         "parameters no product caller sets: inline the default, and give "
         "tests the other value through tests/helpers.py"
     )
-    assert set(ALLOWED_VALUES) - unset == set(), (
+    assert allowed - unset == set(), (
         "allowlisted parameters that a product caller now sets: drop them "
         "from ALLOWED_VALUES"
     )
@@ -418,15 +522,17 @@ class Sub(Base):
 '''
 
 
-def _unset(tmp_path, product_code: str, test_code: str = "") -> Set[str]:
-    """The value rule over a synthetic ``src`` (:data:`_LIBRARY`), one
-    product module and one test module that is not product."""
+def _unset(
+    tmp_path, product_code: str, test_code: str = "", library: str = _LIBRARY
+) -> Set[str]:
+    """The value rule over a synthetic ``src`` (``library``), one product
+    module and one test module that is not product."""
     src = tmp_path / "src"
     product = tmp_path / "product"
     tests = tmp_path / "tests"
     for directory in (src, product, tests):
         directory.mkdir(parents=True)
-    (src / "lib.py").write_text(_LIBRARY)
+    (src / "lib.py").write_text(library)
     (product / "main.py").write_text(product_code)
     (tests / "test_lib.py").write_text(test_code)
     return unset_parameters(src, (src, product))
@@ -468,6 +574,33 @@ def test_value_rule_counts_registered_and_forwarded_callables(tmp_path):
     assert _unset(tmp_path, "BUILDERS = {'b': build, 's': Sub}\n") == set()
     forwarded = "def run(make):\n    return make(build, 1, flag=True, level=3)\n"
     assert _unset(tmp_path / "forwarded", forwarded + "Sub(knob=2)\n") == set()
+
+
+def test_value_rule_reads_a_dataclass_s_fields(tmp_path):
+    # The generated __init__ has one parameter per field.  ``size`` and
+    # ``name`` are set through ``cls(**kwargs)``, its dict filled item by
+    # item; ``rate`` only by a test; and ``hits``, which product code
+    # augments after construction, is state rather than an option.
+    library = (
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass\n"
+        "class Knobs:\n"
+        "    name: str = 'k'\n"
+        "    size: int = 4\n"
+        "    rate: float = 0.5\n"
+        "    hits: int = 0\n"
+        "    log: list = field(default_factory=list)\n\n"
+        "    @classmethod\n"
+        "    def from_spec(cls, spec):\n"
+        "        kwargs = {}\n"
+        "        for key in ('size',):\n"
+        "            kwargs[key] = spec[key]\n"
+        "        kwargs['name'] = spec['name']\n"
+        "        return cls(**kwargs)\n"
+    )
+    product = "knobs = Knobs.from_spec(SPEC)\nknobs.hits += 1\n"
+    unset = _unset(tmp_path, product, "Knobs(rate=0.9)\n", library)
+    assert unset == {"lib.Knobs(rate)"}
 
 
 def test_src_has_no_assert_statement():

@@ -176,15 +176,18 @@ class TestEndOfRunIsSignalled:
         assert progress.reached.is_set() and progress.delivered == 3
         assert _Progress(target=0).reached.is_set()  # nothing to wait for
 
-    def test_run_returns_within_milliseconds_of_the_last_delivery(self):
+    def test_run_returns_within_milliseconds_of_the_last_delivery(
+        self, monkeypatch
+    ):
         import statistics
         import time
 
+        from repro.runtime import cluster
+
+        monkeypatch.setattr(cluster, "DRAIN_GRACE", 0.0)
         gaps = []
         for seed in range(9):
-            result = run_cluster(
-                ring_spec(messages=200, seed=seed, drain_grace=0.0)
-            )
+            result = run_cluster(ring_spec(messages=200, seed=seed))
             returned = time.monotonic()
             assert not result.partial, result.summary()
             last = max(e.mono for e in result.events if e.kind == "delivered")

@@ -24,11 +24,17 @@ from repro.runtime.wire import (
     sack_bitmap,
 )
 
+from tests.helpers import tuned_hop_core
 
-def make_node(pid=1, n=2, **params):
+
+def make_node(pid=1, n=2, rto_initial=HopCore._RTO_INITIAL,
+              recv_queue=HopCore._RECV_QUEUE, **params):
     """A hop core driven by hand: no event loop, no transport, no clock."""
     net = line_network(n)
-    return HopCore(pid, net, StaticRouting(net), RuntimeParams(**params))
+    return tuned_hop_core(
+        pid, net, StaticRouting(net), RuntimeParams(**params),
+        rto_initial=rto_initial, recv_queue=recv_queue,
+    )
 
 
 def handle(node, src, rec, out, now=1.0):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import pathlib
+import random
 
 import pytest
 
@@ -13,7 +15,8 @@ from repro.runtime.cluster import ClusterSpec, run_cluster
 from repro.runtime.netem import NetemConfig, NetemTransport
 from repro.runtime.transport import LocalTransport
 from repro.scenario import ScenarioSpec, run_runtime_scenario
-from repro.scenario.runtimedriver import build_cluster_spec, lower_runtime_schedule
+from repro.scenario.runtimedriver import build_cluster_spec
+from repro.scenario.spec import RUNTIME_KEYS
 
 BASE = {
     "name": "rt-t",
@@ -47,10 +50,13 @@ class TestLowering:
                  "count": 3},
             ]
         )
-        chaos = lower_runtime_schedule(spec)
-        assert chaos[0] == {"action": "crash", "t0": 0.2, "t1": 0.4, "node": 1}
-        assert chaos[1]["t0"] == 0.5
-        assert chaos[1]["count"] == 3
+        crash, flood = build_cluster_spec(spec).chaos
+        assert (crash.index, crash.action, crash.at, crash.until) == (
+            0, "crash", 0.2, 0.4
+        )
+        assert crash.kwargs == {"node": 1}
+        assert (flood.index, flood.at, flood.until) == (1, 0.5, None)
+        assert flood.kwargs["count"] == 3
 
     def test_cluster_spec_carries_chaos_and_deadline(self):
         spec = spec_of(
@@ -59,7 +65,7 @@ class TestLowering:
             runtime={"window": 8},
         )
         cluster = build_cluster_spec(spec)
-        assert cluster.chaos and cluster.chaos[0]["action"] == "partition"
+        assert cluster.chaos and cluster.chaos[0].action == "partition"
         assert cluster.deadline == 30.0
         assert cluster.window == 8
         assert cluster.messages == 8
@@ -69,8 +75,7 @@ class TestLowering:
         # spec with no [runtime] section changes none of them.
         cluster = build_cluster_spec(spec_of())
         defaults = {f.name: f.default for f in dataclasses.fields(ClusterSpec)}
-        for key in ("transport", "drain_grace", "port_base", "tick",
-                    "window", "max_batch"):
+        for key in RUNTIME_KEYS:
             assert getattr(cluster, key) == defaults[key], key
 
     def test_chaos_with_multiple_procs_rejected(self):
@@ -169,7 +174,7 @@ class TestLinkFlap:
             schedule=[{"at": 0.0, "until": 1.0, "action": "link_flap",
                        "period": 1.0, "down": 0.4, "edges": [[0, 1]]}],
         )
-        (event,) = lower_runtime_schedule(spec)
+        (event,) = build_cluster_spec(spec).chaos
         clock, waits = [0.0], []
 
         async def sleep(seconds):  # records each wait on a virtual clock
@@ -182,12 +187,56 @@ class TestLinkFlap:
             with monkeypatch.context() as patch:
                 patch.setattr(asyncio.get_running_loop(), "time", lambda: clock[0])
                 patch.setattr(cluster.asyncio, "sleep", sleep)
-                await cluster._drive_chaos_event(event, 0, net, netem, {}, [])
+                await cluster._drive_chaos_event(
+                    event, spec.seed, net, netem, {}, []
+                )
             return [e["action"] for e in netem.fault_events]
 
         assert asyncio.run(body()) == ["link_down", "link_up"]
         # The window start, then 2 ms down and 3 ms up.
         assert waits == [0.0, pytest.approx(0.002), pytest.approx(0.003)]
+
+    def test_a_flap_draws_the_edges_its_seed_and_times_give(self, monkeypatch):
+        # Pinned before chaos events reached the cluster as ScheduleEvents:
+        # the lowered times, the event's seed (7 * 1_000_003 + 0) and the
+        # edges that seed draws over the flap window on a virtual clock.
+        from repro.app.workload import event_rng
+        from repro.runtime import cluster
+
+        spec = ScenarioSpec.from_file(
+            pathlib.Path(__file__).parent.parent / "specs/flapping_ring_soak.toml",
+            target="runtime",
+        )
+        flap, flood = build_cluster_spec(spec).chaos
+        assert (flap.at, flap.until, flap.kwargs) == (
+            0.25, 1.25, {"period": 0.125, "down": 0.05}
+        )
+        assert event_rng(spec.seed, flap.index).getstate() == (
+            random.Random(7000021).getstate()
+        )
+        assert flood.at == 1.5
+        clock = [0.0]
+
+        async def sleep(seconds):
+            clock[0] += seconds
+
+        async def body():
+            net = spec.build_network()
+            netem = NetemTransport(LocalTransport(net), NetemConfig())
+            with monkeypatch.context() as patch:
+                patch.setattr(asyncio.get_running_loop(), "time", lambda: clock[0])
+                patch.setattr(cluster.asyncio, "sleep", sleep)
+                await cluster._drive_chaos_event(
+                    flap, spec.seed, net, netem, {}, []
+                )
+            return [
+                tuple(e["edge"]) for e in netem.fault_events
+                if e["action"] == "link_down"
+            ]
+
+        assert asyncio.run(body()) == [
+            (1, 2), (2, 3), (2, 3), (2, 3), (2, 3), (6, 7), (5, 6), (1, 2)
+        ]
 
     def test_a_flap_window_takes_only_pool_edges_down_and_back(self):
         pool = [[0, 1], [2, 3]]

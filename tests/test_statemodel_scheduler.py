@@ -161,13 +161,6 @@ class TestRounds:
 
 
 class TestRun:
-    def test_run_halt_predicate(self):
-        proto = CountUp(2, limit=100)
-        sim = Simulator(2, proto, SynchronousDaemon())
-        result = sim.run(max_steps=1000, halt=lambda s: proto.values[0] >= 5)
-        assert result.halted_by_predicate
-        assert proto.values[0] == 5
-
     def test_run_raises_on_budget(self):
         proto = CountUp(2, limit=10**9)
         sim = Simulator(2, proto, SynchronousDaemon())
