@@ -1,32 +1,28 @@
-"""An asynchronous message-passing simulator.
+"""An asynchronous message-passing simulator for the hop protocol.
 
 Model: nodes connected by one FIFO channel per directed edge.  An
 adversarial (seeded) scheduler repeatedly picks either
 
-* a nonempty channel, delivering its head to the receiver's
-  ``on_message``, or
-* an enabled *local action* of some node (generation, buffer commits,
-  timeouts — whatever the node protocol exposes).
+* a nonempty channel, handing its head to the receiver's
+  :class:`~repro.runtime.hop.HopCore`, or
+* the timer of a node whose core holds anything: the node's virtual clock
+  moves one ``params.tick`` forward and the core fires its rules, owed
+  ACKs and expired timers.
 
-Handlers send by calling :meth:`MPNode.send`; sends are enqueued on the
-outgoing channel (asynchrony: delivery happens whenever the scheduler gets
-around to it).  Channels default to reliable FIFO — the weakest
-assumptions under which the fault-free port works — but the interesting
-adversary is weaker still: :class:`ChannelFaults` makes delivery *lossy*
-(the head is consumed but never handed over), *duplicating* (the head is
-handed over and a copy re-enqueued at the tail) and/or *reordering* (a
-random queue position is delivered instead of the head), all driven by the
-simulator's seeded RNG.
-:class:`~repro.messagepassing.forwarding.HopMPNode` runs the live runtime's
-own lane protocol (:mod:`repro.runtime.hop`: sequence numbers,
-retransmission, idempotent acknowledgements) on these channels and stays
-exactly-once.
+Whatever the core emits is enqueued on the outgoing channels (asynchrony:
+delivery happens whenever the scheduler gets around to it).  Channels
+default to reliable FIFO, but the interesting adversary is weaker still:
+:class:`ChannelFaults` makes delivery *lossy* (the head is consumed but
+never handed over), *duplicating* (the head is handed over and a copy
+re-enqueued at the tail) and/or *reordering* (a random queue position is
+delivered instead of the head), all driven by the simulator's seeded RNG.
+Each node is a :class:`~repro.messagepassing.forwarding.HopMPNode`: the
+live runtime's own lane protocol, which stays exactly-once here.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -34,15 +30,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError, SimulationLimitExceeded
 from repro.network.graph import Network
 from repro.types import ProcId
-
-
-@dataclass
-class LocalAction:
-    """One enabled local action of a node: a label plus a thunk."""
-
-    node: ProcId
-    label: str
-    effect: Callable[[], None]
 
 
 @dataclass(frozen=True)
@@ -86,39 +73,13 @@ class Channel:
         return f"Channel({self.src}->{self.dst}, {len(self.queue)} queued)"
 
 
-class MPNode(ABC):
-    """Base class for message-passing protocol nodes.
-
-    Subclasses implement :meth:`on_message` and :meth:`local_actions`;
-    the simulator wires :attr:`_send` before the first event.
-    """
-
-    def __init__(self, pid: ProcId) -> None:
-        self.pid = pid
-        self._send: Optional[Callable[[ProcId, ProcId, Any], None]] = None
-
-    def send(self, to: ProcId, payload: Any) -> None:
-        """Enqueue ``payload`` on the channel to neighbor ``to``."""
-        if self._send is None:
-            raise ConfigurationError("node is not attached to a simulator")
-        self._send(self.pid, to, payload)
-
-    @abstractmethod
-    def on_message(self, frm: ProcId, payload: Any) -> None:
-        """Handle one delivered message."""
-
-    @abstractmethod
-    def local_actions(self) -> List[LocalAction]:
-        """Currently enabled local actions (may be empty)."""
-
-
 class MessagePassingSimulator:
-    """Drives nodes and channels under an adversarial seeded scheduler."""
+    """Drives the cores and channels under an adversarial seeded scheduler."""
 
     def __init__(
         self,
         net: Network,
-        nodes: List[MPNode],
+        nodes: List[Any],
         seed: int = 0,
         faults: Optional[ChannelFaults] = None,
     ) -> None:
@@ -134,8 +95,6 @@ class MessagePassingSimulator:
         for u, v in net.edges:
             self.channels[(u, v)] = Channel(u, v)
             self.channels[(v, u)] = Channel(v, u)
-        for node in nodes:
-            node._send = self._enqueue
         self.events = 0
         self.delivered_messages = 0
         self.lost_messages = 0
@@ -158,30 +117,34 @@ class MessagePassingSimulator:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _choices(self) -> List[Tuple[str, Any]]:
-        options: List[Tuple[str, Any]] = [
-            ("deliver", c) for c in self.channels.values() if c.queue
-        ]
-        for node in self.nodes:
-            for action in node.local_actions():
-                options.append(("local", action))
-        return options
-
     def step(self) -> bool:
-        """One scheduler event; False if nothing is enabled (quiescent)."""
-        options = self._choices()
+        """One scheduler event; False if nothing is enabled (quiescent).
+
+        The enabled events, in this order: every nonempty channel (edge
+        order), then every node whose core is not idle (pid order)."""
+        options: List[Any] = [c for c in self.channels.values() if c.queue]
+        options += [node for node in self.nodes if not node.core.is_idle()]
         if not options:
             return False
-        kind, chosen = self._rng.choice(options)
-        if kind == "deliver":
-            self._deliver(chosen)
+        chosen = self._rng.choice(options)
+        out: List[Tuple[ProcId, Dict[str, Any]]] = []
+        if chosen.__class__ is Channel:
+            node = self.nodes[chosen.dst]
+            node.core.on_records(chosen.src, self._take(chosen), node.now, out)
         else:
-            chosen.effect()
+            node = chosen
+            node.now += node.core.params.tick
+            node.core.advance(node.now, out)
+        for nbr, rec in out:
+            # Channels carry values: the core rewrites a pending record's
+            # release watermark in place when it retransmits.
+            self._enqueue(node.core.pid, nbr, dict(rec))
         self.events += 1
         return True
 
-    def _deliver(self, channel: Channel) -> None:
-        """Deliver one message off a channel, through the fault model."""
+    def _take(self, channel: Channel) -> Tuple[Any, ...]:
+        """Dequeue one message off ``channel`` through the fault model: the
+        messages this delivery hands over, none if it is lost."""
         faults = self.faults
         rng = self._rng
         queue = channel.queue
@@ -194,12 +157,12 @@ class MessagePassingSimulator:
             payload = queue.popleft()
         if faults.loss and rng.random() < faults.loss:
             self.lost_messages += 1
-            return
+            return ()
         if faults.dup and rng.random() < faults.dup:
             queue.append(payload)
             self.duplicated_messages += 1
         self.delivered_messages += 1
-        self.nodes[channel.dst].on_message(channel.src, payload)
+        return (payload,)
 
     def run(
         self,

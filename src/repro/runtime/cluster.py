@@ -44,8 +44,9 @@ from repro.runtime.conformance import (
     require_clean_start,
 )
 from repro.runtime.netem import NetemConfig, NetemTransport
-from repro.runtime.hop import MAX_WINDOW, RuntimeParams
+from repro.runtime.hop import RuntimeParams
 from repro.runtime.node import RuntimeNode
+from repro.runtime.sizes import check_sizes
 from repro.runtime.transport import (
     LocalTransport,
     TcpTransport,
@@ -53,13 +54,6 @@ from repro.runtime.transport import (
     allocate_ports,
 )
 
-#: The sizes a live cluster can honour: ``(field, CLI flag, test, wanted)``.
-_SIZE_RANGES = (
-    ("window", "--window", lambda v: 1 <= v <= MAX_WINDOW, f"in 1..{MAX_WINDOW}"),
-    ("max_batch", "--max-batch", lambda v: v >= 1, "at least 1"),
-    ("messages", "--messages", lambda v: v >= 0, "at least 0"),
-    ("deadline", "--deadline", lambda v: v > 0, "positive"),
-)
 #: Longest wait, after the last delivery, for REL/RACK handshakes to
 #: settle so that the network ends empty, not merely delivered (seconds).
 DRAIN_GRACE = 2.0
@@ -68,7 +62,8 @@ DRAIN_GRACE = 2.0
 @dataclass
 class ClusterSpec:
     """Everything needed to run one live cluster.  A size the runtime
-    cannot honour (:meth:`check_sizes`) is refused at construction."""
+    cannot honour (:func:`~repro.runtime.sizes.check_sizes`) is refused at
+    construction."""
 
     topology: Dict[str, Any]
     messages: int = 100
@@ -92,25 +87,12 @@ class ClusterSpec:
     chaos: Optional[List[Any]] = None
 
     def __post_init__(self) -> None:
-        self.check_sizes(
+        check_sizes(
             window=self.window,
             max_batch=self.max_batch,
             messages=self.messages,
             deadline=self.deadline,
         )
-
-    @staticmethod
-    def check_sizes(**sizes: Any) -> None:
-        """Raise :class:`ConfigurationError` for any given size out of its
-        range: ``window`` in 1..``MAX_WINDOW`` (the SACK bitmap width),
-        ``max_batch`` ≥ 1, ``messages`` ≥ 0, ``deadline`` > 0.  The one
-        check behind ``repro runtime`` and a scenario's ``[runtime]``."""
-        for name, flag, ok, wanted in _SIZE_RANGES:
-            if name in sizes and not ok(sizes[name]):
-                raise ConfigurationError(
-                    f"runtime {name} ({flag}) must be {wanted}, "
-                    f"got {sizes[name]!r}"
-                )
 
     def build_network(self) -> Network:
         return topology_by_name(

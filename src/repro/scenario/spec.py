@@ -294,9 +294,9 @@ class ScenarioSpec:
         runtime_extras = data.get("runtime", {})
         _reject_unknown("runtime", runtime_extras, frozenset(RUNTIME_KEYS))
         runtime_extras = dict(runtime_extras)
-        from repro.runtime.cluster import ClusterSpec
+        from repro.runtime.sizes import check_sizes
 
-        ClusterSpec.check_sizes(**{
+        check_sizes(**{
             key: runtime_extras[key]
             for key in ("window", "max_batch")
             if key in runtime_extras

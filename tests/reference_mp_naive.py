@@ -28,21 +28,27 @@ executable here.  The product's port is :class:`HopCore` behind
 Nodes log generations and deliveries as
 :class:`~repro.runtime.conformance.RuntimeEvent` rows, judged after the run
 by :func:`~repro.runtime.conformance.check_events`.
+
+The product's engine schedules ``HopCore`` timers; this port schedules
+labelled local actions instead, so it carries its own small driver,
+:class:`NaiveSimulator`, over the engine's channels, ``ChannelFaults``
+delivery and run loop.
 """
 
 from __future__ import annotations
 
 import itertools
+from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.experiments.sweep import Row, network_of
 from repro.messagepassing.engine import (
+    Channel,
     ChannelFaults,
-    LocalAction,
     MessagePassingSimulator,
-    MPNode,
 )
 from repro.network.graph import Network
 from repro.network.properties import all_pairs_distances
@@ -63,6 +69,71 @@ OFFER, ACCEPT, RELEASE = "OFFER", "ACCEPT", "RELEASE"
 
 #: The topologies of the naive port's X3 tables (EXPERIMENTS.md).
 TOPOLOGIES = ("line(6)", "ring(6)", "star(6)", "grid(2x3)")
+
+
+@dataclass
+class LocalAction:
+    """One enabled local action of a node: a label plus a thunk."""
+
+    node: ProcId
+    label: str
+    effect: Callable[[], None]
+
+
+class MPNode(ABC):
+    """Base class for the naive port's nodes.
+
+    Subclasses implement :meth:`on_message` and :meth:`local_actions`;
+    :class:`NaiveSimulator` wires :attr:`_send` before the first event.
+    """
+
+    def __init__(self, pid: ProcId) -> None:
+        self.pid = pid
+        self._send: Optional[Callable[[ProcId, ProcId, Any], None]] = None
+
+    def send(self, to: ProcId, payload: Any) -> None:
+        """Enqueue ``payload`` on the channel to neighbor ``to``."""
+        if self._send is None:
+            raise ConfigurationError("node is not attached to a simulator")
+        self._send(self.pid, to, payload)
+
+    @abstractmethod
+    def on_message(self, frm: ProcId, payload: Any) -> None:
+        """Handle one delivered message."""
+
+    @abstractmethod
+    def local_actions(self) -> List[LocalAction]:
+        """Currently enabled local actions (may be empty)."""
+
+
+class NaiveSimulator(MessagePassingSimulator):
+    """The engine's channels, fault model and run loop, scheduling the naive
+    nodes' local actions where the product schedules ``HopCore`` timers."""
+
+    def __init__(
+        self, net: Network, nodes: List[MPNode], seed: int = 0,
+        faults: Optional[ChannelFaults] = None,
+    ) -> None:
+        super().__init__(net, nodes, seed=seed, faults=faults)
+        for node in nodes:
+            node._send = self._enqueue
+
+    def step(self) -> bool:
+        """One scheduler event over every nonempty channel (edge order),
+        then every node's enabled local actions (pid order)."""
+        options: List[Any] = [c for c in self.channels.values() if c.queue]
+        for node in self.nodes:
+            options += node.local_actions()
+        if not options:
+            return False
+        chosen = self._rng.choice(options)
+        if chosen.__class__ is Channel:
+            for payload in self._take(chosen):
+                self.nodes[chosen.dst].on_message(chosen.src, payload)
+        else:
+            chosen.effect()
+        self.events += 1
+        return True
 
 
 @dataclass
@@ -183,12 +254,12 @@ class MPForwardingNode(MPNode):
 
 def build_naive_network(
     net: Network, seed: int = 0, faults: Optional[ChannelFaults] = None,
-) -> Tuple[MessagePassingSimulator, List[MPForwardingNode]]:
+) -> Tuple[NaiveSimulator, List[MPForwardingNode]]:
     """The naive port on every processor of ``net`` (static routing)."""
     routing = StaticRouting(net)
     uids = itertools.count(1)
     nodes = [MPForwardingNode(p, net, routing, uids) for p in net.processors()]
-    return MessagePassingSimulator(net, nodes, seed=seed, faults=faults), nodes
+    return NaiveSimulator(net, nodes, seed=seed, faults=faults), nodes
 
 
 def judge(nodes: List[MPForwardingNode]) -> ConformanceReport:

@@ -277,13 +277,17 @@ class TestStaticNetemKnobsMeetTheOneRangeRule:
 
 class TestClusterSizesMeetTheOneRangeRule:
     """``[runtime] window`` / ``max_batch`` go through the check behind
-    ``repro runtime``'s flags (``ClusterSpec.check_sizes``): at parse
-    time, before any run, whichever target the spec names."""
+    ``repro runtime``'s flags (``repro.runtime.sizes.check_sizes``): at
+    parse time, before any run, whichever target the spec names."""
 
     @pytest.mark.parametrize("target", ["simulate", "runtime"])
     @pytest.mark.parametrize(
         "runtime, names",
-        [({"max_batch": 0}, "max_batch"), ({"window": 65}, "window")],
+        [
+            ({"max_batch": 0}, "max_batch"),
+            ({"window": 65}, "window"),
+            ({"window": "abc"}, "window"),
+        ],
     )
     def test_cluster_sizes_checked_at_parse_time(
         self, runtime, names, target, tmp_path, capsys

@@ -71,6 +71,19 @@ class TestFootprint:
         """)
         assert under(out["loaded"], STATE_MODEL) == []
 
+    def test_a_simulate_only_spec_parse_loads_no_live_runtime(self):
+        out = repro_modules(f"""
+            from repro.scenario.spec import ScenarioSpec
+            ScenarioSpec.from_file({str(SRC.parent / "specs" / "clean_grid.json")!r})
+            out["asyncio"] = ["asyncio"] if "asyncio" in sys.modules else []
+        """)
+        assert out["asyncio"] == []
+        live = tuple(
+            f"repro.runtime.{name}"
+            for name in ("cluster", "node", "transport", "netem")
+        )
+        assert under(out["loaded"], live) == []
+
     def test_help_loads_no_experiment_or_state_model(self):
         out = repro_modules("""
             import runpy

@@ -17,13 +17,8 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.messagepassing.engine import (
-    ChannelFaults,
-    LocalAction,
-    MessagePassingSimulator,
-    MPNode,
-)
-from repro.messagepassing.forwarding import build_mp_network
+from repro.messagepassing.engine import ChannelFaults, MessagePassingSimulator
+from repro.messagepassing.forwarding import HopMPNode, build_mp_network
 from repro.network.topologies import (
     grid_network,
     line_network,
@@ -40,68 +35,85 @@ from tests.helpers import inject, run_events
 from tests.reference_mp_naive import ACCEPT, OFFER, build_naive_network
 
 
-class EchoNode(MPNode):
-    """Test node: counts receptions; one local action until fired."""
+def hop_network(net, seed=0, faults=None, routing=None):
+    """The product's port on ``net`` (static routing unless given)."""
+    return build_mp_network(
+        net, routing or StaticRouting(net), seed=seed, faults=faults
+    )
 
-    def __init__(self, pid):
-        super().__init__(pid)
-        self.received = []
-        self.fired = False
 
-    def on_message(self, frm, payload):
-        self.received.append((frm, payload))
+def arrivals(node):
+    """Every ``(sender, record)`` the simulator hands ``node``'s core, in
+    order; the core still handles each."""
+    got = []
+    on_records = node.core.on_records
 
-    def local_actions(self):
-        if self.fired:
-            return []
+    def watched(src, records, now, out):
+        got.extend((src, rec) for rec in records)
+        on_records(src, records, now, out)
 
-        def effect():
-            self.fired = True
+    node.core.on_records = watched
+    return got
 
-        return [LocalAction(self.pid, "fire", effect)]
+
+def drain_channels(sim):
+    while sim.in_flight():
+        sim.step()
 
 
 class TestEngine:
     def test_node_count_checked(self):
         net = line_network(3)
+        node = HopMPNode(0, net, StaticRouting(net))
         with pytest.raises(ConfigurationError, match="one node per"):
-            MessagePassingSimulator(net, [EchoNode(0)], seed=0)
+            MessagePassingSimulator(net, [node], seed=0)
 
     def test_send_requires_edge(self):
+        class Teleport(StaticRouting):
+            def next_hop(self, p, d):
+                return d  # 0 -> 2 on line(3) is no edge
+
         net = line_network(3)
-        nodes = [EchoNode(p) for p in range(3)]
-        sim = MessagePassingSimulator(net, nodes, seed=0)
+        sim, nodes = hop_network(net, routing=Teleport(net))
+        nodes[0].submit("m", 2)
         with pytest.raises(ConfigurationError, match="not an edge"):
-            nodes[0].send(2, "x")
+            sim.run(10)
+        with pytest.raises(ConfigurationError, match="not an edge"):
+            inject(sim, 0, 2, "x")
 
     def test_fifo_per_channel(self):
-        net = line_network(2)
-        nodes = [EchoNode(p) for p in range(2)]
-        sim = MessagePassingSimulator(net, nodes, seed=1)
-        nodes[0].send(1, "first")
-        nodes[0].send(1, "second")
-        while sim.in_flight():
-            sim.step()
-        assert [p for _, p in nodes[1].received] == ["first", "second"]
+        # Garbage records: the core drops each, so no timer ever fires.
+        sim, nodes = hop_network(line_network(2), seed=1)
+        got = arrivals(nodes[1])
+        inject(sim, 0, 1, "first")
+        inject(sim, 0, 1, "second")
+        drain_channels(sim)
+        assert got == [(0, "first"), (0, "second")]
+        assert nodes[1].core.counters["stale_records_dropped"] == 2
+        assert sim.events == 2
 
     def test_local_actions_scheduled(self):
-        net = line_network(2)
-        nodes = [EchoNode(p) for p in range(2)]
-        sim = MessagePassingSimulator(net, nodes, seed=2)
-        sim.run(100)
-        assert all(n.fired for n in nodes)
+        # A node's one local action is its timer, enabled while its core
+        # holds anything.
+        sim, nodes = hop_network(line_network(3), seed=2)
+        nodes[0].submit("m", 1)
+        sim.run(10_000)
+        assert verdict(nodes, expect_generated=1).delivered == 1
+        assert nodes[0].now > 0 and nodes[1].now > 0
+        assert nodes[2].now == 0.0  # idle throughout: its timer never ran
 
     def test_quiescence_detected(self):
-        net = line_network(2)
-        nodes = [EchoNode(p) for p in range(2)]
-        sim = MessagePassingSimulator(net, nodes, seed=3)
-        sim.run(100)  # fires both actions then quiesces, or raises
+        sim, nodes = hop_network(line_network(2), seed=3)
+        nodes[0].submit("m", 1)
+        sim.run(10_000)  # delivers, acknowledges, releases, then quiesces
+        events = sim.events
         assert not sim.step()
+        assert sim.events == events
+        assert sim.in_flight() == 0
+        assert all(node.core.is_idle() for node in nodes)
 
     def test_inject_plants_garbage(self):
-        net = line_network(2)
-        nodes = [EchoNode(p) for p in range(2)]
-        sim = MessagePassingSimulator(net, nodes, seed=4)
+        sim, _ = hop_network(line_network(2), seed=4)
         inject(sim, 0, 1, "garbage")
         assert sim.in_flight() == 1
 
@@ -248,42 +260,36 @@ class TestChannelFaults:
             ChannelFaults(dup=-0.1)
 
     def test_loss_drops_raw_messages(self):
-        net = line_network(2)
-        nodes = [EchoNode(p) for p in range(2)]
-        sim = MessagePassingSimulator(
-            net, nodes, seed=0, faults=ChannelFaults(loss=1.0)
+        sim, nodes = hop_network(
+            line_network(2), seed=0, faults=ChannelFaults(loss=1.0)
         )
+        got = arrivals(nodes[1])
         for i in range(5):
-            nodes[0].send(1, i)
-        while sim.in_flight():
-            sim.step()
-        assert nodes[1].received == []
+            inject(sim, 0, 1, i)
+        drain_channels(sim)
+        assert got == []
         assert sim.lost_messages == 5
 
     def test_dup_redelivers(self):
-        net = line_network(2)
-        nodes = [EchoNode(p) for p in range(2)]
-        sim = MessagePassingSimulator(
-            net, nodes, seed=0, faults=ChannelFaults(dup=0.5)
+        sim, nodes = hop_network(
+            line_network(2), seed=0, faults=ChannelFaults(dup=0.5)
         )
+        got = arrivals(nodes[1])
         for i in range(20):
-            nodes[0].send(1, i)
-        while sim.in_flight():
-            sim.step()
-        assert len(nodes[1].received) == 20 + sim.duplicated_messages
+            inject(sim, 0, 1, i)
+        drain_channels(sim)
+        assert len(got) == 20 + sim.duplicated_messages
         assert sim.duplicated_messages > 0
 
     def test_reorder_breaks_fifo(self):
-        net = line_network(2)
-        nodes = [EchoNode(p) for p in range(2)]
-        sim = MessagePassingSimulator(
-            net, nodes, seed=1, faults=ChannelFaults(reorder=0.9)
+        sim, nodes = hop_network(
+            line_network(2), seed=1, faults=ChannelFaults(reorder=0.9)
         )
+        got = arrivals(nodes[1])
         for i in range(30):
-            nodes[0].send(1, i)
-        while sim.in_flight():
-            sim.step()
-        got = [p for _, p in nodes[1].received]
+            inject(sim, 0, 1, i)
+        drain_channels(sim)
+        got = [p for _, p in got]
         assert sorted(got) == list(range(30))
         assert got != list(range(30))
         assert sim.reordered_messages > 0
@@ -440,19 +446,25 @@ class TestHardenedPortUnderFaults:
         seen = []  # (the object handed over, its deep copy at that moment)
 
         def spy(node):
-            on_message, ship = node.on_message, node._ship
+            core = node.core
+            on_records, advance = core.on_records, core.advance
             mine = set()
 
-            def watched_on_message(frm, payload):
-                seen.append((payload, copy.deepcopy(payload)))
-                mine.add(id(payload))  # kept alive by ``seen``: ids are stable
-                on_message(frm, payload)
-
-            def watched_ship(out):
+            def fresh(out):
                 assert all(id(rec) not in mine for _, rec in out)
-                ship(out)
 
-            node.on_message, node._ship = watched_on_message, watched_ship
+            def watched_on_records(src, records, now, out):
+                for rec in records:
+                    seen.append((rec, copy.deepcopy(rec)))
+                    mine.add(id(rec))  # kept alive by ``seen``: ids are stable
+                on_records(src, records, now, out)
+                fresh(out)
+
+            def watched_advance(now, out):
+                advance(now, out)
+                fresh(out)
+
+            core.on_records, core.advance = watched_on_records, watched_advance
 
         done, sim, nodes, report = run_hardened(
             net, subs, ChannelFaults(dup=0.3, reorder=0.2), seed=3,

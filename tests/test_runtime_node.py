@@ -100,6 +100,28 @@ class TestReceiverWindow:
         assert node.counters["stale_records_dropped"] == 1
         assert (0, 1) not in node._in_lanes or not node._in_lanes[(0, 1)].ooo
 
+    def test_the_last_slot_of_the_horizon_is_held_and_sacked(self):
+        # cum + MAX_WINDOW is still inside the acceptance horizon: the
+        # SACK bitmap's top bit (63) covers it.
+        node = make_node()
+        out = []
+        handle(node, 0, data_rec(1, MAX_WINDOW, 11, "m", True), out)
+        lane = node._in_lanes[(0, 1)]
+        assert lane.cum == 0 and list(lane.ooo) == [MAX_WINDOW]
+        assert node.counters["stale_records_dropped"] == 0
+        advance(node, out)
+        assert sent_kind(out, ACK) == [ack_rec(1, 0, 1 << 63, 0)]
+
+    def test_data_for_destination_n_is_dropped_unacked(self):
+        # Destinations are 0 .. n-1: one for n opens no lane.
+        node = make_node(n=2)
+        out = []
+        handle(node, 0, data_rec(2, 1, 11, "m", True), out)
+        assert node.counters["stale_records_dropped"] == 1
+        assert node._in_lanes == {}
+        advance(node, out)
+        assert out == []
+
     def test_backpressure_stays_silent(self):
         node = make_node(recv_queue=2)
         out = []
