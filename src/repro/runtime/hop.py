@@ -1,17 +1,19 @@
 """The hop protocol: one processor's lanes as a pure state machine.
 
 :class:`HopCore` ports the two-buffer forwarding scheme (the state
-model's rules R1-R6, via the message-passing translation of
-:mod:`repro.messagepassing.forwarding`) to channels that may drop,
-duplicate, delay and reorder records.  It is *sans-IO*: its inputs are
+model's rules R1-R6, via the naive message-passing translation kept in
+``tests/reference_mp_naive.py``) to channels that may drop, duplicate,
+delay and reorder records.  It is *sans-IO*: its inputs are
 :meth:`~HopCore.submit`, :meth:`~HopCore.on_records` and
 :meth:`~HopCore.advance`, its outputs are ``(neighbor, record)`` pairs
 appended to the caller's ``out`` list plus its own event log, counters
 and samples, and every clock reading is an argument.  Two adapters drive
 it: :class:`repro.runtime.node.RuntimeNode` (asyncio inbox, real clocks,
-real transports) and :class:`repro.messagepassing.forwarding.HopMPNode`
-(the seeded ``ChannelFaults`` adversary, a virtual clock) — one protocol,
-tested both deterministically and live.
+real transports) and
+:class:`repro.messagepassing.engine.MessagePassingSimulator`, which
+schedules each :class:`~repro.messagepassing.forwarding.HopMPNode` (a
+core plus its virtual clock) against the seeded ``ChannelFaults``
+adversary — one protocol, tested both deterministically and live.
 
 Every hop lane is a **sliding window**:
 
@@ -147,7 +149,6 @@ class _InLane:
     ooo: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     #: in-order accepted DATA dicts (ascending ``s``) not yet released.
     pending: Deque[Dict[str, Any]] = field(default_factory=deque)
-    ack_due: bool = False
     coalesced: int = 0  #: DATA records covered since the last ACK went out
 
 
@@ -374,7 +375,6 @@ class HopCore:
             # Beyond the window: forged, wildly reordered, or stale.
             self.counters["stale_records_dropped"] += 1
             return
-        lane.ack_due = True
         self._ack_dirty.add(key)
         if rel > lane.rel_cum:  # a burst carries one level: its head moves it
             self._apply_release(lane, d, rel)
@@ -562,9 +562,6 @@ class HopCore:
         for key in self._ack_dirty:
             src, d = key
             lane = self._in_lanes[key]
-            if not lane.ack_due:
-                continue
-            lane.ack_due = False
             bits = sack_bitmap(lane.cum, lane.ooo) if lane.ooo else 0
             out.append((src, ack_rec(d, lane.cum, bits, lane.rel_cum)))
             self.ack_coalesce.append(lane.coalesced)

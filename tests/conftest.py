@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.helpers import make_ssmfp
-from repro.network.topologies import (
-    grid_network,
-    line_network,
-    paper_figure1_network,
-    paper_figure3_network,
-    ring_network,
-    star_network,
-)
+from repro.network.topologies import line_network, ring_network, star_network
 
 
 @pytest.fixture
@@ -31,27 +23,3 @@ def ring6():
 def star5():
     """Star with center 0 and 4 leaves."""
     return star_network(5)
-
-
-@pytest.fixture
-def grid33():
-    """3x3 mesh."""
-    return grid_network(3, 3)
-
-
-@pytest.fixture
-def fig1_net():
-    """The Figure-1 network (5 processors a..e)."""
-    return paper_figure1_network()
-
-
-@pytest.fixture
-def fig3_net():
-    """The Figure-3 network (4 processors a..d, Δ=3)."""
-    return paper_figure3_network()
-
-
-@pytest.fixture
-def ssmfp_line5(line5):
-    """SSMFP over the 5-path with correct static routing."""
-    return make_ssmfp(line5)

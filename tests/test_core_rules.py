@@ -7,6 +7,7 @@ nextHop_p(d) moves toward d along the path, Δ = 2, colors in {0, 1, 2}.
 
 import pytest
 
+from repro.errors import ReproError
 from repro.network.topologies import line_network, paper_figure3_network
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 
@@ -38,6 +39,15 @@ class TestR1Generation:
     def test_disabled_without_request(self, line5):
         proto = make_ssmfp(line5)
         proto.before_step(0)
+        assert rule(proto, "R1", 0, 3) is None
+
+    def test_disabled_when_the_request_is_down_though_chosen(self, line5):
+        # A start may leave p at the head of its own queue with request_p
+        # false: R1 needs both.
+        proto = make_ssmfp(line5)
+        proto.hl.submit(0, "x", 3)
+        proto.before_step(0)
+        proto.hl.request[0] = False
         assert rule(proto, "R1", 0, 3) is None
 
     def test_disabled_for_wrong_destination(self, line5):
@@ -186,6 +196,16 @@ class TestR4EraseAfterForwarding:
         proto.bufs.set_e(d, s, emitted)
         proto.bufs.set_r(d, p, emitted.forwarded_copy(s))
         return emitted
+
+    def test_erasing_the_last_copy_against_a_foreign_one_is_a_loss(self, line5):
+        # Downstream sits another message with the same (payload, last,
+        # color): R4 confirms against it and the original's last copy goes.
+        proto = make_ssmfp(line5)
+        emitted = self._handshake(proto)
+        foreign = gen(proto, 0, 3, color=1).recolored(0, 1).forwarded_copy(0)
+        proto.bufs.set_r(3, 1, foreign)
+        with pytest.raises(ReproError, match=f"valid uid {emitted.uid} lost: R4"):
+            rule(proto, "R4", 0, 3).execute()
 
     def test_erases_after_unique_copy_at_next_hop(self, line5):
         proto = make_ssmfp(line5)

@@ -151,6 +151,25 @@ class TestPinnedGraphs:
         ] == livelocks
 
 
+class TestOnlyACycleIsALivelock:
+    def test_a_terminal_start_that_owes_a_generation_is_none(self):
+        # A higher layer that never raises its request: the start is
+        # terminal yet owes processor 0's generation.  That is a trivial
+        # SCC without a self-transition, which never makes a livelock.
+        class Mute(HigherLayer):
+            def before_step(self, step):
+                pass
+
+        def make():
+            net = line_network(2)
+            proto = SSMFP(net, StaticRouting(net), Mute(net.n), DeliveryLedger())
+            proto.hl.submit(0, "m", 1)
+            return proto
+
+        result = LivenessChecker(make).run()
+        assert (result.states, result.sccs, result.livelocks) == (1, 1, [])
+
+
 class TestUnsafeInstance:
     """Liveness on an instance whose *safety* fails: executing a selection
     trips the strict ledger, which must end the search in a verdict, not a
@@ -212,4 +231,4 @@ class TestLivenessOverflow:
 
         result = LivenessChecker(make, max_states=4).run()
         assert result.truncated
-        assert result.note is not None and "state cap" in result.note
+        assert (result.states, result.note) == (4, "state cap 4 reached")

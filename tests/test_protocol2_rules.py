@@ -49,6 +49,13 @@ class TestF1Generation:
         proto.before_step(0)
         assert rule(proto, "F1", 0, 3) is None
 
+    def test_disabled_when_the_request_is_down_though_chosen(self, line5):
+        proto = make_ssmfp2(line5)
+        proto.hl.submit(0, "x", 3)
+        proto.before_step(0)
+        proto.hl.request[0] = False
+        assert rule(proto, "F1", 0, 3) is None
+
     def test_disabled_when_buffer_occupied(self, line5):
         proto = make_ssmfp2(line5)
         proto.bufs.set_r(3, 0, gen(proto, 0, 3))

@@ -93,11 +93,6 @@ class TestFusedEvaluatorsMatchTheReplacedRuleSets:
     def test_randomized_starts(self, protocol, seed):
         _drive(seed * 1_000 + 41, protocol=protocol)
 
-    @pytest.mark.parametrize("protocol", ("ssmfp", "ssmfp2"))
-    @pytest.mark.parametrize("seed", range(3))
-    def test_corrupted_starts(self, protocol, seed):
-        _drive(9_100 + 37 * seed, protocol=protocol, adversarial=True)
-
     @pytest.mark.parametrize("knobs", ABLATION_KNOBS)
     @pytest.mark.parametrize("adversarial", (False, True))
     def test_ablation_knobs(self, knobs, adversarial):

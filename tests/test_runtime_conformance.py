@@ -136,7 +136,9 @@ class TestCheckEvents:
 
 
 class TestSummary:
-    @pytest.mark.parametrize("violations, sequence", [(30, 0), (5, 30), (25, 25)])
+    @pytest.mark.parametrize(
+        "violations, sequence", [(30, 0), (5, 30), (25, 25), (20, 21)]
+    )
     def test_rows_beyond_twenty_are_counted_per_list(self, violations, sequence):
         report = ConformanceReport(
             violations=[f"v{i}" for i in range(violations)],
@@ -151,6 +153,12 @@ class TestSummary:
     def test_short_lists_hide_nothing(self):
         report = ConformanceReport(violations=["a"], sequence_violations=["b"])
         assert "more" not in report.summary()
+
+    @pytest.mark.parametrize("count, more", [(10, ""), (11, ", ...")])
+    def test_ten_undelivered_uids_are_shown(self, count, more):
+        report = ConformanceReport(undelivered=list(range(1, count + 1)))
+        (line,) = [l for l in report.summary().splitlines() if "UNDELIVERED" in l]
+        assert line == "  UNDELIVERED uids: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10" + more
 
 
 class TestMessageLatencies:
