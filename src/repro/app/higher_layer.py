@@ -86,9 +86,7 @@ class HigherLayer:
         #: append, only ``consume_request`` pops), so the recorded ``dest``
         #: always equals ``nextDestination_p``.
         self._requested: Dict[ProcId, DestId] = {}
-        self._on_request_change: Optional[
-            Callable[[ProcId, Optional[DestId]], None]
-        ] = None
+        self._on_request_change: Optional[Callable[[ProcId, DestId], None]] = None
         self._on_submit: Optional[
             Callable[[ProcId, Any, DestId, int], None]
         ] = None
@@ -97,7 +95,7 @@ class HigherLayer:
         self._anchor: Optional[StateVector] = None
 
     def bind_notifier(
-        self, notify: Optional[Callable[[ProcId, Optional[DestId]], None]]
+        self, notify: Optional[Callable[[ProcId, DestId], None]]
     ) -> None:
         """Install a hook called as ``notify(p, dest)`` whenever the
         ``request_p`` handshake changes observably — raised by

@@ -41,8 +41,8 @@ concrete protocol (``repro.core.protocol.SSMFP``,
   use while staying faithful to the protocol's buffer budget.
 
 Everything else — the incremental dirty-component machinery (PR 1/3), the
-sparse lazy queues (PR 7), footprint trails for partial-order reduction
-(PR 8), snapshot/restore (PR 4) — lives here once and is inherited.
+sparse lazy queues (PR 7), snapshot/restore (PR 4) — lives here once and
+is inherited.
 
 Incremental engine
 ------------------
@@ -192,16 +192,6 @@ class ForwardingProtocol(Protocol):
         #: return, and on an excursion (:meth:`begin_excursion`) — a
         #: transition the next restore takes back.
         self._excursion = False
-        #: When the exhaustive verifier measures an action's *footprint*
-        #: (see ``repro/verify/reduction.py``), it points this at a set and
-        #: every notification sink records the ``(processor, destination)``
-        #: components the mutation dirties — logged *before* the
-        #: ``_all_dirty`` short-circuits, so the trace is complete even
-        #: while the component cache is wholesale-invalid.  ``None`` in the
-        #: set is the wildcard left by the non-localizable full-rescan
-        #: hatch.  ``None`` here (the default) disables recording at the
-        #: cost of one attribute test per notification.
-        self.footprint_log: Optional[Set[Optional[Tuple[ProcId, DestId]]]] = None
         #: Queues to re-sync at the next ``before_step``, per destination.
         self._resync: Dict[DestId, Set[ProcId]] = {}
         #: Cached ``next_hop`` values, sparse ``{d: {q: hop}}`` — absent =
@@ -279,9 +269,6 @@ class ForwardingProtocol(Protocol):
         (buffers are strictly per-destination — no rule reads across
         components); writes to the *offer* plane also change the candidate
         sets of ``p``'s neighbors."""
-        log = self.footprint_log
-        if log is not None:
-            log.update((x, d) for x in self._nbhd[p])
         if self._all_dirty:
             return
         if not self._excursion:
@@ -298,9 +285,6 @@ class ForwardingProtocol(Protocol):
         additionally require the queue to be reconciled before the next
         guard evaluation."""
         d, p = key
-        log = self.footprint_log
-        if log is not None:
-            log.add((p, d))
         if self._all_dirty:
             return
         if not self._excursion:
@@ -308,19 +292,11 @@ class ForwardingProtocol(Protocol):
         if kind == "mutate":
             self._resync.setdefault(d, set()).add(p)
 
-    def _on_request_change(self, p: ProcId, dest: Optional[DestId]) -> None:
+    def _on_request_change(self, p: ProcId, dest: DestId) -> None:
         """``request_p`` was raised or lowered for destination ``dest`` —
         only the generation rule at the single component ``(p, dest)``
         reads the handshake."""
-        log = self.footprint_log
-        if log is not None:
-            log.add((p, dest) if dest is not None else None)
         if self._all_dirty:
-            return
-        if dest is None:
-            # A raise/lower with no identifiable destination cannot be
-            # localized; fall back to the full re-scan hatch.
-            self.mark_all_dirty()
             return
         if not self._excursion:
             self._components.mark(p, dest)
@@ -332,12 +308,9 @@ class ForwardingProtocol(Protocol):
         candidate sets of ``p``'s neighbors, and the duplicate-cleanup
         guards at holders of copies last forwarded by ``p`` (always within
         the closed neighborhood)."""
-        log = self.footprint_log
         # The saved cache state describes the anchor under the routing
         # entries of that moment: a move ends the quiet return to it.
         self._home_dirt = None
-        if log is not None:
-            log.update((x, d) for x in self._nbhd[p])
         row = self._nh_cache.get(d)
         if row is not None:
             row.pop(p, None)
@@ -348,23 +321,15 @@ class ForwardingProtocol(Protocol):
         # is how a moved hop makes it live.
         self._resync.setdefault(d, set()).update(self._nbhd[p])
 
-    def mark_all_dirty(self) -> None:
-        """Fall back to a full re-scan and full queue reconciliation at the
-        next step — the hatch for mutations outside the notifier hooks.
-        The component cache is rebuilt wholesale when the simulator next
-        drains :meth:`dirty_after`."""
-        log = self.footprint_log
-        if log is not None:
-            log.add(None)
-        self._all_dirty = True
-        self._resync.clear()
-
     def _rescan_after_excursion(self) -> None:
         """Guards are about to be read at a configuration an excursion
         reached: its writes marked nothing, so fall back to a full
-        rescan (and the next restore to the ordinary diff)."""
+        rescan and full queue reconciliation (and the next restore to the
+        ordinary diff).  The component cache is rebuilt wholesale by the
+        :meth:`dirty_after` that called this."""
         self._excursion = False
-        self.mark_all_dirty()
+        self._all_dirty = True
+        self._resync.clear()
 
     def dirty_after(self, selection) -> Optional[Set[ProcId]]:
         if self._excursion:
@@ -533,8 +498,8 @@ class ForwardingProtocol(Protocol):
     def begin_excursion(self) -> None:
         """Declare that the writes until the next :meth:`restore` are a
         transition that restore takes back: the sinks keep the re-sync
-        set and the footprint log but mark no component dirt.  Guards
-        read before that restore fall back to a full rescan."""
+        set but mark no component dirt.  Guards read before that restore
+        fall back to a full rescan."""
         self._excursion = True
 
     def restore(self, vec: StateVector) -> None:

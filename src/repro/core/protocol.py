@@ -12,12 +12,11 @@ Compose it under a :class:`~repro.statemodel.composition.PriorityStack`
 below the routing protocol to get the paper's ``A ≫ SSMFP`` arrangement.
 
 All the machinery shared across the protocol family — the incremental
-dirty-component engine, sparse lazy queues, snapshot/restore, footprint
-trails — lives in :class:`~repro.core.family.ForwardingProtocol`; this
-module only declares what is specific to Algorithm 1: the rule set R1–R6,
-the two-buffer (``bufR``/``bufE``) shape with the copy-then-erase
-handshake, the emission-plane offer predicate, and the Figure-2 buffer
-graph.
+dirty-component engine, sparse lazy queues, snapshot/restore — lives in
+:class:`~repro.core.family.ForwardingProtocol`; this module only declares
+what is specific to Algorithm 1: the rule set R1–R6, the two-buffer
+(``bufR``/``bufE``) shape with the copy-then-erase handshake, the
+emission-plane offer predicate, and the Figure-2 buffer graph.
 
 Ablation knobs (all default to the paper's design):
 

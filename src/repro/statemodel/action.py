@@ -40,8 +40,8 @@ class Action:
     dest:
         The destination component the action reads and writes — engine
         state: scripted daemons select by it and the verifier's
-        independence oracle takes an action's footprint from it.  ``None``
-        means "unknown footprint: conflicts with everything".
+        independence oracle compares actions by it.  ``None`` means "no
+        known component: conflicts with everything".
     apply:
         The callable applying the precomputed writes, called as
         ``apply(*args)`` — for the forwarding rule sets a module-level

@@ -71,16 +71,15 @@ what is pending (components priority-masked by a routing layer stay
 dirty until the mask lifts).  Any *other* vector is reached through the
 anchor: quiet road home, then the full diff through the notifiers, so a
 popped state re-evaluates diff(previous anchor → it), not the union of
-every sibling's footprint.  If guards were evaluated while away, or
+every sibling's writes.  If guards were evaluated while away, or
 routing moved, the undo takes the ordinary marking path.
 
 The verifier's transition is an **excursion**: ``_System.successors``
 opens one (``ForwardingProtocol.begin_excursion``) right after restoring
 the parent, because the next restore takes back everything it does.  On
 an excursion the forwarding sinks keep filling the re-sync set (the
-environment phase needs it) and ``footprint_log`` (partial-order
-reduction needs it) but mark no component dirt — dirt the quiet return
-would only drop.  Two ways out stay exact: a way home that cannot be
+environment phase needs it) but mark no component dirt — dirt the quiet
+return would only drop.  Two ways out stay exact: a way home that cannot be
 quiet first undoes the excursion through the notifiers, so its writes
 are marked after all; and guards read before any restore (``dirty_after``
 / ``enabled_actions`` at a child) fall back to a full rescan.  Only

@@ -267,7 +267,7 @@ class _System:
                 enabled[pid] = actions
         return enabled
 
-    def successors(self, vec, enabled, selections, footprints=None):
+    def successors(self, vec, enabled, selections):
         """The one transition loop of the exhaustive verifiers.  For each
         daemon selection (``{pid: index into enabled[pid]}``): back to the
         parent configuration ``vec`` — the actions in ``enabled`` were
@@ -282,42 +282,21 @@ class _System:
         :class:`ReproError` (a strict-ledger specification violation).
 
         ``selections`` is consumed lazily, one selection per transition,
-        so a filter may consult what earlier transitions left behind: with
-        ``footprints`` (a dict) every singleton selection is measured
-        through ``proto.footprint_log`` — the notifier sinks record the
-        ``(processor, destination)`` components dirtied by the execution
-        *and* the environment phase that follows it (request re-raises and
-        queue re-syncs are part of the action's observable footprint) —
-        and stored under ``(pid, index)``; ``None`` marks an unmeasurable
-        one (wildcard)."""
+        so a filter may consult what earlier transitions yielded."""
         proto = self.proto
         for selection in selections:
             self.restore(vec)
             proto.begin_excursion()
-            log = None
-            if footprints is not None and len(selection) == 1:
-                log = proto.footprint_log = set()
-            error = None
             try:
                 for pid, index in selection.items():
                     enabled[pid][index].execute()
             except ReproError as exc:
-                error = exc
-            else:
-                self.step += 1
-                self.advance_env()
-            if log is not None:
-                proto.footprint_log = None
-                ((pid, index),) = selection.items()
-                footprints[(pid, index)] = (
-                    None if error is not None or None in log
-                    else frozenset(log)
-                )
-            if error is not None:
-                yield selection, None, None, error
-            else:
-                child_vec = self.snapshot()
-                yield selection, child_vec, self.canon(child_vec), None
+                yield selection, None, None, exc
+                continue
+            self.step += 1
+            self.advance_env()
+            child_vec = self.snapshot()
+            yield selection, child_vec, self.canon(child_vec), None
 
 
 def _fresh_system(make_system) -> _System:
@@ -342,11 +321,10 @@ def expand_state(system, vec, depth, max_width, oracle, reducer, result):
     caller's job — or ``None`` when a :class:`SelectionOverflow` truncated
     the search (``result.note`` set).
 
-    POR runs in two passes over one selection list: singletons come first
-    in :func:`enumerate_selections` order and the successor loop measures
-    their footprints; composite selections then consult those measured
-    trails in :meth:`IndependenceOracle.admissible`, which sharpens the
-    static neighborhood test to exact component interference.
+    Singletons come first in :func:`enumerate_selections` order, so by the
+    time :meth:`IndependenceOracle.admissible` judges a composite selection
+    the singletons that raised are known; the oracle keeps the closed-
+    neighborhood rule for those.
     """
     system.restore(vec)
     try:
@@ -378,14 +356,11 @@ def expand_state(system, vec, depth, max_width, oracle, reducer, result):
         result.note = f"depth {depth}: {exc}"
         return None
 
-    footprints = None
+    raised = set()
     if oracle is not None:
-        footprints = {}
 
         def admissible(selection):
-            if len(selection) == 1 or oracle.admissible(
-                selection, enabled, footprints
-            ):
+            if oracle.admissible(selection, enabled, raised):
                 return True
             result.skipped_selections += 1
             return False
@@ -393,11 +368,13 @@ def expand_state(system, vec, depth, max_width, oracle, reducer, result):
         selections = filter(admissible, selections)
 
     children = []
-    for _, child_vec, key, error in system.successors(
-        vec, enabled, selections, footprints
+    for selection, child_vec, key, error in system.successors(
+        vec, enabled, selections
     ):
         if error is not None:
             result.violations.append(f"depth {depth + 1}: {error}")
+            if len(selection) == 1:
+                raised.update(selection.items())
             continue
         result.transitions += 1
         if reducer is not None:

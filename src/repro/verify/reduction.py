@@ -36,17 +36,25 @@ so pruning the composite preserves the reachable canon set *exactly*
 actions conflict when
 
 * both are generations (rule R1) — they race the global uid counter;
-* either touches an unknown footprint (no ``dest`` tag — the safety
-  fallback: such an action conflicts with everything); or
+* either has no ``dest`` tag (the safety fallback: such an action
+  conflicts with everything); or
 * either comes from a higher-priority stack layer and their closed
   neighborhoods intersect (a higher-layer write can flip the priority
   mask of any neighbor, for any destination); or
-* they address intersecting destination sets *and* their closed
-  neighborhoods intersect (guards at ``p`` for destination ``d`` read
-  only component ``d`` of ``N_p ∪ {p}`` — the PR 3 component-dirty
-  geometry).  A generation's destination set also includes the *next*
+* they address intersecting destination sets *and* their processors are
+  neighbors.  A generation's destination set also includes the *next*
   queued destination of its outbox, because consuming the request
   re-raises it for that destination in the following environment phase.
+
+The last rule is the PR 3 locality contract read twice.  An action at
+``p`` for ``d`` writes only ``p``'s own variables; the environment phase
+after it re-raises ``request_p`` and re-syncs the ``choice`` queue of
+``p``'s next hop for ``d``, a neighbor.  A guard at ``q`` for ``d'``
+reads only component ``d'`` of ``N_q ∪ {q}``.  So an action at ``q``
+sees what ``p`` wrote only when ``q`` is a neighbor of ``p`` and the two
+share a destination.  One case keeps the wider closed-neighborhood test:
+a pair where either action's singleton selection raised (a strict-ledger
+violation), since no transition of that action was explored.
 
 The environment phase must be idempotent for the decomposition argument
 (running it once after the composite step must equal running it after
@@ -58,7 +66,7 @@ once per environment phase — callers disable POR there
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.buffers import cell_order
 from repro.network.properties import automorphisms
@@ -228,11 +236,12 @@ def validate_symmetry(proto, root_canon: Canon):
 
 
 class IndependenceOracle:
-    """Per-instance footprint/conflict analysis for daemon selections.
+    """Per-instance conflict analysis for daemon selections.
 
     Built once per exploration; :meth:`admissible` is called per parent
     state with the enabled-action table *while the system is in the
-    parent configuration* (generation footprints peek at the outbox)."""
+    parent configuration* (a generation's destinations peek at the
+    outbox)."""
 
     __slots__ = ("_closed", "_proto_name", "_generation_rule", "_hl")
 
@@ -248,13 +257,13 @@ class IndependenceOracle:
         self._generation_rule = getattr(proto, "generation_rule", "R1")
         self._hl = proto.hl
 
-    def _features(self, pid: int, action):
+    def _features(self, pid: int, action, raised: bool):
         dest = action.dest
         generation = action.rule == self._generation_rule
         upper = action.protocol != self._proto_name
         dests: Optional[Set[int]]
         if dest is None:
-            dests = None  # unknown footprint: conflicts with everything
+            dests = None  # no dest tag: conflicts with everything
         else:
             dests = {dest}
             if generation:
@@ -263,56 +272,42 @@ class IndependenceOracle:
                     # Consuming the request re-raises it for the next
                     # queued destination in the following env phase.
                     dests.add(queued[1])
-        return (self._closed[pid], dests, generation, upper)
+        return (pid, self._closed[pid], dests, generation, upper, raised)
 
     @staticmethod
     def _conflict(a, b) -> bool:
-        closed_a, dests_a, gen_a, upper_a = a
-        closed_b, dests_b, gen_b, upper_b = b
+        pid_a, closed_a, dests_a, gen_a, upper_a, raised_a = a
+        pid_b, closed_b, dests_b, gen_b, upper_b, raised_b = b
         if gen_a and gen_b:
             return True  # generations race the global uid counter
         if dests_a is None or dests_b is None:
-            return True  # unknown footprint: safety fallback
+            return True  # no dest tag: safety fallback
         if upper_a or upper_b:
             # A higher-layer write can flip the priority mask of any
             # neighbor for any destination.
             return bool(closed_a & closed_b)
-        return bool(dests_a & dests_b) and bool(closed_a & closed_b)
+        if not dests_a & dests_b:
+            return False
+        if raised_a or raised_b:
+            return bool(closed_a & closed_b)
+        return pid_b in closed_a  # neighbors: a selection holds p != q
 
     def admissible(
         self,
         selection: Dict[int, int],
         enabled,
-        footprints: Optional[Dict[Tuple[int, int], Optional[FrozenSet]]] = None,
+        raised: AbstractSet[Tuple[int, int]],
     ) -> bool:
         """True iff the selection's conflict graph is connected — i.e. it
         does *not* decompose into independent parts already covered by
-        smaller selections.
-
-        ``footprints``, when given, maps ``(pid, action_index)`` of each
-        singleton to its *measured* dirty-component trail — the set of
-        ``(processor, destination)`` components the action's execution
-        (plus the following environment phase) marked through the PR 3
-        notifier sinks, or ``None`` for an unmeasurable wildcard.  With a
-        trail available for both sides of a pair, the static same-
-        destination/neighborhood test sharpens to exact component
-        interference: ``a`` and ``b`` conflict iff either's home component
-        ``(pid, dest)`` lies in the other's trail.  That is sound by the
-        PR 3 invalidation contract — a mutation that does not mark
-        ``(q, d)`` cannot change any guard or bound action of component
-        ``(q, d)`` — and it is strictly sharper than the static rule
-        (e.g. same-destination actions two hops apart stop conflicting).
-        The uid-counter and priority-mask special cases stay static: two
-        generations race the global counter regardless of components, and
-        a higher-layer action's mask effect is not visible in the forwarding
-        dirty channel."""
+        smaller selections.  ``raised`` holds the ``(pid, action_index)``
+        of every singleton selection whose execution raised."""
         if len(selection) == 1:
             return True
-        pids = list(selection)
-        feats = [self._features(pid, enabled[pid][selection[pid]]) for pid in pids]
-        trails: Optional[List] = None
-        if footprints is not None:
-            trails = [footprints.get((pid, selection[pid])) for pid in pids]
+        feats = [
+            self._features(pid, enabled[pid][index], (pid, index) in raised)
+            for pid, index in selection.items()
+        ]
         k = len(feats)
         # Connectivity via BFS over pairwise conflicts.
         seen = {0}
@@ -323,28 +318,6 @@ class IndependenceOracle:
                 if j in seen:
                     continue
                 if self._conflict(feats[i], feats[j]):
-                    if trails is not None and self._measured_independent(
-                        pids[i], feats[i], trails[i],
-                        pids[j], feats[j], trails[j],
-                    ):
-                        continue
                     seen.add(j)
                     stack.append(j)
         return len(seen) == k
-
-    @staticmethod
-    def _measured_independent(pid_a, feat_a, trail_a, pid_b, feat_b, trail_b):
-        """Overrule a static conflict when both measured trails prove the
-        pair cannot interfere.  Only applies to plain forwarding-layer pairs with
-        known destinations; the static special cases are final."""
-        closed_a, dests_a, gen_a, upper_a = feat_a
-        closed_b, dests_b, gen_b, upper_b = feat_b
-        if (gen_a and gen_b) or upper_a or upper_b:
-            return False
-        if dests_a is None or dests_b is None:
-            return False
-        if trail_a is None or trail_b is None or None in trail_a or None in trail_b:
-            return False
-        home_a = {(pid_a, d) for d in dests_a}
-        home_b = {(pid_b, d) for d in dests_b}
-        return not (home_b & trail_a) and not (home_a & trail_b)

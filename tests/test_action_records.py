@@ -160,12 +160,12 @@ class TestTheMeasuringSeam:
         selected = []
         successors = _System.successors
 
-        def counting(system, vec, enabled, selections, footprints=None):
+        def counting(system, vec, enabled, selections):
             def tally():
                 for selection in selections:
                     selected.append(len(selection))
                     yield selection
-            return successors(system, vec, enabled, tally(), footprints)
+            return successors(system, vec, enabled, tally())
 
         monkeypatch.setattr(_System, "successors", counting)
         result = ModelChecker(_line3).run()

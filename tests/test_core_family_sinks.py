@@ -6,7 +6,7 @@ The rule under test is reader-precise dirt: a write at ``p`` in component
 *live* — holding ``bufR``, ``bufE`` or a queued requester in ``d`` — because
 no rule is enabled at a component that is not (the liveness line of the
 family contract).  What must stay unfiltered is checked too: a processor's
-own writes, the queue re-sync set, the verifier's footprint log.
+own writes and the queue re-sync set.
 """
 
 import pytest
@@ -104,13 +104,6 @@ class TestBufferWriteSink:
         assert proto.bufs.get_r(D, 1) is None
         assert cache.pending() == {0: {D}, 1: {D}}
 
-    def test_footprint_log_keeps_the_whole_closed_neighborhood(self, proto):
-        cache = _tracking(proto)
-        proto.footprint_log = log = set()
-        proto.bufs.set_r(D, 1, _garbage(proto, 1))
-        assert log == {(0, D), (1, D), (2, D)}
-        assert cache.pending() == {1: {D}}
-
 
 class TestRoutingChangeSink:
     def test_marks_are_filtered_but_the_resync_set_is_not(self, proto):
@@ -118,13 +111,11 @@ class TestRoutingChangeSink:
         _make_live(proto, 2, "bufR")
         cache.reset({})
         proto._resync.clear()
-        proto.footprint_log = log = set()
         proto.routing._notify_entry(1, D)
         assert cache.pending() == {1: {D}, 2: {D}}
         # Node 0 is not live; re-syncing its queue is how a hop that moved
         # toward it makes it live.
         assert proto._resync == {D: {0, 1, 2}}
-        assert log == {(0, D), (1, D), (2, D)}
 
 
 class TestOwnVariableSinks:
@@ -143,3 +134,22 @@ class TestOwnVariableSinks:
         proto.hl.before_step(0)
         assert proto.hl.request[0]
         assert cache.pending() == {0: {D}}
+
+
+class TestEvaluationCount:
+    """``component_evals`` counts one evaluation per component examined:
+    every active destination on a rebuild, the dirty ones on a reconcile,
+    none when nothing is dirty."""
+
+    def test_rebuild_then_reconcile(self, proto):
+        _tracking(proto)
+        proto.bufs.set_r(D, 1, _garbage(proto, 1))
+        proto.bufs.set_r(0, 1, proto.factory.invalid("g", 1, 0, 0))
+        start = proto.component_evals
+        proto.enabled_actions(1)
+        assert proto.component_evals == start + 2
+        proto.bufs.set_r(D, 1, _garbage(proto, 1, "h"))
+        proto.enabled_actions(1)
+        assert proto.component_evals == start + 3
+        proto.enabled_actions(1)
+        assert proto.component_evals == start + 3

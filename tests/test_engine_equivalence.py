@@ -227,13 +227,15 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("protocol", ("ssmfp", "ssmfp2"))
     @pytest.mark.parametrize("policy", ("fifo", "aged_fair"))
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", [0])
     def test_routing_made_liveness_debug_checked(self, protocol, policy, seed):
         # The start states where a routing move, not a buffer write, is what
         # makes a neighbor live: fully corrupted SelfStabilizingBFSRouting
         # on the PriorityStack, planted garbage and scrambled queues, for
         # both rule sets and for the policy that re-syncs every step — the
-        # mark-time liveness filter judged by both oracles at once.
+        # mark-time liveness filter judged by both oracles at once.  Seeds
+        # 1 and 2 kill no sink mutant that a cheaper test here does not
+        # (tools/mutants/repro.core.family.jsonl).
         _run_side_by_side(9_100 + 37 * seed, "distributed", policy,
                           adversarial=True, debug_check=True,
                           protocol=protocol, max_steps=1_500)

@@ -3,11 +3,15 @@ results it establishes on small instances."""
 
 import pytest
 
+from repro.app.higher_layer import HigherLayer
 from repro.core.corruption import plant_invalid_message
+from repro.core.ledger import DeliveryLedger
+from repro.core.protocol import SSMFP
 from repro.experiments.exhaustive import _instances
 from repro.network.topologies import line_network, paper_figure3_network
 from repro.obs import MetricsRegistry
 from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
+from repro.routing.static import StaticRouting
 from repro.verify.liveness import LivenessChecker
 from repro.verify.modelcheck import ModelChecker
 
@@ -182,6 +186,49 @@ class TestCheckerFindsRealBugs:
             make, max_states=200_000, max_selection_width=4000
         ).run()
         assert any("lost" in v or "undelivered" in v for v in result.violations)
+
+
+class TestTerminalVerdicts:
+    """A terminal configuration that still owes something is a violation:
+    a generated valid message not delivered yet, or a submission the
+    higher layer never handed over."""
+
+    def test_terminal_with_an_undelivered_uid(self):
+        class GenerateOnly(SSMFP):
+            def evaluate(self, p, d):
+                return [action for action in SSMFP.evaluate(self, p, d)
+                        if action.rule == self.generation_rule]
+
+        def make():
+            net = line_network(2)
+            proto = GenerateOnly(
+                net, StaticRouting(net), HigherLayer(net.n), DeliveryLedger()
+            )
+            proto.hl.submit(0, "m", 1)
+            return proto
+
+        result = ModelChecker(make).run()
+        assert (result.states, result.terminal_states) == (2, 1)
+        assert result.violations == [
+            "depth 1: terminal configuration with undelivered uids [1]"
+        ]
+
+    def test_terminal_with_a_pending_submission(self):
+        class Mute(HigherLayer):
+            def before_step(self, step):
+                pass
+
+        def make():
+            net = line_network(2)
+            proto = SSMFP(net, StaticRouting(net), Mute(net.n), DeliveryLedger())
+            proto.hl.submit(0, "m", 1)
+            return proto
+
+        result = ModelChecker(make).run()
+        assert (result.states, result.terminal_states) == (1, 1)
+        assert result.violations == [
+            "depth 0: terminal configuration with pending submissions"
+        ]
 
 
 class TestProgressReporting:

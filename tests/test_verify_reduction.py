@@ -242,21 +242,45 @@ class TestPartialOrderReduction:
         base = _checker(make).run()
         assert (base.states, base.transitions) == (por.states, por.transitions)
 
-    def test_measured_footprints_sharpen_static_rule(self):
-        # On a 4-line with crossing flows the measured dirty trails prune
-        # same-destination composites at distance >= 2 that the static
-        # closed-neighborhood rule must keep.
+    @pytest.mark.parametrize("instance, por, full", [
+        ("2 same-payload", (94, 183, 19, 0), None),
+        ("garbage in 2 buffers", (288, 768, 397, 0), None),
+        ("corrupted tables", (13, 16, 0, 0), None),
+        ("fig3 net", (123, 217, 75, 0), (70, 124, 44, 0)),
+        ("LITERAL R5", (94, 183, 19, 3), None),
+        ("colors OFF", (110, 264, 45, 22), None),
+    ], ids=["same-payload", "garbage", "tables", "fig3", "literal-r5", "colors-off"])
+    def test_pinned_counts_on_the_small_x5_instances(self, instance, por, full):
+        """(states, transitions, skipped selections, violation reports)
+        of X5's small instances under ``por`` and ``full``: the skipped
+        count is the independence rule's exact output."""
+        from repro.experiments.exhaustive import _instances
+
+        make = next(make for name, make, _ in _instances() if instance in name)
+        for reduction, pinned in (("por", por), ("full", full or por)):
+            result = _checker(make, reduction=reduction).run()
+            counts = (result.states, result.transitions,
+                      result.skipped_selections, len(result.violations))
+            assert counts == pinned, reduction
+
+    def test_same_destination_two_hops_apart_pruned(self):
+        # Garbage for destination 3 at processors 0 and 2 of a 4-line: the
+        # closed neighborhoods of 0 and 2 meet at 1, but neither processor
+        # reads the other's variables, so their composites are pruned.
+        # Judged by the closed-neighborhood test instead, the same search
+        # reads 226 transitions / 8 skipped selections.
         def make():
             net = line_network(4)
             proto = make_ssmfp(net)
-            proto.hl.submit(0, "a", 3)
-            proto.hl.submit(3, "b", 0)
+            plant_invalid_message(proto, 3, 2, "R", "g", last=1)
+            plant_invalid_message(proto, 3, 0, "R", "h", last=0)
             return proto
 
         base = _checker(make).run()
         por = _checker(make, reduction="por").run()
         assert base.canons == por.canons
-        assert por.transitions < base.transitions
+        assert (base.states, base.transitions) == (103, 234)
+        assert (por.transitions, por.skipped_selections) == (202, 32)
 
 
 # -- symmetry reduction end to end --------------------------------------------

@@ -98,6 +98,11 @@ SCOPE: Dict[str, Tuple[Optional[Tuple[str, ...]], Tuple[str, ...]]] = {
     "src/repro/verify/liveness.py": (None, ("tests/test_liveness.py",)),
     "src/repro/core/family.py": (_FAMILY_SINKS, (
         "tests/test_core_family_sinks.py", "tests/test_engine_equivalence.py",
+        "tests/test_verify_reduction.py::TestPartialOrderReduction::test_pinned_counts_on_the_small_x5_instances",
+    )),
+    "src/repro/statemodel/components.py": (None, (
+        "tests/test_core_family_sinks.py", "tests/test_sparse_state.py",
+        "tests/test_engine_pins.py",
     )),
     "src/repro/verify/modelcheck.py": (("expand_state",), (
         "tests/test_modelcheck.py", "tests/test_verify_reduction.py",
