@@ -170,14 +170,10 @@ class ForwardingProtocol(Protocol):
         # aged_fair wait-ages advance once per sync, so reconciliation must
         # stay a full per-step sweep to keep the paper-equivalent semantics.
         self._sync_every_step = choice_policy == "aged_fair"
-        self._all_dirty = True
-        self._residue_purged = False
-        #: Component-granular dirty sets + per-(p, d) action cache.  Only
-        #: consulted outside the all-dirty regime, which ends at the first
-        #: :meth:`dirty_after` drain — the simulator drains every step and
-        #: the exhaustive verifiers once per expanded configuration, so both
-        #: run on the cache; only a caller that never drains (a direct test
-        #: probe) stays on the classic fresh scan.
+        #: Component-granular dirty sets + per-(p, d) action cache, marked
+        #: from construction on: every write that sets up the initial
+        #: configuration (planted garbage, scrambled queues, corrupted
+        #: routing, raised requests) reaches it through the sinks below.
         self._components = ComponentDirtyCache()
         #: Snapshot anchor (``statemodel/snapshot.py``): the vector last
         #: restored to, plus the cache state :meth:`restore` left behind —
@@ -269,8 +265,6 @@ class ForwardingProtocol(Protocol):
         (buffers are strictly per-destination — no rule reads across
         components); writes to the *offer* plane also change the candidate
         sets of ``p``'s neighbors."""
-        if self._all_dirty:
-            return
         if not self._excursion:
             self._mark_readers(p, d)
         if kind == self.offer_kind:
@@ -285,8 +279,6 @@ class ForwardingProtocol(Protocol):
         additionally require the queue to be reconciled before the next
         guard evaluation."""
         d, p = key
-        if self._all_dirty:
-            return
         if not self._excursion:
             self._components.mark(p, d)
         if kind == "mutate":
@@ -296,8 +288,6 @@ class ForwardingProtocol(Protocol):
         """``request_p`` was raised or lowered for destination ``dest`` —
         only the generation rule at the single component ``(p, dest)``
         reads the handshake."""
-        if self._all_dirty:
-            return
         if not self._excursion:
             self._components.mark(p, dest)
         self._resync.setdefault(dest, set()).add(p)
@@ -314,28 +304,17 @@ class ForwardingProtocol(Protocol):
         row = self._nh_cache.get(d)
         if row is not None:
             row.pop(p, None)
-        if self._all_dirty:
-            return
         self._mark_readers(p, d)
         # Unfiltered: re-syncing the queue of a neighbor that is not live
         # is how a moved hop makes it live.
         self._resync.setdefault(d, set()).update(self._nbhd[p])
 
-    def _rescan_after_excursion(self) -> None:
-        """Guards are about to be read at a configuration an excursion
-        reached: its writes marked nothing, so fall back to a full
-        rescan and full queue reconciliation (and the next restore to the
-        ordinary diff).  The component cache is rebuilt wholesale by the
-        :meth:`dirty_after` that called this."""
-        self._excursion = False
-        self._all_dirty = True
-        self._resync.clear()
-
     def dirty_after(self, selection) -> Optional[Set[ProcId]]:
         if self._excursion:
-            self._rescan_after_excursion()
-        if self._all_dirty:
-            self._all_dirty = False
+            # Guards are about to be read at a configuration an excursion
+            # reached: its writes marked nothing, so drop the cache and
+            # rebuild every processor.
+            self._excursion = False
             self._components.invalidate_all()
             return None
         # Project the component dirt onto processors *without* draining it:
@@ -351,51 +330,32 @@ class ForwardingProtocol(Protocol):
         """Environment phase: raise requests, reconcile choice queues.
 
         Only queues whose candidate sets may have changed since the
-        previous step (recorded by the notifier hooks) are reconciled; in
-        the all-dirty regime and under ``aged_fair`` every destination
-        component that can possibly act (occupied buffers or a pending
-        request) is swept — idle components have no candidates by
-        definition, and their rules' guards are all false.
+        previous step (recorded by the notifier hooks) are reconciled —
+        at the first step too: the writes that built the initial
+        configuration were recorded like any other.  Under ``aged_fair``
+        every destination component that can possibly act (occupied
+        buffers or a pending request) is swept each step — idle
+        components have no candidates by definition, and their rules'
+        guards are all false.
         """
         self.current_step = step
         self.hl.before_step(step)
-        if not self._all_dirty and not self._sync_every_step:
-            resync = self._resync
-            if resync:
-                self._resync = {}
-                for d, procs in resync.items():
-                    for p in procs:
-                        self._sync_queue(d, p)
-        else:
+        if self._sync_every_step:
             self._resync.clear()
             self._full_reconcile()
+            return
+        resync = self._resync
+        if resync:
+            self._resync = {}
+            for d, procs in resync.items():
+                for p in procs:
+                    self._sync_queue(d, p)
 
     def _full_reconcile(self) -> None:
         """Reconcile every queue of every active destination component."""
-        active = self.active_destinations()
         procs = self.net.processors()
-        for d in active:
+        for d in self.active_destinations():
             for p in procs:
-                self._sync_queue(d, p)
-        if not self._residue_purged and not self._sync_every_step:
-            # One-time purge of scrambled initial queue entries in *inactive*
-            # components.  The classic engine removes them lazily the step
-            # the component activates (with no offered message and no
-            # request yet, every stale entry is a non-candidate); purging
-            # now is trace-equivalent because guards never read queues of
-            # inactive components, and it keeps the incremental resync
-            # channel free of pre-execution residue.  Only *materialized*
-            # queues can hold residue — an absent queue is clean-empty by
-            # construction — so the sweep is O(materialized), not O(n²).
-            # aged_fair skips this: it full-reconciles every step, so
-            # residue is handled exactly like the classic engine already.
-            self._residue_purged = True
-            stale = [
-                (d, p)
-                for d, p, _ in self.queues.iter_materialized()
-                if d not in active
-            ]
-            for d, p in stale:
                 self._sync_queue(d, p)
 
     def _sync_queue(self, d: DestId, p: ProcId) -> None:
@@ -428,7 +388,7 @@ class ForwardingProtocol(Protocol):
         return self.bufs.occupied_components() | self.hl.requested_destinations()
 
     def _active_sorted(self, pid: ProcId) -> List[DestId]:
-        """Ascending list of destinations a scan of ``pid`` must examine:
+        """Ascending list of destinations a rebuild of ``pid`` examines:
         occupied components plus (when raised) ``pid``'s own request
         destination.  Ascending order is part of the enabled-list contract —
         daemons observe it."""
@@ -442,23 +402,21 @@ class ForwardingProtocol(Protocol):
 
     def _eval_component(self, pid: ProcId, d: DestId) -> List[Action]:
         """Evaluate the rule set at the single component ``(pid, d)`` — the
-        one seam the component cache, a classic scan and the test oracles
-        call.  Sound whether or not the component is active or live (the
-        evaluator answers ``[]`` there), so the reconcile path can call
-        this for any dirty component."""
+        one seam the component cache and the test oracles call.  Sound
+        whether or not the component is active or live (the evaluator
+        answers ``[]`` there), so the reconcile path can call this for any
+        dirty component."""
         return self.evaluate(pid, d)
 
     @property
     def component_evals(self) -> int:
-        """Component evaluations so far, scans and reconciles alike."""
+        """Component evaluations so far, rebuilds and reconciles alike."""
         return self._components.evals
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
-        if self._excursion:
-            self._rescan_after_excursion()
-        cache = self._components
-        serve = cache.scan if self._all_dirty else cache.enabled_actions
-        return serve(pid, self._eval_component, self._active_sorted)
+        return self._components.enabled_actions(
+            pid, self._eval_component, self._active_sorted
+        )
 
     # -- introspection -------------------------------------------------------
 
@@ -499,7 +457,7 @@ class ForwardingProtocol(Protocol):
         """Declare that the writes until the next :meth:`restore` are a
         transition that restore takes back: the sinks keep the re-sync
         set but mark no component dirt.  Guards read before that restore
-        fall back to a full rescan."""
+        rebuild every processor (:meth:`dirty_after`)."""
         self._excursion = True
 
     def restore(self, vec: StateVector) -> None:
@@ -523,7 +481,6 @@ class ForwardingProtocol(Protocol):
         home = (
             self._home_dirt is not None
             and self._home_evals == self.component_evals
-            and not self._all_dirty
         )
         if home:
             self._excursion = True  # the higher layer's undo notifies

@@ -74,11 +74,9 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         self._fixpoint = LazyRows(lambda d: bfs_rows(net, d))
         self.dist: LazyRows = LazyRows(self._fixpoint_dist_row)
         self.hop: LazyRows = LazyRows(self._fixpoint_hop_row)
-        # Incremental-engine bookkeeping.  The all-dirty regime is the safe
-        # initial state (the tables may have been scrambled before the
-        # first step); it ends — and the component cache starts being
-        # consulted — only once the simulator drains :meth:`dirty_after`.
-        self._all_dirty = True
+        # Incremental-engine bookkeeping, marked from construction on: a
+        # corruption before the first step dirties what it writes like any
+        # later fault.
         self._components = ComponentDirtyCache()
         #: Closed neighborhood of every processor, precomputed.
         self._nbhd = [(p, *net.neighbors(p)) for p in net.processors()]
@@ -115,14 +113,9 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         """RTfix at ``q`` for destination ``d`` reads ``dist_r(d)`` of every
         neighbor ``r``, so a write at ``(p, d)`` dirties component ``d`` in
         the closed neighborhood of ``p`` — and nothing else."""
-        if not self._all_dirty:
-            self._components.mark_many(self._nbhd[p], d)
+        self._components.mark_many(self._nbhd[p], d)
 
     def dirty_after(self, selection) -> Optional[Set[ProcId]]:
-        if self._all_dirty:
-            self._all_dirty = False
-            self._components.invalidate_all()
-            return None
         # Processor projection of the component dirt; reconciled lazily in
         # :meth:`enabled_actions` (see SSMFP for the masking argument).
         return set(self._components.dirty)
@@ -177,7 +170,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         return []
 
     def _active_sorted(self, pid: ProcId) -> List[DestId]:
-        """The destination components a scan must examine, ascending (as
+        """The destination components a rebuild examines, ascending (as
         the dense scan examined them) and the same at every processor: the
         materialized rows — an unmaterialized row is at the fixpoint and
         silent by construction."""
@@ -185,13 +178,13 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     @property
     def component_evals(self) -> int:
-        """Component evaluations so far, scans and reconciles alike."""
+        """Component evaluations so far, rebuilds and reconciles alike."""
         return self._components.evals
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
-        cache = self._components
-        serve = cache.scan if self._all_dirty else cache.enabled_actions
-        return serve(pid, self._eval_component, self._active_sorted)
+        return self._components.enabled_actions(
+            pid, self._eval_component, self._active_sorted
+        )
 
     def _reset_self(self, d: DestId, p: ProcId) -> None:
         """RTself: the destination is at distance 0 of itself."""

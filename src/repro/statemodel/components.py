@@ -52,7 +52,7 @@ class ComponentDirtyCache:
         #: ``entries[p]`` — component -> non-empty enabled-action list.
         self.entries: Dict[ProcId, Dict[DestId, List[Action]]] = {}
         #: Component evaluations performed so far — one per destination
-        #: examined, by a scan, a rebuild or a reconcile alike.
+        #: examined, by a rebuild or a reconcile alike.
         self.evals = 0
 
     def mark(self, pid: ProcId, d: DestId) -> None:
@@ -74,10 +74,10 @@ class ComponentDirtyCache:
                 row.add(d)
 
     def invalidate_all(self) -> None:
-        """Drop every entry and every recorded dirty bit — used when the
-        owning protocol leaves its all-dirty regime and must rebuild from
-        the (possibly externally rewritten) configuration.  O(touched
-        processors), not O(n)."""
+        """Drop every entry and every recorded dirty bit, so every
+        processor is rebuilt from the configuration — used when guards are
+        read where writes went unmarked (a verifier transition's
+        excursion).  O(touched processors), not O(n)."""
         self.valid.clear()
         self.dirty.clear()
         self.entries.clear()
@@ -92,21 +92,6 @@ class ComponentDirtyCache:
         state was saved with :meth:`pending`."""
         self.dirty = {pid: set(dests) for pid, dests in pending.items()}
 
-    def scan(
-        self,
-        pid: ProcId,
-        evaluate: Callable[[ProcId, DestId], List[Action]],
-        active: Callable[[ProcId], Sequence[DestId]],
-    ) -> List[Action]:
-        """``pid``'s enabled list by a classic scan of ``active(pid)``.
-
-        What the owner serves in its all-dirty regime, where the
-        configuration may be rewritten behind the notifiers: nothing cached
-        is consulted, nothing is stored."""
-        dests = active(pid)
-        self.evals += len(dests)
-        return [action for d in dests for action in evaluate(pid, d)]
-
     def enabled_actions(
         self,
         pid: ProcId,
@@ -116,9 +101,9 @@ class ComponentDirtyCache:
         """``pid``'s enabled list, after bringing its entries up to date.
 
         A processor not yet valid is rebuilt from ``active(pid)`` — the
-        destinations a classic scan would examine, in its order and at its
-        cost; a valid one re-evaluates only its dirty components with
-        ``evaluate(pid, d)``.  Either way the dirt is consumed, and the
+        destinations that can hold an enabled rule, ascending, which is
+        all a first evaluation needs; a valid one re-evaluates only its
+        dirty components with ``evaluate(pid, d)``.  Either way the dirt is consumed, and the
         list is assembled from the non-empty entries in ascending
         destination order (the order a left-to-right scan produces —
         daemons observe it, so it is part of the contract)."""

@@ -143,11 +143,6 @@ class Simulator:
         return self._n
 
     @property
-    def stack(self) -> PriorityStack:
-        """The composed protocols."""
-        return self._stack
-
-    @property
     def daemon(self) -> Daemon:
         """The scheduling adversary driving selections."""
         return self._daemon

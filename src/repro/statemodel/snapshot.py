@@ -81,9 +81,10 @@ an excursion the forwarding sinks keep filling the re-sync set (the
 environment phase needs it) but mark no component dirt — dirt the quiet
 return would only drop.  Two ways out stay exact: a way home that cannot be
 quiet first undoes the excursion through the notifiers, so its writes
-are marked after all; and guards read before any restore (``dirty_after``
-/ ``enabled_actions`` at a child) fall back to a full rescan.  Only
-``successors`` opens an excursion, so the simulator never runs one.
+are marked after all; and guards read before any restore drain
+``dirty_after`` first, which drops the component cache so every
+processor is rebuilt.  Only ``successors`` opens an excursion, so the
+simulator never runs one.
 
 Contract
 --------

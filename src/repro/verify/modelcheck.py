@@ -185,9 +185,6 @@ class _System:
         self._accounts_of: Optional[StateVector] = None
         self._accounts: Tuple = ()
 
-    def stack(self) -> PriorityStack:
-        return self._stack
-
     def advance_env(self) -> None:
         """The environment phase (requests + queue sync), deterministic."""
         self._stack.before_step(self.step)

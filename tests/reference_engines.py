@@ -1,9 +1,15 @@
 """Test oracles, once ``full_scan=``/``debug_check=``/``engine="deepcopy"``: the classic
-full-scan engine, a cache-vs-fresh-scan cross-check, clone-per-transition explorers."""
+full-scan engine, a cache-vs-fresh-scan cross-check, clone-per-transition explorers.
+
+The classic engine lives here only: it reconciles every queue of every active
+component each step and re-derives every guard from the configuration, so it
+shares no component cache, no re-sync set and no serving path with the product
+engine it checks."""
 
 import copy
 from collections import deque
 
+from repro.core.family import ForwardingProtocol
 from repro.core.invariants import InvariantChecker
 from repro.errors import InvariantViolation, ReproError, SelectionOverflow
 from repro.statemodel.scheduler import Simulator
@@ -19,29 +25,17 @@ from repro.verify.modelcheck import (
 def use_engine(simulation, engine_cls):
     """Swap a not-yet-stepped ``Simulation``'s engine for ``engine_cls``."""
     old = simulation.sim
-    simulation.sim = engine_cls(old.n, old.stack, old.daemon)
+    simulation.sim = engine_cls(old.n, old._stack, old.daemon)
     return simulation
 
 
-def _scan(stack, n):
-    return {p: acts for p in range(n) if (acts := stack.enabled_actions(p))}
-
-
-class FullScanSimulator(Simulator):
-    """Every guard of every processor, every step.  ``dirty_after`` is never
-    drained, so the protocols stay all-dirty: plain scans, full queue sweeps."""
-
-    def enabled_map(self):
-        enabled = _scan(self.stack, self.n)
-        self.guard_evals = self.stack.component_evals - self._guard_base
-        return enabled
-
-
-def fresh_actions(stack, pid):
-    """Enabled actions of ``pid`` re-derived from the configuration alone: no
-    component cache, no ``next_hop`` cache, no evaluation counting."""
+def _fresh(stack, pid):
+    """``(actions, components examined)`` at ``pid``, re-derived from the
+    configuration alone: no component cache, no ``next_hop`` cache."""
+    evals = 0
     for proto in stack.protocols:
         dests = proto._active_sorted(pid)
+        evals += len(dests)
         hops = getattr(proto, "_nh_cache", None)  # a ForwardingProtocol's
         if hops is not None:
             proto._nh_cache = {}
@@ -51,8 +45,45 @@ def fresh_actions(stack, pid):
             if hops is not None:
                 proto._nh_cache = hops
         if actions:
-            return actions
-    return []
+            return actions, evals
+    return [], evals
+
+
+def fresh_actions(stack, pid):
+    """Enabled actions of ``pid`` re-derived from the configuration alone."""
+    return _fresh(stack, pid)[0]
+
+
+def _scan(stack, n):
+    return {p: acts for p in range(n) if (acts := fresh_actions(stack, p))}
+
+
+def _reconcile_all(stack):
+    """The classic environment phase's queue sweep: every queue of every
+    active component, whatever the re-sync set recorded, through a fresh
+    ``next_hop`` cache.  ``aged_fair``
+    already sweeps in ``before_step`` (a second sweep would tick its
+    wait-ages twice); every other policy's reconcile is idempotent."""
+    for proto in stack.protocols:
+        if isinstance(proto, ForwardingProtocol) and not proto._sync_every_step:
+            proto._nh_cache = {}
+            proto._full_reconcile()
+
+
+class FullScanSimulator(Simulator):
+    """Every active queue reconciled and every guard of every processor
+    re-derived, every step.  ``dirty_after`` is never drained."""
+
+    def enabled_map(self):
+        stack = self._stack
+        _reconcile_all(stack)
+        enabled = {}
+        for pid in range(self.n):
+            actions, evals = _fresh(stack, pid)
+            self.guard_evals += evals
+            if actions:
+                enabled[pid] = actions
+        return enabled
 
 
 class CheckedSimulator(Simulator):
@@ -62,7 +93,7 @@ class CheckedSimulator(Simulator):
         enabled = super().enabled_map()
         diff = {}
         for pid in range(self.n):
-            cached, fresh = enabled.get(pid, []), fresh_actions(self.stack, pid)
+            cached, fresh = enabled.get(pid, []), fresh_actions(self._stack, pid)
             if cached != fresh:  # actions are records: compared by value
                 diff[pid] = tuple(
                     [(a.rule, a.protocol, a.info) for a in actions]
@@ -81,8 +112,12 @@ def _clone_bfs(checker, visit, violations=None):
     returns the enabled map to expand; every daemon selection runs on its own
     ``copy.deepcopy`` (a ``ReproError`` there goes to ``violations`` if given).
     Returns ``(canon -> node id, per-node [(target, pids)], early-stop note)``."""
+    def advance_env(system):
+        system.advance_env()
+        _reconcile_all(system._stack)
+
     root = _fresh_system(checker._make_system)
-    root.advance_env()
+    advance_env(root)
     keys = {root.canon(): 0}
     frontier, edges = deque([(root, 0)]), []
     while frontier:
@@ -96,7 +131,7 @@ def _clone_bfs(checker, visit, violations=None):
         edges.append([])
         for selection in selections:
             child = copy.deepcopy(system)
-            enabled = {p: child.stack().enabled_actions(p) for p in selection}
+            enabled = {p: fresh_actions(child._stack, p) for p in selection}
             try:
                 for pid, action_index in selection.items():
                     enabled[pid][action_index].execute()
@@ -106,7 +141,7 @@ def _clone_bfs(checker, visit, violations=None):
                 violations.append(f"depth {depth + 1}: {exc}")
                 continue
             child.step += 1
-            child.advance_env()
+            advance_env(child)
             key = child.canon()
             if key not in keys:
                 keys[key] = len(keys)
@@ -131,7 +166,7 @@ class DeepcopyModelChecker(ModelChecker):
             except ReproError as exc:
                 say(exc)
                 return {}
-            enabled = _scan(system.stack(), system.proto.net.n)
+            enabled = _scan(system._stack, system.proto.net.n)
             if not enabled:
                 result.terminal_states += 1
                 ledger = system.proto.ledger
@@ -155,7 +190,7 @@ class DeepcopyLivenessChecker(LivenessChecker):
     def _explore(self):
         outstanding, enabled_pids = [], []
         def visit(system, depth):
-            enabled = _scan(system.stack(), system.proto.net.n)
+            enabled = _scan(system._stack, system.proto.net.n)
             outstanding.append(self._node_metadata(system))
             enabled_pids.append(frozenset(enabled))
             return enabled

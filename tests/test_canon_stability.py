@@ -41,7 +41,7 @@ def _random_walk(system, steps, seed):
     """Walk ``steps`` random daemon choices, returning the visited
     ``(vector, canon)`` trail (including the start)."""
     rng = random.Random(seed)
-    stack = system.stack()
+    stack = system._stack
     n = system.proto.net.n
     trail = [(system.snapshot(), system.canon())]
     for _ in range(steps):

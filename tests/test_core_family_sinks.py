@@ -22,8 +22,9 @@ D = 2
 
 
 def _tracking(proto):
-    """Leave the all-dirty regime, as the simulator's first drain does."""
-    assert proto.dirty_after({}) is None
+    """The component cache, nothing marked yet: the sinks mark from
+    construction on, and a fresh protocol has written nothing."""
+    assert proto.dirty_after({}) == set()
     return proto._components
 
 
@@ -153,3 +154,17 @@ class TestEvaluationCount:
         assert proto.component_evals == start + 3
         proto.enabled_actions(1)
         assert proto.component_evals == start + 3
+
+    def test_a_read_where_an_excursion_left_rebuilds_from_the_active_set(self, proto):
+        # The excursion's write marks nothing, so the read drops the cache
+        # (dirty_after answers None) and processor 1 is rebuilt from every
+        # active destination — both components, not the recorded dirt.
+        proto.bufs.set_r(D, 1, _garbage(proto, 0))
+        assert [a.dest for a in proto.enabled_actions(1)] == [D]
+        proto.begin_excursion()
+        proto.bufs.set_r(0, 1, proto.factory.invalid("g", 0, 0, 0))
+        assert proto._components.pending() == {}
+        assert proto.dirty_after({}) is None
+        start = proto.component_evals
+        assert [a.dest for a in proto.enabled_actions(1)] == [0, D]
+        assert proto.component_evals == start + 2

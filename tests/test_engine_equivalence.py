@@ -4,10 +4,10 @@ The incremental enabled-set engine (dirty-set guard caching, incremental
 queue reconciliation, ``next_hop`` caching) must be *observationally
 identical* to the classic engine that re-evaluates every guard of every
 processor each step.  The classic engine
-(``tests/reference_engines.py::FullScanSimulator``) never calls
-``dirty_after``, so SSMFP stays in its all-dirty regime and reproduces the
-pre-incremental behavior byte for byte — which makes side-by-side stepping
-an exact oracle.
+(``tests/reference_engines.py::FullScanSimulator``) reconciles every queue
+of every active component each step and re-derives every guard from the
+configuration, sharing no cache and no serving path with the product engine
+— which makes side-by-side stepping an exact oracle.
 
 The suite drives both engines in lock-step over randomized scenarios —
 topology (ring / grid / random connected / random tree), daemon variant,
@@ -18,11 +18,13 @@ end states (deliveries, ledger, rule counts, rounds).  Well over 50
 randomized runs execute across the parametrizations.
 """
 
+import copy
 import random
 
 import pytest
 
 from repro.app.workload import uniform_workload
+from repro.core.corruption import plant_invalid_messages, scramble_queues
 from repro.core.family import ForwardingProtocol
 from repro.errors import InvariantViolation
 from repro.network.topologies import (
@@ -33,6 +35,7 @@ from repro.network.topologies import (
     ring_network,
 )
 from repro.routing.corruption import corrupt_random
+from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.routing.static import StaticRouting
 from repro.scenario import ScenarioSpec, run_sim_scenario
 from repro.sim.faults import RoutingFaultInjector
@@ -45,7 +48,7 @@ from repro.statemodel.daemon import (
 )
 from repro.statemodel.scheduler import Simulator
 
-from tests.helpers import LocallyCentralRandomDaemon, make_ssmfp
+from tests.helpers import LocallyCentralRandomDaemon, make_ssmfp, make_ssmfp2
 from tests.reference_engines import CheckedSimulator, FullScanSimulator, use_engine
 
 MAX_STEPS = 4_000
@@ -256,10 +259,11 @@ class TestEngineEquivalence:
         sim = build_simulation(ring_network(6))
         assert type(sim.sim) is Simulator
         sim.step()
-        # The engine drains dirty_after, so both layers left the all-dirty
-        # (classic scan) regime and serve guards from the component caches.
-        assert sim.forwarding._all_dirty is False
-        assert sim.routing._all_dirty is False
+        # Both layers serve every processor's guards from their component
+        # caches, built by the first evaluation.
+        everyone = set(range(6))
+        assert sim.forwarding._components.valid == everyone
+        assert sim.routing._components.valid == everyone
 
     def test_guard_evals_drop_on_trickle_traffic(self):
         # The headline claim: sparse traffic on a converged network touches
@@ -356,14 +360,56 @@ class TestRoutingFaultsAfterStepZero:
         assert checked == full
 
     def test_a_mid_run_corruption_keeps_the_caches(self):
-        # The faulted entries are marked one by one: neither layer falls
-        # back to the all-dirty full scan.
+        # The faulted entries are marked one by one: neither layer drops
+        # its cache and rebuilds.
         sim = build_simulation(ring_network(8), seed=1)
         sim.step()
         hit = corrupt_random(sim.routing, seed=3, fraction=0.5)
         assert hit and not sim.routing.is_correct()
-        assert sim.routing._all_dirty is False
-        assert sim.forwarding._all_dirty is False
+        everyone = set(range(8))
+        assert sim.routing._components.valid == everyone
+        assert sim.forwarding._components.valid == everyone
+        assert sim.routing._components.dirty
+        assert sim.sim._stack.dirty_after({}) is not None
+
+
+class TestFirstEnvironmentPhase:
+    """The sinks mark from construction on, so the first ``before_step``
+    re-syncs only the queues they recorded — no sweep — and must leave
+    every queue as a full reconcile would: scrambled queues report
+    ``"mutate"``, offer-plane garbage reports through the buffer sink,
+    routing corrupted after the garbage through the routing observer,
+    raised requests through the request sink.  Without the scramble, which
+    records every queue, each of the other three is needed."""
+
+    @pytest.mark.parametrize("scramble", (False, True), ids=("plain", "scrambled"))
+    @pytest.mark.parametrize("make", (make_ssmfp, make_ssmfp2),
+                             ids=("ssmfp", "ssmfp2"))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_recorded_resync_equals_a_full_reconcile(self, make, scramble, seed):
+        rng = random.Random(seed)
+        net = grid_network(3, 4)
+        routing = SelfStabilizingBFSRouting(net)
+        proto = make(net, routing=routing)
+        plant_invalid_messages(proto, seed=seed, fill_fraction=0.3)
+        corrupt_random(routing, seed=seed, fraction=0.5)
+        if scramble:
+            scramble_queues(proto, seed=seed)
+        for _ in range(4):
+            src, dest = rng.sample(range(net.n), 2)
+            proto.hl.submit(src, "m", dest)
+        reference = copy.deepcopy(proto)
+        proto.before_step(0)
+        reference.hl.before_step(0)
+        reference._full_reconcile()
+        active = reference.active_destinations()
+        assert active == proto.active_destinations()
+        expected = [row for row in reference.queues.sorted_states()
+                    if row[0] in active]
+        assert expected  # the sweep had queues to fill
+        # Scrambled queues of inactive components are cleared, not kept.
+        assert proto.queues.sorted_states() == expected
+        assert not proto._resync
 
 
 class _RewritableRouting(StaticRouting):
@@ -488,7 +534,7 @@ class TestMarkTimeFilterHasTeeth:
         sim = CheckedSimulator(net.n, [proto], SynchronousDaemon())
         while proto.bufs.get_e(2, 0) is None:
             assert not sim.step().terminal
-        sim.stack.before_step(sim.step_count)
+        sim._stack.before_step(sim.step_count)
         assert [a.rule for a in sim.enabled_map()[1]] == ["R3"]
         assert not _live(proto, 2, 2) and proto.queues.head(2, 1) == 0
         return proto, sim

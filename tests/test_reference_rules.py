@@ -51,7 +51,7 @@ class DifferentialSimulator(Simulator):
 
     def enabled_map(self):
         enabled = super().enabled_map()
-        (proto,) = (p for p in self.stack.protocols if hasattr(p, "evaluate"))
+        (proto,) = (p for p in self._stack.protocols if hasattr(p, "evaluate"))
         dests = sorted(
             proto.active_destinations() | materialized_queue_destinations(proto.queues)
         )

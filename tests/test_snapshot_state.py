@@ -232,9 +232,9 @@ class TestFullSystemRoundTrip:
         key = system.canon(vec)
         # Execute real moves to scramble every layer, several steps deep.
         for _ in range(6):
-            system.stack().dirty_after({})
+            system._stack.dirty_after({})
             for pid in range(system.proto.net.n):
-                actions = system.stack().enabled_actions(pid)
+                actions = system._stack.enabled_actions(pid)
                 if actions:
                     actions[0].execute()
                     break

@@ -81,7 +81,7 @@ class TestCanonAlgebra:
         """A canon from partway through a random execution."""
         rng = random.Random(seed)
         system = _root_system(make)
-        stack = system.stack()
+        stack = system._stack
         n = system.proto.net.n
         for _ in range(steps):
             stack.dirty_after({})
