@@ -242,17 +242,16 @@ class ForwardingProtocol(Protocol):
 
     # -- incremental-engine notification sinks -------------------------------
 
-    def _mark_readers(self, p: ProcId, d: DestId) -> None:
-        """Dirty the components whose guards can read a variable of
-        ``(p, d)``: ``(p, d)`` itself and component ``d`` of every *live*
-        neighbor (the contract line: a neighbor holding no buffer and no
-        queued requester in ``d`` has no enabled rule before the write and
-        none after it).  A neighbor that becomes live does so by a write
+    def _mark_readers(self, d: DestId, procs, readers: List[ProcId]) -> None:
+        """Dirty component ``d`` at the readers of a write: ``readers``
+        and the processors of ``procs`` that are *live* in ``d``, holding
+        a buffer or a queued requester there (the contract line: a
+        processor that is not has no enabled rule before the write and
+        none after it).  A processor that becomes live does so by a write
         of its own variables, and those sinks mark it unfiltered."""
         buf_r, buf_e = self.bufs.rows(d)
         queues = self.queues.row(d)
-        readers = [p]
-        for q in self.net.neighbors(p):
+        for q in procs:
             if q in buf_r or q in buf_e or (
                 q in queues and queues[q].head() is not None
             ):
@@ -266,11 +265,13 @@ class ForwardingProtocol(Protocol):
         components); writes to the *offer* plane also change the candidate
         sets of ``p``'s neighbors."""
         if not self._excursion:
-            self._mark_readers(p, d)
+            # p's own guards read it, and those of its live neighbors.
+            self._mark_readers(d, self.net.neighbors(p), [p])
         if kind == self.offer_kind:
             # candidates(q, d) admits p only when nextHop_p(d) == q, so what
             # p offers can only alter that one queue (a hop that moves
-            # re-syncs old and new target through _on_routing_change).
+            # while p offers re-syncs old and new target through
+            # _on_routing_change).
             self._resync.setdefault(d, set()).add(self.next_hop(p, d))
 
     def _on_queue_event(self, key, kind: str) -> None:
@@ -294,20 +295,27 @@ class ForwardingProtocol(Protocol):
 
     def _on_routing_change(self, p: ProcId, d: DestId) -> None:
         """``nextHop_p(d)`` moved.  Invalidate the hop cache and dirty every
-        reader — all in component ``d``: ``p``'s own erase guard, the
-        candidate sets of ``p``'s neighbors, and the duplicate-cleanup
-        guards at holders of copies last forwarded by ``p`` (always within
-        the closed neighborhood)."""
+        live reader — all in component ``d`` of the closed neighborhood:
+        ``p``'s own erase guard, the candidate sets of ``p``'s neighbors,
+        and the duplicate-cleanup guards at holders of copies last
+        forwarded by ``p``.  Each reads on behalf of a buffer or queued
+        requester, so ``p`` is filtered like its neighbors: the routing
+        layer writes ``p``'s entry, not ``p``'s forwarding variables."""
         # The saved cache state describes the anchor under the routing
         # entries of that moment: a move ends the quiet return to it.
         self._home_dirt = None
         row = self._nh_cache.get(d)
         if row is not None:
             row.pop(p, None)
-        self._mark_readers(p, d)
-        # Unfiltered: re-syncing the queue of a neighbor that is not live
+        nbhd = self._nbhd[p]
+        self._mark_readers(d, nbhd, [])
+        # Only p's own candidacy moves with its hop, and p is a candidate
+        # nowhere while it offers nothing: an offer that starts later
+        # re-syncs the hop of that moment (_on_buffer_write).  Otherwise
+        # unfiltered: re-syncing the queue of a neighbor that is not live
         # is how a moved hop makes it live.
-        self._resync.setdefault(d, set()).update(self._nbhd[p])
+        if self.offered_message(d, p) is not None:
+            self._resync.setdefault(d, set()).update(nbhd)
 
     def dirty_after(self, selection) -> Optional[Set[ProcId]]:
         if self._excursion:

@@ -55,7 +55,8 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
     action cache (:mod:`repro.statemodel.components`): a table write at
     ``p`` for destination ``d`` dirties only component ``d`` in ``N_p ∪
     {p}`` instead of forcing all ``n`` destinations of those processors to
-    re-evaluate.
+    re-evaluate — and an executed repair only ``N_p``: its own guard is
+    false after it (:meth:`_repair`).
     """
 
     name = "A"
@@ -128,7 +129,12 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         return self._net
 
     def next_hop(self, p: ProcId, d: DestId) -> ProcId:
-        return self.hop[d][p]
+        # A read never materializes: an absent row is the fixpoint, and
+        # only written rows are "touched" (examined by a rebuild).
+        row = self.hop.peek(d)
+        if row is None:
+            row = self._fixpoint[d][1]
+        return row[p]
 
     def is_correct(self) -> bool:
         """True iff every entry equals the converged fixpoint (correct
@@ -165,7 +171,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
             return []
         new_dist, new_hop = self._target(pid, d)
         if self.dist[d][pid] != new_dist or self.hop[d][pid] != new_hop:
-            return [Action(pid, "RTfix", self.name, d, self.set_entry,
+            return [Action(pid, "RTfix", self.name, d, self._repair,
                            (d, pid, new_dist, new_hop))]
         return []
 
@@ -188,7 +194,24 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     def _reset_self(self, d: DestId, p: ProcId) -> None:
         """RTself: the destination is at distance 0 of itself."""
-        self.set_entry(d, p, 0, p)
+        self._repair(d, p, 0, p)
+
+    def _repair(self, d: DestId, p: ProcId, new_dist: int, new_hop: ProcId) -> None:
+        """An executed RTfix or RTself: :meth:`set_entry`, after which the
+        repair's guard at ``(p, d)`` is false — besides the entry just set
+        it reads only the neighbors' ``dist(d)``, and a neighbor whose
+        entry moves in the same step marks ``(p, d)`` by its own write.
+        So unless something marked ``(p, d)`` already, the component
+        retires unevaluated: only the neighbors stay marked, and ``p`` is
+        served again without the entry."""
+        cache = self._components
+        marked = d in cache.dirty.get(p, ())
+        self.set_entry(d, p, new_dist, new_hop)
+        if not marked:
+            cache.retire(p, d)
+
+    # What an RTfix ``Action.info`` reports beyond ``dest``.
+    _repair.describe = lambda d, p, dist, hop: {"dist": dist, "hop": hop}
 
     def set_entry(self, d: DestId, p: ProcId, new_dist: int, new_hop: ProcId) -> None:
         """Write ``dist_p(d)`` and ``hop_p(d)`` — RTfix's effect, every
@@ -204,17 +227,6 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         self._mark_dirty(p, d)
         if hop_changed:
             self._notify_entry(p, d)
-
-    # What an RTfix ``Action.info`` reports beyond ``dest``.
-    set_entry.describe = lambda d, p, dist, hop: {"dist": dist, "hop": hop}
-
-    def dump(self) -> Dict[str, object]:
-        """Materialized rows only — an absent destination is at its
-        fixpoint and contributes nothing."""
-        return {
-            "dist": {d: list(self.dist[d]) for d in sorted(self.dist.materialized())},
-            "hop": {d: list(self.hop[d]) for d in sorted(self.hop.materialized())},
-        }
 
     # -- snapshot/restore ----------------------------------------------------
 

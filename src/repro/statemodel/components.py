@@ -47,7 +47,8 @@ class ComponentDirtyCache:
         self.valid: Set[ProcId] = set()
         #: ``dirty[p]`` — destinations whose component at ``p`` must be
         #: re-evaluated before ``p``'s enabled list is served again.  A
-        #: processor is a key exactly while it has such a destination.
+        #: processor is a key exactly while its list must be served again:
+        #: with such a destination, or with none after :meth:`retire`.
         self.dirty: Dict[ProcId, Set[DestId]] = {}
         #: ``entries[p]`` — component -> non-empty enabled-action list.
         self.entries: Dict[ProcId, Dict[DestId, List[Action]]] = {}
@@ -72,6 +73,16 @@ class ComponentDirtyCache:
                 dirty[pid] = {d}
             else:
                 row.add(d)
+
+    def retire(self, pid: ProcId, d: DestId) -> None:
+        """Take back the mark of ``(pid, d)`` and drop its entry without
+        evaluating it — for a write that is known to leave no rule enabled
+        there — while ``pid`` stays reported, so its list is served again
+        without the dropped entry."""
+        self.dirty[pid].discard(d)
+        entries = self.entries.get(pid)
+        if entries:
+            entries.pop(d, None)
 
     def invalidate_all(self) -> None:
         """Drop every entry and every recorded dirty bit, so every

@@ -11,7 +11,7 @@ configuration, so simultaneous execution keeps snapshot semantics.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.statemodel.action import Action
 from repro.statemodel.snapshot import EMPTY_STATE, StateVector
@@ -86,12 +86,6 @@ class Protocol(ABC):
         its component cache (see :mod:`repro.statemodel.components`).
         """
         return None
-
-    def dump(self) -> Dict[str, Any]:
-        """A JSON-ish dump of protocol state for traces and figure replays
-        (human-facing, lossy).  Default: empty.  Not to be confused with
-        :meth:`snapshot`, the exact machine-facing state vector."""
-        return {}
 
     def snapshot(self) -> StateVector:
         """The protocol's full mutable state as an immutable vector (see

@@ -333,9 +333,15 @@ class Simulator:
         if not selection:
             raise ScheduleError("daemon selected no processor while some are enabled")
         for pid, action in selection.items():
-            if pid not in enabled:
+            served = enabled.get(pid)
+            if served is None:
                 raise ScheduleError(f"daemon selected disabled processor {pid}")
-            if action not in enabled[pid]:
+            # By identity: a daemon hands back an action it was served, and
+            # an equal twin (``Action.__eq__``, field by field) was not.
+            for offered in served:
+                if offered is action:
+                    break
+            else:
                 raise ScheduleError(
                     f"daemon selected an action not enabled at {pid}: {action!r}"
                 )

@@ -6,12 +6,16 @@ The rule under test is reader-precise dirt: a write at ``p`` in component
 *live* — holding ``bufR``, ``bufE`` or a queued requester in ``d`` — because
 no rule is enabled at a component that is not (the liveness line of the
 family contract).  What must stay unfiltered is checked too: a processor's
-own writes and the queue re-sync set.
+own writes, and the queue re-sync set of a moved hop whose mover offers.
+The routing layer's own rule — an executed repair retires its component —
+is pinned here as well.
 """
 
 import pytest
 
-from repro.network.topologies import line_network
+from repro.network.topologies import grid_network, line_network
+from repro.routing.corruption import corrupt_random
+from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.statemodel.daemon import SynchronousDaemon
 
 from tests.helpers import make_ssmfp, make_ssmfp2
@@ -106,17 +110,114 @@ class TestBufferWriteSink:
         assert cache.pending() == {0: {D}, 1: {D}}
 
 
+def _offer(proto, q):
+    """``q`` offers a message in component ``D``: an owned one on the
+    protocol's offer plane."""
+    if proto.offer_kind == "E":
+        proto.bufs.set_e(D, q, _garbage(proto, q))
+    else:
+        proto.bufs.set_r(D, q, _garbage(proto, q))
+    assert proto.offered_message(D, q) is not None
+
+
+def _move_hop(proto, p):
+    """Report ``nextHop_p(D)`` moved, from a clean cache and re-sync set."""
+    proto._components.reset({})
+    proto._resync.clear()
+    proto.routing._notify_entry(p, D)
+
+
 class TestRoutingChangeSink:
-    def test_marks_are_filtered_but_the_resync_set_is_not(self, proto):
+    """A moved hop marks the live processors of the mover's closed
+    neighborhood, the mover included, and re-syncs that neighborhood's
+    queues only while the mover offers a message in the component."""
+
+    def test_a_silent_mover_marks_nothing(self, proto):
         cache = _tracking(proto)
         _make_live(proto, 2, "bufR")
-        cache.reset({})
-        proto._resync.clear()
-        proto.routing._notify_entry(1, D)
-        assert cache.pending() == {1: {D}, 2: {D}}
-        # Node 0 is not live; re-syncing its queue is how a hop that moved
-        # toward it makes it live.
+        _move_hop(proto, 1)
+        assert cache.pending() == {2: {D}}
+        assert proto._resync == {}
+
+    def test_a_live_mover_offering_nothing(self, proto):
+        # bufR_1(D) holds a copy 1 does not own (last = 0): SSMFP offers
+        # from bufE only, SSMFP2 only owned messages.
+        cache = _tracking(proto)
+        proto.bufs.set_r(D, 1, _garbage(proto, 0))
+        assert proto.offered_message(D, 1) is None
+        _move_hop(proto, 1)
+        assert cache.pending() == {1: {D}}
+        assert proto._resync == {}
+
+    @pytest.mark.parametrize("clause", ("bufR", "bufE", "head"))
+    def test_an_offerer_resyncs_its_nbhd(self, proto, clause):
+        # Node 0 is live, node 2 is not; re-syncing node 2's queue anyway
+        # is how a hop that moved toward it makes it live.
+        cache = _tracking(proto)
+        _offer(proto, 1)
+        _make_live(proto, 0, clause)
+        _move_hop(proto, 1)
+        assert cache.pending() == {0: {D}, 1: {D}}
         assert proto._resync == {D: {0, 1, 2}}
+
+
+def _served(routing):
+    """Every processor's enabled list, as the engine serves them before a
+    selection (the dirt is consumed)."""
+    served = {p: routing.enabled_actions(p) for p in routing.network.processors()}
+    assert routing._components.pending() == {}
+    return served
+
+
+class TestRepairRetiresItsComponent:
+    """An executed RTfix / RTself leaves its own guard false unless a
+    neighbor's entry moved in the same step, and that neighbor's write
+    marks the component anyway: so the repair marks only its neighbors,
+    drops its own entry unevaluated and has its processor served again."""
+
+    @pytest.mark.parametrize("rule, p, entry", (
+        ("RTfix", 1, (2, 0)),   # 1 routes away from 2 at distance 2
+        ("RTself", D, (0, 1)),  # the destination's own hop corrupted
+    ))
+    def test_alone_the_repair_is_not_evaluated_again(self, rule, p, entry):
+        routing = SelfStabilizingBFSRouting(line_network(3))
+        routing.set_entry(D, p, *entry)
+        served = _served(routing)
+        assert {q: [a.rule for a in acts] for q, acts in served.items() if acts} == {p: [rule]}
+        served[p][0].execute()
+        cache = routing._components
+        assert cache.pending() == {q: ({D} if q != p else set()) for q in routing._nbhd[p]}
+        assert p in routing.dirty_after({})
+        assert D not in cache.entries[p]
+        evals = routing.component_evals
+        assert routing.enabled_actions(p) == []
+        assert routing.component_evals == evals
+        assert routing.is_correct()
+
+    @pytest.mark.parametrize("order", ((1, 0), (0, 1)), ids=("mine-first", "theirs-first"))
+    def test_a_neighbor_repair_in_the_same_selection_re_evaluates(self, order):
+        routing = SelfStabilizingBFSRouting(line_network(3))
+        routing.set_entry(D, 1, 2, 0)
+        routing.set_entry(D, 0, 1, 1)
+        served = _served(routing)
+        assert [a.rule for a in served[0]] == [a.rule for a in served[1]] == ["RTfix"]
+        for q in order:
+            served[q][0].execute()
+        assert routing._components.pending()[1] == {D}
+        evals = routing.component_evals
+        routing.enabled_actions(1)
+        assert routing.component_evals == evals + 1
+
+    def test_a_retiring_run_matches_a_fresh_scan(self):
+        # Every entry corrupted, repaired under the synchronous daemon (all
+        # enabled processors at once) with the cache checked against a
+        # fresh scan at every step.
+        net = grid_network(3, 3)
+        routing = SelfStabilizingBFSRouting(net)
+        corrupt_random(routing, seed=4, fraction=1.0)
+        sim = CheckedSimulator(net.n, [routing], SynchronousDaemon())
+        sim.run(500)
+        assert routing.is_correct()
 
 
 class TestOwnVariableSinks:

@@ -179,12 +179,18 @@ def _run_side_by_side(seed: int, daemon_name: str, policy: str = "fifo", *,
     full = _make_scenario(seed, daemon_name, policy, full_scan=True,
                           options=options, adversarial=adversarial,
                           protocol=protocol)
+    _lockstep(inc, full, max_steps, f"seed={seed}, daemon={daemon_name}, "
+              f"policy={policy}, options={options}")
+
+
+def _lockstep(inc: Simulation, full: Simulation, max_steps: int, context: str) -> None:
+    """Step the product engine and the full-scan oracle together: equal
+    step traces, equal end states, no more guard evaluations."""
     for _ in range(max_steps):
         ra = inc.step()
         rb = full.step()
         assert _signature(ra) == _signature(rb), (
-            f"step trace diverged at step {ra.step} (seed={seed}, "
-            f"daemon={daemon_name}, policy={policy}, options={options})"
+            f"step trace diverged at step {ra.step} ({context})"
         )
         if delivered_and_drained(inc) and ra.terminal:
             break
@@ -254,6 +260,30 @@ class TestEngineEquivalence:
             report = sim.step()
             if report.terminal and delivered_and_drained(sim):
                 break
+
+    @pytest.mark.parametrize("topology", ("ring", "grid"))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_churn_matches_full_scan(self, topology, seed):
+        # The routing-repair regime of the churn pins and the sim-churn
+        # bench workload, small: 30 % of the tables corrupted, repaired
+        # while traffic flows — executed repairs retire their own
+        # components and moved hops re-sync only under offering movers.
+        def build(full_scan):
+            net = ring_network(24) if topology == "ring" else grid_network(5, 5)
+            sim = build_simulation(
+                net,
+                workload=uniform_workload(net.n, count=24, seed=seed, spread_steps=120),
+                daemon=DistributedRandomDaemon(seed=seed + 1),
+                routing_corruption={"kind": "random", "fraction": 0.3, "seed": seed + 2},
+                seed=seed + 3,
+            )
+            if full_scan:
+                use_engine(sim, FullScanSimulator)
+            return sim
+
+        inc = build(False)
+        _lockstep(inc, build(True), MAX_STEPS, f"{topology} churn, seed={seed}")
+        assert inc.sim.rule_counts["RTfix"] > 0
 
     def test_incremental_is_default(self):
         sim = build_simulation(ring_network(6))
@@ -484,9 +514,10 @@ def _mark_readers_without(dropped):
     """``ForwardingProtocol._mark_readers`` rewritten by hand with one
     clause of the liveness test left out (``None``: the faithful twin)."""
 
-    def mark_readers(self, p, d):
-        self._components.mark(p, d)
-        for q in self.net.neighbors(p):
+    def mark_readers(self, d, procs, readers):
+        for q in readers:
+            self._components.mark(q, d)
+        for q in procs:
             clauses = {
                 "bufR": self.bufs.get_r(d, q) is not None,
                 "bufE": self.bufs.get_e(d, q) is not None,

@@ -84,16 +84,17 @@ def _build(label, **kwargs):
 # label -> (step budget | None = to completion, steps, guard-eval ceiling).
 # The steps are exact: a change that alters an execution must be deliberate.
 # The ceilings sit ~10 % over the count recorded when pinned (in the
-# comments; before reader-precise dirt in parentheses): more means the
-# dirty sets got coarser or a cache started missing.  The n = 256 scale
+# comments; in parentheses, before reader-precise dirt for trickle and
+# before an executed repair retired its own component for churn): more
+# means the dirty sets got coarser or a cache started missing.  The n = 256 scale
 # points run a fixed budget; ring256-churn's 400 steps are all routing
 # repair.  Bit-identity with the classic full scan is asserted against
 # tests/reference_engines.py in test_engine_equivalence.py.
 _ENGINE_PINS = {
     "ring64-trickle": (None, 1345, 7_800),      # 7,017 (10,726)
     "grid8x8-trickle": (None, 795, 2_700),      # 2,403 (6,022)
-    "ring64-churn": (None, 1348, 82_500),       # 75,034 (80,132)
-    "ring256-churn": (400, 400, 241_000),       # 218,576
+    "ring64-churn": (None, 1348, 58_000),       # 52,632 (75,034)
+    "ring256-churn": (400, 400, 184_500),       # 167,667 (218,576)
     "grid16x16-trickle": (400, 396, 1_900),     # 1,723 (4,343)
 }
 

@@ -29,6 +29,7 @@ from repro.statemodel.message import MessageFactory
 
 from tests.helpers import (
     live_sources,
+    make_ssmfp2,
     materialized_buffer_destinations,
     materialized_queue_count,
 )
@@ -183,6 +184,24 @@ class TestEvictedReadsAreCleanEmpty:
         assert rows.peek(4) is None
         assert rows[4] == [4, 5, 6]      # re-materialization is clean
         assert calls == [4, 4]
+
+    def test_routing_reads_never_materialize(self):
+        # next_hop reads an absent row through the fixpoint, so only
+        # written rows are "touched" and examined by a rebuild — also
+        # when SSMFP2's buffer sink asks for the hop of an unowned copy.
+        net = grid_network(4, 4)
+        routing = SelfStabilizingBFSRouting(net)
+        proto = make_ssmfp2(net, routing)
+        for p in net.processors():
+            for d in net.processors():
+                assert routing.next_hop(p, d) == routing._fixpoint_hop_row(d)[p]
+        f = proto.factory
+        proto.bufs.set_r(5, 6, f.invalid("copy", net.neighbors(6)[0], 0, 5))
+        proto.bufs.set_r(9, 6, f.invalid("owned", 6, 0, 9))
+        assert proto.offered_message(5, 6) is None
+        assert routing.dist.materialized() == routing.hop.materialized() == set()
+        assert all(routing.enabled_actions(p) == [] for p in net.processors())
+        assert routing.component_evals == 0
 
     def test_runtime_dest_queues_evict_and_reread_empty(self):
         from repro.runtime.hop import _DestQueues

@@ -3,9 +3,12 @@ interface details not covered elsewhere."""
 
 import pytest
 
+from repro.errors import ScheduleError
 from repro.statemodel.action import Action
 from repro.statemodel.composition import PriorityStack
+from repro.statemodel.daemon import SynchronousDaemon
 from repro.statemodel.protocol import Protocol
+from repro.statemodel.scheduler import Simulator
 
 
 class Minimal(Protocol):
@@ -27,9 +30,6 @@ class Minimal(Protocol):
 
 
 class TestProtocolDefaults:
-    def test_default_dump_empty(self):
-        assert Minimal().dump() == {}
-
     def test_default_state_vector_empty(self):
         assert Minimal().snapshot() == ()
 
@@ -80,17 +80,23 @@ class TestActionDefaults:
         assert Action(0, "R", "P", None, effect, ("m",)).info == {"payload": "m"}
 
     def test_membership_is_what_validate_selection_needs(self):
-        # Simulator._validate_selection tests ``action in enabled[pid]``:
-        # identity first, then field-wise equality — so a re-evaluated twin
-        # (same callable, equal bound values) passes and a foreign action
-        # does not.
+        # Simulator._validate_selection looks the selected action up in
+        # the served list by identity, the stricter test: a re-evaluated
+        # twin (same callable, equal bound values) is a member by
+        # equality but was never served, and a foreign action is neither.
         def effect():
             pass
 
         offered = [Action(pid=0, rule="R1", protocol="P", dest=None, apply=effect)]
-        assert offered[0] in offered
-        assert Action(pid=0, rule="R1", protocol="P", dest=None, apply=effect) in offered
-        assert Action(pid=0, rule="R1", protocol="P", dest=None, apply=lambda: None) not in offered
+        sim = Simulator(1, Minimal(), SynchronousDaemon())
+        sim._validate_selection({0: offered[0]}, {0: offered})
+        twin = Action(pid=0, rule="R1", protocol="P", dest=None, apply=effect)
+        assert twin in offered
+        foreign = Action(pid=0, rule="R1", protocol="P", dest=None, apply=lambda: None)
+        assert foreign not in offered
+        for refused in (twin, foreign):
+            with pytest.raises(ScheduleError, match="not enabled"):
+                sim._validate_selection({0: refused}, {0: offered})
 
     def test_slotted_and_unhashable(self):
         action = Action(pid=0, rule="R", protocol="P", dest=None, apply=lambda: None)

@@ -93,6 +93,9 @@ class BadDaemon(Daemon):
         if self.mode == "disabled":
             return {99: Action(pid=99, rule="X", protocol="T", dest=None, apply=lambda: None)}
         pid = min(enabled)
+        if self.mode == "twin":
+            a = enabled[pid][0]
+            return {pid: Action(a.pid, a.rule, a.protocol, a.dest, a.apply, a.args)}
         return {pid: Action(pid=pid, rule="X", protocol="T", dest=None, apply=lambda: None)}
 
 
@@ -188,6 +191,18 @@ class TestDaemonValidation:
 
     def test_foreign_action_rejected(self):
         sim = Simulator(2, CountUp(2, limit=1), BadDaemon("foreign"))
+        with pytest.raises(ScheduleError, match="not enabled"):
+            sim.step()
+
+    def test_equal_twin_rejected(self):
+        # Validation is by identity: a twin equal field by field to the
+        # served action was still not served.
+        proto = CountUp(2, limit=1)
+        sim = Simulator(2, proto, BadDaemon("twin"))
+        served = proto.enabled_actions(0)[0]
+        twin = Action(served.pid, served.rule, served.protocol, served.dest,
+                      served.apply, served.args)
+        assert twin == served
         with pytest.raises(ScheduleError, match="not enabled"):
             sim.step()
 
