@@ -76,6 +76,8 @@ class HigherLayer:
         #: Sparse outboxes: materialized while nonempty, evicted once
         #: drained.  An absent outbox reads as empty everywhere.
         self._outbox: Dict[ProcId, Deque[Pending]] = {}
+        #: Messages across every outbox, kept by the mutators.
+        self._pending = 0
         #: The shared variable ``request_p`` read by rule R1.
         self.request = _RequestFlags(self)
         self._delivered: List[Tuple[ProcId, Message, int]] = []
@@ -133,6 +135,7 @@ class HigherLayer:
         if box is None:
             box = self._outbox[p] = deque()
         box.append((payload, dest))
+        self._pending += 1
         if self._on_submit is not None:
             self._on_submit(p, payload, dest, step)
 
@@ -144,7 +147,7 @@ class HigherLayer:
 
     def total_pending(self) -> int:
         """Outstanding submissions across all processors."""
-        return sum(len(box) for box in self._outbox.values())
+        return self._pending
 
     # -- the request handshake (rule R1's counterpart) ---------------------------
 
@@ -191,6 +194,7 @@ class HigherLayer:
         if not box:
             raise ConfigurationError(f"consume_request({p}) with empty outbox")
         item = box.popleft()
+        self._pending -= 1
         if not box:
             del self._outbox[p]  # quiescence: drained outboxes are evicted
         self.request[p] = False
@@ -261,6 +265,7 @@ class HigherLayer:
                     notify(p, new_dest)
         self._requested = dict(requested)
         self._delivered = list(delivered)
+        self._pending = sum(len(box) for box in self._outbox.values())
         self._anchor = vec
 
     def requested_destinations(self) -> Set[DestId]:

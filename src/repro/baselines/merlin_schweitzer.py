@@ -227,7 +227,3 @@ class MerlinSchweitzerForwarding(Protocol):
             for m in row
             if m is not None and m.uid == uid
         )
-
-    def network_is_empty(self) -> bool:
-        """True iff every buffer is empty."""
-        return all(m is None for row in self.buf for m in row)

@@ -57,6 +57,8 @@ class DeliveryLedger:
         self._valid_delivered: Dict[int, DeliveryRecord] = {}
         self._invalid_deliveries: List[DeliveryRecord] = []
         self._lost: Set[int] = set()
+        #: Generated valid uids not delivered yet, kept by every intake.
+        self._outstanding: Set[int] = set()
         #: Violations observed in non-strict mode, human-readable.
         self.violations: List[str] = []
         self._observers: List[LedgerObserver] = []
@@ -83,6 +85,8 @@ class DeliveryLedger:
             raise ValueError(f"record_generated expects a valid message, got {msg!r}")
         self._anchor = None
         self._generated[msg.uid] = (msg.source, msg.dest, msg.born_step)
+        if msg.uid not in self._valid_delivered:
+            self._outstanding.add(msg.uid)
         if self._observers:
             self._emit(
                 "generated", msg.uid,
@@ -118,6 +122,7 @@ class DeliveryLedger:
             self._flag("; ".join(problems))
         if msg.uid not in self._valid_delivered:
             self._valid_delivered[msg.uid] = rec
+            self._outstanding.discard(msg.uid)
         if self._observers:
             self._emit("delivered", msg.uid, {"at": at, "step": step, "valid": True})
 
@@ -166,6 +171,7 @@ class DeliveryLedger:
         self._invalid_deliveries = list(invalid)
         self._lost = set(lost)
         self.violations = list(violations)
+        self._outstanding = set(self._generated).difference(self._valid_delivered)
         self._anchor = vec
 
     # -- queries ------------------------------------------------------------
@@ -195,7 +201,7 @@ class DeliveryLedger:
 
     def outstanding_uids(self) -> Set[int]:
         """Valid uids generated but not yet delivered."""
-        return set(self._generated).difference(self._valid_delivered)
+        return set(self._outstanding)
 
     def generated_uids(self) -> List[int]:
         """Every generated valid uid, ascending.  Uids need not be
@@ -213,7 +219,7 @@ class DeliveryLedger:
 
     def all_valid_delivered(self) -> bool:
         """True iff every generated message has been delivered."""
-        return not self.outstanding_uids()
+        return not self._outstanding
 
     def generation_info(self, uid: int) -> Optional[Tuple[ProcId, DestId, int]]:
         """(source, dest, born_step) for a generated uid."""

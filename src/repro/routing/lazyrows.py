@@ -18,7 +18,7 @@ reach the journal and the dirty channels.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Set, Tuple, TypeVar
+from typing import Callable, Dict, List, TypeVar
 
 T = TypeVar("T")
 
@@ -28,43 +28,26 @@ class LazyRows:
 
     The fill function runs once per destination; the returned list is
     cached and shared with every subsequent access, so in-place mutations
-    persist.  ``peek``/``materialized`` never materialize anything, and
-    ``evict`` drops a row so the next access re-fills it fresh.
+    persist.  Reading ``rows`` (the materialized ones) never materializes
+    anything, and ``evict`` drops a row so the next access re-fills it.
     """
 
-    __slots__ = ("_rows", "_fill")
+    __slots__ = ("rows", "_fill")
 
     def __init__(self, fill: Callable[[int], List[T]]) -> None:
-        self._rows: Dict[int, List[T]] = {}
+        #: The materialized rows, ``{d: row}``: read it, never write it.
+        self.rows: Dict[int, List[T]] = {}
         self._fill = fill
 
     def __getitem__(self, d: int) -> List[T]:
-        row = self._rows.get(d)
+        row = self.rows.get(d)
         if row is None:
-            row = self._rows[d] = self._fill(d)
+            row = self.rows[d] = self._fill(d)
         return row
-
-    def peek(self, d: int):
-        """The materialized row or None — never fills."""
-        return self._rows.get(d)
 
     def evict(self, d: int) -> None:
         """Forget the row; the next access re-runs the fill function."""
-        self._rows.pop(d, None)
-
-    def materialized(self) -> Set[int]:
-        """Destinations with a materialized row (copy, safe to mutate)."""
-        return set(self._rows)
-
-    def items(self) -> Iterator[Tuple[int, List[T]]]:
-        """Materialized ``(d, row)`` pairs (unordered)."""
-        return iter(self._rows.items())
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, d: int) -> bool:
-        return d in self._rows
+        self.rows.pop(d, None)
 
     def __eq__(self, other: object) -> bool:
         """Logical equality: two tables are equal iff every row — absent
@@ -73,7 +56,7 @@ class LazyRows:
         sides is fill-identical by determinism of the fill."""
         if not isinstance(other, LazyRows):
             return NotImplemented
-        for d in self.materialized() | other.materialized():
+        for d in self.rows.keys() | other.rows.keys():
             if self[d] != other[d]:
                 return False
         return True

@@ -101,7 +101,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
     def _touched_destinations(self) -> Set[DestId]:
         """Destinations with any materialized table row — the only ones
         that can deviate from the fixpoint (a write materializes)."""
-        return self.dist.materialized() | self.hop.materialized()
+        return self.dist.rows.keys() | self.hop.rows.keys()
 
     def _deviates(self, d: DestId) -> bool:
         """True iff some entry for ``d`` differs from the fixpoint."""
@@ -131,7 +131,7 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
     def next_hop(self, p: ProcId, d: DestId) -> ProcId:
         # A read never materializes: an absent row is the fixpoint, and
         # only written rows are "touched" (examined by a rebuild).
-        row = self.hop.peek(d)
+        row = self.hop.rows.get(d)
         if row is None:
             row = self._fixpoint[d][1]
         return row[p]
@@ -144,12 +144,12 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     # -- Protocol --------------------------------------------------------------
 
-    def _target(self, p: ProcId, d: DestId) -> Tuple[int, ProcId]:
-        """The (dist, hop) pair RTfix would adopt at ``p`` for ``d``."""
+    def _target(self, p: ProcId, dist: List[int]) -> Tuple[int, ProcId]:
+        """The (dist, hop) pair RTfix would adopt at ``p`` over ``dist``."""
         best = self._cap
         bh = p
         for q in self._net.neighbors(p):
-            dq = self.dist[d][q]
+            dq = dist[q]
             if dq < best:
                 best = dq
                 bh = q
@@ -161,16 +161,17 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
 
     def _eval_component(self, pid: ProcId, d: DestId) -> List[Action]:
         """RTself/RTfix at the single component ``(pid, d)``."""
-        if self.dist.peek(d) is None and self.hop.peek(d) is None:
+        if d not in self.dist.rows and d not in self.hop.rows:
             # Unmaterialized row ≡ converged fixpoint: silent, no rule
             # enabled — and evaluating it must not materialize anything.
             return []
+        dist, hop = self.dist[d], self.hop[d]
         if pid == d:
-            if self.dist[d][pid] != 0 or self.hop[d][pid] != pid:
+            if dist[pid] != 0 or hop[pid] != pid:
                 return [Action(pid, "RTself", self.name, d, self._reset_self, (d, pid))]
             return []
-        new_dist, new_hop = self._target(pid, d)
-        if self.dist[d][pid] != new_dist or self.hop[d][pid] != new_hop:
+        new_dist, new_hop = self._target(pid, dist)
+        if dist[pid] != new_dist or hop[pid] != new_hop:
             return [Action(pid, "RTfix", self.name, d, self._repair,
                            (d, pid, new_dist, new_hop))]
         return []
@@ -191,6 +192,15 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
         return self._components.enabled_actions(
             pid, self._eval_component, self._active_sorted
         )
+
+    def silent_at(self, pid: ProcId) -> bool:
+        """True, counting ``pid`` as polled, while there is no dirt, no
+        served entry and no row — the set a rebuild examines."""
+        cache = self._components
+        if cache.dirty or cache.served or self.dist.rows or self.hop.rows:
+            return False
+        cache.valid.add(pid)
+        return True
 
     def _reset_self(self, d: DestId, p: ProcId) -> None:
         """RTself: the destination is at distance 0 of itself."""
@@ -216,15 +226,20 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
     def set_entry(self, d: DestId, p: ProcId, new_dist: int, new_hop: ProcId) -> None:
         """Write ``dist_p(d)`` and ``hop_p(d)`` — RTfix's effect, every
         restore's, and every corruption's — feeding both dirty channels:
-        this protocol's own guards (closed neighborhood) and, when the hop
-        actually moved, the observers reading ``next_hop``."""
+        this protocol's own guards and, when the hop actually moved, the
+        observers reading ``next_hop``.  Neighbors' guards read ``dist``,
+        never ``hop``: a write that leaves ``dist_p(d)`` as it was marks
+        ``(p, d)`` alone, the closed neighborhood otherwise."""
         dist_row, hop_row = self.dist[d], self.hop[d]
         if self._journal is not None:
             self._journal.setdefault((d, p), (dist_row[p], hop_row[p]))
         hop_changed = hop_row[p] != new_hop
-        dist_row[p] = new_dist
+        if dist_row[p] == new_dist:
+            self._components.mark(p, d)
+        else:
+            dist_row[p] = new_dist
+            self._mark_dirty(p, d)
         hop_row[p] = new_hop
-        self._mark_dirty(p, d)
         if hop_changed:
             self._notify_entry(p, d)
 

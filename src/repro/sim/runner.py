@@ -164,12 +164,9 @@ def delivered_and_drained(simulation: Simulation) -> bool:
 
 def fully_quiescent(simulation: Simulation) -> bool:
     """Stronger halt: delivered_and_drained plus an empty network (all
-    invalid garbage consumed or erased too)."""
-    if not delivered_and_drained(simulation):
-        return False
+    invalid garbage consumed or erased too) — forwarding protocols only."""
     fw = simulation.forwarding
-    empty = getattr(fw, "network_is_empty", None)
-    return bool(empty()) if callable(empty) else True
+    return delivered_and_drained(simulation) and fw.network_is_empty()
 
 
 def _make_routing(

@@ -12,10 +12,11 @@ re-evaluate the dirty ones.
 :class:`ComponentDirtyCache` is what both component-tracking protocols
 share: the dirt (``{processor: destinations to re-evaluate}``), the set of
 processors whose entries were built since the last wholesale invalidation,
-the per-processor index of *non-empty* component entries, and
+the list last served to each processor, and
 :meth:`~ComponentDirtyCache.enabled_actions` — the one valid → rebuild |
-dirty → reconcile → assemble sequence, O(dirty + occupied components) per
-processor and never O(n).  The owning protocol contributes only what is
+dirty → reconcile → splice sequence, O(dirty · log occupied) plus one
+list copy per processor and never O(n).  The owning protocol contributes
+only what is
 its own: which writes dirty which components, how one component is
 evaluated, and which destinations a rebuild must examine.
 
@@ -30,16 +31,20 @@ cached action list is bit-identical to a fresh evaluation.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Sequence, Set
 
 from repro.statemodel.action import Action
 from repro.types import DestId, ProcId
 
+_DEST = attrgetter("dest")  # the sort key of a served list
+
 
 class ComponentDirtyCache:
-    """Per-(processor, destination) dirty sets and enabled-action entries."""
+    """Per-(processor, destination) dirty sets and served enabled lists."""
 
-    __slots__ = ("valid", "dirty", "entries", "evals")
+    __slots__ = ("valid", "dirty", "served", "evals")
 
     def __init__(self) -> None:
         #: Processors whose entries have been built since the last
@@ -50,8 +55,10 @@ class ComponentDirtyCache:
         #: processor is a key exactly while its list must be served again:
         #: with such a destination, or with none after :meth:`retire`.
         self.dirty: Dict[ProcId, Set[DestId]] = {}
-        #: ``entries[p]`` — component -> non-empty enabled-action list.
-        self.entries: Dict[ProcId, Dict[DestId, List[Action]]] = {}
+        #: ``served[p]`` — the non-empty list last served for ``p``: its
+        #: components' actions, by ascending ``Action.dest``.  Handed out
+        #: as is and never written again; a change goes into a copy.
+        self.served: Dict[ProcId, List[Action]] = {}
         #: Component evaluations performed so far — one per destination
         #: examined, by a rebuild or a reconcile alike.
         self.evals = 0
@@ -75,14 +82,21 @@ class ComponentDirtyCache:
                 row.add(d)
 
     def retire(self, pid: ProcId, d: DestId) -> None:
-        """Take back the mark of ``(pid, d)`` and drop its entry without
-        evaluating it — for a write that is known to leave no rule enabled
-        there — while ``pid`` stays reported, so its list is served again
-        without the dropped entry."""
+        """Take back the mark of ``(pid, d)`` and splice its actions out
+        without evaluating it — for a write that is known to leave no rule
+        enabled there — while ``pid`` stays reported, so its list is served
+        again without them."""
         self.dirty[pid].discard(d)
-        entries = self.entries.get(pid)
-        if entries:
-            entries.pop(d, None)
+        old = self.served.get(pid)
+        if old:
+            lo = bisect_left(old, d, key=_DEST)
+            hi = bisect_right(old, d, lo, key=_DEST)
+            if hi - lo == len(old):
+                del self.served[pid]
+            elif lo != hi:
+                new = old[:]
+                del new[lo:hi]
+                self.served[pid] = new
 
     def invalidate_all(self) -> None:
         """Drop every entry and every recorded dirty bit, so every
@@ -91,7 +105,7 @@ class ComponentDirtyCache:
         excursion).  O(touched processors), not O(n)."""
         self.valid.clear()
         self.dirty.clear()
-        self.entries.clear()
+        self.served.clear()
 
     def pending(self) -> Dict[ProcId, Set[DestId]]:
         """A copy of the recorded dirt, ``{processor: destinations}``."""
@@ -114,32 +128,32 @@ class ComponentDirtyCache:
         A processor not yet valid is rebuilt from ``active(pid)`` — the
         destinations that can hold an enabled rule, ascending, which is
         all a first evaluation needs; a valid one re-evaluates only its
-        dirty components with ``evaluate(pid, d)``.  Either way the dirt is consumed, and the
-        list is assembled from the non-empty entries in ascending
-        destination order (the order a left-to-right scan produces —
-        daemons observe it, so it is part of the contract)."""
+        dirty components with ``evaluate(pid, d)``.  Either way the dirt
+        is consumed.  A clean poll (a masked re-poll, say) serves the list
+        served last time; a dirty one splices each evaluated component
+        into a copy of it, bisecting the ascending destinations — the
+        order of a left-to-right scan, which daemons observe."""
         dests = self.dirty.pop(pid, None)
         if pid not in self.valid:
             # Entries are dropped with validity, so there is none to clear.
             self.valid.add(pid)
             dests = active(pid)
-        entries = self.entries.get(pid)
-        if dests:
-            self.evals += len(dests)
-            if entries is None:
-                entries = self.entries[pid] = {}
-            for d in dests:
-                acts = evaluate(pid, d)
-                if acts:
-                    entries[d] = acts
-                else:
-                    entries.pop(d, None)
-        if not entries:
-            return []
-        if len(entries) == 1:
-            (acts,) = entries.values()
-            return list(acts)
-        out: List[Action] = []
-        for d in sorted(entries):
-            out.extend(entries[d])
+        if not dests:
+            return self.served.get(pid) or []
+        self.evals += len(dests)
+        old = out = self.served.get(pid, ())
+        for d in dests:
+            acts = evaluate(pid, d)
+            lo = bisect_left(out, d, key=_DEST)
+            hi = bisect_right(out, d, lo, key=_DEST)
+            if acts or lo != hi:
+                if out is old:  # the scheduler or the verifier may hold it
+                    out = list(old)
+                out[lo:hi] = acts
+        if out is old:
+            return old or []
+        if out:
+            self.served[pid] = out
+        elif old:
+            del self.served[pid]
         return out

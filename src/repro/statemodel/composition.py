@@ -29,10 +29,11 @@ class PriorityStack:
         if not protocols:
             raise ValueError("PriorityStack needs at least one protocol")
         self._protocols: List[Protocol] = list(protocols)
-        #: (protocol, tracks_components) pairs, resolved once — the hot loop
-        #: must not re-read the flag per call.
+        #: (protocol, tracks_components, silent_at unless the default)
+        #: triples, resolved once — the hot loop must not re-read them.
         self._layers: List[tuple] = [
-            (p, bool(getattr(p, "tracks_components", False)))
+            (p, bool(getattr(p, "tracks_components", False)),
+             None if type(p).silent_at is Protocol.silent_at else p.silent_at)
             for p in self._protocols
         ]
         #: Component-evaluations charged to protocols that do *not* track
@@ -52,8 +53,11 @@ class PriorityStack:
             proto.before_step(step)
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
-        """Actions of the highest-priority protocol enabled at ``pid``."""
-        for proto, tracked in self._layers:
+        """Actions of the highest-priority protocol enabled at ``pid``; a
+        layer silent at ``pid`` is not polled."""
+        for proto, tracked, silent_at in self._layers:
+            if silent_at is not None and silent_at(pid):
+                continue
             if not tracked:
                 self._fallback_evals += 1
             actions = proto.enabled_actions(pid)

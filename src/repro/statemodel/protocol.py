@@ -52,6 +52,11 @@ class Protocol(ABC):
         actions will write (snapshot discipline).
         """
 
+    def silent_at(self, pid: ProcId) -> bool:
+        """True when ``enabled_actions(pid)`` would answer ``[]``
+        evaluating nothing, and then counts as that call (default: never)."""
+        return False
+
     def before_step(self, step: int) -> None:
         """Hook invoked by the simulator at the very beginning of each step,
         before guard evaluation.  Used for environment moves that the paper

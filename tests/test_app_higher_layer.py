@@ -1,6 +1,8 @@
 """Tests for the higher layer (request handshake, delivery sink)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.app.higher_layer import HigherLayer
 from repro.errors import ConfigurationError
@@ -113,3 +115,40 @@ class TestRequestedDestinationsIndex:
         assert hl.requested_destinations() == set()
         hl.before_step(1)  # re-raised: same head, index refreshed
         assert hl.requested_destinations() == {2}
+
+
+_hl_ops = st.lists(st.one_of(
+    # a self-addressed submit (p == dest) never enters an outbox
+    st.tuples(st.just("submit"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("raise"), st.just(0), st.just(0)),
+    st.tuples(st.just("consume"), st.integers(0, 2), st.just(0)),
+    st.tuples(st.just("snapshot"), st.just(0), st.just(0)),
+    st.tuples(st.just("restore"), st.integers(0, 3), st.just(0)),
+), max_size=30)
+
+
+class TestPendingCount:
+    """The pending count is kept by the mutators; after any call it equals
+    the sum of the outboxes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hl_ops)
+    def test_kept_equal_to_the_recomputed_sum(self, ops):
+        hl = HigherLayer(3)
+        vectors = []
+        for step, (kind, a, b) in enumerate(ops):
+            if kind == "submit":
+                hl.submit(a, f"m{step}", b)
+            elif kind == "raise":
+                hl.before_step(step)
+            elif kind == "consume":
+                if hl.pending_count(a):
+                    hl.consume_request(a)
+                else:
+                    with pytest.raises(ConfigurationError):
+                        hl.consume_request(a)
+            elif kind == "snapshot":
+                vectors.append(hl.snapshot())
+            elif vectors:
+                hl.restore(vectors[a % len(vectors)])
+            assert hl.total_pending() == sum(hl.pending_count(p) for p in range(3))

@@ -49,7 +49,7 @@ class TestAtomicMode:
                 break
         assert proto.ledger.valid_delivered_count == 1
         assert proto.ledger.violations == []
-        assert proto.network_is_empty()
+        assert all(m is None for row in proto.buf for m in row)
 
     def test_exactly_once_with_correct_tables(self):
         net = ring_network(6)

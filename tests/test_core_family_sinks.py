@@ -172,23 +172,24 @@ def _served(routing):
 class TestRepairRetiresItsComponent:
     """An executed RTfix / RTself leaves its own guard false unless a
     neighbor's entry moved in the same step, and that neighbor's write
-    marks the component anyway: so the repair marks only its neighbors,
-    drops its own entry unevaluated and has its processor served again."""
+    marks the component anyway: so the repair marks only the neighbors
+    that read what it wrote (none when only the hop moves), drops its own
+    entry unevaluated and has its processor served again."""
 
-    @pytest.mark.parametrize("rule, p, entry", (
-        ("RTfix", 1, (2, 0)),   # 1 routes away from 2 at distance 2
-        ("RTself", D, (0, 1)),  # the destination's own hop corrupted
+    @pytest.mark.parametrize("rule, p, entry, readers", (
+        ("RTfix", 1, (2, 0), (0, 2)),  # 1 routes away from 2 at distance 2
+        ("RTself", D, (0, 1), ()),     # the destination's own hop corrupted
     ))
-    def test_alone_the_repair_is_not_evaluated_again(self, rule, p, entry):
+    def test_alone_the_repair_is_not_evaluated_again(self, rule, p, entry, readers):
         routing = SelfStabilizingBFSRouting(line_network(3))
         routing.set_entry(D, p, *entry)
         served = _served(routing)
         assert {q: [a.rule for a in acts] for q, acts in served.items() if acts} == {p: [rule]}
         served[p][0].execute()
         cache = routing._components
-        assert cache.pending() == {q: ({D} if q != p else set()) for q in routing._nbhd[p]}
+        assert cache.pending() == {p: set(), **{q: {D} for q in readers}}
         assert p in routing.dirty_after({})
-        assert D not in cache.entries[p]
+        assert all(a.dest != D for a in cache.served.get(p, ()))
         evals = routing.component_evals
         assert routing.enabled_actions(p) == []
         assert routing.component_evals == evals
@@ -218,6 +219,28 @@ class TestRepairRetiresItsComponent:
         sim = CheckedSimulator(net.n, [routing], SynchronousDaemon())
         sim.run(500)
         assert routing.is_correct()
+
+
+class TestRoutingEntryWrite:
+    """Neighbors' guards read ``dist``, never ``hop``: a write that moves
+    ``dist_p(d)`` marks component ``d`` of ``N_p ∪ {p}``, one that moves
+    only the hop marks ``(p, d)`` alone, and the ``next_hop`` observers
+    hear a moved hop either way."""
+
+    @pytest.mark.parametrize("entry, marked, heard", (
+        ((2, 0), {0: {D}, 1: {D}, 2: {D}}, [(1, D)]),  # both move
+        ((2, 2), {0: {D}, 1: {D}, 2: {D}}, []),        # dist alone
+        ((1, 0), {1: {D}}, [(1, D)]),                  # hop alone
+        ((1, 2), {1: {D}}, []),                        # neither
+    ))
+    def test_the_write_marks_its_readers(self, entry, marked, heard):
+        routing = SelfStabilizingBFSRouting(line_network(3))
+        moves = []
+        routing.add_observer(lambda p, d: moves.append((p, d)))
+        routing.set_entry(D, 1, *entry)
+        assert routing._components.pending() == marked
+        assert moves == heard
+        assert (routing.dist[D][1], routing.hop[D][1]) == entry
 
 
 class TestOwnVariableSinks:

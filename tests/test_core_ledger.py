@@ -1,10 +1,12 @@
 """Tests for the exactly-once delivery ledger."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ledger import DeliveryLedger
 from repro.errors import SpecificationViolation
-from repro.statemodel.message import MessageFactory
+from repro.statemodel.message import Message, MessageFactory
 
 
 def generated(factory=None, source=0, dest=2, payload="m", step=1):
@@ -187,3 +189,77 @@ class TestObservers:
         led.add_observer(lambda k, u, i: seen.append(("second", k)))
         led.record_generated(generated())
         assert seen == [("first", "generated"), ("second", "generated")]
+
+
+_ledger_ops = st.lists(st.one_of(
+    st.tuples(st.just("generate"), st.integers(1, 5), st.integers(0, 2)),
+    # valid deliveries: first, duplicate, wrong place or unknown uid alike
+    st.tuples(st.just("deliver"), st.integers(1, 6), st.integers(0, 2)),
+    st.tuples(st.just("invalid"), st.integers(1, 3), st.integers(0, 2)),
+    st.tuples(st.just("snapshot"), st.just(0), st.just(0)),
+    st.tuples(st.just("restore"), st.integers(0, 3), st.just(0)),
+), max_size=30)
+
+
+class TestOutstandingCount:
+    """The outstanding uids are kept by the intake paths; after any call
+    they equal the generated uids without a delivery record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ledger_ops)
+    def test_kept_equal_to_the_recomputed_set(self, ops):
+        led = DeliveryLedger(strict=False)
+        vectors = []
+        for kind, a, b in ops:
+            if kind == "generate":
+                led.record_generated(Message("m", b, 0, b, a, True, b, 0))
+            elif kind == "deliver":
+                led.record_delivery(b, Message("m", b, 0, b, a, True, b, 0), 1)
+            elif kind == "invalid":
+                led.record_delivery(b, Message("g", b, 0, b, -a, False), 1)
+            elif kind == "snapshot":
+                vectors.append(led.snapshot())
+            elif vectors:
+                vec = vectors[a % len(vectors)]
+                led.restore(vec)
+                assert led.snapshot() == vec
+            recomputed = {
+                uid for uid in led.generated_uids()
+                if led.delivery_record(uid) is None
+            }
+            assert led.outstanding_uids() == recomputed
+            assert led.all_valid_delivered() == (not recomputed)
+
+
+class TestSnapshotAnchor:
+    def test_a_generation_needs_a_valid_message_with_a_source(self):
+        led = DeliveryLedger()
+        with pytest.raises(ValueError):
+            led.record_generated(Message("m", 0, 0, 2, 1, True, None))
+        with pytest.raises(ValueError):
+            led.record_generated(Message("g", 0, 0, 2, -1, False, 0))
+
+    def test_the_anchor_comes_back_until_an_event_is_taken_in(self):
+        led = DeliveryLedger(strict=False)
+        empty = led.snapshot()
+        assert empty == ((), (), (), (), ())
+        led.record_generated(generated())
+        vec = led.snapshot()
+        led.restore(vec)
+        assert led.snapshot() is vec
+        msg = generated()
+        led.record_loss(msg, "erased")
+        after = led.snapshot()
+        assert after != vec and after[3] == (msg.uid,)
+        led.restore(empty)
+        assert led.snapshot() is empty and led.all_valid_delivered()
+
+    def test_a_loss_drops_the_anchor_before_the_strict_ledger_raises(self):
+        led = DeliveryLedger()
+        msg = generated()
+        led.record_generated(msg)
+        vec = led.snapshot()
+        led.restore(vec)
+        with pytest.raises(SpecificationViolation):
+            led.record_loss(msg, "erased")
+        assert led.snapshot()[3] == (msg.uid,)

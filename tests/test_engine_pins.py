@@ -19,11 +19,14 @@ from repro.app.higher_layer import HigherLayer
 from repro.app.workload import hotspot_workload, uniform_workload
 from repro.core.buffers import ForwardingBuffers
 from repro.core.choice import LazyChoiceTable
+from repro.core.ledger import DeliveryLedger
 from repro.core.registry import resolve
 from repro.network.topologies import grid_network, ring_network, star_network
+from repro.routing.selfstab_bfs import SelfStabilizingBFSRouting
 from repro.obs import MessageTracer, MetricsRegistry
 from repro.sim.metrics import moves_per_delivery
 from repro.sim.runner import build_simulation, delivered_and_drained
+from repro.statemodel.components import ComponentDirtyCache
 from repro.statemodel.daemon import DistributedRandomDaemon
 from repro.statemodel.message import MessageFactory
 
@@ -84,8 +87,10 @@ def _build(label, **kwargs):
 # label -> (step budget | None = to completion, steps, guard-eval ceiling).
 # The steps are exact: a change that alters an execution must be deliberate.
 # The ceilings sit ~10 % over the count recorded when pinned (in the
-# comments; in parentheses, before reader-precise dirt for trickle and
-# before an executed repair retired its own component for churn): more
+# comments; in parentheses, before reader-precise dirt for trickle and,
+# for churn, before a routing write that leaves dist_p(d) as it was marked
+# (p, d) alone — and before that, before an executed repair retired its
+# own component): more
 # means the dirty sets got coarser or a cache started missing.  The n = 256 scale
 # points run a fixed budget; ring256-churn's 400 steps are all routing
 # repair.  Bit-identity with the classic full scan is asserted against
@@ -93,8 +98,8 @@ def _build(label, **kwargs):
 _ENGINE_PINS = {
     "ring64-trickle": (None, 1345, 7_800),      # 7,017 (10,726)
     "grid8x8-trickle": (None, 795, 2_700),      # 2,403 (6,022)
-    "ring64-churn": (None, 1348, 58_000),       # 52,632 (75,034)
-    "ring256-churn": (400, 400, 184_500),       # 167,667 (218,576)
+    "ring64-churn": (None, 1348, 50_300),       # 45,664 (52,632; 75,034)
+    "ring256-churn": (400, 400, 181_500),       # 165,019 (167,667; 218,576)
     "grid16x16-trickle": (400, 396, 1_900),     # 1,723 (4,343)
 }
 
@@ -128,6 +133,56 @@ def test_engine_schedule_and_guard_evals(label, observed):
         # A registry and a tracer watch; they change nothing: the same
         # schedule, guard evaluation for guard evaluation.
         assert (steps, guard_evals) == _engine_run(label, observed=False)
+
+
+# -- SERVING: what a poll pays for ------------------------------------------------
+
+# label -> (ceiling on the action references of newly served lists, ceiling
+# on routing enabled_actions calls), ~10 % over the counts recorded when
+# pinned: 242,838 and 43,386 on ring64-churn (399,351 and 44,926 when
+# every poll assembled a fresh list and a silent routing layer was still
+# polled), 900 and 0 on grid16x16-trickle (900 and 1,971).  A clean poll
+# serves the list it served last time, a dirty one a copy with the
+# re-evaluated components spliced in; the halt predicate builds no set.
+_SERVING_PINS = {
+    "ring64-churn": (267_000, 47_700),
+    "grid16x16-trickle": (990, 0),
+}
+
+
+@pytest.mark.parametrize("label", list(_SERVING_PINS))
+def test_served_list_references_routing_polls_and_halt_builds(label, monkeypatch):
+    counts = {"references": 0, "routing_polls": 0, "outstanding_builds": 0}
+    serve = ComponentDirtyCache.enabled_actions
+
+    def counted_serve(cache, pid, evaluate, active):
+        before = cache.served.get(pid)
+        served = serve(cache, pid, evaluate, active)
+        if served is not before:
+            counts["references"] += len(served)
+        return served
+
+    poll = SelfStabilizingBFSRouting.enabled_actions
+
+    def counted_poll(routing, pid):
+        counts["routing_polls"] += 1
+        return poll(routing, pid)
+
+    outstanding = DeliveryLedger.outstanding_uids
+
+    def counted_outstanding(ledger):
+        counts["outstanding_builds"] += 1
+        return outstanding(ledger)
+
+    monkeypatch.setattr(ComponentDirtyCache, "enabled_actions", counted_serve)
+    monkeypatch.setattr(SelfStabilizingBFSRouting, "enabled_actions", counted_poll)
+    monkeypatch.setattr(DeliveryLedger, "outstanding_uids", counted_outstanding)
+    steps, _ = _engine_run(label, observed=False)
+    assert steps == _ENGINE_PINS[label][1]
+    references, routing_polls = _SERVING_PINS[label]
+    assert counts["references"] <= references, counts
+    assert counts["routing_polls"] <= routing_polls, counts
+    assert counts["outstanding_builds"] == 0, counts
 
 
 # -- ARENA: the two journal protocols on the same seeded substrates ------------

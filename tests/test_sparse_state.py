@@ -45,8 +45,8 @@ SCENARIOS = [(s * 271 + 11, d) for s in range(4)
 def _routing_fixpoint(routing, d):
     """True iff destination ``d``'s rows match the converged fixpoint (or
     are unmaterialized, which reads the same)."""
-    dist = routing.dist.peek(d)
-    hop = routing.hop.peek(d)
+    dist = routing.dist.rows.get(d)
+    hop = routing.hop.rows.get(d)
     return (dist is None or dist == routing._fixpoint_dist_row(d)) and (
         hop is None or hop == routing._fixpoint_hop_row(d)
     )
@@ -82,7 +82,7 @@ def _churn(sim, rng: random.Random) -> None:
     if isinstance(routing, SelfStabilizingBFSRouting):
         d = rng.randrange(n)
         routing.dist[d], routing.hop[d]  # noqa: B018 - materializing read
-        for d in list(routing.dist.materialized() | routing.hop.materialized()):
+        for d in list(routing.dist.rows.keys() | routing.hop.rows.keys()):
             if rng.random() < 0.5 and _routing_fixpoint(routing, d):
                 routing.dist.evict(d)
                 routing.hop.evict(d)
@@ -181,7 +181,7 @@ class TestEvictedReadsAreCleanEmpty:
         row[1] = 99                      # direct mutation lands in the store
         assert rows[4] == [4, 99, 6]
         rows.evict(4)
-        assert rows.peek(4) is None
+        assert 4 not in rows.rows
         assert rows[4] == [4, 5, 6]      # re-materialization is clean
         assert calls == [4, 4]
 
@@ -199,7 +199,7 @@ class TestEvictedReadsAreCleanEmpty:
         proto.bufs.set_r(5, 6, f.invalid("copy", net.neighbors(6)[0], 0, 5))
         proto.bufs.set_r(9, 6, f.invalid("owned", 6, 0, 9))
         assert proto.offered_message(5, 6) is None
-        assert routing.dist.materialized() == routing.hop.materialized() == set()
+        assert not routing.dist.rows and not routing.hop.rows
         assert all(routing.enabled_actions(p) == [] for p in net.processors())
         assert routing.component_evals == 0
 

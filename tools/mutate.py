@@ -102,8 +102,9 @@ SCOPE: Dict[str, Tuple[Optional[Tuple[str, ...]], Tuple[str, ...]]] = {
     )),
     "src/repro/statemodel/components.py": (None, (
         "tests/test_core_family_sinks.py", "tests/test_sparse_state.py",
-        "tests/test_engine_pins.py",
+        "tests/test_engine_pins.py", "tests/test_statemodel_components.py",
     )),
+    "src/repro/core/ledger.py": (None, ("tests/test_core_ledger.py",)),
     "src/repro/verify/modelcheck.py": (("expand_state",), (
         "tests/test_modelcheck.py", "tests/test_verify_reduction.py",
         "tests/test_snapshot_state.py::TestEngineEquivalence::test_modelcheck_engines_agree",
